@@ -1,8 +1,8 @@
 (** Perfect-disambiguation reference backend — the cycle {e lower bound}.
 
-    The oracle consults a {!Prescience.t} recording of a fault-free
-    reference run, so it knows every dependency before it happens and
-    serializes only {e true} conflicting load/store pairs:
+    The oracle consults a {!Prescience.t} — the kernel's memory operations
+    walked in program order — so it knows every dependency before it
+    happens and serializes only {e true} conflicting load/store pairs:
 
     - a load with no older in-flight conflicting store is served at plain
       memory latency, with no capacity, allocation or bandwidth limits;
@@ -15,12 +15,17 @@
       the store's arrival.
 
     It never squashes and never replays.  If the observed run diverges
-    from the recording (an injected fault corrupted an address or value,
-    or the recording is incomplete), the oracle {e degrades}
-    deterministically: all waiting and future loads are served from
-    visible memory immediately.  Degraded runs still terminate and still
-    count as a lower bound candidate, but the differential harness treats
-    them as disagreements when their final memory differs. *)
+    from the walk (an injected fault corrupted an address or value), the
+    oracle {e degrades} deterministically: all waiting and future loads
+    are served from visible memory immediately.  Degraded runs still
+    terminate and still count as a lower bound candidate, but the
+    differential harness treats them as disagreements when their final
+    memory differs.
+
+    All state is flat: per-port response rings (a waiting load is a
+    record whose ready time its store's arrival fills in), per-slot
+    arrival flags and per-address visible-memory owners, so a
+    steady-state cycle allocates nothing. *)
 
 type config = {
   mem_latency : int;  (** cycles for a memory access (default 2) *)
@@ -32,15 +37,14 @@ val default : config
 type t
 
 (** [create_full ?trace cfg pm mem ~prescience] builds the oracle over the
-    flat memory [mem] (mutated in place to the final state).  The
-    prescience recording is forced on first use, so building the backend
-    is cheap when the run never touches ambiguous ports. *)
+    flat memory [mem] (mutated in place to the final state); [prescience]
+    must have been walked over [mem]'s initial contents. *)
 val create_full :
   ?trace:Pv_obs.Trace.t ->
   config ->
   Pv_memory.Portmap.t ->
   int array ->
-  prescience:Prescience.t Lazy.t ->
+  prescience:Prescience.t ->
   t * Pv_dataflow.Memif.t
 
 (** {1 Scheme-specific counters} *)

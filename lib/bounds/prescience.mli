@@ -1,60 +1,54 @@
-(** Recorded knowledge of a kernel's dynamic memory behaviour, captured
-    from a fault-free reference run — the "perfect disambiguator" that the
-    {!Oracle} backend consults.
+(** Program-order knowledge of a kernel's dynamic memory behaviour — the
+    "perfect disambiguator" that the {!Oracle} backend consults.
 
-    A {!recorder} wraps any correct {!Pv_dataflow.Memif.t} (the fast LSQ
-    in practice) and logs every accepted operation: load addresses and the
-    values they returned, store payloads, and skip notifications.
-    {!finish} indexes the log into the queries an oracle needs: the
-    correct value of each load, the youngest program-order-older store to
-    an address, and whether a store is the final writer of its address.
+    {!walk} executes the kernel in program order over a pristine copy of
+    its memory: the loop-nest trace gives the body instances in seq order,
+    each leaf's {!Pv_frontend.Depend.leaf_ops} (under the same CSE setting
+    the circuit was built with) give its memory operations in port order,
+    and every flat address is the array's {!Pv_memory.Layout} base plus the
+    evaluated index.  An address outside memory reads 0 and drops the
+    write, as the backends do.  A correct disambiguator returns exactly
+    these program-order values, so the tables equal what a fault-free
+    cycle-accurate reference run would record.
 
-    Program order of dynamic ops is the pair [(seq, port)]: instances
-    execute in seq order and port ids are assigned in program order, so
-    the port id is the in-instance tie-break. *)
-
-type store_rec = {
-  st_seq : int;  (** body-instance number *)
-  st_port : int;  (** static port id — the program-order tie-break *)
-  st_value : int;
-}
+    Every dynamic operation has a {e slot} [seq * n_ports + port]: the
+    index into the flat tables and, because port ids are assigned in
+    program order, also its program-order key (slots compare like the pair
+    [(seq, port)]). *)
 
 type t
 
-(** Number of accepted load/store operations recorded. *)
-val n_ops : t -> int
+(** [walk kernel info trace layout mem] — [mem] is the initial flat
+    memory; it is copied, not mutated. *)
+val walk :
+  Pv_kernels.Ast.kernel ->
+  Pv_frontend.Depend.info ->
+  Pv_frontend.Trace.t ->
+  Pv_memory.Layout.t ->
+  int array ->
+  t
 
-(** The reference run completed; a partial recording (reference deadlock)
-    makes the oracle degrade rather than trust it. *)
-val complete : t -> bool
+(** Body instances walked (the trace length). *)
+val n_seq : t -> int
 
-type recorder
+val n_ports : t -> int
 
-(** Wrap [inner] so every accepted operation is recorded.  The returned
-    interface is behaviourally identical to [inner]. *)
-val wrap :
-  Pv_memory.Portmap.t -> Pv_dataflow.Memif.t -> recorder * Pv_dataflow.Memif.t
+(** [seq * n_ports + port]. *)
+val slot : t -> seq:int -> port:int -> int
 
-(** Index the recording.  [complete] states whether the reference run
-    finished (pass the outcome's verdict). *)
-val finish : complete:bool -> recorder -> t
+(** The operation of this slot executed (it was not skipped by an untaken
+    branch, and [slot] is within the tables). *)
+val recorded : t -> int -> bool
 
-(** The value the load of [(port, seq)] must return, provided its address
-    matches the recorded one ([None] on any mismatch — the current run has
-    diverged from the recording). *)
-val load_value : t -> port:int -> seq:int -> addr:int -> int option
+(** Flat address of a recorded operation. *)
+val addr : t -> int -> int
 
-(** Recorded [(addr, value)] payload of the store of [(port, seq)]. *)
-val store_payload : t -> port:int -> seq:int -> (int * int) option
+(** Value a recorded load returns, or the payload a recorded store
+    writes. *)
+val value : t -> int -> int
 
-(** The op of [(port, seq)] was skipped (fake token) in the reference run. *)
-val skipped : t -> port:int -> seq:int -> bool
-
-(** Youngest store to [addr] strictly older in program order than the
-    operation at [(seq, port)] — the only store that can carry the value a
-    load at that point must observe. *)
-val youngest_older_store :
-  t -> addr:int -> seq:int -> port:int -> store_rec option
-
-(** The store at [(seq, port)] is the last writer of [addr]. *)
-val is_final_store : t -> addr:int -> seq:int -> port:int -> bool
+(** Slot of the youngest store to [addr] strictly older in program order
+    than [slot] — the only store that can carry the value a load at that
+    point must observe — or [-1] when there is none (or [addr] lies outside
+    memory). *)
+val youngest_older_store : t -> addr:int -> slot:int -> int

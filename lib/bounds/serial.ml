@@ -11,11 +11,12 @@ type t = {
   mem : int array;
   stats : Memif.stats;
   trace : Trace.t;
+  n_ports : int;
+  ambiguous : bool array;  (* port -> ambiguous *)
   gports : int array array;  (* group -> ambiguous ports, program order *)
-  group_of : (int, int) Hashtbl.t;  (* seq -> group *)
-  done_ : (int * int, unit) Hashtbl.t;  (* (seq, port) completed/skipped *)
-  resp : (int, (int * Types.Token.t * int) Queue.t) Hashtbl.t;
-      (* port -> (ready_at, token key, value) *)
+  group_of : int array;  (* seq -> group, -1 = not yet announced *)
+  done_ : Bytes.t;  (* seq * n_ports + port -> '\001' once completed/skipped *)
+  resp : Ring.t array;  (* port -> (ready_at, token key, value) records *)
   mutable head_seq : int;
   mutable head_idx : int;
   mutable busy_until : int;  (* the single memory channel *)
@@ -30,37 +31,40 @@ let in_bounds t addr = addr >= 0 && addr < Array.length t.mem
 let read_mem t addr = if in_bounds t addr then t.mem.(addr) else 0
 let write_mem t addr value = if in_bounds t addr then t.mem.(addr) <- value
 
+let group_at t seq =
+  if seq < Array.length t.group_of then t.group_of.(seq) else -1
+
+let mark_done t ~seq ~port =
+  Bytes.set t.done_ ((seq * t.n_ports) + port) '\001'
+
 (* Skip completed/skipped ops and exhausted instances; stops when the head
    instance's group is not yet announced. *)
 let rec advance t =
-  match Hashtbl.find_opt t.group_of t.head_seq with
-  | None -> ()
-  | Some g ->
-      let ports = t.gports.(g) in
-      if t.head_idx >= Array.length ports then begin
-        t.head_seq <- t.head_seq + 1;
-        t.head_idx <- 0;
-        advance t
-      end
-      else if Hashtbl.mem t.done_ (t.head_seq, ports.(t.head_idx)) then begin
-        t.head_idx <- t.head_idx + 1;
-        advance t
-      end
+  let g = group_at t t.head_seq in
+  if g >= 0 then begin
+    let ports = t.gports.(g) in
+    if t.head_idx >= Array.length ports then begin
+      t.head_seq <- t.head_seq + 1;
+      t.head_idx <- 0;
+      advance t
+    end
+    else if
+      Bytes.get t.done_ ((t.head_seq * t.n_ports) + ports.(t.head_idx))
+      <> '\000'
+    then begin
+      t.head_idx <- t.head_idx + 1;
+      advance t
+    end
+  end
 
+(* The port the program-order gate admits next, or -1 while the head
+   instance's group is unannounced (or the instance is exhausted). *)
 let expected t =
-  match Hashtbl.find_opt t.group_of t.head_seq with
-  | None -> None
-  | Some g ->
-      let ports = t.gports.(g) in
-      if t.head_idx < Array.length ports then Some ports.(t.head_idx) else None
-
-let queue_of t port =
-  match Hashtbl.find_opt t.resp port with
-  | Some q -> q
-  | None ->
-      let q = Queue.create () in
-      Hashtbl.replace t.resp port q;
-      q
+  let g = group_at t t.head_seq in
+  if g < 0 then -1
+  else
+    let ports = t.gports.(g) in
+    if t.head_idx < Array.length ports then ports.(t.head_idx) else -1
 
 let occupy t =
   t.busy_until <- t.now + t.cfg.mem_latency + t.cfg.turnaround;
@@ -71,7 +75,7 @@ let occupy t =
 let admit t ~ambiguous ~port ~seq =
   if ambiguous then begin
     advance t;
-    if not (expected t = Some port && seq = t.head_seq) then begin
+    if not (expected t = port && seq = t.head_seq) then begin
       t.stats.stall_order <- t.stats.stall_order + 1;
       false
     end
@@ -80,7 +84,7 @@ let admit t ~ambiguous ~port ~seq =
       false
     end
     else begin
-      Hashtbl.replace t.done_ (seq, port) ();
+      mark_done t ~seq ~port;
       t.head_idx <- t.head_idx + 1;
       advance t;
       t.n_serialized <- t.n_serialized + 1;
@@ -93,19 +97,22 @@ let admit t ~ambiguous ~port ~seq =
   end
   else true
 
-let create_full ?(trace = Trace.null) cfg pm mem =
+let create_full ?(trace = Trace.null) cfg pm ~n_seq mem =
+  let n_ports = Array.length pm.Portmap.ports in
   let t =
     {
       cfg;
       mem;
       stats = Memif.fresh_stats ();
       trace;
+      n_ports;
+      ambiguous = Array.init n_ports (Portmap.is_ambiguous pm);
       gports =
         Array.init pm.Portmap.n_groups (fun g ->
             Array.of_list (Portmap.group_ports pm g));
-      group_of = Hashtbl.create 256;
-      done_ = Hashtbl.create 256;
-      resp = Hashtbl.create 16;
+      group_of = Array.make n_seq (-1);
+      done_ = Bytes.make (n_seq * n_ports) '\000';
+      resp = Array.init n_ports (fun _ -> Ring.create ~stride:3 4);
       head_seq = 0;
       head_idx = 0;
       busy_until = 0;
@@ -114,25 +121,23 @@ let create_full ?(trace = Trace.null) cfg pm mem =
       n_serialized = 0;
     }
   in
-  let ambiguous port = Portmap.is_ambiguous pm port in
   let mif =
     {
       Memif.begin_instance =
         (fun ~seq ~group ->
-          Hashtbl.replace t.group_of seq group;
+          t.group_of.(seq) <- group;
           true);
       alloc_group =
         (fun ~key ~group ->
-          Hashtbl.replace t.group_of (Types.Token.seq key) group;
+          t.group_of.(Types.Token.seq key) <- group;
           true);
       load_req =
         (fun ~port ~key ~addr ->
           let seq = Types.Token.seq key in
-          if admit t ~ambiguous:(ambiguous port) ~port ~seq then begin
+          if admit t ~ambiguous:t.ambiguous.(port) ~port ~seq then begin
             t.stats.loads <- t.stats.loads + 1;
-            Queue.add
-              (t.now + cfg.mem_latency, key, read_mem t addr)
-              (queue_of t port);
+            Ring.push3 t.resp.(port) (t.now + cfg.mem_latency) key
+              (read_mem t addr);
             t.pending <- t.pending + 1;
             occupy t;
             true
@@ -140,23 +145,19 @@ let create_full ?(trace = Trace.null) cfg pm mem =
           else false);
       load_poll =
         (fun ~port out ->
-          match Hashtbl.find_opt t.resp port with
-          | None -> false
-          | Some q ->
-              if Queue.is_empty q then false
-              else
-                let ready_at, key, value = Queue.peek q in
-                if ready_at <= t.now then begin
-                  ignore (Queue.pop q);
-                  t.pending <- t.pending - 1;
-                  out.Memif.ls_key <- key;
-                  out.Memif.ls_value <- value;
-                  true
-                end
-                else false);
+          let q = t.resp.(port) in
+          (not (Ring.is_empty q))
+          && Ring.get q 0 0 <= t.now
+          && begin
+               out.Memif.ls_key <- Ring.get q 0 1;
+               out.Memif.ls_value <- Ring.get q 0 2;
+               Ring.pop q;
+               t.pending <- t.pending - 1;
+               true
+             end);
       store_req =
         (fun ~port ~key ~addr ~value ->
-          if admit t ~ambiguous:(ambiguous port) ~port ~seq:(Types.Token.seq key)
+          if admit t ~ambiguous:t.ambiguous.(port) ~port ~seq:(Types.Token.seq key)
           then begin
             t.stats.stores <- t.stats.stores + 1;
             write_mem t addr value;
@@ -168,8 +169,8 @@ let create_full ?(trace = Trace.null) cfg pm mem =
       op_skip =
         (fun ~port ~key ->
           t.stats.fake_tokens <- t.stats.fake_tokens + 1;
-          if ambiguous port then begin
-            Hashtbl.replace t.done_ (Types.Token.seq key, port) ();
+          if t.ambiguous.(port) then begin
+            mark_done t ~seq:(Types.Token.seq key) ~port;
             advance t
           end;
           true);
@@ -184,9 +185,7 @@ let create_full ?(trace = Trace.null) cfg pm mem =
             "serial: now=%d head=(seq=%d,idx=%d) expected_port=%s busy_until=%d \
              pending=%d serialized=%d"
             t.now t.head_seq t.head_idx
-            (match expected t with
-            | Some p -> string_of_int p
-            | None -> "?")
+            (match expected t with -1 -> "?" | p -> string_of_int p)
             t.busy_until t.pending t.n_serialized);
     }
   in

@@ -10,7 +10,10 @@
     arrival order.
 
     It never speculates, never squashes and holds no speculative state
-    ([inject] refuses every backend fault). *)
+    ([inject] refuses every backend fault).  Its state is flat — per-seq
+    group and per-[(seq, port)] completion tables sized by the trace
+    length, per-port response rings — so a steady-state cycle allocates
+    nothing. *)
 
 type config = {
   mem_latency : int;  (** cycles for a memory access (default 2) *)
@@ -22,10 +25,13 @@ val default : config
 
 type t
 
+(** [create_full ?trace cfg pm ~n_seq mem] serves body instances
+    [0 .. n_seq - 1] (the trace length) over the flat memory [mem]. *)
 val create_full :
   ?trace:Pv_obs.Trace.t ->
   config ->
   Pv_memory.Portmap.t ->
+  n_seq:int ->
   int array ->
   t * Pv_dataflow.Memif.t
 

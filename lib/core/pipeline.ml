@@ -50,9 +50,8 @@ type result = {
 
 let backend_full ?trace ?prof (compiled : compiled) mem dis : Scheme.instance =
   let env =
-    Scheme.make_env ?trace ?prof
-      ~portmap:compiled.info.Pv_frontend.Depend.portmap ~graph:compiled.graph
-      mem
+    Scheme.make_env ?trace ?prof ~kernel:compiled.kernel ~info:compiled.info
+      ~schedule:compiled.trace ~layout:compiled.layout mem
   in
   let (module M : Scheme.S) = Scheme.of_disambiguation dis in
   M.make env

@@ -26,31 +26,18 @@ let oracle = Oracle Oracle.default
 let serial = Serial Serial.default
 
 type env = {
-  portmap : Pv_memory.Portmap.t;
+  kernel : Pv_kernels.Ast.kernel;
+  info : Pv_frontend.Depend.info;
+  schedule : Pv_frontend.Trace.t;
+  layout : Pv_memory.Layout.t;
   mem : int array;
   trace : Pv_obs.Trace.t;
   prof : Pv_obs.Prof.t;
-  prescience : Prescience.t Lazy.t;
 }
 
-let make_env ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null) ~portmap
-    ~graph mem =
-  (* copy eagerly: by the time the oracle forces the recording, [mem] has
-     been mutated by the run in progress *)
-  let pristine = Array.copy mem in
-  let prescience =
-    lazy
-      (let _, inner = Lsq.create_full Lsq.fast portmap pristine in
-       let recorder, memif = Prescience.wrap portmap inner in
-       let outcome, _ = Pv_dataflow.Sim.run graph memif in
-       let complete =
-         match outcome with
-         | Pv_dataflow.Sim.Finished _ -> true
-         | Pv_dataflow.Sim.Deadlock _ | Pv_dataflow.Sim.Timeout _ -> false
-       in
-       Prescience.finish ~complete recorder)
-  in
-  { portmap; mem; trace; prof; prescience }
+let make_env ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null) ~kernel
+    ~info ~schedule ~layout mem =
+  { kernel; info; schedule; layout; mem; trace; prof }
 
 type instance = {
   memif : Pv_dataflow.Memif.t;
@@ -114,15 +101,16 @@ let elaboration_of = function
 (* ---- adapters ---- *)
 
 let make_backend dis env =
+  let portmap = env.info.Pv_frontend.Depend.portmap in
   match dis with
   | Plain_lsq cfg | Fast_lsq cfg ->
       let _, memif =
-        Lsq.create_full ~trace:env.trace ~prof:env.prof cfg env.portmap env.mem
+        Lsq.create_full ~trace:env.trace ~prof:env.prof cfg portmap env.mem
       in
       { memif; record_metrics = (fun _ -> ()) }
   | Prevv cfg ->
       let t, memif =
-        Backend.create_full ~trace:env.trace ~prof:env.prof cfg env.portmap
+        Backend.create_full ~trace:env.trace ~prof:env.prof cfg portmap
           env.mem
       in
       {
@@ -141,9 +129,12 @@ let make_backend dis env =
               a.Pv_prevv.Arbiter.gate_wait);
       }
   | Oracle cfg ->
+      (* walked now, before the run mutates [env.mem] *)
+      let prescience =
+        Prescience.walk env.kernel env.info env.schedule env.layout env.mem
+      in
       let t, memif =
-        Oracle.create_full ~trace:env.trace cfg env.portmap env.mem
-          ~prescience:env.prescience
+        Oracle.create_full ~trace:env.trace cfg portmap env.mem ~prescience
       in
       {
         memif;
@@ -155,7 +146,11 @@ let make_backend dis env =
             if Oracle.degraded t then Metrics.incr m "scheme.oracle.degraded");
       }
   | Serial cfg ->
-      let t, memif = Serial.create_full ~trace:env.trace cfg env.portmap env.mem in
+      let t, memif =
+        Serial.create_full ~trace:env.trace cfg portmap
+          ~n_seq:(Pv_frontend.Trace.length env.schedule)
+          env.mem
+      in
       {
         memif;
         record_metrics =

@@ -30,28 +30,31 @@ val serial : disambiguation
 
 (** {1 Instantiation environment} *)
 
-(** What a scheme needs to come alive: the kernel's port map, the flat
-    memory it mutates in place, a trace sink, the elaborated circuit and a
-    lazily computed {!Pv_bounds.Prescience.t} (forced only by the oracle;
-    recorded over a pristine copy of [mem] taken at {!make_env} time). *)
+(** What a scheme needs to come alive: the compiled kernel (source,
+    dependence analysis with its port map, loop-nest schedule and memory
+    layout), the flat memory it mutates in place, a trace sink and a
+    profiler.  The oracle walks the kernel over [mem] when it is made, so
+    [make] must run before the simulation touches [mem]. *)
 type env = {
-  portmap : Pv_memory.Portmap.t;
+  kernel : Pv_kernels.Ast.kernel;
+  info : Pv_frontend.Depend.info;
+  schedule : Pv_frontend.Trace.t;  (** the generator's instance table *)
+  layout : Pv_memory.Layout.t;
   mem : int array;
   trace : Pv_obs.Trace.t;
   prof : Pv_obs.Prof.t;
       (** cycle-attribution profiler; the PreVV and LSQ backends feed
           their inner-loop phases ([arbiter_scan], [pq_validate],
           [lsq_cam], [mem_service]) into it when enabled *)
-  prescience : Pv_bounds.Prescience.t Lazy.t;
 }
 
-(** Build an environment; [graph] is the circuit the prescience reference
-    run executes (with a fast LSQ, fault-free, default sim config). *)
 val make_env :
   ?trace:Pv_obs.Trace.t ->
   ?prof:Pv_obs.Prof.t ->
-  portmap:Pv_memory.Portmap.t ->
-  graph:Pv_dataflow.Graph.t ->
+  kernel:Pv_kernels.Ast.kernel ->
+  info:Pv_frontend.Depend.info ->
+  schedule:Pv_frontend.Trace.t ->
+  layout:Pv_memory.Layout.t ->
   int array ->
   env
 

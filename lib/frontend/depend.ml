@@ -43,6 +43,7 @@ type info = {
   ambiguous_arrays : (string * pair_class) list;
       (** one disambiguation instance per entry, in instance-id order *)
   max_loop_depth : int;
+  cse : bool;  (** the CSE setting the ports were enumerated under *)
 }
 
 (* --- leaf extraction ----------------------------------------------------- *)
@@ -295,6 +296,7 @@ let analyse ?(cse = false) (k : Ast.kernel) : info =
     portmap;
     ambiguous_arrays = List.map (fun a -> (a, classify a)) ambiguous;
     max_loop_depth = List.fold_left (fun m n -> max m (depth n)) 0 nodes;
+    cse;
   }
 
 (** Count of ambiguous pairs before dimension reduction: every

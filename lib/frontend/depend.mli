@@ -43,6 +43,9 @@ type info = {
   ambiguous_arrays : (string * pair_class) list;
       (** one disambiguation instance per entry, in instance-id order *)
   max_loop_depth : int;
+  cse : bool;
+      (** the CSE setting the ports were enumerated under; whoever replays
+          the leaves' operations must resolve duplicate loads the same way *)
 }
 
 (** CSE scoping inside one leaf: loads may be shared within one

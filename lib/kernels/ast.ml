@@ -93,6 +93,8 @@ let rec pp_expr ppf = function
   | Un (Pv_dataflow.Types.Neg, e) -> Format.fprintf ppf "(-%a)" pp_expr e
   | Un (u, e) ->
       Format.fprintf ppf "%s(%a)" (Pv_dataflow.Types.string_of_unop u) pp_expr e
+  | Bin (((Pv_dataflow.Types.Min | Pv_dataflow.Types.Max) as b), x, y) ->
+      Format.fprintf ppf "%s(%a, %a)" (symbol_of_binop b) pp_expr x pp_expr y
   | Bin (b, x, y) ->
       Format.fprintf ppf "(%a %s %a)" pp_expr x (symbol_of_binop b) pp_expr y
 

@@ -220,7 +220,8 @@ let int_lit p =
    add     := mul chained with +, -, bitwise-or, xor
    mul     := unary chained with star, /, %%, &, shifts
    unary   := - unary, or primary
-   primary := INT, IDENT, IDENT [ cmp ], or ( cmp ) *)
+   primary := INT, IDENT, IDENT [ cmp ], call, or ( cmp )
+   call    := min ( cmp , cmp ), max ( cmp , cmp ), not ( cmp ), lnot ( cmp ) *)
 let rec parse_cmp p : Ast.expr =
   let lhs = parse_add p in
   let op =
@@ -303,6 +304,7 @@ and parse_primary p =
           let ix = parse_cmp p in
           expect p RBRACKET "']'";
           Ast.Idx (name, ix)
+      | LPAREN -> parse_call p name
       | _ -> Ast.Var name)
   | LPAREN ->
       bump p;
@@ -310,6 +312,26 @@ and parse_primary p =
       expect p RPAREN "')'";
       e
   | _ -> perr p "expected expression"
+
+(* the operators without a C symbol, in call form *)
+and parse_call p name =
+  let module T = Pv_dataflow.Types in
+  let arity, build =
+    match name with
+    | "min" -> (2, fun a -> Ast.Bin (T.Min, a.(0), a.(1)))
+    | "max" -> (2, fun a -> Ast.Bin (T.Max, a.(0), a.(1)))
+    | "not" -> (1, fun a -> Ast.Un (T.Not, a.(0)))
+    | "lnot" -> (1, fun a -> Ast.Un (T.Lnot, a.(0)))
+    | _ -> perr p (Printf.sprintf "unknown function %s" name)
+  in
+  bump p;
+  let args = Array.make arity (Ast.Int 0) in
+  for i = 0 to arity - 1 do
+    if i > 0 then expect p COMMA "','";
+    args.(i) <- parse_cmp p
+  done;
+  expect p RPAREN "')'";
+  build args
 
 (* statements *)
 let rec parse_stmt p : Ast.stmt =

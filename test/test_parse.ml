@@ -108,12 +108,21 @@ let roundtrip k =
             (Hashtbl.find a name) (Hashtbl.find b name))
         k.Ast.arrays
 
-let test_roundtrip_bundled () =
-  List.iter
-    (fun k ->
-      (* running_max uses the max operator, which has no C spelling here *)
-      if k.Ast.name <> "running_max" then roundtrip k)
-    (Defs.all ())
+let test_roundtrip_bundled () = List.iter roundtrip (Defs.all ())
+
+(* operators without a C symbol print and parse in call form *)
+let test_call_forms () =
+  let k =
+    parse_ok
+      "int a[4];\na[0] = min(3, 5);\na[1] = max(3, 5);\na[2] = not(0);\na[3] = lnot(-1);\n"
+  in
+  let st = Interp.run k ~init:[] in
+  Alcotest.(check (array int)) "values" [| 3; 5; 1; 0 |] (Hashtbl.find st "a");
+  let e = parse_err "int a[1];\na[0] = abs(1);\n" in
+  Alcotest.(check string) "unknown function" "unknown function abs"
+    e.Parse.message;
+  let e = parse_err "int a[1];\na[0] = min(1);\n" in
+  Alcotest.(check string) "arity" "expected ','" e.Parse.message
 
 (* random expressions round-trip through print + parse *)
 let prop_expr_roundtrip =
@@ -127,12 +136,20 @@ let prop_expr_roundtrip =
             (2, map (fun n -> Ast.Int n) (int_range 0 99));
             (2, return (Ast.Var "i"));
             (1, map (fun e -> Ast.Idx ("a", e)) (expr_gen (depth - 1)));
+            ( 1,
+              map2
+                (fun op e -> Ast.Un (op, e))
+                (oneofl Pv_dataflow.Types.[ Neg; Not; Lnot ])
+                (expr_gen (depth - 1)) );
             ( 3,
               map3
                 (fun op l r -> Ast.Bin (op, l, r))
                 (oneofl
                    Pv_dataflow.Types.
-                     [ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr ])
+                     [
+                       Add; Sub; Mul; Mulc; Div; Rem; And; Or; Xor; Shl; Shr;
+                       Lt; Le; Gt; Ge; Eq; Ne; Min; Max;
+                     ])
                 (expr_gen (depth - 1))
                 (expr_gen (depth - 1)) );
           ])
@@ -174,6 +191,8 @@ let () =
           Alcotest.test_case "bound variable check" `Quick test_error_bound_var;
           Alcotest.test_case "bundled kernels round-trip" `Quick
             test_roundtrip_bundled;
+          Alcotest.test_case "min/max/not/lnot call forms" `Quick
+            test_call_forms;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_expr_roundtrip ]);
     ]

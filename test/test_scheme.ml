@@ -220,6 +220,33 @@ let differential_paper_kernels () =
         Alcotest.failf "differential harness failed:@\n%a" Differential.pp r)
     (Pv_kernels.Defs.paper_benchmarks ())
 
+(* The reference bounds' cycles on the paper kernels, pinned: the oracle
+   walks the kernel for its prescience and both bounds run on flat tables,
+   and neither may move a cycle. *)
+let bound_cycles_pinned () =
+  let pinned =
+    [
+      ("polyn_mult", 2321, 27658);
+      ("2mm", 2021, 26043);
+      ("3mm", 2207, 29910);
+      ("gaussian", 2504, 51880);
+      ("triangular", 2619, 31212);
+    ]
+  in
+  List.iter
+    (fun kernel ->
+      let name = kernel.Pv_kernels.Ast.name in
+      let oracle, serial =
+        match List.find_opt (fun (n, _, _) -> n = name) pinned with
+        | Some (_, o, s) -> (o, s)
+        | None -> Alcotest.failf "no pinned cycles for %s" name
+      in
+      let compiled = Pipeline.compile kernel in
+      let cycles dis = (Pipeline.simulate compiled dis).Pipeline.cycles in
+      Alcotest.(check int) (name ^ "/oracle") oracle (cycles Pipeline.oracle);
+      Alcotest.(check int) (name ^ "/serial") serial (cycles Pipeline.serial))
+    (Pv_kernels.Defs.paper_benchmarks ())
+
 let () =
   Alcotest.run "scheme"
     [
@@ -248,5 +275,7 @@ let () =
         [
           Alcotest.test_case "oracle <= prevv <= dynamatic <= serial" `Quick
             differential_paper_kernels;
+          Alcotest.test_case "oracle and serial cycles pinned" `Quick
+            bound_cycles_pinned;
         ] );
     ]

@@ -210,6 +210,40 @@ let test_queue_paths_no_alloc () =
     "minor words per queue cycle" 0.0
     ((d_long -. d_short) /. 700.0)
 
+(* (i) the reference bounds stay on the same budget: a steady-state cycle
+   of the event engine over the serial and the oracle backend allocates
+   nothing on each paper kernel.  Default inputs, not zeros, so the
+   oracle's wait and forward paths see real conflicts. *)
+let test_bounds_no_alloc () =
+  List.iter
+    (fun kernel ->
+      let compiled = Pipeline.compile kernel in
+      List.iter
+        (fun (sname, dis) ->
+          let name = kernel.Pv_kernels.Ast.name ^ "/" ^ sname in
+          let mem =
+            Pv_memory.Layout.initial_memory compiled.Pipeline.layout kernel
+              ~init:(Pv_kernels.Workload.default_init kernel)
+          in
+          let sim =
+            Sim.create
+              ~cfg:{ Sim.default_config with Sim.engine = Sim.Event }
+              compiled.Pipeline.graph
+              (Pipeline.backend_of compiled mem dis)
+          in
+          steps sim 200;
+          let d_short = minor_delta (fun () -> steps sim 300) in
+          let d_long = minor_delta (fun () -> steps sim 1000) in
+          Alcotest.(check bool)
+            (name ^ ": still streaming through the measurement window")
+            false (Sim.finished sim);
+          Alcotest.(check (float 0.0))
+            (name ^ ": minor words per cycle")
+            0.0
+            ((d_long -. d_short) /. 700.0))
+        [ ("serial", Pipeline.serial); ("oracle", Pipeline.oracle) ])
+    kernels
+
 (* (h) Prof attribution counts records {e actually scanned}: under
    incremental validation, each gated load charges [arbiter_scan] by
    exactly the store-view population and each arriving store charges
@@ -327,6 +361,8 @@ let () =
             test_zero_alloc_profiled;
           Alcotest.test_case "packed queue paths allocate nothing" `Quick
             test_queue_paths_no_alloc;
+          Alcotest.test_case "serial and oracle cycles allocate nothing"
+            `Quick test_bounds_no_alloc;
         ] );
       ( "prof",
         [
