@@ -30,7 +30,6 @@ let create ~stride cap =
 let length t = t.len
 let is_empty t = t.len = 0
 let capacity t = t.mask + 1
-let stride t = t.stride
 
 (* Base offset into [buf] of live record [i] (0 = oldest). *)
 let[@inline] base t i = ((t.head + i) land t.mask) * t.stride

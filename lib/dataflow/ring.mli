@@ -5,9 +5,23 @@
     Records are [stride] consecutive ints.  Capacity is a power of two and
     doubles on demand, so after warm-up no operation allocates.  Records
     are addressed by live index: 0 is the oldest (head), [length t - 1]
-    the newest. *)
+    the newest.
 
-type t
+    The record is [private] so the simulator's per-cycle eval arms can
+    read the occupancy and the head record as plain field loads: under
+    the dev profile ocamlopt compiles with [-opaque], which turns every
+    call into this module into an out-of-line call.  Every write still
+    goes through the functions below. *)
+
+type t = private {
+  stride : int;
+  mutable buf : int array;  (** length = capacity * stride *)
+  mutable mask : int;  (** capacity - 1; capacity is a power of two *)
+  mutable head : int;
+      (** record index of the oldest record, always in [0, capacity), so
+          the oldest record's fields start at [head * stride] *)
+  mutable len : int;  (** live records *)
+}
 
 (** [create ~stride cap] — an empty ring of [stride]-int records with room
     for at least [cap] of them (rounded up to a power of two, min 2). *)
@@ -15,8 +29,6 @@ val create : stride:int -> int -> t
 
 val length : t -> int
 val is_empty : t -> bool
-val capacity : t -> int
-val stride : t -> int
 
 (** [get t i field] — field [field] of live record [i] (0 = oldest). *)
 val get : t -> int -> int -> int

@@ -14,8 +14,10 @@
     every cycle.  [Event] keeps a wake set and evaluates only nodes that can
     possibly fire: a node is awake iff one of its channels changed at the
     last clock edge, a timed event (injected stall expiry) is due, or it
-    still holds retryable work (a refused backend call, a non-empty FU pipe
-    or buffer, an unexhausted generator, an outstanding load response).
+    still holds work that needs no channel event (a refused backend call;
+    a pipe, buffer, generator or load response waiting on nothing but a
+    free output register — a node blocked on a full output sleeps until
+    the output drains).
     Within a cycle, consuming a token pulls the channel's producer into the
     same wave when its turn is still to come, preserving the
     one-token-per-cycle streaming of the full scan.
@@ -313,6 +315,16 @@ let[@inline] ag (a : int array) i = Array.unsafe_get a i
 let[@inline] aset (a : int array) i v = Array.unsafe_set a i v
 let[@inline] agb (a : bool array) i = Array.unsafe_get a i
 let[@inline] asetb (a : bool array) i v = Array.unsafe_set a i v
+
+(* Ring reads on the eval path.  [Ring.t] is a private record, so these
+   compile to plain loads where [Ring.length]/[Ring.get] would stay
+   out-of-line calls under the dev profile's [-opaque] (DESIGN.md §19).
+   [rhead r f] is field [f] of the oldest record; callers check
+   [rlen r > 0] first. *)
+let[@inline] rlen (r : Ring.t) = r.Ring.len
+
+let[@inline] rhead (r : Ring.t) f =
+  Array.unsafe_get r.Ring.buf ((r.Ring.head * r.Ring.stride) + f)
 
 let[@inline] bs_set (bs : int array) i =
   let w = i lsr 5 in
@@ -688,26 +700,32 @@ let[@inline] fire t slot =
    node and only adds capacity), an opaque one holds it for a cycle (a
    timing-breaking register). *)
 let buf_try_emit t r co ~transparent =
-  Ring.length r > 0
-  && (transparent || Ring.get r 0 2 < t.cycle)
+  rlen r > 0
+  && (transparent || rhead r 2 < t.cycle)
   && out_free t co
   && begin
-       put t co ~key:(Ring.get r 0 0) ~value:(Ring.get r 0 1);
+       put t co ~key:(rhead r 0) ~value:(rhead r 1);
        Ring.pop r;
        t.held <- t.held - 1;
        true
      end
 
-(* Wake-set invariant (the [t.event && …] tails below): after its
+(* Wake-set invariant (the [t.bookkeep && …] tails below): after its
    evaluation, a node may sleep unless it still holds work that could fire
-   with NO further channel event — refused backend calls must be retried
-   (the refusal clears on a backend-internal transition the simulator
-   cannot observe), FU pipes and buffers become drainable by the mere
-   passage of time, an unexhausted generator races the backend for
-   allocation, and an outstanding load response must be polled.  Everything
-   else is re-woken by the channel commits, the same-cycle pull in [take],
-   squash wake-alls, or fault wakes.  The stay-awake decision is folded
-   into each dispatch arm so the sweep needs no second dispatch. *)
+   with NO further channel event.  That is: a refused backend call (the
+   refusal clears on a backend-internal transition the simulator cannot
+   observe, so it is retried every cycle); a pipe or buffer record that
+   the mere passage of time makes drainable, which needs a free output
+   register; a pipe that drained this cycle, since its accept ran before
+   the drain and a pending input may now fit; an unexhausted generator
+   with free outputs, racing the backend for allocation; and an
+   outstanding load response with a free output, which must be polled.
+   A node blocked on a full output sleeps: only a drain of that output
+   can unblock it, and the drain wakes it (the same-cycle pull in [take],
+   or the commit of the consumption).  Everything else is re-woken by the
+   channel commits, squash wake-alls, or fault wakes.  The stay-awake
+   decision is folded into each dispatch arm so the sweep needs no second
+   dispatch. *)
 let[@inline] pending_in t slot k =
   let cid = ag t.ins (ag t.in_base slot + k) in
   cid >= 0 && ag t.cur_key cid >= 0 && not (agb t.consumed cid)
@@ -740,7 +758,8 @@ let eval_slot t slot =
             s.Memif.stall_alloc <- s.Memif.stall_alloc + 1
           end
         end;
-        if t.bookkeep && not (agb t.g_done slot) then bs_set t.awake slot
+        if t.bookkeep && (not (agb t.g_done slot)) && outs_free t ob 0 on then
+          bs_set t.awake slot
       end
   | 1 (* Const *) ->
       let ci = ag t.ins (ag t.in_base slot) in
@@ -785,10 +804,11 @@ let eval_slot t slot =
       let b = ag t.in_base slot in
       let ca = ag t.ins b and cb = ag t.ins (b + 1) in
       let r = t.ring.(slot) in
+      let co = ag t.outs (ag t.out_base slot) in
       let accepted =
         in_ready t ca
         && in_ready t cb
-        && Ring.length r < ag t.p2 slot + 1
+        && rlen r < ag t.p2 slot + 1
         && begin
              take t ca;
              take t cb;
@@ -803,21 +823,19 @@ let eval_slot t slot =
       in
       (* drain a completed pipelined result *)
       let drained =
-        Ring.length r > 0
-        && Ring.get r 0 0 <= t.cycle
+        rlen r > 0
+        && rhead r 0 <= t.cycle
+        && out_free t co
         && begin
-             let co = ag t.outs (ag t.out_base slot) in
-             out_free t co
-             && begin
-                  put t co ~key:(Ring.get r 0 1) ~value:(Ring.get r 0 2);
-                  Ring.pop r;
-                  t.held <- t.held - 1;
-                  true
-                end
+             put t co ~key:(rhead r 1) ~value:(rhead r 2);
+             Ring.pop r;
+             t.held <- t.held - 1;
+             true
            end
       in
       if accepted || drained then fire t slot;
-      if t.bookkeep && Ring.length r > 0 then bs_set t.awake slot
+      if t.bookkeep && rlen r > 0 && (drained || out_free t co) then
+        bs_set t.awake slot
   | 5 (* Fork *) ->
       let ci = ag t.ins (ag t.in_base slot) in
       if in_ready t ci then begin
@@ -895,7 +913,7 @@ let eval_slot t slot =
       let ci = ag t.ins (ag t.in_base slot) in
       let accepted =
         in_ready t ci
-        && Ring.length r < ag t.p1 slot
+        && rlen r < ag t.p1 slot
         && begin
              take t ci;
              Ring.push3 r (ag t.cur_key ci) (ag t.cur_val ci) t.cycle;
@@ -906,7 +924,8 @@ let eval_slot t slot =
            end
       in
       if emitted || accepted then fire t slot;
-      if t.bookkeep && Ring.length r > 0 then bs_set t.awake slot
+      (* still awake only for an opaque head that arrived this cycle *)
+      if t.bookkeep && rlen r > 0 && out_free t co then bs_set t.awake slot
   | 12 (* Sink *) ->
       let ci = ag t.ins (ag t.in_base slot) in
       if in_ready t ci then begin
@@ -916,12 +935,22 @@ let eval_slot t slot =
   | 13 (* Load *) ->
       (* deliver a completed response *)
       let co = ag t.outs (ag t.out_base slot) in
+      let r = t.ring.(slot) in
       let delivered =
         out_free t co
         && t.mem.Memif.load_poll ~port:(ag t.p1 slot) t.lslot
         && begin
-             let r = t.ring.(slot) in
-             if Ring.length r > 0 then Ring.pop r;
+             (* every response answers a request this port presented, so
+                its mirror entry must exist: a sleeping Load relies on the
+                mirror to know when to poll *)
+             if rlen r = 0 then
+               failwith
+                 (Printf.sprintf
+                    "load port %d: response seq=%d with no outstanding request (cycle %d)"
+                    (ag t.p1 slot)
+                    (Token.seq t.lslot.Memif.ls_key)
+                    t.cycle);
+             Ring.pop r;
              (* re-stamp the delivery epoch: the response carries the
                 request's key, but the token enters the circuit under the
                 CURRENT epoch, as the boxed representation did *)
@@ -939,12 +968,12 @@ let eval_slot t slot =
              ~addr:(ag t.cur_val ci)
         && begin
              take t ci;
-             Ring.push1 t.ring.(slot) (ag t.cur_key ci);
+             Ring.push1 r (ag t.cur_key ci);
              true
            end
       in
       if delivered || requested then fire t slot;
-      if t.bookkeep && (pending_in t slot 0 || Ring.length t.ring.(slot) > 0)
+      if t.bookkeep && (pending_in t slot 0 || (rlen r > 0 && out_free t co))
       then bs_set t.awake slot
   | 14 (* Store *) ->
       (* the address side is decoupled from the data side, as in a real
@@ -956,7 +985,7 @@ let eval_slot t slot =
       let ca = ag t.ins b and cd = ag t.ins (b + 1) in
       let addr_done =
         in_ready t ca
-        && Ring.length r < store_pending_cap
+        && rlen r < store_pending_cap
         && begin
              take t ca;
              t.mem.Memif.store_addr ~port:(ag t.p1 slot) ~key:(ag t.cur_key ca)
@@ -968,9 +997,9 @@ let eval_slot t slot =
       in
       let data_done =
         in_ready t cd
-        && Ring.length r > 0
+        && rlen r > 0
         && begin
-             let key = Ring.get r 0 0 and addr = Ring.get r 0 1 in
+             let key = rhead r 0 and addr = rhead r 1 in
              (* compare seqs, not whole keys: the addr and data tokens of
                 one instance may legitimately carry different epochs *)
              if Token.seq key <> Token.seq (ag t.cur_key cd) then
@@ -1580,7 +1609,7 @@ let run ?(cfg = default_config) ?(trace = Pv_obs.Trace.null)
       evals = t.evals;
     } )
 
-(* --- read-only accessors (tools: profile, vcd, debug) ------------------- *)
+(* --- read-only accessors (tools: profile, vcd) -------------------------- *)
 
 let graph t = t.g
 let cycle t = t.cycle
@@ -1594,10 +1623,3 @@ let chan_occupied t cid = t.cur_key.(cid) >= 0
 let chan_token t cid : token option =
   if t.cur_key.(cid) < 0 then None
   else Some (t.cur_key.(cid), t.cur_val.(cid))
-
-let buf_occupancy t nid =
-  let slot = t.slot_of.(nid) in
-  let opc = t.op.(slot) in
-  if opc = op_tbuf || opc = op_obuf then
-    Some (Ring.length t.ring.(slot), t.p1.(slot))
-  else None

@@ -198,7 +198,3 @@ val chan_occupied : t -> Types.chan_id -> bool
 (** The channel register's current token, if any.  Allocates; use
     {!chan_occupied} in per-cycle loops that only need presence. *)
 val chan_token : t -> Types.chan_id -> Types.token option
-
-(** [(length, capacity)] of a Buffer node's queue; [None] if [nid] is not
-    a buffer. *)
-val buf_occupancy : t -> Types.node_id -> (int * int) option

@@ -212,6 +212,33 @@ let test_load_port () =
   ignore (cycles_of outcome);
   Alcotest.(check int) "last loaded value stored" expect mem.(15)
 
+(* a backend answering a request the Load never presented breaks the
+   Load's response mirror, which decides when a sleeping Load polls; the
+   simulator refuses it loudly instead of delivering the stray token *)
+let test_load_stray_response () =
+  let b = Graph.create () in
+  let gen = Graph.add b (counter_gen 4) in
+  let load = Graph.add b (Types.Load { port = 3 }) in
+  let sink = Graph.add b Types.Sink in
+  Graph.connect b (gen, 0) (load, 0);
+  Graph.connect b (load, 0) (sink, 0);
+  let direct = Memif.direct ~latency:1 (mem4 ()) in
+  let rogue =
+    {
+      direct with
+      Memif.load_poll =
+        (fun ~port:_ slot ->
+          slot.Memif.ls_key <- Types.Token.make ~seq:7 ~epoch:0;
+          slot.Memif.ls_value <- 0;
+          true);
+    }
+  in
+  let cfg = { Sim.default_config with Sim.engine = Sim.Scan } in
+  Alcotest.check_raises "stray response named"
+    (Failure
+       "load port 3: response seq=7 with no outstanding request (cycle 0)")
+    (fun () -> ignore (Sim.run ~cfg (Graph.finalize b) rogue))
+
 (* the deadlock detector fires on a stuck circuit *)
 let test_deadlock_detection () =
   let b = Graph.create () in
@@ -404,6 +431,8 @@ let () =
           Alcotest.test_case "branch routing" `Quick test_branch_routing;
           Alcotest.test_case "pipelined op" `Quick test_pipelined_op;
           Alcotest.test_case "load port" `Quick test_load_port;
+          Alcotest.test_case "stray load response" `Quick
+            test_load_stray_response;
           Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
           Alcotest.test_case "merge" `Quick test_merge;
         ] );

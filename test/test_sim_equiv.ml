@@ -104,6 +104,81 @@ let test_faulted kernel () =
       done)
     schemes
 
+(* A latency-2 multiplier filled behind a slow consumer.  The Load holds
+   one request in flight for four cycles (the direct backend serves one
+   load per port at a time), so the pipe's output register stays full,
+   its three-record ring fills, and the next operand pair waits on its
+   inputs.  Each time the Load takes a product, the pipe drains a record
+   in that same evaluation, after its accept step was already refused for
+   a full ring; the event engine must keep the pipe awake so that it
+   accepts the waiting pair next cycle, as the scan does.  An idle chain
+   that never fires keeps the event engine in its sparse mode, where the
+   wake set decides what runs. *)
+let pipe_behind_slow_consumer () =
+  let module G = Pv_dataflow.Graph in
+  let module T = Pv_dataflow.Types in
+  let b = G.create () in
+  let gen_of rows =
+    T.Gen
+      {
+        T.gen_arity = 2;
+        gen_next = (fun s -> if s < Array.length rows then rows.(s) else [||]);
+        gen_group = (fun _ -> 0);
+      }
+  in
+  let gen = G.add b (gen_of (Array.init 24 (fun s -> [| s; 3 |]))) in
+  let mul = G.add b (T.Binop T.Mul) in
+  let load = G.add b (T.Load { port = 0 }) in
+  let sink = G.add b T.Sink in
+  G.connect b (gen, 0) (mul, 0);
+  G.connect b (gen, 1) (mul, 1);
+  G.connect b (mul, 0) (load, 0);
+  G.connect b (load, 0) (sink, 0);
+  let idle = G.add b (gen_of [||]) in
+  G.connect b (idle, 1) (G.add b T.Sink, 0);
+  let tail =
+    List.fold_left
+      (fun prev _ ->
+        let u = G.add b (T.Unop T.Neg) in
+        G.connect b (prev, 0) (u, 0);
+        u)
+      idle (List.init 16 Fun.id)
+  in
+  G.connect b (tail, 0) (G.add b T.Sink, 0);
+  G.finalize b
+
+let test_pipe_accept_after_drain () =
+  let g = pipe_behind_slow_consumer () in
+  let sim engine =
+    let mem = Array.init 128 (fun i -> 1000 + i) in
+    Sim.create
+      ~cfg:{ Sim.default_config with Sim.engine }
+      g
+      (Pv_dataflow.Memif.direct ~latency:4 mem)
+  in
+  let scan = sim Sim.Scan and event = sim Sim.Event in
+  let rec go cycle =
+    if Sim.finished scan then cycle
+    else if cycle > 1000 then Alcotest.fail "scan run did not finish"
+    else begin
+      Sim.step scan;
+      Sim.step event;
+      Alcotest.(check (array int))
+        (Printf.sprintf "per-node fires after cycle %d" cycle)
+        (Sim.fires scan) (Sim.fires event);
+      go (cycle + 1)
+    end
+  in
+  let cycles = go 0 in
+  Alcotest.(check bool) "event run finished with the scan" true
+    (Sim.finished event);
+  (* premise: the consumer is slow enough to back the pipe up *)
+  Alcotest.(check bool)
+    (Printf.sprintf "24 loads take more than 4 cycles each (%d cycles)" cycles)
+    true (cycles > 24 * 4);
+  Alcotest.(check bool) "event engine evaluates fewer nodes" true
+    (Sim.evals event < Sim.evals scan)
+
 let kernel_case k =
   Alcotest.test_case k.Pv_kernels.Ast.name `Quick (test_kernel k)
 
@@ -121,6 +196,11 @@ let () =
     [
       ("paper kernels x registered backends", List.map kernel_case paper);
       ("stress kernels", List.map kernel_case stress);
+      ( "hand-built graphs",
+        [
+          Alcotest.test_case "pipe accepts the cycle after a full drain"
+            `Quick test_pipe_accept_after_drain;
+        ] );
       ( "under injected faults",
         [
           Alcotest.test_case "histogram" `Quick

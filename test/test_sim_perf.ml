@@ -85,6 +85,32 @@ let test_evals_bounded () =
         schemes)
     kernels
 
+(* (j) wake precision: under the serial bound one memory operation is in
+   flight at a time, so most nodes sit behind a full output register.
+   Such a node sleeps until its output drains, which keeps the event
+   engine's work per cycle low on every paper kernel.  The bound sits
+   above the 10.0-20.5 measured with these rules and below most of the
+   17.4-36.9 of a wake set that keeps every non-empty buffer and pipe
+   awake. *)
+let test_serial_wake_precision () =
+  List.iter
+    (fun kernel ->
+      let compiled = Pipeline.compile kernel in
+      let r =
+        Pipeline.simulate
+          ~sim_cfg:{ Sim.default_config with Sim.engine = Sim.Event }
+          compiled Pipeline.serial
+      in
+      let per_cycle =
+        float_of_int r.Pipeline.run_stats.Sim.evals
+        /. float_of_int r.Pipeline.cycles
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s/serial: %.1f evaluations per cycle <= 22"
+           kernel.Pv_kernels.Ast.name per_cycle)
+        true (per_cycle <= 22.0))
+    kernels
+
 (* (c) squash recovery allocates nothing: the purge compacts ring-held
    state in place (the retired allocate-a-scratch-queue-per-squash pattern
    would show up as a per-purge slope here).  The gaussian premise check
@@ -375,6 +401,8 @@ let () =
         [
           Alcotest.test_case "event <= scan on every kernel x scheme" `Slow
             test_evals_bounded;
+          Alcotest.test_case "serial regime: <= 22 evaluations per cycle"
+            `Quick test_serial_wake_precision;
         ] );
       ( "wheel",
         [ Alcotest.test_case "FIFO within a bucket" `Quick test_wheel_fifo ] );
