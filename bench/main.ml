@@ -624,11 +624,13 @@ let soak ~jobs ~n () =
 (* ------------------------------------------------------------------ *)
 
 (* Per-kernel cycles, wall-clock time, throughput (cycles/s) and node
-   evaluations for both simulator engines across two activity regimes —
-   the selected backend (default PreVV16, streaming: nearly every node
-   busy every cycle, where the adaptive event engine runs dense and ties
-   the scan) and the serializing bound (sparse: long memory stalls, where
-   the sparse sweep skips most of the circuit) — plus each engine's
+   evaluations for both simulator engines (scan = the simulator's dense
+   full-pass regime pinned, event = the adaptive switch between it and
+   the sparse sweep) across two activity regimes — the selected backend
+   (default PreVV16, streaming: nearly every node busy every cycle, where
+   the event engine runs dense and ties the scan) and the serializing
+   bound (sparse: long memory stalls, where the sparse sweep skips most
+   of the circuit) — plus each engine's
    steady-state minor-heap allocation per cycle over the allocation-free
    direct backend, the bound-chain curves of the differential harness
    (oracle / serial bracketing every ranked scheme), the serial-vs-parallel

@@ -554,19 +554,26 @@ let profile_cmd =
   in
   let run kernel dis engine json =
     let compiled = Pipeline.compile kernel in
-    let init = Pv_kernels.Workload.default_init kernel in
-    let mem =
-      Pv_memory.Layout.initial_memory compiled.Pipeline.layout kernel ~init
+    let prof = Pv_obs.Prof.create () in
+    let sim_cfg =
+      { Pv_dataflow.Sim.default_config with Pv_dataflow.Sim.engine }
     in
-    let backend = Pipeline.backend_of compiled mem dis in
-    let cfg = { Pv_dataflow.Sim.default_config with Pv_dataflow.Sim.engine } in
-    let p = Pv_dataflow.Profile.run ~cfg compiled.Pipeline.graph backend in
+    let r = Pipeline.simulate ~sim_cfg ~prof compiled dis in
+    let u =
+      Pv_obs.Prof.usage prof ~cycles:r.Pipeline.run_stats.Pv_dataflow.Sim.cycles
+        ~fires:r.Pipeline.run_stats.Pv_dataflow.Sim.node_fires
+    in
     if json then
-      print_endline (Pv_obs.Json.to_string (Pv_dataflow.Profile.to_json p))
+      print_endline
+        (Pv_obs.Json.to_string
+           (Pv_obs.Prof.usage_to_json u
+              ~outcome:(Pv_dataflow.Sim.outcome_name r.Pipeline.outcome)))
     else begin
-      Format.printf "%a" (Pv_dataflow.Profile.pp ~top:10) p;
+      Format.printf "%a over %d cycles@\n%a" Pv_dataflow.Sim.pp_outcome
+        r.Pipeline.outcome u.Pv_obs.Prof.cycles
+        (Pv_obs.Prof.pp_usage ~top:10) u;
       Format.printf "II = %.2f cycles/iteration@."
-        (Pv_dataflow.Profile.initiation_interval p
+        (Pv_obs.Prof.initiation_interval u
            ~instances:(Pv_frontend.Trace.length compiled.Pipeline.trace))
     end
   in
@@ -658,7 +665,10 @@ let vcd_cmd =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE")
   in
   let max_cycles_arg =
-    Arg.(value & opt int 5000 & info [ "max-cycles" ] ~docv:"N")
+    Arg.(
+      value & opt int 5000
+      & info [ "max-cycles" ] ~docv:"N"
+          ~doc:"Cycle budget of the recorded run; bounds the dump size.")
   in
   let run kernel dis engine output max_cycles =
     let compiled = Pipeline.compile kernel in
@@ -670,10 +680,11 @@ let vcd_cmd =
     let path =
       match output with Some p -> p | None -> kernel.Pv_kernels.Ast.name ^ ".vcd"
     in
-    let cfg = { Pv_dataflow.Sim.default_config with Pv_dataflow.Sim.engine } in
+    let cfg =
+      { Pv_dataflow.Sim.default_config with Pv_dataflow.Sim.engine; max_cycles }
+    in
     let outcome =
-      Pv_dataflow.Vcd.record ~cfg ~max_cycles ~path compiled.Pipeline.graph
-        backend
+      Pv_dataflow.Vcd.record ~cfg ~path compiled.Pipeline.graph backend
     in
     Format.printf "wrote %s (%a)@." path Pv_dataflow.Sim.pp_outcome outcome
   in

@@ -10,17 +10,18 @@
     circuits the paper measures, with stalls arising only from structural
     hazards and memory backpressure.
 
-    Two engines share that cycle semantics.  [Scan] evaluates every node
-    every cycle.  [Event] keeps a wake set and evaluates only nodes that can
-    possibly fire: a node is awake iff one of its channels changed at the
-    last clock edge, a timed event (injected stall expiry) is due, or it
-    still holds work that needs no channel event (a refused backend call;
-    a pipe, buffer, generator or load response waiting on nothing but a
-    free output register — a node blocked on a full output sleeps until
-    the output drains).
-    Within a cycle, consuming a token pulls the channel's producer into the
-    same wave when its turn is still to come, preserving the
-    one-token-per-cycle streaming of the full scan.
+    One loop, two regimes.  The dense regime evaluates every node every
+    cycle.  The sparse regime keeps a wake set and evaluates only nodes
+    that can possibly fire: a node is awake iff one of its channels changed
+    at the last clock edge, a timed event (injected stall expiry) is due,
+    or it still holds work that needs no channel event (a refused backend
+    call; a pipe, buffer, generator or load response waiting on nothing but
+    a free output register — a node blocked on a full output sleeps until
+    the output drains).  Within a cycle, consuming a token pulls the
+    channel's producer into the same wave when its turn is still to come,
+    preserving the one-token-per-cycle streaming of the full pass.  [Event]
+    switches between the regimes on the fire rate; [Scan] is the dense
+    regime pinned, so comparing the two engines checks the wake set.
 
     Representation: the state is data-oriented.  Nodes are renumbered by
     their evaluation-order position ("slot"); every per-node and per-channel
@@ -112,6 +113,11 @@ type outcome =
   | Finished of { cycles : int }
   | Deadlock of { at_cycle : int; post_mortem : post_mortem }
   | Timeout of { at_cycle : int; post_mortem : post_mortem }
+
+let outcome_name = function
+  | Finished _ -> "finished"
+  | Deadlock _ -> "deadlock"
+  | Timeout _ -> "timeout"
 
 let pp_outcome ppf = function
   | Finished { cycles } -> Format.fprintf ppf "finished in %d cycles" cycles
@@ -247,22 +253,22 @@ type t = {
   g_emitted : int array;
   fires : int array;  (* per-node fire counts, node-id indexed *)
   faults : fault_state array;
-  (* event engine: wake set for the next cycle and the wave being swept,
+  (* sparse regime: wake set for the next cycle and the wave being swept,
      both bitsets over slots (32 bits per word); timed wakes (stall
      expiries) in a cycle-bucketed wheel *)
-  event : bool;
   awake : int array;
   wave : int array;
   wheel : Wheel.t;
   mutable wake_cb : int -> unit;  (* preallocated wheel-drain callback *)
   mutable cur_slot : int;  (* slot being evaluated *)
-  (* adaptive density switch: when nearly every node fires anyway, the
-     wake-set bookkeeping (pulls, commit wakes, stay-awake tails) costs
-     more than the few skipped evaluations are worth, so the event engine
-     runs scan-shaped "dense" cycles with [bookkeep] off and returns to
-     the swept sparse mode when the fire rate drops (see [step]) *)
+  (* density switch: when nearly every node fires anyway, the wake-set
+     bookkeeping (pulls, commit wakes, stay-awake tails) costs more than
+     the few skipped evaluations are worth, so the engine runs full-pass
+     "dense" cycles with [bookkeep] off and, under [Event], returns to the
+     swept sparse regime when the fire rate drops (see [step]); [Scan]
+     starts dense and stays there *)
   mutable dense : bool;
-  mutable bookkeep : bool;  (* event && not dense: maintain the wake set *)
+  mutable bookkeep : bool;  (* not dense: maintain the wake set *)
   mutable nfired : int;  (* node firings this cycle (mode hysteresis) *)
   (* channels staged/consumed this cycle; stack preallocated *)
   touched : bool array;
@@ -290,6 +296,7 @@ type t = {
      zero-allocation contract of test_sim_perf.ml covers this path) *)
   prof : Pv_obs.Prof.t;
   prof_on : bool;
+  prof_held : int array;  (* Prof's live per-channel held table *)
 }
 
 (* --- bitsets over slots ------------------------------------------------- *)
@@ -542,6 +549,16 @@ let create ?(cfg = default_config) ?(trace = Pv_obs.Trace.null)
     chan_dst.(cid) <- slot_of.(c.Graph.dst.Graph.node)
   done;
   let nwords = (n + 31) lsr 5 in
+  if Pv_obs.Prof.enabled prof then begin
+    let label nid = (Graph.node g nid).Graph.label in
+    Pv_obs.Prof.set_nodes prof
+      (Array.init n (fun nid ->
+           (kind_name (Graph.node g nid).Graph.kind, label nid)));
+    Pv_obs.Prof.set_chans prof
+      (Array.init nc (fun cid ->
+           let c = Graph.chan g cid in
+           (label c.Graph.src.Graph.node, label c.Graph.dst.Graph.node)))
+  end;
   let t =
     {
       g;
@@ -581,13 +598,12 @@ let create ?(cfg = default_config) ?(trace = Pv_obs.Trace.null)
         |> List.map (fun e ->
                { fs_event = e; fs_fired = None; fs_dead = false; fs_note = "" })
         |> Array.of_list;
-      event = cfg.engine = Event;
       awake = Array.make (max nwords 1) 0;
       wave = Array.make (max nwords 1) 0;
       wheel = Wheel.create ();
       wake_cb = ignore;
       cur_slot = -1;
-      dense = false;
+      dense = cfg.engine = Scan;
       bookkeep = cfg.engine = Event;
       nfired = 0;
       touched = Array.make (max nc 1) false;
@@ -607,13 +623,9 @@ let create ?(cfg = default_config) ?(trace = Pv_obs.Trace.null)
       last_inflight = -1;
       prof;
       prof_on = Pv_obs.Prof.enabled prof;
+      prof_held = Pv_obs.Prof.chan_held prof;
     }
   in
-  if t.prof_on then
-    Pv_obs.Prof.set_nodes prof
-      (Array.init n (fun nid ->
-           let node = Graph.node g nid in
-           (kind_name node.Graph.kind, node.Graph.label)));
   t.wake_cb <- (fun slot -> wake t slot);
   wake_all t;
   t
@@ -1126,10 +1138,10 @@ let apply_faults t =
             end
         | Fault.Stall { chan; cycles } ->
             t.stall_until.(chan) <- imax t.stall_until.(chan) (t.cycle + cycles);
-            if t.event then
-              (* the frozen token can only move again when the stall
-                 expires — a timed event no channel commit announces *)
-              Wheel.add t.wheel ~at:t.stall_until.(chan) t.chan_dst.(chan);
+            (* the frozen token can only move again when the stall expires
+               — a timed event no channel commit announces.  Armed in either
+               regime: the engine may be sparse by then *)
+            Wheel.add t.wheel ~at:t.stall_until.(chan) t.chan_dst.(chan);
             fired ()
         | Fault.Flip { chan; mask } ->
             if t.cur_key.(chan) >= 0 then begin
@@ -1161,8 +1173,9 @@ let apply_faults t =
               | Fault.B_pq_flip _ | Fault.B_pq_drop _ -> ()))
     t.faults;
   (* a disturbance invalidates the wake set wholesale; faults are rare, so
-     one conservative wake-all per firing is cheaper than per-case proofs *)
-  if !any_fired && t.event then wake_all t
+     one conservative wake-all per firing is cheaper than per-case proofs
+     (the dense regime rebuilds the set on exit anyway) *)
+  if !any_fired && t.bookkeep then wake_all t
 
 (** What each planned fault did (or why it never fired). *)
 let fault_log t : Fault.application list =
@@ -1425,39 +1438,14 @@ let step t =
       end;
       purge t ~seq_err;
       (* the purge moves tokens everywhere at once; restart from a full set *)
-      if t.event then wake_all t;
+      if t.bookkeep then wake_all t;
       t.progress <- true
   | None -> ());
-  if t.event then begin
-    if Wheel.pending t.wheel > 0 then Wheel.drain t.wheel ~now:t.cycle t.wake_cb;
-    if t.dense then begin
-      (* high-activity regime: a scan-shaped pass with [bookkeep] off; any
-         awake bits raised meanwhile (wheel, faults) linger harmlessly and
-         are subsumed by the wake_all on exit *)
-      t.evals <- t.evals + t.n;
-      if t.prof_on then
-        for slot = 0 to t.n - 1 do
-          eval_profiled t slot
-        done
-      else
-        for slot = 0 to t.n - 1 do
-          eval_slot t slot
-        done
-    end
-    else begin
-      (* seed the wave with the wake set (word-wise), then sweep; [take] may
-         grow the wave downstream of the sweep cursor, and wakes raised
-         during the sweep land in the next cycle's set *)
-      let nw = Array.length t.awake in
-      for w = 0 to nw - 1 do
-        aset t.wave w (ag t.wave w lor ag t.awake w);
-        aset t.awake w 0
-      done;
-      t.cur_slot <- -1;
-      sweep t nw 0
-    end
-  end
-  else begin
+  if Wheel.pending t.wheel > 0 then Wheel.drain t.wheel ~now:t.cycle t.wake_cb;
+  if t.dense then begin
+    (* high-activity regime: a full pass with [bookkeep] off; any awake
+       bits raised meanwhile (wheel, faults) linger harmlessly and are
+       subsumed by the wake_all on exit *)
     t.evals <- t.evals + t.n;
     if t.prof_on then
       for slot = 0 to t.n - 1 do
@@ -1467,6 +1455,18 @@ let step t =
       for slot = 0 to t.n - 1 do
         eval_slot t slot
       done
+  end
+  else begin
+    (* seed the wave with the wake set (word-wise), then sweep; [take] may
+       grow the wave downstream of the sweep cursor, and wakes raised
+       during the sweep land in the next cycle's set *)
+    let nw = Array.length t.awake in
+    for w = 0 to nw - 1 do
+      aset t.wave w (ag t.wave w lor ag t.awake w);
+      aset t.awake w 0
+    done;
+    t.cur_slot <- -1;
+    sweep t nw 0
   end;
   (* clock edge: commit only the channels touched this cycle (untouched
      channels cannot have staged writes or consumption marks); the loop is
@@ -1507,28 +1507,35 @@ let step t =
       asetb t.touched cid false
     done;
   t.touch_len <- 0;
+  (* Prof's channel occupancy: a register that holds a token at the clock
+     edge counts one held cycle.  A full loop, not a span per token, so
+     purges and injected drops, which clear registers outside the commit,
+     need no bookkeeping of their own *)
+  if t.prof_on then
+    for cid = 0 to t.nc - 1 do
+      if ag t.cur_key cid >= 0 then
+        aset t.prof_held cid (ag t.prof_held cid + 1)
+    done;
   (* density hysteresis: enter the dense regime when >= 1/2 of the nodes
-     fired this cycle, leave it when activity drops below 7/20.  An idle
-     evaluation costs a handful of ns while the sparse mode's per-active-
-     node bookkeeping (commit wakes, take pulls, sweep extraction) costs
-     several times that, so the measured crossover sits near 50% activity
-     — the sparse sweep must only run when most nodes are asleep.  The
-     exit rebuilds the wake set wholesale because none was maintained
-     while dense. *)
-  if t.event then begin
-    (if t.dense then begin
-       if t.nfired * 20 < 7 * t.n then begin
-         t.dense <- false;
-         t.bookkeep <- true;
-         wake_all t
-       end
+     fired this cycle, leave it (under [Event] only: [Scan] pins it) when
+     activity drops below 7/20.  An idle evaluation costs a handful of ns
+     while the sparse mode's per-active-node bookkeeping (commit wakes,
+     take pulls, sweep extraction) costs several times that, so the
+     measured crossover sits near 50% activity — the sparse sweep must
+     only run when most nodes are asleep.  The exit rebuilds the wake set
+     wholesale because none was maintained while dense. *)
+  (if t.dense then begin
+     if t.nfired * 20 < 7 * t.n && t.cfg.engine = Event then begin
+       t.dense <- false;
+       t.bookkeep <- true;
+       wake_all t
      end
-     else if t.nfired * 2 >= t.n then begin
-       t.dense <- true;
-       t.bookkeep <- false
-     end);
-    t.nfired <- 0
-  end;
+   end
+   else if t.nfired * 2 >= t.n then begin
+     t.dense <- true;
+     t.bookkeep <- false
+   end);
+  t.nfired <- 0;
   t.mem.Memif.clock ();
   if Pv_obs.Trace.enabled t.trace then begin
     (* in-flight token counter track, sampled on change only *)
@@ -1559,15 +1566,12 @@ let trace_outcome t outcome =
     match outcome with
     | Finished { cycles } ->
         Pv_obs.Trace.instant t.trace ~tid:Pv_obs.Trace.tid_sim ~ts:cycles
-          "finished"
+          (outcome_name outcome)
     | Deadlock { at_cycle; post_mortem = pm }
     | Timeout { at_cycle; post_mortem = pm } ->
-        let what =
-          match outcome with Deadlock _ -> "deadlock" | _ -> "timeout"
-        in
         Pv_obs.Trace.instant t.trace ~tid:Pv_obs.Trace.tid_sim ~ts:at_cycle
           ~args:[ ("last_progress", pm.pm_last_progress) ]
-          what;
+          (outcome_name outcome);
         List.iter
           (fun (nid, label, why) ->
             Pv_obs.Trace.instant t.trace ~tid:Pv_obs.Trace.tid_sim ~ts:at_cycle
@@ -1576,10 +1580,8 @@ let trace_outcome t outcome =
           pm.pm_stalled
   end
 
-let run ?(cfg = default_config) ?(trace = Pv_obs.Trace.null)
-    ?(prof = Pv_obs.Prof.null) (g : Graph.t) (mem : Memif.t) :
-    outcome * run_stats =
-  let t = create ~cfg ~trace ~prof g mem in
+let drive ?(before_step = ignore) t =
+  let cfg = t.cfg in
   let rec loop () =
     if finished t then Finished { cycles = t.cycle }
     else if t.cycle >= cfg.max_cycles then
@@ -1591,6 +1593,7 @@ let run ?(cfg = default_config) ?(trace = Pv_obs.Trace.null)
          deadline-checking token (a clock read) costs nothing measurable *)
       if t.cycle land 63 = 0 && cfg.cancel () then
         raise (Cancelled { at_cycle = t.cycle });
+      before_step ();
       step t;
       loop ()
     end
@@ -1609,11 +1612,12 @@ let run ?(cfg = default_config) ?(trace = Pv_obs.Trace.null)
       evals = t.evals;
     } )
 
-(* --- read-only accessors (tools: profile, vcd) -------------------------- *)
+let run ?cfg ?trace ?prof g mem = drive (create ?cfg ?trace ?prof g mem)
+
+(* --- read-only accessors (tools: vcd) ------------------------------------ *)
 
 let graph t = t.g
 let cycle t = t.cycle
-let last_progress t = t.last_progress
 let epoch t = t.epoch
 let evals t = t.evals
 let fires t = t.fires

@@ -9,12 +9,14 @@
     chain streams one token per cycle; stalls arise only from structural
     hazards and memory backpressure.
 
-    Two engines implement that semantics: [Scan] evaluates every node every
-    cycle, [Event] evaluates only nodes that can possibly fire (see the
-    wake-set invariant in DESIGN.md).  They are cycle-equivalent — same
-    outcomes, cycle counts, per-node fire counts and backend traffic — and
-    the equivalence is enforced by test/test_sim_equiv.ml and a fuzz
-    property.
+    One loop runs that semantics in two regimes: a dense one that
+    evaluates every node every cycle, and a sparse one that evaluates only
+    the wake set, the nodes that can possibly fire (see the wake-set
+    invariant in DESIGN.md §12).  The {!engine} picks the policy: [Event]
+    switches regimes on the fire rate, [Scan] pins the dense regime.  The
+    two are cycle-equivalent — same outcomes, cycle counts, per-node fire
+    counts and backend traffic — so comparing them checks the wake set;
+    test/test_sim_equiv.ml and a fuzz property enforce it.
 
     Representation: the simulation state is data-oriented — flat int arrays
     indexed by dense node/channel ids, a dense opcode dispatch table built
@@ -30,8 +32,9 @@
     rewinds the loop-nest generator, which then re-emits the squashed body
     instances. *)
 
-(** Evaluation strategy: [Scan] visits all nodes every cycle; [Event] visits
-    only the wake set.  Cycle-equivalent by construction. *)
+(** Evaluation policy: [Scan] pins the dense regime (every node, every
+    cycle); [Event] starts sparse (the wake set only) and goes dense while
+    at least half the nodes fire.  Cycle-equivalent by construction. *)
 type engine = Scan | Event
 
 val string_of_engine : engine -> string
@@ -50,14 +53,14 @@ type config = {
   engine : engine;
       (** evaluation strategy; both engines are cycle-equivalent *)
   cancel : unit -> bool;
-      (** cooperative cancellation token, polled by {!run} between cycles
+      (** cooperative cancellation token, polled by {!drive} between cycles
           (every 64th); when it turns true the run raises {!Cancelled}.
           Cancellation never affects a completed result, so the token is
           deliberately absent from result-cache fingerprints.  Default
           {!no_cancel}. *)
 }
 
-(** Raised by {!run} when [cancel] turns true mid-run — the supervision
+(** Raised by {!drive} when [cancel] turns true mid-run — the supervision
     layer's per-task deadline mechanism (DESIGN.md §18). *)
 exception Cancelled of { at_cycle : int }
 
@@ -96,6 +99,9 @@ type outcome =
   | Deadlock of { at_cycle : int; post_mortem : post_mortem }
   | Timeout of { at_cycle : int; post_mortem : post_mortem }
 
+(** ["finished"], ["deadlock"] or ["timeout"]. *)
+val outcome_name : outcome -> string
+
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_post_mortem : Format.formatter -> post_mortem -> unit
 
@@ -110,8 +116,11 @@ type run_stats = {
 
 (** {1 Stepping interface}
 
-    Tools (profilers, waveform dumpers, debuggers) drive the simulation
-    cycle by cycle with {!step} and read state through the accessors. *)
+    {!drive} is the one run loop: it alone decides termination (finished,
+    timeout, deadlock) and polls cancellation.  A tool that needs to look
+    at every cycle, such as the waveform dumper, passes a hook to it and
+    reads state through the accessors.  {!step} is exposed for tests and
+    micro-benchmarks that advance a simulation by hand. *)
 
 type t
 
@@ -121,8 +130,9 @@ type t
     an in-flight-token counter track; the null sink reduces every emit
     site to one branch and provably leaves behaviour unchanged
     (test/test_obs.ml).  [prof] (default {!Pv_obs.Prof.null}) receives
-    per-node evaluation counts (the [circuit_sweep] phase) and stall-reason
-    tallies mirroring the post-mortem classification; profiling is
+    per-node evaluation counts (the [circuit_sweep] phase), stall-reason
+    tallies mirroring the post-mortem classification and per-channel held
+    counts ({!Pv_obs.Prof.chan_held}); profiling is
     read-only — cycles, evals and fires are identical with it on or off —
     and the disabled profiler costs one cached branch per evaluation, so
     the zero-allocation contract holds unchanged (test/test_sim_perf.ml).
@@ -135,9 +145,10 @@ val create :
   Memif.t ->
   t
 
-(** Advance one cycle: poll squashes, evaluate nodes (all of them under
-    [Scan], the wake set under [Event]), commit the touched channel writes,
-    clock the backend. *)
+(** Advance one cycle: poll squashes, evaluate nodes (all of them in the
+    dense regime, the wake set in the sparse one), commit the touched
+    channel writes, switch regime if the engine allows, clock the
+    backend. *)
 val step : t -> unit
 
 (** True once the generator is exhausted, every channel/buffer/pipe is
@@ -149,23 +160,22 @@ val finished : t -> bool
     buffers, FU pipelines, announced stores) and rewind the generators —
     the squash recovery action.  Allocation-free: ring-held records are
     compacted in place.  {!step} invokes it on a backend squash report and
-    then re-arms the event engine's wake set; direct callers stepping an
-    [Event]-engine simulation by hand should let [step] drive it. *)
+    then, in the sparse regime, re-arms the wake set; a caller stepping an
+    [Event] simulation by hand should let [step] drive it. *)
 val purge : t -> seq_err:int -> unit
-
-(** Snapshot the diagnosis state of a (possibly wedged) simulation. *)
-val post_mortem : t -> post_mortem
 
 (** What each planned fault did (or why it never fired). *)
 val fault_log : t -> Fault.application list
 
-(** Close the trace of a finished/wedged stepped run: final epoch span,
-    outcome instant, and one stall-reason instant per blocked node on
-    deadlock/timeout.  No-op on a disabled trace; [run] calls it itself. *)
-val trace_outcome : t -> outcome -> unit
+(** Step [t] until it finishes, exceeds [cfg.max_cycles] ([Timeout]) or
+    makes no progress for [cfg.stall_limit] cycles ([Deadlock]), polling
+    [cfg.cancel] every 64th cycle.  [before_step] runs before each step.
+    Closes the trace with the outcome: final epoch span, outcome instant
+    and, on deadlock/timeout, one stall-reason instant per blocked node.
+    @raise Cancelled when [cfg.cancel] turns true. *)
+val drive : ?before_step:(unit -> unit) -> t -> outcome * run_stats
 
-(** Run to completion (or deadlock/timeout per [cfg]).  [prof] as in
-    {!create}. *)
+(** [drive (create ?cfg ?trace ?prof g mem)]. *)
 val run :
   ?cfg:config ->
   ?trace:Pv_obs.Trace.t ->
@@ -178,9 +188,6 @@ val run :
 
 val graph : t -> Graph.t
 val cycle : t -> int
-
-(** Cycle of the last token movement. *)
-val last_progress : t -> int
 
 (** Squash epoch (number of squashes seen so far). *)
 val epoch : t -> int

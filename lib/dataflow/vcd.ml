@@ -112,8 +112,6 @@ let sample t =
   Array.iteri
     (fun nid fires ->
       let fired_now = fires > t.last_fire.(nid) in
-      let was_firing = t.last_fire.(nid) > 0 && nid < Array.length t.last_fire in
-      ignore was_firing;
       Printf.fprintf t.oc "%d%s\n"
         (if fired_now then 1 else 0)
         (fire_id ~n_chans:t.n_chans nid);
@@ -138,27 +136,10 @@ let sample t =
   end
 
 (** Run a simulation to completion while writing a VCD to [path]; returns
-    the outcome.  [max_cycles] guards the dump size. *)
-let record ?(cfg = Sim.default_config) ?(max_cycles = 5_000) ~path
-    (g : Graph.t) (mem : Memif.t) : Sim.outcome =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
+    the outcome.  [cfg.max_cycles] bounds the dump size. *)
+let record ?(cfg = Sim.default_config) ~path (g : Graph.t) (mem : Memif.t) :
+    Sim.outcome =
+  Out_channel.with_open_text path (fun oc ->
       let sim = Sim.create ~cfg g mem in
       let t = create oc sim in
-      let rec loop () =
-        if Sim.finished sim then Sim.Finished { cycles = Sim.cycle sim }
-        else if Sim.cycle sim >= max_cycles then
-          Sim.Timeout
-            { at_cycle = Sim.cycle sim; post_mortem = Sim.post_mortem sim }
-        else if Sim.cycle sim - Sim.last_progress sim > cfg.Sim.stall_limit then
-          Sim.Deadlock
-            { at_cycle = Sim.cycle sim; post_mortem = Sim.post_mortem sim }
-        else begin
-          sample t;
-          Sim.step sim;
-          loop ()
-        end
-      in
-      loop ())
+      fst (Sim.drive ~before_step:(fun () -> sample t) sim))

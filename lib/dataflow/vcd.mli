@@ -7,22 +7,8 @@
     one-cycle [squash] strobe mark mis-speculation squashes so GTKWave
     timelines line up with the Chrome traces from {!Pv_obs.Trace}. *)
 
-(** Streaming recorder over an existing simulation. *)
-type t
-
-(** Write the VCD header for [sim]'s graph and return a recorder. *)
-val create : out_channel -> Sim.t -> t
-
-(** Dump the signal changes for the current cycle; call once per cycle
-    {e before} {!Sim.step}. *)
-val sample : t -> unit
-
-(** Run a simulation to completion while writing a VCD to [path]; returns
-    the outcome.  [max_cycles] bounds the dump size. *)
-val record :
-  ?cfg:Sim.config ->
-  ?max_cycles:int ->
-  path:string ->
-  Graph.t ->
-  Memif.t ->
-  Sim.outcome
+(** Run a simulation to completion under {!Sim.drive} while writing a VCD
+    to [path]; returns the outcome.  [cfg.max_cycles] bounds the dump
+    size; [cfg.cancel] is honoured ({!Sim.Cancelled} propagates after the
+    file is closed). *)
+val record : ?cfg:Sim.config -> path:string -> Graph.t -> Memif.t -> Sim.outcome

@@ -41,6 +41,8 @@ type t = {
   mutable node_evals : int array;  (* per dense node id *)
   mutable node_stalls : int array;  (* node id * n_reasons, flattened *)
   mutable node_meta : (string * string) array;  (* (opcode, label) *)
+  mutable chan_held : int array;  (* per channel id *)
+  mutable chan_meta : (string * string) array;  (* (src label, dst label) *)
 }
 
 let null =
@@ -50,6 +52,8 @@ let null =
     node_evals = [||];
     node_stalls = [||];
     node_meta = [||];
+    chan_held = [||];
+    chan_meta = [||];
   }
 
 let create () =
@@ -59,6 +63,8 @@ let create () =
     node_evals = [||];
     node_stalls = [||];
     node_meta = [||];
+    chan_held = [||];
+    chan_meta = [||];
   }
 
 let enabled t = t.enabled
@@ -70,6 +76,14 @@ let set_nodes t meta =
     t.node_evals <- Array.make n 0;
     t.node_stalls <- Array.make (n * n_reasons) 0
   end
+
+let set_chans t meta =
+  if t.enabled then begin
+    t.chan_meta <- Array.copy meta;
+    t.chan_held <- Array.make (Array.length meta) 0
+  end
+
+let chan_held t = t.chan_held
 
 let node_eval t nid =
   if t.enabled then begin
@@ -242,3 +256,115 @@ let pp ?(top = 10) ppf t =
           h.label h.evals stalls)
       hot
   end
+
+(* --- utilisation view ---------------------------------------------- *)
+
+type node_use = {
+  nu_id : int;
+  nu_label : string;
+  nu_fires : int;
+  nu_utilisation : float;
+}
+
+type chan_use = {
+  cu_id : int;
+  cu_src : string;
+  cu_dst : string;
+  cu_held : int;
+  cu_pressure : float;
+}
+
+type usage = { cycles : int; nodes : node_use list; chans : chan_use list }
+
+(* Both lists are built in descending id order and stably sorted, so ties
+   keep the highest id first. *)
+let usage t ~cycles ~fires =
+  let cycles = max 1 cycles in
+  let rate k = float_of_int k /. float_of_int cycles in
+  let nodes = ref [] in
+  Array.iteri
+    (fun nid (opcode, label) ->
+      if opcode <> "sink" then
+        nodes :=
+          {
+            nu_id = nid;
+            nu_label = Printf.sprintf "%s#%d" label nid;
+            nu_fires = fires.(nid);
+            nu_utilisation = rate fires.(nid);
+          }
+          :: !nodes)
+    t.node_meta;
+  let chans = ref [] in
+  Array.iteri
+    (fun cid (src, dst) ->
+      chans :=
+        {
+          cu_id = cid;
+          cu_src = src;
+          cu_dst = dst;
+          cu_held = t.chan_held.(cid);
+          cu_pressure = rate t.chan_held.(cid);
+        }
+        :: !chans)
+    t.chan_meta;
+  {
+    cycles;
+    nodes =
+      List.stable_sort
+        (fun a b -> compare a.nu_utilisation b.nu_utilisation)
+        !nodes;
+    chans =
+      List.stable_sort (fun a b -> compare b.cu_pressure a.cu_pressure) !chans;
+  }
+
+let usage_to_json u ~outcome =
+  Json.Obj
+    [
+      ("cycles", Json.Int u.cycles);
+      ("outcome", Json.Str outcome);
+      ( "nodes",
+        Json.List
+          (List.map
+             (fun n ->
+               Json.Obj
+                 [
+                   ("id", Json.Int n.nu_id);
+                   ("label", Json.Str n.nu_label);
+                   ("fires", Json.Int n.nu_fires);
+                   ("utilisation", Json.Float n.nu_utilisation);
+                 ])
+             u.nodes) );
+      ( "chans",
+        Json.List
+          (List.map
+             (fun c ->
+               Json.Obj
+                 [
+                   ("id", Json.Int c.cu_id);
+                   ("src", Json.Str c.cu_src);
+                   ("dst", Json.Str c.cu_dst);
+                   ("held", Json.Int c.cu_held);
+                   ("pressure", Json.Float c.cu_pressure);
+                 ])
+             u.chans) );
+    ]
+
+let initiation_interval u ~instances =
+  if instances = 0 then infinity
+  else float_of_int u.cycles /. float_of_int instances
+
+let pp_usage ?(top = 8) ppf u =
+  Format.fprintf ppf "most backpressured channels:@\n";
+  List.iteri
+    (fun k c ->
+      if k < top then
+        Format.fprintf ppf "  %-18s -> %-18s held %5.1f%% of cycles@\n" c.cu_src
+          c.cu_dst (100.0 *. c.cu_pressure))
+    u.chans;
+  Format.fprintf ppf "least utilised components:@\n";
+  List.iteri
+    (fun k n ->
+      if k < top then
+        Format.fprintf ppf "  %-24s fired %5.1f%% of cycles@\n" n.nu_label
+          (100.0 *. n.nu_utilisation))
+    u.nodes

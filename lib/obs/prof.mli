@@ -83,6 +83,17 @@ val reason_name : int -> string
     id.  The simulator calls this once at build time. *)
 val set_nodes : t -> (string * string) array -> unit
 
+(** Size the per-channel held table: one [(source label, destination
+    label)] pair per channel id.  The simulator calls this once at build
+    time. *)
+val set_chans : t -> (string * string) array -> unit
+
+(** Per-channel held counts, indexed by channel id: the cycles at whose
+    clock edge the channel register held a token.  The live table — the
+    simulator increments it in place after each commit; readers must not
+    mutate it.  Empty on {!null}. *)
+val chan_held : t -> int array
+
 (** Record one evaluation of node [nid]: bumps the node's eval counter and
     the [circuit_sweep] phase. *)
 val node_eval : t -> int -> unit
@@ -130,3 +141,50 @@ val to_json : ?top:int -> t -> kernel:string -> Json.t
 
 (** Human-readable per-phase budget + top-N hot-node table. *)
 val pp : ?top:int -> Format.formatter -> t -> unit
+
+(** {1 Utilisation view}
+
+    Per-node fire rate and per-channel occupancy over a profiled run: the
+    data behind [prevv profile] for finding a circuit's throughput
+    bottleneck (which component fires least often, which channels sit full
+    waiting).  Node fire counts come from the simulator's run statistics;
+    labels and held counts from the tables {!set_nodes} and {!set_chans}
+    sized. *)
+
+type node_use = {
+  nu_id : int;
+  nu_label : string;  (** [label#id] *)
+  nu_fires : int;
+  nu_utilisation : float;  (** fires / cycles *)
+}
+
+type chan_use = {
+  cu_id : int;
+  cu_src : string;  (** producer label *)
+  cu_dst : string;  (** consumer label *)
+  cu_held : int;  (** cycles the register held a token (see {!chan_held}) *)
+  cu_pressure : float;  (** held / cycles: 1.0 = permanently occupied *)
+}
+
+type usage = {
+  cycles : int;  (** the run's cycle count, at least 1 *)
+  nodes : node_use list;
+      (** nodes whose opcode is not ["sink"], lowest utilisation first *)
+  chans : chan_use list;  (** highest pressure first *)
+}
+
+(** The view of a profiled run of [cycles] cycles; [fires] is indexed by
+    node id.  Ties keep the higher id first. *)
+val usage : t -> cycles:int -> fires:int array -> usage
+
+(** Deterministic JSON rendering (stable field and list order); [outcome]
+    names how the run ended. *)
+val usage_to_json : usage -> outcome:string -> Json.t
+
+(** The initiation interval implied by the total cycle count:
+    [cycles / instances]. *)
+val initiation_interval : usage -> instances:int -> float
+
+(** Print the [top] (default 8) most backpressured channels and least
+    utilised components. *)
+val pp_usage : ?top:int -> Format.formatter -> usage -> unit

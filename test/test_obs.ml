@@ -10,8 +10,8 @@
    - tracing disabled (the null sink) cannot perturb a run: outcomes,
      memory and every statistic are identical with and without a live
      trace buffer;
-   - Profile.run honours the configured engine, and Scan/Event produce
-     identical profiles;
+   - the utilisation view over Prof (prevv profile) honours the configured
+     engine, and Scan/Event produce identical views;
    - the VCD writer declares and strobes the squash/epoch markers. *)
 
 open Pv_core
@@ -548,22 +548,21 @@ let test_cached_point_keeps_metrics () =
 (* ------------------------------------------------------------------ *)
 
 let test_profile_engine_invariant () =
-  let kernel = Pv_kernels.Defs.gaussian () in
-  let compiled = Pipeline.compile kernel in
+  let compiled = Pipeline.compile (Pv_kernels.Defs.gaussian ()) in
   let profile engine =
-    let init = Pv_kernels.Workload.default_init kernel in
-    let mem =
-      Pv_memory.Layout.initial_memory compiled.Pipeline.layout kernel ~init
+    let prof = Pv_obs.Prof.create () in
+    let sim_cfg = { Sim.default_config with Sim.engine } in
+    let r = Pipeline.simulate ~sim_cfg ~prof compiled (Pipeline.prevv 16) in
+    let u =
+      Pv_obs.Prof.usage prof ~cycles:r.Pipeline.run_stats.Sim.cycles
+        ~fires:r.Pipeline.run_stats.Sim.node_fires
     in
-    let backend = Pipeline.backend_of compiled mem (Pipeline.prevv 16) in
-    let cfg = { Sim.default_config with Sim.engine } in
-    Pv_dataflow.Profile.run ~cfg compiled.Pipeline.graph backend
+    Json.to_string
+      (Pv_obs.Prof.usage_to_json u
+         ~outcome:(Sim.outcome_name r.Pipeline.outcome))
   in
-  let scan = profile Sim.Scan and event = profile Sim.Event in
   Alcotest.(check string)
-    "profiles identical across engines"
-    (Json.to_string (Pv_dataflow.Profile.to_json scan))
-    (Json.to_string (Pv_dataflow.Profile.to_json event))
+    "profiles identical across engines" (profile Sim.Scan) (profile Sim.Event)
 
 (* ------------------------------------------------------------------ *)
 (* VCD squash/epoch markers                                            *)
@@ -582,8 +581,9 @@ let test_vcd_squash_marker () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       ignore
-        (Pv_dataflow.Vcd.record ~max_cycles:5_000 ~path
-           compiled.Pipeline.graph backend);
+        (Pv_dataflow.Vcd.record
+           ~cfg:{ Sim.default_config with Sim.max_cycles = 5_000 }
+           ~path compiled.Pipeline.graph backend);
       let ic = open_in path in
       let body =
         Fun.protect

@@ -5,7 +5,9 @@
    identities against independently maintained counters —
    [circuit_sweep] equals the simulator's eval count, [mem_service]
    equals the backend's loads + stores, and the phase totals sum to
-   {!Prof.total} on every kernel x backend cell.  On top of that the
+   {!Prof.total} on every kernel x backend cell.  The per-channel held
+   counts equal a by-hand count of occupied registers after every step,
+   squash purges and injected drops included.  On top of that the
    reports must be deterministic across worker counts and the folded
    emitter must round-trip through its own parser with the counts
    conserved. *)
@@ -84,6 +86,82 @@ let hot_sig prof =
        Array.to_list h.Prof.stalls))
     (Prof.hot_nodes prof ~top:10)
 
+(* Held counts are exact: a profiled run's [chan_held] equals the count
+   taken by stepping an unprofiled twin by hand for the same number of
+   cycles and tallying [Sim.chan_occupied] on every channel after each
+   step.  gaussian streams, matvec squashes (purges clear registers
+   outside the commit), and histogram runs a seeded plan of a silent drop
+   (another register cleared outside the commit, ending in a deadlock)
+   and a stall; each under both engines. *)
+let test_held_counts_exact () =
+  let prevv16 = Pipeline.prevv 16 in
+  let drop_and_stall compiled =
+    let nc = Pv_dataflow.Graph.n_chans compiled.Pipeline.graph in
+    (* seed 11 drops a token the PreVV backend survives into a diagnosed
+       deadlock; on many other seeds the silent drop makes the backend
+       raise Invalid_argument (ROADMAP item 3) *)
+    let rs = Random.State.make [| 11 |] in
+    let chan () = Random.State.int rs nc in
+    [
+      { Pv_dataflow.Fault.at_cycle = 30; action = Drop { chan = chan () } };
+      { at_cycle = 60; action = Stall { chan = chan (); cycles = 40 } };
+    ]
+  in
+  List.iter
+    (fun (kernel, plan) ->
+      let compiled = Pipeline.compile kernel in
+      let faults = plan compiled in
+      List.iter
+        (fun engine ->
+          let name =
+            kernel.Pv_kernels.Ast.name ^ "/" ^ Sim.string_of_engine engine
+          in
+          let cfg = { Sim.default_config with Sim.engine; faults } in
+          let prof = Prof.create () in
+          let r = Pipeline.simulate ~sim_cfg:cfg ~prof compiled prevv16 in
+          let mem =
+            Pv_memory.Layout.initial_memory compiled.Pipeline.layout kernel
+              ~init:(Pv_kernels.Workload.default_init kernel)
+          in
+          let sim =
+            Sim.create ~cfg compiled.Pipeline.graph
+              (Pipeline.backend_of compiled mem prevv16)
+          in
+          let held =
+            Array.make (Pv_dataflow.Graph.n_chans compiled.Pipeline.graph) 0
+          in
+          for _ = 1 to r.Pipeline.run_stats.Sim.cycles do
+            Sim.step sim;
+            Array.iteri
+              (fun cid n ->
+                if Sim.chan_occupied sim cid then held.(cid) <- n + 1)
+              held
+          done;
+          Alcotest.(check (array int)) (name ^ ": held counts") held
+            (Prof.chan_held prof);
+          if kernel.Pv_kernels.Ast.name = "matvec" then
+            Alcotest.(check bool) (name ^ ": squashes") true
+              (r.Pipeline.mem_stats.Memif.squashes > 0);
+          if faults <> [] then begin
+            Alcotest.(check bool)
+              (name ^ ": the drop fired") true
+              (List.exists
+                 (fun ap ->
+                   match ap.Pv_dataflow.Fault.ap_event.action with
+                   | Drop _ -> ap.ap_fired_at <> None
+                   | _ -> false)
+                 (Sim.fault_log sim));
+            Alcotest.(check string)
+              (name ^ ": ends in a deadlock") "deadlock"
+              (Sim.outcome_name r.Pipeline.outcome)
+          end)
+        [ Sim.Scan; Sim.Event ])
+    [
+      (Pv_kernels.Defs.gaussian (), fun _ -> []);
+      (Pv_kernels.Defs.matvec (), fun _ -> []);
+      (Pv_kernels.Defs.histogram (), drop_and_stall);
+    ]
+
 (* the whole report — hot-node table, folded stacks, phase budget — is
    identical whether the profiled run shares the process with 3 other
    concurrent profiled runs or runs alone: each run owns its profiler *)
@@ -159,6 +237,8 @@ let () =
         [
           Alcotest.test_case "phase budget identities, 5 kernels x 2 backends"
             `Quick test_attribution_invariants;
+          Alcotest.test_case "held counts match a by-hand count" `Quick
+            test_held_counts_exact;
         ] );
       ( "determinism",
         [

@@ -35,39 +35,63 @@ let test_vcd_records () =
   Alcotest.(check bool) "has timestamps" true (contains ~needle:"#10" vcd);
   Alcotest.(check bool) "has vector changes" true (contains ~needle:"b0000" vcd)
 
+(* the recording runs on Sim's own loop: cfg.max_cycles is its budget and
+   cfg.cancel is polled *)
+let test_vcd_budget_and_cancel () =
+  let compiled = Pipeline.compile (Pv_kernels.Defs.gaussian ()) in
+  let record cfg =
+    let mem =
+      Pv_memory.Layout.initial_memory compiled.Pipeline.layout
+        compiled.Pipeline.kernel
+        ~init:(Pv_kernels.Workload.default_init compiled.Pipeline.kernel)
+    in
+    let path = Filename.temp_file "pv_test" ".vcd" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Pv_dataflow.Vcd.record ~cfg ~path compiled.Pipeline.graph
+          (Pipeline.backend_of compiled mem (Pipeline.prevv 16)))
+  in
+  let base = Pv_dataflow.Sim.default_config in
+  (match record { base with Pv_dataflow.Sim.max_cycles = 100 } with
+  | Pv_dataflow.Sim.Timeout { at_cycle = 100; _ } -> ()
+  | o -> Alcotest.failf "max_cycles = 100: %a" Pv_dataflow.Sim.pp_outcome o);
+  match record { base with Pv_dataflow.Sim.cancel = (fun () -> true) } with
+  | exception Pv_dataflow.Sim.Cancelled _ -> ()
+  | o -> Alcotest.failf "cancelled recording: %a" Pv_dataflow.Sim.pp_outcome o
+
 (* --- Profile ------------------------------------------------------------------ *)
 
 let test_profile () =
-  let kernel = Pv_kernels.Defs.polyn_mult ~n:8 () in
-  let compiled = Pipeline.compile kernel in
-  let init = Pv_kernels.Workload.default_init kernel in
-  let mem = Pv_memory.Layout.initial_memory compiled.Pipeline.layout kernel ~init in
-  let backend = Pipeline.backend_of compiled mem (Pipeline.prevv 16) in
-  let p = Pv_dataflow.Profile.run compiled.Pipeline.graph backend in
-  (match p.Pv_dataflow.Profile.outcome with
+  let compiled = Pipeline.compile (Pv_kernels.Defs.polyn_mult ~n:8 ()) in
+  let prof = Pv_obs.Prof.create () in
+  let r = Pipeline.simulate ~prof compiled (Pipeline.prevv 16) in
+  (match r.Pipeline.outcome with
   | Pv_dataflow.Sim.Finished _ -> ()
   | o -> Alcotest.failf "profile run: %a" Pv_dataflow.Sim.pp_outcome o);
+  let u =
+    Pv_obs.Prof.usage prof ~cycles:r.Pipeline.run_stats.Pv_dataflow.Sim.cycles
+      ~fires:r.Pipeline.run_stats.Pv_dataflow.Sim.node_fires
+  in
   (* every non-sink node processed all 64 instances (buffers and ports may
      fire twice per token: accept and emit in different evaluations) *)
   List.iter
     (fun n ->
       Alcotest.(check bool)
-        (Printf.sprintf "%s fired %d" n.Pv_dataflow.Profile.np_label
-           n.Pv_dataflow.Profile.np_fires)
+        (Printf.sprintf "%s fired %d" n.Pv_obs.Prof.nu_label
+           n.Pv_obs.Prof.nu_fires)
         true
-        (n.Pv_dataflow.Profile.np_fires >= 64
-        && n.Pv_dataflow.Profile.np_fires <= 130))
-    p.Pv_dataflow.Profile.nodes;
-  let ii = Pv_dataflow.Profile.initiation_interval p ~instances:64 in
+        (n.Pv_obs.Prof.nu_fires >= 64 && n.Pv_obs.Prof.nu_fires <= 130))
+    u.Pv_obs.Prof.nodes;
+  let ii = Pv_obs.Prof.initiation_interval u ~instances:64 in
   Alcotest.(check bool) (Printf.sprintf "II %.2f near 1" ii) true (ii < 1.8);
   (* pressures are valid fractions, sorted descending *)
   let rec sorted = function
     | a :: (b :: _ as rest) ->
-        a.Pv_dataflow.Profile.cp_pressure >= b.Pv_dataflow.Profile.cp_pressure
-        && sorted rest
+        a.Pv_obs.Prof.cu_pressure >= b.Pv_obs.Prof.cu_pressure && sorted rest
     | _ -> true
   in
-  Alcotest.(check bool) "sorted by pressure" true (sorted p.Pv_dataflow.Profile.chans)
+  Alcotest.(check bool) "sorted by pressure" true (sorted u.Pv_obs.Prof.chans)
 
 (* --- Device ------------------------------------------------------------------- *)
 
@@ -160,7 +184,12 @@ let test_forwarding_ablation () =
 let () =
   Alcotest.run "pv_tools"
     [
-      ("vcd", [ Alcotest.test_case "records waveforms" `Quick test_vcd_records ]);
+      ( "vcd",
+        [
+          Alcotest.test_case "records waveforms" `Quick test_vcd_records;
+          Alcotest.test_case "honours max_cycles and cancel" `Quick
+            test_vcd_budget_and_cancel;
+        ] );
       ("profile", [ Alcotest.test_case "utilisation and pressure" `Quick test_profile ]);
       ("device", [ Alcotest.test_case "utilisation" `Quick test_device_utilisation ]);
       ( "ablations",
