@@ -256,7 +256,8 @@ let depth_sweep ~jobs ~cache () =
             p.Experiment.mem_stats.Pv_dataflow.Memif.stall_full
             p.Experiment.mem_stats.Pv_dataflow.Memif.squashes
             (if p.Experiment.verified then "" else "  (NOT VERIFIED)")
-      | Error msg -> Printf.printf "%-8d infeasible: %s\n" d msg)
+      | Error (e : Supervisor.task_error) ->
+          Printf.printf "%-8d infeasible: %s\n" d e.last_error)
     depths results;
   let t_org = 10.0 and p_s = 0.02 and t_token = 60.0 in
   Printf.printf

@@ -215,13 +215,14 @@ let engine_arg =
         Pv_dataflow.Sim.default_config.Pv_dataflow.Sim.engine
     & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
-let metrics_arg =
+(* [stream] names where the command prints the snapshot *)
+let metrics_arg stream =
   Arg.(
     value & flag
     & info [ "metrics" ]
         ~doc:
-          "Print the run's metric snapshot (counters, gauges, histograms) \
-           as a JSON object on stdout.")
+          ("Print the run's metric snapshot (counters, gauges, histograms) \
+            as a JSON object on " ^ stream ^ "."))
 
 (* the explicit plan plus, when seeded, a deterministic random recoverable
    plan sized to the kernel's instance count *)
@@ -293,7 +294,7 @@ let run_cmd =
     Term.(
       ret
         (const run $ kernel_arg $ backend_arg $ cse_arg $ fold_arg
-        $ inject_arg $ fault_seed_arg $ engine_arg $ metrics_arg))
+        $ inject_arg $ fault_seed_arg $ engine_arg $ metrics_arg "stdout"))
 
 (* --- trace ----------------------------------------------------------------- *)
 
@@ -352,7 +353,7 @@ let trace_cmd =
     Term.(
       const run $ kernel_arg $ backend_arg $ engine_arg
       $ inject_arg $ fault_seed_arg $ max_cycles_arg $ output_arg
-      $ metrics_arg)
+      $ metrics_arg "stdout")
 
 (* --- report --------------------------------------------------------------- *)
 
@@ -385,7 +386,7 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report"
        ~doc:"Area, clock period and runtime for every scheme (one Table I/II row).")
-    Term.(const run $ kernel_arg $ metrics_arg)
+    Term.(const run $ kernel_arg $ metrics_arg "stdout")
 
 (* --- sweep ------------------------------------------------------------------ *)
 
@@ -445,9 +446,9 @@ let sweep_cmd =
           let body =
             match result with
             | Ok p -> Experiment.point_to_json p
-            | Error msg ->
+            | Error (e : Supervisor.task_error) ->
                 Printf.sprintf "{ \"kernel\": %S, \"config\": %S, \"error\": %S }"
-                  kernel.Pv_kernels.Ast.name (Pipeline.name_of dis) msg
+                  kernel.Pv_kernels.Ast.name (Pipeline.name_of dis) e.last_error
           in
           Printf.printf "  %s%s\n" body (if i = n - 1 then "" else ","))
         (List.combine cells results);
@@ -466,9 +467,9 @@ let sweep_cmd =
                 p.Experiment.report.Pv_resource.Report.cp_ns
                 p.Experiment.cycles p.Experiment.exec_us
                 (if p.Experiment.verified then "" else "  NOT VERIFIED")
-          | Error msg ->
+          | Error (e : Supervisor.task_error) ->
               Printf.printf "%-14s %-12s infeasible: %s\n"
-                kernel.Pv_kernels.Ast.name (Pipeline.name_of dis) msg)
+                kernel.Pv_kernels.Ast.name (Pipeline.name_of dis) e.last_error)
         cells results);
     (* stats go to stderr so --json output stays a clean document *)
     (match cache with
@@ -497,7 +498,7 @@ let sweep_cmd =
           on stderr.")
     Term.(
       const run $ kernels_arg $ jobs_arg $ no_cache_arg $ json_arg
-      $ backends_arg $ metrics_arg)
+      $ backends_arg $ metrics_arg "stderr")
 
 (* --- emit ------------------------------------------------------------------ *)
 
@@ -855,7 +856,7 @@ let serve_cmd =
           engine/max_cycles/fault_seed.  SIGINT drains gracefully.")
     Term.(
       const run $ jobs_arg $ queue_arg $ attempts_arg $ deadline_arg
-      $ no_cache_arg $ stats_interval_arg $ log_level_arg $ metrics_arg)
+      $ no_cache_arg $ stats_interval_arg $ log_level_arg $ metrics_arg "stdout")
 
 (* --- utilisation -------------------------------------------------------------- *)
 

@@ -13,19 +13,23 @@ let () =
   let kernel = Pv_kernels.Defs.gaussian () in
   Format.printf "Queue-depth sweep on %s:@.@." kernel.Pv_kernels.Ast.name;
   Format.printf "  %-8s %10s %10s %12s@." "depth" "cycles" "LUT" "full-stalls";
+  let depths = [ 4; 8; 12; 16; 24; 32; 48; 64; 96 ] in
+  let results =
+    Experiment.sweep (List.map (fun d -> (kernel, Pipeline.prevv d)) depths)
+  in
   let points =
     List.filter_map
-      (fun d ->
-        match Experiment.run kernel (Pipeline.prevv d) with
-        | p ->
+      (fun (d, result) ->
+        match result with
+        | Ok (p : Experiment.point) ->
             Format.printf "  %-8d %10d %10d %12d@." d p.Experiment.cycles
               p.Experiment.report.Pv_resource.Report.luts
               p.Experiment.mem_stats.Pv_dataflow.Memif.stall_full;
             Some (d, p)
-        | exception Invalid_argument msg ->
-            Format.printf "  %-8d (infeasible: %s)@." d msg;
+        | Error (e : Supervisor.task_error) ->
+            Format.printf "  %-8d (infeasible: %s)@." d e.last_error;
             None)
-      [ 4; 8; 12; 16; 24; 32; 48; 64; 96 ]
+      (List.combine depths results)
   in
   (* the smallest depth within 2% of the best cycle count *)
   let best_cycles =

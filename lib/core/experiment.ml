@@ -100,50 +100,56 @@ let run_cached ?sim_cfg ?init ~cache kernel dis : point * [ `Hit | `Miss ] =
 (* Sweep driver                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let run_point ?sim_cfg ?cache (kernel, dis) =
-  match cache with
-  | None -> run ?sim_cfg kernel dis
-  | Some cache -> fst (run_cached ?sim_cfg ~cache kernel dis)
+let cell_label (kernel, dis) =
+  kernel.Pv_kernels.Ast.name ^ "/" ^ Pipeline.name_of dis
 
 (** Fan a list of (kernel, scheme) cells across [jobs] worker domains
-    (serially for [jobs <= 1]), in cell order.  Infeasible configurations
-    (a queue depth below one iteration's operation count) come back as
-    [Error msg] instead of aborting the whole sweep.  Workers only
-    compute; any printing belongs to the caller, after the sweep.
+    (serially for [jobs <= 1]), in cell order.  Each cell runs under
+    {!Supervisor.retry} with its attempt's token wired into the
+    simulator's [cancel] hook; the token never enters {!cache_key}, so
+    every sweep shares cache entries.  Infeasible configurations come
+    back as a {!Supervisor.task_error} after one attempt instead of
+    aborting the whole sweep.  Workers only compute; any printing
+    belongs to the caller, after the sweep.
 
     [metrics] (optional) aggregates the sweep: every point's own snapshot
     is absorbed (deterministic), plus [runner.*] telemetry — point/error
-    counts and a cycles histogram (deterministic), and cache-hit deltas,
-    effective job count and a per-worker load histogram (runtime-dependent
-    by nature; strip the [runner.] prefix when comparing runs). *)
-let sweep ?sim_cfg ?cache ?metrics ?(jobs = 1) cells :
-    (point, string) result list =
+    counts and a cycles histogram (deterministic), and the workers used,
+    their load histogram, cache-hit deltas, retries, task errors and
+    deadline hits (runtime-dependent by nature; strip the [runner.]
+    prefix when comparing runs). *)
+let sweep ?(policy = Supervisor.default_policy) ?sim_cfg ?cache ?metrics
+    ?(jobs = 1) cells : (point, Supervisor.task_error) result list =
   let hits0, misses0 =
     match cache with
     | Some c -> (Parallel.Cache.hits c, Parallel.Cache.misses c)
     | None -> (0, 0)
   in
-  let f cell =
-    match run_point ?sim_cfg ?cache cell with
-    | p -> Ok p
-    | exception Invalid_argument msg -> Error msg
-    | exception e -> Error (Printexc.to_string e)
+  let module Sim = Pv_dataflow.Sim in
+  let base = Option.value sim_cfg ~default:Sim.default_config in
+  let task ((kernel, dis) as cell) =
+    Supervisor.retry policy ~label:(cell_label cell) (fun ~token ->
+        let cancel () =
+          base.Sim.cancel () || Supervisor.Token.cancelled token
+        in
+        let sim_cfg = { base with Sim.cancel } in
+        match cache with
+        | None -> run ~sim_cfg kernel dis
+        | Some cache -> fst (run_cached ~sim_cfg ~cache kernel dis))
   in
   (* same execution shape as Parallel.map, but over an explicit pool so
      the per-worker tallies survive for the telemetry below *)
-  let ej = Parallel.effective_jobs jobs in
-  let serial = ej <= 1 || List.compare_length_with cells 2 < 0 in
-  let results, used_jobs, workers =
-    if serial then (List.map f cells, 1, [ List.length cells ])
+  let n = min (Parallel.effective_jobs jobs) (List.length cells) in
+  let outcomes, workers =
+    if n <= 1 then (List.map task cells, [ List.length cells ])
     else begin
-      let n = min ej (List.length cells) in
       let pool = Parallel.create ~jobs:n in
       let rs =
         Fun.protect
           ~finally:(fun () -> Parallel.shutdown pool)
-          (fun () -> Parallel.map_pool pool f cells)
+          (fun () -> Parallel.map_pool pool task cells)
       in
-      (rs, n, Parallel.worker_jobs pool)
+      (rs, Parallel.worker_jobs pool)
     end
   in
   (match metrics with
@@ -151,97 +157,31 @@ let sweep ?sim_cfg ?cache ?metrics ?(jobs = 1) cells :
   | Some m ->
       let module M = Pv_obs.Metrics in
       List.iter
-        (function
+        (fun (result, (tally : Supervisor.tally)) ->
+          (match result with
           | Ok p ->
               M.incr m "runner.points";
               M.observe m "runner.point_cycles" p.cycles;
               M.absorb m p.metrics
-          | Error _ -> M.incr m "runner.errors")
-        results;
-      M.set_gauge_max m "runner.jobs_effective" used_jobs;
+          | Error _ ->
+              M.incr m "runner.errors";
+              M.incr m "runner.task_errors");
+          M.add m "runner.retries" tally.retries;
+          M.add m "runner.deadline_hits" tally.deadline_hits)
+        outcomes;
+      M.set_gauge_max m "runner.jobs_effective" (max 1 n);
       List.iter (fun n -> M.observe m "runner.worker_jobs" n) workers;
       (match cache with
       | Some c ->
           M.add m "runner.cache_hits" (Parallel.Cache.hits c - hits0);
           M.add m "runner.cache_misses" (Parallel.Cache.misses c - misses0)
       | None -> ()));
-  results
-
-(* ------------------------------------------------------------------ *)
-(* Supervised sweep                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(** [run_checked] is {!run} with every failure mode folded into a
-    deterministic [Error] string instead of an exception. *)
-let run_checked ?sim_cfg ?init kernel dis : (point, string) result =
-  match run ?sim_cfg ?init kernel dis with
-  | p -> Ok p
-  | exception Invalid_argument msg -> Error msg
-  | exception Pv_dataflow.Sim.Cancelled { at_cycle } ->
-      Error (Printf.sprintf "cancelled at cycle %d" at_cycle)
-  | exception e -> Error (Printexc.to_string e)
-
-let cell_label (kernel, dis) =
-  kernel.Pv_kernels.Ast.name ^ "/" ^ Pipeline.name_of dis
-
-(** {!sweep} under {!Supervisor.run_tasks}: each cell runs with a fresh
-    cancellation token wired into the simulator's [cancel] hook, crashes
-    and deadline overruns are retried per [policy], and the exhausted
-    cells come back as structured {!Supervisor.task_error}s.  The token
-    never enters {!cache_key}, so supervised and bare sweeps share cache
-    entries. *)
-let sweep_supervised ?policy ?sim_cfg ?cache ?metrics ?(jobs = 1) cells :
-    (point, Supervisor.task_error) result list * Supervisor.stats =
-  let hits0, misses0 =
-    match cache with
-    | Some c -> (Parallel.Cache.hits c, Parallel.Cache.misses c)
-    | None -> (0, 0)
-  in
-  let base =
-    Option.value sim_cfg ~default:Pv_dataflow.Sim.default_config
-  in
-  let f ~token cell =
-    let sim_cfg =
-      {
-        base with
-        Pv_dataflow.Sim.cancel =
-          (fun () -> Supervisor.Token.cancelled token);
-      }
-    in
-    run_point ~sim_cfg ?cache cell
-  in
-  let results, stats =
-    Supervisor.run_tasks ?policy ?metrics ~metrics_prefix:"runner." ~jobs
-      ~label:cell_label f cells
-  in
-  (match metrics with
-  | None -> ()
-  | Some m ->
-      let module M = Pv_obs.Metrics in
-      List.iter
-        (function
-          | Ok p ->
-              M.incr m "runner.points";
-              M.observe m "runner.point_cycles" p.cycles;
-              M.absorb m p.metrics
-          | Error _ -> M.incr m "runner.errors")
-        results;
-      M.set_gauge_max m "runner.jobs_effective" (Parallel.effective_jobs jobs);
-      (match cache with
-      | Some c ->
-          M.add m "runner.cache_hits" (Parallel.Cache.hits c - hits0);
-          M.add m "runner.cache_misses" (Parallel.Cache.misses c - misses0)
-      | None -> ()));
-  (results, stats)
+  List.map fst outcomes
 
 (** The paper's four evaluated configurations, in table-column order. *)
 let paper_configs () =
   [ Pipeline.plain_lsq; Pipeline.fast_lsq; Pipeline.prevv 16; Pipeline.prevv 64 ]
 
-(** Run the full grid for the paper's five kernels (Tables I & II),
-    optionally across [jobs] domains and through a result cache.  The
-    returned rows are identical whatever the worker count: every point is
-    deterministic and is computed from private state. *)
 (* regroup a flat cell list into rows of [width] per kernel *)
 let regroup width points =
   let rec rows = function
@@ -259,30 +199,23 @@ let regroup width points =
   in
   rows points
 
-(** The full grid under supervision: one row per kernel, one
-    [(point, task_error) result] per configuration.  A cell that keeps
-    failing past the retry budget occupies its grid position as a
-    structured error; every other cell still completes. *)
-let paper_grid_supervised ?policy ?sim_cfg ?cache ?metrics ?(jobs = 1) () :
-    (point, Supervisor.task_error) result list list * Supervisor.stats =
-  let configs = paper_configs () in
-  let kernels = Pv_kernels.Defs.paper_benchmarks () in
-  let cells =
-    List.concat_map (fun k -> List.map (fun d -> (k, d)) configs) kernels
-  in
-  let results, stats =
-    sweep_supervised ?policy ?sim_cfg ?cache ?metrics ~jobs cells
-  in
-  (regroup (List.length configs) results, stats)
-
+(** Run the full grid for the paper's five kernels (Tables I & II),
+    optionally across [jobs] domains and through a result cache.  The
+    returned rows are identical whatever the worker count: every point is
+    deterministic and is computed from private state. *)
 let paper_grid ?sim_cfg ?cache ?(jobs = 1) () : point list list =
-  let rows, _stats = paper_grid_supervised ?sim_cfg ?cache ~jobs () in
-  List.map
-    (List.map (function
-      | Ok p -> p
-      | Error e ->
-          failwith (Format.asprintf "paper_grid: %a" Supervisor.pp_task_error e)))
-    rows
+  let configs = paper_configs () in
+  let cells =
+    List.concat_map
+      (fun k -> List.map (fun d -> (k, d)) configs)
+      (Pv_kernels.Defs.paper_benchmarks ())
+  in
+  sweep ?sim_cfg ?cache ~jobs cells
+  |> List.map (function
+       | Ok p -> p
+       | Error e ->
+           failwith (Format.asprintf "paper_grid: %a" Supervisor.pp_task_error e))
+  |> regroup (List.length configs)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

@@ -55,75 +55,45 @@ val run_cached :
   Pipeline.disambiguation ->
   point * [ `Hit | `Miss ]
 
-(** Fan (kernel, scheme) cells across [jobs] worker domains (default 1 =
-    serial on the calling domain), returning results in cell order.
-    Infeasible configurations come back as [Error msg] rather than
-    aborting the sweep.  Workers never print.
-
-    [metrics] aggregates the sweep: each point's own snapshot is absorbed
-    (deterministic), plus [runner.*] telemetry — point/error counts and a
-    cycles histogram (deterministic), and cache-hit deltas, effective job
-    count and a per-worker load histogram (runtime-dependent by nature;
-    drop [runner.]-prefixed entries when comparing runs). *)
-val sweep :
-  ?sim_cfg:Pv_dataflow.Sim.config ->
-  ?cache:Parallel.Cache.t ->
-  ?metrics:Pv_obs.Metrics.t ->
-  ?jobs:int ->
-  (Pv_kernels.Ast.kernel * Pipeline.disambiguation) list ->
-  (point, string) result list
-
-(** {!run} with every failure mode folded into a deterministic
-    [Error msg] — infeasible configuration, mid-run cancellation,
-    anything else the pipeline raises. *)
-val run_checked :
-  ?sim_cfg:Pv_dataflow.Sim.config ->
-  ?init:(string * int array) list ->
-  Pv_kernels.Ast.kernel ->
-  Pipeline.disambiguation ->
-  (point, string) result
-
 (** The supervision label of a cell: ["<kernel>/<config>"]. *)
 val cell_label : Pv_kernels.Ast.kernel * Pipeline.disambiguation -> string
 
-(** {!sweep} under {!Supervisor.run_tasks}: each cell runs with a fresh
-    cancellation token wired into [Sim.config.cancel], crashed or
-    deadline-overrun cells are retried with seed-deterministic backoff,
-    and cells that exhaust the budget come back as structured
-    {!Supervisor.task_error}s while the rest of the grid completes.
-    [metrics] gets the same aggregation as {!sweep} plus the
-    supervisor's [runner.retries] / [runner.respawns] /
-    [runner.task_errors] / [runner.deadline_hits] counters. *)
-val sweep_supervised :
+(** Fan (kernel, scheme) cells across [jobs] worker domains (default 1 =
+    serial on the calling domain), returning results in cell order.  Each
+    cell runs under {!Supervisor.retry} with [policy] (default
+    {!Supervisor.default_policy}): a fresh cancellation token per attempt
+    is wired into [Sim.config.cancel], crashed or deadline-overrun cells
+    are retried with seed-deterministic backoff, and a cell that exhausts
+    the budget — or is infeasible, which fails after one attempt — comes
+    back as a structured {!Supervisor.task_error} while the rest of the
+    grid completes.  Workers never print.
+
+    [metrics] aggregates the sweep: each point's own snapshot is absorbed
+    (deterministic), plus [runner.*] telemetry — point/error counts and a
+    cycles histogram (deterministic), and the worker count actually used
+    ([runner.jobs_effective]), a per-worker load histogram, cache-hit
+    deltas, [runner.retries], [runner.task_errors] and
+    [runner.deadline_hits] (runtime-dependent by nature; drop
+    [runner.]-prefixed entries when comparing runs). *)
+val sweep :
   ?policy:Supervisor.policy ->
   ?sim_cfg:Pv_dataflow.Sim.config ->
   ?cache:Parallel.Cache.t ->
   ?metrics:Pv_obs.Metrics.t ->
   ?jobs:int ->
   (Pv_kernels.Ast.kernel * Pipeline.disambiguation) list ->
-  (point, Supervisor.task_error) result list * Supervisor.stats
+  (point, Supervisor.task_error) result list
 
 (** The paper's four evaluated configurations, in table-column order:
     [15], [8], PreVV16, PreVV64. *)
 val paper_configs : unit -> Pipeline.disambiguation list
 
-(** The full grid under supervision: one row per kernel, one result per
-    configuration.  A cell that keeps failing past the retry budget
-    occupies its grid position as a structured error instead of
-    poisoning the rest of the grid. *)
-val paper_grid_supervised :
-  ?policy:Supervisor.policy ->
-  ?sim_cfg:Pv_dataflow.Sim.config ->
-  ?cache:Parallel.Cache.t ->
-  ?metrics:Pv_obs.Metrics.t ->
-  ?jobs:int ->
-  unit ->
-  (point, Supervisor.task_error) result list list * Supervisor.stats
-
 (** The full grid for the paper's five kernels (Tables I & II): one row
     per kernel, one point per configuration.  [jobs] fans the cells across
     that many worker domains (default 1 = serial); [cache] reuses stored
-    points.  The result is identical whatever the worker count. *)
+    points.  The result is identical whatever the worker count.
+    @raise Failure naming the cell if any cell fails past its retry
+    budget. *)
 val paper_grid :
   ?sim_cfg:Pv_dataflow.Sim.config ->
   ?cache:Parallel.Cache.t ->

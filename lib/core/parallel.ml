@@ -20,8 +20,6 @@ type pool = {
           after {!shutdown}; a live read may lag by the jobs in flight. *)
 }
 
-let size pool = pool.n
-
 (* Workers block on [nonempty] until a job or shutdown arrives; the job
    itself runs outside the lock so the queue stays available. *)
 let worker pool i () =
@@ -80,12 +78,11 @@ let shutdown pool =
   List.iter Domain.join pool.workers;
   pool.workers <- []
 
-let map_pool ?(batch = 1) pool f xs =
+let map_pool pool f xs =
   match xs with
   | [] -> []
   | [ x ] -> [ f x ]
   | xs ->
-      let batch = max 1 batch in
       let arr = Array.of_list xs in
       let n = Array.length arr in
       (* each slot is written by exactly one job; the lock only guards the
@@ -93,26 +90,17 @@ let map_pool ?(batch = 1) pool f xs =
       let results = Array.make n None in
       let lock = Mutex.create () in
       let all_done = Condition.create () in
-      let n_batches = (n + batch - 1) / batch in
-      let pending = ref n_batches in
-      (* batched submission: one queued job covers [batch] consecutive
-         elements, amortising queue/lock traffic (and, through [map], the
-         per-job share of the pool-spawn cost) over cheap task lists *)
-      for b = 0 to n_batches - 1 do
-        let lo = b * batch in
-        let hi = min (lo + batch) n - 1 in
-        submit pool (fun () ->
-            for i = lo to hi do
-              let r =
-                match f arr.(i) with v -> Ok v | exception e -> Error e
-              in
-              results.(i) <- Some r
-            done;
-            Mutex.lock lock;
-            decr pending;
-            if !pending = 0 then Condition.signal all_done;
-            Mutex.unlock lock)
-      done;
+      let pending = ref n in
+      Array.iteri
+        (fun i x ->
+          submit pool (fun () ->
+              results.(i) <-
+                Some (match f x with v -> Ok v | exception e -> Error e);
+              Mutex.lock lock;
+              decr pending;
+              if !pending = 0 then Condition.signal all_done;
+              Mutex.unlock lock))
+        arr;
       Mutex.lock lock;
       while !pending > 0 do
         Condition.wait all_done lock
@@ -135,7 +123,7 @@ let max_jobs = 64
 
 let effective_jobs jobs = max 1 (min jobs max_jobs)
 
-let map ?jobs ?batch f xs =
+let map ?jobs f xs =
   let jobs =
     effective_jobs (match jobs with Some j -> j | None -> default_jobs ())
   in
@@ -146,7 +134,7 @@ let map ?jobs ?batch f xs =
       let pool = create ~jobs:(min jobs (List.length xs)) in
       Fun.protect
         ~finally:(fun () -> shutdown pool)
-        (fun () -> map_pool ?batch pool f xs)
+        (fun () -> map_pool pool f xs)
 
 (* ------------------------------------------------------------------ *)
 (* Result cache                                                        *)

@@ -30,9 +30,6 @@ type pool
 (** Spawn [jobs] worker domains (at least one). *)
 val create : jobs:int -> pool
 
-(** Number of worker domains. *)
-val size : pool -> int
-
 (** Completed jobs per worker — the pool-utilisation telemetry behind the
     observability layer's [runner.worker_jobs] metric.  Each worker counts
     only its own slot (race-free by construction); the counts are exact
@@ -52,10 +49,8 @@ val shutdown : pool -> unit
     workers and returns the results in input order.  If any job raised,
     the exception of the smallest-index failing element is re-raised after
     all jobs have completed (unlike serial [List.map], later elements are
-    still evaluated).  [batch] (default 1) submits that many consecutive
-    elements per queued job, amortising queue/lock traffic over cheap
-    task lists. *)
-val map_pool : ?batch:int -> pool -> ('a -> 'b) -> 'a list -> 'b list
+    still evaluated). *)
+val map_pool : pool -> ('a -> 'b) -> 'a list -> 'b list
 
 (** Upper bound on any worker-count request (64). *)
 val max_jobs : int
@@ -72,9 +67,8 @@ val effective_jobs : int -> int
     [effective_jobs jobs] workers.  With an effective count of 1 (or
     fewer than two elements) this is exactly [List.map f xs] on the
     calling domain — the serial reference the determinism harness
-    compares against.  [jobs] defaults to {!default_jobs}; [batch] as in
-    {!map_pool}. *)
-val map : ?jobs:int -> ?batch:int -> ('a -> 'b) -> 'a list -> 'b list
+    compares against.  [jobs] defaults to {!default_jobs}. *)
+val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
 (** {1 Result cache} *)
 

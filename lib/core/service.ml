@@ -135,12 +135,6 @@ let bad_line msg =
 (* Compute                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let describe_exn = function
-  | Sim.Cancelled { at_cycle } ->
-      Printf.sprintf "deadline exceeded (cancelled at cycle %d)" at_cycle
-  | Invalid_argument m -> m
-  | e -> Printexc.to_string e
-
 (* one compute attempt; raises on failure *)
 let compute cfg ~token req =
   let kernel = Pv_kernels.Defs.by_name req.kernel in
@@ -181,25 +175,6 @@ let compute cfg ~token req =
     | None -> Experiment.run ~sim_cfg kernel dis
   in
   Experiment.point_to_json point
-
-type outcome = R_ok of string | R_err of string
-
-(* full retry loop for one request; returns (outcome, extra attempts) *)
-let compute_with_retries cfg req =
-  let p = cfg.policy in
-  let label = req.kernel ^ "/" ^ req.backend in
-  let rec go attempt =
-    let token = Supervisor.Token.create ?deadline_s:p.Supervisor.deadline_s () in
-    match compute cfg ~token req with
-    | body -> (R_ok body, attempt - 1)
-    | exception e ->
-        if attempt < p.Supervisor.max_attempts && p.Supervisor.retryable e then begin
-          Clock.sleep_s (Supervisor.backoff_delay p ~label ~attempt);
-          go (attempt + 1)
-        end
-        else (R_err (describe_exn e), attempt - 1)
-  in
-  go 1
 
 (* ------------------------------------------------------------------ *)
 (* Supervised request loop                                             *)
@@ -300,15 +275,13 @@ let store_locked st item outcome retries =
   st.n_retries <- st.n_retries + retries;
   List.iter
     (fun (seq, id) ->
-      let line =
-        match outcome with
-        | R_ok body -> ok_line id body
-        | R_err msg -> error_line id msg
-      in
-      Hashtbl.replace st.responses seq line;
       (match outcome with
-      | R_ok _ -> st.n_ok <- st.n_ok + 1
-      | R_err _ -> st.n_errors <- st.n_errors + 1);
+      | Ok body ->
+          Hashtbl.replace st.responses seq (ok_line id body);
+          st.n_ok <- st.n_ok + 1
+      | Error (e : Supervisor.task_error) ->
+          Hashtbl.replace st.responses seq (error_line id e.last_error);
+          st.n_errors <- st.n_errors + 1);
       (match Hashtbl.find_opt st.t0s seq with
       | Some t0 ->
           let ms = Clock.elapsed_s t0 *. 1000.0 in
@@ -331,9 +304,13 @@ let process st item =
   Mutex.unlock st.lock;
   if kill then `Killed
   else begin
-    let outcome, retries = compute_with_retries st.cfg item.t_req in
+    let req = item.t_req in
+    let outcome, tally =
+      Supervisor.retry st.cfg.policy ~label:(req.kernel ^ "/" ^ req.backend)
+        (fun ~token -> compute st.cfg ~token req)
+    in
     Mutex.lock st.lock;
-    store_locked st item outcome retries;
+    store_locked st item outcome tally.Supervisor.retries;
     Mutex.unlock st.lock;
     `Done
   end

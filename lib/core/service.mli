@@ -1,12 +1,14 @@
 (** The experiment service behind [prevv serve]: line-delimited JSON
     requests in, one JSON response line per request out, in request order.
 
-    The service runs each request through the {!Experiment} pipeline on a
-    supervised worker pool: per-attempt retry with the
-    {!Supervisor.backoff_delay} schedule, worker kills ({!Supervisor.Kill_worker},
-    injectable via {!config.kill_at}) respawned with the in-flight request
-    requeued, identical in-flight requests deduplicated against one
-    computation, a bounded pending queue with explicit load-shedding
+    The service runs each request through the {!Experiment} pipeline on
+    its own streaming worker pool, each request under {!Supervisor.retry}
+    (per-attempt deadline, {!Supervisor.backoff_delay} schedule, errors
+    rendered by {!Supervisor.describe_exn}).  The pool adds worker kills
+    (injected via {!config.kill_at}: the worker finds its item in a
+    kill table and exits before computing) respawned with the in-flight
+    request requeued, identical in-flight requests deduplicated against
+    one computation, a bounded pending queue with explicit load-shedding
     (an ["overloaded"] response — never a silent drop), and graceful
     drain.  Every accepted line gets exactly one response line; the
     {!summary} proves it with [lost = 0].
@@ -72,8 +74,9 @@ type config = {
   policy : Supervisor.policy;  (** retry/backoff/deadline per request *)
   cache : Parallel.Cache.t option;  (** content-addressed result reuse *)
   kill_at : int list;
-      (** chaos injection: arrival sequence numbers whose first compute
-          attempt kills its worker domain (respawned, request requeued) *)
+      (** chaos injection: arrival sequence numbers whose first pickup
+          kills its worker domain before computing (respawned, request
+          requeued) *)
   stats_interval : float option;
       (** emit a [{"type": "stats", ...}] frame at least this many seconds
           apart, checked between requests (the intake loop never wakes just

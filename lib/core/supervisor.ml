@@ -1,4 +1,4 @@
-(** Supervision over the worker pool — see the .mli and DESIGN.md §18. *)
+(** The task lifecycle — see the .mli and DESIGN.md §18. *)
 
 module Token = struct
   type t = { flag : bool Atomic.t; deadline_ns : int64 option }
@@ -54,23 +54,17 @@ let backoff_schedule p ~label =
   List.init (max 0 (p.max_attempts - 1)) (fun i ->
       backoff_delay p ~label ~attempt:(i + 1))
 
-exception Kill_worker
-
 type task_error = {
   label : string;
   attempts : int;
   last_error : string;
   deadline_hit : bool;
-  worker_kills : int;
 }
 
 let pp_task_error ppf e =
-  Format.fprintf ppf "%s: failed after %d attempt(s)%s%s: %s" e.label
+  Format.fprintf ppf "%s: failed after %d attempt(s)%s: %s" e.label
     e.attempts
     (if e.deadline_hit then " (deadline)" else "")
-    (if e.worker_kills > 0 then
-       Printf.sprintf " (%d worker kill(s))" e.worker_kills
-     else "")
     e.last_error
 
 let task_error_to_json e =
@@ -80,283 +74,32 @@ let task_error_to_json e =
       ("attempts", Pv_obs.Json.Int e.attempts);
       ("last_error", Pv_obs.Json.Str e.last_error);
       ("deadline_hit", Pv_obs.Json.Bool e.deadline_hit);
-      ("worker_kills", Pv_obs.Json.Int e.worker_kills);
     ]
-
-type stats = {
-  completed : int;
-  failed : int;
-  retries : int;
-  respawns : int;
-  deadline_hits : int;
-}
-
-(* ------------------------------------------------------------------ *)
-(* Attempt bookkeeping                                                 *)
-(* ------------------------------------------------------------------ *)
 
 let describe_exn = function
   | Pv_dataflow.Sim.Cancelled { at_cycle } ->
-      Printf.sprintf "deadline exceeded (simulation cancelled at cycle %d)"
-        at_cycle
-  | Invalid_argument m -> Printf.sprintf "invalid configuration: %s" m
+      Printf.sprintf "deadline exceeded (cancelled at cycle %d)" at_cycle
+  | Invalid_argument m -> m
   | e -> Printexc.to_string e
 
-(* per-task mutable state; one slot per task, each written under the
-   round lock or by the single worker holding the task *)
-type 'b slot = {
-  s_label : string;
-  mutable s_attempts : int;
-  mutable s_kills : int;
-  mutable s_deadline_hit : bool;  (** last failure was a deadline overrun *)
-  mutable s_deadline_count : int;
-  mutable s_last_error : string;
-  mutable s_value : 'b option;
-  mutable s_give_up : bool;  (** non-retryable failure or budget exhausted *)
-}
+type tally = { retries : int; deadline_hits : int }
 
-(* one attempt of one task; never raises *)
-let attempt policy f task (s : _ slot) =
-  s.s_attempts <- s.s_attempts + 1;
-  let token = Token.create ?deadline_s:policy.deadline_s () in
-  match f ~token task with
-  | v -> s.s_value <- Some v
-  | exception Kill_worker ->
-      s.s_kills <- s.s_kills + 1;
-      s.s_deadline_hit <- false;
-      s.s_last_error <- "worker killed mid-task";
-      if s.s_attempts >= policy.max_attempts then s.s_give_up <- true;
-      raise Kill_worker
-  | exception e ->
-      let dl = policy.deadline_s <> None && Token.cancelled token in
-      s.s_deadline_hit <- dl;
-      if dl then s.s_deadline_count <- s.s_deadline_count + 1;
-      s.s_last_error <- describe_exn e;
-      if s.s_attempts >= policy.max_attempts || not (policy.retryable e) then
-        s.s_give_up <- true
-
-let finished (s : _ slot) = s.s_value <> None || s.s_give_up
-
-let result_of (s : _ slot) =
-  match s.s_value with
-  | Some v -> Ok v
-  | None ->
-      Error
-        {
-          label = s.s_label;
-          attempts = s.s_attempts;
-          last_error = s.s_last_error;
-          deadline_hit = s.s_deadline_hit;
-          worker_kills = s.s_kills;
-        }
-
-(* ------------------------------------------------------------------ *)
-(* Serial reference                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let run_serial policy f (slots : _ slot array) tasks =
-  Array.iteri
-    (fun i task ->
-      let s = slots.(i) in
-      let rec go () =
-        if not (finished s) then begin
-          (if s.s_attempts > 0 then
-             Clock.sleep_s
-               (backoff_delay policy ~label:s.s_label ~attempt:s.s_attempts));
-          (try attempt policy f task s with Kill_worker -> ());
-          go ()
+let retry p ~label f =
+  let rec go attempt deadline_hits =
+    let token = Token.create ?deadline_s:p.deadline_s () in
+    match f ~token with
+    | v -> (Ok v, { retries = attempt - 1; deadline_hits })
+    | exception e ->
+        let deadline_hit = p.deadline_s <> None && Token.cancelled token in
+        let deadline_hits = deadline_hits + Bool.to_int deadline_hit in
+        if attempt < p.max_attempts && p.retryable e then begin
+          Clock.sleep_s (backoff_delay p ~label ~attempt);
+          go (attempt + 1) deadline_hits
         end
-      in
-      go ())
-    tasks
-
-(* ------------------------------------------------------------------ *)
-(* Supervised pool                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* One round runs a set of task indices across [jobs] worker domains.  A
-   worker that dies mid-task (Kill_worker) marks its in-flight task
-   failed, decrements the live count and exits; the main domain respawns
-   a replacement while queued work remains, so the pool never shrinks
-   below [jobs] while there is anything left to pull. *)
-let run_round ~jobs f policy (slots : _ slot array) tasks indices respawns =
-  let queue = Queue.create () in
-  List.iter (fun i -> Queue.push i queue) indices;
-  let total = List.length indices in
-  let lock = Mutex.create () in
-  let changed = Condition.create () in
-  let completed = ref 0 in
-  let live = ref 0 in
-  let domains = ref [] in
-  let worker () =
-    let rec loop () =
-      Mutex.lock lock;
-      let next = if Queue.is_empty queue then None else Some (Queue.pop queue) in
-      Mutex.unlock lock;
-      match next with
-      | None -> ()
-      | Some i -> (
-          let s = slots.(i) in
-          match attempt policy f tasks.(i) s with
-          | () ->
-              Mutex.lock lock;
-              incr completed;
-              Condition.signal changed;
-              Mutex.unlock lock;
-              loop ()
-          | exception Kill_worker ->
-              (* this worker is dead: account for the in-flight task,
-                 then fall off the domain *)
-              Mutex.lock lock;
-              incr completed;
-              decr live;
-              Condition.signal changed;
-              Mutex.unlock lock)
-    in
-    loop ()
+        else
+          ( Error
+              { label; attempts = attempt; last_error = describe_exn e;
+                deadline_hit },
+            { retries = attempt - 1; deadline_hits } )
   in
-  let spawn () =
-    incr live;
-    domains := Domain.spawn worker :: !domains
-  in
-  Mutex.lock lock;
-  for _ = 1 to min jobs total do
-    spawn ()
-  done;
-  while !completed < total do
-    (* respawn after kills while queued work remains *)
-    while !live < jobs && not (Queue.is_empty queue) do
-      spawn ();
-      incr respawns
-    done;
-    if !completed < total then Condition.wait changed lock
-  done;
-  Mutex.unlock lock;
-  List.iter Domain.join !domains
-
-let run_pool ~jobs policy f (slots : _ slot array) tasks =
-  let respawns = ref 0 in
-  let rec rounds indices =
-    if indices <> [] then begin
-      run_round ~jobs f policy slots tasks indices respawns;
-      let retry =
-        List.filter (fun i -> not (finished slots.(i))) indices
-      in
-      if retry <> [] then begin
-        (* round-granular backoff: sleep the longest of the retried
-           tasks' individual deterministic delays *)
-        let delay =
-          List.fold_left
-            (fun acc i ->
-              let s = slots.(i) in
-              Float.max acc
-                (backoff_delay policy ~label:s.s_label ~attempt:s.s_attempts))
-            0.0 retry
-        in
-        Clock.sleep_s delay;
-        rounds retry
-      end
-    end
-  in
-  rounds (List.init (Array.length tasks) Fun.id);
-  !respawns
-
-(* ------------------------------------------------------------------ *)
-
-let run_tasks ?(policy = default_policy) ?metrics
-    ?(metrics_prefix = "supervisor.") ?(log = Pv_obs.Log.null) ~jobs ~label f
-    tasks =
-  if policy.max_attempts < 1 then
-    invalid_arg "Supervisor.run_tasks: max_attempts < 1";
-  let tasks = Array.of_list tasks in
-  let slots =
-    Array.map
-      (fun task ->
-        {
-          s_label = label task;
-          s_attempts = 0;
-          s_kills = 0;
-          s_deadline_hit = false;
-          s_deadline_count = 0;
-          s_last_error = "";
-          s_value = None;
-          s_give_up = false;
-        })
-      tasks
-  in
-  let jobs = Parallel.effective_jobs jobs in
-  let respawns =
-    if jobs <= 1 || Array.length tasks < 2 then begin
-      run_serial policy f slots tasks;
-      0
-    end
-    else run_pool ~jobs policy f slots tasks
-  in
-  let results = Array.to_list (Array.map result_of slots) in
-  let stats =
-    Array.fold_left
-      (fun acc s ->
-        {
-          acc with
-          completed = (acc.completed + if s.s_value <> None then 1 else 0);
-          failed = (acc.failed + if s.s_value = None then 1 else 0);
-          retries = acc.retries + max 0 (s.s_attempts - 1);
-          deadline_hits = acc.deadline_hits + s.s_deadline_count;
-        })
-      { completed = 0; failed = 0; retries = 0; respawns; deadline_hits = 0 }
-      slots
-  in
-  (match metrics with
-  | None -> ()
-  | Some m ->
-      let module M = Pv_obs.Metrics in
-      M.add m (metrics_prefix ^ "retries") stats.retries;
-      M.add m (metrics_prefix ^ "respawns") stats.respawns;
-      M.add m (metrics_prefix ^ "task_errors") stats.failed;
-      M.add m (metrics_prefix ^ "deadline_hits") stats.deadline_hits);
-  (* structured post-run logging: per-task anomalies (retries, kills,
-     deadline overruns, final failures) plus one pool summary.  Emitted
-     from the calling domain only, after the workers have joined, so the
-     sink never sees concurrent writes. *)
-  (let module L = Pv_obs.Log in
-   let module J = Pv_obs.Json in
-   if L.enabled log Warn then begin
-     Array.iter
-       (fun s ->
-         if s.s_value = None then
-           L.error log "task_failed"
-             ~fields:
-               [
-                 ("task", J.Str s.s_label);
-                 ("attempts", J.Int s.s_attempts);
-                 ("worker_kills", J.Int s.s_kills);
-                 ("deadline_hit", J.Bool s.s_deadline_hit);
-                 ("error", J.Str s.s_last_error);
-               ]
-         else if s.s_attempts > 1 || s.s_kills > 0 || s.s_deadline_count > 0
-         then
-           L.warn log "task_retried"
-             ~fields:
-               [
-                 ("task", J.Str s.s_label);
-                 ("attempts", J.Int s.s_attempts);
-                 ("worker_kills", J.Int s.s_kills);
-                 ("deadline_hits", J.Int s.s_deadline_count);
-               ])
-       slots;
-     if
-       stats.retries > 0 || stats.respawns > 0 || stats.failed > 0
-       || stats.deadline_hits > 0
-     then
-       L.warn log "pool_summary"
-         ~fields:
-           [
-             ("jobs", J.Int jobs);
-             ("completed", J.Int stats.completed);
-             ("failed", J.Int stats.failed);
-             ("retries", J.Int stats.retries);
-             ("respawns", J.Int stats.respawns);
-             ("deadline_hits", J.Int stats.deadline_hits);
-           ]
-   end);
-  (results, stats)
+  go 1 0

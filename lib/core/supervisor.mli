@@ -1,23 +1,18 @@
-(** Supervision layer over the {!Parallel} worker pool: crash isolation,
-    per-task deadlines, deterministic retry with exponential backoff, and
-    worker respawn.
+(** The task lifecycle: per-task deadlines, deterministic retry with
+    exponential backoff, and one rendering of a failure.
 
-    The bare pool ({!Parallel.map_pool}) is exception-transparent: one
-    raising task re-raises after the batch, poisoning the whole grid, and
-    a task that escapes the wrapper kills its worker domain silently.
-    This module wraps every task so that
+    {!retry} runs one task's attempt → backoff → attempt loop on the
+    calling domain, so it composes with any pool: {!Experiment.sweep}
+    runs it on {!Parallel}'s workers and {!Service} on its own.  Every
+    failure becomes a value:
 
     - an uncaught exception marks only that task failed;
     - a per-attempt deadline (cooperative: the task polls its
       {!Token}, the simulator raises {!Pv_dataflow.Sim.Cancelled}) turns a
       runaway task into a retried one instead of a hung grid;
-    - a killed worker (a task raising {!Kill_worker}, the chaos-testing
-      stand-in for a dying domain) takes down only itself: the in-flight
-      task is marked failed-retryable and the supervisor respawns a
-      replacement worker so the pool never shrinks;
     - failed tasks are retried with seed-deterministic exponential
       backoff up to [max_attempts], then reported as a structured
-      {!task_error} — the caller always receives one result per task.
+      {!task_error}.
 
     DESIGN.md §18 specifies the task lifecycle and policy semantics. *)
 
@@ -44,7 +39,7 @@ end
 (** {1 Policy} *)
 
 type policy = {
-  max_attempts : int;  (** total tries per task (>= 1) *)
+  max_attempts : int;  (** total tries per task (values below 1 mean 1) *)
   base_delay_s : float;  (** backoff after the first failure *)
   max_delay_s : float;  (** backoff ceiling *)
   deadline_s : float option;  (** per-attempt cooperative deadline *)
@@ -72,17 +67,11 @@ val backoff_schedule : policy -> label:string -> float list
 
 (** {1 Task outcomes} *)
 
-(** Raised by a task to simulate its worker domain dying mid-task — the
-    chaos-testing kill switch.  The supervisor marks the task
-    failed-retryable, lets the worker die, and respawns a replacement. *)
-exception Kill_worker
-
 type task_error = {
   label : string;  (** e.g. ["gaussian/prevv16"] *)
   attempts : int;  (** attempts actually made *)
-  last_error : string;  (** printed last exception / post-mortem *)
+  last_error : string;  (** {!describe_exn} of the last exception *)
   deadline_hit : bool;  (** the last failure was a deadline overrun *)
-  worker_kills : int;  (** attempts that died with {!Kill_worker} *)
 }
 
 val pp_task_error : Format.formatter -> task_error -> unit
@@ -90,39 +79,25 @@ val pp_task_error : Format.formatter -> task_error -> unit
 (** Deterministic JSON object for an errors section. *)
 val task_error_to_json : task_error -> Pv_obs.Json.t
 
-type stats = {
-  completed : int;  (** tasks that returned a value *)
-  failed : int;  (** tasks reported as {!task_error} *)
-  retries : int;  (** extra attempts beyond each task's first *)
-  respawns : int;  (** replacement workers spawned after kills *)
-  deadline_hits : int;  (** attempts cancelled by their deadline *)
-}
+(** The one rendering of a task failure: the bare message of an
+    [Invalid_argument], ["deadline exceeded (cancelled at cycle N)"] for
+    {!Pv_dataflow.Sim.Cancelled}, [Printexc.to_string] otherwise.  This is
+    the text serve's error responses and [prevv sweep] print. *)
+val describe_exn : exn -> string
 
 (** {1 Running} *)
 
-(** [run_tasks ~jobs ~label f tasks] runs every task under supervision and
-    returns one result per task, in task order, plus the run's {!stats}.
-    [f] receives a fresh {!Token} per attempt (wire it into
-    [Sim.config.cancel] for cooperative deadlines).  [jobs <= 1] runs
-    serially on the calling domain — the deterministic reference.
-    [metrics] (optional) gets [<prefix>retries] / [<prefix>respawns] /
-    [<prefix>task_errors] / [<prefix>deadline_hits] counters
-    ([metrics_prefix] defaults to ["supervisor."]).  [log] (default
-    {!Pv_obs.Log.null}) receives one structured line per anomalous task
-    ([task_retried] at Warn, [task_failed] at Error) and a [pool_summary]
-    line when any retry/kill/failure occurred — emitted post-run from the
-    calling domain, so a single-writer sink suffices.
+(** What one task's retry loop cost, for telemetry. *)
+type tally = {
+  retries : int;  (** attempts beyond the first *)
+  deadline_hits : int;  (** attempts cancelled by their deadline *)
+}
 
-    Tasks must not print; ordering and content of the returned list are
-    deterministic given a deterministic task function (wall-clock
-    deadlines excepted — see DESIGN.md §18). *)
-val run_tasks :
-  ?policy:policy ->
-  ?metrics:Pv_obs.Metrics.t ->
-  ?metrics_prefix:string ->
-  ?log:Pv_obs.Log.t ->
-  jobs:int ->
-  label:('a -> string) ->
-  (token:Token.t -> 'a -> 'b) ->
-  'a list ->
-  ('b, task_error) result list * stats
+(** [retry policy ~label f] runs [f] with a fresh {!Token} per attempt
+    (wire it into [Sim.config.cancel] for cooperative deadlines) until it
+    returns, fails with a non-retryable exception, or has made
+    [max_attempts] attempts, sleeping [backoff_delay ~attempt:n] on the
+    calling domain after failed attempt [n].  Never raises: the last
+    failure comes back as a {!task_error} named [label]. *)
+val retry :
+  policy -> label:string -> (token:Token.t -> 'a) -> ('a, task_error) result * tally

@@ -1,15 +1,15 @@
-(* The supervision layer (DESIGN.md §18).
+(* The task lifecycle (DESIGN.md §18).
 
    The load-bearing properties:
    - backoff is seed-deterministic: same (policy, label) gives the same
      schedule, every delay respects the exponential envelope and cap;
    - a task that keeps failing is retried exactly max_attempts times and
-     comes back as a structured task_error while the rest of the grid
-     completes — one crash never poisons the batch;
-   - a worker killed mid-task (Kill_worker) takes down only itself: the
-     supervisor respawns a replacement and the task still completes;
+     comes back as a structured task_error; in a sweep the rest of the
+     grid completes — one crash never poisons the batch;
    - a cooperative deadline cancels a runaway task (the simulator's
-     cancel hook raises Sim.Cancelled) and is reported as deadline_hit. *)
+     cancel hook raises Sim.Cancelled) and is reported as deadline_hit;
+   - a failure renders one way, whichever caller reports it, and a sweep
+     is identical at any worker count, errors included. *)
 
 open Pv_core
 
@@ -55,123 +55,66 @@ let test_backoff_deterministic () =
     a
 
 (* ------------------------------------------------------------------ *)
-(* Crash isolation and retry budget                                    *)
+(* Retry budget                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let test_failing_task_isolated () =
-  List.iter
-    (fun jobs ->
-      let results, stats =
-        Supervisor.run_tasks ~policy:quick_policy ~jobs
-          ~label:(Printf.sprintf "task%d")
-          (fun ~token:_ i -> if i = 2 then raise (Flaky i) else i * 10)
-          [ 0; 1; 2; 3; 4 ]
-      in
-      let tag = Printf.sprintf "(jobs=%d)" jobs in
-      List.iteri
-        (fun i r ->
-          match (i, r) with
-          | 2, Error (e : Supervisor.task_error) ->
-              Alcotest.(check string)
-                ("errors section names the point " ^ tag)
-                "task2" e.Supervisor.label;
-              Alcotest.(check int)
-                ("attempts = budget " ^ tag)
-                quick_policy.Supervisor.max_attempts e.Supervisor.attempts;
-              Alcotest.(check bool)
-                ("last exception recorded " ^ tag)
-                true
-                (e.Supervisor.last_error <> "")
-          | 2, Ok _ -> Alcotest.fail ("task2 should fail " ^ tag)
-          | i, Ok v ->
-              Alcotest.(check int) ("rest of grid completes " ^ tag) (i * 10) v
-          | _, Error _ -> Alcotest.fail ("only task2 may fail " ^ tag))
-        results;
-      Alcotest.(check int) ("completed " ^ tag) 4 stats.Supervisor.completed;
-      Alcotest.(check int) ("failed " ^ tag) 1 stats.Supervisor.failed;
-      Alcotest.(check int)
-        ("retries = budget - 1 " ^ tag)
-        (quick_policy.Supervisor.max_attempts - 1)
-        stats.Supervisor.retries)
-    [ 1; 2 ]
+let test_failing_task_exhausts_budget () =
+  let tries = Atomic.make 0 in
+  let result, tally =
+    Supervisor.retry quick_policy ~label:"task2" (fun ~token:_ ->
+        Atomic.incr tries;
+        raise (Flaky 2))
+  in
+  (match result with
+  | Error (e : Supervisor.task_error) ->
+      Alcotest.(check string) "error names the task" "task2" e.label;
+      Alcotest.(check int) "attempts = budget"
+        quick_policy.Supervisor.max_attempts e.attempts;
+      Alcotest.(check string) "last exception rendered"
+        (Printexc.to_string (Flaky 2)) e.last_error;
+      Alcotest.(check bool) "not a deadline" false e.deadline_hit
+  | Ok () -> Alcotest.fail "task must fail");
+  Alcotest.(check int) "ran exactly the budget"
+    quick_policy.Supervisor.max_attempts (Atomic.get tries);
+  Alcotest.(check int) "retries = budget - 1"
+    (quick_policy.Supervisor.max_attempts - 1) tally.Supervisor.retries
 
 let test_non_retryable_fails_fast () =
-  let results, stats =
-    Supervisor.run_tasks ~policy:quick_policy ~jobs:1
-      ~label:(Printf.sprintf "t%d")
-      (fun ~token:_ i ->
-        if i = 0 then invalid_arg "infeasible configuration" else i)
-      [ 0; 1 ]
+  let result, tally =
+    Supervisor.retry quick_policy ~label:"t0" (fun ~token:_ ->
+        invalid_arg "infeasible configuration")
   in
-  (match List.hd results with
+  (match result with
   | Error e ->
       Alcotest.(check int) "one attempt only" 1 e.Supervisor.attempts;
-      Alcotest.(check bool) "message kept" true
-        (e.Supervisor.last_error <> "")
-  | Ok _ -> Alcotest.fail "expected failure");
-  Alcotest.(check int) "no retries burned" 0 stats.Supervisor.retries
+      Alcotest.(check string) "bare message kept" "infeasible configuration"
+        e.Supervisor.last_error
+  | Ok () -> Alcotest.fail "expected failure");
+  Alcotest.(check int) "no retries burned" 0 tally.Supervisor.retries
 
 let test_flaky_task_recovers () =
   (* fails twice, succeeds on the third attempt: inside the budget *)
   let tries = Atomic.make 0 in
-  let results, stats =
-    Supervisor.run_tasks ~policy:quick_policy ~jobs:1
-      ~label:(fun _ -> "flaky")
-      (fun ~token:_ () ->
+  let result, tally =
+    Supervisor.retry quick_policy ~label:"flaky" (fun ~token:_ ->
         if Atomic.fetch_and_add tries 1 < 2 then raise (Flaky 0) else 99)
-      [ () ]
   in
-  (match results with
-  | [ Ok v ] -> Alcotest.(check int) "recovered value" 99 v
-  | _ -> Alcotest.fail "expected recovery");
-  Alcotest.(check int) "two retries" 2 stats.Supervisor.retries;
-  Alcotest.(check int) "no failure" 0 stats.Supervisor.failed
+  (match result with
+  | Ok v -> Alcotest.(check int) "recovered value" 99 v
+  | Error _ -> Alcotest.fail "expected recovery");
+  Alcotest.(check int) "two retries" 2 tally.Supervisor.retries
 
-(* ------------------------------------------------------------------ *)
-(* Killed workers                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_killed_worker_respawned () =
-  (* task 0 kills its worker once, then succeeds on retry; with 2
-     workers over 6 tasks the pool must respawn and finish everything *)
-  let killed = Atomic.make false in
-  let results, stats =
-    Supervisor.run_tasks ~policy:quick_policy ~jobs:2
-      ~label:(Printf.sprintf "task%d")
-      (fun ~token:_ i ->
-        if i = 0 && not (Atomic.exchange killed true) then
-          raise Supervisor.Kill_worker
-        else i + 100)
-      [ 0; 1; 2; 3; 4; 5 ]
+let test_budget_below_one () =
+  (* never raises: a non-positive budget still makes one attempt *)
+  let result, tally =
+    Supervisor.retry
+      { quick_policy with Supervisor.max_attempts = 0 }
+      ~label:"t" (fun ~token:_ -> raise (Flaky 0))
   in
-  List.iteri
-    (fun i r ->
-      match r with
-      | Ok v -> Alcotest.(check int) (Printf.sprintf "task %d done" i) (i + 100) v
-      | Error e ->
-          Alcotest.failf "task %d failed: %s" i e.Supervisor.last_error)
-    results;
-  Alcotest.(check int) "all completed" 6 stats.Supervisor.completed;
-  Alcotest.(check bool) "replacement spawned" true
-    (stats.Supervisor.respawns >= 1)
-
-let test_kill_exhausts_budget () =
-  (* a task that kills its worker every time ends as a task_error with
-     the kill count recorded *)
-  let results, _ =
-    Supervisor.run_tasks
-      ~policy:{ quick_policy with Supervisor.max_attempts = 2 }
-      ~jobs:2
-      ~label:(Printf.sprintf "task%d")
-      (fun ~token:_ i ->
-        if i = 0 then raise Supervisor.Kill_worker else i)
-      [ 0; 1; 2 ]
-  in
-  match List.hd results with
-  | Error e ->
-      Alcotest.(check int) "attempts" 2 e.Supervisor.attempts;
-      Alcotest.(check int) "kills recorded" 2 e.Supervisor.worker_kills
-  | Ok _ -> Alcotest.fail "expected kill exhaustion"
+  (match result with
+  | Error e -> Alcotest.(check int) "one attempt" 1 e.Supervisor.attempts
+  | Ok () -> Alcotest.fail "expected failure");
+  Alcotest.(check int) "no retries" 0 tally.Supervisor.retries
 
 (* ------------------------------------------------------------------ *)
 (* Deadlines and cooperative cancellation                              *)
@@ -192,45 +135,59 @@ let test_deadline_overrun_reported () =
       Supervisor.max_attempts = 2;
       Supervisor.deadline_s = Some 0.02 }
   in
-  let results, stats =
-    Supervisor.run_tasks ~policy ~jobs:1
-      ~label:(fun _ -> "spinner")
-      (fun ~token () ->
+  let result, tally =
+    Supervisor.retry policy ~label:"spinner" (fun ~token ->
         (* a runaway task that at least polls its token, like Sim does *)
         while not (Supervisor.Token.cancelled token) do
           ignore (Sys.opaque_identity ())
         done;
         raise Exit)
-      [ () ]
   in
-  (match results with
-  | [ Error e ] ->
+  (match result with
+  | Error e ->
       Alcotest.(check bool) "deadline_hit" true e.Supervisor.deadline_hit;
       Alcotest.(check int) "retried to budget" 2 e.Supervisor.attempts
-  | _ -> Alcotest.fail "expected deadline failure");
-  Alcotest.(check int) "deadline hits counted" 2 stats.Supervisor.deadline_hits
+  | Ok () -> Alcotest.fail "expected deadline failure");
+  Alcotest.(check int) "a deadline hit per attempt" 2
+    tally.Supervisor.deadline_hits
+
+let test_describe_exn () =
+  Alcotest.(check string) "infeasible: the bare message" "depth too small"
+    (Supervisor.describe_exn (Invalid_argument "depth too small"));
+  Alcotest.(check string) "cancellation names the cycle"
+    "deadline exceeded (cancelled at cycle 64)"
+    (Supervisor.describe_exn (Pv_dataflow.Sim.Cancelled { at_cycle = 64 }));
+  Alcotest.(check string) "anything else: Printexc"
+    (Printexc.to_string (Failure "boom"))
+    (Supervisor.describe_exn (Failure "boom"))
 
 let test_sim_cancel_hook () =
-  (* the simulator's cancel hook: an already-cancelled token turns the
-     run into a deterministic Cancelled error *)
+  (* the simulator's cancel hook: an already-cancelled run comes back from
+     the sweep as the one rendering of Sim.Cancelled, not as a deadline
+     (the policy set none) *)
   let sim_cfg =
     { Pv_dataflow.Sim.default_config with
       Pv_dataflow.Sim.cancel = (fun () -> true) }
   in
   match
-    Experiment.run_checked ~sim_cfg (Pv_kernels.Defs.gaussian ())
-      (Pipeline.prevv 16)
+    Experiment.sweep
+      ~policy:{ quick_policy with Supervisor.max_attempts = 1 }
+      ~sim_cfg
+      [ (Pv_kernels.Defs.gaussian (), Pipeline.prevv 16) ]
   with
-  | Error msg ->
-      Alcotest.(check bool) "names the cancel cycle" true
-        (String.length msg >= 9 && String.sub msg 0 9 = "cancelled")
-  | Ok _ -> Alcotest.fail "cancelled run must not produce a point"
+  | [ Error e ] ->
+      Alcotest.(check string) "the single rendering"
+        (Supervisor.describe_exn (Pv_dataflow.Sim.Cancelled { at_cycle = 0 }))
+        e.Supervisor.last_error;
+      Alcotest.(check bool) "not a policy deadline" false
+        e.Supervisor.deadline_hit
+  | _ -> Alcotest.fail "cancelled run must not produce a point"
 
 (* ------------------------------------------------------------------ *)
-(* Supervised sweep over real cells                                    *)
+(* Sweeps over real cells                                              *)
 (* ------------------------------------------------------------------ *)
 
-let test_sweep_supervised_partial_results () =
+let test_sweep_partial_results () =
   (* one infeasible cell (depth 2 cannot hold one body instance): the
      errors section names it, the other cells complete *)
   let kernel = Pv_kernels.Defs.gaussian () in
@@ -239,8 +196,8 @@ let test_sweep_supervised_partial_results () =
       (kernel, Pipeline.fast_lsq) ]
   in
   let m = Pv_obs.Metrics.create () in
-  let results, stats =
-    Experiment.sweep_supervised ~policy:quick_policy ~metrics:m ~jobs:2 cells
+  let results =
+    Experiment.sweep ~policy:quick_policy ~metrics:m ~jobs:2 cells
   in
   (match results with
   | [ Error e; Ok p16; Ok plsq ] ->
@@ -250,9 +207,13 @@ let test_sweep_supervised_partial_results () =
       Alcotest.(check bool) "points verified" true
         (p16.Experiment.verified && plsq.Experiment.verified)
   | _ -> Alcotest.fail "expected [Error; Ok; Ok]");
-  Alcotest.(check int) "stats.completed" 2 stats.Supervisor.completed;
-  Alcotest.(check int) "stats.failed" 1 stats.Supervisor.failed;
-  (* the supervised sweep matches the bare runs point for point *)
+  Alcotest.(check int) "runner.points" 2
+    (Pv_obs.Metrics.counter_value m "runner.points");
+  Alcotest.(check int) "runner.task_errors" 1
+    (Pv_obs.Metrics.counter_value m "runner.task_errors");
+  Alcotest.(check int) "runner.retries" 0
+    (Pv_obs.Metrics.counter_value m "runner.retries");
+  (* the sweep matches the bare run point for point *)
   let reference = Experiment.run kernel (Pipeline.prevv 16) in
   (match results with
   | [ _; Ok p; _ ] ->
@@ -273,23 +234,57 @@ let test_sweep_supervised_partial_results () =
       | Error msg -> Alcotest.failf "task_error json unparseable: %s" msg)
   | _ -> ()
 
-let test_paper_grid_supervised_shape () =
-  let rows, stats = Experiment.paper_grid_supervised ~jobs:2 () in
+let test_sweep_jobs_effective () =
+  (* the gauge records the workers the sweep actually used *)
+  let kernel = Pv_kernels.Defs.histogram () in
+  let cells =
+    [ (kernel, Pipeline.prevv 16); (kernel, Pipeline.fast_lsq);
+      (kernel, Pipeline.prevv 64) ]
+  in
+  let used jobs =
+    let m = Pv_obs.Metrics.create () in
+    ignore (Experiment.sweep ~metrics:m ~jobs cells);
+    Pv_obs.Metrics.gauge_value m "runner.jobs_effective"
+  in
+  Alcotest.(check int) "serial sweep: one worker" 1 (used 1);
+  Alcotest.(check int) "three cells at jobs=8: three workers" 3 (used 8)
+
+let test_sweep_jobs_identity () =
+  (* the CI cell list, infeasible gaussian/prevv1 included: serial and
+     pooled sweeps agree on every point and every error *)
+  let cells =
+    List.concat_map
+      (fun k ->
+        List.map (fun d -> (k, d))
+          [ Pipeline.prevv 1; Pipeline.prevv 16; Pipeline.fast_lsq ])
+      [ Pv_kernels.Defs.gaussian (); Pv_kernels.Defs.matvec () ]
+  in
+  let render =
+    List.map (function
+      | Ok p -> Experiment.point_to_json p
+      | Error e ->
+          Pv_obs.Json.to_string (Supervisor.task_error_to_json e))
+  in
+  let serial = Experiment.sweep ~jobs:1 cells in
+  let pooled = Experiment.sweep ~jobs:4 cells in
+  Alcotest.(check (list string)) "jobs=1 = jobs=4" (render serial)
+    (render pooled);
+  Alcotest.(check int) "exactly one infeasible cell" 1
+    (List.length (List.filter Result.is_error serial))
+
+let test_paper_grid_shape () =
+  let rows = Experiment.paper_grid ~jobs:2 () in
   Alcotest.(check int) "five kernel rows" 5 (List.length rows);
   List.iter
     (fun row ->
       Alcotest.(check int) "four configs per row" 4 (List.length row);
       List.iter
-        (function
-          | Ok (p : Experiment.point) ->
-              Alcotest.(check bool)
-                (p.Experiment.kernel ^ "/" ^ p.Experiment.config ^ " verified")
-                true p.Experiment.verified
-          | Error e -> Alcotest.failf "unexpected grid error: %s"
-                         e.Supervisor.last_error)
+        (fun (p : Experiment.point) ->
+          Alcotest.(check bool)
+            (p.Experiment.kernel ^ "/" ^ p.Experiment.config ^ " verified")
+            true p.Experiment.verified)
         row)
-    rows;
-  Alcotest.(check int) "all 20 points" 20 stats.Supervisor.completed
+    rows
 
 let () =
   Alcotest.run "supervisor"
@@ -297,34 +292,31 @@ let () =
       ( "backoff",
         [ Alcotest.test_case "deterministic schedule" `Quick
             test_backoff_deterministic ] );
-      ( "isolation",
+      ( "retry",
         [
-          Alcotest.test_case "failing task isolated" `Quick
-            test_failing_task_isolated;
+          Alcotest.test_case "failing task exhausts budget" `Quick
+            test_failing_task_exhausts_budget;
           Alcotest.test_case "non-retryable fails fast" `Quick
             test_non_retryable_fails_fast;
           Alcotest.test_case "flaky task recovers" `Quick
             test_flaky_task_recovers;
-        ] );
-      ( "kills",
-        [
-          Alcotest.test_case "killed worker respawned" `Quick
-            test_killed_worker_respawned;
-          Alcotest.test_case "kill exhausts budget" `Quick
-            test_kill_exhausts_budget;
+          Alcotest.test_case "budget below one" `Quick test_budget_below_one;
         ] );
       ( "deadlines",
         [
           Alcotest.test_case "token deadline" `Quick test_token_deadline;
           Alcotest.test_case "deadline overrun reported" `Quick
             test_deadline_overrun_reported;
+          Alcotest.test_case "describe_exn" `Quick test_describe_exn;
           Alcotest.test_case "sim cancel hook" `Quick test_sim_cancel_hook;
         ] );
       ( "sweep",
         [
           Alcotest.test_case "partial results + errors section" `Quick
-            test_sweep_supervised_partial_results;
-          Alcotest.test_case "paper grid supervised" `Quick
-            test_paper_grid_supervised_shape;
+            test_sweep_partial_results;
+          Alcotest.test_case "jobs_effective" `Quick test_sweep_jobs_effective;
+          Alcotest.test_case "jobs=1 vs jobs=4 identity" `Quick
+            test_sweep_jobs_identity;
+          Alcotest.test_case "paper grid" `Quick test_paper_grid_shape;
         ] );
     ]
