@@ -700,8 +700,16 @@ let vcd_cmd =
 
 let area_cmd =
   let depth_lvl_arg =
-    Arg.(value & opt int 2 & info [ "levels" ] ~docv:"N"
-           ~doc:"Hierarchy depth of the breakdown.")
+    let positive =
+      Arg.conv
+        ( (fun s ->
+            match int_of_string_opt s with
+            | Some n when n >= 1 -> Ok n
+            | _ -> Error (`Msg (Printf.sprintf "%S is not a level count >= 1" s))),
+          Format.pp_print_int )
+    in
+    Arg.(value & opt positive 2 & info [ "levels" ] ~docv:"N"
+           ~doc:"Hierarchy depth of the breakdown (at least 1).")
   in
   let run kernel dis levels =
     let compiled = Pipeline.compile kernel in

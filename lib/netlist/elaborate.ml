@@ -11,33 +11,24 @@ type disambiguation =
   | D_oracle  (** analytic lower bound: no disambiguation hardware *)
   | D_serial  (** program-order serializer: a small gate per instance *)
 
-let node_path (n : Graph.node) =
-  Printf.sprintf "dp/%s_%d" n.Graph.label n.Graph.nid
-
-let node_netlist ws (n : Graph.node) : P.t =
-  let path = node_path n in
-  match n.Graph.kind with
-  | Types.Gen g -> Gen.gen_node path ~arity:g.Types.gen_arity ws
-  | Types.Const _ -> Gen.const_node path ws.Gen.data
-  | Types.Unop op -> Gen.unop path op ws.Gen.data
-  | Types.Binop op -> Gen.binop path op ws.Gen.data
-  | Types.Fork k -> Gen.fork_ path k
-  | Types.Join k -> Gen.join path k
-  | Types.Merge k -> Gen.merge path k ws.Gen.data
-  | Types.Mux k -> Gen.mux path k ws.Gen.data
-  | Types.Branch -> Gen.branch path
-  | Types.Buffer { slots; _ } -> Gen.buffer path ~slots ws.Gen.data
-  | Types.Sink -> []
-  | Types.Load _ -> Gen.load_port path ws
-  | Types.Store _ -> Gen.store_port path ws
-  | Types.Skip _ -> [ { P.path; prim = P.Lut 3; count = 2 } ]
-  | Types.Galloc _ -> [ { P.path; prim = P.Lut 3; count = 3 } ]
-
-(** Datapath-only netlist. *)
+(** Datapath-only netlist: one block per component (a fused loop generator
+    adds one block per level, ahead of its FSM). *)
 let datapath ?(ws = Gen.default_widths) (g : Graph.t) : P.t =
+  let level = Gen.loop_level ws in
+  let block scope parts = { P.scope; region = P.Datapath; parts } in
   let acc = ref [] in
-  Graph.iter_nodes (fun n -> acc := node_netlist ws n :: !acc) g;
-  List.concat (List.rev !acc)
+  Graph.iter_nodes
+    (fun n ->
+      let label = n.Graph.label and nid = n.Graph.nid in
+      (match n.Graph.kind with
+      | Types.Gen gs ->
+          for k = 0 to gs.Types.gen_arity - 1 do
+            acc := block (P.Level (label, nid, k)) level :: !acc
+          done
+      | _ -> ());
+      acc := block (P.Node (label, nid)) (Gen.component ws n.Graph.kind) :: !acc)
+    g;
+  List.rev !acc
 
 let count_ports (pm : Pv_memory.Portmap.t) ~inst =
   Array.fold_left
@@ -50,88 +41,64 @@ let count_ports (pm : Pv_memory.Portmap.t) ~inst =
     (0, 0) pm.Pv_memory.Portmap.ports
 
 (** Full circuit netlist under a disambiguation scheme.  Memory-subsystem
-    instances live under the ["mem/"] hierarchy so reports can separate
-    them from the datapath (Fig. 1's breakdown). *)
+    macros are scoped under ["mem/"]; each block records its Fig. 1 region
+    as it is built. *)
 let circuit ?(ws = Gen.default_widths) (g : Graph.t)
     (pm : Pv_memory.Portmap.t) (dis : disambiguation) : P.t =
   let dp = datapath ~ws g in
-  let dp_luts = (P.totals dp).P.luts in
+  let macro ?i name region parts = { P.scope = P.Macro (name, i); region; parts } in
   let n_direct =
     Array.fold_left
       (fun acc p -> if p.Pv_memory.Portmap.instance = None then acc + 1 else acc)
       0 pm.Pv_memory.Portmap.ports
   in
   let mc =
-    if n_direct > 0 then Gen.mem_controller "mem/mc" ~nports:n_direct ws else []
+    if n_direct > 0 then
+      [ macro "mc" P.Datapath (Gen.mem_controller ~nports:n_direct ws) ]
+    else []
   in
   let total_ports = Array.length pm.Pv_memory.Portmap.ports in
   let ngroups = pm.Pv_memory.Portmap.n_groups in
+  let per_instance name parts =
+    List.init pm.Pv_memory.Portmap.n_instances (fun i ->
+        let nload_ports, nstore_ports = count_ports pm ~inst:(Some i) in
+        macro ~i name P.Queue (parts ~nload_ports ~nstore_ports))
+  in
   let subsystem =
     match dis with
     | D_plain_lsq depth | D_fast_lsq depth ->
         let fast_alloc = match dis with D_fast_lsq _ -> true | _ -> false in
         (* one pooled LSQ per ambiguous array interface, as synthesised by
            Dynamatic for multi-array kernels *)
-        List.concat
-          (List.init pm.Pv_memory.Portmap.n_instances (fun i ->
-               let nload_ports, nstore_ports = count_ports pm ~inst:(Some i) in
-               Gen.lsq
-                 (Printf.sprintf "mem/lsq%d" i)
-                 ~depth ~nload_ports ~nstore_ports ~ngroups ~fast_alloc ws))
+        per_instance "lsq" (Gen.lsq ~depth ~ngroups ~fast_alloc ws)
     | D_prevv depth ->
-        let squash_overhead =
-          [
-            {
-              P.path = "mem/squash_net";
-              prim = P.Lut 3;
-              count = Gen.Calib.prevv_squash_luts_per_component * Graph.n_nodes g;
-            };
-          ]
-        in
-        squash_overhead
-        @ List.concat
-            (List.init pm.Pv_memory.Portmap.n_instances (fun i ->
-                 let nload_ports, nstore_ports = count_ports pm ~inst:(Some i) in
-                 let member_frac =
-                   float_of_int (nload_ports + nstore_ports)
-                   /. float_of_int (max 1 total_ports)
-                 in
-                 let member_datapath_luts =
-                   int_of_float (member_frac *. float_of_int dp_luts)
-                 in
-                 Gen.prevv
-                   (Printf.sprintf "mem/prevv%d" i)
-                   ~depth ~nload_ports ~nstore_ports ~ngroups
-                   ~member_datapath_luts ws))
+        let dp_luts = (P.totals dp).P.luts in
+        macro "squash_net" P.Queue (Gen.squash_net ~components:(Graph.n_nodes g))
+        :: per_instance "prevv" (fun ~nload_ports ~nstore_ports ->
+               let member_frac =
+                 float_of_int (nload_ports + nstore_ports)
+                 /. float_of_int (max 1 total_ports)
+               in
+               let member_datapath_luts =
+                 int_of_float (member_frac *. float_of_int dp_luts)
+               in
+               Gen.prevv ~depth ~nload_ports ~nstore_ports ~ngroups
+                 ~member_datapath_luts ws)
     | D_oracle ->
         (* analytic bound: perfect disambiguation costs no hardware *)
         []
     | D_serial ->
-        (* one program-order gate per ambiguous array: a head counter,
-           a port comparator and a busy flag — no queues, no search *)
-        List.concat
-          (List.init pm.Pv_memory.Portmap.n_instances (fun i ->
-               let nload_ports, nstore_ports = count_ports pm ~inst:(Some i) in
-               let nports = nload_ports + nstore_ports in
-               let path = Printf.sprintf "mem/ser%d" i in
-               [
-                 { P.path; prim = P.Lut 4; count = (4 * nports) + ngroups };
-                 { P.path; prim = P.Ff; count = 2 * ws.Gen.addr };
-               ]))
+        per_instance "ser" (fun ~nload_ports ~nstore_ports ->
+            Gen.serializer ~nports:(nload_ports + nstore_ports) ~ngroups ws)
   in
   dp @ mc @ subsystem
 
 (** Split totals into (datapath+controller, disambiguation subsystem) — the
-    Fig. 1 breakdown. *)
+    Fig. 1 breakdown, by the region each block was built with. *)
 let breakdown (nl : P.t) =
-  let is_queue path =
-    String.length path >= 7
-    && (String.sub path 0 7 = "mem/lsq"
-       || String.sub path 0 7 = "mem/pre"
-       || String.sub path 0 7 = "mem/ser")
-    || String.length path >= 10
-       && String.sub path 0 10 = "mem/squash"
-  in
-  let queue = P.totals_filtered ~keep:is_queue nl in
-  let rest = P.totals_filtered ~keep:(fun p -> not (is_queue p)) nl in
-  (rest, queue)
+  List.fold_left
+    (fun (dp, queue) b ->
+      match b.P.region with
+      | P.Datapath -> (P.add dp b.P.parts, queue)
+      | P.Queue -> (dp, P.add queue b.P.parts))
+    (P.zero, P.zero) nl

@@ -10,11 +10,12 @@ type disambiguation =
   | D_oracle  (** analytic lower bound: no disambiguation hardware *)
   | D_serial  (** program-order serializer: a small gate per instance *)
 
-(** Datapath-only netlist (one entry per component, under ["dp/"]). *)
+(** Datapath-only netlist: one block per component, scoped at its node
+    (["dp/label_nid"]). *)
 val datapath : ?ws:Gen.widths -> Pv_dataflow.Graph.t -> Primitive.t
 
-(** Full netlist; memory-subsystem instances live under ["mem/"] so
-    reports can separate them from the datapath (Fig. 1's breakdown). *)
+(** Full netlist; memory-subsystem macros are scoped under ["mem/"], and
+    every block carries its Fig. 1 region. *)
 val circuit :
   ?ws:Gen.widths ->
   Pv_dataflow.Graph.t ->
@@ -22,5 +23,6 @@ val circuit :
   disambiguation ->
   Primitive.t
 
-(** Split totals into (datapath + controller, disambiguation logic). *)
+(** Split totals into (datapath + controller, disambiguation logic) by
+    block region. *)
 val breakdown : Primitive.t -> Primitive.totals * Primitive.totals

@@ -47,154 +47,133 @@ let clog2 n =
   let rec go acc v = if v >= n then acc else go (acc + 1) (v * 2) in
   go 0 1
 
-let inst path prim count = { P.path; prim; count }
+let part leaf prim count = { P.leaf; prim; count }
 
 (* --- elastic datapath components ----------------------------------------- *)
 
-let handshake path = [ inst (path ^ "/hs") (P.Lut 3) 2 ]
+(* the elastic handshake every component carries *)
+let hs = part "hs" (P.Lut 3) 2
 
-let adder path w =
-  inst (path ^ "/sum") (P.Lut 2) w :: inst (path ^ "/carry") P.Carry4 ((w + 3) / 4)
-  :: handshake path
+let adder w = [ part "sum" (P.Lut 2) w; part "carry" P.Carry4 ((w + 3) / 4); hs ]
 
-let comparator path w =
-  inst (path ^ "/cmp") (P.Lut 3) ((w + 1) / 2)
-  :: inst (path ^ "/carry") P.Carry4 ((w + 3) / 4)
-  :: handshake path
+let comparator w =
+  [ part "cmp" (P.Lut 3) ((w + 1) / 2); part "carry" P.Carry4 ((w + 3) / 4); hs ]
 
-let logic_op path w = inst (path ^ "/op") (P.Lut 2) w :: handshake path
-
-let barrel_shift path w =
-  inst (path ^ "/sh") (P.Lut 6) (w * clog2 w / 2) :: handshake path
-
-let multiplier path w =
-  (* DSP-mapped, 3 pipeline stages (II=1) *)
-  inst (path ^ "/dsp") P.Dsp 3
-  :: inst (path ^ "/pipe") P.Ff (3 * w)
-  :: handshake path
-
-let divider path w =
-  (* radix-2 restoring array divider, pipelined *)
-  inst (path ^ "/array") (P.Lut 4) (w * w / 6)
-  :: inst (path ^ "/carry") P.Carry4 (w * w / 24)
-  :: inst (path ^ "/pipe") P.Ff (4 * w)
-  :: handshake path
-
-let binop path (op : Types.binop) w =
+let binop (op : Types.binop) w =
   match op with
-  | Types.Add | Types.Sub -> adder path w
-  | Types.Mul -> multiplier path w
+  | Types.Add | Types.Sub -> adder w
+  | Types.Mul ->
+      (* DSP-mapped, 3 pipeline stages (II=1) *)
+      [ part "dsp" P.Dsp 3; part "pipe" P.Ff (3 * w); hs ]
   | Types.Mulc ->
       (* constant multiply: shift-add network, no DSP *)
-      inst (path ^ "/sh_add") (P.Lut 3) (2 * w)
-      :: inst (path ^ "/carry") P.Carry4 (2 * ((w + 3) / 4))
-      :: handshake path
-  | Types.Div | Types.Rem -> divider path w
+      [ part "sh_add" (P.Lut 3) (2 * w); part "carry" P.Carry4 (2 * ((w + 3) / 4)); hs ]
+  | Types.Div | Types.Rem ->
+      (* radix-2 restoring array divider, pipelined *)
+      [
+        part "array" (P.Lut 4) (w * w / 6);
+        part "carry" P.Carry4 (w * w / 24);
+        part "pipe" P.Ff (4 * w);
+        hs;
+      ]
   | Types.Lt | Types.Le | Types.Gt | Types.Ge | Types.Eq | Types.Ne ->
-      comparator path w
-  | Types.And | Types.Or | Types.Xor -> logic_op path w
-  | Types.Shl | Types.Shr -> barrel_shift path w
-  | Types.Min | Types.Max ->
-      comparator path w @ [ inst (path ^ "/sel") (P.Lut 3) ((w + 1) / 2) ]
+      comparator w
+  | Types.And | Types.Or | Types.Xor -> [ part "op" (P.Lut 2) w; hs ]
+  | Types.Shl | Types.Shr -> [ part "sh" (P.Lut 6) (w * clog2 w / 2); hs ]
+  | Types.Min | Types.Max -> comparator w @ [ part "sel" (P.Lut 3) ((w + 1) / 2) ]
 
-let unop path (op : Types.unop) w =
+let unop (op : Types.unop) w =
   match op with
-  | Types.Neg -> adder path w
-  | Types.Not -> inst (path ^ "/not") (P.Lut 1) 1 :: handshake path
-  | Types.Lnot -> inst (path ^ "/inv") (P.Lut 1) w :: handshake path
+  | Types.Neg -> adder w
+  | Types.Not -> [ part "not" (P.Lut 1) 1; hs ]
+  | Types.Lnot -> [ part "inv" (P.Lut 1) w; hs ]
 
-let buffer path ~slots w =
+let buffer ~slots w =
   if slots <= 2 then
-    inst (path ^ "/regs") P.Ff (slots * (w + 1))
-    :: inst (path ^ "/ctl") (P.Lut 4) 3
-    :: handshake path
+    [ part "regs" P.Ff (slots * (w + 1)); part "ctl" (P.Lut 4) 3; hs ]
   else
     (* SRL-based FIFO: storage in LUT fabric, pointers in FFs *)
-    inst (path ^ "/srl") (P.Lutram (w + 1)) 1
-    :: inst (path ^ "/ptr") P.Ff (2 * clog2 (max 2 slots))
-    :: inst (path ^ "/ctl") (P.Lut 4) 4
-    :: handshake path
+    [
+      part "srl" (P.Lutram (w + 1)) 1;
+      part "ptr" P.Ff (2 * clog2 (max 2 slots));
+      part "ctl" (P.Lut 4) 4;
+      hs;
+    ]
 
-let fork_ path n = inst (path ^ "/ctl") (P.Lut 4) (2 * n) :: handshake path
-let join path n = inst (path ^ "/ctl") (P.Lut 4) n :: handshake path
+(** The parts of one dataflow component; a fused loop generator's own
+    parts are its FSM, and each of its levels adds {!loop_level}. *)
+let component ws (kind : Types.kind) =
+  let w = ws.data in
+  match kind with
+  | Types.Gen _ -> [ part "fsm" (P.Lut 5) 24 ]
+  | Types.Const _ -> [ part "bits" (P.Lut 1) (w / 8); hs ]
+  | Types.Unop op -> unop op w
+  | Types.Binop op -> binop op w
+  | Types.Fork n -> [ part "ctl" (P.Lut 4) (2 * n); hs ]
+  | Types.Join n -> [ part "ctl" (P.Lut 4) n; hs ]
+  | Types.Merge n ->
+      [ part "mux" (P.Lut 6) ((n - 1) * ((w + 1) / 2)); part "arb" (P.Lut 4) n; hs ]
+  | Types.Mux n ->
+      [
+        part "mux" (P.Lut 6) (n * ((w + 1) / 2));
+        part "muxf" P.Muxf (if n > 2 then (n - 2) * (w / 4) else 0);
+        hs;
+      ]
+  | Types.Branch -> [ part "route" (P.Lut 4) 4; hs ]
+  | Types.Buffer { slots; _ } -> buffer ~slots w
+  | Types.Sink -> []
+  | Types.Load _ -> [ part "addr_reg" P.Ff ws.addr; part "ctl" (P.Lut 4) 5; hs ]
+  | Types.Store _ ->
+      [ part "regs" P.Ff (ws.addr + ws.data); part "ctl" (P.Lut 4) 6; hs ]
+  | Types.Skip _ -> [ part "" (P.Lut 3) 2 ]
+  | Types.Galloc _ -> [ part "" (P.Lut 3) 3 ]
 
-let merge path n w =
-  inst (path ^ "/mux") (P.Lut 6) ((n - 1) * ((w + 1) / 2))
-  :: inst (path ^ "/arb") (P.Lut 4) n
-  :: handshake path
-
-let mux path n w =
-  inst (path ^ "/mux") (P.Lut 6) (n * ((w + 1) / 2))
-  :: inst (path ^ "/muxf") P.Muxf (if n > 2 then (n - 2) * (w / 4) else 0)
-  :: handshake path
-
-let branch path = inst (path ^ "/route") (P.Lut 4) 4 :: handshake path
-
-let const_node path w = inst (path ^ "/bits") (P.Lut 1) (w / 8) :: handshake path
-
-let gen_node path ~arity ws =
-  (* fused loop controller: one counter + bound comparator per level *)
-  List.concat
-    (List.init arity (fun k ->
-         let p = Printf.sprintf "%s/lvl%d" path k in
-         adder p ws.data @ comparator p ws.data
-         @ [ inst (p ^ "/state") P.Ff (ws.data + ws.seq) ]))
-  @ [ inst (path ^ "/fsm") (P.Lut 5) 24 ]
-
-let load_port path ws =
-  inst (path ^ "/addr_reg") P.Ff ws.addr
-  :: inst (path ^ "/ctl") (P.Lut 4) 5
-  :: handshake path
-
-let store_port path ws =
-  inst (path ^ "/regs") P.Ff (ws.addr + ws.data)
-  :: inst (path ^ "/ctl") (P.Lut 4) 6
-  :: handshake path
+(** One level of a fused loop controller: counter + bound comparator. *)
+let loop_level ws =
+  adder ws.data @ comparator ws.data @ [ part "state" P.Ff (ws.data + ws.seq) ]
 
 (* --- memory subsystem macros --------------------------------------------- *)
 
 (** Memory controller for direct (provably independent) ports. *)
-let mem_controller path ~nports ws =
+let mem_controller ~nports ws =
   [
-    inst (path ^ "/arb") (P.Lut 4) (nports * 6);
-    inst (path ^ "/mux") (P.Lut 6) (nports * ((ws.addr + ws.data) / 2));
-    inst (path ^ "/regs") P.Ff (nports * 4);
+    part "arb" (P.Lut 4) (nports * 6);
+    part "mux" (P.Lut 6) (nports * ((ws.addr + ws.data) / 2));
+    part "regs" P.Ff (nports * 4);
   ]
 
 (** The pooled Dynamatic LSQ: entries, order matrix, per-port CAM search
     and store-to-load forwarding, group allocator.  [fast_alloc] adds the
     fast-token-delivery network of [8] (extra area, better timing). *)
-let lsq path ~depth ~nload_ports ~nstore_ports ~ngroups ~fast_alloc ws =
+let lsq ~depth ~nload_ports ~nstore_ports ~ngroups ~fast_alloc ws =
   let d = depth in
   let ports = nload_ports + nstore_ports in
   [
     (* per-entry payload: address, data (SQ), flags *)
-    inst (path ^ "/lq_entries") P.Ff
-      (d * (ws.addr + ws.seq + Calib.lsq_entry_ff_overhead));
-    inst (path ^ "/sq_entries") P.Ff
+    part "lq_entries" P.Ff (d * (ws.addr + ws.seq + Calib.lsq_entry_ff_overhead));
+    part "sq_entries" P.Ff
       (d * (ws.addr + ws.data + ws.seq + Calib.lsq_entry_ff_overhead));
     (* age/order matrix: d^2 cells of set/reset + priority logic *)
-    inst (path ^ "/order_matrix") P.Ff (d * d);
-    inst (path ^ "/order_logic") (P.Lut 4) (d * d * Calib.lsq_matrix_luts_per_cell);
+    part "order_matrix" P.Ff (d * d);
+    part "order_logic" (P.Lut 4) (d * d * Calib.lsq_matrix_luts_per_cell);
     (* per-port CAM search (address equality against every entry) and
        forwarding mux (any entry's data to the load result) *)
-    inst (path ^ "/cam") (P.Lut 4)
-      (Calib.lsq_port_scale * ports * d * ((ws.addr + 3) / 4));
-    inst (path ^ "/fwd_mux") (P.Lut 6)
+    part "cam" (P.Lut 4) (Calib.lsq_port_scale * ports * d * ((ws.addr + 3) / 4));
+    part "fwd_mux" (P.Lut 6)
       (Calib.lsq_port_scale * nload_ports * d * ((ws.data + 3) / 4));
-    inst (path ^ "/fwd_muxf") P.Muxf (nload_ports * d);
+    part "fwd_muxf" P.Muxf (nload_ports * d);
     (* priority encoders for issue and commit selection *)
-    inst (path ^ "/prio") (P.Lut 5) (2 * d * clog2 (max 2 d) * 2);
+    part "prio" (P.Lut 5) (2 * d * clog2 (max 2 d) * 2);
     (* group allocator + program-order ROM *)
-    inst (path ^ "/alloc") (P.Lut 4) (Calib.lsq_alloc_luts + (ngroups * 24));
-    inst (path ^ "/rom") (P.Lutram 8) (max 1 (ngroups * ports / 8));
+    part "alloc" (P.Lut 4) (Calib.lsq_alloc_luts + (ngroups * 24));
+    part "rom" (P.Lutram 8) (max 1 (ngroups * ports / 8));
   ]
   @
   if fast_alloc then
     [
       (* straight-to-the-queue token network [8] *)
-      inst (path ^ "/fast_tokens") (P.Lut 4) (ngroups * 48 + (ports * 16));
-      inst (path ^ "/fast_regs") P.Ff (ngroups * 12);
+      part "fast_tokens" (P.Lut 4) ((ngroups * 48) + (ports * 16));
+      part "fast_regs" P.Ff (ngroups * 12);
     ]
   else []
 
@@ -202,8 +181,7 @@ let lsq path ~depth ~nload_ports ~nstore_ports ~ngroups ~fast_alloc ws =
     distributed RAM, LMerge/SMerge, parallel validation comparators, ROM,
     squash/replay controller.  [member_datapath_luts] is the LUT size of
     the ambiguous pair's computation, replicated for re-execution. *)
-let prevv path ~depth ~nload_ports ~nstore_ports ~ngroups
-    ~member_datapath_luts ws =
+let prevv ~depth ~nload_ports ~nstore_ports ~ngroups ~member_datapath_luts ws =
   let d = depth in
   let ports = nload_ports + nstore_ports in
   let entry_bits = ws.seq + ws.addr + ws.data + 2 in
@@ -219,25 +197,32 @@ let prevv path ~depth ~nload_ports ~nstore_ports ~ngroups
   in
   [
     (* queue payload in LUT RAM banks of 32 entries *)
-    inst (path ^ "/queue") (P.Lutram entry_bits) (max 1 ((d + 31) / 32));
-    inst (path ^ "/queue_valid") P.Ff d;
-    inst (path ^ "/queue_meta") P.Ff (d * Calib.prevv_entry_ffs);
-    inst (path ^ "/ptrs") P.Ff (2 * clog2 (max 2 d) + 4);
+    part "queue" (P.Lutram entry_bits) (max 1 ((d + 31) / 32));
+    part "queue_valid" P.Ff d;
+    part "queue_meta" P.Ff (d * Calib.prevv_entry_ffs);
+    part "ptrs" P.Ff ((2 * clog2 (max 2 d)) + 4);
     (* LMerge / SMerge packing trees *)
-    inst (path ^ "/lmerge") (P.Lut 6) (nload_ports * ((entry_bits + 1) / 2));
-    inst (path ^ "/smerge") (P.Lut 6) (nstore_ports * ((entry_bits + 1) / 2));
+    part "lmerge" (P.Lut 6) (nload_ports * ((entry_bits + 1) / 2));
+    part "smerge" (P.Lut 6) (nstore_ports * ((entry_bits + 1) / 2));
     (* same-iteration order ROM *)
-    inst (path ^ "/rom") (P.Lutram 8) (max 1 (ngroups * ports / 8));
+    part "rom" (P.Lutram 8) (max 1 (ngroups * ports / 8));
     (* arbiter core, squash mux / iter_err broadcast, replay sequencing *)
-    inst (path ^ "/arbiter") (P.Lut 4) (Calib.prevv_base_luts * 2 / 5);
-    inst (path ^ "/squash") (P.Lut 4) (Calib.prevv_base_luts * 3 / 10);
-    inst (path ^ "/replay_ctl") (P.Lut 4) (Calib.prevv_base_luts * 3 / 10);
-    inst (path ^ "/replay_regs") P.Ff (Calib.prevv_base_ffs * 7 / 10);
-    inst (path ^ "/epoch_regs") P.Ff (Calib.prevv_base_ffs * 3 / 10);
+    part "arbiter" (P.Lut 4) (Calib.prevv_base_luts * 2 / 5);
+    part "squash" (P.Lut 4) (Calib.prevv_base_luts * 3 / 10);
+    part "replay_ctl" (P.Lut 4) (Calib.prevv_base_luts * 3 / 10);
+    part "replay_regs" P.Ff (Calib.prevv_base_ffs * 7 / 10);
+    part "epoch_regs" P.Ff (Calib.prevv_base_ffs * 3 / 10);
     (* replicated member datapath for re-execution (Eq. 6's second pass) *)
-    inst (path ^ "/replay_dp") (P.Lut 4)
-      (Calib.prevv_replay_copies * member_datapath_luts);
+    part "replay_dp" (P.Lut 4) (Calib.prevv_replay_copies * member_datapath_luts);
   ]
-  @ List.map
-      (fun (name, luts) -> inst (path ^ "/" ^ name) (P.Lut 4) (d * luts))
-      per_entry_breakdown
+  @ List.map (fun (name, luts) -> part name (P.Lut 4) (d * luts)) per_entry_breakdown
+
+(** PreVV's squash broadcast: every component of the circuit must be able
+    to drop its tokens of a squashed iteration. *)
+let squash_net ~components =
+  [ part "" (P.Lut 3) (Calib.prevv_squash_luts_per_component * components) ]
+
+(** One program-order gate per ambiguous array: a head counter, a port
+    comparator and a busy flag — no queues, no search. *)
+let serializer ~nports ~ngroups ws =
+  [ part "" (P.Lut 4) ((4 * nports) + ngroups); part "" P.Ff (2 * ws.addr) ]

@@ -12,81 +12,57 @@
     datapath for re-execution — Eq. 6 charges every pair its computation
     twice, and the re-execution path is physical.
 
-    The constants in {!Calib} absorb what synthesis would add in
-    replication and control duplication; they were fitted once against the
-    published Table I and then frozen (DESIGN.md §9). *)
+    Calibration constants, private to the implementation, absorb what
+    synthesis would add in replication and control duplication; they were
+    fitted once against the published Table I and then frozen (DESIGN.md
+    §9). *)
 
 (** Fabric widths (bits). *)
 type widths = { data : int; addr : int; seq : int }
 
 val default_widths : widths
 
-(** Calibration constants; see DESIGN.md §9 for the fitting disclosure. *)
-module Calib : sig
-  val lsq_matrix_luts_per_cell : int
-  val lsq_port_scale : int
-  val lsq_alloc_luts : int
-  val lsq_entry_ff_overhead : int
-  val prevv_base_luts : int
-  val prevv_entry_luts : int
-  val prevv_base_ffs : int
-  val prevv_entry_ffs : int
-  val prevv_replay_copies : int
-  val prevv_squash_luts_per_component : int
-end
-
-val clog2 : int -> int
-
 (** {1 Elastic datapath components}
 
-    Each returns the primitive list of one component instance rooted at
-    [path]. *)
+    Each returns its parts under static leaf names; {!Elaborate} scopes
+    them. *)
 
-val handshake : string -> Primitive.t
-val adder : string -> int -> Primitive.t
-val comparator : string -> int -> Primitive.t
-val logic_op : string -> int -> Primitive.t
-val barrel_shift : string -> int -> Primitive.t
-val multiplier : string -> int -> Primitive.t
-val divider : string -> int -> Primitive.t
-val binop : string -> Pv_dataflow.Types.binop -> int -> Primitive.t
-val unop : string -> Pv_dataflow.Types.unop -> int -> Primitive.t
-val buffer : string -> slots:int -> int -> Primitive.t
-val fork_ : string -> int -> Primitive.t
-val join : string -> int -> Primitive.t
-val merge : string -> int -> int -> Primitive.t
-val mux : string -> int -> int -> Primitive.t
-val branch : string -> Primitive.t
-val const_node : string -> int -> Primitive.t
-val gen_node : string -> arity:int -> widths -> Primitive.t
-val load_port : string -> widths -> Primitive.t
-val store_port : string -> widths -> Primitive.t
+(** The parts of one component; a fused loop generator's own parts are its
+    FSM, and each of its levels adds {!loop_level}. *)
+val component : widths -> Pv_dataflow.Types.kind -> Primitive.part list
+
+(** One level of a fused loop controller: counter + bound comparator. *)
+val loop_level : widths -> Primitive.part list
 
 (** {1 Memory-subsystem macros} *)
 
 (** Memory controller for direct (provably independent) ports. *)
-val mem_controller : string -> nports:int -> widths -> Primitive.t
+val mem_controller : nports:int -> widths -> Primitive.part list
 
 (** The pooled Dynamatic LSQ; [fast_alloc] adds the fast-token-delivery
     network of [8]. *)
 val lsq :
-  string ->
   depth:int ->
   nload_ports:int ->
   nstore_ports:int ->
   ngroups:int ->
   fast_alloc:bool ->
   widths ->
-  Primitive.t
+  Primitive.part list
 
 (** One PreVV disambiguation instance; [member_datapath_luts] is the LUT
     size of the member pair's computation, replicated for re-execution. *)
 val prevv :
-  string ->
   depth:int ->
   nload_ports:int ->
   nstore_ports:int ->
   ngroups:int ->
   member_datapath_luts:int ->
   widths ->
-  Primitive.t
+  Primitive.part list
+
+(** PreVV's squash broadcast over a circuit of [components] nodes. *)
+val squash_net : components:int -> Primitive.part list
+
+(** The program-order serialiser's gate for one ambiguous array. *)
+val serializer : nports:int -> ngroups:int -> widths -> Primitive.part list

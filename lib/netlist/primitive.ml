@@ -16,13 +16,20 @@ type prim =
   | Dsp  (** DSP48 slice *)
   | Bram  (** block RAM (the kernels' arrays; not in Table I) *)
 
-type instance = {
-  path : string;  (** hierarchical name, e.g. "lsq0/cam/row7" *)
-  prim : prim;
-  count : int;
-}
+(** [count] primitives of one kind inside a component, under a static leaf
+    name; [""] names the component itself. *)
+type part = { leaf : string; prim : prim; count : int }
 
-type t = instance list
+(** Fig. 1's split: datapath + controller, or disambiguation logic. *)
+type region = Datapath | Queue
+
+type scope =
+  | Node of string * int  (** "dp/<label>_<nid>" *)
+  | Level of string * int * int  (** "dp/<label>_<nid>/lvl<k>" *)
+  | Macro of string * int option  (** "mem/<name>" or "mem/<name><i>" *)
+
+type block = { scope : scope; region : region; parts : part list }
+type t = block list
 
 (** Aggregate counts in Table-I categories.  A [Lutram] occupies LUT fabric
     and is reported as LUTs, as Vivado does. *)
@@ -37,7 +44,7 @@ type totals = {
 
 let zero = { luts = 0; ffs = 0; muxes = 0; carries = 0; dsps = 0; brams = 0 }
 
-let add_instance acc { prim; count; _ } =
+let add_part acc { prim; count; _ } =
   match prim with
   | Lut _ -> { acc with luts = acc.luts + count }
   | Lutram bits -> { acc with luts = acc.luts + (count * bits) }
@@ -47,13 +54,17 @@ let add_instance acc { prim; count; _ } =
   | Dsp -> { acc with dsps = acc.dsps + count }
   | Bram -> { acc with brams = acc.brams + count }
 
-let totals (nl : t) = List.fold_left add_instance zero nl
+let add acc parts = List.fold_left add_part acc parts
+let totals (nl : t) = List.fold_left (fun acc b -> add acc b.parts) zero nl
 
-(** Totals restricted to instances whose path passes [keep]. *)
-let totals_filtered ~keep (nl : t) =
-  List.fold_left
-    (fun acc i -> if keep i.path then add_instance acc i else acc)
-    zero nl
+(* names are joined here, for emission and grouping only *)
+let scope_name = function
+  | Node (label, nid) -> Printf.sprintf "dp/%s_%d" label nid
+  | Level (label, nid, k) -> Printf.sprintf "dp/%s_%d/lvl%d" label nid k
+  | Macro (name, None) -> "mem/" ^ name
+  | Macro (name, Some i) -> Printf.sprintf "mem/%s%d" name i
+
+let path scope p = if p.leaf = "" then scope else scope ^ "/" ^ p.leaf
 
 let pp_totals ppf t =
   Format.fprintf ppf "LUT=%d FF=%d MUXF=%d CARRY4=%d DSP=%d BRAM=%d" t.luts
@@ -64,6 +75,7 @@ let pp_totals ppf t =
     LUT order — the data for area breakdowns finer than Fig. 1's
     two-way split. *)
 let group_totals ?(depth = 1) (nl : t) : (string * totals) list =
+  if depth < 1 then invalid_arg "Primitive.group_totals: depth < 1";
   let prefix path =
     let rec cut i seen =
       if seen = depth || i >= String.length path then
@@ -77,10 +89,14 @@ let group_totals ?(depth = 1) (nl : t) : (string * totals) list =
   in
   let tbl = Hashtbl.create 16 in
   List.iter
-    (fun i ->
-      let key = prefix i.path in
-      let cur = Option.value ~default:zero (Hashtbl.find_opt tbl key) in
-      Hashtbl.replace tbl key (add_instance cur i))
+    (fun b ->
+      let scope = scope_name b.scope in
+      List.iter
+        (fun p ->
+          let key = prefix (path scope p) in
+          let cur = Option.value ~default:zero (Hashtbl.find_opt tbl key) in
+          Hashtbl.replace tbl key (add_part cur p))
+        b.parts)
     nl;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (_, a) (_, b) -> compare b.luts a.luts)

@@ -16,16 +16,28 @@ type prim =
   | Dsp  (** DSP48 slice *)
   | Bram  (** block RAM (the kernels' arrays; not in Table I) *)
 
-type instance = {
-  path : string;  (** hierarchical name, e.g. "mem/lsq0/cam" *)
-  prim : prim;
-  count : int;
-}
+(** [count] primitives of one kind inside a component, under a static leaf
+    name such as ["carry"] or ["cam"]; [""] names the component itself. *)
+type part = { leaf : string; prim : prim; count : int }
 
-type t = instance list
+(** Fig. 1's two-way split: datapath + memory controller, or the
+    disambiguation logic (LSQ, PreVV, serialiser, squash network). *)
+type region = Datapath | Queue
 
-(** Aggregates in Table-I categories; LUT-RAM bits count as LUT fabric, as
-    Vivado reports them. *)
+(** Where a block sits in the hierarchy.  The name is only joined when a
+    consumer asks for it ({!path}). *)
+type scope =
+  | Node of string * int  (** dataflow node [label], [nid]: ["dp/label_nid"] *)
+  | Level of string * int * int
+      (** level [k] of a fused loop generator: ["dp/label_nid/lvlk"] *)
+  | Macro of string * int option
+      (** memory-subsystem macro: ["mem/name"], or ["mem/namei"] *)
+
+type block = { scope : scope; region : region; parts : part list }
+type t = block list
+
+(** Aggregate counts in Table-I categories; LUT-RAM bits count as LUT
+    fabric, as Vivado reports them. *)
 type totals = {
   luts : int;
   ffs : int;
@@ -36,16 +48,24 @@ type totals = {
 }
 
 val zero : totals
+
+(** [add acc parts] adds [parts] to [acc]. *)
+val add : totals -> part list -> totals
+
 val totals : t -> totals
 
-(** Totals restricted to instances whose path satisfies [keep]. *)
-val totals_filtered : keep:(string -> bool) -> t -> totals
+(** A scope's hierarchical name, e.g. ["mem/lsq0"]. *)
+val scope_name : scope -> string
+
+(** [path (scope_name s) p] is the instance name, e.g. ["mem/lsq0/cam"]. *)
+val path : string -> part -> string
 
 val pp_totals : Format.formatter -> totals -> unit
 
 (** Aggregate per hierarchy prefix (paths cut after [depth] segments),
     sorted by descending LUT count — finer-grained breakdowns than
-    Fig. 1's two-way split. *)
+    Fig. 1's two-way split.
+    @raise Invalid_argument if [depth < 1]. *)
 val group_totals : ?depth:int -> t -> (string * totals) list
 
 (** Vivado-style primitive name (LUT4, FDRE, CARRY4, ...). *)

@@ -16,9 +16,8 @@ val xc7k160t : t
 (** A representative edge-class part (Artix-7 35T). *)
 val xc7a35t : t
 
-(** A small Zynq SoC fabric (7020). *)
-val xc7z020 : t
-
+(** xc7k160t, a small Zynq SoC fabric (xc7z020) and xc7a35t, in that
+    order. *)
 val devices : t list
 
 type utilisation = {

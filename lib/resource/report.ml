@@ -26,20 +26,21 @@ let depth_of_elab = function
       d
   | Pv_netlist.Elaborate.D_oracle | Pv_netlist.Elaborate.D_serial -> 0
 
+(* one fold over the blocks gives the split, and the split sums to the
+   totals *)
 let of_circuit (g : Pv_dataflow.Graph.t) (pm : Pv_memory.Portmap.t)
     (dis : Pv_netlist.Elaborate.disambiguation) : t =
-  let nl = Pv_netlist.Elaborate.circuit g pm dis in
-  let totals = Pv_netlist.Primitive.totals nl in
-  let dp, queue = Pv_netlist.Elaborate.breakdown nl in
+  let module P = Pv_netlist.Primitive in
+  let dp, queue = Pv_netlist.Elaborate.(breakdown (circuit g pm dis)) in
   {
-    luts = totals.Pv_netlist.Primitive.luts;
-    ffs = totals.Pv_netlist.Primitive.ffs;
-    muxes = totals.Pv_netlist.Primitive.muxes;
+    luts = dp.P.luts + queue.P.luts;
+    ffs = dp.P.ffs + queue.P.ffs;
+    muxes = dp.P.muxes + queue.P.muxes;
     cp_ns = Timing.clock_period g (dis_of_elab dis) ~depth:(depth_of_elab dis);
-    datapath_luts = dp.Pv_netlist.Primitive.luts;
-    queue_luts = queue.Pv_netlist.Primitive.luts;
-    datapath_ffs = dp.Pv_netlist.Primitive.ffs;
-    queue_ffs = queue.Pv_netlist.Primitive.ffs;
+    datapath_luts = dp.P.luts;
+    queue_luts = queue.P.luts;
+    datapath_ffs = dp.P.ffs;
+    queue_ffs = queue.P.ffs;
   }
 
 (** Fraction of LUT+FF+mux resources spent in the disambiguation logic

@@ -20,16 +20,16 @@ let log2f x = log x /. log 2.0
 (** Critical path of the computation part, from circuit structure. *)
 let datapath_cp (g : Graph.t) : float =
   let nodes = float_of_int (max 2 (Graph.n_nodes g)) in
-  let has_op p =
-    Graph.count_nodes
-      (fun n -> match n.Graph.kind with Types.Binop op -> p op | _ -> false)
-      g
-    > 0
-  in
-  let op_term =
-    (if has_op (fun o -> o = Types.Div || o = Types.Rem) then 0.75 else 0.0)
-    +. (if has_op (fun o -> o = Types.Mul) then 0.35 else 0.0)
-  in
+  (* one walk finds the slowest functional units present *)
+  let div = ref false and mul = ref false in
+  Graph.iter_nodes
+    (fun n ->
+      match n.Graph.kind with
+      | Types.Binop (Types.Div | Types.Rem) -> div := true
+      | Types.Binop Types.Mul -> mul := true
+      | _ -> ())
+    g;
+  let op_term = (if !div then 0.75 else 0.0) +. if !mul then 0.35 else 0.0 in
   5.6 +. (0.18 *. log2f nodes) +. op_term
 
 type mem_kind = M_plain_lsq | M_fast_lsq | M_prevv | M_oracle | M_serial

@@ -3,14 +3,26 @@
 open Pv_netlist
 module P = Primitive
 
+let part leaf prim count = { P.leaf; prim; count }
+
 let test_totals_math () =
   let nl =
     [
-      { P.path = "a"; prim = P.Lut 4; count = 10 };
-      { P.path = "b"; prim = P.Ff; count = 7 };
-      { P.path = "c"; prim = P.Lutram 8; count = 2 };  (* 2 banks x 8 bits *)
-      { P.path = "d"; prim = P.Muxf; count = 3 };
-      { P.path = "e"; prim = P.Dsp; count = 1 };
+      {
+        P.scope = P.Macro ("a", None);
+        region = P.Datapath;
+        parts =
+          [
+            part "" (P.Lut 4) 10;
+            part "b" P.Ff 7;
+            part "c" (P.Lutram 8) 2 (* 2 banks x 8 bits *);
+          ];
+      };
+      {
+        P.scope = P.Macro ("d", Some 0);
+        region = P.Queue;
+        parts = [ part "" P.Muxf 3; part "e" P.Dsp 1 ];
+      };
     ]
   in
   let t = P.totals nl in
@@ -19,15 +31,29 @@ let test_totals_math () =
   Alcotest.(check int) "muxes" 3 t.P.muxes;
   Alcotest.(check int) "dsps" 1 t.P.dsps
 
-let test_totals_filtered () =
+let test_region_split () =
   let nl =
     [
-      { P.path = "mem/lsq0/cam"; prim = P.Lut 4; count = 5 };
-      { P.path = "dp/add_1/sum"; prim = P.Lut 2; count = 3 };
+      { P.scope = P.Macro ("lsq", Some 0); region = P.Queue;
+        parts = [ part "cam" (P.Lut 4) 5 ] };
+      { P.scope = P.Node ("add", 1); region = P.Datapath;
+        parts = [ part "sum" (P.Lut 2) 3 ] };
     ]
   in
-  let t = P.totals_filtered ~keep:(fun p -> String.length p > 3 && String.sub p 0 4 = "mem/") nl in
-  Alcotest.(check int) "filtered" 5 t.P.luts
+  let dp, queue = Elaborate.breakdown nl in
+  Alcotest.(check int) "queue" 5 queue.P.luts;
+  Alcotest.(check int) "datapath" 3 dp.P.luts
+
+let test_joined_paths () =
+  let check want scope leaf =
+    Alcotest.(check string) want want
+      (P.path (P.scope_name scope) (part leaf P.Ff 1))
+  in
+  check "dp/add_17/carry" (P.Node ("add", 17)) "carry";
+  check "dp/loopnest_0/lvl2/sum" (P.Level ("loopnest", 0, 2)) "sum";
+  check "dp/skip_3" (P.Node ("skip", 3)) "";
+  check "mem/lsq1/cam" (P.Macro ("lsq", Some 1)) "cam";
+  check "mem/squash_net" (P.Macro ("squash_net", None)) ""
 
 let compiled k = Pv_core.Pipeline.compile k
 
@@ -82,16 +108,20 @@ let test_breakdown_separates_queue () =
   Alcotest.(check bool) "queue dominates (Fig. 1)" true
     (queue.P.luts > 4 * dp.P.luts)
 
+(* one component's totals at the default 32-bit data width *)
+let binop op =
+  P.add P.zero (Gen.component Gen.default_widths (Pv_dataflow.Types.Binop op))
+
 let test_mulc_cheaper_than_mul () =
-  let mul = P.totals (Gen.binop "m" Pv_dataflow.Types.Mul 32) in
-  let mulc = P.totals (Gen.binop "m" Pv_dataflow.Types.Mulc 32) in
+  let mul = binop Pv_dataflow.Types.Mul in
+  let mulc = binop Pv_dataflow.Types.Mulc in
   Alcotest.(check bool) "mulc has no DSP" true (mulc.P.dsps = 0);
   Alcotest.(check bool) "mul uses DSP" true (mul.P.dsps > 0);
   Alcotest.(check bool) "mulc has no pipeline FFs" true (mulc.P.ffs < mul.P.ffs)
 
 let test_divider_is_large () =
-  let div = P.totals (Gen.binop "d" Pv_dataflow.Types.Div 32) in
-  let add = P.totals (Gen.binop "a" Pv_dataflow.Types.Add 32) in
+  let div = binop Pv_dataflow.Types.Div in
+  let add = binop Pv_dataflow.Types.Add in
   Alcotest.(check bool) "divider much larger than adder" true
     (div.P.luts > 4 * add.P.luts)
 
@@ -111,7 +141,11 @@ let test_group_totals () =
   (* finer grouping separates the LSQ's internals *)
   let fine = Pv_netlist.Primitive.group_totals ~depth:2 nl in
   Alcotest.(check bool) "order matrix visible" true
-    (List.exists (fun (k, _) -> k = "mem/lsq0") fine)
+    (List.exists (fun (k, _) -> k = "mem/lsq0") fine);
+  (* zero segments would merge everything under an empty name *)
+  Alcotest.check_raises "depth 0 rejected"
+    (Invalid_argument "Primitive.group_totals: depth < 1") (fun () ->
+      ignore (Pv_netlist.Primitive.group_totals ~depth:0 nl))
 
 let test_emit_contains_primitives () =
   let c = compiled (Pv_kernels.Defs.histogram ~n:4 ()) in
@@ -146,7 +180,8 @@ let () =
       ( "primitives",
         [
           Alcotest.test_case "totals math" `Quick test_totals_math;
-          Alcotest.test_case "filtered totals" `Quick test_totals_filtered;
+          Alcotest.test_case "region split" `Quick test_region_split;
+          Alcotest.test_case "joined paths" `Quick test_joined_paths;
         ] );
       ( "macros",
         [
