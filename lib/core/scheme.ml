@@ -104,13 +104,14 @@ let make_backend dis env =
   let portmap = env.info.Pv_frontend.Depend.portmap in
   match dis with
   | Plain_lsq cfg | Fast_lsq cfg ->
-      let _, memif =
-        Lsq.create_full ~trace:env.trace ~prof:env.prof cfg portmap env.mem
-      in
-      { memif; record_metrics = (fun _ -> ()) }
+      {
+        memif = Lsq.create ~trace:env.trace ~prof:env.prof cfg portmap env.mem;
+        record_metrics = (fun _ -> ());
+      }
   | Prevv cfg ->
       let t, memif =
         Backend.create_full ~trace:env.trace ~prof:env.prof cfg portmap
+          ~n_seq:(Pv_frontend.Trace.length env.schedule)
           env.mem
       in
       {

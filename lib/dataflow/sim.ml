@@ -530,7 +530,9 @@ let create ?(cfg = default_config) ?(trace = Pv_obs.Trace.null)
     | Load { port } ->
         op.(slot) <- op_load;
         p1.(slot) <- port;
-        ring.(slot) <- Ring.create ~stride:1 8
+        (* outstanding requests: room for a full 32-entry load queue up
+           front, so the ring does not grow mid-run behind a slow LSQ *)
+        ring.(slot) <- Ring.create ~stride:1 32
     | Store { port } ->
         op.(slot) <- op_store;
         p1.(slot) <- port;

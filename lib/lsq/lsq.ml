@@ -68,7 +68,6 @@ let pos_bits = 6
 let max_pos = (1 lsl pos_bits) - 1
 let[@inline] okey ~seq ~pos = (seq lsl pos_bits) lor pos
 let[@inline] okey_seq k = k asr pos_bits
-let[@inline] okey_pos k = k land max_pos
 
 (* Dense program-ordered load queue: parallel arrays, shift-collapse on
    removal (entries leave out of order as loads issue).  [l_addr] is the
@@ -102,72 +101,52 @@ type sq = {
 
 type t = {
   cfg : config;
-  pm : Portmap.t;
   mem : int array;
   stats : Pv_dataflow.Memif.stats;
   mutable now : int;
   lq : lq;
   sq : sq;
   mutable allocs_this_cycle : int;
-  resp : (int, Ring.t) Hashtbl.t;
+  resp : Ring.t array;
       (** port -> ring of (token key, ready_at, value) slots in request
           order; ready_at = -1 marks a slot whose load has not issued yet.
           Responses are delivered in request order per port — an elastic
           access port is a tagless stream, so a younger load must never
           overtake an older one of the same port even though the LSQ
           issues them out of order *)
-  (* per-array (per-BRAM) port budgets: one read and one write per cycle,
-     dual-port block RAM; store-to-load forwarding bypasses the RAM *)
-  reads : (string, int ref) Hashtbl.t;
-  writes : (string, int ref) Hashtbl.t;
-  (* observability: event sink (Trace.null unless passed to [create_full])
-     and the last emitted occupancy sample *)
+  (* per-array (per-BRAM) port budgets by dense array id
+     ([Portmap.array_ids]): one read and one write per cycle, dual-port
+     block RAM; store-to-load forwarding bypasses the RAM *)
+  port_aid : int array;  (** port -> array id *)
+  reads : int array;  (** array id -> read ports left this cycle *)
+  writes : int array;  (** array id -> write ports left this cycle *)
+  (* observability: event sink (Trace.null unless passed to [create]) and
+     the last emitted occupancy sample *)
   trace : Pv_obs.Trace.t;
   prof : Pv_obs.Prof.t;
   mutable last_occ : int;
 }
 
-let budget tbl array =
-  match Hashtbl.find_opt tbl array with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.replace tbl array r;
-      r
-
-let take_budget tbl array =
-  let r = budget tbl array in
-  if !r > 0 then begin
-    decr r;
-    true
-  end
-  else false
-
-let array_of t port = (Portmap.port t.pm port).Portmap.array
-
-let port_ring t port =
-  match Hashtbl.find_opt t.resp port with
-  | Some q -> q
-  | None ->
-      let q = Ring.create ~stride:3 8 in
-      Hashtbl.replace t.resp port q;
-      q
+let take budget aid =
+  budget.(aid) > 0
+  && begin
+       budget.(aid) <- budget.(aid) - 1;
+       true
+     end
 
 (* Register a request slot in port order; completion fills it later. *)
-let open_slot t ~port ~tok = Ring.push3 (port_ring t port) tok (-1) 0
+let open_slot t ~port ~tok = Ring.push3 t.resp.(port) tok (-1) 0
 
+(* complete the oldest unissued request slot of [tok] on [port] *)
 let fill_slot t ~port ~tok ~ready_at ~value =
-  let q = port_ring t port in
-  let n = Ring.length q in
-  let rec go i =
-    if i >= n then assert false
-    else if Ring.get q i 0 = tok && Ring.get q i 1 < 0 then begin
-      Ring.set q i 1 ready_at;
-      Ring.set q i 2 value
-    end
-    else go (i + 1)
-  in
-  go 0
+  let q = t.resp.(port) in
+  let i = ref 0 in
+  while not (Ring.get q !i 0 = tok && Ring.get q !i 1 < 0) do
+    incr i;
+    assert (!i < Ring.length q)
+  done;
+  Ring.set q !i 1 ready_at;
+  Ring.set q !i 2 value
 
 let occupancy t = t.lq.ln + t.sq.sn
 
@@ -261,7 +240,7 @@ let try_issue_load t i : bool =
           false
         end
       end
-      else if take_budget t.reads (array_of t lq.l_port.(i)) then begin
+      else if take t.reads t.port_aid.(lq.l_port.(i)) then begin
         fill_slot t ~port:lq.l_port.(i) ~tok:lq.l_tok.(i)
           ~ready_at:(t.now + t.cfg.mem_latency) ~value:t.mem.(addr);
         true
@@ -321,12 +300,13 @@ let clock t =
     else if
       !committed < t.cfg.commits_per_cycle
       && can_commit t
-      && take_budget t.writes (array_of t sq.s_port.(0))
+      && take t.writes t.port_aid.(sq.s_port.(0))
     then begin
       t.mem.(sq.s_addr.(0)) <- sq.s_val.(0);
-      Pv_obs.Trace.instant t.trace ~tid:Pv_obs.Trace.tid_backend ~ts:t.now
-        ~args:[ ("seq", okey_seq sq.sk.(0)); ("addr", sq.s_addr.(0)) ]
-        "lsq_commit";
+      if Pv_obs.Trace.enabled t.trace then
+        Pv_obs.Trace.instant t.trace ~tid:Pv_obs.Trace.tid_backend ~ts:t.now
+          ~args:[ ("seq", okey_seq sq.sk.(0)); ("addr", sq.s_addr.(0)) ]
+          "lsq_commit";
       sq_remove_head sq;
       incr committed
     end
@@ -334,17 +314,47 @@ let clock t =
   done;
   if Pv_obs.Trace.enabled t.trace then note_occupancy t;
   t.allocs_this_cycle <- 0;
-  Hashtbl.iter (fun _ r -> r := 2) t.reads;
-  Hashtbl.iter (fun _ r -> r := 1) t.writes;
+  Array.fill t.reads 0 (Array.length t.reads) 2;
+  Array.fill t.writes 0 (Array.length t.writes) 1;
   t.now <- t.now + 1
 
-let create_full ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
-    (cfg : config) (pm : Portmap.t) (mem : int array) : t * Pv_dataflow.Memif.t
-    =
+(* index of the first load entry of [port]/[seq] still awaiting its
+   address, or -1 *)
+let find_load t ~seq ~port =
+  let q = t.lq in
+  let i = ref 0 in
+  while
+    !i < q.ln
+    && not
+         (okey_seq q.lk.(!i) = seq && q.l_port.(!i) = port && q.l_addr.(!i) < 0)
+  do
+    incr i
+  done;
+  if !i < q.ln then !i else -1
+
+(* index of the first store entry of [port]/[seq] still awaiting its
+   address ([~no_addr:true]) or its data ([~no_addr:false]), or -1 *)
+let find_store t ~seq ~port ~no_addr =
+  let q = t.sq in
+  let i = ref 0 in
+  while
+    !i < q.sn
+    && not
+         (okey_seq q.sk.(!i) = seq
+         && q.s_port.(!i) = port
+         && if no_addr then q.s_addr.(!i) < 0 else q.s_flags.(!i) land 1 = 0)
+  do
+    incr i
+  done;
+  if !i < q.sn then !i else -1
+
+let create ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
+    (cfg : config) (pm : Portmap.t) (mem : int array) : Pv_dataflow.Memif.t =
+  let n_ports = Array.length pm.Portmap.ports in
+  let port_aid, n_arrays = Portmap.array_ids pm in
   let t =
     {
       cfg;
-      pm;
       mem;
       stats = Pv_dataflow.Memif.fresh_stats ();
       now = 0;
@@ -369,106 +379,91 @@ let create_full ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
           min_unk = max_int;
         };
       allocs_this_cycle = 0;
-      resp = Hashtbl.create 16;
-      reads = Hashtbl.create 8;
-      writes = Hashtbl.create 8;
+      (* room for a full load queue's requests on every port up front, so
+         the rings do not grow mid-run *)
+      resp = Array.init n_ports (fun _ -> Ring.create ~stride:3 cfg.lq_depth);
+      port_aid;
+      reads = Array.make n_arrays 2;
+      writes = Array.make n_arrays 1;
       trace;
       prof;
       last_occ = -1;
     }
   in
-  Array.iter
-    (fun p ->
-      Hashtbl.replace t.reads p.Portmap.array (ref 2);
-      Hashtbl.replace t.writes p.Portmap.array (ref 1))
-    pm.Portmap.ports;
+  let is_store pid = (Portmap.port pm pid).Portmap.kind = Portmap.OStore in
+  (* per group: its ambiguous ports in program order and their load/store
+     counts, so allocation is array reads only *)
   let gports =
-    Array.init pm.Portmap.n_groups (fun g -> Portmap.group_ports pm g)
+    Array.init pm.Portmap.n_groups (fun g ->
+        let ports = Array.of_list (Portmap.group_ports pm g) in
+        if Array.length ports > max_pos + 1 then
+          invalid_arg "Lsq: ROM position exceeds the 6-bit pack field";
+        ports)
+  in
+  let g_stores =
+    Array.map
+      (fun ports ->
+        Array.fold_left (fun n p -> if is_store p then n + 1 else n) 0 ports)
+      gports
+  in
+  let g_loads =
+    Array.mapi (fun g ports -> Array.length ports - g_stores.(g)) gports
   in
   let begin_instance ~seq ~group =
     let ports = gports.(group) in
-    if ports = [] then true
+    let n_loads = g_loads.(group) and n_stores = g_stores.(group) in
+    Array.length ports = 0
+    ||
+    if
+      t.allocs_this_cycle >= cfg.alloc_per_cycle
+      || t.lq.ln + n_loads > cfg.lq_depth
+      || t.sq.sn + n_stores > cfg.sq_depth
+    then begin
+      t.stats.Pv_dataflow.Memif.stall_full <-
+        t.stats.Pv_dataflow.Memif.stall_full + 1;
+      false
+    end
     else begin
-      let n_loads, n_stores =
-        List.fold_left
-          (fun (l, s) pid ->
-            match (Portmap.port pm pid).Portmap.kind with
-            | Portmap.OLoad -> (l + 1, s)
-            | Portmap.OStore -> (l, s + 1))
-          (0, 0) ports
-      in
-      if
-        t.allocs_this_cycle >= cfg.alloc_per_cycle
-        || t.lq.ln + n_loads > cfg.lq_depth
-        || t.sq.sn + n_stores > cfg.sq_depth
-      then begin
-        t.stats.Pv_dataflow.Memif.stall_full <-
-          t.stats.Pv_dataflow.Memif.stall_full + 1;
-        false
-      end
-      else begin
-        t.allocs_this_cycle <- t.allocs_this_cycle + 1;
-        let usable = t.now + cfg.alloc_delay in
-        List.iteri
-          (fun pos pid ->
-            if pos > max_pos then
-              invalid_arg "Lsq: ROM position exceeds the 6-bit pack field";
-            let k = okey ~seq ~pos in
-            match (Portmap.port pm pid).Portmap.kind with
-            | Portmap.OLoad ->
-                let q = t.lq in
-                let i = q.ln in
-                q.lk.(i) <- k;
-                q.l_port.(i) <- pid;
-                q.l_usable.(i) <- usable;
-                q.l_addr.(i) <- -1;
-                q.l_tok.(i) <- -1;
-                q.ln <- i + 1
-            | Portmap.OStore ->
-                let q = t.sq in
-                let i = q.sn in
-                q.sk.(i) <- k;
-                q.s_port.(i) <- pid;
-                q.s_usable.(i) <- usable;
-                q.s_addr.(i) <- -1;
-                q.s_val.(i) <- 0;
-                q.s_flags.(i) <- 0;
-                if k < q.min_unk then q.min_unk <- k;
-                q.sn <- i + 1)
-          ports;
+      t.allocs_this_cycle <- t.allocs_this_cycle + 1;
+      let usable = t.now + cfg.alloc_delay in
+      for pos = 0 to Array.length ports - 1 do
+        let pid = ports.(pos) in
+        let k = okey ~seq ~pos in
+        if is_store pid then begin
+          let q = t.sq in
+          let i = q.sn in
+          q.sk.(i) <- k;
+          q.s_port.(i) <- pid;
+          q.s_usable.(i) <- usable;
+          q.s_addr.(i) <- -1;
+          q.s_val.(i) <- 0;
+          q.s_flags.(i) <- 0;
+          if k < q.min_unk then q.min_unk <- k;
+          q.sn <- i + 1
+        end
+        else begin
+          let q = t.lq in
+          let i = q.ln in
+          q.lk.(i) <- k;
+          q.l_port.(i) <- pid;
+          q.l_usable.(i) <- usable;
+          q.l_addr.(i) <- -1;
+          q.l_tok.(i) <- -1;
+          q.ln <- i + 1
+        end
+      done;
+      if Pv_obs.Trace.enabled t.trace then
         Pv_obs.Trace.instant t.trace ~tid:Pv_obs.Trace.tid_backend ~ts:t.now
           ~args:[ ("seq", seq); ("loads", n_loads); ("stores", n_stores) ]
           "lsq_alloc";
-        note_occupancy t;
-        true
-      end
+      note_occupancy t;
+      true
     end
-  in
-  (* first live entry of [port]/[seq] matching [pred] over the queue *)
-  let find_load ~seq ~port =
-    let q = t.lq in
-    let rec go i =
-      if i >= q.ln then -1
-      else if okey_seq q.lk.(i) = seq && q.l_port.(i) = port && q.l_addr.(i) < 0
-      then i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let find_store ~seq ~port ~f =
-    let q = t.sq in
-    let rec go i =
-      if i >= q.sn then -1
-      else if okey_seq q.sk.(i) = seq && q.s_port.(i) = port && f q.s_flags.(i) q.s_addr.(i)
-      then i
-      else go (i + 1)
-    in
-    go 0
   in
   let load_req ~port ~key ~addr =
     let seq = Token.seq key in
     if Portmap.is_ambiguous pm port then begin
-      match find_load ~seq ~port with
+      match find_load t ~seq ~port with
       | -1 -> false
       | i ->
           t.lq.l_addr.(i) <- addr;
@@ -478,10 +473,10 @@ let create_full ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
           Pv_obs.Prof.add prof ~phase:Pv_obs.Prof.phase_mem_service 1;
           true
     end
-    else if take_budget t.reads (array_of t port) then begin
+    else if take t.reads port_aid.(port) then begin
       t.stats.Pv_dataflow.Memif.loads <- t.stats.Pv_dataflow.Memif.loads + 1;
       Pv_obs.Prof.add prof ~phase:Pv_obs.Prof.phase_mem_service 1;
-      Ring.push3 (port_ring t port) key (t.now + cfg.mem_latency) t.mem.(addr);
+      Ring.push3 t.resp.(port) key (t.now + cfg.mem_latency) t.mem.(addr);
       true
     end
     else begin
@@ -492,7 +487,7 @@ let create_full ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
   let store_req ~port ~key ~addr ~value =
     let seq = Token.seq key in
     if Portmap.is_ambiguous pm port then begin
-      match find_store ~seq ~port ~f:(fun flags _ -> flags land 1 = 0) with
+      match find_store t ~seq ~port ~no_addr:false with
       | -1 -> false
       | i ->
           let q = t.sq in
@@ -506,7 +501,7 @@ let create_full ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
           Pv_obs.Prof.add prof ~phase:Pv_obs.Prof.phase_mem_service 1;
           true
     end
-    else if take_budget t.writes (array_of t port) then begin
+    else if take t.writes port_aid.(port) then begin
       t.stats.Pv_dataflow.Memif.stores <- t.stats.Pv_dataflow.Memif.stores + 1;
       Pv_obs.Prof.add prof ~phase:Pv_obs.Prof.phase_mem_service 1;
       t.mem.(addr) <- value;
@@ -523,25 +518,25 @@ let create_full ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
     else begin
       t.stats.Pv_dataflow.Memif.fake_tokens <-
         t.stats.Pv_dataflow.Memif.fake_tokens + 1;
-      (match (Portmap.port pm port).Portmap.kind with
-      | Portmap.OStore -> (
-          match find_store ~seq ~port ~f:(fun _ addr -> addr < 0) with
-          | -1 -> ()
-          | i ->
-              let q = t.sq in
-              q.s_flags.(i) <- q.s_flags.(i) lor 2;
-              if q.sk.(i) = q.min_unk then sq_recompute_min q)
-      | Portmap.OLoad -> (
-          match find_load ~seq ~port with
-          | -1 -> ()
-          | i -> lq_remove t.lq i));
+      (if is_store port then begin
+         match find_store t ~seq ~port ~no_addr:true with
+         | -1 -> ()
+         | i ->
+             let q = t.sq in
+             q.s_flags.(i) <- q.s_flags.(i) lor 2;
+             if q.sk.(i) = q.min_unk then sq_recompute_min q
+       end
+       else
+         match find_load t ~seq ~port with
+         | -1 -> ()
+         | i -> lq_remove t.lq i);
       true
     end
   in
   let store_addr ~port ~key ~addr =
     let seq = Token.seq key in
     if Portmap.is_ambiguous pm port then
-      match find_store ~seq ~port ~f:(fun _ a -> a < 0) with
+      match find_store t ~seq ~port ~no_addr:true with
       | -1 -> ()
       | i ->
           let q = t.sq in
@@ -550,64 +545,36 @@ let create_full ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
           if k = q.min_unk then sq_recompute_min q
   in
   let load_poll ~port out =
-    match Hashtbl.find_opt t.resp port with
-    | Some q when not (Ring.is_empty q) ->
-        let ready = Ring.get q 0 1 in
-        ready >= 0
-        && ready <= t.now
-        && begin
-             out.Pv_dataflow.Memif.ls_key <- Ring.get q 0 0;
-             out.Pv_dataflow.Memif.ls_value <- Ring.get q 0 2;
-             Ring.pop q;
-             true
-           end
-    | _ -> false
+    let q = t.resp.(port) in
+    (not (Ring.is_empty q))
+    &&
+    let ready = Ring.get q 0 1 in
+    ready >= 0
+    && ready <= t.now
+    && begin
+         out.Pv_dataflow.Memif.ls_key <- Ring.get q 0 0;
+         out.Pv_dataflow.Memif.ls_value <- Ring.get q 0 2;
+         Ring.pop q;
+         true
+       end
   in
   let quiesced () =
-    t.lq.ln = 0 && t.sq.sn = 0
-    && Hashtbl.fold (fun _ q acc -> acc && Ring.is_empty q) t.resp true
+    t.lq.ln = 0 && t.sq.sn = 0 && Array.for_all Ring.is_empty t.resp
   in
-  ( t,
-    {
-      Pv_dataflow.Memif.begin_instance;
-      alloc_group = (fun ~key:_ ~group:_ -> true);
-      load_req;
-      load_poll;
-      store_req;
-      store_addr;
-      op_skip;
-      poll_squash = (fun () -> None);
-      clock = (fun () -> clock t);
-      quiesced;
-      stats = (fun () -> t.stats);
-      (* the LSQ never speculates, so there is no squash/replay machinery
-         to drive: backend-level faults are not applicable *)
-      inject = (fun _ -> false);
-      describe = (fun () -> Printf.sprintf "lsq: LQ=%d SQ=%d" t.lq.ln t.sq.sn);
-    } )
-
-let create ?trace ?prof cfg pm mem = snd (create_full ?trace ?prof cfg pm mem)
-
-(* Runtime stat accessor, symmetric with Backend.stats. *)
-let stats t = t.stats
-
-(** Debug dump of queue contents. *)
-let dump ppf t =
-  Format.fprintf ppf "LQ (%d):@\n" t.lq.ln;
-  for i = 0 to t.lq.ln - 1 do
-    let q = t.lq in
-    Format.fprintf ppf "  seq=%d pos=%d port=%d addr=%s usable=%d@\n"
-      (okey_seq q.lk.(i)) (okey_pos q.lk.(i)) q.l_port.(i)
-      (if q.l_addr.(i) >= 0 then string_of_int q.l_addr.(i) else "?")
-      q.l_usable.(i)
-  done;
-  Format.fprintf ppf "SQ (%d):@\n" t.sq.sn;
-  for i = 0 to t.sq.sn - 1 do
-    let q = t.sq in
-    Format.fprintf ppf "  seq=%d pos=%d port=%d addr=%s val=%s%s usable=%d@\n"
-      (okey_seq q.sk.(i)) (okey_pos q.sk.(i)) q.s_port.(i)
-      (if q.s_addr.(i) >= 0 then string_of_int q.s_addr.(i) else "?")
-      (if q.s_flags.(i) land 1 = 1 then string_of_int q.s_val.(i) else "?")
-      (if q.s_flags.(i) land 2 = 2 then " SKIP" else "")
-      q.s_usable.(i)
-  done
+  {
+    Pv_dataflow.Memif.begin_instance;
+    alloc_group = (fun ~key:_ ~group:_ -> true);
+    load_req;
+    load_poll;
+    store_req;
+    store_addr;
+    op_skip;
+    poll_squash = (fun () -> None);
+    clock = (fun () -> clock t);
+    quiesced;
+    stats = (fun () -> t.stats);
+    (* the LSQ never speculates, so there is no squash/replay machinery
+       to drive: backend-level faults are not applicable *)
+    inject = (fun _ -> false);
+    describe = (fun () -> Printf.sprintf "lsq: LQ=%d SQ=%d" t.lq.ln t.sq.sn);
+  }

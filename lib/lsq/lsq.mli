@@ -38,11 +38,9 @@ val plain : config
     fast-token network. *)
 val fast : config
 
-(** Internal state, exposed for debugging dumps. *)
-type t
-
-(** Build a backend over [mem]; returns the state alongside (for dumps and
-    {!stats}).  [trace] (default {!Pv_obs.Trace.null}) receives
+(** Build a backend over [mem].  Queues, per-port response rings and
+    per-array port budgets are flat arrays sized here, so no per-cycle
+    path allocates.  [trace] (default {!Pv_obs.Trace.null}) receives
     allocation/commit instants on the backend track and an
     [lsq_occupancy] counter track; the null sink makes every emit site one
     branch and leaves behaviour unchanged.  [prof] (default
@@ -50,15 +48,9 @@ type t
     [lsq_cam] unit per queue entry walked by the load-issue check (store
     queue) and the store-commit WAR guard (load queue), and one
     [mem_service] unit per load/store accepted (so [mem_service] equals
-    the {!stats} loads + stores exactly). *)
-val create_full :
-  ?trace:Pv_obs.Trace.t ->
-  ?prof:Pv_obs.Prof.t ->
-  config ->
-  Pv_memory.Portmap.t ->
-  int array ->
-  t * Pv_dataflow.Memif.t
-
+    the memory stats' loads + stores exactly).
+    @raise Invalid_argument when a group holds more ambiguous ports than
+    the 6-bit ROM-position field of the order keys. *)
 val create :
   ?trace:Pv_obs.Trace.t ->
   ?prof:Pv_obs.Prof.t ->
@@ -66,11 +58,3 @@ val create :
   Pv_memory.Portmap.t ->
   int array ->
   Pv_dataflow.Memif.t
-
-(** Live traffic tallies (loads, stores, forwarded, stall breakdown,
-    queue high-water mark) — the LSQ-side metric source, symmetric with
-    [Backend.stats]. *)
-val stats : t -> Pv_dataflow.Memif.stats
-
-(** Dump queue contents (entries with addresses/values/flags). *)
-val dump : Format.formatter -> t -> unit

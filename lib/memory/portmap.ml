@@ -48,6 +48,24 @@ let group_ports t group =
              else None)
   |> List.sort compare
 
+(** Dense array ids, in first-port order: [ids.(port)] numbers the port's
+    array, so per-array state (the BRAM port budgets) lives in flat int
+    arrays of length [n] instead of name-keyed tables. *)
+let array_ids t =
+  let names = Hashtbl.create 8 in
+  let ids =
+    Array.map
+      (fun p ->
+        match Hashtbl.find_opt names p.array with
+        | Some id -> id
+        | None ->
+            let id = Hashtbl.length names in
+            Hashtbl.replace names p.array id;
+            id)
+      t.ports
+  in
+  (ids, Hashtbl.length names)
+
 (** ROM position of a port within its group, used as the tie-break order
     for same-iteration validation. *)
 let rom_pos t ~inst ~group ~port =

@@ -36,6 +36,11 @@ val is_ambiguous : t -> int -> bool
     (port-id order — ids are assigned in program order). *)
 val group_ports : t -> int -> int list
 
+(** [(ids, n)]: [ids.(port)] is a dense id in [0, n) of the port's array,
+    numbered in first-port order — the index of the per-array (per-BRAM)
+    state every backend keeps in flat int arrays. *)
+val array_ids : t -> int array * int
+
 (** ROM position of a port within its instance's group entry — the
     same-iteration tie-break order. *)
 val rom_pos : t -> inst:int -> group:int -> port:int -> int option

@@ -57,13 +57,11 @@ let named ~depth =
   { (default ~depth_q:(depth_scale * depth)) with fake_tokens = true }
 
 type inst = {
-  id : int;
   q : Premature_queue.t;
   quota : int;
       (** per-port fair share of queue slots.  A port may not hold more
           outstanding records than its quota, so no port can race ahead
           and starve the others out of the queue. *)
-  reserve_unused : int;  (** kept for reporting: max ops per iteration *)
   out_cnt : int array;  (** port -> live (outstanding) records *)
   pos_tbl : int array array;
       (** group -> port -> ROM position, [-1] for non-members: the per-op
@@ -83,7 +81,7 @@ type inst = {
           store that could have accused it has been validated against it
           (Eqs. 2-5), so it leaves the queue long before the commit
           frontier reaches it.  Stores retire at commit. *)
-  arrivals : (int, int ref) Hashtbl.t;  (** seq -> arrived-port bitmask *)
+  arrivals : int array;  (** seq -> arrived-port bitmask, 0 = none *)
   wm : Arbiter.watermark;
       (** incremental-validation watermark: the retirement sweep of
           [validate_loads] runs only when [saf] moved past it, a late load
@@ -95,16 +93,23 @@ type inst = {
 
 type t = {
   cfg : config;
-  pm : Portmap.t;
   mem : int array;
   stats : Pv_dataflow.Memif.stats;
   insts : inst array;
-  group_of : (int, int) Hashtbl.t;  (** seq -> group, set by the allocator *)
+  group_of : int array;
+      (** seq -> group, [-1] = not begun; set by the allocator and never
+          cleared (a replay re-begins the same iteration) *)
+  mutable max_begun : int;
+      (** highest iteration ever begun: no arrival lies beyond it, so a
+          squash clears arrivals up to here, not to the schedule's end *)
+  port_inst : int array;  (** port -> disambiguation instance, [-1] = direct *)
   resp : Pv_dataflow.Ring.t array;
       (** port -> ring of (ready_at, packed token key, value) records,
           request order *)
   mutable now : int;
-  mutable pending_squash : int option;
+  mutable pending_squash : int;
+      (** earliest erring iteration raised and not yet polled; [max_int]
+          = none *)
   mutable frontier : int;
       (** oldest not-yet-committed body instance.  The frontier is global
           (program order across all disambiguation instances): committing a
@@ -122,46 +127,45 @@ type t = {
   mutable degraded_at : int option;
       (** cycle the guard engaged; [Some _] = speculative load admission is
           off for the rest of the run *)
-  (* per-array (per-BRAM) budgets: one read and one write per cycle *)
-  reads : (string, int ref) Hashtbl.t;
-  writes : (string, int ref) Hashtbl.t;
-  (* the same budget refs as flat arrays, so the per-cycle reset in [clock]
-     is two array sweeps instead of two hashtable iterations *)
-  mutable read_refs : int ref array;
-  mutable write_refs : int ref array;
-  (* port -> its array's budget ref, plus dense array ids and commit-path
-     scratch: the per-op budget checks and the per-commit store collection
-     run with no string hashing and no boxed entries *)
-  mutable port_read : int ref array;
-  mutable port_write : int ref array;
-  mutable port_aid : int array;  (* port -> dense array id *)
-  mutable aid_write : int ref array;  (* array id -> write budget ref *)
-  mutable aid_need : int array;  (* scratch: per-array write demand *)
-  mutable c_inst : int array;  (* scratch: instance of collected store *)
-  mutable c_slot : int array;  (* scratch: queue slot of collected store *)
+  (* per-array (per-BRAM) budgets, one read and one write per cycle, by
+     dense array id ([Portmap.array_ids]); the per-cycle reset is two
+     [Array.fill]s *)
+  port_aid : int array;  (** port -> array id *)
+  reads : int array;  (** array id -> read ports left this cycle *)
+  writes : int array;  (** array id -> write ports left this cycle *)
+  aid_need : int array;  (* commit scratch: per-array write demand *)
+  c_inst : int array;  (* commit scratch: instance of collected store *)
+  c_slot : int array;  (* commit scratch: queue slot of collected store *)
+  (* the op most recently refused for having no ROM position (its seq has
+     no group, or the group's ROM lacks its port) — only a fault such as a
+     dropped control token presents one; [describe] names it *)
+  mutable refused_port : int;
+  mutable refused_seq : int;
   (* observability: arbiter decision tallies, event sink (Trace.null unless
      a sink was passed to [create_full]), last emitted counter samples *)
   arb_stats : Arbiter.stats;
+  arb : Arbiter.stats option;
+      (* [Some arb_stats], built once so the per-op arbiter calls pass
+         their optional arguments without boxing one per call *)
+  value_validation : bool option;
   trace : Pv_obs.Trace.t;
   prof : Pv_obs.Prof.t;  (* cycle-attribution phases; Prof.null unless passed *)
   mutable last_occ : int;
   mutable last_frontier : int;
 }
 
-let take_ref r =
-  if !r > 0 then begin
-    decr r;
-    true
-  end
-  else false
+let take budget aid =
+  budget.(aid) > 0
+  && begin
+       budget.(aid) <- budget.(aid) - 1;
+       true
+     end
+
+let[@inline] group_at t seq =
+  if seq >= 0 && seq < Array.length t.group_of then t.group_of.(seq) else -1
 
 let mark_arrival inst ~seq ~port =
-  match Hashtbl.find_opt inst.arrivals seq with
-  | Some m -> m := !m lor (1 lsl port)
-  | None -> Hashtbl.replace inst.arrivals seq (ref (1 lsl port))
-
-let[@inline] arrival_mask inst ~seq =
-  match Hashtbl.find_opt inst.arrivals seq with Some m -> !m | None -> 0
+  inst.arrivals.(seq) <- inst.arrivals.(seq) lor (1 lsl port)
 
 let rec popcount x acc = if x = 0 then acc else popcount (x land (x - 1)) (acc + 1)
 
@@ -188,10 +192,7 @@ let note_occupancy t =
   end
 
 let raise_squash t seq_err =
-  t.pending_squash <-
-    (match t.pending_squash with
-    | Some s -> Some (min s seq_err)
-    | None -> Some seq_err)
+  if seq_err < t.pending_squash then t.pending_squash <- seq_err
 
 (* Slots that must stay available for the oldest iteration to complete:
    exactly its not-yet-arrived member operations.  Their ports always have
@@ -199,12 +200,9 @@ let raise_squash t seq_err =
    or commit frontier), so reserving this many slots for frontier-age
    records makes admission deadlock-free. *)
 let frontier_reserve t inst =
-  match Hashtbl.find_opt t.group_of t.frontier with
-  | None -> 0
-  | Some g ->
-      popcount
-        (inst.member_mask.(g) land lnot (arrival_mask inst ~seq:t.frontier))
-        0
+  let g = group_at t t.frontier in
+  if g < 0 then 0
+  else popcount (inst.member_mask.(g) land lnot inst.arrivals.(t.frontier)) 0
 
 (* Queue admission: frontier-instance operations may use the reserved
    slots; younger records must respect both the per-port quota and the
@@ -216,14 +214,11 @@ let has_room t inst ~port ~seq =
     && Premature_queue.occupancy inst.q
        < t.cfg.depth_q - frontier_reserve t inst
 
-(* Is some store of the same body instance, placed before [pos] by the
-   ROM, still missing from the arbiter? *)
+(* Is some store of the same (begun) body instance, placed before [pos] by
+   the ROM, still missing from the arbiter? *)
 let same_seq_store_pending t inst ~seq ~pos =
-  match Hashtbl.find_opt t.group_of seq with
-  | None -> false
-  | Some g ->
-      let before = inst.stores_before.(g).(pos) in
-      before <> 0 && before land lnot (arrival_mask inst ~seq) <> 0
+  let before = inst.stores_before.(t.group_of.(seq)).(pos) in
+  before <> 0 && before land lnot inst.arrivals.(seq) <> 0
 
 (* Strict re-issue after a squash: a load of the squashed instance may only
    read once every same-instance store that the ROM places before it has
@@ -241,13 +236,18 @@ let degraded_blocked t inst ~seq ~pos =
   t.degraded_at <> None
   && (seq > inst.saf || same_seq_store_pending t inst ~seq ~pos)
 
-let release t inst (retired : Premature_queue.entry list) =
-  ignore t;
-  List.iter
-    (fun (e : Premature_queue.entry) ->
-      let p = e.Premature_queue.e_port in
-      if inst.out_cnt.(p) > 0 then inst.out_cnt.(p) <- inst.out_cnt.(p) - 1)
-    retired
+(* ROM position of an instance op, or -1 when its seq has no group or the
+   group's ROM lacks its port.  A fault-free run never presents such an op
+   (a dropped control token can); it is refused and remembered for
+   [describe], so the hang it causes ends in a diagnosed deadlock. *)
+let pos_of t inst ~seq ~port =
+  let g = group_at t seq in
+  let p = if g < 0 then -1 else inst.pos_tbl.(g).(port) in
+  if p < 0 then begin
+    t.refused_port <- port;
+    t.refused_seq <- seq
+  end;
+  p
 
 (* Advance the store-arrival frontier and retire validated load records:
    once every store of all older iterations (and the same iteration's
@@ -257,13 +257,12 @@ let release t inst (retired : Premature_queue.entry list) =
 let validate_loads t inst =
   let continue = ref true in
   while !continue do
-    match Hashtbl.find_opt t.group_of inst.saf with
-    | None -> continue := false
-    | Some g ->
-        let sm = inst.store_mask.(g) in
-        if arrival_mask inst ~seq:inst.saf land sm = sm then
-          inst.saf <- inst.saf + 1
-        else continue := false
+    let g = group_at t inst.saf in
+    if g < 0 then continue := false
+    else
+      let sm = inst.store_mask.(g) in
+      if inst.arrivals.(inst.saf) land sm = sm then inst.saf <- inst.saf + 1
+      else continue := false
   done;
   (* Retire every load record the frontier has passed.  Once [saf] is
      beyond an iteration, all of its member stores have arrived, so no
@@ -294,6 +293,18 @@ let c_port t a =
   Premature_queue.m_port
     t.insts.(t.c_inst.(a)).q.Premature_queue.meta.(t.c_slot.(a))
 
+(* Has every disambiguation instance seen all member operations of body
+   instance [s] (group [g])? *)
+let complete t ~s ~g =
+  let ok = ref true and ii = ref 0 in
+  while !ok && !ii < Array.length t.insts do
+    let inst = t.insts.(!ii) in
+    let mm = inst.member_mask.(g) in
+    ok := inst.arrivals.(s) land mm = mm;
+    incr ii
+  done;
+  !ok
+
 (* Advance the global commit frontier: a body instance retires when every
    disambiguation instance has seen all of its member operations (arrivals
    or fake tokens); its stores then reach memory in ROM order.  Instances
@@ -304,196 +315,166 @@ let advance_frontier t =
   let continue = ref true in
   while !continue do
     let s = t.frontier in
+    let g = group_at t s in
     (* never retire an instance that a same-cycle violation will squash *)
-    (match t.pending_squash with
-    | Some err when s >= err -> continue := false
-    | _ -> ());
-    if !continue then
-      match Hashtbl.find_opt t.group_of s with
-      | None -> continue := false
-      | Some g ->
-          let complete =
-            Array.for_all
-              (fun inst ->
-                let mm = inst.member_mask.(g) in
-                arrival_mask inst ~seq:s land mm = mm)
-              t.insts
-          in
-          if not complete then continue := false
-          else begin
-            (* collect the body instance's store records straight from the
-               packed store views into preallocated scratch (slot numbers,
-               no boxed entries), then insertion-sort by ROM position *)
-            let k = ref 0 in
-            for ii = 0 to Array.length t.insts - 1 do
-              let q = t.insts.(ii).q in
-              for vi = 0 to q.Premature_queue.n_store - 1 do
-                let slot = q.Premature_queue.v_store.(vi) in
-                if Premature_queue.okey_seq q.Premature_queue.key.(slot) = s
-                then begin
-                  t.c_inst.(!k) <- ii;
-                  t.c_slot.(!k) <- slot;
-                  incr k
-                end
-              done
-            done;
-            let k = !k in
-            for a = 1 to k - 1 do
-              let ci = t.c_inst.(a) and cs = t.c_slot.(a) in
-              let p =
-                Premature_queue.okey_pos t.insts.(ci).q.Premature_queue.key.(cs)
-              in
-              let b = ref (a - 1) in
-              while !b >= 0 && c_pos t !b > p do
-                t.c_inst.(!b + 1) <- t.c_inst.(!b);
-                t.c_slot.(!b + 1) <- t.c_slot.(!b);
-                decr b
-              done;
-              t.c_inst.(!b + 1) <- ci;
-              t.c_slot.(!b + 1) <- cs
-            done;
-            (* every store of the instance needs a write port this cycle:
-               tally the per-array demand and compare against the budgets *)
-            let bw_ok = ref true in
-            if k > 0 then begin
-              Array.fill t.aid_need 0 (Array.length t.aid_need) 0;
-              for a = 0 to k - 1 do
-                let aid = t.port_aid.(c_port t a) in
-                t.aid_need.(aid) <- t.aid_need.(aid) + 1
-              done;
-              for aid = 0 to Array.length t.aid_need - 1 do
-                if t.aid_need.(aid) > !(t.aid_write.(aid)) then bw_ok := false
-              done
-            end;
-            if k > 0 && (!budget = 0 || not !bw_ok) then continue := false
-            else begin
-              for a = 0 to k - 1 do
-                let q = t.insts.(t.c_inst.(a)).q in
-                let slot = t.c_slot.(a) in
-                decr t.port_write.(c_port t a);
-                t.mem.(q.Premature_queue.index.(slot)) <-
-                  q.Premature_queue.value.(slot)
-              done;
-              if k > 0 then decr budget;
-              for ii = 0 to Array.length t.insts - 1 do
-                let inst = t.insts.(ii) in
-                ignore
-                  (Premature_queue.retire_eq inst.q ~seq:s
-                     ~on_port:inst.release_port
-                    : int);
-                Hashtbl.remove inst.arrivals s
-              done;
-              t.frontier <- s + 1;
-              if t.strict_seq < t.frontier then t.strict_seq <- -1
-            end
+    if s >= t.pending_squash || g < 0 || not (complete t ~s ~g) then
+      continue := false
+    else begin
+      (* collect the body instance's store records straight from the
+         packed store views into preallocated scratch (slot numbers, no
+         boxed entries), then insertion-sort by ROM position *)
+      let k = ref 0 in
+      for ii = 0 to Array.length t.insts - 1 do
+        let q = t.insts.(ii).q in
+        for vi = 0 to q.Premature_queue.n_store - 1 do
+          let slot = q.Premature_queue.v_store.(vi) in
+          if Premature_queue.okey_seq q.Premature_queue.key.(slot) = s then begin
+            t.c_inst.(!k) <- ii;
+            t.c_slot.(!k) <- slot;
+            incr k
           end
+        done
+      done;
+      let k = !k in
+      for a = 1 to k - 1 do
+        let ci = t.c_inst.(a) and cs = t.c_slot.(a) in
+        let p =
+          Premature_queue.okey_pos t.insts.(ci).q.Premature_queue.key.(cs)
+        in
+        let b = ref (a - 1) in
+        while !b >= 0 && c_pos t !b > p do
+          t.c_inst.(!b + 1) <- t.c_inst.(!b);
+          t.c_slot.(!b + 1) <- t.c_slot.(!b);
+          decr b
+        done;
+        t.c_inst.(!b + 1) <- ci;
+        t.c_slot.(!b + 1) <- cs
+      done;
+      (* every store of the instance needs a write port this cycle: tally
+         the per-array demand and compare against the budgets *)
+      let bw_ok = ref true in
+      if k > 0 then begin
+        Array.fill t.aid_need 0 (Array.length t.aid_need) 0;
+        for a = 0 to k - 1 do
+          let aid = t.port_aid.(c_port t a) in
+          t.aid_need.(aid) <- t.aid_need.(aid) + 1
+        done;
+        for aid = 0 to Array.length t.aid_need - 1 do
+          if t.aid_need.(aid) > t.writes.(aid) then bw_ok := false
+        done
+      end;
+      if k > 0 && (!budget = 0 || not !bw_ok) then continue := false
+      else begin
+        for a = 0 to k - 1 do
+          let q = t.insts.(t.c_inst.(a)).q in
+          let slot = t.c_slot.(a) in
+          let aid = t.port_aid.(c_port t a) in
+          t.writes.(aid) <- t.writes.(aid) - 1;
+          t.mem.(q.Premature_queue.index.(slot)) <-
+            q.Premature_queue.value.(slot)
+        done;
+        if k > 0 then decr budget;
+        for ii = 0 to Array.length t.insts - 1 do
+          let inst = t.insts.(ii) in
+          ignore
+            (Premature_queue.retire_eq inst.q ~seq:s ~on_port:inst.release_port
+              : int);
+          inst.arrivals.(s) <- 0
+        done;
+        t.frontier <- s + 1;
+        if t.strict_seq < t.frontier then t.strict_seq <- -1
+      end
+    end
   done
 
 let create_full ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
-    (cfg : config) (pm : Portmap.t) (mem : int array) :
+    (cfg : config) (pm : Portmap.t) ~n_seq (mem : int array) :
     t * Pv_dataflow.Memif.t =
-  if Array.length pm.Portmap.ports > 62 then
+  let n_ports = Array.length pm.Portmap.ports in
+  if n_ports > 62 then
     invalid_arg
       (Printf.sprintf
-         "PreVV: %d ports exceed the 62-port arrival-bitmask limit"
-         (Array.length pm.Portmap.ports));
+         "PreVV: %d ports exceed the 62-port arrival-bitmask limit" n_ports);
+  let port_aid, n_arrays = Portmap.array_ids pm in
+  let make_inst id =
+    let is_member p = p.Portmap.instance = Some id in
+    let count pred =
+      Array.fold_left (fun acc p -> if pred p then acc + 1 else acc) 0
+        pm.Portmap.ports
+    in
+    let member_ports = count is_member in
+    if cfg.depth_q < member_ports then
+      invalid_arg
+        (Printf.sprintf
+           "PreVV: depth_q %d is smaller than instance %d's %d member ports; \
+            one body instance could never fit and the commit frontier would \
+            never advance"
+           cfg.depth_q id member_ports);
+    let n_stores =
+      count (fun p -> is_member p && p.Portmap.kind = Portmap.OStore)
+    in
+    let n_loads = max 1 (member_ports - n_stores) in
+    let rom = pm.Portmap.rom.(id) in
+    let n_groups = Array.length rom in
+    let member_mask = Array.make n_groups 0 in
+    let store_mask = Array.make n_groups 0 in
+    let stores_before =
+      Array.init n_groups (fun g ->
+          let ports = rom.(g) in
+          let sb = Array.make (Array.length ports) 0 in
+          let acc = ref 0 in
+          Array.iteri
+            (fun p pid ->
+              member_mask.(g) <- member_mask.(g) lor (1 lsl pid);
+              sb.(p) <- !acc;
+              if (Portmap.port pm pid).Portmap.kind = Portmap.OStore then begin
+                store_mask.(g) <- store_mask.(g) lor (1 lsl pid);
+                acc := !acc lor (1 lsl pid)
+              end)
+            ports;
+          sb)
+    in
+    let out_cnt = Array.make n_ports 0 in
+    {
+      q = Premature_queue.create ~collapse:cfg.collapse_queue cfg.depth_q;
+      quota =
+        max 1
+          (int_of_float
+             (Float.round
+                (float_of_int (cfg.depth_q - n_stores) /. float_of_int n_loads)));
+      out_cnt;
+      pos_tbl =
+        Array.init n_groups (fun g ->
+            let tbl = Array.make n_ports (-1) in
+            Array.iteri (fun p pid -> tbl.(pid) <- p) rom.(g);
+            tbl);
+      member_mask;
+      store_mask;
+      stores_before;
+      saf = 0;
+      arrivals = Array.make n_seq 0;
+      wm = Arbiter.fresh_watermark ();
+      release_port =
+        (fun port ->
+          if out_cnt.(port) > 0 then out_cnt.(port) <- out_cnt.(port) - 1);
+    }
+  in
+  let arb_stats = Arbiter.fresh_stats () in
   let t =
     {
       cfg;
-      pm;
       mem;
       stats = Pv_dataflow.Memif.fresh_stats ();
-      insts =
-        Array.init pm.Portmap.n_instances (fun id ->
-            let max_ops =
-              Array.fold_left
-                (fun m ops -> max m (Array.length ops))
-                0 pm.Portmap.rom.(id)
-            in
-            begin
-              let member_ports =
-                Array.fold_left
-                  (fun acc p ->
-                    if p.Portmap.instance = Some id then acc + 1 else acc)
-                  0 pm.Portmap.ports
-              in
-              ignore max_ops;
-              if cfg.depth_q < member_ports then
-                invalid_arg
-                  (Printf.sprintf
-                     "PreVV: depth_q %d is smaller than instance %d's %d \
-                      member ports; one body instance could never fit and \
-                      the commit frontier would never advance"
-                     cfg.depth_q id member_ports);
-              let n_stores =
-                Array.fold_left
-                  (fun acc p ->
-                    if
-                      p.Portmap.instance = Some id
-                      && p.Portmap.kind = Portmap.OStore
-                    then acc + 1
-                    else acc)
-                  0 pm.Portmap.ports
-              in
-              let n_loads = max 1 (member_ports - n_stores) in
-              let rom = pm.Portmap.rom.(id) in
-              let n_groups = Array.length rom in
-              let member_mask = Array.make n_groups 0 in
-              let store_mask = Array.make n_groups 0 in
-              let stores_before =
-                Array.init n_groups (fun g ->
-                    let ports = rom.(g) in
-                    let sb = Array.make (Array.length ports) 0 in
-                    let acc = ref 0 in
-                    Array.iteri
-                      (fun p pid ->
-                        member_mask.(g) <- member_mask.(g) lor (1 lsl pid);
-                        sb.(p) <- !acc;
-                        if (Portmap.port pm pid).Portmap.kind = Portmap.OStore
-                        then begin
-                          store_mask.(g) <- store_mask.(g) lor (1 lsl pid);
-                          acc := !acc lor (1 lsl pid)
-                        end)
-                      ports;
-                    sb)
-              in
-              let out_cnt = Array.make (Array.length pm.Portmap.ports) 0 in
-              let pos_tbl =
-                Array.init n_groups (fun g ->
-                    let tbl = Array.make (Array.length pm.Portmap.ports) (-1) in
-                    Array.iteri (fun p pid -> tbl.(pid) <- p) rom.(g);
-                    tbl)
-              in
-              {
-                id;
-                q = Premature_queue.create ~collapse:cfg.collapse_queue cfg.depth_q;
-                quota =
-                  max 1
-                    (int_of_float
-                       (Float.round
-                          (float_of_int (cfg.depth_q - n_stores)
-                          /. float_of_int n_loads)));
-                reserve_unused = max_ops;
-                out_cnt;
-                pos_tbl;
-                member_mask;
-                store_mask;
-                stores_before;
-                saf = 0;
-                arrivals = Hashtbl.create 64;
-                wm = Arbiter.fresh_watermark ();
-                release_port =
-                  (fun port ->
-                    if out_cnt.(port) > 0 then
-                      out_cnt.(port) <- out_cnt.(port) - 1);
-              }
-            end);
-      group_of = Hashtbl.create 1024;
-      resp =
-        Array.init (Array.length pm.Portmap.ports) (fun _ ->
-            Pv_dataflow.Ring.create ~stride:3 8);
+      insts = Array.init pm.Portmap.n_instances make_inst;
+      group_of = Array.make n_seq (-1);
+      max_begun = -1;
+      port_inst =
+        Array.map
+          (fun p -> Option.value p.Portmap.instance ~default:(-1))
+          pm.Portmap.ports;
+      resp = Array.init n_ports (fun _ -> Pv_dataflow.Ring.create ~stride:3 8);
       now = 0;
-      pending_squash = None;
+      pending_squash = max_int;
       frontier = 0;
       strict_seq = -1;
       max_arrived = -1;
@@ -501,80 +482,33 @@ let create_full ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
       last_err = -1;
       err_streak = 0;
       degraded_at = None;
-      reads = Hashtbl.create 8;
-      writes = Hashtbl.create 8;
-      read_refs = [||];
-      write_refs = [||];
-      port_read = [||];
-      port_write = [||];
-      port_aid = [||];
-      aid_write = [||];
-      aid_need = [||];
-      c_inst = [||];
-      c_slot = [||];
-      arb_stats = Arbiter.fresh_stats ();
+      port_aid;
+      reads = Array.make n_arrays 2;
+      writes = Array.make n_arrays 1;
+      aid_need = Array.make n_arrays 0;
+      c_inst = Array.make (max n_ports 1) 0;
+      c_slot = Array.make (max n_ports 1) 0;
+      refused_port = -1;
+      refused_seq = -1;
+      arb_stats;
+      arb = Some arb_stats;
+      value_validation = Some cfg.value_validation;
       trace;
       prof;
       last_occ = -1;
       last_frontier = -1;
     }
   in
-  Array.iter
-    (fun p ->
-      if not (Hashtbl.mem t.reads p.Portmap.array) then begin
-        Hashtbl.replace t.reads p.Portmap.array (ref 2);
-        Hashtbl.replace t.writes p.Portmap.array (ref 1)
-      end)
-    pm.Portmap.ports;
-  t.read_refs <-
-    Array.of_list (Hashtbl.fold (fun _ r acc -> r :: acc) t.reads []);
-  t.write_refs <-
-    Array.of_list (Hashtbl.fold (fun _ r acc -> r :: acc) t.writes []);
-  (* port -> budget ref and dense array-id tables, plus commit scratch:
-     assign each distinct array a dense id in first-port order *)
-  let n_ports = Array.length pm.Portmap.ports in
-  let aid_of = Hashtbl.create 8 in
-  let aids = ref [] in
-  Array.iter
-    (fun (p : Portmap.port) ->
-      if not (Hashtbl.mem aid_of p.Portmap.array) then begin
-        Hashtbl.replace aid_of p.Portmap.array (Hashtbl.length aid_of);
-        aids := p.Portmap.array :: !aids
-      end)
-    pm.Portmap.ports;
-  let n_arrays = Hashtbl.length aid_of in
-  t.port_read <-
-    Array.init n_ports (fun p ->
-        Hashtbl.find t.reads (Portmap.port pm p).Portmap.array);
-  t.port_write <-
-    Array.init n_ports (fun p ->
-        Hashtbl.find t.writes (Portmap.port pm p).Portmap.array);
-  t.port_aid <-
-    Array.init n_ports (fun p ->
-        Hashtbl.find aid_of (Portmap.port pm p).Portmap.array);
-  t.aid_write <-
-    (let by_aid = Array.make (max n_arrays 1) (ref 0) in
-     List.iter
-       (fun name ->
-         by_aid.(Hashtbl.find aid_of name) <- Hashtbl.find t.writes name)
-       !aids;
-     by_aid);
-  t.aid_need <- Array.make (max n_arrays 1) 0;
-  t.c_inst <- Array.make (max n_ports 1) 0;
-  t.c_slot <- Array.make (max n_ports 1) 0;
-  let inst_of_port port =
-    match (Portmap.port pm port).Portmap.instance with
-    | Some i -> Some t.insts.(i)
-    | None -> None
+  let stall_full () =
+    t.stats.Pv_dataflow.Memif.stall_full <-
+      t.stats.Pv_dataflow.Memif.stall_full + 1
   in
-  let pos_of ~inst ~seq ~port =
-    let group = Hashtbl.find t.group_of seq in
-    let p = t.insts.(inst).pos_tbl.(group).(port) in
-    if p >= 0 then p
-    else
-      invalid_arg
-        (Printf.sprintf "PreVV: port %d not in ROM of instance %d group %d"
-           port inst group)
+  let stall_order () =
+    t.stats.Pv_dataflow.Memif.stall_order <-
+      t.stats.Pv_dataflow.Memif.stall_order + 1
+  in
+  let stall_bw () =
+    t.stats.Pv_dataflow.Memif.stall_bw <- t.stats.Pv_dataflow.Memif.stall_bw + 1
   in
   let note_arrival seq =
     if seq <= t.replay_until then
@@ -583,264 +517,252 @@ let create_full ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
     if seq > t.max_arrived then t.max_arrived <- seq
   in
   let begin_instance ~seq ~group =
-    Hashtbl.replace t.group_of seq group;
+    if seq < 0 || seq >= n_seq then
+      invalid_arg
+        (Printf.sprintf "PreVV: body instance %d is beyond the %d-instance \
+                         schedule" seq n_seq);
+    t.group_of.(seq) <- group;
+    if seq > t.max_begun then t.max_begun <- seq;
     true
+  in
+  (* an admitted load: record it, count it, respond at [ready_at] *)
+  let admit_load inst ~port ~key ~seq ~pos ~addr ~value ~ready_at =
+    if
+      not
+        (Premature_queue.record inst.q ~seq ~pos ~port ~kind:Portmap.OLoad
+           ~index:addr ~value)
+    then begin
+      stall_full ();
+      false
+    end
+    else begin
+      Arbiter.wm_note_load inst.wm ~seq ~saf:inst.saf;
+      inst.out_cnt.(port) <- inst.out_cnt.(port) + 1;
+      mark_arrival inst ~seq ~port;
+      note_arrival seq;
+      respond t ~port ~ready_at ~key ~value;
+      t.stats.Pv_dataflow.Memif.loads <- t.stats.Pv_dataflow.Memif.loads + 1;
+      Pv_obs.Prof.add prof ~phase:Pv_obs.Prof.phase_mem_service 1;
+      note_occupancy t;
+      true
+    end
   in
   let load_req ~port ~key ~addr =
     let seq = Token.seq key in
-    match inst_of_port port with
-    | None ->
-        if take_ref t.port_read.(port) then begin
-          t.stats.Pv_dataflow.Memif.loads <- t.stats.Pv_dataflow.Memif.loads + 1;
-          Pv_obs.Prof.add prof ~phase:Pv_obs.Prof.phase_mem_service 1;
-          respond t ~port ~ready_at:(t.now + cfg.mem_latency) ~key
-            ~value:(read_mem t addr);
-          true
-        end
-        else begin
-          t.stats.Pv_dataflow.Memif.stall_bw <-
-            t.stats.Pv_dataflow.Memif.stall_bw + 1;
-          false
-        end
-    | Some inst -> (
-        let pos = pos_of ~inst:inst.id ~seq ~port in
-        (* the gate scans the store view only (Eq. 3 resolved
-           structurally): one scan unit per record actually compared *)
-        if Pv_obs.Prof.enabled prof then
-          Pv_obs.Prof.add prof ~phase:Pv_obs.Prof.phase_arbiter_scan
-            inst.q.Premature_queue.n_store;
-        match Arbiter.load_gate ~stats:t.arb_stats inst.q ~seq ~pos ~index:addr with
-        | Arbiter.Wait ->
-            t.stats.Pv_dataflow.Memif.stall_order <-
-              t.stats.Pv_dataflow.Memif.stall_order + 1;
-            false
-        | Arbiter.Forward v ->
-            (* forwarding still speculates that no {e older} store is
-               missing, so the degraded gate applies here too *)
-            if degraded_blocked t inst ~seq ~pos then begin
-              t.stats.Pv_dataflow.Memif.stall_order <-
-                t.stats.Pv_dataflow.Memif.stall_order + 1;
-              false
-            end
-            else if not (has_room t inst ~port ~seq) then begin
-              t.stats.Pv_dataflow.Memif.stall_full <-
-                t.stats.Pv_dataflow.Memif.stall_full + 1;
-              false
-            end
-            else if
-              not
-                (Premature_queue.record inst.q ~seq ~pos ~port
-                   ~kind:Portmap.OLoad ~index:addr ~value:v)
-            then begin
-              t.stats.Pv_dataflow.Memif.stall_full <-
-                t.stats.Pv_dataflow.Memif.stall_full + 1;
-              false
-            end
-            else begin
-              Arbiter.wm_note_load inst.wm ~seq ~saf:inst.saf;
-              inst.out_cnt.(port) <- inst.out_cnt.(port) + 1;
-              mark_arrival inst ~seq ~port;
-              note_arrival seq;
-              respond t ~port ~ready_at:(t.now + 1) ~key ~value:v;
-              t.stats.Pv_dataflow.Memif.forwarded <-
-                t.stats.Pv_dataflow.Memif.forwarded + 1;
-              t.stats.Pv_dataflow.Memif.loads <-
-                t.stats.Pv_dataflow.Memif.loads + 1;
-              Pv_obs.Prof.add prof ~phase:Pv_obs.Prof.phase_mem_service 1;
-              note_occupancy t;
-              true
-            end
-        | Arbiter.Clear ->
-            if
-              strict_blocked t inst ~seq ~pos
-              || degraded_blocked t inst ~seq ~pos
-            then begin
-              t.stats.Pv_dataflow.Memif.stall_order <-
-                t.stats.Pv_dataflow.Memif.stall_order + 1;
-              false
-            end
-            else if not (has_room t inst ~port ~seq) then begin
-              t.stats.Pv_dataflow.Memif.stall_full <-
-                t.stats.Pv_dataflow.Memif.stall_full + 1;
-              false
-            end
-            else if not (take_ref t.port_read.(port))
-            then begin
-              t.stats.Pv_dataflow.Memif.stall_bw <-
-                t.stats.Pv_dataflow.Memif.stall_bw + 1;
-              false
-            end
-            else begin
-              let v = read_mem t addr in
-              if
-                not
-                  (Premature_queue.record inst.q ~seq ~pos ~port
-                     ~kind:Portmap.OLoad ~index:addr ~value:v)
-              then begin
-                t.stats.Pv_dataflow.Memif.stall_full <-
-                  t.stats.Pv_dataflow.Memif.stall_full + 1;
-                false
-              end
-              else begin
-                Arbiter.wm_note_load inst.wm ~seq ~saf:inst.saf;
-                inst.out_cnt.(port) <- inst.out_cnt.(port) + 1;
-                mark_arrival inst ~seq ~port;
-                note_arrival seq;
-                respond t ~port ~ready_at:(t.now + cfg.mem_latency) ~key
-                  ~value:v;
-                t.stats.Pv_dataflow.Memif.loads <-
-                  t.stats.Pv_dataflow.Memif.loads + 1;
-                Pv_obs.Prof.add prof ~phase:Pv_obs.Prof.phase_mem_service 1;
-                note_occupancy t;
-                true
-              end
-            end)
+    let i = t.port_inst.(port) in
+    if i < 0 then
+      if take t.reads port_aid.(port) then begin
+        t.stats.Pv_dataflow.Memif.loads <- t.stats.Pv_dataflow.Memif.loads + 1;
+        Pv_obs.Prof.add prof ~phase:Pv_obs.Prof.phase_mem_service 1;
+        respond t ~port ~ready_at:(t.now + cfg.mem_latency) ~key
+          ~value:(read_mem t addr);
+        true
+      end
+      else begin
+        stall_bw ();
+        false
+      end
+    else
+      let inst = t.insts.(i) in
+      let pos = pos_of t inst ~seq ~port in
+      pos >= 0
+      && begin
+           (* the gate scans the store view only (Eq. 3 resolved
+              structurally): one scan unit per record actually compared *)
+           if Pv_obs.Prof.enabled prof then
+             Pv_obs.Prof.add prof ~phase:Pv_obs.Prof.phase_arbiter_scan
+               inst.q.Premature_queue.n_store;
+           match Arbiter.load_gate ?stats:t.arb inst.q ~seq ~pos ~index:addr with
+           | Arbiter.Wait ->
+               stall_order ();
+               false
+           | Arbiter.Forward v ->
+               (* forwarding still speculates that no {e older} store is
+                  missing, so the degraded gate applies here too *)
+               if degraded_blocked t inst ~seq ~pos then begin
+                 stall_order ();
+                 false
+               end
+               else if not (has_room t inst ~port ~seq) then begin
+                 stall_full ();
+                 false
+               end
+               else if
+                 admit_load inst ~port ~key ~seq ~pos ~addr ~value:v
+                   ~ready_at:(t.now + 1)
+               then begin
+                 t.stats.Pv_dataflow.Memif.forwarded <-
+                   t.stats.Pv_dataflow.Memif.forwarded + 1;
+                 true
+               end
+               else false
+           | Arbiter.Clear ->
+               if
+                 strict_blocked t inst ~seq ~pos
+                 || degraded_blocked t inst ~seq ~pos
+               then begin
+                 stall_order ();
+                 false
+               end
+               else if not (has_room t inst ~port ~seq) then begin
+                 stall_full ();
+                 false
+               end
+               else if not (take t.reads port_aid.(port)) then begin
+                 stall_bw ();
+                 false
+               end
+               else
+                 admit_load inst ~port ~key ~seq ~pos ~addr
+                   ~value:(read_mem t addr)
+                   ~ready_at:(t.now + cfg.mem_latency)
+         end
   in
   let store_req ~port ~key ~addr ~value =
     let seq = Token.seq key in
-    match inst_of_port port with
-    | None ->
-        if take_ref t.port_write.(port) then begin
-          t.stats.Pv_dataflow.Memif.stores <-
-            t.stats.Pv_dataflow.Memif.stores + 1;
+    let i = t.port_inst.(port) in
+    if i < 0 then
+      if take t.writes port_aid.(port) then begin
+        t.stats.Pv_dataflow.Memif.stores <- t.stats.Pv_dataflow.Memif.stores + 1;
+        Pv_obs.Prof.add prof ~phase:Pv_obs.Prof.phase_mem_service 1;
+        if addr >= 0 && addr < Array.length t.mem then t.mem.(addr) <- value;
+        true
+      end
+      else begin
+        stall_bw ();
+        false
+      end
+    else
+      let inst = t.insts.(i) in
+      let pos = pos_of t inst ~seq ~port in
+      if pos < 0 then false
+      else if not (has_room t inst ~port ~seq) then begin
+        stall_full ();
+        false
+      end
+      else begin
+        (* violation checking scans the load view only (Eq. 3 resolved
+           structurally): one unit per record actually compared *)
+        if Pv_obs.Prof.enabled prof then
+          Pv_obs.Prof.add prof ~phase:Pv_obs.Prof.phase_pq_validate
+            inst.q.Premature_queue.n_load;
+        let violation =
+          Arbiter.store_violation ?value_validation:t.value_validation
+            ?stats:t.arb inst.q ~seq ~pos ~index:addr ~value
+        in
+        if Pv_obs.Trace.enabled t.trace then begin
+          Pv_obs.Trace.instant t.trace ~tid:Pv_obs.Trace.tid_arbiter ~ts:t.now
+            ~args:[ ("seq", seq); ("index", addr) ]
+            "validation";
+          match violation with
+          | Some seq_err ->
+              Pv_obs.Trace.instant t.trace ~tid:Pv_obs.Trace.tid_arbiter
+                ~ts:t.now
+                ~args:[ ("seq", seq); ("seq_err", seq_err) ]
+                "violation"
+          | None -> ()
+        end;
+        if
+          not
+            (Premature_queue.record inst.q ~seq ~pos ~port ~kind:Portmap.OStore
+               ~index:addr ~value)
+        then begin
+          stall_full ();
+          false
+        end
+        else begin
+          (match violation with
+          | Some seq_err -> raise_squash t seq_err
+          | None -> ());
+          inst.out_cnt.(port) <- inst.out_cnt.(port) + 1;
+          mark_arrival inst ~seq ~port;
+          note_arrival seq;
+          t.stats.Pv_dataflow.Memif.stores <- t.stats.Pv_dataflow.Memif.stores + 1;
           Pv_obs.Prof.add prof ~phase:Pv_obs.Prof.phase_mem_service 1;
-          if addr >= 0 && addr < Array.length t.mem then t.mem.(addr) <- value;
+          note_occupancy t;
           true
         end
-        else begin
-          t.stats.Pv_dataflow.Memif.stall_bw <-
-            t.stats.Pv_dataflow.Memif.stall_bw + 1;
-          false
-        end
-    | Some inst ->
-        if not (has_room t inst ~port ~seq) then begin
-          t.stats.Pv_dataflow.Memif.stall_full <-
-            t.stats.Pv_dataflow.Memif.stall_full + 1;
-          false
-        end
-        else begin
-          let pos = pos_of ~inst:inst.id ~seq ~port in
-          (* violation checking scans the load view only (Eq. 3 resolved
-             structurally): one unit per record actually compared *)
-          if Pv_obs.Prof.enabled prof then
-            Pv_obs.Prof.add prof ~phase:Pv_obs.Prof.phase_pq_validate
-              inst.q.Premature_queue.n_load;
-          let violation =
-            Arbiter.store_violation ~value_validation:t.cfg.value_validation
-              ~stats:t.arb_stats inst.q ~seq ~pos ~index:addr ~value
-          in
-          if Pv_obs.Trace.enabled t.trace then begin
-            Pv_obs.Trace.instant t.trace ~tid:Pv_obs.Trace.tid_arbiter ~ts:t.now
-              ~args:[ ("seq", seq); ("index", addr) ]
-              "validation";
-            match violation with
-            | Some seq_err ->
-                Pv_obs.Trace.instant t.trace ~tid:Pv_obs.Trace.tid_arbiter
-                  ~ts:t.now
-                  ~args:[ ("seq", seq); ("seq_err", seq_err) ]
-                  "violation"
-            | None -> ()
-          end;
-          if
-            not
-              (Premature_queue.record inst.q ~seq ~pos ~port
-                 ~kind:Portmap.OStore ~index:addr ~value)
-          then begin
-            t.stats.Pv_dataflow.Memif.stall_full <-
-              t.stats.Pv_dataflow.Memif.stall_full + 1;
-            false
-          end
-          else begin
-            (match violation with
-            | Some seq_err -> raise_squash t seq_err
-            | None -> ());
-            inst.out_cnt.(port) <- inst.out_cnt.(port) + 1;
-            mark_arrival inst ~seq ~port;
-            note_arrival seq;
-            t.stats.Pv_dataflow.Memif.stores <-
-              t.stats.Pv_dataflow.Memif.stores + 1;
-            Pv_obs.Prof.add prof ~phase:Pv_obs.Prof.phase_mem_service 1;
-            note_occupancy t;
-            true
-          end
-        end
+      end
   in
   let op_skip ~port ~key =
     let seq = Token.seq key in
-    match inst_of_port port with
-    | None -> true
-    | Some inst ->
-        if cfg.fake_tokens then begin
-          mark_arrival inst ~seq ~port;
-          t.stats.Pv_dataflow.Memif.fake_tokens <-
-            t.stats.Pv_dataflow.Memif.fake_tokens + 1;
-          Pv_obs.Trace.instant t.trace ~tid:Pv_obs.Trace.tid_backend ~ts:t.now
-            ~args:[ ("seq", seq); ("port", port) ]
-            "fake_token"
-        end;
-        (* without fake tokens the notification is silently dropped: the
-           arbiter starves, reproducing the deadlock of Fig. 6 *)
-        true
+    let i = t.port_inst.(port) in
+    i < 0
+    ||
+    let inst = t.insts.(i) in
+    pos_of t inst ~seq ~port >= 0
+    && begin
+         if cfg.fake_tokens then begin
+           mark_arrival inst ~seq ~port;
+           t.stats.Pv_dataflow.Memif.fake_tokens <-
+             t.stats.Pv_dataflow.Memif.fake_tokens + 1;
+           if Pv_obs.Trace.enabled t.trace then
+             Pv_obs.Trace.instant t.trace ~tid:Pv_obs.Trace.tid_backend
+               ~ts:t.now
+               ~args:[ ("seq", seq); ("port", port) ]
+               "fake_token"
+         end;
+         (* without fake tokens the notification is silently dropped: the
+            arbiter starves, reproducing the deadlock of Fig. 6 *)
+         true
+       end
   in
   let poll_squash () =
-    match t.pending_squash with
-    | None -> None
-    | Some err ->
-        t.pending_squash <- None;
-        t.stats.Pv_dataflow.Memif.squashes <-
-          t.stats.Pv_dataflow.Memif.squashes + 1;
-        assert (t.frontier <= err);
-        (* livelock guard: replaying the same iteration over and over means
-           speculation is not making progress — stop speculating *)
-        if err = t.last_err then t.err_streak <- t.err_streak + 1
-        else begin
-          t.last_err <- err;
-          t.err_streak <- 1
-        end;
-        if t.err_streak > t.cfg.squash_budget && t.degraded_at = None then begin
-          t.degraded_at <- Some t.now;
-          t.stats.Pv_dataflow.Memif.degraded <-
-            t.stats.Pv_dataflow.Memif.degraded + 1;
+    let err = t.pending_squash in
+    if err = max_int then None
+    else begin
+      t.pending_squash <- max_int;
+      t.stats.Pv_dataflow.Memif.squashes <-
+        t.stats.Pv_dataflow.Memif.squashes + 1;
+      assert (t.frontier <= err);
+      (* livelock guard: replaying the same iteration over and over means
+         speculation is not making progress — stop speculating *)
+      if err = t.last_err then t.err_streak <- t.err_streak + 1
+      else begin
+        t.last_err <- err;
+        t.err_streak <- 1
+      end;
+      if t.err_streak > t.cfg.squash_budget && t.degraded_at = None then begin
+        t.degraded_at <- Some t.now;
+        t.stats.Pv_dataflow.Memif.degraded <-
+          t.stats.Pv_dataflow.Memif.degraded + 1;
+        if Pv_obs.Trace.enabled t.trace then
           Pv_obs.Trace.instant t.trace ~tid:Pv_obs.Trace.tid_backend ~ts:t.now
             ~args:[ ("err", err) ]
             "degraded"
-        end;
+      end;
+      if Pv_obs.Trace.enabled t.trace then
         Pv_obs.Trace.instant t.trace ~tid:Pv_obs.Trace.tid_backend ~ts:t.now
           ~args:[ ("seq_err", err); ("streak", t.err_streak) ]
           "backend_squash";
-        t.strict_seq <- err;
-        Array.iter
-          (fun inst ->
-            ignore
-              (Premature_queue.retire_ge inst.q ~seq:err
-                 ~on_port:inst.release_port
-                : int);
-            if inst.saf > err then inst.saf <- err;
-            (* squash rewind: drag the validation watermark down with the
-               frontier, else loads admitted during the replay would never
-               be swept (the frontier's re-advance would look stale) *)
-            Arbiter.wm_rewind inst.wm ~saf:inst.saf;
-            let stale =
-              Hashtbl.fold
-                (fun s _ acc -> if s >= err then s :: acc else acc)
-                inst.arrivals []
-            in
-            List.iter (Hashtbl.remove inst.arrivals) stale)
-          t.insts;
-        (* response rings carry packed keys in field 1: purge everything at
-           or beyond the erring iteration by key order *)
-        Array.iter
-          (fun q ->
-            ignore
-              (Pv_dataflow.Ring.reject_ge q ~field:1
-                 ~cutoff:(Token.first ~seq:err)
-                : int))
-          t.resp;
-        t.replay_until <- t.max_arrived;
-        Some err
+      t.strict_seq <- err;
+      for ii = 0 to Array.length t.insts - 1 do
+        let inst = t.insts.(ii) in
+        ignore
+          (Premature_queue.retire_ge inst.q ~seq:err ~on_port:inst.release_port
+            : int);
+        if inst.saf > err then inst.saf <- err;
+        (* squash rewind: drag the validation watermark down with the
+           frontier, else loads admitted during the replay would never be
+           swept (the frontier's re-advance would look stale) *)
+        Arbiter.wm_rewind inst.wm ~saf:inst.saf;
+        if err <= t.max_begun then
+          Array.fill inst.arrivals err (t.max_begun - err + 1) 0
+      done;
+      (* response rings carry packed keys in field 1: purge everything at
+         or beyond the erring iteration by key order *)
+      let cutoff = Token.first ~seq:err in
+      for p = 0 to n_ports - 1 do
+        ignore (Pv_dataflow.Ring.reject_ge t.resp.(p) ~field:1 ~cutoff : int)
+      done;
+      t.replay_until <- t.max_arrived;
+      Some err
+    end
   in
   let clock () =
-    Array.iter (validate_loads t) t.insts;
+    for ii = 0 to Array.length t.insts - 1 do
+      validate_loads t t.insts.(ii)
+    done;
     advance_frontier t;
     if Pv_obs.Trace.enabled t.trace then begin
       (* validated-load retirement changes occupancy without a request *)
@@ -851,8 +773,8 @@ let create_full ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
         t.last_frontier <- t.frontier
       end
     end;
-    Array.iter (fun r -> r := 2) t.read_refs;
-    Array.iter (fun r -> r := 1) t.write_refs;
+    Array.fill t.reads 0 n_arrays 2;
+    Array.fill t.writes 0 n_arrays 1;
     t.now <- t.now + 1
   in
   let load_poll ~port out =
@@ -869,7 +791,7 @@ let create_full ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
   let quiesced () =
     Array.for_all (fun inst -> Premature_queue.is_empty inst.q) t.insts
     && Array.for_all Pv_dataflow.Ring.is_empty t.resp
-    && t.pending_squash = None
+    && t.pending_squash = max_int
   in
   let inject (b : Pv_dataflow.Fault.backend_action) =
     let accepted =
@@ -906,12 +828,11 @@ let create_full ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
                    credit and forget the arrival, so the commit frontier
                    will wait forever for an operation that already happened
                    — the hang this causes must be diagnosed, not silent *)
-                release t i [ e ];
-                (match Hashtbl.find_opt i.arrivals e.Premature_queue.e_seq with
-                | Some m -> m := !m land lnot (1 lsl e.Premature_queue.e_port)
-                | None -> ());
-                if i.saf > e.Premature_queue.e_seq then
-                  i.saf <- e.Premature_queue.e_seq;
+                let s = e.Premature_queue.e_seq in
+                i.release_port e.Premature_queue.e_port;
+                i.arrivals.(s) <-
+                  i.arrivals.(s) land lnot (1 lsl e.Premature_queue.e_port);
+                if i.saf > s then i.saf <- s;
                 (* same watermark rewind as a squash: the frontier moved
                    backwards, so its re-advance must trigger a sweep *)
                 Arbiter.wm_rewind i.wm ~saf:i.saf;
@@ -923,19 +844,25 @@ let create_full ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
     accepted
   in
   let describe () =
-    Format.asprintf "frontier=%d strict=%d pending=%s streak=%d(i%d)%s occ=[%s] saf=[%s]"
+    let ints f = String.concat ";" (Array.to_list (Array.map f t.insts)) in
+    Printf.sprintf
+      "frontier=%d strict=%d pending=%s streak=%d(i%d)%s occ=[%s] saf=[%s]%s"
       t.frontier t.strict_seq
-      (match t.pending_squash with Some e -> string_of_int e | None -> "-")
+      (if t.pending_squash = max_int then "-"
+       else string_of_int t.pending_squash)
       t.err_streak t.last_err
       (match t.degraded_at with
       | Some c -> Printf.sprintf " DEGRADED@%d" c
       | None -> "")
-      (String.concat ";"
-         (Array.to_list t.insts
-         |> List.map (fun i ->
-                string_of_int (Premature_queue.occupancy i.q))))
-      (String.concat ";"
-         (Array.to_list t.insts |> List.map (fun i -> string_of_int i.saf)))
+      (ints (fun i -> string_of_int (Premature_queue.occupancy i.q)))
+      (ints (fun i -> string_of_int i.saf))
+      (if t.refused_port < 0 then ""
+       else
+         let g = group_at t t.refused_seq in
+         Printf.sprintf " refused: port %d seq %d group %d (%s)" t.refused_port
+           t.refused_seq g
+           (if g < 0 then "iteration not begun"
+            else "port not in the group's ROM"))
   in
   ( t,
     {
@@ -954,52 +881,8 @@ let create_full ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
       describe;
     } )
 
-let create ?trace ?prof cfg pm mem = snd (create_full ?trace ?prof cfg pm mem)
+let create ?trace ?prof cfg pm ~n_seq mem =
+  snd (create_full ?trace ?prof cfg pm ~n_seq mem)
+
 let degraded_at t = t.degraded_at
-
-(* Runtime stat accessors — the metric sources of the observability layer,
-   reachable without a post-mortem dump. *)
-let stats t = t.stats
 let arbiter_stats t = t.arb_stats
-let pq_high_water t = t.stats.Pv_dataflow.Memif.max_occupancy
-let frontier t = t.frontier
-
-(** Debug dump of the backend state. *)
-let dump ppf t =
-  Format.fprintf ppf "frontier=%d strict=%d pending=%s streak=%d(i%d)%s@\n"
-    t.frontier t.strict_seq
-    (match t.pending_squash with Some e -> string_of_int e | None -> "-")
-    t.err_streak t.last_err
-    (match t.degraded_at with
-    | Some c -> Printf.sprintf " DEGRADED@%d" c
-    | None -> "");
-  Array.iter
-    (fun inst ->
-      Format.fprintf ppf "instance %d: occ=%d quota=%d saf=%d@\n" inst.id
-        (Premature_queue.occupancy inst.q)
-        inst.quota inst.saf;
-      Premature_queue.iter
-        (fun (e : Premature_queue.entry) ->
-          Format.fprintf ppf "  seq=%d pos=%d port=%d %s idx=%d val=%d@\n" e.e_seq
-            e.e_pos e.e_port
-            (match e.e_kind with Portmap.OLoad -> "load" | _ -> "store")
-            e.e_index e.e_value)
-        inst.q;
-      (* incomplete arrivals near the frontier *)
-      for s = t.frontier to t.frontier + 3 do
-        match Hashtbl.find_opt t.group_of s with
-        | None -> ()
-        | Some g ->
-            let exp = t.pm.Portmap.rom.(inst.id).(g) in
-            let got =
-              let m = arrival_mask inst ~seq:s in
-              List.filter
-                (fun p -> m land (1 lsl p) <> 0)
-                (Array.to_list exp)
-            in
-            if Array.length exp > 0 then
-              Format.fprintf ppf "  seq %d group %d: expect [%s] got [%s]@\n" s g
-                (String.concat ";" (Array.to_list (Array.map string_of_int exp)))
-                (String.concat ";" (List.map string_of_int got))
-      done)
-    t.insts

@@ -49,28 +49,37 @@ val default : depth_q:int -> config
     [depth_q = depth_scale * depth]. *)
 val named : depth:int -> config
 
-(** Internal state, exposed for debugging dumps. *)
+(** Backend state, kept alongside the simulator interface for the
+    accessors below. *)
 type t
 
-(** Build a backend over [mem]; returns the state alongside (for dumps and
-    the stat accessors below).  [trace] (default {!Pv_obs.Trace.null})
-    receives validation/violation instants on the arbiter track,
-    fake-token/squash/degraded instants on the backend track, and
-    [pq_occupancy]/[commit_frontier] counter tracks; the null sink makes
-    every emit site one branch and leaves behaviour unchanged.  [prof]
-    (default {!Pv_obs.Prof.null}) receives the backend's attribution
-    phases: one [arbiter_scan] unit per queue record the load gate walks,
-    one [pq_validate] unit per record walked by store-violation checking
-    and the per-cycle load-retirement pass, and one [mem_service] unit per
-    load/store serviced (so [mem_service] equals the {!stats} loads +
-    stores exactly).
+(** Build a backend over [mem] for a schedule of [n_seq] body instances;
+    returns the state alongside.  Per-iteration bookkeeping (group,
+    arrived ports per disambiguation instance) lives in flat arrays of
+    [n_seq] entries, so no per-cycle path allocates.  [trace] (default
+    {!Pv_obs.Trace.null}) receives validation/violation instants on the
+    arbiter track, fake-token/squash/degraded instants on the backend
+    track, and [pq_occupancy]/[commit_frontier] counter tracks; the null
+    sink makes every emit site one branch and leaves behaviour unchanged.
+    [prof] (default {!Pv_obs.Prof.null}) receives the backend's
+    attribution phases: one [arbiter_scan] unit per queue record the load
+    gate walks, one [pq_validate] unit per record walked by
+    store-violation checking and the per-cycle load-retirement pass, and
+    one [mem_service] unit per load/store serviced (so [mem_service]
+    equals the memory stats' loads + stores exactly).
+
+    An operation whose iteration has no group, or whose port is not in its
+    group's ROM, is refused and named by [describe]; only a fault (a
+    dropped control token) presents one.
     @raise Invalid_argument when [depth_q] cannot hold one body instance
-    of some disambiguation instance. *)
+    of some disambiguation instance, and (from [begin_instance]) for an
+    iteration at or beyond [n_seq]. *)
 val create_full :
   ?trace:Pv_obs.Trace.t ->
   ?prof:Pv_obs.Prof.t ->
   config ->
   Pv_memory.Portmap.t ->
+  n_seq:int ->
   int array ->
   t * Pv_dataflow.Memif.t
 
@@ -79,32 +88,13 @@ val create :
   ?prof:Pv_obs.Prof.t ->
   config ->
   Pv_memory.Portmap.t ->
+  n_seq:int ->
   int array ->
   Pv_dataflow.Memif.t
-
-(** {1 Runtime statistics}
-
-    Live accessors (readable mid-run or after), the metric sources of the
-    observability layer — no post-mortem dump needed. *)
-
-(** Backend traffic tallies: loads, stores, squashes, fake tokens,
-    forwarded loads, stall breakdown, PQ high-water mark. *)
-val stats : t -> Pv_dataflow.Memif.stats
 
 (** Arbiter decision tallies: validation checks, violations found, load
     gate verdicts. *)
 val arbiter_stats : t -> Arbiter.stats
-
-(** Peak summed premature-queue occupancy over the run so far
-    (= [(stats t).max_occupancy]). *)
-val pq_high_water : t -> int
-
-(** Oldest not-yet-committed body instance. *)
-val frontier : t -> int
-
-(** Dump frontier, per-instance queue contents and near-frontier arrival
-    status. *)
-val dump : Format.formatter -> t -> unit
 
 (** [Some cycle] once the livelock guard has engaged (see
     [config.squash_budget]); the backend then admits loads

@@ -199,6 +199,10 @@ let push_opt t ~seq ~pos ~port ~kind ~index ~value =
   if is_full t then None
   else Some (push_exn t ~seq ~pos ~port ~kind ~index ~value)
 
+(* a slot index one lap past the end, folded back (a top-level function: a
+   local [wrap] capturing [t] would be a closure allocated per compaction) *)
+let[@inline] wrap t i = if i >= t.depth then i - t.depth else i
+
 (** Reclaim invalidated slots.  Retirement follows program order while the
     queue is in arrival order, so freed slots can sit behind younger live
     entries; the queue collapses them (a shift/valid-bit structure, as load
@@ -224,7 +228,6 @@ let compact t =
        number); survivors ahead of the first gap stay put, so the common
        path writes nothing. *)
     if t.collapse && t.dead > 0 then begin
-      let wrap i = if i >= t.depth then i - t.depth else i in
       let r = ref t.head and w = ref t.head and live = ref 0 in
       for _ = 1 to t.count do
         let m = t.meta.(!r) in
@@ -239,15 +242,15 @@ let compact t =
             (if m_store m then t.v_store else t.v_load).(p) <- !w
           end;
           incr live;
-          w := wrap (!w + 1)
+          w := wrap t (!w + 1)
         end;
-        r := wrap (!r + 1)
+        r := wrap t (!r + 1)
       done;
       let n_clear = t.count - !live in
       let c = ref !w in
       for _ = 1 to n_clear do
         t.meta.(!c) <- 0;
-        c := wrap (!c + 1)
+        c := wrap t (!c + 1)
       done;
       t.count <- !live;
       t.tail <- !w;

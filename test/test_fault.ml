@@ -128,9 +128,8 @@ let diagnosed name result =
 (* silently losing a skip notification erases an arrival the commit frontier
    is waiting for: the datapath drains but the run can never retire; the
    watchdog must catch it and the fault log must name the lost token.
-   (A skip channel is the right victim: on a data channel a silent drop
-   mis-pairs the streams instead of starving them, which the port/ROM
-   consistency checks catch as a hard error rather than a hang.) *)
+   (A skip channel starves the frontier directly; a data-channel drop is
+   the case below.) *)
 let test_unrecoverable_drop () =
   let compiled = compile "cond_update" in
   let g = compiled.Pipeline.graph in
@@ -153,6 +152,25 @@ let test_unrecoverable_drop () =
   let rendered = Format.asprintf "%a" Sim.pp_post_mortem pm in
   Alcotest.(check bool) "fault log names the lost token" true
     (contains rendered "lost")
+
+(* a silent drop on a control channel mis-pairs the streams: a later
+   token reaches an ambiguous port under an iteration whose group does not
+   hold that port.  PreVV refuses the op rather than crash, so the run
+   ends in a diagnosed hang whose backend line names the refused port,
+   seq and group — as the LSQ, which has no ROM lookup, already did. *)
+let test_mispaired_drop () =
+  let compiled = compile "histogram" in
+  let faults = Result.get_ok (Fault.parse "30:drop:c15") in
+  let pm =
+    diagnosed "mis-paired drop" (run_with_faults ~stall_limit:512 compiled faults)
+  in
+  Alcotest.(check bool) "backend names the refused op" true
+    (contains pm.Sim.pm_backend "refused: port"
+    && contains pm.Sim.pm_backend "seq"
+    && contains pm.Sim.pm_backend "group");
+  ignore
+    (diagnosed "mis-paired drop under fast-lsq"
+       (run_with_faults ~dis:Pipeline.fast_lsq ~stall_limit:512 compiled faults))
 
 (* a stall longer than the watchdog freezes the pipeline: Deadlock, with
    the frozen channel reported *)
@@ -331,6 +349,8 @@ let () =
         [
           Alcotest.test_case "silent drop wedges the commit frontier" `Quick
             test_unrecoverable_drop;
+          Alcotest.test_case "mis-paired drop is refused, not fatal" `Quick
+            test_mispaired_drop;
           Alcotest.test_case "endless stall deadlocks" `Quick
             test_unrecoverable_stall;
           Alcotest.test_case "silent PQ drop wedges the frontier" `Quick

@@ -50,8 +50,8 @@ let recorder (inner : Memif.t) =
   (loads, stores, mif)
 
 let replay (c : Pipeline.compiled) mem =
-  let _, inner =
-    Pv_lsq.Lsq.create_full Pv_lsq.Lsq.fast c.Pipeline.info.Pv_frontend.Depend.portmap
+  let inner =
+    Pv_lsq.Lsq.create Pv_lsq.Lsq.fast c.Pipeline.info.Pv_frontend.Depend.portmap
       (Array.copy mem)
   in
   let loads, stores, mif = recorder inner in

@@ -42,7 +42,7 @@ let cfg depth =
 let fresh ?(depth = 8) ?(pm = portmap ()) () =
   let mem = Array.make 32 0 in
   Array.iteri (fun i _ -> mem.(i) <- 100 + i) mem;
-  let b = Pv_prevv.Backend.create (cfg depth) pm mem in
+  let b = Pv_prevv.Backend.create (cfg depth) pm ~n_seq:64 mem in
   (mem, b)
 
 let step (b : MI.t) = b.MI.clock ()
@@ -181,7 +181,7 @@ let test_no_fake_tokens_wedges () =
   let b =
     Pv_prevv.Backend.create
       { (cfg 8) with Pv_prevv.Backend.fake_tokens = false }
-      (portmap_cond ()) mem
+      (portmap_cond ()) ~n_seq:64 mem
   in
   ignore (b.MI.begin_instance ~seq:0 ~group:0);
   ignore (b.MI.begin_instance ~seq:1 ~group:0);
@@ -220,7 +220,7 @@ let test_depth_guard () =
   let mem = Array.make 8 0 in
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Pv_prevv.Backend.create (cfg 1) (portmap ()) mem);
+       ignore (Pv_prevv.Backend.create (cfg 1) (portmap ()) ~n_seq:64 mem);
        false
      with Invalid_argument _ -> true)
 
@@ -299,7 +299,7 @@ let test_livelock_guard_unit () =
   let t, b =
     Pv_prevv.Backend.create_full
       { (cfg 8) with Pv_prevv.Backend.squash_budget = 2 }
-      (portmap ()) mem
+      (portmap ()) ~n_seq:64 mem
   in
   begin_seqs b 6;
   Alcotest.(check bool) "not degraded initially" true

@@ -247,6 +247,92 @@ let bound_cycles_pinned () =
       Alcotest.(check int) (name ^ "/serial") serial (cycles Pipeline.serial))
     (Pv_kernels.Defs.paper_benchmarks ())
 
+(* Golden backend pin: cycles, all thirteen memory-system stats (loads,
+   stores, squashes, replayed, stall_full/alloc/order/bw, forwarded, fake
+   tokens, max_occupancy, faults, degraded) and the PreVV arbiter tallies
+   (checks, violations, gate clear/forward/wait) of the LSQ and PreVV
+   backends, on the paper kernels and on squash-heavy storm sizes.  Both
+   backends run on flat per-seq and per-array tables; a rewrite of either
+   may not move one of these numbers. *)
+let backend_cells_pinned () =
+  let pinned =
+    [
+    ("polyn_mult", "dynamatic", 2407, [| 6912; 2304; 0; 0; 71; 71; 0; 0; 0; 0; 59; 0; 0 |], [| 0; 0; 0; 0; 0 |]);
+    ("polyn_mult", "fast-lsq", 2321, [| 6912; 2304; 0; 0; 0; 0; 0; 0; 0; 0; 29; 0; 0 |], [| 0; 0; 0; 0; 0 |]);
+    ("polyn_mult", "prevv16", 2321, [| 6912; 2304; 0; 0; 0; 0; 0; 0; 0; 0; 9; 0; 0 |], [| 2304; 0; 2304; 0; 0 |]);
+    ("polyn_mult", "prevv64", 2321, [| 6912; 2304; 0; 0; 0; 0; 0; 0; 0; 0; 9; 0; 0 |], [| 2304; 0; 2304; 0; 0 |]);
+    ("2mm", "dynamatic", 2749, [| 6000; 2000; 0; 0; 715; 715; 0; 0; 0; 0; 64; 0; 0 |], [| 0; 0; 0; 0; 0 |]);
+    ("2mm", "fast-lsq", 2021, [| 6000; 2000; 0; 0; 0; 0; 0; 0; 0; 0; 50; 0; 0 |], [| 0; 0; 0; 0; 0 |]);
+    ("2mm", "prevv16", 2021, [| 6000; 2000; 0; 0; 0; 0; 0; 0; 0; 0; 16; 0; 0 |], [| 2000; 0; 3000; 0; 0 |]);
+    ("2mm", "prevv64", 2021, [| 6000; 2000; 0; 0; 0; 0; 0; 0; 0; 0; 16; 0; 0 |], [| 2000; 0; 3000; 0; 0 |]);
+    ("3mm", "dynamatic", 3503, [| 6561; 2187; 0; 0; 1282; 1282; 0; 0; 0; 0; 64; 0; 0 |], [| 0; 0; 0; 0; 0 |]);
+    ("3mm", "fast-lsq", 2496, [| 6561; 2187; 0; 0; 288; 288; 0; 0; 0; 0; 53; 0; 0 |], [| 0; 0; 0; 0; 0 |]);
+    ("3mm", "prevv16", 2208, [| 6561; 2187; 0; 0; 0; 0; 0; 0; 0; 0; 17; 0; 0 |], [| 2187; 0; 3645; 0; 0 |]);
+    ("3mm", "prevv64", 2208, [| 6561; 2187; 0; 0; 0; 0; 0; 0; 0; 0; 17; 0; 0 |], [| 2187; 0; 3645; 0; 0 |]);
+    ("gaussian", "dynamatic", 8681, [| 9880; 2470; 0; 0; 6165; 6165; 36; 5049; 5; 0; 46; 0; 0 |], [| 0; 0; 0; 0; 0 |]);
+    ("gaussian", "fast-lsq", 4972, [| 9880; 2470; 0; 0; 2467; 2467; 74; 24704; 12; 0; 46; 0; 0 |], [| 0; 0; 0; 0; 0 |]);
+    ("gaussian", "prevv16", 6221, [| 9884; 2470; 1; 6; 9861; 0; 0; 4942; 0; 0; 32; 0; 0 |], [| 2470; 1; 24687; 0; 0 |]);
+    ("gaussian", "prevv64", 4993, [| 9886; 2470; 2; 41; 0; 0; 0; 4944; 0; 0; 47; 0; 0 |], [| 2470; 2; 14830; 0; 0 |]);
+    ("triangular", "dynamatic", 2713, [| 7800; 2600; 0; 0; 81; 81; 0; 0; 0; 0; 59; 0; 0 |], [| 0; 0; 0; 0; 0 |]);
+    ("triangular", "fast-lsq", 2619, [| 7800; 2600; 0; 0; 0; 0; 0; 0; 0; 0; 33; 0; 0 |], [| 0; 0; 0; 0; 0 |]);
+    ("triangular", "prevv16", 2619, [| 7800; 2600; 0; 0; 0; 0; 0; 0; 0; 0; 9; 0; 0 |], [| 2600; 0; 2600; 0; 0 |]);
+    ("triangular", "prevv64", 2619, [| 7800; 2600; 0; 0; 0; 0; 0; 0; 0; 0; 9; 0; 0 |], [| 2600; 0; 2600; 0; 0 |]);
+    ("matvec", "prevv16", 45187, [| 65843; 2304; 2256; 20699; 0; 0; 1872; 0; 0; 0; 11; 0; 0 |], [| 2304; 2256; 20700; 0; 1872 |]);
+    ("matvec", "fast-lsq", 11347, [| 6912; 2304; 0; 0; 8884; 8884; 319711; 0; 2256; 0; 63; 0; 0 |], [| 0; 0; 0; 0; 0 |]);
+    ("histogram", "prevv16", 2069, [| 4096; 2048; 0; 0; 0; 0; 0; 0; 0; 0; 16; 0; 0 |], [| 2048; 0; 4096; 0; 0 |]);
+    ("histogram", "fast-lsq", 6161, [| 4096; 2048; 0; 0; 4062; 4062; 96899; 1023; 0; 0; 49; 0; 0 |], [| 0; 0; 0; 0; 0 |]);
+    ("spmv_like", "prevv16", 2069, [| 12288; 2048; 0; 0; 0; 0; 0; 0; 0; 0; 9; 0; 0 |], [| 2048; 0; 2048; 0; 0 |]);
+    ("spmv_like", "fast-lsq", 2069, [| 12288; 2048; 0; 0; 0; 0; 0; 0; 0; 0; 37; 0; 0 |], [| 0; 0; 0; 0; 0 |]);
+    ("cond_update", "prevv16", 2073, [| 6252; 1051; 0; 0; 0; 0; 0; 0; 0; 1994; 7; 0; 0 |], [| 1051; 0; 1051; 0; 0 |]);
+    ("cond_update", "fast-lsq", 2073, [| 6252; 1051; 0; 0; 0; 0; 0; 0; 0; 1994; 51; 0; 0 |], [| 0; 0; 0; 0; 0 |])
+    ]
+  in
+  let module D = Pv_kernels.Defs in
+  let kernels =
+    D.paper_benchmarks ()
+    @ [ D.matvec ~n:48 (); D.histogram ~n:1024 (); D.spmv_like ~n:2048 ();
+        D.cond_update ~n:2048 () ]
+  in
+  let compiled = Hashtbl.create 16 in
+  List.iter
+    (fun (kname, scheme, cycles, stats, arbiter) ->
+      let cell = kname ^ "/" ^ scheme in
+      let c =
+        match Hashtbl.find_opt compiled kname with
+        | Some c -> c
+        | None ->
+            let k =
+              List.find (fun k -> k.Pv_kernels.Ast.name = kname) kernels
+            in
+            let c = Pipeline.compile k in
+            Hashtbl.replace compiled kname c;
+            c
+      in
+      let dis = Result.get_ok (Scheme.of_string scheme) in
+      let metrics = Pv_obs.Metrics.create () in
+      let r = Pipeline.simulate ~metrics c dis in
+      let s = r.Pipeline.mem_stats in
+      let arb n =
+        Pv_obs.Metrics.counter_value metrics ("scheme.prevv.arbiter." ^ n)
+      in
+      Alcotest.(check int) (cell ^ " cycles") cycles r.Pipeline.cycles;
+      Alcotest.(check (array int))
+        (cell ^ " memory stats") stats
+        Pv_dataflow.Memif.
+          [|
+            s.loads; s.stores; s.squashes; s.replayed_ops; s.stall_full;
+            s.stall_alloc; s.stall_order; s.stall_bw; s.forwarded;
+            s.fake_tokens; s.max_occupancy; s.faults; s.degraded;
+          |];
+      Alcotest.(check (array int))
+        (cell ^ " arbiter stats") arbiter
+        (Array.map arb
+           [| "checks"; "violations"; "gate_clear"; "gate_forward"; "gate_wait" |]);
+      Alcotest.(check int)
+        (cell ^ " memory verified") 0
+        (List.length (Pipeline.verify c r)))
+    pinned
+
 let () =
   Alcotest.run "scheme"
     [
@@ -277,5 +363,7 @@ let () =
             differential_paper_kernels;
           Alcotest.test_case "oracle and serial cycles pinned" `Quick
             bound_cycles_pinned;
+          Alcotest.test_case "LSQ and PreVV cells pinned" `Quick
+            backend_cells_pinned;
         ] );
     ]

@@ -236,11 +236,12 @@ let test_queue_paths_no_alloc () =
     "minor words per queue cycle" 0.0
     ((d_long -. d_short) /. 700.0)
 
-(* (i) the reference bounds stay on the same budget: a steady-state cycle
-   of the event engine over the serial and the oracle backend allocates
-   nothing on each paper kernel.  Default inputs, not zeros, so the
-   oracle's wait and forward paths see real conflicts. *)
-let test_bounds_no_alloc () =
+(* (i) every backend stays on the same budget: a steady-state cycle of the
+   event engine over each registered scheme (both LSQs, PreVV at both
+   depths, the oracle and the serial bound) allocates nothing on each
+   paper kernel.  Default inputs, not zeros, so the oracle's wait and
+   forward paths and PreVV's gate see real conflicts. *)
+let test_schemes_no_alloc () =
   List.iter
     (fun kernel ->
       let compiled = Pipeline.compile kernel in
@@ -267,7 +268,7 @@ let test_bounds_no_alloc () =
             (name ^ ": minor words per cycle")
             0.0
             ((d_long -. d_short) /. 700.0))
-        [ ("serial", Pipeline.serial); ("oracle", Pipeline.oracle) ])
+        schemes)
     kernels
 
 (* (h) Prof attribution counts records {e actually scanned}: under
@@ -305,7 +306,7 @@ let test_prof_records_scanned () =
   in
   let prof = Pv_obs.Prof.create () in
   let mem = Array.make 32 0 in
-  let b = B.create ~prof cfg pm mem in
+  let b = B.create ~prof cfg pm ~n_seq:64 mem in
   for s = 0 to 6 do
     Alcotest.(check bool) "begin accepted" true
       (b.Memif.begin_instance ~seq:s ~group:0)
@@ -387,8 +388,8 @@ let () =
             test_zero_alloc_profiled;
           Alcotest.test_case "packed queue paths allocate nothing" `Quick
             test_queue_paths_no_alloc;
-          Alcotest.test_case "serial and oracle cycles allocate nothing"
-            `Quick test_bounds_no_alloc;
+          Alcotest.test_case "every scheme's cycles allocate nothing"
+            `Quick test_schemes_no_alloc;
         ] );
       ( "prof",
         [
