@@ -1,8 +1,11 @@
-.PHONY: all build test verify bench bench-tables bounds soak fuzz-soak clean
+.PHONY: all build test verify bench-tables gate bounds soak fuzz-soak clean
 
-# worker domains for the grid-shaped benchmarks (make bench JOBS=N);
-# clamped to the machine's core count at runtime
+# worker domains for the grid-shaped benchmarks (make soak JOBS=N); an
+# explicit count is honoured exactly, up to 64
 JOBS ?= 2
+
+# the revision the speed gate compares against (make gate BASE=<rev>)
+BASE ?= HEAD~1
 
 all: build
 
@@ -19,15 +22,15 @@ verify:
 	dune runtest
 	dune exec bin/smoke.exe
 
-# machine-readable baselines: per-kernel cycles, wall time and node
-# evaluations for both simulator engines, plus serial-vs-parallel grid
-# wall clock and result-cache stats, written to BENCH_sim.json
-bench:
-	dune exec bench/main.exe -- --json BENCH_sim.json --jobs $(JOBS)
-
 # the paper's tables and figures, printed to stdout
 bench-tables:
 	dune exec bench/main.exe -- --jobs $(JOBS)
+
+# paired speed gate: perfbench paper_grid and squash_storm on BASE and on
+# this checkout in alternating pairs; exits non-zero on a paired slowdown
+# (bench/speed_gate.mli has the rule)
+gate:
+	dune exec bench/gate.exe -- $(BASE)
 
 # differential harness on every paper kernel: all registered backends
 # agree and oracle <= prevv <= dynamatic <= serial (non-zero on violation)
@@ -36,8 +39,9 @@ bounds:
 
 # service chaos soak: 10k requests through `prevv serve`'s engine with an
 # injected worker kill and a seeded fault-plan mix; exits non-zero unless
-# every phase ends with lost: 0 and the parallel output is byte-identical
-# to the serial replay
+# every phase ends with lost: 0, the parallel output is byte-identical to
+# the serial replay, the kill is seen and respawned, and only the overload
+# burst sheds
 soak:
 	dune exec bench/main.exe -- --jobs $(JOBS) soak
 

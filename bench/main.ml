@@ -1,25 +1,26 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Sec. VI), plus the mechanism experiments of Secs. IV-V, and
-   runs Bechamel micro-benchmarks of the simulator itself.
+   evaluation (Sec. VI) and the mechanism experiments of Secs. IV-V, plus
+   two sections that check themselves: the parallel grid and the service
+   chaos soak.
 
    Usage:
-     dune exec bench/main.exe                        -- everything, serial
+     dune exec bench/main.exe                        -- every table, serial
      dune exec bench/main.exe -- --jobs 4 table1     -- across 4 domains
-     dune exec bench/main.exe -- --json [PATH]       -- baselines JSON (v4)
-     dune exec bench/main.exe -- --backend prevv64 --json
      dune exec bench/main.exe -- fig1 table1 table2 fig7 queue_states
                                   deadlock depth_sweep scalability
-                                  ablation bounds micro soak
+                                  ablation grid soak
 
-   Backend names (--backend, engine baselines of --json) are parsed by
-   the scheme registry (Pv_core.Scheme.of_string), the same parser the
-   CLI's --backend flag uses.
+   With no section named, every table and figure runs; [grid] and [soak]
+   run only when named.  They print their measurements and one line per
+   invariant, and the process exits 1 when any invariant fails.  An
+   unknown section name prints the usage and exits 2 before anything runs.
 
    Grid-shaped sections fan their (kernel, scheme) cells across --jobs
    worker domains (Pv_core.Parallel); workers only compute, all printing
    happens on the main domain afterwards, so output is byte-identical to a
-   serial run.  --cache / --no-cache control the content-addressed result
-   cache (default: on for --json, off for tables). *)
+   serial run.  --cache / --no-cache switch the content-addressed on-disk
+   result cache (default off).  Timing the simulator is perfbench's job
+   (perfbench/README.md), and bench/gate.exe gates speed on it. *)
 
 open Pv_core
 
@@ -425,62 +426,82 @@ let ablation ~jobs () =
     bal_rows
 
 (* ------------------------------------------------------------------ *)
-(* Bound chain: differential harness across every registered scheme    *)
+(* Self-checking sections                                              *)
 (* ------------------------------------------------------------------ *)
 
-let bounds_section () =
-  header
-    "Bound chain — oracle <= prevv <= dynamatic <= serial (differential \
-     harness over every registered backend)";
+(* Print each named invariant with its verdict; true when all hold. *)
+let check invariants =
   List.iter
-    (fun k -> Format.printf "%a@." Differential.pp (Differential.run k))
-    (Pv_kernels.Defs.paper_benchmarks ())
+    (fun (name, ok) ->
+      Printf.printf "  check %-36s %s\n" name (if ok then "ok" else "VIOLATION"))
+    invariants;
+  List.for_all snd invariants
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the simulator itself                   *)
+(* Grid: the Table I/II grid serial, parallel and cached               *)
 (* ------------------------------------------------------------------ *)
 
-let micro () =
-  header "Bechamel micro-benchmarks (simulator and analysis throughput)";
-  let open Bechamel in
-  let kernel = Pv_kernels.Defs.histogram () in
-  let compiled = Pipeline.compile kernel in
-  let tests =
-    Test.make_grouped ~name:"prevv"
-      [
-        Test.make ~name:"compile_histogram"
-          (Staged.stage (fun () -> ignore (Pipeline.compile kernel)));
-        Test.make ~name:"simulate_histogram_prevv16"
-          (Staged.stage (fun () ->
-               ignore (Pipeline.simulate compiled (Pipeline.prevv 16))));
-        Test.make ~name:"simulate_histogram_lsq"
-          (Staged.stage (fun () ->
-               ignore (Pipeline.simulate compiled Pipeline.fast_lsq)));
-        Test.make ~name:"elaborate_netlist"
-          (Staged.stage (fun () ->
-               ignore
-                 (Pv_netlist.Elaborate.circuit compiled.Pipeline.graph
-                    compiled.Pipeline.info.Pv_frontend.Depend.portmap
-                    (Pv_netlist.Elaborate.D_prevv 16))));
-        Test.make ~name:"analyse_gaussian"
-          (Staged.stage (fun () ->
-               ignore (Pv_frontend.Depend.analyse (Pv_kernels.Defs.gaussian ()))));
-      ]
+(* Serial and parallel both run cache-cold, so the comparison is compute
+   against compute; each is the best of three alternating runs, after a
+   second of untimed parallel grids.  One grid takes a fraction of a
+   second, and every stop-the-world minor collection waits for each worker
+   domain: on a 2-vCPU virtual machine left idle for a few seconds, that
+   wait made the first second of parallel runs slower than serial ones.
+   The cached grid is the second of two passes through the --cache
+   directory, or through a fresh in-memory cache without one, so every
+   cell must come from the cache.  An explicit worker count within
+   [1, max_jobs] must be honoured exactly, more than one worker must beat
+   one, and every grid must be identical. *)
+let grid ~jobs ~cache () =
+  header "table1+table2 grid: serial vs parallel vs cached";
+  let timed f =
+    let t0 = now_s () in
+    let v = f () in
+    (v, now_s () -. t0)
   in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
+  let t0 = now_s () in
+  while now_s () -. t0 < 1.0 do
+    ignore (Experiment.paper_grid ~jobs ())
+  done;
+  let runs =
+    List.init 3 (fun _ ->
+        let s = timed (fun () -> Experiment.paper_grid ()) in
+        (s, timed (fun () -> Experiment.paper_grid ~jobs ())))
   in
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some (t :: _) -> Printf.printf "  %-40s %14.1f ns/run\n" name t
-      | _ -> Printf.printf "  %-40s (no estimate)\n" name)
-    results
+  let best = List.fold_left (fun a (_, t) -> Float.min a t) infinity in
+  let wall_serial = best (List.map fst runs)
+  and wall_parallel = best (List.map snd runs) in
+  let serial = fst (fst (List.hd runs)) in
+  let same g = List.for_all (fun (g', _) -> g' = g) in
+  let cache =
+    match cache with Some c -> c | None -> Parallel.Cache.in_memory ()
+  in
+  ignore (Experiment.paper_grid ~cache ~jobs ());
+  Parallel.Cache.reset_stats cache;
+  let cached, wall_cached =
+    timed (fun () -> Experiment.paper_grid ~cache ~jobs ())
+  in
+  let effective = Parallel.effective_jobs jobs in
+  let speedup = wall_serial /. max wall_parallel epsilon_float in
+  let points = List.length (List.concat serial) in
+  Printf.printf
+    "%d points, best of 3: serial %.3fs, parallel (%d jobs requested, %d \
+     effective) %.3fs, speedup %.2fx\n"
+    points wall_serial jobs effective wall_parallel speedup;
+  Printf.printf "cached pass: %.3fs, %d hits / %d misses\n" wall_cached
+    (Parallel.Cache.hits cache) (Parallel.Cache.misses cache);
+  check
+    ([
+       ( "jobs_effective = jobs_requested",
+         jobs > Parallel.max_jobs || effective = jobs );
+     ]
+    @ (if jobs > 1 then [ ("parallel_speedup > 1.0", speedup > 1.0) ] else [])
+    @ [
+        ( "parallel grid = serial grid",
+          same serial (List.map fst runs) && same serial (List.map snd runs) );
+        ("cached grid = serial grid", cached = serial);
+        ("cached pass all hits", Parallel.Cache.hits cache = points);
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* Chaos soak: the supervised service under load, kills and faults     *)
@@ -545,11 +566,11 @@ let hit_rate (s : Service.summary) =
   if total = 0 then 0.0
   else float_of_int s.Service.cache_hits /. float_of_int total
 
-(* Returns the BENCH_sim.json "soak" object.  The main phase uses an
-   unoverflowable queue so the response stream is byte-comparable to the
-   serial replay (shedding depends on queue dynamics); the burst phase
-   then drives a tiny queue past capacity to exercise explicit
-   load-shedding. *)
+(* The main phase uses an unoverflowable queue so the response stream is
+   byte-comparable to the serial replay (shedding depends on queue
+   dynamics); the burst phase then drives a tiny queue past capacity to
+   exercise explicit load-shedding.  The injected kill must be seen and
+   answered by a respawn, and no phase may lose a response. *)
 let soak ~jobs ~n () =
   header
     (Printf.sprintf
@@ -593,384 +614,44 @@ let soak ~jobs ~n () =
   let sb, _ = run_soak ~jobs ~capacity:4 ~kill_at:[] burst in
   Printf.printf "overload burst (queue=4): %d requests, shed %d, lost: %d\n"
     sb.Service.received sb.Service.shed sb.Service.lost;
-  let ok =
-    sp.Service.lost = 0 && ss.Service.lost = 0 && sb.Service.lost = 0
-    && identical
-  in
-  if not ok then
-    Printf.eprintf "SOAK FAILURE: lost=%d/%d/%d identical=%b\n" sp.Service.lost
-      ss.Service.lost sb.Service.lost identical;
-  let json =
-    Printf.sprintf
-      "{ \"requests\": %d, \"jobs_requested\": %d, \"jobs_effective\": %d, \
-       \"wall_s\": %.6f, \"requests_per_s\": %.1f, \"p50_ms\": %.4f, \
-       \"p95_ms\": %.4f, \"p99_ms\": %.4f, \"cache_hit_rate\": %.4f, \
-       \"dedup_hits\": %d, \
-       \"retries\": %d, \"worker_kills\": %d, \"respawns\": %d, \"shed\": %d, \
-       \"lost\": %d, \"identical_to_serial_replay\": %b, \"overload\": { \
-       \"requests\": %d, \"shed\": %d, \"lost\": %d } }"
-      sp.Service.received jobs
-      (Parallel.effective_jobs jobs)
-      sp.Service.wall_s sp.Service.requests_per_s sp.Service.p50_ms
-      sp.Service.p95_ms sp.Service.p99_ms (hit_rate sp) sp.Service.dedup_hits
-      sp.Service.retries
-      sp.Service.worker_kills sp.Service.respawns sp.Service.shed
-      sp.Service.lost identical sb.Service.received sb.Service.shed
-      sb.Service.lost
-  in
-  (json, ok)
+  check
+    [
+      ( "lost = 0 in every phase",
+        sp.Service.lost = 0 && ss.Service.lost = 0 && sb.Service.lost = 0 );
+      ("identical to the serial replay", identical);
+      ("worker_kills >= 1", sp.Service.worker_kills >= 1);
+      ("respawns >= 1", sp.Service.respawns >= 1);
+      ("main phase shed = 0", sp.Service.shed = 0);
+      ("burst shed > 0", sb.Service.shed > 0);
+    ]
 
 (* ------------------------------------------------------------------ *)
-(* --json: machine-readable simulator baselines (BENCH_sim.json)       *)
-(* ------------------------------------------------------------------ *)
 
-(* Per-kernel cycles, wall-clock time, throughput (cycles/s) and node
-   evaluations for both simulator engines (scan = the simulator's dense
-   full-pass regime pinned, event = the adaptive switch between it and
-   the sparse sweep) across two activity regimes — the selected backend
-   (default PreVV16, streaming: nearly every node busy every cycle, where
-   the event engine runs dense and ties the scan) and the serializing
-   bound (sparse: long memory stalls, where the sparse sweep skips most
-   of the circuit) — plus each engine's
-   steady-state minor-heap allocation per cycle over the allocation-free
-   direct backend, the bound-chain curves of the differential harness
-   (oracle / serial bracketing every ranked scheme), the serial-vs-parallel
-   wall clock of the full Table I/II grid with the result-cache
-   statistics, each grid cell's metric snapshot (Pv_obs.Metrics — cycles,
-   fires, backend traffic, arbiter tallies), and the chaos-soak section
-   (the supervised service under 10k requests, one injected worker kill
-   and an overload burst), as a stable JSON document the CI archives and
-   diffs against the committed baseline (schema prevv-bench-sim/v7; v7
-   adds each kernel cell's arbiter_scan / pq_validate attribution shares
-   from a profiled pass, the regression surface of the incremental
-   arbiter-validation work). *)
+let sections =
+  [
+    "fig1"; "table1"; "table2"; "fig7"; "queue_states"; "deadlock";
+    "depth_sweep"; "scalability"; "ablation"; "grid"; "soak";
+  ]
 
-let bench_json ~path ~jobs ~cache ~backend () =
-  let module Sim = Pv_dataflow.Sim in
-  let module Memif = Pv_dataflow.Memif in
-  let dis = backend in
-  let reps = 5 in
-  let measure_pair compiled dis =
-    (* interleaved best-of-N on the monotonic wall clock: scan and event
-       alternate inside every rep so both engines sample the same
-       allocator / frequency / cache state, and the ratio is not polluted
-       by drift between two back-to-back measurement blocks *)
-    let run engine =
-      let sim_cfg = { Sim.default_config with Sim.engine } in
-      let t0 = now_s () in
-      let r = Pipeline.simulate ~sim_cfg compiled dis in
-      (r, now_s () -. t0)
-    in
-    let best_s = ref infinity and best_e = ref infinity in
-    let scan = ref None and event = ref None in
-    for _ = 1 to reps do
-      let r, dt = run Sim.Scan in
-      if dt < !best_s then best_s := dt;
-      scan := Some r;
-      let r, dt = run Sim.Event in
-      if dt < !best_e then best_e := dt;
-      event := Some r
-    done;
-    ((Option.get !scan, !best_s), (Option.get !event, !best_e))
-  in
-  let allocs_per_cycle compiled engine =
-    (* steady-state minor words per cycle over the allocation-free direct
-       backend, so the slope isolates the simulator core; two windows of
-       different length cancel the probes' own constant boxing overhead
-       (same technique as test_sim_perf) *)
-    let mem =
-      Pv_memory.Layout.initial_memory compiled.Pipeline.layout
-        compiled.Pipeline.kernel ~init:[]
-    in
-    let sim =
-      Sim.create
-        ~cfg:{ Sim.default_config with Sim.engine }
-        compiled.Pipeline.graph
-        (Memif.direct ~latency:2 mem)
-    in
-    let window n =
-      let w0 = Gc.minor_words () in
-      for _ = 1 to n do
-        Sim.step sim
-      done;
-      Gc.minor_words () -. w0
-    in
-    for _ = 1 to 200 do
-      Sim.step sim
-    done;
-    let d_short = window 300 in
-    let d_long = window 1000 in
-    (d_long -. d_short) /. 700.0
-  in
-  (* the two activity regimes; when serial itself is selected there is
-     only one *)
-  let regimes =
-    if Pv_core.Scheme.to_string dis = Pv_core.Scheme.to_string Pv_core.Scheme.serial
-    then [ dis ]
-    else [ dis; Pv_core.Scheme.serial ]
-  in
-  header
-    (Printf.sprintf "engine baselines (scan vs event; regimes: %s)"
-       (String.concat ", " (List.map Pv_core.Scheme.to_string regimes)));
-  Printf.printf "%-14s %-10s | %10s %9s | %10s %9s | %6s %6s %5s\n" "kernel"
-    "backend" "scan ev" "time(s)" "event ev" "time(s)" "evr" "tr" "equiv";
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"prevv-bench-sim/v7\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"backend\": %S,\n" (Pv_core.Scheme.to_string dis));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"regime_backends\": [ %s ],\n"
-       (String.concat ", "
-          (List.map
-             (fun d -> Printf.sprintf "%S" (Pv_core.Scheme.to_string d))
-             regimes)));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"default_engine\": %S,\n"
-       (Sim.string_of_engine Sim.default_config.Sim.engine));
-  Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" jobs);
-  Buffer.add_string buf "  \"kernels\": [\n";
-  let eval_ratios = ref [] and time_ratios = ref [] in
-  let time_ratios_by_backend =
-    List.map (fun d -> (Pv_core.Scheme.to_string d, ref [])) regimes
-  in
-  let kernels = Pv_kernels.Defs.paper_benchmarks () in
-  let n_kernels = List.length kernels in
-  let n_regimes = List.length regimes in
-  List.iteri
-    (fun i kernel ->
-      let name = kernel.Pv_kernels.Ast.name in
-      let compiled = Pipeline.compile kernel in
-      let alloc_scan = allocs_per_cycle compiled Sim.Scan in
-      let alloc_event = allocs_per_cycle compiled Sim.Event in
-      (* attribution shares of the disambiguation hot loops under the
-         selected backend, from one profiled pass (the gate for the
-         incremental-validation / CAM-view regression surface) *)
-      let arb_share, pqv_share =
-        let prof = Pv_obs.Prof.create () in
-        ignore (Pipeline.simulate ~prof compiled dis);
-        let tot = float_of_int (max (Pv_obs.Prof.total prof) 1) in
-        let ph = Pv_obs.Prof.phase_totals prof in
-        ( float_of_int ph.(Pv_obs.Prof.phase_arbiter_scan) /. tot,
-          float_of_int ph.(Pv_obs.Prof.phase_pq_validate) /. tot )
-      in
-      let kernel_time_ratios = ref [] in
-      let cells =
-        List.mapi
-          (fun j regime ->
-            let bname = Pv_core.Scheme.to_string regime in
-            let (scan, scan_t), (event, event_t) =
-              measure_pair compiled regime
-            in
-            let epc (r : Pipeline.result) =
-              float_of_int r.Pipeline.run_stats.Sim.evals
-              /. float_of_int (max r.Pipeline.cycles 1)
-            in
-            let side (r : Pipeline.result) dt =
-              Printf.sprintf
-                "{ \"cycles\": %d, \"time_s\": %.6f, \"cycles_per_s\": %.0f, \
-                 \"evals\": %d, \"evals_per_cycle\": %.3f }"
-                r.Pipeline.cycles dt
-                (float_of_int r.Pipeline.cycles /. max dt epsilon_float)
-                r.Pipeline.run_stats.Sim.evals (epc r)
-            in
-            let equivalent =
-              scan.Pipeline.cycles = event.Pipeline.cycles
-              && scan.Pipeline.run_stats.Sim.node_fires
-                 = event.Pipeline.run_stats.Sim.node_fires
-              && scan.Pipeline.mem = event.Pipeline.mem
-            in
-            let eval_ratio =
-              float_of_int event.Pipeline.run_stats.Sim.evals
-              /. float_of_int (max scan.Pipeline.run_stats.Sim.evals 1)
-            in
-            let time_ratio = event_t /. max scan_t epsilon_float in
-            eval_ratios := eval_ratio :: !eval_ratios;
-            time_ratios := time_ratio :: !time_ratios;
-            kernel_time_ratios := time_ratio :: !kernel_time_ratios;
-            (List.assoc bname time_ratios_by_backend)
-            := time_ratio :: !(List.assoc bname time_ratios_by_backend);
-            Printf.printf
-              "%-14s %-10s | %10d %9.4f | %10d %9.4f | %6.3f %6.3f %5b\n"
-              (if j = 0 then name else "") bname
-              scan.Pipeline.run_stats.Sim.evals scan_t
-              event.Pipeline.run_stats.Sim.evals event_t eval_ratio time_ratio
-              equivalent;
-            Printf.sprintf
-              "        { \"backend\": %S,\n\
-              \          \"scan\": %s,\n\
-              \          \"event\": %s,\n\
-              \          \"equivalent\": %b,\n\
-              \          \"event_eval_ratio\": %.4f,\n\
-              \          \"event_time_ratio\": %.4f }%s"
-              bname (side scan scan_t) (side event event_t) equivalent
-              eval_ratio time_ratio
-              (if j = n_regimes - 1 then "" else ","))
-          regimes
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"kernel\": %S,\n\
-           \      \"allocs_per_cycle\": { \"scan\": %.4f, \"event\": %.4f },\n\
-           \      \"arbiter_scan_share\": %.4f,\n\
-           \      \"pq_validate_share\": %.4f,\n\
-           \      \"event_time_ratio\": %.4f,\n\
-           \      \"regimes\": [\n%s\n      ] }%s\n"
-           name alloc_scan alloc_event arb_share pqv_share
-           (Experiment.geomean !kernel_time_ratios)
-           (String.concat "\n" cells)
-           (if i = n_kernels - 1 then "" else ",")))
-    kernels;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"geomean_event_eval_ratio\": %.4f,\n"
-       (Experiment.geomean !eval_ratios));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"geomean_event_time_ratio\": %.4f,\n"
-       (Experiment.geomean !time_ratios));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"geomean_event_time_ratio_by_backend\": { %s },\n"
-       (String.concat ", "
-          (List.map
-             (fun (bname, rs) ->
-               Printf.sprintf "%S: %.4f" bname (Experiment.geomean !rs))
-             time_ratios_by_backend)));
-  (* bound curves: every registered scheme on every paper kernel, with the
-     differential harness's agreement and ordering verdicts — the data
-     behind the oracle/serial bracketing of Table II *)
-  header "bound chain (oracle <= prevv <= dynamatic <= serial)";
-  let reports =
-    List.map (fun k -> Differential.run k) (Pv_kernels.Defs.paper_benchmarks ())
-  in
-  List.iter (fun r -> Format.printf "%a@." Differential.pp r) reports;
-  let n_reports = List.length reports in
-  Buffer.add_string buf "  \"bounds\": [\n";
-  List.iteri
-    (fun i (r : Differential.report) ->
-      let schemes =
-        String.concat ", "
-          (List.map
-             (fun (row : Differential.row) ->
-               Printf.sprintf
-                 "{ \"scheme\": %S, \"cycles\": %d, \"finished\": %b, \
-                  \"verified\": %b }"
-                 row.Differential.scheme row.Differential.cycles
-                 row.Differential.finished row.Differential.verified)
-             r.Differential.rows)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"kernel\": %S, \"agree\": %b, \"ordering_ok\": %b, \
-            \"schemes\": [ %s ] }%s\n"
-           r.Differential.kernel r.Differential.agree
-           r.Differential.ordering_ok schemes
-           (if i = n_reports - 1 then "" else ",")))
-    reports;
-  Buffer.add_string buf "  ],\n";
-  (* the full Table I/II grid: serial vs parallel wall clock (both
-     cache-cold so the comparison is compute vs compute), then a cached
-     pass whose hit count a second invocation raises to the full grid *)
-  header "table1+table2 grid: serial vs parallel wall clock";
-  let t0 = now_s () in
-  let serial_grid = Experiment.paper_grid () in
-  let wall_serial = now_s () -. t0 in
-  let t0 = now_s () in
-  let parallel_grid = Experiment.paper_grid ~jobs () in
-  let wall_parallel = now_s () -. t0 in
-  let identical = serial_grid = parallel_grid in
-  let n_points = List.length (List.concat serial_grid) in
-  let cached_wall, hits, misses, cache_consistent =
-    match cache with
-    | None -> (0.0, 0, 0, true)
-    | Some cache ->
-        Parallel.Cache.reset_stats cache;
-        let t0 = now_s () in
-        let cached_grid = Experiment.paper_grid ~cache ~jobs () in
-        ( now_s () -. t0,
-          Parallel.Cache.hits cache,
-          Parallel.Cache.misses cache,
-          cached_grid = serial_grid )
-  in
-  Printf.printf
-    "%d points: serial %.3fs, parallel (%d jobs requested, %d effective) \
-     %.3fs, speedup %.2fx, identical %b\n"
-    n_points wall_serial jobs
-    (Parallel.effective_jobs jobs)
-    wall_parallel
-    (wall_serial /. max wall_parallel epsilon_float)
-    identical;
-  (* an explicit request within [1, max_jobs] must be honoured exactly;
-     silent divergence is the clamp bug this harness exists to catch *)
-  let jobs_diverged =
-    jobs <= Parallel.max_jobs && Parallel.effective_jobs jobs <> jobs
-  in
-  if jobs_diverged then
-    Printf.eprintf
-      "WARNING: jobs_effective %d diverged from jobs_requested %d\n"
-      (Parallel.effective_jobs jobs)
-      jobs;
-  if cache <> None then
-    Printf.printf "cached pass: %.3fs, %d hits / %d misses, consistent %b\n"
-      cached_wall hits misses cache_consistent;
-  (* per-cell metric snapshots: deterministic (engine- and jobs-invariant),
-     so CI can diff this section across runs and machines *)
-  let flat = List.concat serial_grid in
-  let n_flat = List.length flat in
-  Buffer.add_string buf "  \"grid_cells\": [\n";
-  List.iteri
-    (fun i (p : Experiment.point) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"kernel\": %S, \"config\": %S, \"metrics\": %s }%s\n"
-           p.Experiment.kernel p.Experiment.config
-           (Pv_obs.Json.to_string
-              (Pv_obs.Metrics.snapshot_to_json p.Experiment.metrics))
-           (if i = n_flat - 1 then "" else ",")))
-    flat;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"grid\": { \"points\": %d, \"jobs\": %d, \"jobs_requested\": %d, \
-        \"jobs_effective\": %d, \
-        \"wall_s_serial\": %.6f, \"wall_s_parallel\": %.6f, \
-        \"parallel_speedup\": %.3f, \"identical_to_serial\": %b, \
-        \"cache_hits\": %d, \"cache_misses\": %d, \"cache_consistent\": %b, \
-        \"wall_s_cached\": %.6f },\n"
-       n_points jobs jobs
-       (Parallel.effective_jobs jobs)
-       wall_serial wall_parallel
-       (wall_serial /. max wall_parallel epsilon_float)
-       identical hits misses cache_consistent cached_wall);
-  let soak_json, soak_ok = soak ~jobs ~n:10_000 () in
-  Buffer.add_string buf (Printf.sprintf "  \"soak\": %s\n" soak_json);
-  Buffer.add_string buf "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "geomean eval ratio %.3f, geomean time ratio %.3f -> wrote %s\n"
-    (Experiment.geomean !eval_ratios)
-    (Experiment.geomean !time_ratios)
-    path;
-  if jobs_diverged || not soak_ok then exit 1
-
-(* ------------------------------------------------------------------ *)
+(* the paper's tables and figures: everything but the two checks *)
+let default_sections =
+  List.filter (fun s -> s <> "grid" && s <> "soak") sections
 
 let usage () =
   prerr_endline
-    "usage: main.exe [--jobs N] [--cache|--no-cache] [--backend NAME] \
-     [--json [PATH]] [SECTION...]";
+    ("usage: main.exe [--jobs N] [--cache|--no-cache] [SECTION...]\n\
+      sections: " ^ String.concat " " sections);
   exit 2
 
 let () =
-  (* hand-rolled flag parsing: sections and flags may be interleaved *)
+  (* hand-rolled flag parsing: sections and flags may be interleaved;
+     every name is checked before any section runs *)
   let args =
     match Array.to_list Sys.argv with _ :: rest -> rest | [] -> []
   in
   let jobs = ref 1 in
-  let json = ref None in
-  let cache_flag = ref None in
-  let backend = ref (Pipeline.prevv 16) in
-  let sections = ref [] in
+  let cache_on = ref false in
+  let requested = ref [] in
   let rec parse = function
     | [] -> ()
     | "--jobs" :: n :: rest -> (
@@ -979,80 +660,52 @@ let () =
             jobs := n;
             parse rest
         | _ -> usage ())
-    | [ "--jobs" ] -> usage ()
-    | "--backend" :: b :: rest -> (
-        (* one parser with the CLI: the scheme registry *)
-        match Pv_core.Scheme.of_string b with
-        | Ok d ->
-            backend := d;
-            parse rest
-        | Error e ->
-            prerr_endline e;
-            usage ())
-    | [ "--backend" ] -> usage ()
     | "--cache" :: rest ->
-        cache_flag := Some true;
+        cache_on := true;
         parse rest
     | "--no-cache" :: rest ->
-        cache_flag := Some false;
+        cache_on := false;
         parse rest
-    | "--json" :: p :: rest when String.length p > 0 && p.[0] <> '-' ->
-        json := Some p;
+    | s :: rest when List.mem s sections ->
+        requested := s :: !requested;
         parse rest
-    | "--json" :: rest ->
-        json := Some "BENCH_sim.json";
-        parse rest
-    | s :: _ when String.length s > 0 && s.[0] = '-' ->
-        Printf.eprintf "unknown flag %S\n" s;
+    | s :: _ ->
+        Printf.eprintf "unknown %s %S\n"
+          (if String.starts_with ~prefix:"-" s then "flag" else "section")
+          s;
         usage ()
-    | s :: rest ->
-        sections := s :: !sections;
-        parse rest
   in
   parse args;
   let jobs = !jobs in
-  (* the result cache defaults on for --json (so a second invocation
-     reports hits) and off for tables (so CI's serial-vs-parallel diff
-     compares real computations) *)
-  let cache_on =
-    match !cache_flag with Some b -> b | None -> !json <> None
-  in
   let cache =
-    if cache_on then
+    if !cache_on then
       Some (Parallel.Cache.on_disk ~dir:(Parallel.Cache.default_dir ()) ())
     else None
   in
-  match !json with
-  | Some path -> bench_json ~path ~jobs ~cache ~backend:!backend ()
-  | None ->
-      let requested =
-        match List.rev !sections with
-        | _ :: _ as l -> l
-        | [] ->
-            [
-              "fig1"; "table1"; "table2"; "fig7"; "queue_states"; "deadlock";
-              "depth_sweep"; "scalability"; "ablation"; "bounds"; "micro";
-            ]
-      in
-      (* one shared grid for the grid-based sections, computed across the
-         worker pool on first use *)
-      let grid = lazy (Experiment.paper_grid ?cache ~jobs ()) in
-      List.iter
-        (fun name ->
-          match name with
-          | "fig1" -> fig1 ~grid ()
-          | "table1" -> table1 ~grid ()
-          | "table2" -> table2 ~grid ()
-          | "fig7" -> fig7 ~grid ()
-          | "queue_states" -> queue_states ()
-          | "deadlock" -> deadlock ()
-          | "depth_sweep" -> depth_sweep ~jobs ~cache ()
-          | "scalability" -> scalability ()
-          | "ablation" -> ablation ~jobs ()
-          | "bounds" -> bounds_section ()
-          | "micro" -> micro ()
-          | "soak" ->
-              let _, ok = soak ~jobs ~n:10_000 () in
-              if not ok then exit 1
-          | s -> Printf.eprintf "unknown section %S\n" s)
-        requested
+  let requested =
+    match List.rev !requested with [] -> default_sections | l -> l
+  in
+  (* one shared grid for the grid-based sections, computed across the
+     worker pool on first use *)
+  let paper_grid = lazy (Experiment.paper_grid ?cache ~jobs ()) in
+  let table f =
+    f ();
+    true
+  in
+  let run = function
+    | "fig1" -> table (fig1 ~grid:paper_grid)
+    | "table1" -> table (table1 ~grid:paper_grid)
+    | "table2" -> table (table2 ~grid:paper_grid)
+    | "fig7" -> table (fig7 ~grid:paper_grid)
+    | "queue_states" -> table queue_states
+    | "deadlock" -> table deadlock
+    | "depth_sweep" -> table (depth_sweep ~jobs ~cache)
+    | "scalability" -> table scalability
+    | "ablation" -> table (ablation ~jobs)
+    | "grid" -> grid ~jobs ~cache ()
+    | "soak" -> soak ~jobs ~n:10_000 ()
+    | s -> invalid_arg s
+  in
+  (* every requested section runs; the exit code reports any failed check *)
+  let ok = List.fold_left (fun ok s -> run s && ok) true requested in
+  if not ok then exit 1

@@ -38,7 +38,7 @@ let kernel_arg =
   let doc = "Kernel name (see `prevv list')." in
   Arg.(required & pos 0 (some kernel_conv) None & info [] ~docv:"KERNEL" ~doc)
 
-(* one parser for backend names, shared with bench/main.ml: the registry *)
+(* one parser for backend names, shared with the serve protocol: the registry *)
 let backend_conv =
   Arg.conv
     ( (fun s ->

@@ -3,8 +3,9 @@
 
     {!walk} executes the kernel in program order over a pristine copy of
     its memory: the loop-nest trace gives the body instances in seq order,
-    each leaf's {!Pv_frontend.Depend.leaf_ops} (under the same CSE setting
-    the circuit was built with) give its memory operations in port order,
+    each leaf's [ops] in {!Pv_frontend.Depend.leaf_info} (under the same
+    CSE setting the circuit was built with) give its memory operations in
+    port order,
     and every flat address is the array's {!Pv_memory.Layout} base plus the
     evaluated index.  An address outside memory reads 0 and drops the
     write, as the backends do.  A correct disambiguator returns exactly

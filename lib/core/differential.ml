@@ -19,6 +19,8 @@ let starts_with ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
+(* Chain position of a scheme name: oracle 0, prevv* 1, dynamatic 2,
+   serial 3; anything else (fast-lsq, future schemes) unranked. *)
 let rank_of name =
   if name = "oracle" then Some 0
   else if starts_with ~prefix:"prevv" name then Some 1

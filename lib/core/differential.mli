@@ -29,10 +29,6 @@ type report = {
   violations : string list;  (** human-readable chain violations *)
 }
 
-(** Chain position of a scheme name: oracle 0, prevv* 1, dynamatic 2,
-    serial 3; anything else (fast-lsq, future schemes) unranked. *)
-val rank_of : string -> int option
-
 (** Run every scheme in [schemes] (default [Scheme.all ()]) on [kernel]. *)
 val run :
   ?sim_cfg:Pv_dataflow.Sim.config ->

@@ -55,9 +55,6 @@ val run_cached :
   Pipeline.disambiguation ->
   point * [ `Hit | `Miss ]
 
-(** The supervision label of a cell: ["<kernel>/<config>"]. *)
-val cell_label : Pv_kernels.Ast.kernel * Pipeline.disambiguation -> string
-
 (** Fan (kernel, scheme) cells across [jobs] worker domains (default 1 =
     serial on the calling domain), returning results in cell order.  Each
     cell runs under {!Supervisor.retry} with [policy] (default

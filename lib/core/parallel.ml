@@ -113,12 +113,10 @@ let map_pool pool f xs =
            | None -> assert false)
 
 (* An explicit job request is honoured exactly: [--jobs 2] runs 2 workers
-   whatever [Domain.recommended_domain_count] claims (the previous clamp to
-   the hardware count collapsed any request to 1 worker on machines whose
-   recommended count is 1, which is how BENCH_sim.json v4 recorded
-   [jobs_effective: 1] for a [--jobs 2] grid).  Only the *default* job
-   count adapts to the machine; a cap of 64 bounds accidental
-   [--jobs 100000] requests. *)
+   whatever [Domain.recommended_domain_count] claims (a clamp to the
+   hardware count would collapse any request to 1 worker on machines whose
+   recommended count is 1).  Only the *default* job count adapts to the
+   machine; a cap of 64 bounds accidental [--jobs 100000] requests. *)
 let max_jobs = 64
 
 let effective_jobs jobs = max 1 (min jobs max_jobs)

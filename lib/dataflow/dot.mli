@@ -1,5 +1,4 @@
 (** Graphviz export of a dataflow graph, for debugging and documentation. *)
 
-val to_channel : out_channel -> Graph.t -> unit
 val to_string : Graph.t -> string
 val to_file : string -> Graph.t -> unit

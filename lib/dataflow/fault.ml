@@ -77,7 +77,6 @@ let string_of_action = function
 let string_of_event e = Printf.sprintf "%d:%s" e.at_cycle (string_of_action e.action)
 let to_string plan = String.concat "," (List.map string_of_event plan)
 
-let pp_action ppf a = Format.pp_print_string ppf (string_of_action a)
 let pp_event ppf e = Format.pp_print_string ppf (string_of_event e)
 
 let pp_plan ppf plan =
@@ -200,29 +199,6 @@ let random_recoverable ?(n = 4) ~seed ~n_chans ~max_seq ~horizon () : plan =
         | 0 -> Stall { chan = rand r n_chans; cycles = 1 + rand r 64 }
         | 1 -> Drop_replay { chan = rand r n_chans }
         | 2 -> Flip_replay { chan = rand r n_chans; mask = 1 + rand r 0xffff }
-        | _ -> Backend (B_squash { seq = rand r (max 1 max_seq) })
-      in
-      { at_cycle; action })
-  |> List.sort (fun a b -> compare a.at_cycle b.at_cycle)
-
-(** A plan that also draws from the silent/destructive faults; runs under
-    such a plan must end in a diagnosed outcome or verify clean, but are
-    not guaranteed to complete. *)
-let random_disruptive ?(n = 4) ~seed ~n_chans ~max_seq ~horizon () : plan =
-  let r = rng seed in
-  List.init n (fun _ ->
-      let at_cycle = 1 + rand r (max 1 horizon) in
-      let action =
-        match rand r 6 with
-        | 0 -> Drop { chan = rand r n_chans }
-        | 1 -> Flip { chan = rand r n_chans; mask = 1 + rand r 0xffff }
-        | 2 -> Backend (B_pq_drop { inst = 0; slot = rand r 4 })
-        | 3 ->
-            Backend
-              (B_pq_flip
-                 { inst = 0; slot = rand r 4; mask = 1 + rand r 0xffff;
-                   detect = rand r 2 = 0 })
-        | 4 -> Drop_replay { chan = rand r n_chans }
         | _ -> Backend (B_squash { seq = rand r (max 1 max_seq) })
       in
       { at_cycle; action })

@@ -53,13 +53,11 @@ type application = {
   ap_note : string;
 }
 
-val string_of_action : action -> string
 val string_of_event : event -> string
 
 (** Round-trips with {!parse}. *)
 val to_string : plan -> string
 
-val pp_action : Format.formatter -> action -> unit
 val pp_event : Format.formatter -> event -> unit
 val pp_plan : Format.formatter -> plan -> unit
 val pp_application : Format.formatter -> application -> unit
@@ -73,10 +71,4 @@ val parse : string -> (plan, string) result
     in [seed]: channel stalls, detected drops, detected bit-flips and
     spurious squashes, armed uniformly over the first [horizon] cycles. *)
 val random_recoverable :
-  ?n:int -> seed:int -> n_chans:int -> max_seq:int -> horizon:int -> unit -> plan
-
-(** Like {!random_recoverable} but also drawing from the silent and
-    destructive faults; such runs must end in a diagnosed outcome or
-    verify clean, but are not guaranteed to complete. *)
-val random_disruptive :
   ?n:int -> seed:int -> n_chans:int -> max_seq:int -> horizon:int -> unit -> plan

@@ -84,12 +84,6 @@ let connect ?(width = 32) b (src, sslot) (dst, dslot) =
   sn.outputs.(sslot) <- cid;
   dn.inputs.(dslot) <- cid
 
-(** Convenience: interpose an opaque buffer on the way from [src] to [dst]. *)
-let connect_buffered ?(width = 32) ?(slots = 1) b (src, sslot) (dst, dslot) =
-  let buf = add b (Buffer { transparent = false; slots }) in
-  connect ~width b (src, sslot) (buf, 0);
-  connect ~width b (buf, 0) (dst, dslot)
-
 let finalize b : t =
   let ntbl = Hashtbl.create 64 and ctbl = Hashtbl.create 64 in
   List.iter (fun n -> Hashtbl.replace ntbl n.nid n) b.b_nodes;

@@ -40,15 +40,6 @@ val add : ?label:string -> builder -> Types.kind -> Types.node_id
 val connect :
   ?width:int -> builder -> Types.node_id * int -> Types.node_id * int -> unit
 
-(** Convenience: interpose an opaque buffer between the two endpoints. *)
-val connect_buffered :
-  ?width:int ->
-  ?slots:int ->
-  builder ->
-  Types.node_id * int ->
-  Types.node_id * int ->
-  unit
-
 val finalize : builder -> t
 val n_nodes : t -> int
 val n_chans : t -> int

@@ -79,8 +79,6 @@ let default_latency = function
   | Div | Rem -> 3
   | _ -> 0
 
-let no_cancel () = false
-
 let default_config =
   {
     op_latency = default_latency;
@@ -88,7 +86,7 @@ let default_config =
     stall_limit = 4096;
     faults = [];
     engine = Event;
-    cancel = no_cancel;
+    cancel = (fun () -> false);
   }
 
 (** Diagnosis attached to a non-[Finished] outcome: enough state to tell a

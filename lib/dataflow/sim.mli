@@ -56,16 +56,13 @@ type config = {
       (** cooperative cancellation token, polled by {!drive} between cycles
           (every 64th); when it turns true the run raises {!Cancelled}.
           Cancellation never affects a completed result, so the token is
-          deliberately absent from result-cache fingerprints.  Default
-          {!no_cancel}. *)
+          deliberately absent from result-cache fingerprints.  Default: a
+          token that never turns true. *)
 }
 
 (** Raised by {!drive} when [cancel] turns true mid-run — the supervision
     layer's per-task deadline mechanism (DESIGN.md §18). *)
 exception Cancelled of { at_cycle : int }
-
-(** The always-false cancellation token ([default_config.cancel]). *)
-val no_cancel : unit -> bool
 
 (** mul 2, div/rem 3, constant-multiply 0, everything else combinational —
     the few-fat-stage pipelining implied by the paper's 7–9 ns clock

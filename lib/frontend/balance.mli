@@ -8,10 +8,6 @@
     generator and give every lagging input of a multi-input node a FIFO
     sized to the skew. *)
 
-(** Topological order of a DAG.
-    @raise Invalid_argument when the graph has a cycle. *)
-val topo_order : Pv_dataflow.Graph.t -> int list
-
 (** Buffer sizes per channel needed for II = 1; [0] = no buffer.  The
     latency model matches {!Pv_dataflow.Sim}'s unless [op_latency]
     overrides it. *)

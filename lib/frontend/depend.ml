@@ -48,6 +48,7 @@ type info = {
 
 (* --- leaf extraction ----------------------------------------------------- *)
 
+(* Annotate the body and collect (id, loop vars, stmt) per leaf. *)
 let annotate (body : Ast.stmt list) : node list * (int * string list * Ast.stmt) list
     =
   let next = ref 0 in
@@ -129,6 +130,12 @@ let store_ops ~cse ~seen ~scope ~conditional acc (a, ix, value) =
   }
   :: acc
 
+(* Memory operations of a leaf statement in program order: index loads in
+   post-order, then value loads, then the store; conditionals contribute
+   their condition's loads first, then each branch.  With [cse],
+   syntactically duplicated loads within a conditional scope collapse to
+   their first occurrence (see Optimize).  Raises [Invalid_argument] when a
+   conditional body contains non-stores. *)
 let leaf_ops ?(cse = false) (stmt : Ast.stmt) : op list =
   let seen = Hashtbl.create 8 in
   let branch_ops ~scope acc stmts =

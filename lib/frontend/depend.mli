@@ -65,19 +65,6 @@ val cse_lookup :
   Pv_kernels.Ast.expr ->
   [ `Fresh of cse_key | `Dup of cse_key ]
 
-(** Annotate the body and collect (id, loop vars, stmt) per leaf. *)
-val annotate :
-  Pv_kernels.Ast.stmt list ->
-  node list * (int * string list * Pv_kernels.Ast.stmt) list
-
-(** Memory operations of a leaf statement in program order: index loads in
-    post-order, then value loads, then the store; conditionals contribute
-    their condition's loads first, then each branch.  With [cse],
-    syntactically duplicated loads within a conditional scope collapse to
-    their first occurrence (see {!Optimize}).
-    @raise Invalid_argument when a conditional body contains non-stores. *)
-val leaf_ops : ?cse:bool -> Pv_kernels.Ast.stmt -> op list
-
 (** Affine form [sum coeff_i * var_i + const] over the loop variables. *)
 type affine = { coeffs : (string * int) list; const : int }
 

@@ -8,12 +8,5 @@
     reference to it survives in the body. *)
 val constant_fold : Pv_kernels.Ast.kernel -> Pv_kernels.Ast.kernel
 
-(** Duplicated loads within one leaf statement, as (array, index,
-    occurrences >= 2).  The rewrite itself happens in {!Build} (the
-    mini-language has no scalar bindings): with its [cse] option set,
-    duplicated loads share one port whose value is forked. *)
-val duplicate_loads :
-  Pv_kernels.Ast.stmt -> (string * Pv_kernels.Ast.expr * int) list
-
 (** Total removable loads across the kernel. *)
 val cse_opportunity : Pv_kernels.Ast.kernel -> int

@@ -484,11 +484,6 @@ let kernel ?(name = "kernel") (src : string) : (Ast.kernel, error) result =
     Ok (parse_kernel_body p ~name)
   with Error e -> Result.Error e
 
-let kernel_exn ?name src =
-  match kernel ?name src with
-  | Ok k -> k
-  | Result.Error e -> invalid_arg (Format.asprintf "%a" pp_error e)
-
 let from_file path =
   let ic = open_in path in
   let n = in_channel_length ic in

@@ -14,8 +14,5 @@ exception Error of error
     optional [// kernel NAME] header line, else [name]. *)
 val kernel : ?name:string -> string -> (Ast.kernel, error) result
 
-(** @raise Invalid_argument with a rendered error. *)
-val kernel_exn : ?name:string -> string -> Ast.kernel
-
 (** Parse a file; the default kernel name is the file's basename. *)
 val from_file : string -> (Ast.kernel, error) result

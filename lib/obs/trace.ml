@@ -27,7 +27,6 @@ let tid_backend = 2
 let tid_arbiter = 3
 let tid_queue = 4
 let tid_fault = 5
-let tid_experiment = 6
 
 let tid_name = function
   | 1 -> "sim"
@@ -35,7 +34,6 @@ let tid_name = function
   | 3 -> "arbiter"
   | 4 -> "queue"
   | 5 -> "fault"
-  | 6 -> "experiment"
   | n -> Printf.sprintf "tid-%d" n
 
 let push t ev =

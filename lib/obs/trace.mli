@@ -50,9 +50,6 @@ val tid_queue : int
 (** 5 — injected faults *)
 val tid_fault : int
 
-(** 6 — runner / pool events *)
-val tid_experiment : int
-
 (** {1 Emitters} (all no-ops on [null]) *)
 
 (** [instant t ~tid ~ts name ~args] records a thread-scoped instant. *)

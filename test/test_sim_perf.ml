@@ -20,11 +20,11 @@ let kernels = Pv_kernels.Defs.paper_benchmarks ()
 let schemes =
   List.map (fun (module M : Scheme.S) -> (M.name, M.config)) (Scheme.all ())
 
-(* An event-engine simulation of [kernel] over the allocation-free direct
+(* A simulation of [kernel] under [engine] over the allocation-free direct
    backend, so the measurement isolates the simulator core.  [prof]
    defaults to the disabled profiler — the configuration whose zero-alloc
    contract test (a) asserts. *)
-let direct_sim ?prof kernel =
+let direct_sim ?prof engine kernel =
   let compiled = Pipeline.compile kernel in
   let mem =
     Pv_memory.Layout.initial_memory compiled.Pipeline.layout
@@ -32,7 +32,7 @@ let direct_sim ?prof kernel =
   in
   let backend = Memif.direct ~latency:2 mem in
   Sim.create ?prof
-    ~cfg:{ Sim.default_config with Sim.engine = Sim.Event }
+    ~cfg:{ Sim.default_config with Sim.engine }
     compiled.Pipeline.graph backend
 
 let minor_delta f =
@@ -45,12 +45,16 @@ let steps sim n =
     Sim.step sim
   done
 
-(* (a) zero allocation per steady-state cycle, each paper kernel. *)
+(* (a) zero allocation per steady-state cycle, each paper kernel, under
+   the event engine and under the scan (the dense regime pinned). *)
 let test_zero_alloc_steady () =
   List.iter
-    (fun kernel ->
-      let name = kernel.Pv_kernels.Ast.name in
-      let sim = direct_sim kernel in
+    (fun (engine, kernel) ->
+      let name =
+        Printf.sprintf "%s/%s" kernel.Pv_kernels.Ast.name
+          (Sim.string_of_engine engine)
+      in
+      let sim = direct_sim engine kernel in
       (* warm up: ring capacities, response arrays, wake plumbing *)
       steps sim 200;
       let d_short = minor_delta (fun () -> steps sim 300) in
@@ -62,7 +66,9 @@ let test_zero_alloc_steady () =
         (name ^ ": minor words per cycle")
         0.0
         ((d_long -. d_short) /. 700.0))
-    kernels
+    (List.concat_map
+       (fun engine -> List.map (fun k -> (engine, k)) kernels)
+       [ Sim.Event; Sim.Scan ])
 
 (* (b) the event engine never evaluates more nodes than the scan, on any
    kernel x scheme cell. *)
@@ -132,7 +138,7 @@ let test_purge_no_alloc () =
   Alcotest.(check bool)
     "gaussian under prevv16 is squash-heavy" true
     (r.Pipeline.mem_stats.Memif.squashes > 0);
-  let sim = direct_sim gaussian in
+  let sim = direct_sim Sim.Event gaussian in
   steps sim 150;
   (* first purge does the real in-place compaction work (tokens are in
      flight); later ones sweep already-empty state — neither may allocate *)
@@ -155,7 +161,7 @@ let test_zero_alloc_profiled () =
   List.iter
     (fun kernel ->
       let name = kernel.Pv_kernels.Ast.name in
-      let sim = direct_sim ~prof:(Pv_obs.Prof.create ()) kernel in
+      let sim = direct_sim ~prof:(Pv_obs.Prof.create ()) Sim.Event kernel in
       steps sim 200;
       let d_short = minor_delta (fun () -> steps sim 300) in
       let d_long = minor_delta (fun () -> steps sim 1000) in
