@@ -232,6 +232,12 @@ type item = { t_seq : int; t_key : string; t_req : request }
 type state = {
   cfg : config;
   jobs_target : int;
+  emit : string -> unit;
+  emit_lock : Mutex.t;
+      (** serialises [emit]; taken before [lock], never while holding it *)
+  emit_failure : (exn * Printexc.raw_backtrace) option Atomic.t;
+      (** the first exception [emit] raised: no later line is emitted and
+          [run] re-raises it after the drain *)
   lock : Mutex.t;
   work : Condition.t;  (** workers: the queue may have work *)
   progress : Condition.t;  (** main: a response landed or a worker died *)
@@ -295,8 +301,42 @@ let store_locked st item outcome retries =
     waiters;
   Condition.signal st.progress
 
-(* [`Done] = outcome stored; [`Killed] = the worker must die and the item
-   be requeued (caller handles both under the lock) *)
+(* pop the contiguous ready prefix; lock held by caller *)
+let ready_locked st =
+  let out = ref [] in
+  let rec go () =
+    match Hashtbl.find_opt st.responses st.next_emit with
+    | Some line ->
+        Hashtbl.remove st.responses st.next_emit;
+        st.next_emit <- st.next_emit + 1;
+        out := line :: !out;
+        go ()
+    | None -> ()
+  in
+  go ();
+  List.rev !out
+
+(* [emit_lock] held by caller *)
+let emit_locked st line =
+  if Option.is_none (Atomic.get st.emit_failure) then
+    try st.emit line
+    with e ->
+      Atomic.set st.emit_failure (Some (e, Printexc.get_raw_backtrace ()))
+
+(* emit the contiguous ready prefix from whichever domain calls it: every
+   domain that stores a response flushes right after, so a response leaves
+   as soon as it and every earlier one are done.  Popping under
+   [emit_lock] keeps concurrent flushes in arrival order. *)
+let flush st =
+  Mutex.lock st.emit_lock;
+  Mutex.lock st.lock;
+  let lines = ready_locked st in
+  Mutex.unlock st.lock;
+  List.iter (emit_locked st) lines;
+  Mutex.unlock st.emit_lock
+
+(* [`Done] = outcome stored and flushed; [`Killed] = the worker must die
+   and the item be requeued (caller handles it under the lock) *)
 let process st item =
   Mutex.lock st.lock;
   let kill = Hashtbl.mem st.kill_pending item.t_seq in
@@ -312,6 +352,7 @@ let process st item =
     Mutex.lock st.lock;
     store_locked st item outcome tally.Supervisor.retries;
     Mutex.unlock st.lock;
+    flush st;
     `Done
   end
 
@@ -387,21 +428,6 @@ let drain_inline st =
   in
   loop ()
 
-(* pop the contiguous ready prefix; lock held by caller *)
-let ready_locked st =
-  let out = ref [] in
-  let rec go () =
-    match Hashtbl.find_opt st.responses st.next_emit with
-    | Some line ->
-        Hashtbl.remove st.responses st.next_emit;
-        st.next_emit <- st.next_emit + 1;
-        out := line :: !out;
-        go ()
-    | None -> ()
-  in
-  go ();
-  List.rev !out
-
 let percentile sorted p =
   let n = Array.length sorted in
   if n = 0 then 0.0
@@ -419,15 +445,17 @@ let retry_after_ms_locked st =
   let hint = per_req *. float_of_int (st.pending + 1) /. jobs in
   max 1 (int_of_float (Float.ceil hint))
 
-(* one {"type":"stats",...} frame from the live counters; lock held by
-   caller.  The gauge identity [received = responded + shed + errors +
-   in_flight] holds exactly at every emission: each received request is,
-   at any instant, in exactly one of those four states (bad requests
-   count as responded — they got a response line). *)
-let stats_json_locked st =
+(* one {"type":"stats",...} frame from the live counters, emitted through
+   [emit_lock] so it never lands inside the response stream.  The counters
+   are read under the service lock; the latencies are copied there and
+   sorted after it is released.  The gauge identity [received = responded
+   + shed + errors + in_flight] holds exactly in every frame: each
+   received request is, at any instant, in exactly one of those four
+   states (bad requests count as responded — they got a response line). *)
+let emit_stats_frame st =
+  Mutex.lock st.lock;
   let lats = Array.of_seq (Queue.to_seq st.lats) in
-  Array.sort compare lats;
-  Json.Obj
+  let counters =
     [
       ("type", Json.Str "stats");
       ("received", Json.Int st.n_received);
@@ -442,10 +470,23 @@ let stats_json_locked st =
       ("worker_kills", Json.Int st.n_kills);
       ("respawns", Json.Int st.n_respawns);
       ("ewma_ms", Json.Float st.ewma_ms);
-      ("p50_ms", Json.Float (percentile lats 0.50));
-      ("p95_ms", Json.Float (percentile lats 0.95));
-      ("p99_ms", Json.Float (percentile lats 0.99));
     ]
+  in
+  Mutex.unlock st.lock;
+  Array.sort compare lats;
+  let frame =
+    Json.to_string
+      (Json.Obj
+         (counters
+         @ [
+             ("p50_ms", Json.Float (percentile lats 0.50));
+             ("p95_ms", Json.Float (percentile lats 0.95));
+             ("p99_ms", Json.Float (percentile lats 0.99));
+           ]))
+  in
+  Mutex.lock st.emit_lock;
+  emit_locked st frame;
+  Mutex.unlock st.emit_lock
 
 (* an {"op":"stats"} control line: answered out-of-band, never counted as
    a request *)
@@ -470,6 +511,9 @@ let run ?metrics cfg ~next ~emit =
     {
       cfg;
       jobs_target;
+      emit;
+      emit_lock = Mutex.create ();
+      emit_failure = Atomic.make None;
       lock = Mutex.create ();
       work = Condition.create ();
       progress = Condition.create ();
@@ -509,20 +553,15 @@ let run ?metrics cfg ~next ~emit =
   Mutex.unlock st.lock;
   (* ---- intake ---- *)
   let last_stats = ref t_start in
-  let emit_stats_frame () =
-    Mutex.lock st.lock;
-    let frame = Json.to_string (stats_json_locked st) in
-    Mutex.unlock st.lock;
-    emit frame
-  in
   let rec intake () =
-    if Atomic.get drain_flag then ()
+    if Atomic.get drain_flag || Option.is_some (Atomic.get st.emit_failure)
+    then ()
     else
       match next () with
       | None -> ()
       | Some line when is_stats_request line ->
           (* control line: answer out-of-band, unsequenced and uncounted *)
-          emit_stats_frame ();
+          emit_stats_frame st;
           intake ()
       | Some line ->
           Mutex.lock st.lock;
@@ -567,20 +606,15 @@ let run ?metrics cfg ~next ~emit =
                     Condition.signal st.work
               end);
           if not inline then respawn_if_needed_locked st;
-          let lines = ready_locked st in
+          (* a bad or shed line is answered here, not by a worker *)
+          let answered = Hashtbl.mem st.responses seq in
           Mutex.unlock st.lock;
+          if answered then flush st;
           if inline then drain_inline st;
-          List.iter emit lines;
-          if inline then begin
-            Mutex.lock st.lock;
-            let lines = ready_locked st in
-            Mutex.unlock st.lock;
-            List.iter emit lines
-          end;
           (match cfg.stats_interval with
           | Some iv when Clock.elapsed_s !last_stats >= iv ->
               last_stats := Clock.now_ns ();
-              emit_stats_frame ()
+              emit_stats_frame st
           | _ -> ());
           intake ()
   in
@@ -594,21 +628,18 @@ let run ?metrics cfg ~next ~emit =
   Condition.broadcast st.work;
   while st.pending > 0 do
     respawn_if_needed_locked st;
-    (match ready_locked st with
-    | [] -> Condition.wait st.progress st.lock
-    | lines ->
-        Mutex.unlock st.lock;
-        List.iter emit lines;
-        Mutex.lock st.lock)
+    Condition.wait st.progress st.lock
   done;
   Condition.broadcast st.work;
   while st.live > 0 do
     Condition.wait st.progress st.lock
   done;
-  let last = ready_locked st in
   Mutex.unlock st.lock;
-  List.iter emit last;
   List.iter Domain.join st.domains;
+  flush st;
+  Option.iter
+    (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
+    (Atomic.get st.emit_failure);
   (* ---- summary ---- *)
   let wall_s = Clock.elapsed_s t_start in
   let lats = Array.of_seq (Queue.to_seq st.lats) in

@@ -120,10 +120,18 @@ val summary_to_json : summary -> Pv_obs.Json.t
     returns [None] (or {!drain_now} was requested), computes them on the
     supervised pool, calls [emit] with exactly one response line per
     received line {e in arrival order}, drains, and returns the
-    {!summary}.  [next] and [emit] are only ever called from the calling
-    domain.  [metrics] (optional) receives [serve.*] counters (including
-    latency percentiles and the [serve.queue_depth_max] gauge) and the
-    cache's [cache.*] counters.
+    {!summary}.  [metrics] (optional) receives [serve.*] counters
+    (including latency percentiles and the [serve.queue_depth_max] gauge)
+    and the cache's [cache.*] counters.
+
+    [next] is only ever called from the calling domain.  A response is
+    emitted as soon as it and every earlier one are done, by the domain
+    that completed the last of them, so [emit] may be called from a
+    worker domain.  It is never called concurrently, always in arrival
+    order, and stats frames are serialised with the responses.  If [emit]
+    raises, no further line is emitted or read, the accepted requests
+    drain, and [run] re-raises the first such exception on the calling
+    domain.
 
     A shed ([{"status": "overloaded"}]) response carries
     [retry_after_ms]: the backlog ahead of the client in units of

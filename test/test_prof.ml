@@ -97,9 +97,9 @@ let test_held_counts_exact () =
   let prevv16 = Pipeline.prevv 16 in
   let drop_and_stall compiled =
     let nc = Pv_dataflow.Graph.n_chans compiled.Pipeline.graph in
-    (* seed 11 drops a token the PreVV backend survives into a diagnosed
-       deadlock; on many other seeds the silent drop makes the backend
-       raise Invalid_argument (ROADMAP item 3) *)
+    (* seed 11 drops a token the run survives into a diagnosed deadlock;
+       on seeds whose drop mis-pairs the streams, PreVV refuses the op and
+       the run also ends in a diagnosed deadlock *)
     let rs = Random.State.make [| 11 |] in
     let chan () = Random.State.int rs nc in
     [

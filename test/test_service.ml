@@ -2,8 +2,10 @@
    invariants: parse round-trips, every accepted line gets exactly one
    response ([lost = 0]) even with a worker killed mid-soak, parallel
    output is byte-identical to the serial replay, overload sheds
-   explicitly instead of dropping, and identical in-flight requests share
-   one computation. *)
+   explicitly instead of dropping, identical in-flight requests share
+   one computation, a response leaves as soon as it and every earlier one
+   are done, never concurrently with another line, and an [emit] failure
+   on a worker domain surfaces from [Service.run] instead of hanging it. *)
 
 open Pv_core
 
@@ -14,7 +16,8 @@ let quick_policy =
     Supervisor.max_delay_s = 0.002;
   }
 
-(* Run a fixed request list through the service, collecting responses. *)
+(* Run a fixed request list through the service, collecting responses;
+   [emit] may run on worker domains, but never two at once. *)
 let run_requests ?metrics config reqs =
   let remaining = ref (List.map Service.request_to_json reqs) in
   let next () =
@@ -25,12 +28,27 @@ let run_requests ?metrics config reqs =
         Some l
   in
   let out = Buffer.create 4096 in
+  let in_emit = Atomic.make false and overlapped = Atomic.make false in
   let summary =
     Service.run ?metrics config ~next ~emit:(fun line ->
+        if Atomic.exchange in_emit true then Atomic.set overlapped true;
+        (* widen the window an overlapping call would have to miss *)
+        Unix.sleepf 0.0002;
         Buffer.add_string out line;
-        Buffer.add_char out '\n')
+        Buffer.add_char out '\n';
+        Atomic.set in_emit false)
   in
+  Alcotest.(check bool) "emit never entered concurrently" false
+    (Atomic.get overlapped);
   (Buffer.contents out, summary)
+
+(* Poll [cond] until it holds or [seconds] pass; true if it held. *)
+let wait_until ~seconds cond =
+  let t0 = Unix.gettimeofday () in
+  while (not (cond ())) && Unix.gettimeofday () -. t0 < seconds do
+    Unix.sleepf 0.001
+  done;
+  cond ()
 
 (* Distinct max_cycles make every request its own computation: no
    dedupe, no cache reuse — each one must reach a worker. *)
@@ -327,6 +345,83 @@ let test_stats_frames () =
            Pv_obs.Json.to_int_opt)
   | [] -> Alcotest.fail "no stats frames"
 
+let test_emit_before_next_line jobs () =
+  (* a finished response leaves before the next request line arrives:
+     [next] withholds the second line until the first response is out *)
+  let lines = List.map Service.request_to_json (cold_requests 2) in
+  let emitted = Atomic.make 0 and waited_out = ref false in
+  let remaining = ref lines and handed = ref 0 in
+  let next () =
+    match !remaining with
+    | [] -> None
+    | l :: rest ->
+        if !handed = 1 then
+          waited_out :=
+            not (wait_until ~seconds:10.0 (fun () -> Atomic.get emitted > 0));
+        incr handed;
+        remaining := rest;
+        Some l
+  in
+  let s =
+    Service.run
+      {
+        Service.default_config with
+        Service.jobs;
+        Service.policy = quick_policy;
+      }
+      ~next
+      ~emit:(fun _ -> Atomic.incr emitted)
+  in
+  Alcotest.(check bool) "first response emitted while next waited" false
+    !waited_out;
+  Alcotest.(check int) "both answered" 2 (Atomic.get emitted);
+  Alcotest.(check int) "zero lost" 0 s.Service.lost
+
+exception Emit_broke
+
+let test_emit_failure_surfaces () =
+  (* [emit] raises on its third line, on a worker domain: [run] must stop
+     emitting, let the workers retire and re-raise on the calling domain,
+     not hang waiting for a worker that died *)
+  let calls = Atomic.make 0 in
+  let emit _ = if Atomic.fetch_and_add calls 1 = 2 then raise Emit_broke in
+  let remaining = ref (List.map Service.request_to_json (cold_requests 6)) in
+  let next () =
+    match !remaining with
+    | l :: rest ->
+        remaining := rest;
+        Some l
+    | [] ->
+        (* hold intake open so the failing emit happens on a worker *)
+        ignore (wait_until ~seconds:10.0 (fun () -> Atomic.get calls >= 3));
+        None
+  in
+  let outcome = Atomic.make None in
+  let runner =
+    Domain.spawn (fun () ->
+        Atomic.set outcome
+          (Some
+             (match
+                Service.run
+                  {
+                    Service.default_config with
+                    Service.jobs = 2;
+                    Service.policy = quick_policy;
+                  }
+                  ~next ~emit
+              with
+             | _ -> "returned"
+             | exception Emit_broke -> "raised Emit_broke"
+             | exception e -> "raised " ^ Printexc.to_string e)))
+  in
+  if not (wait_until ~seconds:30.0 (fun () -> Atomic.get outcome <> None))
+  then Alcotest.fail "Service.run hung after emit raised";
+  Domain.join runner;
+  Alcotest.(check (option string)) "run re-raises the emit failure"
+    (Some "raised Emit_broke") (Atomic.get outcome);
+  Alcotest.(check int) "no line emitted after the failure" 3
+    (Atomic.get calls)
+
 let test_summary_json_well_formed () =
   let _, s =
     run_requests
@@ -362,6 +457,12 @@ let () =
           Alcotest.test_case "error and bad lines answered" `Quick
             test_error_and_bad_lines;
           Alcotest.test_case "summary json" `Quick test_summary_json_well_formed;
+          Alcotest.test_case "emit before the next line, 2 jobs" `Quick
+            (test_emit_before_next_line 2);
+          Alcotest.test_case "emit before the next line, inline" `Quick
+            (test_emit_before_next_line 1);
+          Alcotest.test_case "emit failure on a worker surfaces" `Quick
+            test_emit_failure_surfaces;
         ] );
       ( "telemetry",
         [
