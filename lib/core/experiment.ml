@@ -21,10 +21,13 @@ let elaboration_of (dis : Pipeline.disambiguation) :
     Pv_netlist.Elaborate.disambiguation =
   Scheme.elaboration_of dis
 
-(** Run one (kernel, scheme) point: compile, simulate, verify, elaborate. *)
-let run ?sim_cfg ?init (kernel : Pv_kernels.Ast.kernel)
+(** Run one (kernel, scheme) point: compile (unless [compiled] is given),
+    simulate, verify, elaborate. *)
+let run ?sim_cfg ?init ?compiled (kernel : Pv_kernels.Ast.kernel)
     (dis : Pipeline.disambiguation) : point =
-  let compiled = Pipeline.compile kernel in
+  let compiled =
+    match compiled with Some c -> c | None -> Pipeline.compile kernel
+  in
   let m = Pv_obs.Metrics.create () in
   let result = Pipeline.simulate ?sim_cfg ?init ~metrics:m compiled dis in
   let verified =
@@ -92,9 +95,11 @@ let cache_key ?(sim_cfg = Pv_dataflow.Sim.default_config) ?init
 
 (** {!run} through a {!Parallel.Cache}: a hit returns the stored point
     without compiling or simulating anything. *)
-let run_cached ?sim_cfg ?init ~cache kernel dis : point * [ `Hit | `Miss ] =
+let run_cached ?sim_cfg ?init ?compiled ~cache kernel dis :
+    point * [ `Hit | `Miss ] =
   let key = cache_key ?sim_cfg ?init kernel dis in
-  Parallel.Cache.memo cache ~key (fun () -> run ?sim_cfg ?init kernel dis)
+  Parallel.Cache.memo cache ~key (fun () ->
+      run ?sim_cfg ?init ?compiled kernel dis)
 
 (* ------------------------------------------------------------------ *)
 (* Sweep driver                                                        *)

@@ -23,11 +23,14 @@ val elaboration_of :
   Pipeline.disambiguation -> Pv_netlist.Elaborate.disambiguation
 
 (** Run one (kernel, scheme) point: compile, simulate, verify, elaborate.
+    [compiled], when given, must be [Pipeline.compile kernel]; it saves
+    the compile.
     @raise Invalid_argument for infeasible configurations (e.g. a queue
     depth below one iteration's operation count). *)
 val run :
   ?sim_cfg:Pv_dataflow.Sim.config ->
   ?init:(string * int array) list ->
+  ?compiled:Pipeline.compiled ->
   Pv_kernels.Ast.kernel ->
   Pipeline.disambiguation ->
   point
@@ -50,6 +53,7 @@ val cache_key :
 val run_cached :
   ?sim_cfg:Pv_dataflow.Sim.config ->
   ?init:(string * int array) list ->
+  ?compiled:Pipeline.compiled ->
   cache:Parallel.Cache.t ->
   Pv_kernels.Ast.kernel ->
   Pipeline.disambiguation ->

@@ -144,20 +144,20 @@ let compute cfg ~token req =
     | Error e -> invalid_arg e
   in
   let base = Sim.default_config in
-  let faults =
+  let compiled, faults =
     match req.fault_seed with
-    | None -> []
+    | None -> (None, [])
     | Some seed ->
         (* the seeded plan is sized to the kernel's instance count, which
-           needs the compiled circuit; requests without a fault_seed skip
-           this extra compile *)
+           needs the compiled circuit; a miss runs on that same compile *)
         let compiled = Pipeline.compile kernel in
         let instances = Pv_frontend.Trace.length compiled.Pipeline.trace in
-        Pv_dataflow.Fault.random_recoverable ~seed
-          ~n_chans:(Pv_dataflow.Graph.n_chans compiled.Pipeline.graph)
-          ~max_seq:instances
-          ~horizon:(100 + (4 * instances))
-          ()
+        ( Some compiled,
+          Pv_dataflow.Fault.random_recoverable ~seed
+            ~n_chans:(Pv_dataflow.Graph.n_chans compiled.Pipeline.graph)
+            ~max_seq:instances
+            ~horizon:(100 + (4 * instances))
+            () )
   in
   let sim_cfg =
     {
@@ -171,8 +171,9 @@ let compute cfg ~token req =
   in
   let point =
     match cfg.cache with
-    | Some c -> fst (Experiment.run_cached ~sim_cfg ~cache:c kernel dis)
-    | None -> Experiment.run ~sim_cfg kernel dis
+    | Some c ->
+        fst (Experiment.run_cached ~sim_cfg ?compiled ~cache:c kernel dis)
+    | None -> Experiment.run ~sim_cfg ?compiled kernel dis
   in
   Experiment.point_to_json point
 

@@ -647,7 +647,7 @@ let[@inline] in_ready t cid =
 
 (* Consume the input token (caller checked [in_ready]; the token's fields
    stay readable in [cur_*] until the clock edge). *)
-let take t cid =
+let[@inline] take t cid =
   asetb t.consumed cid true;
   touch t cid;
   t.progress <- true;
@@ -665,7 +665,7 @@ let take t cid =
 let[@inline] out_free t cid =
   ag t.stg_key cid < 0 && (ag t.cur_key cid < 0 || agb t.consumed cid)
 
-let put t cid ~key ~value =
+let[@inline] put t cid ~key ~value =
   assert (t.stg_key.(cid) < 0);
   aset t.stg_key cid key;
   aset t.stg_val cid value;
@@ -711,7 +711,7 @@ let[@inline] fire t slot =
    token accepted this very cycle (so it costs one stage like any other
    node and only adds capacity), an opaque one holds it for a cycle (a
    timing-breaking register). *)
-let buf_try_emit t r co ~transparent =
+let[@inline] buf_try_emit t r co ~transparent =
   rlen r > 0
   && (transparent || rhead r 2 < t.cycle)
   && out_free t co

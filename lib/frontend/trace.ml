@@ -12,18 +12,10 @@ open Pv_kernels
 
 exception Data_dependent_bound of Ast.expr
 
-(* Evaluate a bound expression over scalars only. *)
-let rec eval_bound env (e : Ast.expr) : int =
-  match e with
-  | Ast.Int n -> n
-  | Ast.Var v -> (
-      match List.assoc_opt v env with
-      | Some n -> n
-      | None -> raise (Interp.Unbound_variable v))
-  | Ast.Un (u, x) -> Pv_dataflow.Types.eval_unop u (eval_bound env x)
-  | Ast.Bin (b, x, y) ->
-      Pv_dataflow.Types.eval_binop b (eval_bound env x) (eval_bound env y)
-  | Ast.Idx _ -> raise (Data_dependent_bound e)
+(* A bound reads scalars only: an array read stages to a closure raising
+   [Data_dependent_bound] when the walk reaches it. *)
+let stage_bound scope e =
+  Interp.stage_expr ~idx:(fun _ e _ _ -> raise (Data_dependent_bound e)) scope e
 
 type t = {
   rows : int array array;
@@ -33,28 +25,49 @@ type t = {
   arity : int;  (** generator output count: 1 (leaf id) + max loop depth *)
 }
 
+(* The walk is staged once per node, as {!Interp} stages a kernel: loop
+   variables live in frame slots after the parameters, and each leaf's
+   record and slots resolve before the walk.  A lookup that fails raises
+   only when the walk reaches it, as a per-instance lookup would. *)
 let of_kernel (k : Ast.kernel) (info : Depend.info) : t =
   let arity = 1 + info.Depend.max_loop_depth in
   let rows = ref [] in
-  let n = ref 0 in
-  let rec walk env node =
+  let rec stage scope next node : Interp.frame -> unit =
     match node with
-    | Depend.Leaf (id, _) ->
-        let leaf = List.nth info.Depend.leaves id in
-        let row = Array.make arity 0 in
-        row.(0) <- id;
-        List.iteri
-          (fun i var -> row.(i + 1) <- List.assoc var env)
-          leaf.Depend.loop_vars;
-        rows := row :: !rows;
-        incr n
+    | Depend.Leaf (id, _) -> (
+        match
+          List.map
+            (fun var -> List.assoc var scope)
+            (List.nth info.Depend.leaves id).Depend.loop_vars
+        with
+        | exception e -> fun _ -> raise e
+        | slots ->
+            let slots = Array.of_list slots in
+            fun f ->
+              let row = Array.make arity 0 in
+              row.(0) <- id;
+              for i = 0 to Array.length slots - 1 do
+                row.(i + 1) <- f.(slots.(i))
+              done;
+              rows := row :: !rows)
     | Depend.Loop { var; lo; hi; body } ->
-        let lo = eval_bound env lo and hi = eval_bound env hi in
-        for iv = lo to hi - 1 do
-          List.iter (walk ((var, iv) :: env)) body
-        done
+        let lo = stage_bound scope lo and hi = stage_bound scope hi in
+        let body =
+          Interp.stage_seq
+            (List.map (stage ((var, next) :: scope) (next + 1)) body)
+        in
+        fun f ->
+          let lo = lo f and hi = hi f in
+          for iv = lo to hi - 1 do
+            f.(next) <- iv;
+            body f
+          done
   in
-  List.iter (walk k.Ast.params) info.Depend.nodes;
+  let scope, frame =
+    Interp.bind k.Ast.params ~loops:info.Depend.max_loop_depth
+  in
+  let n = List.length k.Ast.params in
+  Interp.stage_seq (List.map (stage scope n) info.Depend.nodes) frame;
   { rows = Array.of_list (List.rev !rows); arity }
 
 let length t = Array.length t.rows

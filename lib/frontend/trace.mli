@@ -18,8 +18,10 @@ type t = {
   arity : int;  (** generator output count: 1 (leaf id) + max loop depth *)
 }
 
-(** Tabulate the trace.
-    @raise Data_dependent_bound when a loop bound reads an array. *)
+(** Tabulate the trace.  Each leaf's loop variables and each bound resolve
+    once per node, before the walk.
+    @raise Data_dependent_bound when a loop bound the walk reaches reads an
+    array (one inside a zero-trip loop is never reached). *)
 val of_kernel : Pv_kernels.Ast.kernel -> Depend.info -> t
 
 val length : t -> int

@@ -233,6 +233,25 @@ let test_metrics_export () =
       Cache.reset_stats c;
       Alcotest.(check int) "reset" 0 (Cache.hits c))
 
+(* ------------------------------------------------------------------ *)
+(* A caller's compile                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A point run on a compile the caller already holds (the serve path's
+   fault-plan sizing) is the point a fresh compile gives, cached or not. *)
+let test_precompiled_point () =
+  let kernel = Pv_kernels.Defs.histogram ~n:32 () in
+  let dis = Pipeline.prevv 16 in
+  let json = Experiment.point_to_json in
+  let fresh = json (Experiment.run kernel dis) in
+  let compiled = Pipeline.compile kernel in
+  Alcotest.(check string) "run ~compiled" fresh
+    (json (Experiment.run ~compiled kernel dis));
+  let c = Cache.in_memory () in
+  let p, flag = Experiment.run_cached ~compiled ~cache:c kernel dis in
+  Alcotest.(check bool) "miss" true (flag = `Miss);
+  Alcotest.(check string) "run_cached ~compiled" fresh (json p)
+
 let () =
   Alcotest.run "cache"
     [
@@ -254,5 +273,9 @@ let () =
         [
           Alcotest.test_case "eviction accounting" `Quick test_eviction_counter;
           Alcotest.test_case "metrics export" `Quick test_metrics_export;
+        ] );
+      ( "run",
+        [
+          Alcotest.test_case "precompiled point" `Quick test_precompiled_point;
         ] );
     ]

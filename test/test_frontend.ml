@@ -115,6 +115,46 @@ let test_trace_data_dependent_bound () =
        false
      with Trace.Data_dependent_bound _ -> true)
 
+(* Bounds are evaluated only when the walk reaches them: a data-dependent
+   or unbound bound nested in a zero-trip loop raises nothing. *)
+let test_trace_unreached_bound () =
+  let open Ast in
+  let k =
+    {
+      name = "lazy";
+      arrays = [ ("a", 4) ];
+      params = [ ("N", 0) ];
+      body =
+        [
+          for_ "i" (i 0) (v "N")
+            [
+              for_ "j" (i 0) (idx "a" (i 0)) [ store "a" (i 0) (i 1) ];
+              for_ "j" (v "y") (i 2) [ store "a" (i 1) (i 1) ];
+            ];
+          for_ "i" (i 0) (i 2) [ store "a" (v "i") (i 2) ];
+        ];
+    }
+  in
+  let t = Trace.of_kernel k (info_of k) in
+  Alcotest.(check int) "only the second nest" 2 (Trace.length t);
+  Alcotest.(check (array int)) "row 1" [| 2; 1; 0 |] t.Trace.rows.(1)
+
+(* An inner loop variable shadows a parameter of the same name. *)
+let test_trace_loop_shadows_param () =
+  let open Ast in
+  let k =
+    {
+      name = "shadow";
+      arrays = [ ("a", 8) ];
+      params = [ ("i", 3) ];
+      body = [ for_ "i" (i 1) (v "i") [ store "a" (v "i") (i 0) ] ];
+    }
+  in
+  let t = Trace.of_kernel k (info_of k) in
+  Alcotest.(check (list (array int)))
+    "rows carry the loop variable" [ [| 0; 1 |]; [| 0; 2 |] ]
+    (Array.to_list t.Trace.rows)
+
 (* --- build ------------------------------------------------------------------ *)
 
 let test_build_all_kernels_valid () =
@@ -239,6 +279,10 @@ let () =
           Alcotest.test_case "rows" `Quick test_trace_rows;
           Alcotest.test_case "data-dependent bound" `Quick
             test_trace_data_dependent_bound;
+          Alcotest.test_case "unreached bound" `Quick
+            test_trace_unreached_bound;
+          Alcotest.test_case "loop shadows param" `Quick
+            test_trace_loop_shadows_param;
         ] );
       ( "build",
         [

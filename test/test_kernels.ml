@@ -87,6 +87,92 @@ let test_division_guard () =
   let st = Interp.run k ~init:[] in
   Alcotest.(check int) "div0 -> 0" 0 (Hashtbl.find st "a").(0)
 
+(* --- staging keeps the walker's semantics ------------------------------------ *)
+
+(* A wrong-length init is refused by both entry points: the instance count
+   runs the same staged program as [run], not a silently mis-sized copy. *)
+let test_init_length_checked () =
+  let k = Defs.polyn_mult ~n:4 () in
+  let init = [ ("a", [| 1; 2; 3; 4; 5 |]) ] in
+  let refuses name f =
+    Alcotest.(check bool)
+      (name ^ " raises Invalid_argument")
+      true
+      (try
+         ignore (f ());
+         false
+       with Invalid_argument _ -> true)
+  in
+  refuses "run" (fun () -> Interp.run k ~init);
+  refuses "count_instances" (fun () -> Interp.count_instances k ~init)
+
+(* Errors raise where the walk reaches them: an unbound name or an
+   out-of-bounds store under an untaken branch or in a zero-trip loop is
+   never reached. *)
+let test_unreached_errors () =
+  let bad = Ast.[ store "a" (i 9) (v "x"); store "nope" (i 0) (i 0) ] in
+  let k =
+    Ast.
+      {
+        name = "t";
+        arrays = [ ("a", 2) ];
+        params = [ ("N", 0) ];
+        body =
+          [
+            If (i 0, bad, [ store "a" (i 0) (i 5) ]);
+            If (i 1, [ store "a" (i 1) (i 6) ], bad);
+            for_ "i" (i 3) (i 3) bad;
+            for_ "j" (i 0) (v "N") [ for_ "k" (v "y") (i 1) bad ];
+          ];
+      }
+  in
+  let st = Interp.run k ~init:[] in
+  Alcotest.(check (array int)) "taken branches only" [| 5; 6 |]
+    (Hashtbl.find st "a");
+  Alcotest.(check int) "instances" 2 (Interp.count_instances k ~init:[])
+
+(* An inner loop variable shadows a parameter of the same name, and the
+   parameter is visible again after the loop. *)
+let test_loop_shadows_param () =
+  let k =
+    Ast.
+      {
+        name = "t";
+        arrays = [ ("a", 4) ];
+        params = [ ("i", 3) ];
+        body =
+          [
+            for_ "i" (i 0) (v "i") [ store "a" (v "i") (v "i" + i 10) ];
+            store "a" (v "i") (i 7);
+          ];
+      }
+  in
+  let st = Interp.run k ~init:[] in
+  Alcotest.(check (array int)) "loop var inside, param after"
+    [| 10; 11; 12; 7 |] (Hashtbl.find st "a");
+  Alcotest.(check int) "eval: innermost binding" 2
+    (Interp.eval st [ ("i", 2); ("i", 3) ] (Ast.v "i"))
+
+(* The right operand of a binary operator is evaluated first, so of two
+   faulting operands the right one's error wins. *)
+let test_right_operand_first () =
+  let k =
+    Ast.
+      {
+        name = "t";
+        arrays = [ ("a", 4) ];
+        params = [];
+        body = [ store "a" (i 0) (idx "a" (i 99) + v "x") ];
+      }
+  in
+  Alcotest.check_raises "unbound x, not a[99]" (Interp.Unbound_variable "x")
+    (fun () -> ignore (Interp.run k ~init:[]));
+  (* and a store checks its index before evaluating its value *)
+  let k' = { k with Ast.body = Ast.[ store "a" (i 4) (v "x") ] } in
+  Alcotest.check_raises "bounds before value"
+    (Interp.Out_of_bounds { array = "a"; index = 4; length = 4 })
+    (fun () -> ignore (Interp.run k' ~init:[]))
+
 (* --- kernel definitions --------------------------------------------------- *)
 
 (* polyn_mult against a direct reference implementation *)
@@ -254,6 +340,13 @@ let () =
           Alcotest.test_case "unbound var" `Quick test_unbound_variable;
           Alcotest.test_case "out of bounds" `Quick test_out_of_bounds;
           Alcotest.test_case "division by zero" `Quick test_division_guard;
+          Alcotest.test_case "init length checked" `Quick
+            test_init_length_checked;
+          Alcotest.test_case "unreached errors" `Quick test_unreached_errors;
+          Alcotest.test_case "loop shadows param" `Quick
+            test_loop_shadows_param;
+          Alcotest.test_case "right operand first" `Quick
+            test_right_operand_first;
         ] );
       ( "kernels",
         [

@@ -358,6 +358,34 @@ let test_prof_records_scanned () =
   Alcotest.(check int) "arriving store scans the full load view" 3
     (pqv () - pqv1)
 
+(* (k) the golden model resolves every name once, before the walk: beyond
+   its array copies, [Interp.run] allocates at most one minor word per leaf
+   instance on each paper kernel (the staging, spread over the run; 0.5 at
+   most, measured).  A walker that looks a name up per reference allocates
+   per reference instead: an option per variable read and an environment
+   cell per iteration, 32 words per instance on polyn_mult. *)
+let test_interp_alloc () =
+  List.iter
+    (fun kernel ->
+      let init = Pv_kernels.Workload.default_init kernel in
+      let instances = Pv_kernels.Interp.count_instances kernel ~init in
+      let copies =
+        List.fold_left
+          (fun acc (_, len) -> acc + len + 1)
+          0 kernel.Pv_kernels.Ast.arrays
+      in
+      let words =
+        minor_delta (fun () -> ignore (Pv_kernels.Interp.run kernel ~init))
+      in
+      let per_instance =
+        (words -. float_of_int copies) /. float_of_int instances
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f minor words per instance <= 1"
+           kernel.Pv_kernels.Ast.name per_instance)
+        true (per_instance <= 1.0))
+    kernels
+
 (* (d) wheel ordering: equal-expiry entries fire in insertion order, and
    an entry a full lap ahead stays parked in the shared bucket. *)
 let test_wheel_fifo () =
@@ -396,6 +424,8 @@ let () =
             test_queue_paths_no_alloc;
           Alcotest.test_case "every scheme's cycles allocate nothing"
             `Quick test_schemes_no_alloc;
+          Alcotest.test_case "golden model: <= 1 minor word per instance"
+            `Quick test_interp_alloc;
         ] );
       ( "prof",
         [
