@@ -1,4 +1,4 @@
-.PHONY: all build test verify bench-tables gate bounds soak fuzz-soak clean
+.PHONY: all build test verify bench-tables gate bounds soak fuzz-soak loc clean
 
 # worker domains for the grid-shaped benchmarks (make soak JOBS=N); an
 # explicit count is honoured exactly, up to 64
@@ -48,6 +48,10 @@ soak:
 # deeper differential-fuzz sweep (FUZZ_ITERS multiplies the qcheck counts)
 fuzz-soak:
 	FUZZ_ITERS=10 dune exec test/test_fuzz.exe
+
+# lib/ + bin/ source lines: the count ROADMAP's deletion target is kept in
+loc:
+	@find lib bin -name '*.ml' -o -name '*.mli' | xargs cat | wc -l
 
 clean:
 	dune clean

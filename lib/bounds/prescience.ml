@@ -50,21 +50,9 @@ type cexpr =
 type store = { port : int; st_addr : cexpr; data : cexpr }
 type leaf = Plain of store | Cond of cexpr * store list * store list
 
-(* Mirrors Build's compilation order exactly — index loads, then value
-   loads, then the store, condition before branches — and checks each
-   allocated port against the port map, as Build does. *)
-let compile_leaf ~params ~layout ~pm ~cse ~port_base (leaf : Depend.leaf_info)
-    =
-  let next = ref port_base in
-  let alloc kind array =
-    let id = !next in
-    incr next;
-    let p = Portmap.port pm id in
-    if p.Portmap.kind <> kind || p.Portmap.array <> array then
-      invalid_arg
-        (Printf.sprintf "Prescience.walk: port %d enumeration mismatch" id);
-    id
-  in
+(* The lowered leaf with loop variables resolved to trace-row fields,
+   parameters to constants and array accesses to flat addresses. *)
+let compile_leaf ~params ~layout (leaf : Depend.leaf_info) =
   let var v =
     match List.assoc_opt v params with
     | Some n -> Const n
@@ -76,52 +64,30 @@ let compile_leaf ~params ~layout ~pm ~cse ~port_base (leaf : Depend.leaf_info)
         in
         find 0 leaf.Depend.loop_vars
   in
-  let seen = Hashtbl.create 8 and first = Hashtbl.create 8 in
-  let rec expr scope (e : Ast.expr) =
+  let address array index =
+    Bin (Types.Add, index, Const (Pv_memory.Layout.base layout array))
+  in
+  let rec expr (e : Depend.lexpr) =
     match e with
-    | Ast.Int n -> Const n
-    | Ast.Var v -> var v
-    | Ast.Un (u, x) -> Un (u, expr scope x)
-    | Ast.Bin (b, x, y) ->
-        let x = expr scope x in
-        let y = expr scope y in
-        Bin (b, x, y)
-    | Ast.Idx (a, ix) -> (
-        if not cse then snd (load scope a ix)
-        else
-          match Depend.cse_lookup ~seen ~scope a ix with
-          | `Fresh key ->
-              let port, c = load scope a ix in
-              Hashtbl.replace first key port;
-              c
-          | `Dup key -> Reuse (Hashtbl.find first key))
-  and load scope a ix =
-    let addr = address scope a ix in
-    let port = alloc Portmap.OLoad a in
-    (port, Load (port, addr))
-  and address scope a ix =
-    Bin (Types.Add, expr scope ix, Const (Pv_memory.Layout.base layout a))
+    | Depend.Int n -> Const n
+    | Depend.Var v -> var v
+    | Depend.Un (u, x) -> Un (u, expr x)
+    | Depend.Bin (b, x, y) -> Bin (b, expr x, expr y)
+    | Depend.Load { port; array; index } ->
+        Load (port, address array (expr index))
+    | Depend.Reuse { port; _ } -> Reuse port
   in
-  let store scope = function
-    | Ast.Store (a, ix, value) ->
-        let st_addr = address scope a ix in
-        let data = expr scope value in
-        { port = alloc Portmap.OStore a; st_addr; data }
-    | Ast.If _ | Ast.For _ ->
-        invalid_arg "Prescience.walk: conditional bodies may contain only stores"
+  let store (st : Depend.lstore) =
+    {
+      port = st.Depend.port;
+      st_addr = address st.Depend.array (expr st.Depend.index);
+      data = expr st.Depend.value;
+    }
   in
-  let compiled =
-    match leaf.Depend.stmt with
-    | Ast.Store _ as s -> Plain (store Depend.Sc_uncond s)
-    | Ast.If (c, th, el) ->
-        let c = expr Depend.Sc_uncond c in
-        let th = List.map (store Depend.Sc_then) th in
-        let el = List.map (store Depend.Sc_else) el in
-        Cond (c, th, el)
-    | Ast.For _ -> invalid_arg "Prescience.walk: leaf cannot be a loop"
-  in
-  assert (!next = port_base + List.length leaf.Depend.ops);
-  compiled
+  match leaf.Depend.lowered with
+  | Depend.Plain st -> Plain (store st)
+  | Depend.Cond (c, th, el) ->
+      Cond (expr c, List.map store th, List.map store el)
 
 (* --- the walk ------------------------------------------------------------- *)
 
@@ -168,17 +134,8 @@ let walk (k : Ast.kernel) (info : Depend.info) (trace : Pv_frontend.Trace.t)
   let pm = info.Depend.portmap in
   let n_ports = Array.length pm.Portmap.ports in
   let leaves =
-    let port_base = ref 0 in
     Array.of_list
-      (List.map
-         (fun (leaf : Depend.leaf_info) ->
-           let c =
-             compile_leaf ~params:k.Ast.params ~layout ~pm
-               ~cse:info.Depend.cse ~port_base:!port_base leaf
-           in
-           port_base := !port_base + List.length leaf.Depend.ops;
-           c)
-         info.Depend.leaves)
+      (List.map (compile_leaf ~params:k.Ast.params ~layout) info.Depend.leaves)
   in
   let rows = trace.Pv_frontend.Trace.rows in
   let n_seq = Array.length rows in

@@ -3,14 +3,14 @@
 
     {!walk} executes the kernel in program order over a pristine copy of
     its memory: the loop-nest trace gives the body instances in seq order,
-    each leaf's [ops] in {!Pv_frontend.Depend.leaf_info} (under the same
-    CSE setting the circuit was built with) give its memory operations in
-    port order,
-    and every flat address is the array's {!Pv_memory.Layout} base plus the
-    evaluated index.  An address outside memory reads 0 and drops the
-    write, as the backends do.  A correct disambiguator returns exactly
-    these program-order values, so the tables equal what a fault-free
-    cycle-accurate reference run would record.
+    each leaf's [lowered] form in {!Pv_frontend.Depend.leaf_info} (the one
+    the circuit was built from, load reuses included) gives its memory
+    operations and their ports, and every flat address is the array's
+    {!Pv_memory.Layout} base plus the evaluated index.  An address outside
+    memory reads 0 and drops the write, as the backends do.  A correct
+    disambiguator returns exactly these program-order values, so the
+    tables equal what a fault-free cycle-accurate reference run would
+    record.
 
     Every dynamic operation has a {e slot} [seq * n_ports + port]: the
     index into the flat tables and, because port ids are assigned in

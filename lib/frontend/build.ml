@@ -11,10 +11,10 @@
     tokens of Sec. V-C (omitted when [fake_tokens] is false, which
     reproduces the Fig. 6 deadlock).
 
-    Multiplications by compile-time constants are strength-reduced to
-    {!Pv_dataflow.Types.Mulc}; with [cse] on, repeated loads of the same
-    address within a leaf collapse to one port whose value is forked (see
-    {!Optimize}). *)
+    Each datapath is compiled from the leaf {!Depend} lowered, so its ports
+    are the analysis' ports; a load that the analysis reused (load CSE) is
+    one port whose value is forked.  Multiplications by compile-time
+    constants are strength-reduced to {!Pv_dataflow.Types.Mulc}. *)
 
 open Pv_kernels
 open Pv_dataflow
@@ -23,7 +23,9 @@ type options = {
   fifo_slots : int;  (** FIFO depth in front of ambiguous memory ports *)
   fake_tokens : bool;  (** wire Skip nodes for conditional pair members *)
   balance : bool;  (** slack-buffer insertion for II=1 (see {!Balance}) *)
-  cse : bool;  (** deduplicate repeated loads per leaf (see {!Optimize}) *)
+  cse : bool;
+      (** deduplicate repeated loads per leaf; read by {!Depend.analyse},
+          whose lowered leaves this builder follows *)
 }
 
 let default_options =
@@ -40,8 +42,9 @@ let take s =
       e
   | [] -> failwith (Printf.sprintf "Build: supply %s exhausted" s.s_name)
 
-(* Fan a source endpoint out into [n] usable endpoints (0 = discard). *)
-let make_supply b name src n : supply =
+(* Fan a source endpoint out into [n] usable endpoints (0 = discard); the
+   fork is labelled [label], by default "fork_" ^ [name]. *)
+let make_supply ?label b name src n : supply =
   if n = 0 then begin
     let s = Graph.add b Types.Sink in
     Graph.connect b src (s, 0);
@@ -49,112 +52,91 @@ let make_supply b name src n : supply =
   end
   else if n = 1 then { s_name = name; avail = [ src ] }
   else begin
-    let f = Graph.add ~label:("fork_" ^ name) b (Types.Fork n) in
+    let label = Option.value label ~default:("fork_" ^ name) in
+    let f = Graph.add ~label b (Types.Fork n) in
     Graph.connect b src (f, 0);
     { s_name = name; avail = List.init n (fun i -> (f, i)) }
   end
 
-(* --- use counting (must mirror [compile_expr] exactly) ------------------- *)
+(* --- token demand ------------------------------------------------------- *)
 
-type counts = {
-  c_vars : (string, int) Hashtbl.t;
-  mutable c_ctrl : int;  (** constants: literals, params, array bases *)
-  mutable c_guard_dups : int;
-      (** CSE reuses of an unconditional load inside a branch: each costs
-          one condition token (its guard) but no ctrl/var token *)
+(* What a lowered leaf takes from its supplies, from one walk over it.
+   Every literal, parameter and array base takes a control token and every
+   loop-variable use a token of that variable.  Inside a branch each of
+   those takes, and each guarded reuse, passes a guard that takes one
+   condition token; so does every skip structure, which also takes a
+   control token. *)
+type demand = {
+  vars : (string, int) Hashtbl.t;  (** loop variable -> uses *)
+  ctrl : int;
+  fanout : (int, int) Hashtbl.t;  (** load port -> the load plus its reuses *)
+  cond : int;  (** condition-fork size *)
+  skips : int list * int list;
+      (** ambiguous ports of the then and else stores, in port order: the
+          ops that need a skip structure *)
 }
 
-let fresh_counts () =
-  { c_vars = Hashtbl.create 8; c_ctrl = 0; c_guard_dups = 0 }
+let bump tbl k =
+  Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
 
-let bump_var c v =
-  Hashtbl.replace c.c_vars v
-    (1 + Option.value ~default:0 (Hashtbl.find_opt c.c_vars v))
-
-let rec count_expr ~params ~cse ~seen ~scope c (e : Ast.expr) =
-  match e with
-  | Ast.Int _ -> c.c_ctrl <- c.c_ctrl + 1
-  | Ast.Var v ->
-      if List.mem_assoc v params then c.c_ctrl <- c.c_ctrl + 1 else bump_var c v
-  | Ast.Un (_, x) -> count_expr ~params ~cse ~seen ~scope c x
-  | Ast.Bin (_, x, y) ->
-      count_expr ~params ~cse ~seen ~scope c x;
-      count_expr ~params ~cse ~seen ~scope c y
-  | Ast.Idx (a, ix) ->
-      if not cse then begin
-        count_expr ~params ~cse ~seen ~scope c ix;
-        c.c_ctrl <- c.c_ctrl + 1 (* base-address constant *)
-      end
-      else begin
-        match Depend.cse_lookup ~seen ~scope a ix with
-        | `Fresh _ ->
-            count_expr ~params ~cse ~seen ~scope c ix;
-            c.c_ctrl <- c.c_ctrl + 1
-        | `Dup (kscope, _, _) ->
-            if kscope = Depend.Sc_uncond && scope <> Depend.Sc_uncond then
-              c.c_guard_dups <- c.c_guard_dups + 1
-      end
-
-let count_store ~params ~cse ~seen ~scope c (ix, value) =
-  count_expr ~params ~cse ~seen ~scope c ix;
-  count_expr ~params ~cse ~seen ~scope c value;
-  (* the store's own base-address constant *)
-  c.c_ctrl <- c.c_ctrl + 1
-
-let takes_of c = c.c_ctrl + Hashtbl.fold (fun _ n acc -> acc + n) c.c_vars 0
-
-(* CSE fan-out: how many occurrences resolve to each key across the leaf.
-   The traversal order matches the compile order exactly, so the resolved
-   keys agree. *)
-let load_uses ~cse (stmt : Ast.stmt) : (Depend.cse_key, int) Hashtbl.t =
-  let uses = Hashtbl.create 8 in
-  if cse then begin
-    let seen = Hashtbl.create 8 in
-    let bump key =
-      Hashtbl.replace uses key
-        (1 + Option.value ~default:0 (Hashtbl.find_opt uses key))
-    in
-    let rec expr ~scope (e : Ast.expr) =
-      match e with
-      | Ast.Int _ | Ast.Var _ -> ()
-      | Ast.Un (_, x) -> expr ~scope x
-      | Ast.Bin (_, x, y) ->
-          expr ~scope x;
-          expr ~scope y
-      | Ast.Idx (a, ix) -> (
-          match Depend.cse_lookup ~seen ~scope a ix with
-          | `Fresh key ->
-              expr ~scope ix;
-              bump key
-          | `Dup key -> bump key)
-    in
-    let stmts ~scope =
-      List.iter (fun s ->
-          match s with
-          | Ast.Store (_, ix, v) ->
-              expr ~scope ix;
-              expr ~scope v
-          | _ -> invalid_arg "Build: conditional bodies may contain only stores")
-    in
-    match stmt with
-    | Ast.Store (_, ix, v) ->
-        expr ~scope:Depend.Sc_uncond ix;
-        expr ~scope:Depend.Sc_uncond v
-    | Ast.If (c, t, e) ->
-        expr ~scope:Depend.Sc_uncond c;
-        stmts ~scope:Depend.Sc_then t;
-        stmts ~scope:Depend.Sc_else e
-    | Ast.For _ -> invalid_arg "Build: leaf cannot be a loop"
-  end;
-  uses
-
-(* Conditional ambiguous ports of a leaf whose port ids start at
-   [port_base] — the ops that need a skip structure. *)
-let skip_ports ~pm ~port_base (leaf : Depend.leaf_info) =
-  List.mapi (fun i (o : Depend.op) -> (port_base + i, o)) leaf.Depend.ops
-  |> List.filter (fun (pid, (o : Depend.op)) ->
-         o.Depend.op_conditional && Pv_memory.Portmap.is_ambiguous pm pid)
-  |> List.map fst
+let demand ~params ~pm (lowered : Depend.lowered) =
+  let vars = Hashtbl.create 8 and fanout = Hashtbl.create 8 in
+  let ctrl = ref 0 in
+  (* guarded takes and ambiguous ports since the current branch began *)
+  let guarded = ref 0 and ambiguous = ref [] in
+  let take_ctrl () =
+    incr ctrl;
+    incr guarded
+  in
+  let port p =
+    if Pv_memory.Portmap.is_ambiguous pm p then ambiguous := p :: !ambiguous
+  in
+  let rec expr (e : Depend.lexpr) =
+    match e with
+    | Depend.Int _ -> take_ctrl ()
+    | Depend.Var v when List.mem_assoc v params -> take_ctrl ()
+    | Depend.Var v ->
+        bump vars v;
+        incr guarded
+    | Depend.Un (_, x) -> expr x
+    | Depend.Bin (_, x, y) ->
+        expr x;
+        expr y
+    | Depend.Load { port = p; index; _ } ->
+        expr index;
+        take_ctrl () (* base-address constant *);
+        bump fanout p;
+        port p
+    | Depend.Reuse { port = p; guarded = g } ->
+        bump fanout p;
+        if g then incr guarded
+  in
+  let store (st : Depend.lstore) =
+    expr st.Depend.index;
+    expr st.Depend.value;
+    take_ctrl () (* the store's own base-address constant *);
+    port st.Depend.port
+  in
+  let branch stores =
+    guarded := 0;
+    ambiguous := [];
+    List.iter store stores;
+    (!guarded, List.rev !ambiguous)
+  in
+  let cond, skips =
+    match lowered with
+    | Depend.Plain st ->
+        store st;
+        (0, ([], []))
+    | Depend.Cond (c, t, e) ->
+        expr c;
+        let t_guarded, t_skips = branch t in
+        let e_guarded, e_skips = branch e in
+        let n_skips = List.length t_skips + List.length e_skips in
+        ctrl := !ctrl + n_skips;
+        (t_guarded + e_guarded + n_skips, (t_skips, e_skips))
+  in
+  { vars; ctrl = !ctrl; fanout; cond; skips }
 
 (* --- compilation context -------------------------------------------------- *)
 
@@ -166,39 +148,27 @@ type ctx = {
   opts : options;
   vars : (string, supply) Hashtbl.t;
   ctrl : supply;
-  port_base : int;  (** first port id of this leaf *)
-  mutable next_port : int;
-  mutable alloc_log : int list;  (** ports allocated by this leaf, latest first *)
-  (* conditional-branch compilation: every token source is wrapped in a
-     branch steered by a copy of the condition *)
-  guard : (ctx -> int * int -> int * int) option;
-  scope : Depend.cse_scope;
-  cse_seen : (Depend.cse_key, unit) Hashtbl.t;
-  cse_supply : (Depend.cse_key, supply) Hashtbl.t;
-  cse_uses : (Depend.cse_key, int) Hashtbl.t;
+  guard : (bool * supply) option;
+      (** in a branch: every token source passes a Branch steered by a copy
+          of the condition; [true] for the else side *)
+  fanout : (int, int) Hashtbl.t;
+  shared : (int, supply) Hashtbl.t;  (** forked values of reused loads *)
 }
 
-let alloc_port ctx ~kind ~array =
-  let id = ctx.next_port in
-  ctx.next_port <- id + 1;
-  ctx.alloc_log <- id :: ctx.alloc_log;
-  let p = Pv_memory.Portmap.port ctx.pm id in
-  if p.Pv_memory.Portmap.kind <> kind || p.Pv_memory.Portmap.array <> array then
-    failwith
-      (Printf.sprintf
-         "Build: port %d enumeration mismatch (compiling %s %s, analysis said \
-          %s %s)"
-         id
-         (match kind with Pv_memory.Portmap.OLoad -> "load" | _ -> "store")
-         array
-         (match p.Pv_memory.Portmap.kind with
-         | Pv_memory.Portmap.OLoad -> "load"
-         | _ -> "store")
-         p.Pv_memory.Portmap.array);
-  id
-
+(* Guard for conditional branches: Branch output 0 is the taken side.
+   [flip] selects the else-branch (pass when the condition is false). *)
 let apply_guard ctx ep =
-  match ctx.guard with Some g -> g ctx ep | None -> ep
+  match ctx.guard with
+  | None -> ep
+  | Some (flip, cond_supply) ->
+      let cond = take cond_supply in
+      let br = Graph.add ~label:"guard" ctx.b Types.Branch in
+      Graph.connect ctx.b ep (br, 0);
+      Graph.connect ctx.b cond (br, 1);
+      let pass, drop = if flip then (1, 0) else (0, 1) in
+      let sink = Graph.add ctx.b Types.Sink in
+      Graph.connect ctx.b (br, drop) (sink, 0);
+      (br, pass)
 
 (* A constant token: consumes one (guarded) control token. *)
 let const_node ctx n =
@@ -216,27 +186,27 @@ let fifo ctx src =
   Graph.connect ctx.b src (buf, 0);
   (buf, 0)
 
-let rec compile_expr ctx (e : Ast.expr) : int * int =
+let rec compile_expr ctx (e : Depend.lexpr) : int * int =
   match e with
-  | Ast.Int n -> const_node ctx n
-  | Ast.Var v -> (
+  | Depend.Int n -> const_node ctx n
+  | Depend.Var v -> (
       match List.assoc_opt v ctx.params with
       | Some n -> const_node ctx n
       | None -> (
           match Hashtbl.find_opt ctx.vars v with
           | Some s -> apply_guard ctx (take s)
           | None -> failwith (Printf.sprintf "Build: unbound variable %s" v)))
-  | Ast.Un (u, x) ->
+  | Depend.Un (u, x) ->
       let ep = compile_expr ctx x in
       let n = Graph.add ctx.b (Types.Unop u) in
       Graph.connect ctx.b ep (n, 0);
       (n, 0)
-  | Ast.Bin (op, x, y) ->
+  | Depend.Bin (op, x, y) ->
       let ex = compile_expr ctx x in
       let ey = compile_expr ctx y in
       let is_const = function
-        | Ast.Int _ -> true
-        | Ast.Var v -> List.mem_assoc v ctx.params
+        | Depend.Int _ -> true
+        | Depend.Var v -> List.mem_assoc v ctx.params
         | _ -> false
       in
       let op =
@@ -247,47 +217,29 @@ let rec compile_expr ctx (e : Ast.expr) : int * int =
       Graph.connect ctx.b ex (n, 0);
       Graph.connect ctx.b ey (n, 1);
       (n, 0)
-  | Ast.Idx (a, ix) ->
-      if not ctx.opts.cse then compile_load ctx a ix
+  | Depend.Load { port; array; index } ->
+      let addr = compile_addr ctx array index in
+      let load =
+        Graph.add ~label:("load_" ^ array) ctx.b (Types.Load { port })
+      in
+      let ambiguous = Pv_memory.Portmap.is_ambiguous ctx.pm port in
+      let addr = if ambiguous then fifo ctx addr else addr in
+      Graph.connect ctx.b addr (load, 0);
+      let uses = Hashtbl.find ctx.fanout port in
+      if uses = 1 then (load, 0)
       else begin
-        match Depend.cse_lookup ~seen:ctx.cse_seen ~scope:ctx.scope a ix with
-        | `Fresh key ->
-            let ep = compile_load ctx a ix in
-            let uses =
-              Option.value ~default:1 (Hashtbl.find_opt ctx.cse_uses key)
-            in
-            if uses <= 1 then ep
-            else begin
-              let f = Graph.add ~label:("cse_" ^ a) ctx.b (Types.Fork uses) in
-              Graph.connect ctx.b ep (f, 0);
-              let supply =
-                { s_name = "cse_" ^ a; avail = List.init uses (fun i -> (f, i)) }
-              in
-              Hashtbl.replace ctx.cse_supply key supply;
-              take supply
-            end
-        | `Dup ((kscope, _, _) as key) -> (
-            match Hashtbl.find_opt ctx.cse_supply key with
-            | Some supply ->
-                let ep = take supply in
-                (* an unconditional load reused inside a branch passes
-                   through the branch's guard; same-scope reuses are
-                   already gated by the load's own (guarded) inputs *)
-                if kscope = Depend.Sc_uncond && ctx.scope <> Depend.Sc_uncond
-                then apply_guard ctx ep
-                else ep
-            | None -> failwith "Build: CSE supply missing (pass mismatch)")
+        (* reused: fork the loaded value once per use *)
+        let name = "cse_" ^ array in
+        let s = make_supply ~label:name ctx.b name (load, 0) uses in
+        Hashtbl.replace ctx.shared port s;
+        take s
       end
-
-and compile_load ctx a ix =
-  let addr = compile_addr ctx a ix in
-  let port = alloc_port ctx ~kind:Pv_memory.Portmap.OLoad ~array:a in
-  let load = Graph.add ~label:("load_" ^ a) ctx.b (Types.Load { port }) in
-  let addr =
-    if Pv_memory.Portmap.is_ambiguous ctx.pm port then fifo ctx addr else addr
-  in
-  Graph.connect ctx.b addr (load, 0);
-  (load, 0)
+  | Depend.Reuse { port; guarded } ->
+      (* an unconditional load reused inside a branch passes through the
+         branch's guard; same-scope reuses are already gated by the load's
+         own (guarded) inputs *)
+      let ep = take (Hashtbl.find ctx.shared port) in
+      if guarded then apply_guard ctx ep else ep
 
 and compile_addr ctx a ix =
   let ep = compile_expr ctx ix in
@@ -297,28 +249,18 @@ and compile_addr ctx a ix =
   Graph.connect ctx.b base (add, 1);
   (add, 0)
 
-let compile_store ctx (a, ix, value) =
-  let addr = compile_addr ctx a ix in
-  let data = compile_expr ctx value in
-  let port = alloc_port ctx ~kind:Pv_memory.Portmap.OStore ~array:a in
-  let st = Graph.add ~label:("store_" ^ a) ctx.b (Types.Store { port }) in
+let compile_store ctx (st : Depend.lstore) =
+  let addr = compile_addr ctx st.Depend.array st.Depend.index in
+  let data = compile_expr ctx st.Depend.value in
+  let port = st.Depend.port in
+  let node =
+    Graph.add ~label:("store_" ^ st.Depend.array) ctx.b (Types.Store { port })
+  in
   let ambiguous = Pv_memory.Portmap.is_ambiguous ctx.pm port in
   let addr = if ambiguous then fifo ctx addr else addr in
   let data = if ambiguous then fifo ctx data else data in
-  Graph.connect ctx.b addr (st, 0);
-  Graph.connect ctx.b data (st, 1)
-
-(* Guard for conditional branches: Branch output 0 is the taken side.
-   [flip] selects the else-branch (pass when the condition is false). *)
-let branch_guard ~flip cond_supply ctx ep =
-  let cond = take cond_supply in
-  let br = Graph.add ~label:"guard" ctx.b Types.Branch in
-  Graph.connect ctx.b ep (br, 0);
-  Graph.connect ctx.b cond (br, 1);
-  let pass, drop = if flip then (1, 0) else (0, 1) in
-  let sink = Graph.add ctx.b Types.Sink in
-  Graph.connect ctx.b (br, drop) (sink, 0);
-  (br, pass)
+  Graph.connect ctx.b addr (node, 0);
+  Graph.connect ctx.b data (node, 1)
 
 (* Conditional ambiguous ports must notify the backend on the untaken path
    (fake tokens, Sec. V-C).  [flip] mirrors the branch side. *)
@@ -340,104 +282,16 @@ let add_skip ~flip ctx cond_supply port =
     Graph.connect ctx.b (br, on_untaken) (sink2, 0)
   end
 
-let compile_leaf ctx (leaf : Depend.leaf_info) =
-  match leaf.Depend.stmt with
-  | Ast.Store (a, ix, value) -> compile_store ctx (a, ix, value)
-  | Ast.If (cexpr, tstmts, estmts) ->
-      let cond_ep = compile_expr ctx cexpr in
-      (* size the condition fork: every guarded token source in either
-         branch plus one per skip structure.  The counting walk shares one
-         CSE [seen] table seeded by the condition, mirroring compilation. *)
-      let count_seen = Hashtbl.create 8 in
-      let cond_counts = fresh_counts () in
-      count_expr ~params:ctx.params ~cse:ctx.opts.cse ~seen:count_seen
-        ~scope:Depend.Sc_uncond cond_counts cexpr;
-      let branch_takes ~scope stmts =
-        let c = fresh_counts () in
-        List.iter
-          (fun s ->
-            match s with
-            | Ast.Store (_, ix, value) ->
-                count_store ~params:ctx.params ~cse:ctx.opts.cse ~seen:count_seen
-                  ~scope c (ix, value)
-            | _ -> invalid_arg "Build: conditional bodies may contain only stores")
-          stmts;
-        takes_of c + c.c_guard_dups
-      in
-      let t_takes = branch_takes ~scope:Depend.Sc_then tstmts in
-      let e_takes = branch_takes ~scope:Depend.Sc_else estmts in
-      let skips = skip_ports ~pm:ctx.pm ~port_base:ctx.port_base leaf in
-      let n_cond = t_takes + e_takes + List.length skips in
-      let cond_supply = make_supply ctx.b "cond" cond_ep n_cond in
-      let snapshot = ctx.alloc_log in
-      let tctx =
-        { ctx with
-          guard = Some (branch_guard ~flip:false cond_supply);
-          scope = Depend.Sc_then }
-      in
-      List.iter
-        (fun s ->
-          match s with
-          | Ast.Store (a, ix, value) -> compile_store tctx (a, ix, value)
-          | _ -> assert false)
-        tstmts;
-      ctx.next_port <- tctx.next_port;
-      ctx.alloc_log <- tctx.alloc_log;
-      let after_then = ctx.alloc_log in
-      let ectx =
-        { ctx with
-          guard = Some (branch_guard ~flip:true cond_supply);
-          scope = Depend.Sc_else }
-      in
-      List.iter
-        (fun s ->
-          match s with
-          | Ast.Store (a, ix, value) -> compile_store ectx (a, ix, value)
-          | _ -> assert false)
-        estmts;
-      ctx.next_port <- ectx.next_port;
-      ctx.alloc_log <- ectx.alloc_log;
-      (* ports allocated by each branch, from the allocation log (the lists
-         share their tails, so physical-equality cutting is exact) *)
-      let allocated newer older =
-        let rec go acc l =
-          if l == older then acc
-          else match l with [] -> acc | x :: r -> go (x :: acc) r
-        in
-        go [] newer
-      in
-      let conditional = List.filter (fun p -> List.mem p skips) in
-      let t_ports = conditional (allocated after_then snapshot) in
-      let e_ports = conditional (allocated ctx.alloc_log after_then) in
-      List.iter (add_skip ~flip:false ctx cond_supply) t_ports;
-      List.iter (add_skip ~flip:true ctx cond_supply) e_ports
-  | Ast.For _ -> invalid_arg "Build: leaf cannot be a loop"
-
-(* Total control-token uses of a leaf (mirrors compile order): all ctrl
-   consumers in the statement plus one per skip structure. *)
-let leaf_counts ~params ~cse (leaf : Depend.leaf_info) ~pm ~port_base =
-  let c = fresh_counts () in
-  let seen = Hashtbl.create 8 in
-  (match leaf.Depend.stmt with
-  | Ast.Store (_, ix, value) ->
-      count_store ~params ~cse ~seen ~scope:Depend.Sc_uncond c (ix, value)
-  | Ast.If (cexpr, tstmts, estmts) ->
-      count_expr ~params ~cse ~seen ~scope:Depend.Sc_uncond c cexpr;
-      let count_branch ~scope stmts =
-        List.iter
-          (fun s ->
-            match s with
-            | Ast.Store (_, ix, value) ->
-                count_store ~params ~cse ~seen ~scope c (ix, value)
-            | _ -> invalid_arg "Build: conditional bodies may contain only stores")
-          stmts
-      in
-      count_branch ~scope:Depend.Sc_then tstmts;
-      count_branch ~scope:Depend.Sc_else estmts;
-      (* one control token per skip structure *)
-      c.c_ctrl <- c.c_ctrl + List.length (skip_ports ~pm ~port_base leaf)
-  | Ast.For _ -> invalid_arg "Build: leaf cannot be a loop");
-  c
+let compile_leaf ctx d (lowered : Depend.lowered) =
+  match lowered with
+  | Depend.Plain st -> compile_store ctx st
+  | Depend.Cond (c, t, e) ->
+      let cond = make_supply ctx.b "cond" (compile_expr ctx c) d.cond in
+      List.iter (compile_store { ctx with guard = Some (false, cond) }) t;
+      List.iter (compile_store { ctx with guard = Some (true, cond) }) e;
+      let t_skips, e_skips = d.skips in
+      List.iter (add_skip ~flip:false ctx cond) t_skips;
+      List.iter (add_skip ~flip:true ctx cond) e_skips
 
 (** Build the full circuit for [k].  Returns the graph; the generator node
     embeds the trace. *)
@@ -458,22 +312,10 @@ let circuit ?(options = default_options) (k : Ast.kernel) (info : Depend.info)
           Array.init n_leaves (fun j -> (f, j))
         end)
   in
-  (* precompute port bases per leaf (analysis order) *)
-  let port_bases =
-    let next = ref 0 in
-    List.map
-      (fun leaf ->
-        let base = !next in
-        next := base + List.length leaf.Depend.ops;
-        base)
-      leaves
-  in
   List.iteri
-    (fun li leaf ->
-      let port_base = List.nth port_bases li in
-      let counts =
-        leaf_counts ~params:k.Ast.params ~cse:options.cse leaf
-          ~pm:info.Depend.portmap ~port_base
+    (fun li (leaf : Depend.leaf_info) ->
+      let d =
+        demand ~params:k.Ast.params ~pm:info.Depend.portmap leaf.Depend.lowered
       in
       (* gate: match the statement id *)
       let fsid = Graph.add ~label:"gate_sid" b (Types.Fork 3) in
@@ -497,7 +339,7 @@ let circuit ?(options = default_options) (k : Ast.kernel) (info : Depend.info)
         let var = List.nth_opt leaf.Depend.loop_vars (kslot - 1) in
         match var with
         | Some v ->
-            let uses = Option.value ~default:0 (Hashtbl.find_opt counts.c_vars v) in
+            let uses = Option.value ~default:0 (Hashtbl.find_opt d.vars v) in
             Hashtbl.replace vars v (make_supply b ("var_" ^ v) (br, 0) uses)
         | None ->
             let s2 = Graph.add b Types.Sink in
@@ -509,7 +351,7 @@ let circuit ?(options = default_options) (k : Ast.kernel) (info : Depend.info)
       Graph.connect b (feq, n_gates - 1) (brc, 1);
       let sinkc = Graph.add b Types.Sink in
       Graph.connect b (brc, 1) (sinkc, 0);
-      let ctrl = make_supply b "ctrl" (brc, 0) counts.c_ctrl in
+      let ctrl = make_supply b "ctrl" (brc, 0) d.ctrl in
       let ctx =
         {
           b;
@@ -519,18 +361,12 @@ let circuit ?(options = default_options) (k : Ast.kernel) (info : Depend.info)
           opts = options;
           vars;
           ctrl;
-          port_base;
-          next_port = port_base;
-          alloc_log = [];
           guard = None;
-          scope = Depend.Sc_uncond;
-          cse_seen = Hashtbl.create 8;
-          cse_supply = Hashtbl.create 8;
-          cse_uses = load_uses ~cse:options.cse leaf.Depend.stmt;
+          fanout = d.fanout;
+          shared = Hashtbl.create 8;
         }
       in
-      compile_leaf ctx leaf;
-      assert (ctx.next_port = port_base + List.length leaf.Depend.ops);
+      compile_leaf ctx d leaf.Depend.lowered;
       assert (ctrl.avail = []);
       Hashtbl.iter
         (fun v s ->
@@ -540,7 +376,7 @@ let circuit ?(options = default_options) (k : Ast.kernel) (info : Depend.info)
       Hashtbl.iter
         (fun _ s ->
           if s.avail <> [] then failwith "Build: leftover CSE supply")
-        ctx.cse_supply)
+        ctx.shared)
     leaves;
   let g = Graph.finalize b in
   if options.balance then Balance.apply g else g

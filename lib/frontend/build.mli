@@ -18,14 +18,15 @@ type options = {
   balance : bool;  (** slack-buffer insertion for II = 1 (see {!Balance}) *)
   cse : bool;
       (** deduplicate syntactically repeated loads per leaf, forking the
-          loaded value instead (see {!Optimize}); the analysis must run
-          with the same setting *)
+          loaded value instead.  Read by the analysis
+          ([Pv_core.Pipeline.compile] passes it to {!Depend.analyse}), not by
+          {!circuit}, which follows the analysis' lowered leaves *)
 }
 
 val default_options : options
 
-(** Build the circuit.  Ports are allocated in the analysis' program
-    order; the construction asserts agreement with [info]'s port map. *)
+(** Build the circuit from [info]'s lowered leaves, whose ports and load
+    reuses it takes as they are. *)
 val circuit :
   ?options:options ->
   Pv_kernels.Ast.kernel ->

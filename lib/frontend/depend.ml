@@ -27,11 +27,22 @@ type op = {
   op_conditional : bool;
 }
 
+type lexpr =
+  | Int of int
+  | Var of string
+  | Un of Pv_dataflow.Types.unop * lexpr
+  | Bin of Pv_dataflow.Types.binop * lexpr * lexpr
+  | Load of { port : int; array : string; index : lexpr }
+  | Reuse of { port : int; guarded : bool }
+
+type lstore = { port : int; array : string; index : lexpr; value : lexpr }
+type lowered = Plain of lstore | Cond of lexpr * lstore list * lstore list
+
 type leaf_info = {
   leaf_id : int;
   loop_vars : string list;  (** outermost first *)
-  stmt : Ast.stmt;
-  ops : op list;  (** program order; ports are assigned in this order *)
+  lowered : lowered;
+  ops : op list;  (** the ports of [lowered], in port order *)
 }
 
 type pair_class = Affine | Indirect
@@ -43,7 +54,6 @@ type info = {
   ambiguous_arrays : (string * pair_class) list;
       (** one disambiguation instance per entry, in instance-id order *)
   max_loop_depth : int;
-  cse : bool;  (** the CSE setting the ports were enumerated under *)
 }
 
 (* --- leaf extraction ----------------------------------------------------- *)
@@ -66,99 +76,70 @@ let annotate (body : Ast.stmt list) : node list * (int * string list * Ast.stmt)
   let nodes = List.map (go []) body in
   (nodes, List.rev !leaves)
 
-(* --- program-order operation enumeration -------------------------------- *)
+(* --- lowering: the one port enumeration ------------------------------- *)
 
 (* CSE scoping: loads may be shared within one conditional scope of a leaf
    (unconditional / then / else), and a branch may reuse an unconditional
-   load — the guard branches always consume, so the shared fork never
+   load -- the guard branches always consume, so the shared fork never
    starves.  Sharing between the two branches would starve the untaken
    side and deadlock. *)
-type cse_scope = Sc_uncond | Sc_then | Sc_else
+type scope = Uncond | Then | Else
 
-type cse_key = cse_scope * string * Ast.expr
-
-(* The resolved CSE key of a load: an earlier unconditional occurrence wins
-   over a branch-scoped one.  Registers the key on its first occurrence. *)
-let cse_lookup ~(seen : (cse_key, unit) Hashtbl.t) ~scope a ix :
-    [ `Fresh of cse_key | `Dup of cse_key ] =
-  let in_uncond = Hashtbl.mem seen (Sc_uncond, a, ix) in
-  let key =
-    if scope <> Sc_uncond && in_uncond then (Sc_uncond, a, ix)
-    else (scope, a, ix)
+(* Lower one leaf statement, numbering its memory ops from [first_port] in
+   program order: loads in post-order (operands before their operator,
+   inner index loads before the enclosing access), a store after its index
+   and value loads, a condition before its branches.  With [cse], a load
+   whose (array, index) was already loaded in the same scope, or
+   unconditionally, becomes a [Reuse] of that port. *)
+let lower ~cse ~first_port (stmt : Ast.stmt) : lowered * op list =
+  let next = ref first_port and ops = ref [] in
+  let port op_kind op_array op_index scope =
+    let op_conditional = scope <> Uncond in
+    ops := { op_kind; op_array; op_index; op_conditional } :: !ops;
+    incr next;
+    !next - 1
   in
-  if Hashtbl.mem seen key then `Dup key
-  else begin
-    Hashtbl.replace seen key ();
-    `Fresh key
-  end
-
-(* Loads of an expression in post-order (operands before their operator,
-   inner index loads before the enclosing access), matching exactly the
-   order in which Build compiles them.  With [cse], duplicated loads are
-   dropped (Build reuses the first occurrence's value). *)
-let rec expr_ops ~cse ~seen ~scope ~conditional acc (e : Ast.expr) =
-  match e with
-  | Ast.Int _ | Ast.Var _ -> acc
-  | Ast.Un (_, x) -> expr_ops ~cse ~seen ~scope ~conditional acc x
-  | Ast.Bin (_, x, y) ->
-      expr_ops ~cse ~seen ~scope ~conditional
-        (expr_ops ~cse ~seen ~scope ~conditional acc x)
-        y
-  | Ast.Idx (a, ix) ->
-      let acc = expr_ops ~cse ~seen ~scope ~conditional acc ix in
-      let fresh =
-        (not cse) || match cse_lookup ~seen ~scope a ix with `Fresh _ -> true | `Dup _ -> false
-      in
-      if fresh then
-        {
-          op_kind = Pv_memory.Portmap.OLoad;
-          op_array = a;
-          op_index = ix;
-          op_conditional = conditional;
-        }
-        :: acc
-      else acc
-
-let store_ops ~cse ~seen ~scope ~conditional acc (a, ix, value) =
-  let acc = expr_ops ~cse ~seen ~scope ~conditional acc ix in
-  let acc = expr_ops ~cse ~seen ~scope ~conditional acc value in
-  {
-    op_kind = Pv_memory.Portmap.OStore;
-    op_array = a;
-    op_index = ix;
-    op_conditional = conditional;
-  }
-  :: acc
-
-(* Memory operations of a leaf statement in program order: index loads in
-   post-order, then value loads, then the store; conditionals contribute
-   their condition's loads first, then each branch.  With [cse],
-   syntactically duplicated loads within a conditional scope collapse to
-   their first occurrence (see Optimize).  Raises [Invalid_argument] when a
-   conditional body contains non-stores. *)
-let leaf_ops ?(cse = false) (stmt : Ast.stmt) : op list =
-  let seen = Hashtbl.create 8 in
-  let branch_ops ~scope acc stmts =
-    List.fold_left
-      (fun acc s ->
-        match s with
-        | Ast.Store (a, ix, value) ->
-            store_ops ~cse ~seen ~scope ~conditional:true acc (a, ix, value)
-        | Ast.If _ | Ast.For _ ->
-            invalid_arg "leaf_ops: conditional bodies may contain only stores")
-      acc stmts
+  let seen : (scope * string * Ast.expr, int) Hashtbl.t = Hashtbl.create 8 in
+  let rec expr scope (e : Ast.expr) =
+    match e with
+    | Ast.Int n -> Int n
+    | Ast.Var v -> Var v
+    | Ast.Un (u, x) -> Un (u, expr scope x)
+    | Ast.Bin (b, x, y) ->
+        let x = expr scope x in
+        let y = expr scope y in
+        Bin (b, x, y)
+    | Ast.Idx (a, ix) -> (
+        let earlier s = if cse then Hashtbl.find_opt seen (s, a, ix) else None in
+        match (earlier Uncond, earlier scope) with
+        | Some p, _ -> Reuse { port = p; guarded = scope <> Uncond }
+        | None, Some p -> Reuse { port = p; guarded = false }
+        | None, None ->
+            let index = expr scope ix in
+            let p = port Pv_memory.Portmap.OLoad a ix scope in
+            if cse then Hashtbl.replace seen (scope, a, ix) p;
+            Load { port = p; array = a; index })
   in
-  match stmt with
-  | Ast.Store (a, ix, value) ->
-      List.rev
-        (store_ops ~cse ~seen ~scope:Sc_uncond ~conditional:false []
-           (a, ix, value))
-  | Ast.If (c, t, e) ->
-      let acc = expr_ops ~cse ~seen ~scope:Sc_uncond ~conditional:false [] c in
-      let acc = branch_ops ~scope:Sc_then acc t in
-      let acc = branch_ops ~scope:Sc_else acc e in
-      List.rev acc
-  | Ast.For _ -> invalid_arg "leaf_ops: not a leaf"
+  let store scope = function
+    | Ast.Store (array, ix, v) ->
+        let index = expr scope ix in
+        let value = expr scope v in
+        let port = port Pv_memory.Portmap.OStore array ix scope in
+        { port; array; index; value }
+    | Ast.If _ | Ast.For _ ->
+        invalid_arg "Depend.lower: conditional bodies may contain only stores"
+  in
+  let lowered =
+    match stmt with
+    | Ast.Store _ -> Plain (store Uncond stmt)
+    | Ast.If (c, t, e) ->
+        let c = expr Uncond c in
+        let t = List.map (store Then) t in
+        let e = List.map (store Else) e in
+        Cond (c, t, e)
+    | Ast.For _ -> invalid_arg "Depend.lower: not a leaf"
+  in
+  (lowered, List.rev !ops)
 
 (* --- affine classification ----------------------------------------------- *)
 
@@ -218,10 +199,13 @@ let rec affine_of ~params (e : Ast.expr) : affine option =
 
 let analyse ?(cse = false) (k : Ast.kernel) : info =
   let nodes, raw_leaves = annotate k.Ast.body in
+  let next_port = ref 0 in
   let leaves =
     List.map
       (fun (leaf_id, loop_vars, stmt) ->
-        { leaf_id; loop_vars; stmt; ops = leaf_ops ~cse stmt })
+        let lowered, ops = lower ~cse ~first_port:!next_port stmt in
+        next_port := !next_port + List.length ops;
+        { leaf_id; loop_vars; lowered; ops })
       raw_leaves
   in
   let all_ops = List.concat_map (fun l -> l.ops) leaves in
@@ -255,42 +239,28 @@ let analyse ?(cse = false) (k : Ast.kernel) : info =
     in
     find 0 ambiguous
   in
-  (* assign ports: leaf order, then op order *)
-  let ports = ref [] in
-  let next_port = ref 0 in
+  (* the port map, in the order [lower] numbered the ports: leaf order, then
+     op order *)
   let n_groups = List.length leaves in
   let n_instances = List.length ambiguous in
   let rom = Array.init n_instances (fun _ -> Array.make n_groups [||]) in
-  List.iter
-    (fun leaf ->
-      List.iter
-        (fun o ->
-          let id = !next_port in
-          incr next_port;
-          let instance = instance_of o.op_array in
-          ports :=
-            {
-              Pv_memory.Portmap.id;
-              kind = o.op_kind;
-              array = o.op_array;
-              instance;
-              conditional = o.op_conditional;
-            }
-            :: !ports;
-          match instance with
-          | Some inst ->
-              rom.(inst).(leaf.leaf_id) <-
-                Array.append rom.(inst).(leaf.leaf_id) [| id |]
-          | None -> ())
-        leaf.ops)
-    leaves;
+  let ports =
+    List.concat_map (fun l -> List.map (fun o -> (l.leaf_id, o)) l.ops) leaves
+    |> List.mapi (fun id (group, o) ->
+           let instance = instance_of o.op_array in
+           Option.iter
+             (fun i -> rom.(i).(group) <- Array.append rom.(i).(group) [| id |])
+             instance;
+           {
+             Pv_memory.Portmap.id;
+             kind = o.op_kind;
+             array = o.op_array;
+             instance;
+             conditional = o.op_conditional;
+           })
+  in
   let portmap =
-    {
-      Pv_memory.Portmap.ports = Array.of_list (List.rev !ports);
-      n_groups;
-      n_instances;
-      rom;
-    }
+    { Pv_memory.Portmap.ports = Array.of_list ports; n_groups; n_instances; rom }
   in
   let rec depth n =
     match n with
@@ -303,7 +273,6 @@ let analyse ?(cse = false) (k : Ast.kernel) : info =
     portmap;
     ambiguous_arrays = List.map (fun a -> (a, classify a)) ambiguous;
     max_loop_depth = List.fold_left (fun m n -> max m (depth n)) 0 nodes;
-    cse;
   }
 
 (** Count of ambiguous pairs before dimension reduction: every

@@ -27,11 +27,44 @@ type op = {
   op_conditional : bool;
 }
 
+(** {2 The port-numbered leaf IR}
+
+    Every leaf statement is lowered once, here, and every later pass (the
+    circuit builder, the prescience walk) reads its memory order from the
+    lowered form instead of re-deriving it from the AST.  Ports are global
+    ids, numbered in leaf order and then in program order within a leaf:
+    loads in post-order (operands before their operator, inner index loads
+    before the enclosing access), a store after its index and value loads,
+    a condition before its branches.
+
+    With load CSE, a load whose array and index were already loaded in the
+    same conditional scope (unconditional / then / else), or
+    unconditionally, is lowered to a [Reuse] of that port's value.  The two
+    branches never share a load: the untaken side would starve. *)
+
+type lexpr =
+  | Int of int
+  | Var of string  (** a kernel parameter or a loop variable *)
+  | Un of Pv_dataflow.Types.unop * lexpr
+  | Bin of Pv_dataflow.Types.binop * lexpr * lexpr
+  | Load of { port : int; array : string; index : lexpr }
+  | Reuse of { port : int; guarded : bool }
+      (** the value an earlier [Load port] of this leaf returned; [guarded]
+          when an unconditional load is reused inside a branch, which must
+          pass the value through the branch's guard *)
+
+type lstore = { port : int; array : string; index : lexpr; value : lexpr }
+
+(** A lowered leaf: one store, or a condition and the stores of each
+    branch (conditional bodies hold only stores). *)
+type lowered = Plain of lstore | Cond of lexpr * lstore list * lstore list
+
 type leaf_info = {
   leaf_id : int;
   loop_vars : string list;  (** outermost first *)
-  stmt : Pv_kernels.Ast.stmt;
-  ops : op list;  (** program order; ports are assigned in this order *)
+  lowered : lowered;
+  ops : op list;
+      (** the [Load] and store ports of [lowered], in port order *)
 }
 
 type pair_class = Affine | Indirect
@@ -43,27 +76,7 @@ type info = {
   ambiguous_arrays : (string * pair_class) list;
       (** one disambiguation instance per entry, in instance-id order *)
   max_loop_depth : int;
-  cse : bool;
-      (** the CSE setting the ports were enumerated under; whoever replays
-          the leaves' operations must resolve duplicate loads the same way *)
 }
-
-(** CSE scoping inside one leaf: loads may be shared within one
-    conditional scope, and a branch may reuse an unconditional load; the
-    two branches never share (the untaken side would starve). *)
-type cse_scope = Sc_uncond | Sc_then | Sc_else
-
-type cse_key = cse_scope * string * Pv_kernels.Ast.expr
-
-(** Resolve a load occurrence to its CSE key, registering first
-    occurrences; the builder and the analysis share this function so their
-    port enumerations agree. *)
-val cse_lookup :
-  seen:(cse_key, unit) Hashtbl.t ->
-  scope:cse_scope ->
-  string ->
-  Pv_kernels.Ast.expr ->
-  [ `Fresh of cse_key | `Dup of cse_key ]
 
 (** Affine form [sum coeff_i * var_i + const] over the loop variables. *)
 type affine = { coeffs : (string * int) list; const : int }
@@ -73,8 +86,9 @@ type affine = { coeffs : (string * int) list; const : int }
 val affine_of :
   params:(string * int) list -> Pv_kernels.Ast.expr -> affine option
 
-(** Full analysis of a kernel.  [cse] must match the builder's setting so
-    that port enumeration agrees. *)
+(** Full analysis of a kernel, lowering every leaf.  [cse] (default off)
+    turns repeated loads into [Reuse]s; the builder and the prescience walk
+    follow the lowered leaves, so they need no setting of their own. *)
 val analyse : ?cse:bool -> Pv_kernels.Ast.kernel -> info
 
 (** Ambiguous pairs before dimension reduction: every (load, store)

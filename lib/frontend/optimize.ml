@@ -9,11 +9,14 @@
       idiom loads [a[x]] once for the index and once for the value; real
       front-ends emit a single load.  Fewer ambiguous ports means fewer
       premature records per iteration — it directly widens PreVV's
-      effective queue window.
+      effective queue window.  The mini-language has no scalar lets to
+      hold the first-loaded value, so this pass has no AST form: it
+      happens when {!Depend} lowers a leaf (a repeated load becomes a
+      reuse of the first load's port), and the builder forks the value.
 
     Both passes preserve the interpreter semantics exactly (tested); they
     are off by default so the paper reproduction measures the unoptimised
-    circuits, and exposed through {!Pipeline.compile}'s options and the
+    circuits, and exposed through [Pipeline.compile]'s options and the
     CLI. *)
 
 open Pv_kernels
@@ -71,60 +74,3 @@ let rec fold_stmt ~params (s : Ast.stmt) : Ast.stmt =
     no reference to it survives in the body. *)
 let constant_fold (k : Ast.kernel) : Ast.kernel =
   { k with Ast.body = List.map (fold_stmt ~params:k.Ast.params) k.Ast.body }
-
-(* --- load CSE -------------------------------------------------------------- *)
-
-(* Count occurrences of each (array, index) load within an expression.  The
-   index expressions compare structurally, which is sound because leaf
-   expressions are pure. *)
-let rec collect_loads acc (e : Ast.expr) =
-  match e with
-  | Ast.Int _ | Ast.Var _ -> acc
-  | Ast.Un (_, x) -> collect_loads acc x
-  | Ast.Bin (_, x, y) -> collect_loads (collect_loads acc x) y
-  | Ast.Idx (a, ix) ->
-      let acc = collect_loads acc ix in
-      let key = (a, ix) in
-      let n = try List.assoc key acc with Not_found -> 0 in
-      (key, n + 1) :: List.remove_assoc key acc
-
-(* Rewriting duplicated loads needs a place to keep the first-loaded value;
-   the mini-language has no scalar lets, so CSE is expressed by the
-   {e circuit builder}: ports are deduplicated per leaf and the loaded
-   value forked.  At the AST level we therefore only report the
-   opportunity; the rewrite itself happens in {!Build} when its [cse]
-   option is set. *)
-
-(** Duplicated loads per leaf statement: (array, index, occurrences) with
-    occurrences >= 2.  Conditions and both branches of an [If] count as
-    one scope (they execute under one instance). *)
-let duplicate_loads (s : Ast.stmt) : (string * Ast.expr * int) list =
-  let loads =
-    match s with
-    | Ast.Store (_, ix, v) -> collect_loads (collect_loads [] ix) v
-    | Ast.If (c, t, e) ->
-        let branch acc =
-          List.fold_left
-            (fun acc s ->
-              match s with
-              | Ast.Store (_, ix, v) -> collect_loads (collect_loads acc ix) v
-              | _ -> acc)
-            acc
-        in
-        branch (branch (collect_loads [] c) t) e
-    | Ast.For _ -> []
-  in
-  List.filter_map
-    (fun ((a, ix), n) -> if n >= 2 then Some (a, ix, n) else None)
-    loads
-
-(** Total removable loads across the kernel (the CSE opportunity count). *)
-let cse_opportunity (k : Ast.kernel) : int =
-  let rec go acc (s : Ast.stmt) =
-    match s with
-    | Ast.For { body; _ } -> List.fold_left go acc body
-    | leaf ->
-        List.fold_left (fun acc (_, _, n) -> acc + n - 1) acc
-          (duplicate_loads leaf)
-  in
-  List.fold_left go 0 k.Ast.body

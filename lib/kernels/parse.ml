@@ -374,12 +374,12 @@ and parse_if p =
   expect p LPAREN "'('";
   let cond = parse_cmp p in
   expect p RPAREN "')'";
-  let then_ = parse_block p in
+  let then_ = parse_block ~stores_only:true p in
   let else_ =
     match p.tok with
     | KW_ELSE ->
         bump p;
-        parse_block p
+        parse_block ~stores_only:true p
     | _ -> []
   in
   Ast.If (cond, then_, else_)
@@ -405,13 +405,16 @@ and parse_store p =
   expect p SEMI "';'";
   stmt
 
-and parse_block p : Ast.stmt list =
+(* An if body is one conditional datapath: it holds stores only. *)
+and parse_block ?(stores_only = false) p : Ast.stmt list =
   expect p LBRACE "'{'";
   let rec go acc =
     match p.tok with
     | RBRACE ->
         bump p;
         List.rev acc
+    | (KW_FOR | KW_IF) when stores_only ->
+        perr p "an if body may contain only stores"
     | _ -> go (parse_stmt p :: acc)
   in
   go []

@@ -72,6 +72,147 @@ let test_conditional_ops () =
      of y, s and x, and the store itself *)
   Alcotest.(check int) "conditional ops" 5 (List.length conditional)
 
+(* --- lowering --------------------------------------------------------------- *)
+
+(* a[i] = x[i] + x[i];
+   if (x[i] > 0) s[i] = x[i] + y[i] + y[i]; else s[i] = y[i]; *)
+let lowering_kernel =
+  let open Ast in
+  {
+    name = "lowering";
+    arrays = [ ("a", 8); ("x", 8); ("y", 8); ("s", 8) ];
+    params = [];
+    body =
+      [
+        for_ "i" (i 0) (i 8)
+          [
+            store "a" (v "i") (idx "x" (v "i") + idx "x" (v "i"));
+            If
+              ( idx "x" (v "i") > i 0,
+                [
+                  store "s" (v "i")
+                    (idx "x" (v "i") + idx "y" (v "i") + idx "y" (v "i"));
+                ],
+                [ store "s" (v "i") (idx "y" (v "i")) ] );
+          ];
+      ];
+  }
+
+let lowered ~cse =
+  List.map
+    (fun l -> l.Depend.lowered)
+    (Depend.analyse ~cse lowering_kernel).Depend.leaves
+
+(* ports of a lowered leaf in program order, and its reuses *)
+let ports_and_reuses (l : Depend.lowered) =
+  let ports = ref [] and reuses = ref [] in
+  let rec expr (e : Depend.lexpr) =
+    match e with
+    | Depend.Int _ | Depend.Var _ -> ()
+    | Depend.Un (_, x) -> expr x
+    | Depend.Bin (_, x, y) ->
+        expr x;
+        expr y
+    | Depend.Load { port; index; _ } ->
+        expr index;
+        ports := port :: !ports
+    | Depend.Reuse { port; guarded } -> reuses := (port, guarded) :: !reuses
+  in
+  let store (st : Depend.lstore) =
+    expr st.Depend.index;
+    expr st.Depend.value;
+    ports := st.Depend.port :: !ports
+  in
+  (match l with
+  | Depend.Plain st -> store st
+  | Depend.Cond (c, t, e) ->
+      expr c;
+      List.iter store t;
+      List.iter store e);
+  (List.rev !ports, List.rev !reuses)
+
+let test_lowering_cse_scopes () =
+  let x = Depend.Load { port = 2; array = "x"; index = Depend.Var "i" } in
+  let y_then = Depend.Load { port = 3; array = "y"; index = Depend.Var "i" } in
+  let y_else = Depend.Load { port = 5; array = "y"; index = Depend.Var "i" } in
+  let add a b = Depend.Bin (Pv_dataflow.Types.Add, a, b) in
+  let expected =
+    [
+      (* a repeat in the same scope reuses the port, unguarded *)
+      Depend.Plain
+        {
+          Depend.port = 1;
+          array = "a";
+          index = Depend.Var "i";
+          value =
+            add
+              (Depend.Load { port = 0; array = "x"; index = Depend.Var "i" })
+              (Depend.Reuse { port = 0; guarded = false });
+        };
+      (* the condition's x[i] is reused in the then branch through its
+         guard; y[i] is shared within the then branch but loaded again in
+         the else branch *)
+      Depend.Cond
+        ( Depend.Bin (Pv_dataflow.Types.Gt, x, Depend.Int 0),
+          [
+            {
+              Depend.port = 4;
+              array = "s";
+              index = Depend.Var "i";
+              value =
+                add
+                  (add (Depend.Reuse { port = 2; guarded = true }) y_then)
+                  (Depend.Reuse { port = 3; guarded = false });
+            };
+          ],
+          [
+            {
+              Depend.port = 6;
+              array = "s";
+              index = Depend.Var "i";
+              value = y_else;
+            };
+          ] );
+    ]
+  in
+  Alcotest.(check bool) "lowered with cse" true (lowered ~cse:true = expected)
+
+let test_lowering_port_order () =
+  List.iter
+    (fun (cse, n) ->
+      let leaves = lowered ~cse in
+      let ports = List.concat_map (fun l -> fst (ports_and_reuses l)) leaves in
+      Alcotest.(check (list int))
+        (Printf.sprintf "cse %b: ports 0..%d in program order" cse (n - 1))
+        (List.init n Fun.id) ports;
+      let info = Depend.analyse ~cse lowering_kernel in
+      Alcotest.(check int) "one port map entry per port" n
+        (Array.length info.Depend.portmap.Pv_memory.Portmap.ports))
+    [ (true, 7); (false, 10) ];
+  Alcotest.(check (list (pair int bool))) "no reuse without cse" []
+    (List.concat_map (fun l -> snd (ports_and_reuses l)) (lowered ~cse:false));
+  (* the same holds on every bundled kernel, with and without cse *)
+  List.iter
+    (fun k ->
+      List.iter
+        (fun cse ->
+          let info = Depend.analyse ~cse k in
+          let ports, reuses =
+            List.split
+              (List.map
+                 (fun l -> ports_and_reuses l.Depend.lowered)
+                 info.Depend.leaves)
+          in
+          let n = Array.length info.Depend.portmap.Pv_memory.Portmap.ports in
+          let name = Printf.sprintf "%s, cse %b" k.Ast.name cse in
+          Alcotest.(check (list int)) (name ^ ": ports") (List.init n Fun.id)
+            (List.concat ports);
+          if not cse then
+            Alcotest.(check int) (name ^ ": reuses") 0
+              (List.length (List.concat reuses)))
+        [ false; true ])
+    (Defs.all ())
+
 (* --- trace ------------------------------------------------------------------ *)
 
 let test_trace_length_matches_interpreter () =
@@ -217,6 +358,101 @@ let test_skip_nodes_only_with_fake_tokens () =
   Alcotest.(check int) "without fake tokens: none" 0
     (count_skips { Build.default_options with Build.fake_tokens = false })
 
+(* Build's full structure, pinned with load CSE off and on: every node's id,
+   label, kind with its payload and channels, and every channel's endpoints
+   and width.  The digests were captured before the builder read the
+   analysis' port-numbered leaves, and every bundled kernel must keep them. *)
+let structure_dump g =
+  let module G = Pv_dataflow.Graph in
+  let module T = Pv_dataflow.Types in
+  let b = Buffer.create 8192 in
+  let kind = function
+    | T.Gen s -> Printf.sprintf "gen/%d" s.T.gen_arity
+    | T.Const n -> Printf.sprintf "const %d" n
+    | (T.Fork n | T.Join n | T.Merge n | T.Mux n) as k ->
+        Printf.sprintf "%s/%d" (T.kind_name k) n
+    | T.Buffer { transparent; slots } ->
+        Printf.sprintf "buffer %b %d" transparent slots
+    | (T.Load { port } | T.Store { port } | T.Skip { port }) as k ->
+        Printf.sprintf "%s p%d" (T.kind_name k) port
+    | T.Galloc { group } -> Printf.sprintf "galloc g%d" group
+    | k -> T.kind_name k
+  in
+  let chans a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  G.iter_nodes
+    (fun n ->
+      Printf.bprintf b "n%d %s [%s] in(%s) out(%s)\n" n.G.nid n.G.label
+        (kind n.G.kind) (chans n.G.inputs) (chans n.G.outputs))
+    g;
+  G.iter_chans
+    (fun c ->
+      Printf.bprintf b "c%d %d.%d->%d.%d w%d\n" c.G.cid c.G.src.G.node
+        c.G.src.G.slot c.G.dst.G.node c.G.dst.G.slot c.G.width)
+    g;
+  Buffer.contents b
+
+(* kernel, digest with cse off, digest with cse on *)
+let golden_structures =
+  [
+    ( "polyn_mult",
+      "df866051ca30d33577545f5f52a72082",
+      "df866051ca30d33577545f5f52a72082" );
+    ( "2mm",
+      "27652dbe1cb1c8b0dc4a03db9de9486b",
+      "27652dbe1cb1c8b0dc4a03db9de9486b" );
+    ( "3mm",
+      "a7963bb7cd83f7c3e0132c28e73062fd",
+      "a7963bb7cd83f7c3e0132c28e73062fd" );
+    ( "gaussian",
+      "c90131cae02c4a5760cfd9e279aa738c",
+      "c90131cae02c4a5760cfd9e279aa738c" );
+    ( "triangular",
+      "5c26b21c33cf773d2ca77f47306fbf45",
+      "5c26b21c33cf773d2ca77f47306fbf45" );
+    ( "histogram",
+      "f3955d2926684b72b0feab5c2b898503",
+      "d62a102635697982a12a6c19f1535e67" );
+    ( "fn_dependent",
+      "8b2f643c629bf7a613bbcbd21e361b1b",
+      "c227121eb58e3d633efe18e9a1931b45" );
+    ( "cond_update",
+      "86c7ca76bda84a0f1689f2a2146e5298",
+      "db562828cf8731ecfa1977125f3a64e9" );
+    ( "spmv_like",
+      "3d3069aa749289b76b1d0621b6d08d77",
+      "fef3cb99910703c32a1cd9c7e6a2da3d" );
+    ( "triangular_tight",
+      "175a8db3ba19eab681a46aae7a6f56d8",
+      "175a8db3ba19eab681a46aae7a6f56d8" );
+    ( "fir_smooth",
+      "5c192583d87d9170ea5479ed32b95a89",
+      "5c192583d87d9170ea5479ed32b95a89" );
+    ( "matvec",
+      "177c2dbe18de47760b9214e5943bacfc",
+      "177c2dbe18de47760b9214e5943bacfc" );
+    ( "stencil1d",
+      "449639d532e09ff22fcaf55433da6728",
+      "449639d532e09ff22fcaf55433da6728" );
+    ( "bicg",
+      "58fdddee04576c2bc7854d531705286a",
+      "58fdddee04576c2bc7854d531705286a" );
+    ( "running_max",
+      "9cc9d8783d54e71ef97d417bf34ee9e2",
+      "9cc9d8783d54e71ef97d417bf34ee9e2" );
+  ]
+
+let test_build_structure_pin () =
+  let digest cse k =
+    let options = { Build.default_options with Build.cse } in
+    let g = (Pv_core.Pipeline.compile ~options k).Pv_core.Pipeline.graph in
+    Digest.to_hex (Digest.string (structure_dump g))
+  in
+  Alcotest.(check (list (triple string string string)))
+    "structures" golden_structures
+    (List.map
+       (fun k -> (k.Ast.name, digest false k, digest true k))
+       (Defs.all ()))
+
 (* --- balance ----------------------------------------------------------------- *)
 
 let test_balance_plan_covers_deficits () =
@@ -271,6 +507,10 @@ let () =
             test_port_enumeration_order;
           Alcotest.test_case "naive pair count" `Quick test_naive_pair_count;
           Alcotest.test_case "conditional ops" `Quick test_conditional_ops;
+          Alcotest.test_case "lowering: CSE scopes" `Quick
+            test_lowering_cse_scopes;
+          Alcotest.test_case "lowering: port order" `Quick
+            test_lowering_port_order;
         ] );
       ( "trace",
         [
@@ -294,6 +534,7 @@ let () =
             test_build_strength_reduction;
           Alcotest.test_case "skip nodes" `Quick
             test_skip_nodes_only_with_fake_tokens;
+          Alcotest.test_case "structure pin" `Quick test_build_structure_pin;
         ] );
       ( "balance",
         [

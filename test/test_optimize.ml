@@ -53,14 +53,6 @@ let test_fold_shrinks_circuit () =
 
 (* --- CSE --------------------------------------------------------------------- *)
 
-let test_cse_opportunity () =
-  Alcotest.(check int) "histogram: b[i] twice in leaf 0" 1
-    (Pv_frontend.Optimize.cse_opportunity (Defs.histogram ()));
-  Alcotest.(check int) "cond_update: y[i] and x[i] reused" 2
-    (Pv_frontend.Optimize.cse_opportunity (Defs.cond_update ()));
-  Alcotest.(check int) "polyn_mult: none" 0
-    (Pv_frontend.Optimize.cse_opportunity (Defs.polyn_mult ()))
-
 let ports_of options k =
   let compiled = Pipeline.compile ~options k in
   Array.length
@@ -72,10 +64,15 @@ let cse_options =
 let test_cse_removes_ports () =
   Alcotest.(check int) "histogram without cse" 6
     (ports_of Pv_frontend.Build.default_options (Defs.histogram ()));
-  Alcotest.(check int) "histogram with cse" 5
+  Alcotest.(check int) "histogram with cse: b[i] once" 5
     (ports_of cse_options (Defs.histogram ()));
-  Alcotest.(check int) "cond_update with cse" 4
-    (ports_of cse_options (Defs.cond_update ()))
+  Alcotest.(check int) "cond_update without cse" 6
+    (ports_of Pv_frontend.Build.default_options (Defs.cond_update ()));
+  Alcotest.(check int) "cond_update with cse: y[i] and x[i] reused" 4
+    (ports_of cse_options (Defs.cond_update ()));
+  Alcotest.(check int) "polyn_mult: nothing to share"
+    (ports_of Pv_frontend.Build.default_options (Defs.polyn_mult ()))
+    (ports_of cse_options (Defs.polyn_mult ()))
 
 let check_cse_correct k dis =
   let compiled = Pipeline.compile ~options:cse_options k in
@@ -131,7 +128,6 @@ let () =
         ] );
       ( "cse",
         [
-          Alcotest.test_case "opportunity counting" `Quick test_cse_opportunity;
           Alcotest.test_case "removes ports" `Quick test_cse_removes_ports;
           Alcotest.test_case "verified grid" `Quick test_cse_verified_grid;
           Alcotest.test_case "no-op without duplicates" `Quick

@@ -91,6 +91,25 @@ let test_error_bound_var () =
   Alcotest.(check bool) "bound check" true
     (e.Parse.message = "loop bound must test the induction variable")
 
+(* an if body is one conditional datapath: a loop or a nested if inside it
+   is a located parse error (at the end of the offending keyword, like every
+   parse error), not a kernel the frontend later rejects *)
+let test_error_nested_in_if () =
+  let check what src ~line ~col =
+    let e = parse_err src in
+    Alcotest.(check string) (what ^ " message")
+      "an if body may contain only stores" e.Parse.message;
+    Alcotest.(check (pair int int)) (what ^ " position") (line, col)
+      (e.Parse.line, e.Parse.col)
+  in
+  check "for in then"
+    "int a[4];\nif (a[0] > 0) {\n  for (i = 0; i < 4; ++i) { a[i] = 0; }\n}\n"
+    ~line:3 ~col:6;
+  check "if in else"
+    "int a[4];\nif (a[0] > 0) { a[1] = 1; } else {\n  a[2] = 2;\n\
+    \  if (a[3] > 0) { a[3] = 0; }\n}\n"
+    ~line:4 ~col:5
+
 (* the printer's output parses back to a semantically identical kernel *)
 let roundtrip k =
   let printed = Format.asprintf "%a" Ast.pp_kernel k in
@@ -189,6 +208,8 @@ let () =
             test_minus_assign_and_unary;
           Alcotest.test_case "error position" `Quick test_error_position;
           Alcotest.test_case "bound variable check" `Quick test_error_bound_var;
+          Alcotest.test_case "loop or if inside an if body" `Quick
+            test_error_nested_in_if;
           Alcotest.test_case "bundled kernels round-trip" `Quick
             test_roundtrip_bundled;
           Alcotest.test_case "min/max/not/lnot call forms" `Quick
