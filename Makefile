@@ -26,8 +26,8 @@ verify:
 bench-tables:
 	dune exec bench/main.exe -- --jobs $(JOBS)
 
-# paired speed gate: perfbench paper_grid and squash_storm on BASE and on
-# this checkout in alternating pairs; exits non-zero on a paired slowdown
+# paired speed gate: perfbench paper_grid, squash_storm and area_sweep on
+# BASE and on this checkout in alternating pairs; exits non-zero on a paired slowdown
 # (bench/speed_gate.mli has the rule)
 gate:
 	dune exec bench/gate.exe -- $(BASE)

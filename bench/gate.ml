@@ -6,7 +6,8 @@
    Run it from the root of the change's checkout.  It extracts BASE into a
    temporary directory with git archive, then runs perfbench/run.py (which
    builds each side from its own sources) on each of Speed_gate.workloads
-   in alternating pairs, prints every pair and each workload's verdict,
+   (paper_grid, squash_storm and the compile-and-report area_sweep) in
+   alternating pairs, prints every pair and each workload's verdict,
    and exits 1 when any workload fails Speed_gate's rule, 2 when BASE does
    not name a commit.  When the change edits perfbench/ or BENCHMARK.json
    the two sides would run different benchmarks: the gate says so and

@@ -1,6 +1,6 @@
 module J = Pv_obs.Json
 
-let workloads = [ "paper_grid"; "squash_storm" ]
+let workloads = [ "paper_grid"; "squash_storm"; "area_sweep" ]
 let n_pairs = 7
 let seconds = 5.0
 let seed i = 100 + i

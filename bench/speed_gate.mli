@@ -10,7 +10,8 @@
     one-sided sign test, p = 8/128 = 0.0625), or when any run of either
     side does not count. *)
 
-(** [paper_grid] and [squash_storm]: the simulator and both backends. *)
+(** [paper_grid] and [squash_storm], the simulator and both backends, and
+    [area_sweep], the compile and area-report flow with no simulation. *)
 val workloads : string list
 
 (** 7 pairs per workload. *)

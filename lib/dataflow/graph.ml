@@ -30,13 +30,13 @@ type t = {
 }
 
 type builder = {
-  mutable b_nodes : node list;  (** reverse order *)
-  mutable b_chans : channel list;
+  mutable b_nodes : node array;  (** index = node id; [n_count] in use *)
+  mutable b_chans : channel list;  (** reverse order *)
   mutable n_count : int;
   mutable c_count : int;
 }
 
-let create () = { b_nodes = []; b_chans = []; n_count = 0; c_count = 0 }
+let create () = { b_nodes = [||]; b_chans = []; n_count = 0; c_count = 0 }
 
 let add ?label b kind =
   let n_in, n_out = kind_arity kind in
@@ -51,19 +51,28 @@ let add ?label b kind =
       outputs = Array.make n_out (-1);
     }
   in
+  if nid = Array.length b.b_nodes then begin
+    (* double the store; the new node fills the unused slots until then *)
+    let grown = Array.make (max 16 (2 * nid)) node in
+    Array.blit b.b_nodes 0 grown 0 nid;
+    b.b_nodes <- grown
+  end;
+  b.b_nodes.(nid) <- node;
   b.n_count <- nid + 1;
-  b.b_nodes <- node :: b.b_nodes;
   nid
 
-let node_of b nid = List.find (fun n -> n.nid = nid) b.b_nodes
+let node_of b nid =
+  if nid < 0 || nid >= b.n_count then
+    invalid_arg (Printf.sprintf "connect: no node %d" nid);
+  b.b_nodes.(nid)
 
 let connect ?(width = 32) b (src, sslot) (dst, dslot) =
   let sn = node_of b src and dn = node_of b dst in
-  if sslot >= Array.length sn.outputs then
+  if sslot < 0 || sslot >= Array.length sn.outputs then
     invalid_arg
       (Printf.sprintf "connect: node %d (%s) has no output slot %d" src
          sn.label sslot);
-  if dslot >= Array.length dn.inputs then
+  if dslot < 0 || dslot >= Array.length dn.inputs then
     invalid_arg
       (Printf.sprintf "connect: node %d (%s) has no input slot %d" dst
          dn.label dslot);
@@ -84,13 +93,12 @@ let connect ?(width = 32) b (src, sslot) (dst, dslot) =
   sn.outputs.(sslot) <- cid;
   dn.inputs.(dslot) <- cid
 
+(* channel ids are dense and the list is newest first, so the reversed
+   list is already in id order *)
 let finalize b : t =
-  let ntbl = Hashtbl.create 64 and ctbl = Hashtbl.create 64 in
-  List.iter (fun n -> Hashtbl.replace ntbl n.nid n) b.b_nodes;
-  List.iter (fun c -> Hashtbl.replace ctbl c.cid c) b.b_chans;
   {
-    nodes = Array.init b.n_count (Hashtbl.find ntbl);
-    chans = Array.init b.c_count (Hashtbl.find ctbl);
+    nodes = Array.sub b.b_nodes 0 b.n_count;
+    chans = Array.of_list (List.rev b.b_chans);
   }
 
 let n_nodes g = Array.length g.nodes

@@ -26,7 +26,9 @@ type node = {
 (** A finalized, immutable graph. *)
 type t
 
-(** Mutable construction state. *)
+(** Mutable construction state.  Nodes sit in a growable array indexed by
+    id, so every builder operation is O(1) (amortised for {!add}) and a
+    whole construction is linear in nodes + channels. *)
 type builder
 
 val create : unit -> builder
@@ -35,11 +37,19 @@ val create : unit -> builder
     and assigned in creation order. *)
 val add : ?label:string -> builder -> Types.kind -> Types.node_id
 
-(** [connect b (src, out_slot) (dst, in_slot)] wires a new channel.
-    @raise Invalid_argument on out-of-range slots or double wiring. *)
+(** [connect b (src, out_slot) (dst, in_slot)] wires a new channel; channel
+    ids are dense and assigned in connection order.  Both nodes are found
+    by id in O(1).
+    @raise Invalid_argument ["connect: no node N"] when either id was never
+    added, ["connect: node N (label) has no output slot S"] (or [input])
+    when a slot is negative or past the node's arity, and
+    ["connect: output S of node N (label) already wired"] (or [input]) on
+    double wiring. *)
 val connect :
   ?width:int -> builder -> Types.node_id * int -> Types.node_id * int -> unit
 
+(** The graph built so far: copies of the node and channel tables, in id
+    order.  Linear in nodes + channels. *)
 val finalize : builder -> t
 val n_nodes : t -> int
 val n_chans : t -> int

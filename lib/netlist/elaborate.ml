@@ -11,24 +11,29 @@ type disambiguation =
   | D_oracle  (** analytic lower bound: no disambiguation hardware *)
   | D_serial  (** program-order serializer: a small gate per instance *)
 
-(** Datapath-only netlist: one block per component (a fused loop generator
-    adds one block per level, ahead of its FSM). *)
-let datapath ?(ws = Gen.default_widths) (g : Graph.t) : P.t =
+(* The datapath blocks, in node order (a fused loop generator's levels
+   ahead of its FSM), folded through [f]. *)
+let fold_datapath ws f acc (g : Graph.t) =
   let level = Gen.loop_level ws in
   let block scope parts = { P.scope; region = P.Datapath; parts } in
-  let acc = ref [] in
+  let acc = ref acc in
   Graph.iter_nodes
     (fun n ->
       let label = n.Graph.label and nid = n.Graph.nid in
       (match n.Graph.kind with
       | Types.Gen gs ->
           for k = 0 to gs.Types.gen_arity - 1 do
-            acc := block (P.Level (label, nid, k)) level :: !acc
+            acc := f !acc (block (P.Level (label, nid, k)) level)
           done
       | _ -> ());
-      acc := block (P.Node (label, nid)) (Gen.component ws n.Graph.kind) :: !acc)
+      acc := f !acc (block (P.Node (label, nid)) (Gen.component ws n.Graph.kind)))
     g;
-  List.rev !acc
+  !acc
+
+let collect fold = List.rev (fold (fun acc b -> b :: acc) [])
+
+let datapath ?(ws = Gen.default_widths) (g : Graph.t) : P.t =
+  collect (fun f acc -> fold_datapath ws f acc g)
 
 let count_ports (pm : Pv_memory.Portmap.t) ~inst =
   Array.fold_left
@@ -40,12 +45,9 @@ let count_ports (pm : Pv_memory.Portmap.t) ~inst =
       else (l, s))
     (0, 0) pm.Pv_memory.Portmap.ports
 
-(** Full circuit netlist under a disambiguation scheme.  Memory-subsystem
-    macros are scoped under ["mem/"]; each block records its Fig. 1 region
-    as it is built. *)
-let circuit ?(ws = Gen.default_widths) (g : Graph.t)
-    (pm : Pv_memory.Portmap.t) (dis : disambiguation) : P.t =
-  let dp = datapath ~ws g in
+(* The memory-subsystem macros.  [dp_luts] is the datapath's LUT count;
+   PreVV's replay copy charges a share of it. *)
+let subsystem ws (g : Graph.t) (pm : Pv_memory.Portmap.t) dis ~dp_luts =
   let macro ?i name region parts = { P.scope = P.Macro (name, i); region; parts } in
   let n_direct =
     Array.fold_left
@@ -64,7 +66,7 @@ let circuit ?(ws = Gen.default_widths) (g : Graph.t)
         let nload_ports, nstore_ports = count_ports pm ~inst:(Some i) in
         macro ~i name P.Queue (parts ~nload_ports ~nstore_ports))
   in
-  let subsystem =
+  let queue =
     match dis with
     | D_plain_lsq depth | D_fast_lsq depth ->
         let fast_alloc = match dis with D_fast_lsq _ -> true | _ -> false in
@@ -72,7 +74,6 @@ let circuit ?(ws = Gen.default_widths) (g : Graph.t)
            Dynamatic for multi-array kernels *)
         per_instance "lsq" (Gen.lsq ~depth ~ngroups ~fast_alloc ws)
     | D_prevv depth ->
-        let dp_luts = (P.totals dp).P.luts in
         macro "squash_net" P.Queue (Gen.squash_net ~components:(Graph.n_nodes g))
         :: per_instance "prevv" (fun ~nload_ports ~nstore_ports ->
                let member_frac =
@@ -91,14 +92,36 @@ let circuit ?(ws = Gen.default_widths) (g : Graph.t)
         per_instance "ser" (fun ~nload_ports ~nstore_ports ->
             Gen.serializer ~nports:(nload_ports + nstore_ports) ~ngroups ws)
   in
-  dp @ mc @ subsystem
+  mc @ queue
+
+(** Every block of the circuit, folded through [f] in netlist order: the
+    datapath in node order, then the memory-subsystem macros.  The
+    datapath's LUT sum (PreVV's replay copy is sized from it) is tallied
+    as the blocks pass, so the graph is walked once. *)
+let fold ?(ws = Gen.default_widths) f acc (g : Graph.t)
+    (pm : Pv_memory.Portmap.t) (dis : disambiguation) =
+  let dp = P.tally () in
+  let acc =
+    fold_datapath ws
+      (fun acc b ->
+        P.tally_add dp b.P.parts;
+        f acc b)
+      acc g
+  in
+  List.fold_left f acc (subsystem ws g pm dis ~dp_luts:(P.tallied dp).P.luts)
+
+let circuit ?ws (g : Graph.t) (pm : Pv_memory.Portmap.t)
+    (dis : disambiguation) : P.t =
+  collect (fun f acc -> fold ?ws f acc g pm dis)
 
 (** Split totals into (datapath+controller, disambiguation subsystem) — the
     Fig. 1 breakdown, by the region each block was built with. *)
 let breakdown (nl : P.t) =
-  List.fold_left
-    (fun (dp, queue) b ->
-      match b.P.region with
-      | P.Datapath -> (P.add dp b.P.parts, queue)
-      | P.Queue -> (dp, P.add queue b.P.parts))
-    (P.zero, P.zero) nl
+  let dp = P.tally () and queue = P.tally () in
+  List.iter
+    (fun b ->
+      P.tally_add
+        (match b.P.region with P.Datapath -> dp | P.Queue -> queue)
+        b.P.parts)
+    nl;
+  (P.tallied dp, P.tallied queue)

@@ -11,11 +11,27 @@ type disambiguation =
   | D_serial  (** program-order serializer: a small gate per instance *)
 
 (** Datapath-only netlist: one block per component, scoped at its node
-    (["dp/label_nid"]). *)
+    (["dp/label_nid"]), in node order; the prefix of {!fold}'s stream. *)
 val datapath : ?ws:Gen.widths -> Pv_dataflow.Graph.t -> Primitive.t
 
-(** Full netlist; memory-subsystem macros are scoped under ["mem/"], and
-    every block carries its Fig. 1 region. *)
+(** [fold f acc g pm dis] is the one source of blocks: it walks [g] once
+    and passes [f] every block of the circuit in netlist order, the
+    datapath in node order (a fused loop generator's levels ahead of its
+    FSM) and then the memory-subsystem macros, scoped under ["mem/"].
+    Every block carries its Fig. 1 region.  PreVV's replay copy is sized
+    from the datapath LUT sum the fold tallies as the blocks pass.
+    {!circuit} collects this stream; {!Pv_resource.Report} totals it
+    without building the list. *)
+val fold :
+  ?ws:Gen.widths ->
+  ('a -> Primitive.block -> 'a) ->
+  'a ->
+  Pv_dataflow.Graph.t ->
+  Pv_memory.Portmap.t ->
+  disambiguation ->
+  'a
+
+(** Full netlist: {!fold}'s stream as a list. *)
 val circuit :
   ?ws:Gen.widths ->
   Pv_dataflow.Graph.t ->

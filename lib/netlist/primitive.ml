@@ -44,18 +44,64 @@ type totals = {
 
 let zero = { luts = 0; ffs = 0; muxes = 0; carries = 0; dsps = 0; brams = 0 }
 
-let add_part acc { prim; count; _ } =
-  match prim with
-  | Lut _ -> { acc with luts = acc.luts + count }
-  | Lutram bits -> { acc with luts = acc.luts + (count * bits) }
-  | Ff -> { acc with ffs = acc.ffs + count }
-  | Muxf -> { acc with muxes = acc.muxes + count }
-  | Carry4 -> { acc with carries = acc.carries + count }
-  | Dsp -> { acc with dsps = acc.dsps + count }
-  | Bram -> { acc with brams = acc.brams + count }
+(* the one place a primitive is mapped to its Table-I category; mutable, so
+   that folds over many parts add each in place *)
+type tally = {
+  mutable t_luts : int;
+  mutable t_ffs : int;
+  mutable t_muxes : int;
+  mutable t_carries : int;
+  mutable t_dsps : int;
+  mutable t_brams : int;
+}
 
-let add acc parts = List.fold_left add_part acc parts
-let totals (nl : t) = List.fold_left (fun acc b -> add acc b.parts) zero nl
+let tally_of (t : totals) =
+  {
+    t_luts = t.luts;
+    t_ffs = t.ffs;
+    t_muxes = t.muxes;
+    t_carries = t.carries;
+    t_dsps = t.dsps;
+    t_brams = t.brams;
+  }
+
+let tally () = tally_of zero
+
+let tally_part t { prim; count; _ } =
+  match prim with
+  | Lut _ -> t.t_luts <- t.t_luts + count
+  | Lutram bits -> t.t_luts <- t.t_luts + (count * bits)
+  | Ff -> t.t_ffs <- t.t_ffs + count
+  | Muxf -> t.t_muxes <- t.t_muxes + count
+  | Carry4 -> t.t_carries <- t.t_carries + count
+  | Dsp -> t.t_dsps <- t.t_dsps + count
+  | Bram -> t.t_brams <- t.t_brams + count
+
+let rec tally_add t = function
+  | [] -> ()
+  | p :: rest ->
+      tally_part t p;
+      tally_add t rest
+
+let tallied t =
+  {
+    luts = t.t_luts;
+    ffs = t.t_ffs;
+    muxes = t.t_muxes;
+    carries = t.t_carries;
+    dsps = t.t_dsps;
+    brams = t.t_brams;
+  }
+
+let add acc parts =
+  let t = tally_of acc in
+  tally_add t parts;
+  tallied t
+
+let totals (nl : t) =
+  let t = tally () in
+  List.iter (fun b -> tally_add t b.parts) nl;
+  tallied t
 
 (* names are joined here, for emission and grouping only *)
 let scope_name = function
@@ -94,11 +140,18 @@ let group_totals ?(depth = 1) (nl : t) : (string * totals) list =
       List.iter
         (fun p ->
           let key = prefix (path scope p) in
-          let cur = Option.value ~default:zero (Hashtbl.find_opt tbl key) in
-          Hashtbl.replace tbl key (add_part cur p))
+          let t =
+            match Hashtbl.find_opt tbl key with
+            | Some t -> t
+            | None ->
+                let t = tally () in
+                Hashtbl.add tbl key t;
+                t
+          in
+          tally_part t p)
         b.parts)
     nl;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  Hashtbl.fold (fun k t acc -> (k, tallied t) :: acc) tbl []
   |> List.sort (fun (_, a) (_, b) -> compare b.luts a.luts)
 
 let prim_name = function

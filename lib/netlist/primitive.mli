@@ -54,6 +54,20 @@ val add : totals -> part list -> totals
 
 val totals : t -> totals
 
+(** Running totals that a fold adds parts into in place, allocating
+    nothing per part; {!totals}, {!add} and {!group_totals} count through
+    one. *)
+type tally
+
+(** A fresh tally at {!zero}. *)
+val tally : unit -> tally
+
+(** [tally_add t parts] adds [parts] to [t]. *)
+val tally_add : tally -> part list -> unit
+
+(** The totals counted so far. *)
+val tallied : tally -> totals
+
 (** A scope's hierarchical name, e.g. ["mem/lsq0"]. *)
 val scope_name : scope -> string
 

@@ -26,12 +26,19 @@ let depth_of_elab = function
       d
   | Pv_netlist.Elaborate.D_oracle | Pv_netlist.Elaborate.D_serial -> 0
 
-(* one fold over the blocks gives the split, and the split sums to the
-   totals *)
+(* the block stream is folded straight into one tally per region, so the
+   netlist list is never built; the split sums to the totals *)
 let of_circuit (g : Pv_dataflow.Graph.t) (pm : Pv_memory.Portmap.t)
     (dis : Pv_netlist.Elaborate.disambiguation) : t =
   let module P = Pv_netlist.Primitive in
-  let dp, queue = Pv_netlist.Elaborate.(breakdown (circuit g pm dis)) in
+  let dp = P.tally () and queue = P.tally () in
+  Pv_netlist.Elaborate.fold
+    (fun () b ->
+      P.tally_add
+        (match b.P.region with P.Datapath -> dp | P.Queue -> queue)
+        b.P.parts)
+    () g pm dis;
+  let dp = P.tallied dp and queue = P.tallied queue in
   {
     luts = dp.P.luts + queue.P.luts;
     ffs = dp.P.ffs + queue.P.ffs;

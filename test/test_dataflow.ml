@@ -38,7 +38,20 @@ let test_connect_errors () =
   Alcotest.check_raises "bad slot"
     (Invalid_argument "connect: node 1 (sink) has no output slot 3") (fun () ->
       let s2 = Graph.add b Types.Sink in
-      Graph.connect b (sink, 3) (s2, 0))
+      Graph.connect b (sink, 3) (s2, 0));
+  Alcotest.check_raises "negative output slot"
+    (Invalid_argument "connect: node 0 (gen) has no output slot -1") (fun () ->
+      Graph.connect b (gen, -1) (sink, 0));
+  Alcotest.check_raises "negative input slot"
+    (Invalid_argument "connect: node 1 (sink) has no input slot -2") (fun () ->
+      let g2 = Graph.add b (counter_gen 4) in
+      Graph.connect b (g2, 0) (sink, -2));
+  Alcotest.check_raises "unknown source node"
+    (Invalid_argument "connect: no node 99") (fun () ->
+      Graph.connect b (99, 0) (sink, 0));
+  Alcotest.check_raises "unknown destination node"
+    (Invalid_argument "connect: no node -1") (fun () ->
+      Graph.connect b (gen, 0) (-1, 0))
 
 let test_check_unwired () =
   let b = Graph.create () in

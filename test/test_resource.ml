@@ -437,6 +437,82 @@ let prop_split_partitions =
           && (dis <> E.D_oracle || Report.queue_share r = 0.0))
         golden_configs)
 
+(* ---- the report fold against the collected netlist ------------------- *)
+
+(* Report.of_circuit folds Elaborate's block stream into region tallies
+   without building the list; its figures must be those of the collected
+   netlist, split by Elaborate.breakdown, on every bundled kernel and 200
+   generated ones of the area_sweep shape, under area_sweep's nine
+   configurations and the two bounds *)
+let test_fold_equivalence () =
+  let kernels =
+    Pv_kernels.Defs.all ()
+    @ List.init 200 (fun seed -> Pv_kernels.Generate.kernel ~spec:sweep_spec seed)
+  in
+  let totals_t = Alcotest.testable P.pp_totals ( = ) in
+  List.iteri
+    (fun i k ->
+      let c = compiled k in
+      let g = c.Pv_core.Pipeline.graph in
+      let pm = c.Pv_core.Pipeline.info.Pv_frontend.Depend.portmap in
+      List.iter
+        (fun dis ->
+          let name =
+            Printf.sprintf "%d:%s/%s" i k.Pv_kernels.Ast.name (config_name dis)
+          in
+          let r = Report.of_circuit g pm dis in
+          let nl = E.circuit g pm dis in
+          let dp, queue = E.breakdown nl in
+          Alcotest.(check (list int))
+            (name ^ ": report = breakdown")
+            [ dp.P.luts + queue.P.luts; dp.P.ffs + queue.P.ffs;
+              dp.P.muxes + queue.P.muxes; dp.P.luts; queue.P.luts; dp.P.ffs;
+              queue.P.ffs ]
+            [ r.Report.luts; r.Report.ffs; r.Report.muxes;
+              r.Report.datapath_luts; r.Report.queue_luts;
+              r.Report.datapath_ffs; r.Report.queue_ffs ];
+          let sum =
+            {
+              P.luts = dp.P.luts + queue.P.luts;
+              ffs = dp.P.ffs + queue.P.ffs;
+              muxes = dp.P.muxes + queue.P.muxes;
+              carries = dp.P.carries + queue.P.carries;
+              dsps = dp.P.dsps + queue.P.dsps;
+              brams = dp.P.brams + queue.P.brams;
+            }
+          in
+          Alcotest.check totals_t (name ^ ": totals = datapath + queue") sum
+            (P.totals nl))
+        golden_configs)
+    kernels
+
+(* Report.of_circuit allocates at most 40 minor words per graph node on
+   each paper kernel under every configuration (22-28 measured): a
+   component's parts list, its block and scope, nothing per part.  Warm
+   once, then take the Gc.minor_words delta, as test_sim_perf does.
+   Collecting the netlist, totalling it through immutable records and
+   re-totalling the datapath for PreVV read 56-63 under the LSQs and 78-87
+   under PreVV. *)
+let test_report_alloc () =
+  List.iter
+    (fun k ->
+      let c = compiled k in
+      let g = c.Pv_core.Pipeline.graph in
+      let pm = c.Pv_core.Pipeline.info.Pv_frontend.Depend.portmap in
+      let nodes = float_of_int (Pv_dataflow.Graph.n_nodes g) in
+      List.iter
+        (fun dis ->
+          ignore (Report.of_circuit g pm dis);
+          let w0 = Gc.minor_words () in
+          ignore (Report.of_circuit g pm dis);
+          let per_node = (Gc.minor_words () -. w0) /. nodes in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s: %.1f minor words per node <= 40"
+               k.Pv_kernels.Ast.name (config_name dis) per_node)
+            true (per_node <= 40.0))
+        golden_configs)
+    (Pv_kernels.Defs.paper_benchmarks ())
+
 let () =
   Alcotest.run "pv_resource"
     [
@@ -456,6 +532,10 @@ let () =
           Alcotest.test_case "split consistency" `Quick test_report_consistency;
           Alcotest.test_case "reduction bands (Table I)" `Quick
             test_reduction_bands;
+          Alcotest.test_case "fold = collected netlist" `Quick
+            test_fold_equivalence;
+          Alcotest.test_case "<= 40 minor words per node" `Quick
+            test_report_alloc;
         ] );
       ( "golden",
         [
