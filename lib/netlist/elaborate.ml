@@ -35,19 +35,125 @@ let collect fold = List.rev (fold (fun acc b -> b :: acc) [])
 let datapath ?(ws = Gen.default_widths) (g : Graph.t) : P.t =
   collect (fun f acc -> fold_datapath ws f acc g)
 
+(* --- the table-driven datapath walk ------------------------------------ *)
+
+(* A component's key keeps only what changes its parts: a port, a constant,
+   a group, a buffer's transparency and a generator's spec are dropped.
+   Arities and slot counts run [0, sized_bound]; past it a kind has no key
+   ([-1]) and is tallied from its parts. *)
+let sized_bound = 64
+let span = sized_bound + 1
+let sized base n = if n >= 0 && n <= sized_bound then base + n else -1
+
+let binop_index : Types.binop -> int = function
+  | Types.Add -> 0
+  | Types.Sub -> 1
+  | Types.Mul -> 2
+  | Types.Mulc -> 3
+  | Types.Div -> 4
+  | Types.Rem -> 5
+  | Types.And -> 6
+  | Types.Or -> 7
+  | Types.Xor -> 8
+  | Types.Shl -> 9
+  | Types.Shr -> 10
+  | Types.Lt -> 11
+  | Types.Le -> 12
+  | Types.Gt -> 13
+  | Types.Ge -> 14
+  | Types.Eq -> 15
+  | Types.Ne -> 16
+  | Types.Min -> 17
+  | Types.Max -> 18
+
+let binops =
+  Types.
+    [| Add; Sub; Mul; Mulc; Div; Rem; And; Or; Xor; Shl; Shr; Lt; Le; Gt; Ge;
+       Eq; Ne; Min; Max |]
+
+(* eight payload-only kinds, three unops, the binops, then the sized kinds *)
+let first_sized = 11 + Array.length binops
+
+let key : Types.kind -> int = function
+  | Types.Gen _ -> 0
+  | Types.Const _ -> 1
+  | Types.Branch -> 2
+  | Types.Sink -> 3
+  | Types.Load _ -> 4
+  | Types.Store _ -> 5
+  | Types.Skip _ -> 6
+  | Types.Galloc _ -> 7
+  | Types.Unop Types.Neg -> 8
+  | Types.Unop Types.Not -> 9
+  | Types.Unop Types.Lnot -> 10
+  | Types.Binop op -> 11 + binop_index op
+  | Types.Fork n -> sized first_sized n
+  | Types.Join n -> sized (first_sized + span) n
+  | Types.Merge n -> sized (first_sized + (2 * span)) n
+  | Types.Mux n -> sized (first_sized + (3 * span)) n
+  | Types.Buffer { slots; _ } -> sized (first_sized + (4 * span)) slots
+
+(* each key's component totals at the default widths, from Gen.component's
+   own parts for one kind per key; checked against [key], built once at
+   start-up and never written after, so worker domains share it *)
+let table =
+  let spec =
+    { Types.gen_arity = 1; gen_next = (fun _ -> [||]); gen_group = (fun _ -> 0) }
+  in
+  let each_size mk = Array.init span mk in
+  Array.mapi
+    (fun i kind ->
+      if key kind <> i then invalid_arg "Elaborate: component key table";
+      P.add P.zero (Gen.component Gen.default_widths kind))
+    (Array.concat
+       [
+         [| Types.Gen spec; Types.Const 0; Types.Branch; Types.Sink;
+            Types.Load { port = 0 }; Types.Store { port = 0 };
+            Types.Skip { port = 0 }; Types.Galloc { group = 0 } |];
+         Array.map (fun op -> Types.Unop op) Types.[| Neg; Not; Lnot |];
+         Array.map (fun op -> Types.Binop op) binops;
+         each_size (fun n -> Types.Fork n);
+         each_size (fun n -> Types.Join n);
+         each_size (fun n -> Types.Merge n);
+         each_size (fun n -> Types.Mux n);
+         each_size (fun n -> Types.Buffer { transparent = false; slots = n });
+       ])
+
+let level_totals = P.add P.zero (Gen.loop_level Gen.default_widths)
+
+type summary = { dp : P.totals; nodes : int; div : bool; mul : bool }
+
+let summarize (g : Graph.t) =
+  let t = P.tally () and div = ref false and mul = ref false in
+  Graph.iter_nodes
+    (fun n ->
+      let kind = n.Graph.kind in
+      let k = key kind in
+      if k >= 0 then P.tally_scaled t 1 table.(k)
+      else P.tally_add t (Gen.component Gen.default_widths kind);
+      match kind with
+      | Types.Gen gs -> P.tally_scaled t gs.Types.gen_arity level_totals
+      | Types.Binop (Types.Div | Types.Rem) -> div := true
+      | Types.Binop Types.Mul -> mul := true
+      | _ -> ())
+    g;
+  { dp = P.tallied t; nodes = Graph.n_nodes g; div = !div; mul = !mul }
+
 let count_ports (pm : Pv_memory.Portmap.t) ~inst =
-  Array.fold_left
-    (fun (l, s) p ->
-      if p.Pv_memory.Portmap.instance = inst then
-        match p.Pv_memory.Portmap.kind with
-        | Pv_memory.Portmap.OLoad -> (l + 1, s)
-        | Pv_memory.Portmap.OStore -> (l, s + 1)
-      else (l, s))
-    (0, 0) pm.Pv_memory.Portmap.ports
+  let l = ref 0 and s = ref 0 in
+  Array.iter
+    (fun p ->
+      match (p.Pv_memory.Portmap.instance, p.Pv_memory.Portmap.kind) with
+      | Some j, Pv_memory.Portmap.OLoad when j = inst -> incr l
+      | Some j, Pv_memory.Portmap.OStore when j = inst -> incr s
+      | _ -> ())
+    pm.Pv_memory.Portmap.ports;
+  (!l, !s)
 
 (* The memory-subsystem macros.  [dp_luts] is the datapath's LUT count;
    PreVV's replay copy charges a share of it. *)
-let subsystem ws (g : Graph.t) (pm : Pv_memory.Portmap.t) dis ~dp_luts =
+let subsystem ?(ws = Gen.default_widths) (g : Graph.t)
+    (pm : Pv_memory.Portmap.t) dis ~dp_luts =
   let macro ?i name region parts = { P.scope = P.Macro (name, i); region; parts } in
   let n_direct =
     Array.fold_left
@@ -63,7 +169,7 @@ let subsystem ws (g : Graph.t) (pm : Pv_memory.Portmap.t) dis ~dp_luts =
   let ngroups = pm.Pv_memory.Portmap.n_groups in
   let per_instance name parts =
     List.init pm.Pv_memory.Portmap.n_instances (fun i ->
-        let nload_ports, nstore_ports = count_ports pm ~inst:(Some i) in
+        let nload_ports, nstore_ports = count_ports pm ~inst:i in
         macro ~i name P.Queue (parts ~nload_ports ~nstore_ports))
   in
   let queue =
@@ -108,7 +214,7 @@ let fold ?(ws = Gen.default_widths) f acc (g : Graph.t)
         f acc b)
       acc g
   in
-  List.fold_left f acc (subsystem ws g pm dis ~dp_luts:(P.tallied dp).P.luts)
+  List.fold_left f acc (subsystem ~ws g pm dis ~dp_luts:(P.tallied dp).P.luts)
 
 let circuit ?ws (g : Graph.t) (pm : Pv_memory.Portmap.t)
     (dis : disambiguation) : P.t =

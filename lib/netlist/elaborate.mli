@@ -20,8 +20,8 @@ val datapath : ?ws:Gen.widths -> Pv_dataflow.Graph.t -> Primitive.t
     FSM) and then the memory-subsystem macros, scoped under ["mem/"].
     Every block carries its Fig. 1 region.  PreVV's replay copy is sized
     from the datapath LUT sum the fold tallies as the blocks pass.
-    {!circuit} collects this stream; {!Pv_resource.Report} totals it
-    without building the list. *)
+    {!circuit} collects this stream for emission and grouping;
+    {!Pv_resource.Report} totals {!summarize} and {!subsystem} instead. *)
 val fold :
   ?ws:Gen.widths ->
   ('a -> Primitive.block -> 'a) ->
@@ -30,6 +30,33 @@ val fold :
   Pv_memory.Portmap.t ->
   disambiguation ->
   'a
+
+(** What a report needs of the datapath, from {!summarize}. *)
+type summary = {
+  dp : Primitive.totals;  (** the totals of {!datapath}'s blocks *)
+  nodes : int;  (** graph nodes *)
+  div : bool;  (** a divider or remainder unit is present *)
+  mul : bool;  (** a DSP multiplier is present *)
+}
+
+(** [summarize g] walks [g] once at {!Gen.default_widths} and allocates
+    nothing per node: each component's totals come from a table derived
+    from {!Gen.component}'s parts and built once at start-up; a generator
+    adds {!Gen.loop_level}'s totals per level.  A fork, join, merge or mux
+    of more than 64 inputs or outputs, or a buffer of more than 64 slots,
+    is tallied from its parts.  [(summarize g).dp] is the datapath share
+    {!fold} streams ahead of the macros. *)
+val summarize : Pv_dataflow.Graph.t -> summary
+
+(** The memory-subsystem macros {!fold} streams after the datapath, in
+    netlist order; [dp_luts] sizes PreVV's replay copy. *)
+val subsystem :
+  ?ws:Gen.widths ->
+  Pv_dataflow.Graph.t ->
+  Pv_memory.Portmap.t ->
+  disambiguation ->
+  dp_luts:int ->
+  Primitive.t
 
 (** Full netlist: {!fold}'s stream as a list. *)
 val circuit :

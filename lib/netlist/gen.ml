@@ -148,34 +148,34 @@ let mem_controller ~nports ws =
 let lsq ~depth ~nload_ports ~nstore_ports ~ngroups ~fast_alloc ws =
   let d = depth in
   let ports = nload_ports + nstore_ports in
-  [
-    (* per-entry payload: address, data (SQ), flags *)
-    part "lq_entries" P.Ff (d * (ws.addr + ws.seq + Calib.lsq_entry_ff_overhead));
-    part "sq_entries" P.Ff
-      (d * (ws.addr + ws.data + ws.seq + Calib.lsq_entry_ff_overhead));
-    (* age/order matrix: d^2 cells of set/reset + priority logic *)
-    part "order_matrix" P.Ff (d * d);
-    part "order_logic" (P.Lut 4) (d * d * Calib.lsq_matrix_luts_per_cell);
-    (* per-port CAM search (address equality against every entry) and
-       forwarding mux (any entry's data to the load result) *)
-    part "cam" (P.Lut 4) (Calib.lsq_port_scale * ports * d * ((ws.addr + 3) / 4));
-    part "fwd_mux" (P.Lut 6)
-      (Calib.lsq_port_scale * nload_ports * d * ((ws.data + 3) / 4));
-    part "fwd_muxf" P.Muxf (nload_ports * d);
-    (* priority encoders for issue and commit selection *)
-    part "prio" (P.Lut 5) (2 * d * clog2 (max 2 d) * 2);
-    (* group allocator + program-order ROM *)
-    part "alloc" (P.Lut 4) (Calib.lsq_alloc_luts + (ngroups * 24));
-    part "rom" (P.Lutram 8) (max 1 (ngroups * ports / 8));
-  ]
-  @
-  if fast_alloc then
-    [
-      (* straight-to-the-queue token network [8] *)
-      part "fast_tokens" (P.Lut 4) ((ngroups * 48) + (ports * 16));
-      part "fast_regs" P.Ff (ngroups * 12);
-    ]
-  else []
+  let fast =
+    if fast_alloc then
+      [
+        (* straight-to-the-queue token network [8] *)
+        part "fast_tokens" (P.Lut 4) ((ngroups * 48) + (ports * 16));
+        part "fast_regs" P.Ff (ngroups * 12);
+      ]
+    else []
+  in
+  (* per-entry payload: address, data (SQ), flags *)
+  part "lq_entries" P.Ff (d * (ws.addr + ws.seq + Calib.lsq_entry_ff_overhead))
+  :: part "sq_entries" P.Ff
+       (d * (ws.addr + ws.data + ws.seq + Calib.lsq_entry_ff_overhead))
+  (* age/order matrix: d^2 cells of set/reset + priority logic *)
+  :: part "order_matrix" P.Ff (d * d)
+  :: part "order_logic" (P.Lut 4) (d * d * Calib.lsq_matrix_luts_per_cell)
+  (* per-port CAM search (address equality against every entry) and
+     forwarding mux (any entry's data to the load result) *)
+  :: part "cam" (P.Lut 4) (Calib.lsq_port_scale * ports * d * ((ws.addr + 3) / 4))
+  :: part "fwd_mux" (P.Lut 6)
+       (Calib.lsq_port_scale * nload_ports * d * ((ws.data + 3) / 4))
+  :: part "fwd_muxf" P.Muxf (nload_ports * d)
+  (* priority encoders for issue and commit selection *)
+  :: part "prio" (P.Lut 5) (2 * d * clog2 (max 2 d) * 2)
+  (* group allocator + program-order ROM *)
+  :: part "alloc" (P.Lut 4) (Calib.lsq_alloc_luts + (ngroups * 24))
+  :: part "rom" (P.Lutram 8) (max 1 (ngroups * ports / 8))
+  :: fast
 
 (** One PreVV disambiguation instance: collapsing premature queue in
     distributed RAM, LMerge/SMerge, parallel validation comparators, ROM,
@@ -185,16 +185,12 @@ let prevv ~depth ~nload_ports ~nstore_ports ~ngroups ~member_datapath_luts ws =
   let d = depth in
   let ports = nload_ports + nstore_ports in
   let entry_bits = ws.seq + ws.addr + ws.data + 2 in
-  let per_entry_breakdown =
-    (* collapse/shift network, parallel validation comparators (Eqs. 2-5),
-       erring-iteration priority, and queue bypass muxing *)
-    let collapse = (entry_bits + 2) / 3 in
-    let validate = 2 * (((ws.seq + 3) / 4) + ((ws.addr + 3) / 4) + ((ws.data + 3) / 4)) in
-    let prio = clog2 (max 2 d) in
-    let bypass = Calib.prevv_entry_luts - collapse - validate - prio in
-    [ ("collapse", collapse); ("validate", validate); ("err_prio", prio);
-      ("bypass", max 0 bypass) ]
-  in
+  (* per entry: collapse/shift network, parallel validation comparators
+     (Eqs. 2-5), erring-iteration priority, and queue bypass muxing *)
+  let collapse = (entry_bits + 2) / 3 in
+  let validate = 2 * (((ws.seq + 3) / 4) + ((ws.addr + 3) / 4) + ((ws.data + 3) / 4)) in
+  let prio = clog2 (max 2 d) in
+  let bypass = max 0 (Calib.prevv_entry_luts - collapse - validate - prio) in
   [
     (* queue payload in LUT RAM banks of 32 entries *)
     part "queue" (P.Lutram entry_bits) (max 1 ((d + 31) / 32));
@@ -214,8 +210,11 @@ let prevv ~depth ~nload_ports ~nstore_ports ~ngroups ~member_datapath_luts ws =
     part "epoch_regs" P.Ff (Calib.prevv_base_ffs * 3 / 10);
     (* replicated member datapath for re-execution (Eq. 6's second pass) *)
     part "replay_dp" (P.Lut 4) (Calib.prevv_replay_copies * member_datapath_luts);
+    part "collapse" (P.Lut 4) (d * collapse);
+    part "validate" (P.Lut 4) (d * validate);
+    part "err_prio" (P.Lut 4) (d * prio);
+    part "bypass" (P.Lut 4) (d * bypass);
   ]
-  @ List.map (fun (name, luts) -> part name (P.Lut 4) (d * luts)) per_entry_breakdown
 
 (** PreVV's squash broadcast: every component of the circuit must be able
     to drop its tokens of a squashed iteration. *)

@@ -83,6 +83,14 @@ let rec tally_add t = function
       tally_part t p;
       tally_add t rest
 
+let tally_scaled t k (x : totals) =
+  t.t_luts <- t.t_luts + (k * x.luts);
+  t.t_ffs <- t.t_ffs + (k * x.ffs);
+  t.t_muxes <- t.t_muxes + (k * x.muxes);
+  t.t_carries <- t.t_carries + (k * x.carries);
+  t.t_dsps <- t.t_dsps + (k * x.dsps);
+  t.t_brams <- t.t_brams + (k * x.brams)
+
 let tallied t =
   {
     luts = t.t_luts;

@@ -65,6 +65,9 @@ val tally : unit -> tally
 (** [tally_add t parts] adds [parts] to [t]. *)
 val tally_add : tally -> part list -> unit
 
+(** [tally_scaled t k x] adds [k] times [x] to [t]. *)
+val tally_scaled : tally -> int -> totals -> unit
+
 (** The totals counted so far. *)
 val tallied : tally -> totals
 

@@ -26,24 +26,31 @@ let depth_of_elab = function
       d
   | Pv_netlist.Elaborate.D_oracle | Pv_netlist.Elaborate.D_serial -> 0
 
-(* the block stream is folded straight into one tally per region, so the
-   netlist list is never built; the split sums to the totals *)
+(* one table-driven walk sums the datapath and finds its slow units; the
+   memory-subsystem macros are then tallied per region, the replay copy
+   sized from the walk's datapath LUTs.  The split sums to the totals, and
+   the achieved period is the worse of the two critical paths. *)
 let of_circuit (g : Pv_dataflow.Graph.t) (pm : Pv_memory.Portmap.t)
     (dis : Pv_netlist.Elaborate.disambiguation) : t =
+  let module E = Pv_netlist.Elaborate in
   let module P = Pv_netlist.Primitive in
+  let s = E.summarize g in
   let dp = P.tally () and queue = P.tally () in
-  Pv_netlist.Elaborate.fold
-    (fun () b ->
+  P.tally_scaled dp 1 s.E.dp;
+  List.iter
+    (fun b ->
       P.tally_add
         (match b.P.region with P.Datapath -> dp | P.Queue -> queue)
         b.P.parts)
-    () g pm dis;
+    (E.subsystem g pm dis ~dp_luts:s.E.dp.P.luts);
   let dp = P.tallied dp and queue = P.tallied queue in
+  let dp_cp = Timing.datapath_cp ~nodes:s.E.nodes ~div:s.E.div ~mul:s.E.mul in
   {
     luts = dp.P.luts + queue.P.luts;
     ffs = dp.P.ffs + queue.P.ffs;
     muxes = dp.P.muxes + queue.P.muxes;
-    cp_ns = Timing.clock_period g (dis_of_elab dis) ~depth:(depth_of_elab dis);
+    cp_ns =
+      Float.max dp_cp (Timing.mem_cp (dis_of_elab dis) ~depth:(depth_of_elab dis));
     datapath_luts = dp.P.luts;
     queue_luts = queue.P.luts;
     datapath_ffs = dp.P.ffs;

@@ -13,23 +13,13 @@
       (one comparator bank and a priority reduce), the paper's "does not
       need complex LSQ searching logic". *)
 
-open Pv_dataflow
-
 let log2f x = log x /. log 2.0
 
-(** Critical path of the computation part, from circuit structure. *)
-let datapath_cp (g : Graph.t) : float =
-  let nodes = float_of_int (max 2 (Graph.n_nodes g)) in
-  (* one walk finds the slowest functional units present *)
-  let div = ref false and mul = ref false in
-  Graph.iter_nodes
-    (fun n ->
-      match n.Graph.kind with
-      | Types.Binop (Types.Div | Types.Rem) -> div := true
-      | Types.Binop Types.Mul -> mul := true
-      | _ -> ())
-    g;
-  let op_term = (if !div then 0.75 else 0.0) +. if !mul then 0.35 else 0.0 in
+(** Critical path of the computation part, from the circuit's node count
+    and the slow functional units present. *)
+let datapath_cp ~nodes ~div ~mul =
+  let nodes = float_of_int (max 2 nodes) in
+  let op_term = (if div then 0.75 else 0.0) +. if mul then 0.35 else 0.0 in
   5.6 +. (0.18 *. log2f nodes) +. op_term
 
 type mem_kind = M_plain_lsq | M_fast_lsq | M_prevv | M_oracle | M_serial
@@ -43,10 +33,6 @@ let mem_cp kind ~depth =
   | M_prevv -> 6.85 +. (0.007 *. d)  (* parallel validate + priority *)
   | M_oracle -> 0.0  (* analytic: never limits the clock *)
   | M_serial -> 6.0  (* head counter + comparator, depth-independent *)
-
-(** Achieved clock period of the full circuit. *)
-let clock_period (g : Graph.t) kind ~depth =
-  Float.max (datapath_cp g) (mem_cp kind ~depth)
 
 (** Execution time in microseconds. *)
 let exec_time_us ~cycles ~cp_ns = float_of_int cycles *. cp_ns /. 1000.0

@@ -12,16 +12,15 @@
     - PreVV: the arbiter's parallel compare is almost depth-independent —
       the paper's "does not need complex LSQ searching logic". *)
 
-(** Critical path of the computation part, from circuit structure. *)
-val datapath_cp : Pv_dataflow.Graph.t -> float
+(** Critical path of the computation part, from the circuit's node count
+    and whether a divider/remainder ([div]) or a DSP multiplier ([mul]) is
+    present ({!Pv_netlist.Elaborate.summarize} finds both). *)
+val datapath_cp : nodes:int -> div:bool -> mul:bool -> float
 
 type mem_kind = M_plain_lsq | M_fast_lsq | M_prevv | M_oracle | M_serial
 
 (** Critical path of the disambiguation subsystem at a queue depth. *)
 val mem_cp : mem_kind -> depth:int -> float
-
-(** Achieved clock period of the full circuit. *)
-val clock_period : Pv_dataflow.Graph.t -> mem_kind -> depth:int -> float
 
 (** Execution time in microseconds, [cycles * cp / 1000]. *)
 val exec_time_us : cycles:int -> cp_ns:float -> float

@@ -24,7 +24,12 @@ let test_cp_depth_sensitivity () =
   Alcotest.(check bool) "plain grows" true (delta Timing.M_plain_lsq > 1.0)
 
 let test_datapath_cp_div_kernel_slower () =
-  let cp k = Timing.datapath_cp (compiled k).Pv_core.Pipeline.graph in
+  let cp k =
+    let s =
+      Pv_netlist.Elaborate.summarize (compiled k).Pv_core.Pipeline.graph
+    in
+    Timing.datapath_cp ~nodes:s.nodes ~div:s.div ~mul:s.mul
+  in
   Alcotest.(check bool) "gaussian (div) slower than polyn" true
     (cp (Pv_kernels.Defs.gaussian ()) > cp (Pv_kernels.Defs.polyn_mult ()))
 
@@ -439,11 +444,47 @@ let prop_split_partitions =
 
 (* ---- the report fold against the collected netlist ------------------- *)
 
-(* Report.of_circuit folds Elaborate's block stream into region tallies
-   without building the list; its figures must be those of the collected
-   netlist, split by Elaborate.breakdown, on every bundled kernel and 200
-   generated ones of the area_sweep shape, under area_sweep's nine
-   configurations and the two bounds *)
+(* the achieved clock period from a scan of the graph's own nodes: the
+   worse of the datapath and memory-subsystem critical paths *)
+let reference_cp (g : Pv_dataflow.Graph.t) dis =
+  let module T = Pv_dataflow.Types in
+  let has p = Pv_dataflow.Graph.count_nodes (fun n -> p n.Pv_dataflow.Graph.kind) g > 0 in
+  let dp =
+    Timing.datapath_cp ~nodes:(Pv_dataflow.Graph.n_nodes g)
+      ~div:(has (function T.Binop (T.Div | T.Rem) -> true | _ -> false))
+      ~mul:(has (function T.Binop T.Mul -> true | _ -> false))
+  in
+  let mem =
+    match dis with
+    | E.D_plain_lsq d -> Timing.mem_cp Timing.M_plain_lsq ~depth:d
+    | E.D_fast_lsq d -> Timing.mem_cp Timing.M_fast_lsq ~depth:d
+    | E.D_prevv d -> Timing.mem_cp Timing.M_prevv ~depth:d
+    | E.D_oracle -> Timing.mem_cp Timing.M_oracle ~depth:0
+    | E.D_serial -> Timing.mem_cp Timing.M_serial ~depth:0
+  in
+  Float.max dp mem
+
+(* Report.of_circuit's figures must be those of the collected netlist,
+   split by Elaborate.breakdown, and its period the reference one *)
+let check_report_equivalence name g pm dis =
+  let r = Report.of_circuit g pm dis in
+  let nl = E.circuit g pm dis in
+  let dp, queue = E.breakdown nl in
+  Alcotest.(check (list int))
+    (name ^ ": report = breakdown")
+    [ dp.P.luts + queue.P.luts; dp.P.ffs + queue.P.ffs;
+      dp.P.muxes + queue.P.muxes; dp.P.luts; queue.P.luts; dp.P.ffs;
+      queue.P.ffs ]
+    [ r.Report.luts; r.Report.ffs; r.Report.muxes; r.Report.datapath_luts;
+      r.Report.queue_luts; r.Report.datapath_ffs; r.Report.queue_ffs ];
+  Alcotest.(check (float 0.0))
+    (name ^ ": cp_ns = reference") (reference_cp g dis) r.Report.cp_ns;
+  (nl, dp, queue)
+
+(* Report.of_circuit sums the datapath by a table-driven walk and tallies
+   the macros; on every bundled kernel and 200 generated ones of the
+   area_sweep shape, under area_sweep's nine configurations and the two
+   bounds, it must agree with the collected netlist *)
 let test_fold_equivalence () =
   let kernels =
     Pv_kernels.Defs.all ()
@@ -460,17 +501,7 @@ let test_fold_equivalence () =
           let name =
             Printf.sprintf "%d:%s/%s" i k.Pv_kernels.Ast.name (config_name dis)
           in
-          let r = Report.of_circuit g pm dis in
-          let nl = E.circuit g pm dis in
-          let dp, queue = E.breakdown nl in
-          Alcotest.(check (list int))
-            (name ^ ": report = breakdown")
-            [ dp.P.luts + queue.P.luts; dp.P.ffs + queue.P.ffs;
-              dp.P.muxes + queue.P.muxes; dp.P.luts; queue.P.luts; dp.P.ffs;
-              queue.P.ffs ]
-            [ r.Report.luts; r.Report.ffs; r.Report.muxes;
-              r.Report.datapath_luts; r.Report.queue_luts;
-              r.Report.datapath_ffs; r.Report.queue_ffs ];
+          let nl, dp, queue = check_report_equivalence name g pm dis in
           let sum =
             {
               P.luts = dp.P.luts + queue.P.luts;
@@ -486,13 +517,50 @@ let test_fold_equivalence () =
         golden_configs)
     kernels
 
-(* Report.of_circuit allocates at most 40 minor words per graph node on
-   each paper kernel under every configuration (22-28 measured): a
-   component's parts list, its block and scope, nothing per part.  Warm
-   once, then take the Gc.minor_words delta, as test_sim_perf does.
-   Collecting the netlist, totalling it through immutable records and
-   re-totalling the datapath for PreVV read 56-63 under the LSQs and 78-87
-   under PreVV. *)
+(* A hand-built graph whose arities and slot counts run past the walk's
+   table, next to in-table kinds with payload variants (ports, constants,
+   groups, transparency, a three-level generator, div and mul): the
+   fallback tallies parts, and the report still equals the collected
+   netlist under every configuration.  The graph's nodes are not wired;
+   elaboration reads kinds only. *)
+let test_table_fallback () =
+  let module T = Pv_dataflow.Types in
+  let module G = Pv_dataflow.Graph in
+  let b = G.create () in
+  let spec =
+    { T.gen_arity = 3; gen_next = (fun _ -> [||]); gen_group = (fun _ -> 0) }
+  in
+  List.iter
+    (fun kind -> ignore (G.add b kind))
+    [
+      T.Gen spec; T.Fork 100; T.Join 70; T.Merge 65; T.Mux 80;
+      T.Buffer { transparent = true; slots = 100 };
+      T.Buffer { transparent = false; slots = 65 };
+      T.Fork 64; T.Mux 64; T.Buffer { transparent = true; slots = 64 };
+      T.Buffer { transparent = true; slots = 3 };
+      T.Load { port = 3 }; T.Load { port = 0 }; T.Store { port = 7 };
+      T.Skip { port = 2 }; T.Const 42; T.Const (-5);
+      T.Galloc { group = 5 }; T.Galloc { group = 0 };
+      T.Binop T.Div; T.Binop T.Mul; T.Unop T.Not; T.Sink; T.Branch;
+    ];
+  let g = G.finalize b in
+  let pm =
+    (compiled (Pv_kernels.Defs.histogram ())).Pv_core.Pipeline.info
+      .Pv_frontend.Depend.portmap
+  in
+  let totals_t = Alcotest.testable P.pp_totals ( = ) in
+  Alcotest.check totals_t "summarize = datapath netlist"
+    (P.totals (E.datapath g)) (E.summarize g).E.dp;
+  List.iter
+    (fun dis ->
+      ignore (check_report_equivalence ("fallback/" ^ config_name dis) g pm dis))
+    golden_configs
+
+(* Report.of_circuit allocates at most 8 minor words per graph node on
+   each paper kernel under every configuration (1.4-7.0 measured): the
+   datapath walk allocates nothing per node, so what remains is per report
+   (the walk's closure and tallies, the macros' parts).  Warm once, then
+   take the Gc.minor_words delta, as test_sim_perf does. *)
 let test_report_alloc () =
   List.iter
     (fun k ->
@@ -507,9 +575,9 @@ let test_report_alloc () =
           ignore (Report.of_circuit g pm dis);
           let per_node = (Gc.minor_words () -. w0) /. nodes in
           Alcotest.(check bool)
-            (Printf.sprintf "%s/%s: %.1f minor words per node <= 40"
+            (Printf.sprintf "%s/%s: %.1f minor words per node <= 8"
                k.Pv_kernels.Ast.name (config_name dis) per_node)
-            true (per_node <= 40.0))
+            true (per_node <= 8.0))
         golden_configs)
     (Pv_kernels.Defs.paper_benchmarks ())
 
@@ -534,7 +602,9 @@ let () =
             test_reduction_bands;
           Alcotest.test_case "fold = collected netlist" `Quick
             test_fold_equivalence;
-          Alcotest.test_case "<= 40 minor words per node" `Quick
+          Alcotest.test_case "table fallback = collected netlist" `Quick
+            test_table_fallback;
+          Alcotest.test_case "<= 8 minor words per node" `Quick
             test_report_alloc;
         ] );
       ( "golden",
