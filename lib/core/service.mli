@@ -3,7 +3,7 @@
 
     The service runs each request through the {!Experiment} pipeline on
     its own streaming worker pool, each request under {!Supervisor.retry}
-    (per-attempt deadline, {!Supervisor.backoff_delay} schedule, errors
+    (per-attempt deadline, {!Supervisor.backoff_schedule}, errors
     rendered by {!Supervisor.describe_exn}).  The pool adds worker kills
     (injected via {!config.kill_at}: the worker finds its item in a
     kill table and exits before computing) respawned with the in-flight

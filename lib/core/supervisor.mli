@@ -53,16 +53,12 @@ type policy = {
 (** 3 attempts, 10 ms base, 500 ms ceiling, no deadline, seed 0. *)
 val default_policy : policy
 
-(** [backoff_delay policy ~label ~attempt] — the delay in seconds before
-    retry number [attempt] (the first retry is [attempt = 1]) of the task
-    named [label]: exponential ([base * 2^(attempt-1)], capped at
+(** [backoff_schedule policy ~label] — the delays in seconds a task named
+    [label] sleeps between its successive attempts, one per retry
+    [1 .. max_attempts-1]: exponential ([base * 2^(retry-1)], capped at
     [max_delay_s]) with a deterministic jitter factor in [0.5, 1.5)
-    derived from [(seed, label, attempt)].  Pure: same policy, label and
-    attempt always give the same delay. *)
-val backoff_delay : policy -> label:string -> attempt:int -> float
-
-(** The full per-task schedule [backoff_delay ~attempt:1 .. max_attempts-1]
-    — what a task would sleep between its successive attempts. *)
+    derived from [(seed, label, retry)].  Pure: same policy and label
+    always give the same schedule. *)
 val backoff_schedule : policy -> label:string -> float list
 
 (** {1 Task outcomes} *)
@@ -96,8 +92,8 @@ type tally = {
 (** [retry policy ~label f] runs [f] with a fresh {!Token} per attempt
     (wire it into [Sim.config.cancel] for cooperative deadlines) until it
     returns, fails with a non-retryable exception, or has made
-    [max_attempts] attempts, sleeping [backoff_delay ~attempt:n] on the
-    calling domain after failed attempt [n].  Never raises: the last
+    [max_attempts] attempts, sleeping entry [n] of {!backoff_schedule} on
+    the calling domain after failed attempt [n].  Never raises: the last
     failure comes back as a {!task_error} named [label]. *)
 val retry :
   policy -> label:string -> (token:Token.t -> 'a) -> ('a, task_error) result * tally

@@ -58,7 +58,6 @@ val string_of_event : event -> string
 (** Round-trips with {!parse}. *)
 val to_string : plan -> string
 
-val pp_event : Format.formatter -> event -> unit
 val pp_plan : Format.formatter -> plan -> unit
 val pp_application : Format.formatter -> application -> unit
 

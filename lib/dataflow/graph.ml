@@ -20,8 +20,8 @@ type node = {
   nid : node_id;
   kind : kind;
   label : string;
-  mutable inputs : chan_id array;  (** index = input slot; -1 = unwired *)
-  mutable outputs : chan_id array;
+  inputs : chan_id array;  (** index = input slot; -1 = unwired *)
+  outputs : chan_id array;
 }
 
 type t = {
@@ -112,3 +112,82 @@ let iter_chans f g = Array.iter f g.chans
 (** Count of nodes matching a predicate; used by reports and tests. *)
 let count_nodes p g =
   Array.fold_left (fun acc n -> if p n then acc + 1 else acc) 0 g.nodes
+
+(* Kahn's algorithm with [order] doubling as the FIFO: zero in-degree nodes
+   in id order, then each popped node's successors in output-slot order *)
+let topo_order g =
+  let n = Array.length g.nodes in
+  let indeg = Array.make n 0 in
+  for c = 0 to Array.length g.chans - 1 do
+    let d = g.chans.(c).dst.node in
+    indeg.(d) <- indeg.(d) + 1
+  done;
+  let order = Array.make n 0 and tail = ref 0 in
+  let push v =
+    order.(!tail) <- v;
+    incr tail
+  in
+  for i = 0 to n - 1 do
+    if indeg.(i) = 0 then push i
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    let outs = g.nodes.(order.(!head)).outputs in
+    incr head;
+    for s = 0 to Array.length outs - 1 do
+      if outs.(s) <> -1 then begin
+        let v = g.chans.(outs.(s)).dst.node in
+        indeg.(v) <- indeg.(v) - 1;
+        if indeg.(v) = 0 then push v
+      end
+    done
+  done;
+  if !tail = n then Some order else None
+
+(* Array seeds: static constants, never young blocks, so an [Array.make]
+   past the minor-heap object limit does not first empty the minor heap. *)
+let dummy_node = { nid = -1; kind = Sink; label = ""; inputs = [||]; outputs = [||] }
+
+let dummy_chan =
+  { cid = -1; src = { node = -1; slot = 0 }; dst = { node = -1; slot = 0 }; width = 0 }
+
+let splice_buffers g slots =
+  let n = Array.length g.nodes and m = Array.length g.chans in
+  (* out_id.(c): c's new id, i.e. the channel its source now drives *)
+  let out_id = Array.make m 0 in
+  let k = ref 0 in
+  for c = 0 to m - 1 do
+    out_id.(c) <- c + !k;
+    if slots.(c) > 0 then incr k
+  done;
+  let k = !k in
+  let remap_in cid =
+    if cid = -1 then -1 else if slots.(cid) > 0 then out_id.(cid) + 1 else out_id.(cid)
+  and remap_out cid = if cid = -1 then -1 else out_id.(cid) in
+  let nodes = Array.make (n + k) dummy_node in
+  for i = 0 to n - 1 do
+    let nd = g.nodes.(i) in
+    nodes.(i) <-
+      { nd with inputs = Array.map remap_in nd.inputs; outputs = Array.map remap_out nd.outputs }
+  done;
+  let chans = Array.make (m + k) dummy_chan in
+  for c = 0 to m - 1 do
+    let ch = g.chans.(c) and id = out_id.(c) in
+    if slots.(c) > 0 then begin
+      (* id - c spliced channels precede c: that is this buffer's rank *)
+      let b = n + id - c in
+      let port = { node = b; slot = 0 } in
+      nodes.(b) <-
+        {
+          nid = b;
+          kind = Buffer { transparent = true; slots = slots.(c) };
+          label = "slack";
+          inputs = [| id |];
+          outputs = [| id + 1 |];
+        };
+      chans.(id) <- { ch with cid = id; dst = port };
+      chans.(id + 1) <- { ch with cid = id + 1; src = port }
+    end
+    else chans.(id) <- (if id = c then ch else { ch with cid = id })
+  done;
+  { nodes; chans }

@@ -19,8 +19,8 @@ type node = {
   nid : Types.node_id;
   kind : Types.kind;
   label : string;  (** human-readable name for reports and DOT/VCD output *)
-  mutable inputs : Types.chan_id array;  (** index = input slot; -1 = unwired *)
-  mutable outputs : Types.chan_id array;
+  inputs : Types.chan_id array;  (** index = input slot; -1 = unwired *)
+  outputs : Types.chan_id array;
 }
 
 (** A finalized, immutable graph. *)
@@ -60,3 +60,23 @@ val iter_chans : (channel -> unit) -> t -> unit
 
 (** Count of nodes matching a predicate; used by reports and tests. *)
 val count_nodes : (node -> bool) -> t -> int
+
+(** Kahn's topological order: zero in-degree nodes in id order, then each
+    popped node's successors in output-slot order.  [None] on a cycle. *)
+val topo_order : t -> Types.node_id array option
+
+(** [splice_buffers g slots] is [g] with a transparent FIFO of [slots.(c)]
+    slots, labelled ["slack"], spliced into every channel [c] with
+    [slots.(c) > 0] ([slots] has one entry per channel).  The id rule,
+    with [k c] the number of spliced channels below [c]:
+    - node [i] of [g] keeps its id, kind and label (a fresh record with
+      remapped [inputs]/[outputs]);
+    - channel [c] becomes channel [c + k c];
+    - a spliced channel [c] becomes [src -> buffer] (id [c + k c]) and
+      [buffer -> dst] (id [c + k c + 1]), and its buffer is node
+      [n_nodes g + k c].
+    These are exactly the ids a {!builder} gives when it re-adds [g]'s
+    nodes in id order and re-connects its channels in id order, adding
+    each buffer just before its two channels.  [g] is not changed.  One
+    pass over nodes and channels. *)
+val splice_buffers : t -> int array -> t

@@ -354,53 +354,38 @@ let wake_all t =
    DFS order that breaks at opaque buffers, costing a cycle of latency at
    each break but never correctness. *)
 let eval_order (g : Graph.t) : int array =
-  let n = Graph.n_nodes g in
-  let succs nid =
-    let node = Graph.node g nid in
-    Array.to_list node.Graph.outputs
-    |> List.filter_map (fun cid ->
-           if cid = -1 then None
-           else Some (Graph.chan g cid).Graph.dst.Graph.node)
-  in
-  (* Kahn's algorithm *)
-  let indeg = Array.make n 0 in
-  Graph.iter_chans
-    (fun c -> indeg.(c.Graph.dst.Graph.node) <- indeg.(c.Graph.dst.Graph.node) + 1)
-    g;
-  let queue = Queue.create () in
-  Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indeg;
-  let topo = ref [] in
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    topo := u :: !topo;
-    List.iter
-      (fun v ->
-        indeg.(v) <- indeg.(v) - 1;
-        if indeg.(v) = 0 then Queue.add v queue)
-      (succs u)
-  done;
-  if List.length !topo = n then Array.of_list !topo (* reversed topo *)
-  else begin
-    (* cyclic graph: DFS with order breaks at opaque buffers *)
-    let visited = Array.make n false in
-    let order = ref [] in
-    let is_break nid =
-      match (Graph.node g nid).Graph.kind with
-      | Buffer { transparent = false; _ } -> true
-      | _ -> false
-    in
-    let rec dfs nid =
-      if not visited.(nid) then begin
-        visited.(nid) <- true;
-        if not (is_break nid) then List.iter dfs (succs nid);
-        order := nid :: !order
-      end
-    in
-    for i = 0 to n - 1 do
-      dfs i
-    done;
-    Array.of_list (List.rev !order)
-  end
+  match Graph.topo_order g with
+  | Some topo ->
+      let n = Array.length topo in
+      Array.init n (fun i -> topo.(n - 1 - i))
+  | None ->
+      (* cyclic graph: DFS with order breaks at opaque buffers *)
+      let n = Graph.n_nodes g in
+      let succs nid =
+        let node = Graph.node g nid in
+        Array.to_list node.Graph.outputs
+        |> List.filter_map (fun cid ->
+               if cid = -1 then None
+               else Some (Graph.chan g cid).Graph.dst.Graph.node)
+      in
+      let visited = Array.make n false in
+      let order = ref [] in
+      let is_break nid =
+        match (Graph.node g nid).Graph.kind with
+        | Buffer { transparent = false; _ } -> true
+        | _ -> false
+      in
+      let rec dfs nid =
+        if not visited.(nid) then begin
+          visited.(nid) <- true;
+          if not (is_break nid) then List.iter dfs (succs nid);
+          order := nid :: !order
+        end
+      in
+      for i = 0 to n - 1 do
+        dfs i
+      done;
+      Array.of_list (List.rev !order)
 
 let dummy_gen_next (_ : int) : int array = [||]
 let dummy_gen_group (_ : int) = 0

@@ -33,7 +33,6 @@ type binop =
 (** Unary functional units. *)
 type unop = Neg | Not | Lnot
 
-val string_of_binop : binop -> string
 val string_of_unop : unop -> string
 
 (** Semantics of the functional units.  Division and remainder by zero

@@ -19,94 +19,51 @@ let latency_of ?(op_latency = Sim.default_latency) (n : Graph.node) =
   | Types.Buffer _ -> 1
   | _ -> 1
 
-(* Topological order of a DAG (builds produce DAGs: the generator is the
-   only source and there are no back edges). *)
-let topo_order (g : Graph.t) : int list =
-  let n = Graph.n_nodes g in
-  let indeg = Array.make n 0 in
-  Graph.iter_chans
-    (fun c -> indeg.(c.Graph.dst.Graph.node) <- indeg.(c.Graph.dst.Graph.node) + 1)
-    g;
-  let queue = Queue.create () in
-  Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indeg;
-  let order = ref [] in
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    order := u :: !order;
-    Array.iter
-      (fun cid ->
-        if cid <> -1 then begin
-          let v = (Graph.chan g cid).Graph.dst.Graph.node in
-          indeg.(v) <- indeg.(v) - 1;
-          if indeg.(v) = 0 then Queue.add v queue
-        end)
-      (Graph.node g u).Graph.outputs
-  done;
-  if List.length !order <> n then
-    invalid_arg "Balance: graph has a cycle; balancing requires a DAG";
-  List.rev !order
-
 (** Buffer sizes per channel needed for II=1: [slots.(cid) = 0] means no
-    buffer. *)
+    buffer.  Builds produce DAGs (the generator is the only source and
+    there are no back edges), so depths follow one topological walk. *)
 let plan ?op_latency (g : Graph.t) : int array =
-  let order = topo_order g in
+  let order =
+    match Graph.topo_order g with
+    | Some order -> order
+    | None -> invalid_arg "Balance: graph has a cycle; balancing requires a DAG"
+  in
   let depth = Array.make (Graph.n_nodes g) 0 in
-  List.iter
-    (fun nid ->
-      let node = Graph.node g nid in
-      let inmax =
-        Array.fold_left
-          (fun acc cid ->
-            if cid = -1 then acc
-            else max acc depth.((Graph.chan g cid).Graph.src.Graph.node))
-          0 node.Graph.inputs
-      in
-      depth.(nid) <- inmax + latency_of ?op_latency node)
-    order;
+  let src_depth cid = depth.((Graph.chan g cid).Graph.src.Graph.node) in
+  (* the deepest input of a node: when its last operand arrives *)
+  let arrival (node : Graph.node) =
+    let inmax = ref 0 in
+    for s = 0 to Array.length node.Graph.inputs - 1 do
+      let cid = node.Graph.inputs.(s) in
+      if cid <> -1 then inmax := max !inmax (src_depth cid)
+    done;
+    !inmax
+  in
+  for i = 0 to Array.length order - 1 do
+    let node = Graph.node g order.(i) in
+    depth.(node.Graph.nid) <- arrival node + latency_of ?op_latency node
+  done;
   let slots = Array.make (Graph.n_chans g) 0 in
-  Graph.iter_nodes
-    (fun node ->
-      if Array.length node.Graph.inputs >= 2 then begin
-        let target =
-          Array.fold_left
-            (fun acc cid ->
-              if cid = -1 then acc
-              else max acc depth.((Graph.chan g cid).Graph.src.Graph.node))
-            0 node.Graph.inputs
-        in
-        Array.iter
-          (fun cid ->
-            if cid <> -1 then begin
-              let d = target - depth.((Graph.chan g cid).Graph.src.Graph.node) in
-              if d > 0 then slots.(cid) <- d + 1
-            end)
-          node.Graph.inputs
-      end)
-    g;
+  for nid = 0 to Graph.n_nodes g - 1 do
+    let node = Graph.node g nid in
+    let inputs = node.Graph.inputs in
+    if Array.length inputs >= 2 then begin
+      let target = arrival node in
+      for s = 0 to Array.length inputs - 1 do
+        let cid = inputs.(s) in
+        if cid <> -1 then begin
+          let d = target - src_depth cid in
+          if d > 0 then slots.(cid) <- d + 1
+        end
+      done
+    end
+  done;
   slots
 
-(** Rebuild [g] with a slack FIFO spliced into every channel that the plan
-    sizes above zero.  Node ids of original nodes are preserved. *)
-let insert_buffers (g : Graph.t) (slots : int array) : Graph.t =
-  let b = Graph.create () in
-  Graph.iter_nodes
-    (fun n -> ignore (Graph.add ~label:n.Graph.label b n.Graph.kind))
-    g;
-  Graph.iter_chans
-    (fun c ->
-      let src = (c.Graph.src.Graph.node, c.Graph.src.Graph.slot) in
-      let dst = (c.Graph.dst.Graph.node, c.Graph.dst.Graph.slot) in
-      if slots.(c.Graph.cid) > 0 then begin
-        let buf =
-          Graph.add ~label:"slack" b
-            (Types.Buffer { transparent = true; slots = slots.(c.Graph.cid) })
-        in
-        Graph.connect ~width:c.Graph.width b src (buf, 0);
-        Graph.connect ~width:c.Graph.width b (buf, 0) dst
-      end
-      else Graph.connect ~width:c.Graph.width b src dst)
-    g;
-  Graph.finalize b
+(** [g] with a slack FIFO spliced into every channel that the plan sizes
+    above zero ({!Graph.splice_buffers}: node ids of original nodes are
+    preserved). *)
+let insert_buffers = Graph.splice_buffers
 
 let apply ?op_latency (g : Graph.t) : Graph.t =
   let slots = plan ?op_latency g in

@@ -14,8 +14,12 @@
 val plan :
   ?op_latency:(Pv_dataflow.Types.binop -> int) -> Pv_dataflow.Graph.t -> int array
 
-(** Rebuild the graph with a slack FIFO spliced into every channel the plan
-    sizes above zero; original node ids are preserved. *)
+(** The graph with a slack FIFO spliced into every channel the plan sizes
+    above zero, in one pass ({!Pv_dataflow.Graph.splice_buffers}).  Ids:
+    original nodes keep theirs; channel [c] becomes [c + k], with [k] the
+    number of spliced channels below [c]; a spliced channel's buffer is
+    node [n_nodes + k] and its two halves are channels [c + k] (into the
+    buffer) and [c + k + 1] (out of it).  The input graph is unchanged. *)
 val insert_buffers : Pv_dataflow.Graph.t -> int array -> Pv_dataflow.Graph.t
 
 (** [plan] + [insert_buffers]; returns the graph unchanged when no slack is

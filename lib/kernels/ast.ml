@@ -48,12 +48,6 @@ let for_ var lo hi body = For { var; lo; hi; body }
 
 (* --- free variables / accesses ------------------------------------------ *)
 
-let rec expr_vars acc = function
-  | Int _ -> acc
-  | Var s -> if List.mem s acc then acc else s :: acc
-  | Idx (_, e) | Un (_, e) -> expr_vars acc e
-  | Bin (_, a, b) -> expr_vars (expr_vars acc a) b
-
 (** Static memory accesses of an expression: (array, index expr) loads. *)
 let rec expr_loads acc = function
   | Int _ | Var _ -> acc

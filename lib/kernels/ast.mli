@@ -52,9 +52,6 @@ val for_ : string -> expr -> expr -> stmt list -> stmt
 
 (** {1 Queries} *)
 
-(** Variables free in an expression, prepended to [acc], deduplicated. *)
-val expr_vars : string list -> expr -> string list
-
 (** Static memory accesses of an expression, as (array, index expr) loads
     prepended to [acc]. *)
 val expr_loads : (string * expr) list -> expr -> (string * expr) list
@@ -63,7 +60,6 @@ val expr_loads : (string * expr) list -> expr -> (string * expr) list
 
     The printed form uses C spellings and parses back with {!Parse}. *)
 
-val symbol_of_binop : binop -> string
 val pp_expr : Format.formatter -> expr -> unit
 val pp_stmt : int -> Format.formatter -> stmt -> unit
 val pp_body : int -> Format.formatter -> stmt list -> unit

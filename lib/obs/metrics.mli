@@ -34,12 +34,9 @@ val set_gauge_max : t -> string -> int -> unit
     [bounds] are the inclusive upper bounds of the finite buckets; an
     implicit overflow bucket catches everything above the last bound.
     [bounds] is only consulted when the histogram is first created;
-    defaults to [default_bounds]. *)
-val observe : t -> ?bounds:int array -> string -> int -> unit
-
-(** Power-of-4-ish default bucket bounds:
+    defaults to the power-of-4-ish
     [|0;1;2;4;8;16;32;64;128;256;1024;4096;16384;65536|]. *)
-val default_bounds : int array
+val observe : t -> ?bounds:int array -> string -> int -> unit
 
 (** {1 Reading} *)
 

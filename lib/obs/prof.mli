@@ -57,10 +57,6 @@ val phase_mem_service : int
 
 val n_phases : int
 
-(** Stable lower-case name, e.g. ["arbiter_scan"].
-    @raise Invalid_argument outside [0, n_phases). *)
-val phase_name : int -> string
-
 (** {1 Stall reasons} (mirror of the post-mortem classification) *)
 
 val reason_starved : int  (** a wired input is empty *)
@@ -74,8 +70,6 @@ val reason_frozen : int  (** held by an injected fault stall *)
 val reason_internal : int  (** work stuck inside a FU pipe / buffer ring *)
 
 val reason_other : int
-val n_reasons : int
-val reason_name : int -> string
 
 (** {1 Recording} (hot path — no allocation) *)
 

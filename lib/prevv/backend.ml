@@ -194,11 +194,15 @@ let note_occupancy t =
 let raise_squash t seq_err =
   if seq_err < t.pending_squash then t.pending_squash <- seq_err
 
-(* Slots that must stay available for the oldest iteration to complete:
-   exactly its not-yet-arrived member operations.  Their ports always have
-   zero outstanding records (anything older retired at the store-arrival
-   or commit frontier), so reserving this many slots for frontier-age
-   records makes admission deadlock-free. *)
+(* Slots kept for the oldest iteration to complete: exactly its
+   not-yet-arrived member operations.  Their ports always have zero
+   outstanding records (anything older retired at the store-arrival or
+   commit frontier), so the reserve guarantees room for the *current*
+   frontier's missing operations only.  It does not make admission
+   deadlock-free: when the frontier advances to iteration i, i's missing
+   operations can find the queue full of younger records that retire only
+   at their own commit (perfbench's defect_gen31686/prevv16 deadlocks at
+   cycle 4198; ROADMAP item 1 has the diagnosis and a candidate fix). *)
 let frontier_reserve t inst =
   let g = group_at t t.frontier in
   if g < 0 then 0

@@ -13,9 +13,11 @@
 
     Load records retire once the {e store-arrival frontier} passes their
     iteration (every store that could accuse them has arrived and been
-    checked), long before the commit frontier; per-port quotas and a
-    dynamic frontier reserve make queue admission fair and deadlock-free.
-    See DESIGN.md §8 for each argument. *)
+    checked), long before the commit frontier; per-port quotas make queue
+    admission fair, and a dynamic frontier reserve keeps room for the
+    current frontier iteration's missing operations.  The reserve does
+    not make admission deadlock-free: some generated kernels deadlock at
+    some depths (ROADMAP item 1).  See DESIGN.md §8 for each argument. *)
 
 type config = {
   depth_q : int;  (** premature queue depth in simulated entries *)

@@ -44,11 +44,8 @@ val okey : seq:int -> pos:int -> int
 val okey_seq : int -> int
 val okey_pos : int -> int
 
-(** Metadata-word accessors (bit 0 = valid, bit 1 = store?, rest = port). *)
-
-val m_valid : int -> bool
-
-val m_store : int -> bool
+(** Port field of a metadata word (bit 0 = valid, bit 1 = store?, rest =
+    port). *)
 val m_port : int -> int
 
 type t = private {

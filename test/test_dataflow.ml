@@ -77,6 +77,33 @@ let test_check_cycle () =
        (function Check.Combinational_cycle _ -> true | _ -> false)
        (Check.errors g))
 
+(* zero in-degree nodes in id order, then successors in output-slot order;
+   None on a cycle *)
+let test_topo_order () =
+  let b = Graph.create () in
+  let sink = Graph.add b Types.Sink in
+  let gen = Graph.add b (counter_gen 1) in
+  let fork = Graph.add b (Types.Fork 2) in
+  let late = Graph.add b (Types.Unop Types.Neg) in
+  let early = Graph.add b (Types.Unop Types.Neg) in
+  let join = Graph.add b (Types.Join 2) in
+  Graph.connect b (gen, 0) (fork, 0);
+  Graph.connect b (fork, 0) (early, 0);
+  Graph.connect b (fork, 1) (late, 0);
+  Graph.connect b (late, 0) (join, 0);
+  Graph.connect b (early, 0) (join, 1);
+  Graph.connect b (join, 0) (sink, 0);
+  Alcotest.(check (option (array int))) "order"
+    (Some [| gen; fork; early; late; join; sink |])
+    (Graph.topo_order (Graph.finalize b));
+  let b = Graph.create () in
+  let a = Graph.add b (Types.Unop Types.Neg) in
+  let c = Graph.add b (Types.Unop Types.Neg) in
+  Graph.connect b (a, 0) (c, 0);
+  Graph.connect b (c, 0) (a, 0);
+  Alcotest.(check (option (array int))) "cycle" None
+    (Graph.topo_order (Graph.finalize b))
+
 (* --- simulator semantics -------------------------------------------------- *)
 
 (* gen -> unop -> sink chain sustains one token per cycle *)
@@ -435,6 +462,7 @@ let () =
           Alcotest.test_case "connect errors" `Quick test_connect_errors;
           Alcotest.test_case "unwired detection" `Quick test_check_unwired;
           Alcotest.test_case "cycle detection" `Quick test_check_cycle;
+          Alcotest.test_case "topological order" `Quick test_topo_order;
         ] );
       ( "sim",
         [

@@ -482,6 +482,112 @@ let test_balance_improves_throughput () =
     (Printf.sprintf "balanced %d < unbalanced %d" balanced unbalanced)
     true (balanced < unbalanced)
 
+(* the builder-based rebuild [Balance.insert_buffers] used before the splice:
+   the reference for its id and order rule *)
+let rebuild_reference (g : Pv_dataflow.Graph.t) (slots : int array) =
+  let module G = Pv_dataflow.Graph in
+  let b = G.create () in
+  G.iter_nodes (fun n -> ignore (G.add ~label:n.G.label b n.G.kind)) g;
+  G.iter_chans
+    (fun c ->
+      let src = (c.G.src.G.node, c.G.src.G.slot) in
+      let dst = (c.G.dst.G.node, c.G.dst.G.slot) in
+      if slots.(c.G.cid) > 0 then begin
+        let buf =
+          G.add ~label:"slack" b
+            (Pv_dataflow.Types.Buffer
+               { transparent = true; slots = slots.(c.G.cid) })
+        in
+        G.connect ~width:c.G.width b src (buf, 0);
+        G.connect ~width:c.G.width b (buf, 0) dst
+      end
+      else G.connect ~width:c.G.width b src dst)
+    g;
+  G.finalize b
+
+(* every bundled kernel plus the area_sweep benchmark's generated
+   population, each built without balancing *)
+let unbalanced_population () =
+  let spec =
+    {
+      Generate.max_depth = 3;
+      max_stmts = 3;
+      max_arrays = 4;
+      array_len = 64;
+      trip = 8;
+      allow_if = true;
+      allow_indirect = true;
+      allow_div = true;
+    }
+  in
+  let options = { Build.default_options with Build.balance = false } in
+  List.map
+    (fun k ->
+      (k.Ast.name, (Pv_core.Pipeline.compile ~options k).Pv_core.Pipeline.graph))
+    (Defs.all () @ List.init 200 (fun seed -> Generate.kernel ~spec seed))
+
+let test_balance_matches_rebuild () =
+  let module G = Pv_dataflow.Graph in
+  let same_kind a b =
+    match (a, b) with
+    | Pv_dataflow.Types.Gen x, Pv_dataflow.Types.Gen y -> x == y
+    | Pv_dataflow.Types.Gen _, _ | _, Pv_dataflow.Types.Gen _ -> false
+    | _ -> a = b
+  in
+  let spliced = ref 0 in
+  List.iter
+    (fun (name, g) ->
+      let want = rebuild_reference g (Balance.plan g) in
+      let got = Balance.apply g in
+      if G.n_nodes got > G.n_nodes g then incr spliced;
+      Alcotest.(check int) (name ^ " nodes") (G.n_nodes want) (G.n_nodes got);
+      Alcotest.(check int) (name ^ " chans") (G.n_chans want) (G.n_chans got);
+      G.iter_nodes
+        (fun w ->
+          let n = G.node got w.G.nid in
+          let what = Printf.sprintf "%s n%d" name w.G.nid in
+          Alcotest.(check int) (what ^ " nid") w.G.nid n.G.nid;
+          Alcotest.(check bool) (what ^ " kind") true (same_kind w.G.kind n.G.kind);
+          Alcotest.(check string) (what ^ " label") w.G.label n.G.label;
+          Alcotest.(check (array int)) (what ^ " inputs") w.G.inputs n.G.inputs;
+          Alcotest.(check (array int)) (what ^ " outputs") w.G.outputs n.G.outputs)
+        want;
+      G.iter_chans
+        (fun w ->
+          let c = G.chan got w.G.cid in
+          let endpoint e = (e.G.node, e.G.slot) in
+          Alcotest.(check (pair (pair int int) (pair int int)))
+            (Printf.sprintf "%s c%d" name w.G.cid)
+            (endpoint w.G.src, endpoint w.G.dst)
+            (endpoint c.G.src, endpoint c.G.dst);
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "%s c%d id, width" name w.G.cid)
+            (w.G.cid, w.G.width) (c.G.cid, c.G.width))
+        want;
+      Pv_dataflow.Check.validate_exn got)
+    (unbalanced_population ());
+  Alcotest.(check bool) "the population exercises the splice" true (!spliced > 100)
+
+(* An [Array.make] past the minor-heap object limit seeded with a young
+   block empties the minor heap first; balancing must not do that.  Only
+   graphs whose balancing allocation fits the minor heap are judged. *)
+let test_balance_forces_no_minor_collection () =
+  let minor_heap = float_of_int (Gc.get ()).Gc.minor_heap_size in
+  let forced =
+    List.filter
+      (fun (_, g) ->
+        Gc.minor ();
+        let c0 = (Gc.quick_stat ()).Gc.minor_collections in
+        let w0 = Gc.minor_words () in
+        ignore (Sys.opaque_identity (Balance.apply g));
+        let w1 = Gc.minor_words () in
+        let c1 = (Gc.quick_stat ()).Gc.minor_collections in
+        w1 -. w0 < minor_heap && c1 <> c0)
+      (unbalanced_population ())
+  in
+  Alcotest.(check (list string)) "graphs whose balancing forced a collection" []
+    (List.map fst forced)
+
 (* property: on randomized polyn sizes, the built circuit is structurally
    valid and its trace length matches the interpreter *)
 let prop_build_valid =
@@ -542,6 +648,10 @@ let () =
             test_balance_plan_covers_deficits;
           Alcotest.test_case "improves throughput" `Quick
             test_balance_improves_throughput;
+          Alcotest.test_case "balance = rebuild reference" `Quick
+            test_balance_matches_rebuild;
+          Alcotest.test_case "Balance.apply forces no minor collection" `Quick
+            test_balance_forces_no_minor_collection;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_build_valid ]);
     ]
