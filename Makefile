@@ -49,9 +49,13 @@ soak:
 fuzz-soak:
 	FUZZ_ITERS=10 dune exec test/test_fuzz.exe
 
-# lib/ + bin/ source lines: the count ROADMAP's deletion target is kept in
+# lib/ + bin/ source lines: the count ROADMAP's deletion target is kept in,
+# then one line per lib/ directory for the per-item budgets
 loc:
 	@find lib bin -name '*.ml' -o -name '*.mli' | xargs cat | wc -l
+	@for d in lib/*/; do \
+	  printf '%-16s %6d\n' "$$d" "$$(find $$d -name '*.ml' -o -name '*.mli' | xargs cat | wc -l)"; \
+	done
 
 clean:
 	dune clean

@@ -511,7 +511,7 @@ let emit_cmd =
     let nl =
       Pv_netlist.Elaborate.circuit compiled.Pipeline.graph
         compiled.Pipeline.info.Pv_frontend.Depend.portmap
-        (Experiment.elaboration_of dis)
+        (Scheme.elaboration_of dis)
     in
     let entity =
       Printf.sprintf "%s_%s" kernel.Pv_kernels.Ast.name (Pipeline.name_of dis)
@@ -716,7 +716,7 @@ let area_cmd =
     let nl =
       Pv_netlist.Elaborate.circuit compiled.Pipeline.graph
         compiled.Pipeline.info.Pv_frontend.Depend.portmap
-        (Experiment.elaboration_of dis)
+        (Scheme.elaboration_of dis)
     in
     Printf.printf "%-32s %10s %10s
 " "hierarchy" "LUT" "FF";

@@ -17,10 +17,6 @@ type point = {
           the result cache. *)
 }
 
-let elaboration_of (dis : Pipeline.disambiguation) :
-    Pv_netlist.Elaborate.disambiguation =
-  Scheme.elaboration_of dis
-
 (** Run one (kernel, scheme) point: compile (unless [compiled] is given),
     simulate, verify, elaborate. *)
 let run ?sim_cfg ?init ?compiled (kernel : Pv_kernels.Ast.kernel)
@@ -37,7 +33,8 @@ let run ?sim_cfg ?init ?compiled (kernel : Pv_kernels.Ast.kernel)
   in
   let report =
     Pv_resource.Report.of_circuit compiled.Pipeline.graph
-      compiled.Pipeline.info.Pv_frontend.Depend.portmap (elaboration_of dis)
+      compiled.Pipeline.info.Pv_frontend.Depend.portmap
+      (Scheme.elaboration_of dis)
   in
   {
     kernel = kernel.Pv_kernels.Ast.name;
@@ -55,15 +52,6 @@ let run ?sim_cfg ?init ?compiled (kernel : Pv_kernels.Ast.kernel)
 (* ------------------------------------------------------------------ *)
 (* Result caching                                                      *)
 (* ------------------------------------------------------------------ *)
-
-(* every functional-unit kind, so a sim config's latency function can be
-   fingerprinted by sampling (the closure itself is not marshalable) *)
-let all_binops : Pv_dataflow.Types.binop list =
-  Pv_dataflow.Types.
-    [
-      Add; Sub; Mul; Mulc; Div; Rem; And; Or; Xor; Shl; Shr; Lt; Le; Gt; Ge;
-      Eq; Ne; Min; Max;
-    ]
 
 (** Content address of one evaluation point: a digest over everything that
     determines the result — kernel AST, input data, the full scheme
@@ -87,7 +75,9 @@ let cache_key ?(sim_cfg = Pv_dataflow.Sim.default_config) ?init
       sim_cfg.Sim.max_cycles,
       sim_cfg.Sim.stall_limit,
       Marshal.to_string sim_cfg.Sim.faults [],
-      List.map sim_cfg.Sim.op_latency all_binops )
+      (* every unit's latency in code order: the closure is not marshalable *)
+      Array.to_list (Array.map sim_cfg.Sim.op_latency Pv_dataflow.Types.binops)
+    )
   in
   Digest.to_hex
     (Digest.string

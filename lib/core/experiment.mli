@@ -17,11 +17,6 @@ type point = {
           the result cache. *)
 }
 
-(** Map a simulation scheme to the area model's configuration (paper-unit
-    depths). *)
-val elaboration_of :
-  Pipeline.disambiguation -> Pv_netlist.Elaborate.disambiguation
-
 (** Run one (kernel, scheme) point: compile, simulate, verify, elaborate.
     [compiled], when given, must be [Pipeline.compile kernel]; it saves
     the compile.

@@ -105,6 +105,10 @@ let binop_code = function
   | Min -> 17
   | Max -> 18
 
+let binops =
+  [| Add; Sub; Mul; Mulc; Div; Rem; And; Or; Xor; Shl; Shr; Lt; Le; Gt; Ge;
+     Eq; Ne; Min; Max |]
+
 (* Must mirror [eval_binop] case for case (test_dataflow checks the whole
    table against it). *)
 let eval_binop_code code a b =

@@ -11,30 +11,6 @@ type disambiguation =
   | D_oracle  (** analytic lower bound: no disambiguation hardware *)
   | D_serial  (** program-order serializer: a small gate per instance *)
 
-(* The datapath blocks, in node order (a fused loop generator's levels
-   ahead of its FSM), folded through [f]. *)
-let fold_datapath ws f acc (g : Graph.t) =
-  let level = Gen.loop_level ws in
-  let block scope parts = { P.scope; region = P.Datapath; parts } in
-  let acc = ref acc in
-  Graph.iter_nodes
-    (fun n ->
-      let label = n.Graph.label and nid = n.Graph.nid in
-      (match n.Graph.kind with
-      | Types.Gen gs ->
-          for k = 0 to gs.Types.gen_arity - 1 do
-            acc := f !acc (block (P.Level (label, nid, k)) level)
-          done
-      | _ -> ());
-      acc := f !acc (block (P.Node (label, nid)) (Gen.component ws n.Graph.kind)))
-    g;
-  !acc
-
-let collect fold = List.rev (fold (fun acc b -> b :: acc) [])
-
-let datapath ?(ws = Gen.default_widths) (g : Graph.t) : P.t =
-  collect (fun f acc -> fold_datapath ws f acc g)
-
 (* --- the table-driven datapath walk ------------------------------------ *)
 
 (* A component's key keeps only what changes its parts: a port, a constant,
@@ -45,34 +21,8 @@ let sized_bound = 64
 let span = sized_bound + 1
 let sized base n = if n >= 0 && n <= sized_bound then base + n else -1
 
-let binop_index : Types.binop -> int = function
-  | Types.Add -> 0
-  | Types.Sub -> 1
-  | Types.Mul -> 2
-  | Types.Mulc -> 3
-  | Types.Div -> 4
-  | Types.Rem -> 5
-  | Types.And -> 6
-  | Types.Or -> 7
-  | Types.Xor -> 8
-  | Types.Shl -> 9
-  | Types.Shr -> 10
-  | Types.Lt -> 11
-  | Types.Le -> 12
-  | Types.Gt -> 13
-  | Types.Ge -> 14
-  | Types.Eq -> 15
-  | Types.Ne -> 16
-  | Types.Min -> 17
-  | Types.Max -> 18
-
-let binops =
-  Types.
-    [| Add; Sub; Mul; Mulc; Div; Rem; And; Or; Xor; Shl; Shr; Lt; Le; Gt; Ge;
-       Eq; Ne; Min; Max |]
-
 (* eight payload-only kinds, three unops, the binops, then the sized kinds *)
-let first_sized = 11 + Array.length binops
+let first_sized = 11 + Array.length Types.binops
 
 let key : Types.kind -> int = function
   | Types.Gen _ -> 0
@@ -83,19 +33,17 @@ let key : Types.kind -> int = function
   | Types.Store _ -> 5
   | Types.Skip _ -> 6
   | Types.Galloc _ -> 7
-  | Types.Unop Types.Neg -> 8
-  | Types.Unop Types.Not -> 9
-  | Types.Unop Types.Lnot -> 10
-  | Types.Binop op -> 11 + binop_index op
+  | Types.Unop op -> 8 + Types.unop_code op
+  | Types.Binop op -> 11 + Types.binop_code op
   | Types.Fork n -> sized first_sized n
   | Types.Join n -> sized (first_sized + span) n
   | Types.Merge n -> sized (first_sized + (2 * span)) n
   | Types.Mux n -> sized (first_sized + (3 * span)) n
   | Types.Buffer { slots; _ } -> sized (first_sized + (4 * span)) slots
 
-(* each key's component totals at the default widths, from Gen.component's
-   own parts for one kind per key; checked against [key], built once at
-   start-up and never written after, so worker domains share it *)
+(* each key's component totals, from Gen.component's own parts for one
+   kind per key; checked against [key], built once at start-up and never
+   written after, so worker domains share it *)
 let table =
   let spec =
     { Types.gen_arity = 1; gen_next = (fun _ -> [||]); gen_group = (fun _ -> 0) }
@@ -104,14 +52,14 @@ let table =
   Array.mapi
     (fun i kind ->
       if key kind <> i then invalid_arg "Elaborate: component key table";
-      P.add P.zero (Gen.component Gen.default_widths kind))
+      P.add P.zero (Gen.component kind))
     (Array.concat
        [
          [| Types.Gen spec; Types.Const 0; Types.Branch; Types.Sink;
             Types.Load { port = 0 }; Types.Store { port = 0 };
             Types.Skip { port = 0 }; Types.Galloc { group = 0 } |];
          Array.map (fun op -> Types.Unop op) Types.[| Neg; Not; Lnot |];
-         Array.map (fun op -> Types.Binop op) binops;
+         Array.map (fun op -> Types.Binop op) Types.binops;
          each_size (fun n -> Types.Fork n);
          each_size (fun n -> Types.Join n);
          each_size (fun n -> Types.Merge n);
@@ -119,7 +67,7 @@ let table =
          each_size (fun n -> Types.Buffer { transparent = false; slots = n });
        ])
 
-let level_totals = P.add P.zero (Gen.loop_level Gen.default_widths)
+let level_totals = P.add P.zero Gen.loop_level
 
 type summary = { dp : P.totals; nodes : int; div : bool; mul : bool }
 
@@ -130,7 +78,7 @@ let summarize (g : Graph.t) =
       let kind = n.Graph.kind in
       let k = key kind in
       if k >= 0 then P.tally_scaled t 1 table.(k)
-      else P.tally_add t (Gen.component Gen.default_widths kind);
+      else P.tally_add t (Gen.component kind);
       match kind with
       | Types.Gen gs -> P.tally_scaled t gs.Types.gen_arity level_totals
       | Types.Binop (Types.Div | Types.Rem) -> div := true
@@ -152,8 +100,7 @@ let count_ports (pm : Pv_memory.Portmap.t) ~inst =
 
 (* The memory-subsystem macros.  [dp_luts] is the datapath's LUT count;
    PreVV's replay copy charges a share of it. *)
-let subsystem ?(ws = Gen.default_widths) (g : Graph.t)
-    (pm : Pv_memory.Portmap.t) dis ~dp_luts =
+let subsystem (g : Graph.t) (pm : Pv_memory.Portmap.t) dis ~dp_luts =
   let macro ?i name region parts = { P.scope = P.Macro (name, i); region; parts } in
   let n_direct =
     Array.fold_left
@@ -162,7 +109,7 @@ let subsystem ?(ws = Gen.default_widths) (g : Graph.t)
   in
   let mc =
     if n_direct > 0 then
-      [ macro "mc" P.Datapath (Gen.mem_controller ~nports:n_direct ws) ]
+      [ macro "mc" P.Datapath (Gen.mem_controller ~nports:n_direct) ]
     else []
   in
   let total_ports = Array.length pm.Pv_memory.Portmap.ports in
@@ -178,7 +125,7 @@ let subsystem ?(ws = Gen.default_widths) (g : Graph.t)
         let fast_alloc = match dis with D_fast_lsq _ -> true | _ -> false in
         (* one pooled LSQ per ambiguous array interface, as synthesised by
            Dynamatic for multi-array kernels *)
-        per_instance "lsq" (Gen.lsq ~depth ~ngroups ~fast_alloc ws)
+        per_instance "lsq" (Gen.lsq ~depth ~ngroups ~fast_alloc)
     | D_prevv depth ->
         macro "squash_net" P.Queue (Gen.squash_net ~components:(Graph.n_nodes g))
         :: per_instance "prevv" (fun ~nload_ports ~nstore_ports ->
@@ -190,35 +137,35 @@ let subsystem ?(ws = Gen.default_widths) (g : Graph.t)
                  int_of_float (member_frac *. float_of_int dp_luts)
                in
                Gen.prevv ~depth ~nload_ports ~nstore_ports ~ngroups
-                 ~member_datapath_luts ws)
+                 ~member_datapath_luts)
     | D_oracle ->
         (* analytic bound: perfect disambiguation costs no hardware *)
         []
     | D_serial ->
         per_instance "ser" (fun ~nload_ports ~nstore_ports ->
-            Gen.serializer ~nports:(nload_ports + nstore_ports) ~ngroups ws)
+            Gen.serializer ~nports:(nload_ports + nstore_ports) ~ngroups)
   in
   mc @ queue
 
-(** Every block of the circuit, folded through [f] in netlist order: the
-    datapath in node order, then the memory-subsystem macros.  The
-    datapath's LUT sum (PreVV's replay copy is sized from it) is tallied
-    as the blocks pass, so the graph is walked once. *)
-let fold ?(ws = Gen.default_widths) f acc (g : Graph.t)
-    (pm : Pv_memory.Portmap.t) (dis : disambiguation) =
-  let dp = P.tally () in
-  let acc =
-    fold_datapath ws
-      (fun acc b ->
-        P.tally_add dp b.P.parts;
-        f acc b)
-      acc g
-  in
-  List.fold_left f acc (subsystem ~ws g pm dis ~dp_luts:(P.tallied dp).P.luts)
-
-let circuit ?ws (g : Graph.t) (pm : Pv_memory.Portmap.t)
-    (dis : disambiguation) : P.t =
-  collect (fun f acc -> fold ?ws f acc g pm dis)
+(* The datapath blocks in node order (a fused loop generator's levels ahead
+   of its FSM), built in one walk, then the macros, PreVV's replay copy
+   sized from the blocks' totals. *)
+let circuit (g : Graph.t) (pm : Pv_memory.Portmap.t) (dis : disambiguation) :
+    P.t =
+  let block scope parts = { P.scope; region = P.Datapath; parts } in
+  let rev = ref [] in
+  Graph.iter_nodes
+    (fun n ->
+      let label = n.Graph.label and nid = n.Graph.nid in
+      (match n.Graph.kind with
+      | Types.Gen gs ->
+          for k = 0 to gs.Types.gen_arity - 1 do
+            rev := block (P.Level (label, nid, k)) Gen.loop_level :: !rev
+          done
+      | _ -> ());
+      rev := block (P.Node (label, nid)) (Gen.component n.Graph.kind) :: !rev)
+    g;
+  List.rev_append !rev (subsystem g pm dis ~dp_luts:(P.totals !rev).P.luts)
 
 (** Split totals into (datapath+controller, disambiguation subsystem) — the
     Fig. 1 breakdown, by the region each block was built with. *)

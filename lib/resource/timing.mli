@@ -17,10 +17,8 @@
     present ({!Pv_netlist.Elaborate.summarize} finds both). *)
 val datapath_cp : nodes:int -> div:bool -> mul:bool -> float
 
-type mem_kind = M_plain_lsq | M_fast_lsq | M_prevv | M_oracle | M_serial
-
-(** Critical path of the disambiguation subsystem at a queue depth. *)
-val mem_cp : mem_kind -> depth:int -> float
+(** Critical path of the disambiguation subsystem at its queue depth. *)
+val mem_cp : Pv_netlist.Elaborate.disambiguation -> float
 
 (** Execution time in microseconds, [cycles * cp / 1000]. *)
 val exec_time_us : cycles:int -> cp_ns:float -> float

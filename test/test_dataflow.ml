@@ -454,6 +454,53 @@ let prop_token_roundtrip =
       && k >= Types.Token.first ~seq
       && (seq = Types.Token.max_seq || k < Types.Token.first ~seq:(seq + 1)))
 
+(* --- dense operator codes ------------------------------------------------ *)
+
+(* the simulator evaluates an operator by its code, the reference
+   interpreter by its variant; over a grid with zero divisors, negative
+   operands, the extremes and the shift amounts the masking treats
+   specially (0, 61, 62, 63, 64), both must agree on every unit *)
+let operand_grid =
+  [ min_int; -1_000_003; -64; -63; -7; -2; -1; 0; 1; 2; 3; 7; 61; 62; 63; 64;
+    65; 1_000_003; max_int ]
+
+let test_op_codes () =
+  let agree name want got a b =
+    if want <> got then
+      Alcotest.failf "%s on (%d, %d): %d by variant, %d by code" name a b want
+        got
+  in
+  Array.iteri
+    (fun i op ->
+      (* Elaborate's component table and the cache's latency fingerprint
+         enumerate [binops] as the codes *)
+      Alcotest.(check int) (Printf.sprintf "binop_code binops.(%d)" i) i
+        (Types.binop_code op);
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              agree (Printf.sprintf "binop %d" i) (Types.eval_binop op a b)
+                (Types.eval_binop_code (Types.binop_code op) a b)
+                a b)
+            operand_grid)
+        operand_grid)
+    Types.binops;
+  Alcotest.check_raises "no binop code past the table"
+    (Invalid_argument "eval_binop_code") (fun () ->
+      ignore (Types.eval_binop_code (Array.length Types.binops) 1 1));
+  List.iteri
+    (fun i op ->
+      Alcotest.(check int) (Types.string_of_unop op ^ " code") i
+        (Types.unop_code op);
+      List.iter
+        (fun a ->
+          agree (Types.string_of_unop op) (Types.eval_unop op a)
+            (Types.eval_unop_code (Types.unop_code op) a)
+            a 0)
+        operand_grid)
+    Types.[ Neg; Not; Lnot ]
+
 let () =
   Alcotest.run "pv_dataflow"
     [
@@ -486,6 +533,8 @@ let () =
             test_token_order_and_cutoff;
           Alcotest.test_case "pretty-printing" `Quick test_token_pp;
         ] );
+      ( "ops",
+        [ Alcotest.test_case "code = variant semantics" `Quick test_op_codes ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_buffer_fifo;
