@@ -25,14 +25,32 @@ val default_jobs : unit -> int
 (** {1 Worker pool} *)
 
 type pool
-(** A fixed set of worker domains draining one shared job queue. *)
+(** A fixed number of worker domains draining one shared job queue.  This
+    is the only place the repo spawns domains: the grid drivers and
+    {!Service} both run their jobs here. *)
 
 (** Spawn [jobs] worker domains (at least one). *)
 val create : jobs:int -> pool
 
+(** A job raises [End_worker] to end the worker domain running it.  The
+    worker spawns a replacement into its slot (counted by {!respawns})
+    before it exits, so the pool keeps its size, queued jobs keep
+    running, {!shutdown} joins the replacement too, and the job itself
+    does not count as completed.  {!Service}'s injected worker kill is
+    this path. *)
+exception End_worker
+
+(** Replacement workers spawned since {!create}.  Exact after
+    {!shutdown}. *)
+val respawns : pool -> int
+
+(** Jobs submitted and not yet picked up by a worker. *)
+val queued : pool -> int
+
 (** Completed jobs per worker — the pool-utilisation telemetry behind the
     observability layer's [runner.worker_jobs] metric.  Each worker counts
-    only its own slot (race-free by construction); the counts are exact
+    only its own slot (race-free by construction), and a replacement
+    takes over the slot of the worker it replaces; the counts are exact
     after {!shutdown}, and a live read may lag by the jobs in flight. *)
 val worker_jobs : pool -> int list
 
@@ -41,7 +59,8 @@ val worker_jobs : pool -> int list
     @raise Invalid_argument after {!shutdown}. *)
 val submit : pool -> (unit -> unit) -> unit
 
-(** Stop accepting jobs, drain the queue, and join every worker.
+(** Stop accepting jobs, drain the queue, and join every worker, the
+    replacements of workers that end during the drain included.
     Idempotent. *)
 val shutdown : pool -> unit
 

@@ -233,6 +233,7 @@ type item = { t_seq : int; t_key : string; t_req : request }
 type state = {
   cfg : config;
   jobs_target : int;
+  pool : Parallel.pool option;  (** [None]: inline, the serial reference *)
   emit : string -> unit;
   emit_lock : Mutex.t;
       (** serialises [emit]; taken before [lock], never while holding it *)
@@ -240,10 +241,7 @@ type state = {
       (** the first exception [emit] raised: no later line is emitted and
           [run] re-raises it after the drain *)
   lock : Mutex.t;
-  work : Condition.t;  (** workers: the queue may have work *)
-  progress : Condition.t;  (** main: a response landed or a worker died *)
-  queue : item Queue.t;
-  mutable draining : bool;
+  progress : Condition.t;  (** main: a response landed *)
   responses : (int, string) Hashtbl.t;  (** seq -> response line *)
   mutable next_emit : int;
   mutable next_seq : int;
@@ -252,9 +250,7 @@ type state = {
       (** key -> waiting (seq, id) *)
   t0s : (int, int64) Hashtbl.t;  (** seq -> submit instant *)
   lats : float Queue.t;  (** latencies (ms) of computed responses *)
-  kill_pending : (int, unit) Hashtbl.t;
-  mutable live : int;
-  mutable domains : unit Domain.t list;
+  mutable kill_pending : int list;  (** [kill_at] seqs not yet picked up *)
   mutable n_received : int;
   mutable n_ok : int;
   mutable n_errors : int;
@@ -263,7 +259,6 @@ type state = {
   mutable n_dedup : int;
   mutable n_retries : int;
   mutable n_kills : int;
-  mutable n_respawns : int;
   mutable ewma_ms : float;
       (** exponentially weighted recent service latency; 0.0 until the
           first computed response lands *)
@@ -303,19 +298,13 @@ let store_locked st item outcome retries =
   Condition.signal st.progress
 
 (* pop the contiguous ready prefix; lock held by caller *)
-let ready_locked st =
-  let out = ref [] in
-  let rec go () =
-    match Hashtbl.find_opt st.responses st.next_emit with
-    | Some line ->
-        Hashtbl.remove st.responses st.next_emit;
-        st.next_emit <- st.next_emit + 1;
-        out := line :: !out;
-        go ()
-    | None -> ()
-  in
-  go ();
-  List.rev !out
+let rec ready_locked st acc =
+  match Hashtbl.find_opt st.responses st.next_emit with
+  | Some line ->
+      Hashtbl.remove st.responses st.next_emit;
+      st.next_emit <- st.next_emit + 1;
+      ready_locked st (line :: acc)
+  | None -> List.rev acc
 
 (* [emit_lock] held by caller *)
 let emit_locked st line =
@@ -331,103 +320,51 @@ let emit_locked st line =
 let flush st =
   Mutex.lock st.emit_lock;
   Mutex.lock st.lock;
-  let lines = ready_locked st in
+  let lines = ready_locked st [] in
   Mutex.unlock st.lock;
   List.iter (emit_locked st) lines;
   Mutex.unlock st.emit_lock
 
-(* [`Done] = outcome stored and flushed; [`Killed] = the worker must die
-   and the item be requeued (caller handles it under the lock) *)
-let process st item =
+(* The injected kill: true on the first pickup of a [kill_at] item, which
+   is counted and logged here. *)
+let killed st item =
   Mutex.lock st.lock;
-  let kill = Hashtbl.mem st.kill_pending item.t_seq in
-  if kill then Hashtbl.remove st.kill_pending item.t_seq;
+  let kill = List.mem item.t_seq st.kill_pending in
+  if kill then begin
+    st.kill_pending <- List.filter (( <> ) item.t_seq) st.kill_pending;
+    st.n_kills <- st.n_kills + 1
+  end;
   Mutex.unlock st.lock;
-  if kill then `Killed
-  else begin
-    let req = item.t_req in
-    let outcome, tally =
-      Supervisor.retry st.cfg.policy ~label:(req.kernel ^ "/" ^ req.backend)
-        (fun ~token -> compute st.cfg ~token req)
-    in
-    Mutex.lock st.lock;
-    store_locked st item outcome tally.Supervisor.retries;
-    Mutex.unlock st.lock;
-    flush st;
-    `Done
-  end
+  if kill then
+    Pv_obs.Log.warn st.cfg.log "worker_killed"
+      ~fields:
+        [
+          ("seq", Pv_obs.Json.Int item.t_seq);
+          ("id", Pv_obs.Json.Str item.t_req.id);
+        ];
+  kill
 
-let rec worker st =
-  Mutex.lock st.lock;
-  while Queue.is_empty st.queue && not st.draining do
-    Condition.wait st.work st.lock
-  done;
-  if Queue.is_empty st.queue then begin
-    (* draining and nothing left to pull: this worker retires *)
-    st.live <- st.live - 1;
-    Condition.signal st.progress;
-    Mutex.unlock st.lock
-  end
-  else begin
-    let item = Queue.pop st.queue in
-    Mutex.unlock st.lock;
-    match process st item with
-    | `Done -> worker st
-    | `Killed ->
-        (* die mid-task: requeue the in-flight request (zero lost) and
-           let the main loop respawn a replacement *)
-        Mutex.lock st.lock;
-        st.n_kills <- st.n_kills + 1;
-        st.live <- st.live - 1;
-        Queue.push item st.queue;
-        Condition.signal st.work;
-        Condition.signal st.progress;
-        Mutex.unlock st.lock;
-        Pv_obs.Log.warn st.cfg.log "worker_killed"
-          ~fields:
-            [
-              ("seq", Pv_obs.Json.Int item.t_seq);
-              ("id", Pv_obs.Json.Str item.t_req.id);
-            ]
-  end
-
-(* lock held by caller *)
-let spawn_locked st =
-  st.live <- st.live + 1;
-  st.domains <- Domain.spawn (fun () -> worker st) :: st.domains
-
-let respawn_if_needed_locked st =
-  while st.live < st.jobs_target && not (Queue.is_empty st.queue) do
-    spawn_locked st;
-    st.n_respawns <- st.n_respawns + 1
-  done
-
-(* inline execution for jobs <= 1: the serial reference *)
-let drain_inline st =
-  let rec loop () =
-    Mutex.lock st.lock;
-    let item = if Queue.is_empty st.queue then None else Some (Queue.pop st.queue) in
-    Mutex.unlock st.lock;
-    match item with
-    | None -> ()
-    | Some item ->
-        (match process st item with
-        | `Done -> ()
-        | `Killed ->
-            (* no domain to kill serially: count it and recompute *)
-            Mutex.lock st.lock;
-            st.n_kills <- st.n_kills + 1;
-            Queue.push item st.queue;
-            Mutex.unlock st.lock;
-            Pv_obs.Log.warn st.cfg.log "worker_killed"
-              ~fields:
-                [
-                  ("seq", Pv_obs.Json.Int item.t_seq);
-                  ("id", Pv_obs.Json.Str item.t_req.id);
-                ]);
-        loop ()
+(* compute [item], store the outcome for its waiters and flush *)
+let process st item =
+  let req = item.t_req in
+  let outcome, tally =
+    Supervisor.retry st.cfg.policy ~label:(req.kernel ^ "/" ^ req.backend)
+      (fun ~token -> compute st.cfg ~token req)
   in
-  loop ()
+  Mutex.lock st.lock;
+  store_locked st item outcome tally.Supervisor.retries;
+  Mutex.unlock st.lock;
+  flush st
+
+(* one request as a pool job.  A kill resubmits the item (zero lost; the
+   drain cannot have shut the pool down, since the item is still pending)
+   and ends this worker, which the pool replaces. *)
+let rec pooled st pool item () =
+  if killed st item then begin
+    Parallel.submit pool (pooled st pool item);
+    raise Parallel.End_worker
+  end
+  else process st item
 
 let percentile sorted p =
   let n = Array.length sorted in
@@ -454,6 +391,11 @@ let retry_after_ms_locked st =
    received request is, at any instant, in exactly one of those four
    states (bad requests count as responded — they got a response line). *)
 let emit_stats_frame st =
+  let queue_depth, respawns =
+    match st.pool with
+    | Some p -> (Parallel.queued p, Parallel.respawns p)
+    | None -> (0, 0)
+  in
   Mutex.lock st.lock;
   let lats = Array.of_seq (Queue.to_seq st.lats) in
   let counters =
@@ -464,12 +406,12 @@ let emit_stats_frame st =
       ("shed", Json.Int st.n_shed);
       ("errors", Json.Int st.n_errors);
       ("in_flight", Json.Int st.pending);
-      ("queue_depth", Json.Int (Queue.length st.queue));
+      ("queue_depth", Json.Int queue_depth);
       ("queue_depth_max", Json.Int st.max_pending);
       ("dedup_hits", Json.Int st.n_dedup);
       ("retries", Json.Int st.n_retries);
       ("worker_kills", Json.Int st.n_kills);
-      ("respawns", Json.Int st.n_respawns);
+      ("respawns", Json.Int respawns);
       ("ewma_ms", Json.Float st.ewma_ms);
     ]
   in
@@ -502,7 +444,6 @@ let is_stats_request line =
 let run ?metrics cfg ~next ~emit =
   Atomic.set drain_flag false;
   let jobs_target = Parallel.effective_jobs cfg.jobs in
-  let inline = jobs_target <= 1 in
   let cache_hits0, cache_misses0 =
     match cfg.cache with
     | Some c -> (Parallel.Cache.hits c, Parallel.Cache.misses c)
@@ -512,14 +453,14 @@ let run ?metrics cfg ~next ~emit =
     {
       cfg;
       jobs_target;
+      pool =
+        (if jobs_target <= 1 then None
+         else Some (Parallel.create ~jobs:jobs_target));
       emit;
       emit_lock = Mutex.create ();
       emit_failure = Atomic.make None;
       lock = Mutex.create ();
-      work = Condition.create ();
       progress = Condition.create ();
-      queue = Queue.create ();
-      draining = false;
       responses = Hashtbl.create 64;
       next_emit = 0;
       next_seq = 0;
@@ -527,9 +468,7 @@ let run ?metrics cfg ~next ~emit =
       inflight = Hashtbl.create 64;
       t0s = Hashtbl.create 64;
       lats = Queue.create ();
-      kill_pending = Hashtbl.create 4;
-      live = 0;
-      domains = [];
+      kill_pending = cfg.kill_at;
       n_received = 0;
       n_ok = 0;
       n_errors = 0;
@@ -538,20 +477,12 @@ let run ?metrics cfg ~next ~emit =
       n_dedup = 0;
       n_retries = 0;
       n_kills = 0;
-      n_respawns = 0;
       ewma_ms = 0.0;
       max_pending = 0;
     }
   in
-  List.iter (fun seq -> Hashtbl.replace st.kill_pending seq ()) cfg.kill_at;
   let capacity = max 1 cfg.queue_capacity in
   let t_start = Clock.now_ns () in
-  Mutex.lock st.lock;
-  if not inline then
-    for _ = 1 to jobs_target do
-      spawn_locked st
-    done;
-  Mutex.unlock st.lock;
   (* ---- intake ---- *)
   let last_stats = ref t_start in
   let rec intake () =
@@ -569,12 +500,13 @@ let run ?metrics cfg ~next ~emit =
           st.n_received <- st.n_received + 1;
           let seq = st.next_seq in
           st.next_seq <- seq + 1;
-          (match parse_request line with
-          | Error msg ->
-              Hashtbl.replace st.responses seq (bad_line msg);
-              st.n_bad <- st.n_bad + 1
-          | Ok req ->
-              if st.pending >= capacity then begin
+          let item =
+            match parse_request line with
+            | Error msg ->
+                Hashtbl.replace st.responses seq (bad_line msg);
+                st.n_bad <- st.n_bad + 1;
+                None
+            | Ok req when st.pending >= capacity ->
                 (* bounded queue: explicit shed, never a silent drop; the
                    hint tells the client when capacity should free up *)
                 let retry_after_ms = retry_after_ms_locked st in
@@ -587,9 +519,9 @@ let run ?metrics cfg ~next ~emit =
                       ("id", Pv_obs.Json.Str req.id);
                       ("pending", Pv_obs.Json.Int st.pending);
                       ("retry_after_ms", Pv_obs.Json.Int retry_after_ms);
-                    ]
-              end
-              else begin
+                    ];
+                None
+            | Ok req -> (
                 st.pending <- st.pending + 1;
                 if st.pending > st.max_pending then
                   st.max_pending <- st.pending;
@@ -599,19 +531,24 @@ let run ?metrics cfg ~next ~emit =
                 | Some ws ->
                     (* identical request already in flight: wait on it *)
                     ws := (seq, req.id) :: !ws;
-                    st.n_dedup <- st.n_dedup + 1
+                    st.n_dedup <- st.n_dedup + 1;
+                    None
                 | None ->
                     Hashtbl.add st.inflight key (ref [ (seq, req.id) ]);
-                    Queue.push { t_seq = seq; t_key = key; t_req = req }
-                      st.queue;
-                    Condition.signal st.work
-              end);
-          if not inline then respawn_if_needed_locked st;
+                    Some { t_seq = seq; t_key = key; t_req = req })
+          in
           (* a bad or shed line is answered here, not by a worker *)
           let answered = Hashtbl.mem st.responses seq in
           Mutex.unlock st.lock;
           if answered then flush st;
-          if inline then drain_inline st;
+          (match (item, st.pool) with
+          | None, _ -> ()
+          | Some item, Some pool -> Parallel.submit pool (pooled st pool item)
+          | Some item, None ->
+              (* inline: no domain to end, so a kill is counted and the
+                 item computed at once *)
+              ignore (killed st item);
+              process st item);
           (match cfg.stats_interval with
           | Some iv when Clock.elapsed_s !last_stats >= iv ->
               last_stats := Clock.now_ns ();
@@ -623,20 +560,12 @@ let run ?metrics cfg ~next ~emit =
   (* ---- drain ---- *)
   Pv_obs.Log.info cfg.log "drain"
     ~fields:[ ("pending", Pv_obs.Json.Int st.pending) ];
-  if inline then drain_inline st;
   Mutex.lock st.lock;
-  st.draining <- true;
-  Condition.broadcast st.work;
   while st.pending > 0 do
-    respawn_if_needed_locked st;
-    Condition.wait st.progress st.lock
-  done;
-  Condition.broadcast st.work;
-  while st.live > 0 do
     Condition.wait st.progress st.lock
   done;
   Mutex.unlock st.lock;
-  List.iter Domain.join st.domains;
+  Option.iter Parallel.shutdown st.pool;
   flush st;
   Option.iter
     (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
@@ -664,7 +593,7 @@ let run ?metrics cfg ~next ~emit =
       dedup_hits = st.n_dedup;
       retries = st.n_retries;
       worker_kills = st.n_kills;
-      respawns = st.n_respawns;
+      respawns = Option.fold ~none:0 ~some:Parallel.respawns st.pool;
       cache_hits;
       cache_misses;
       lost = st.n_received - responded;

@@ -1,16 +1,17 @@
 (** The experiment service behind [prevv serve]: line-delimited JSON
     requests in, one JSON response line per request out, in request order.
 
-    The service runs each request through the {!Experiment} pipeline on
-    its own streaming worker pool, each request under {!Supervisor.retry}
-    (per-attempt deadline, {!Supervisor.backoff_schedule}, errors
-    rendered by {!Supervisor.describe_exn}).  The pool adds worker kills
-    (injected via {!config.kill_at}: the worker finds its item in a
-    kill table and exits before computing) respawned with the in-flight
-    request requeued, identical in-flight requests deduplicated against
-    one computation, a bounded pending queue with explicit load-shedding
-    (an ["overloaded"] response — never a silent drop), and graceful
-    drain.  Every accepted line gets exactly one response line; the
+    The service runs each request through the {!Experiment} pipeline as
+    one job on a {!Parallel} pool (or inline on the calling domain when
+    [jobs <= 1]), each request under {!Supervisor.retry} (per-attempt
+    deadline, {!Supervisor.backoff_schedule}, errors rendered by
+    {!Supervisor.describe_exn}).  On top of the pool it adds injected
+    worker kills (via {!config.kill_at}: the job finds its item in a kill
+    list, resubmits it and raises {!Parallel.End_worker}, so the pool
+    replaces the worker), identical in-flight requests deduplicated
+    against one computation, a bounded pending count with explicit
+    load-shedding (an ["overloaded"] response — never a silent drop), and
+    graceful drain.  Every accepted line gets exactly one response line; the
     {!summary} proves it with [lost = 0].
 
     Responses are deterministic: bodies carry no timing or attempt
@@ -75,8 +76,9 @@ type config = {
   cache : Parallel.Cache.t option;  (** content-addressed result reuse *)
   kill_at : int list;
       (** chaos injection: arrival sequence numbers whose first pickup
-          kills its worker domain before computing (respawned, request
-          requeued) *)
+          ends its worker domain before computing (the pool spawns a
+          replacement, the request is resubmitted); inline, the kill is
+          only counted *)
   stats_interval : float option;
       (** emit a [{"type": "stats", ...}] frame at least this many seconds
           apart, checked between requests (the intake loop never wakes just
@@ -102,8 +104,8 @@ type summary = {
   shed : int;  (** explicit ["overloaded"] responses *)
   dedup_hits : int;  (** requests served by another's in-flight computation *)
   retries : int;  (** extra compute attempts beyond each request's first *)
-  worker_kills : int;  (** worker domains lost mid-request *)
-  respawns : int;  (** replacement workers spawned *)
+  worker_kills : int;  (** injected kills that fired; inline ends no domain *)
+  respawns : int;  (** the pool's replacement workers; 0 inline *)
   cache_hits : int;
   cache_misses : int;
   lost : int;  (** [received - responded]; the invariant is 0 *)

@@ -137,6 +137,28 @@ let test_soak_kill_zero_lost () =
   Alcotest.(check int) "serial zero lost" 0 s_ser.Service.lost;
   Alcotest.(check string) "byte-identical to serial replay" out_ser out_par
 
+let test_inline_kill () =
+  (* jobs 1 runs on the calling domain: a kill there ends no domain, so
+     it is counted, nothing is respawned, and the item is computed at
+     once, byte-identical to the same stream without the kill *)
+  let n = 12 in
+  let reqs = cold_requests n in
+  let config kill_at =
+    {
+      Service.default_config with
+      Service.queue_capacity = 2 * n;
+      Service.policy = quick_policy;
+      Service.kill_at;
+    }
+  in
+  let out_kill, s_kill = run_requests (config [ n / 2 ]) reqs in
+  Alcotest.(check int) "the injected kill fired" 1 s_kill.Service.worker_kills;
+  Alcotest.(check int) "no respawn inline" 0 s_kill.Service.respawns;
+  Alcotest.(check int) "zero lost" 0 s_kill.Service.lost;
+  let out_plain, _ = run_requests (config []) reqs in
+  Alcotest.(check string) "byte-identical to the run without the kill"
+    out_plain out_kill
+
 let test_overload_sheds_explicitly () =
   (* far more cold requests than a tiny queue can hold: the excess is
      shed with an explicit overloaded response, never silently *)
@@ -451,6 +473,8 @@ let () =
         [
           Alcotest.test_case "kill mid-soak, zero lost, serial-identical"
             `Quick test_soak_kill_zero_lost;
+          Alcotest.test_case "inline kill: counted, not respawned" `Quick
+            test_inline_kill;
           Alcotest.test_case "overload sheds explicitly" `Quick
             test_overload_sheds_explicitly;
           Alcotest.test_case "in-flight dedupe" `Quick test_dedup_in_flight;
