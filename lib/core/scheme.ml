@@ -169,7 +169,7 @@ let of_disambiguation dis : t =
     let make env = make_backend dis env
   end)
 
-(* ---- registry ---- *)
+(* ---- registry: one fixed list of families, in [all]'s order ---- *)
 
 type family = {
   f_name : string;
@@ -177,21 +177,6 @@ type family = {
   f_parse : string -> disambiguation option;
   f_defaults : disambiguation list;
 }
-
-let registry : family list ref = ref []
-
-let register f =
-  if List.exists (fun g -> g.f_name = f.f_name) !registry then
-    invalid_arg (Printf.sprintf "Scheme.register: duplicate family %S" f.f_name)
-  else registry := !registry @ [ f ]
-
-let lookup name = List.find_opt (fun f -> f.f_name = name) !registry
-let families () = !registry
-
-let all () =
-  List.concat_map
-    (fun f -> List.map of_disambiguation f.f_defaults)
-    !registry
 
 let exact name value s = if s = name then Some value else None
 
@@ -207,8 +192,8 @@ let parse_prevv s =
       | Some d when d >= 1 -> Some (prevv d)
       | _ -> None
 
-let () =
-  register
+let registry =
+  [
     {
       f_name = "dynamatic";
       f_doc = "Dynamatic LSQ baseline";
@@ -217,47 +202,42 @@ let () =
           if s = "dynamatic" || s = "plain-lsq" then Some plain_lsq else None);
       f_defaults = [ plain_lsq ];
     };
-  register
     {
       f_name = "fast-lsq";
       f_doc = "speculative-allocation LSQ";
       f_parse = exact "fast-lsq" fast_lsq;
       f_defaults = [ fast_lsq ];
     };
-  register
     {
       f_name = "prevv";
       f_doc = "PreVV at a named depth (prevv16, prevv64, ...)";
       f_parse = parse_prevv;
       f_defaults = [ prevv 16; prevv 64 ];
     };
-  register
     {
       f_name = "oracle";
       f_doc = "prescient lower bound";
       f_parse = exact "oracle" oracle;
       f_defaults = [ oracle ];
     };
-  register
     {
       f_name = "serial";
       f_doc = "serializing upper bound";
       f_parse = exact "serial" serial;
       f_defaults = [ serial ];
-    }
+    };
+  ]
+
+let families () = registry
+
+let all () =
+  List.concat_map (fun f -> List.map of_disambiguation f.f_defaults) registry
 
 let of_string s =
-  let rec try_families = function
-    | [] ->
-        let known =
-          all ()
-          |> List.map (fun (module M : S) -> M.name)
-          |> String.concat ", "
-        in
-        Error (Printf.sprintf "unknown backend %S (known: %s)" s known)
-    | f :: rest -> (
-        match f.f_parse s with
-        | Some dis -> Ok dis
-        | None -> try_families rest)
-  in
-  try_families !registry
+  match List.find_map (fun f -> f.f_parse s) registry with
+  | Some dis -> Ok dis
+  | None ->
+      let known =
+        all () |> List.map (fun (module M : S) -> M.name) |> String.concat ", "
+      in
+      Error (Printf.sprintf "unknown backend %S (known: %s)" s known)

@@ -105,15 +105,12 @@ type family = {
   f_defaults : disambiguation list;  (** instances listed by {!all} *)
 }
 
-(** Register a family; [Invalid_argument] on a duplicate [f_name]. *)
-val register : family -> unit
-
-val lookup : string -> family option
+(** The families, a fixed list: dynamatic, fast-lsq, prevv, oracle,
+    serial.  A new scheme family is one more entry there. *)
 val families : unit -> family list
 
-(** Canonical instances of every registered family, in registration
-    order: dynamatic, fast-lsq, prevv16, prevv64, oracle, serial (plus
-    anything registered afterwards). *)
+(** Canonical instances of every family, in family order: dynamatic,
+    fast-lsq, prevv16, prevv64, oracle, serial. *)
 val all : unit -> t list
 
 (** {1 Names and fingerprints} *)

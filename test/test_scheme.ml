@@ -6,10 +6,7 @@
 
 open Pv_core
 
-let contains ~needle hay =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  n > 0 && go 0
+let contains = Source_tree.contains
 
 (* ------------------------------------------------------------------ *)
 (* Name round-trips                                                    *)
@@ -103,24 +100,10 @@ let registry_shape () =
     "registration order"
     [ "dynamatic"; "fast-lsq"; "prevv16"; "prevv64"; "oracle"; "serial" ]
     names;
-  List.iter
-    (fun f ->
-      Alcotest.(check bool)
-        (f ^ " family registered") true
-        (Scheme.lookup f <> None))
-    [ "dynamatic"; "fast-lsq"; "prevv"; "oracle"; "serial" ];
-  (* duplicate family keys are a programming error, refused loudly *)
-  match
-    Scheme.register
-      {
-        Scheme.f_name = "prevv";
-        f_doc = "dup";
-        f_parse = (fun _ -> None);
-        f_defaults = [];
-      }
-  with
-  | () -> Alcotest.fail "duplicate family registration accepted"
-  | exception Invalid_argument _ -> ()
+  Alcotest.(check (list string))
+    "family names"
+    [ "dynamatic"; "fast-lsq"; "prevv"; "oracle"; "serial" ]
+    (List.map (fun f -> f.Scheme.f_name) (Scheme.families ()))
 
 let descriptions () =
   List.iter
@@ -134,26 +117,8 @@ let descriptions () =
 (* Grep enforcement: no backend match arms outside the adapter module   *)
 (* ------------------------------------------------------------------ *)
 
-(* Tests run under _build/default/test; walk up to the checkout root. *)
-let rec source_root dir =
-  if Sys.file_exists (Filename.concat dir "lib/core/scheme.ml") then Some dir
-  else
-    let parent = Filename.dirname dir in
-    if parent = dir then None else source_root parent
-
-let rec ml_files dir =
-  Array.to_list (Sys.readdir dir)
-  |> List.concat_map (fun entry ->
-         let path = Filename.concat dir entry in
-         if Sys.is_directory path then ml_files path
-         else if
-           Filename.check_suffix entry ".ml"
-           || Filename.check_suffix entry ".mli"
-         then [ path ]
-         else [])
-
 let no_backend_match_outside_adapters () =
-  match source_root (Sys.getcwd ()) with
+  match Source_tree.root (Sys.getcwd ()) with
   | None ->
       (* outside a checkout (e.g. an installed test binary): nothing to scan *)
       print_endline "source tree not found; skipping scan"
@@ -199,7 +164,7 @@ let no_backend_match_outside_adapters () =
                    with End_of_file -> ());
                   close_in ic
                 end)
-              (ml_files dir))
+              (Source_tree.ml_files dir))
         [ "lib"; "bin"; "bench"; "test"; "examples" ];
       match !offenders with
       | [] -> ()
@@ -348,7 +313,7 @@ let () =
         [
           Alcotest.test_case "fingerprints distinct & stable" `Quick
             fingerprints_distinct;
-          Alcotest.test_case "registration order & duplicates" `Quick
+          Alcotest.test_case "registration order & family names" `Quick
             registry_shape;
           Alcotest.test_case "descriptions usable" `Quick descriptions;
         ] );
