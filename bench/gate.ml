@@ -9,9 +9,10 @@
    (paper_grid, squash_storm and the compile-and-report area_sweep) in
    alternating pairs, prints every pair and each workload's verdict,
    and exits 1 when any workload fails Speed_gate's rule, 2 when BASE does
-   not name a commit.  When the change edits perfbench/ or BENCHMARK.json
-   the two sides would run different benchmarks: the gate says so and
-   passes. *)
+   not name a commit.  Each side run is capped at Speed_gate.side_limit_s
+   seconds by timeout(1); a run past it fails its pair.  When the change
+   edits perfbench/ or BENCHMARK.json the two sides would run different
+   benchmarks: the gate says so and passes. *)
 
 module G = Speed_gate
 
@@ -29,9 +30,9 @@ let run_side ~dir ~workload ~seed =
   let status, stdout =
     capture
       (Printf.sprintf
-         "cd %s && python3 perfbench/run.py --workload %s --seed %d --seconds \
-          %g --trace 0"
-         (q dir) (q workload) seed G.seconds)
+         "cd %s && timeout -k 30 %d python3 perfbench/run.py --workload %s \
+          --seed %d --seconds %g --trace 0"
+         (q dir) G.side_limit_s (q workload) seed G.seconds)
   in
   G.side ~status ~stdout
 

@@ -3,6 +3,7 @@ module J = Pv_obs.Json
 let workloads = [ "paper_grid"; "squash_storm"; "area_sweep" ]
 let n_pairs = 7
 let seconds = 5.0
+let side_limit_s = 600
 let seed i = 100 + i
 let bound = 0.90
 let slower_needed = 6
@@ -32,7 +33,8 @@ let side ~status ~stdout =
     | Some (J.Int n) -> Some (float_of_int n)
     | _ -> None
   in
-  if status <> 0 then Error (Printf.sprintf "exited %d" status)
+  if status = 124 then Error "timed out"
+  else if status <> 0 then Error (Printf.sprintf "exited %d" status)
   else
     match result with
     | None -> Error "printed no result line"

@@ -20,6 +20,11 @@ val n_pairs : int
 (** Seconds per run (perfbench [--seconds]); runs are untraced. *)
 val seconds : float
 
+(** 600: the wall-clock limit, in seconds, on one side run, its build
+    included.  A run past it (one stuck on another build's
+    [_build/.lock], say) is killed and does not count. *)
+val side_limit_s : int
+
 (** The seed of pair [i], shared by both sides. *)
 val seed : int -> int
 
@@ -33,9 +38,10 @@ val slower_needed : int
 type side = (float, string) result
 
 (** [side ~status ~stdout] reads one perfbench run from its exit status
-    and standard output, whose last line is the result JSON.  A non-zero
-    status, a missing or unparsable result line, or ["correct": false]
-    make it an [Error]. *)
+    and standard output, whose last line is the result JSON.  Status 124
+    ([timeout]'s, past {!side_limit_s}) is [Error "timed out"]; any other
+    non-zero status, a missing or unparsable result line, or
+    ["correct": false] make it an [Error] too. *)
 val side : status:int -> stdout:string -> side
 
 type pair = { seed : int; base : side; change : side }

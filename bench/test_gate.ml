@@ -51,8 +51,12 @@ let test_sides () =
       ("no result line", G.side ~status:0 ~stdout:"workload paper_grid\n");
       ("a truncated line", G.side ~status:0 ~stdout:"{\"correct\": true, \"met");
       ("a non-zero exit", G.side ~status:1 ~stdout:(result_line true));
+      ("a timed-out run", G.side ~status:124 ~stdout:(result_line true));
     ]
   in
+  Alcotest.(check (result (float 0.0) string))
+    "timeout's status reads as timed out" (Error "timed out")
+    (G.side ~status:124 ~stdout:"");
   List.iter
     (fun (name, side) ->
       Alcotest.(check bool) (name ^ " does not count") true (Result.is_error side);
