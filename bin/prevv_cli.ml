@@ -4,13 +4,17 @@
      list                      kernels available
      backends                  registered disambiguation backends
      show KERNEL               print a kernel and its dependence analysis
-     run KERNEL [-b BACKEND]   simulate and verify
+     run KERNEL [-b BACKEND]   simulate and verify; optionally trace,
+                               profile and record metrics of the run
      bounds [KERNEL...]        differential harness: agreement + bound chain
-     trace KERNEL [-o FILE]    simulate recording a Chrome trace (Perfetto)
      report KERNEL             area/timing across all schemes
      sweep [KERNEL...] [-j N]  domain-parallel kernel x scheme grid
      emit KERNEL [-b BACKEND]  write the structural netlist
-     dot KERNEL                write the dataflow graph (Graphviz) *)
+     dot KERNEL                write the dataflow graph (Graphviz)
+     vcd KERNEL                simulate writing a VCD waveform
+     util KERNEL               device utilisation per scheme
+     area KERNEL               hierarchical area breakdown
+     serve                     LDJSON experiment requests on stdin *)
 
 open Cmdliner
 open Pv_core
@@ -224,136 +228,173 @@ let metrics_arg stream =
           ("Print the run's metric snapshot (counters, gauges, histograms) \
             as a JSON object on " ^ stream ^ "."))
 
-(* the explicit plan plus, when seeded, a deterministic random recoverable
-   plan sized to the kernel's instance count *)
-let fault_plan compiled inject fault_seed =
-  Option.value ~default:[] inject
-  @
-  match fault_seed with
-  | None -> []
-  | Some seed ->
-      let instances = Pv_frontend.Trace.length compiled.Pipeline.trace in
-      Pv_dataflow.Fault.random_recoverable ~seed
-        ~n_chans:(Pv_dataflow.Graph.n_chans compiled.Pipeline.graph)
-        ~max_seq:instances
-        ~horizon:(100 + (4 * instances))
-        ()
-
 let print_metrics m =
   print_endline (Pv_obs.Json.to_string (Pv_obs.Metrics.to_json m))
 
 let run_cmd =
-  let run kernel dis cse fold inject fault_seed engine metrics =
+  let trace_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace" ] ~docv:"FILE"
+          ~doc:
+            "Record a Chrome trace of the run to $(docv): epoch spans, squash \
+             and validation instants, occupancy counter tracks.  Open it in \
+             Perfetto (ui.perfetto.dev) or chrome://tracing; timestamps are \
+             cycles (1 cycle = 1 us).")
+  in
+  let max_cycles_arg =
+    Arg.(
+      value
+      & opt int Pv_dataflow.Sim.default_config.Pv_dataflow.Sim.max_cycles
+      & info [ "max-cycles" ] ~docv:"N" ~doc:"Simulation cycle budget.")
+  in
+  let profile_arg =
+    Arg.(
+      value & flag
+      & info [ "profile" ]
+          ~doc:
+            "Run under the cycle-attribution profiler and report where the \
+             work goes: the per-phase budget (circuit sweep, arbiter scan, \
+             value validation, LSQ CAM, memory service), the top-N hot nodes \
+             with stall breakdowns, the most backpressured channels, the \
+             least utilised components and the initiation interval.")
+  in
+  let top_arg =
+    Arg.(
+      value & opt int 10
+      & info [ "top" ] ~docv:"N" ~doc:"Rows per $(b,--profile) table.")
+  in
+  let folded_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "folded" ] ~docv:"FILE"
+          ~doc:
+            "Profile the run and write its folded-stack lines to $(docv) \
+             (flamegraph.pl / speedscope input).")
+  in
+  let json_arg =
+    Arg.(
+      value & flag
+      & info [ "json" ]
+          ~doc:
+            "Keep stdout JSON only: the $(b,--profile) object, then the \
+             $(b,--metrics) snapshot, one per line.  The run summary goes to \
+             stderr.")
+  in
+  let run kernel dis cse fold inject fault_seed engine metrics trace max_cycles
+      profile top folded json =
     let kernel =
       if fold then Pv_frontend.Optimize.constant_fold kernel else kernel
     in
+    let name = kernel.Pv_kernels.Ast.name in
     let options = { Pv_frontend.Build.default_options with Pv_frontend.Build.cse } in
+    let summary = if json then Format.err_formatter else Format.std_formatter in
     let m = if metrics then Some (Pv_obs.Metrics.create ()) else None in
+    let tr = Option.map (fun path -> (path, Pv_obs.Trace.create ())) trace in
+    let prof =
+      if profile || folded <> None then Some (Pv_obs.Prof.create ()) else None
+    in
     match
-      (let compiled = Pipeline.compile ~options kernel in
-       let faults = fault_plan compiled inject fault_seed in
-       if faults <> [] then
-         Format.printf "@[<hov 2>injecting: %a@]@." Pv_dataflow.Fault.pp_plan
-           faults;
-       let sim_cfg =
-         { Pv_dataflow.Sim.default_config with
-           Pv_dataflow.Sim.faults;
-           Pv_dataflow.Sim.engine }
-       in
-       let result = Pipeline.simulate ~sim_cfg ?metrics:m compiled dis in
-       match result.Pipeline.outcome with
-       | Pv_dataflow.Sim.Finished _ -> (
-           match Pipeline.verify compiled result with
-           | [] -> Ok result
-           | l ->
-               Error
-                 (Printf.sprintf "%d memory mismatches vs the interpreter"
-                    (List.length l)))
-       | o ->
-           Error
-             (Format.asprintf "%a@\n%a" Pv_dataflow.Sim.pp_outcome o
-                (Format.pp_print_option Pv_dataflow.Sim.pp_post_mortem)
-                (Pipeline.post_mortem result)))
+      let compiled = Pipeline.compile ~options kernel in
+      let faults =
+        Option.value ~default:[] inject
+        @ Option.fold ~none:[]
+            ~some:(fun seed -> Pipeline.seeded_faults compiled ~seed)
+            fault_seed
+      in
+      if faults <> [] then
+        Format.fprintf summary "@[<hov 2>injecting: %a@]@."
+          Pv_dataflow.Fault.pp_plan faults;
+      let sim_cfg =
+        { Pv_dataflow.Sim.default_config with
+          Pv_dataflow.Sim.faults; engine; max_cycles }
+      in
+      ( compiled,
+        Pipeline.simulate ~sim_cfg ?obs_trace:(Option.map snd tr) ?prof
+          ?metrics:m compiled dis )
     with
-    | Ok r ->
-        Format.printf "%s / %s: %a@." kernel.Pv_kernels.Ast.name
-          (Pipeline.name_of dis) Pv_dataflow.Sim.pp_outcome r.Pipeline.outcome;
-        Format.printf "memory system: %a@." Pv_dataflow.Memif.pp_stats
-          r.Pipeline.mem_stats;
-        Format.printf "VERIFIED against the reference interpreter@.";
+    | exception Invalid_argument e -> `Error (false, e)
+    | compiled, r ->
+        (* every requested artifact is written before the verdict *)
+        Option.iter
+          (fun (path, tr) ->
+            Pv_obs.Trace.write ~process:name tr path;
+            Format.eprintf "wrote %s: %d events%s@." path
+              (Pv_obs.Trace.event_count tr)
+              (match Pv_obs.Trace.dropped tr with
+              | 0 -> ""
+              | n -> Printf.sprintf " (%d dropped)" n))
+          tr;
+        (match (prof, folded) with
+        | Some prof, Some path ->
+            Out_channel.with_open_text path (fun oc ->
+                Out_channel.output_string oc (Pv_obs.Prof.folded prof ~kernel:name));
+            Format.eprintf "wrote folded stacks to %s@." path
+        | _ -> ());
+        let verdict =
+          match r.Pipeline.outcome with
+          | Pv_dataflow.Sim.Finished _ -> (
+              match Pipeline.verify compiled r with
+              | [] -> Ok ()
+              | l ->
+                  Error
+                    (Printf.sprintf "%d memory mismatches vs the interpreter"
+                       (List.length l))
+              | exception Invalid_argument e -> Error e)
+          | o ->
+              Error
+                (Format.asprintf "%a@\n%a" Pv_dataflow.Sim.pp_outcome o
+                   (Format.pp_print_option Pv_dataflow.Sim.pp_post_mortem)
+                   (Pipeline.post_mortem r))
+        in
+        if verdict = Ok () then begin
+          Format.fprintf summary "%s / %s: %a@." name (Pipeline.name_of dis)
+            Pv_dataflow.Sim.pp_outcome r.Pipeline.outcome;
+          Format.fprintf summary "memory system: %a@." Pv_dataflow.Memif.pp_stats
+            r.Pipeline.mem_stats;
+          Format.fprintf summary "VERIFIED against the reference interpreter@."
+        end;
+        (match prof with
+        | Some prof when profile ->
+            let u =
+              Pv_obs.Prof.usage prof
+                ~cycles:r.Pipeline.run_stats.Pv_dataflow.Sim.cycles
+                ~fires:r.Pipeline.run_stats.Pv_dataflow.Sim.node_fires
+            in
+            if json then
+              (* one object: the hot-spot report, then the utilisation view *)
+              let members = function Pv_obs.Json.Obj l -> l | _ -> [] in
+              print_endline
+                (Pv_obs.Json.to_string
+                   (Pv_obs.Json.Obj
+                      (members (Pv_obs.Prof.to_json ~top prof ~kernel:name)
+                      @ members
+                          (Pv_obs.Prof.usage_to_json u
+                             ~outcome:
+                               (Pv_dataflow.Sim.outcome_name r.Pipeline.outcome)))))
+            else
+              Format.printf "%a%aII = %.2f cycles/iteration@."
+                (Pv_obs.Prof.pp ~top) prof (Pv_obs.Prof.pp_usage ~top) u
+                (Pv_obs.Prof.initiation_interval u
+                   ~instances:(Pv_frontend.Trace.length compiled.Pipeline.trace))
+        | _ -> ());
         Option.iter print_metrics m;
-        `Ok ()
-    | Error e -> `Error (false, e)
-    | exception Invalid_argument m -> `Error (false, m)
+        (match verdict with Ok () -> `Ok () | Error e -> `Error (false, e))
   in
   Cmd.v
     (Cmd.info "run"
        ~doc:
          "Simulate a kernel and verify the result, optionally under fault \
-          injection.")
+          injection, recording any of a Chrome trace, a profile and a metric \
+          snapshot of the same run.")
     Term.(
       ret
         (const run $ kernel_arg $ backend_arg $ cse_arg $ fold_arg
-        $ inject_arg $ fault_seed_arg $ engine_arg $ metrics_arg "stdout"))
-
-(* --- trace ----------------------------------------------------------------- *)
-
-let trace_cmd =
-  let output_arg =
-    Arg.(
-      value
-      & opt string "trace.json"
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Output file (Chrome trace-event JSON).")
-  in
-  let max_cycles_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-cycles" ] ~docv:"N" ~doc:"Simulation cycle budget.")
-  in
-  let run kernel dis engine inject fault_seed max_cycles out metrics =
-    let compiled = Pipeline.compile kernel in
-    let faults = fault_plan compiled inject fault_seed in
-    if faults <> [] then
-      Format.eprintf "@[<hov 2>injecting: %a@]@." Pv_dataflow.Fault.pp_plan
-        faults;
-    let sim_cfg =
-      let d = Pv_dataflow.Sim.default_config in
-      {
-        d with
-        Pv_dataflow.Sim.faults;
-        engine;
-        max_cycles =
-          Option.value ~default:d.Pv_dataflow.Sim.max_cycles max_cycles;
-      }
-    in
-    let tr = Pv_obs.Trace.create () in
-    let m = Pv_obs.Metrics.create () in
-    let result =
-      Pipeline.simulate ~sim_cfg ~obs_trace:tr ~metrics:m compiled dis
-    in
-    Pv_obs.Trace.write ~process:kernel.Pv_kernels.Ast.name tr out;
-    (* diagnostics on stderr so `--metrics > m.json` stays a clean document *)
-    Format.eprintf "wrote %s: %d events%s — %a@." out
-      (Pv_obs.Trace.event_count tr)
-      (match Pv_obs.Trace.dropped tr with
-      | 0 -> ""
-      | n -> Printf.sprintf " (%d dropped)" n)
-      Pv_dataflow.Sim.pp_outcome result.Pipeline.outcome;
-    if metrics then print_metrics m
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Simulate while recording a Chrome trace — epoch spans, squash and \
-          validation instants, occupancy counter tracks.  Open the file in \
-          Perfetto (ui.perfetto.dev) or chrome://tracing; timestamps are \
-          cycles (1 cycle = 1 us).")
-    Term.(
-      const run $ kernel_arg $ backend_arg $ engine_arg
-      $ inject_arg $ fault_seed_arg $ max_cycles_arg $ output_arg
-      $ metrics_arg "stdout")
+        $ inject_arg $ fault_seed_arg $ engine_arg $ metrics_arg "stdout"
+        $ trace_arg $ max_cycles_arg $ profile_arg $ top_arg $ folded_arg
+        $ json_arg))
 
 (* --- report --------------------------------------------------------------- *)
 
@@ -543,121 +584,6 @@ let dot_cmd =
   Cmd.v
     (Cmd.info "dot" ~doc:"Write the dataflow circuit as a Graphviz file.")
     Term.(const run $ kernel_arg $ output_arg)
-
-(* --- profile ---------------------------------------------------------------- *)
-
-let profile_cmd =
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the profile as a JSON object instead of text.")
-  in
-  let run kernel dis engine json =
-    let compiled = Pipeline.compile kernel in
-    let prof = Pv_obs.Prof.create () in
-    let sim_cfg =
-      { Pv_dataflow.Sim.default_config with Pv_dataflow.Sim.engine }
-    in
-    let r = Pipeline.simulate ~sim_cfg ~prof compiled dis in
-    let u =
-      Pv_obs.Prof.usage prof ~cycles:r.Pipeline.run_stats.Pv_dataflow.Sim.cycles
-        ~fires:r.Pipeline.run_stats.Pv_dataflow.Sim.node_fires
-    in
-    if json then
-      print_endline
-        (Pv_obs.Json.to_string
-           (Pv_obs.Prof.usage_to_json u
-              ~outcome:(Pv_dataflow.Sim.outcome_name r.Pipeline.outcome)))
-    else begin
-      Format.printf "%a over %d cycles@\n%a" Pv_dataflow.Sim.pp_outcome
-        r.Pipeline.outcome u.Pv_obs.Prof.cycles
-        (Pv_obs.Prof.pp_usage ~top:10) u;
-      Format.printf "II = %.2f cycles/iteration@."
-        (Pv_obs.Prof.initiation_interval u
-           ~instances:(Pv_frontend.Trace.length compiled.Pipeline.trace))
-    end
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:"Simulate and report per-component utilisation and backpressure.")
-    Term.(const run $ kernel_arg $ backend_arg $ engine_arg $ json_arg)
-
-(* --- hotspots ----------------------------------------------------------------- *)
-
-let hotspots_cmd =
-  let kernels_arg =
-    let doc = "Kernels to profile (default: the five paper benchmarks)." in
-    Arg.(value & pos_all kernel_conv [] & info [] ~docv:"KERNEL" ~doc)
-  in
-  let top_arg =
-    Arg.(
-      value & opt int 10
-      & info [ "top" ] ~docv:"N" ~doc:"Hot-node table size.")
-  in
-  let folded_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "folded" ] ~docv:"FILE"
-          ~doc:
-            "Write folded-stack lines for every profiled kernel to $(docv) \
-             (flamegraph.pl / speedscope input).")
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit one JSON report object per kernel (LDJSON).")
-  in
-  let run kernels dis engine top folded json =
-    let kernels =
-      match kernels with
-      | [] -> Pv_kernels.Defs.paper_benchmarks ()
-      | ks -> ks
-    in
-    let folded_buf = Buffer.create 1024 in
-    List.iter
-      (fun kernel ->
-        let name = kernel.Pv_kernels.Ast.name in
-        let compiled = Pipeline.compile kernel in
-        let prof = Pv_obs.Prof.create () in
-        let sim_cfg =
-          { Pv_dataflow.Sim.default_config with Pv_dataflow.Sim.engine }
-        in
-        let r = Pipeline.simulate ~sim_cfg ~prof compiled dis in
-        (match r.Pipeline.outcome with
-        | Pv_dataflow.Sim.Finished _ -> ()
-        | o ->
-            Format.eprintf "warning: %s/%s did not finish: %a@." name
-              (Scheme.to_string dis) Pv_dataflow.Sim.pp_outcome o);
-        Buffer.add_string folded_buf (Pv_obs.Prof.folded prof ~kernel:name);
-        if json then
-          print_endline
-            (Pv_obs.Json.to_string (Pv_obs.Prof.to_json ~top prof ~kernel:name))
-        else begin
-          Format.printf "=== %s / %s (%d cycles) ===@." name
-            (Scheme.to_string dis) r.Pipeline.cycles;
-          Format.printf "%a@." (Pv_obs.Prof.pp ~top) prof
-        end)
-      kernels;
-    match folded with
-    | None -> ()
-    | Some path ->
-        Out_channel.with_open_text path (fun oc ->
-            Out_channel.output_string oc (Buffer.contents folded_buf));
-        Format.eprintf "wrote folded stacks to %s@." path
-  in
-  Cmd.v
-    (Cmd.info "hotspots"
-       ~doc:
-         "Simulate with the cycle-attribution profiler on and report where \
-          the work goes: per-phase budget (circuit sweep, arbiter scan, \
-          value validation, LSQ CAM, memory service), top-N hot nodes with \
-          stall breakdowns, optional folded stacks for flamegraphs.")
-    Term.(
-      const run $ kernels_arg $ backend_arg $ engine_arg $ top_arg
-      $ folded_arg $ json_arg)
 
 (* --- vcd --------------------------------------------------------------------- *)
 
@@ -895,7 +821,7 @@ let () =
     (Cmd.eval
        (Cmd.group (Cmd.info "prevv" ~version:"1.0.0" ~doc)
           [
-            list_cmd; backends_cmd; show_cmd; run_cmd; bounds_cmd; trace_cmd;
-            report_cmd; sweep_cmd; emit_cmd; dot_cmd; profile_cmd;
-            hotspots_cmd; vcd_cmd; util_cmd; area_cmd; serve_cmd;
+            list_cmd; backends_cmd; show_cmd; run_cmd; bounds_cmd;
+            report_cmd; sweep_cmd; emit_cmd; dot_cmd; vcd_cmd; util_cmd;
+            area_cmd; serve_cmd;
           ]))

@@ -40,6 +40,14 @@ let compile ?(options = Pv_frontend.Build.default_options)
   let graph = Pv_frontend.Build.circuit ~options kernel info layout trace in
   { kernel; info; layout; trace; graph }
 
+let seeded_faults (compiled : compiled) ~seed : Pv_dataflow.Fault.plan =
+  let instances = Pv_frontend.Trace.length compiled.trace in
+  Pv_dataflow.Fault.random_recoverable ~seed
+    ~n_chans:(Pv_dataflow.Graph.n_chans compiled.graph)
+    ~max_seq:instances
+    ~horizon:(100 + (4 * instances))
+    ()
+
 type result = {
   outcome : Pv_dataflow.Sim.outcome;
   cycles : int;

@@ -43,6 +43,13 @@ type compiled = {
 
 val compile : ?options:Pv_frontend.Build.options -> Pv_kernels.Ast.kernel -> compiled
 
+(** The one seeded fault-plan rule ([prevv run --fault-seed], a serve
+    request's [fault_seed]): a deterministic random plan of recoverable
+    faults over the circuit's channels, with squash targets below the
+    kernel's instance count and events armed within the first
+    [100 + 4 * instances] cycles. *)
+val seeded_faults : compiled -> seed:int -> Pv_dataflow.Fault.plan
+
 type result = {
   outcome : Pv_dataflow.Sim.outcome;
   cycles : int;
@@ -78,7 +85,7 @@ val post_mortem : result -> Pv_dataflow.Sim.post_mortem option
     {!Pv_obs.Prof.null}) is likewise threaded to both and, when enabled,
     attributes every unit of simulated work to a phase
     ([circuit_sweep]/[arbiter_scan]/[pq_validate]/[lsq_cam]/[mem_service])
-    and per-node counters — the engine behind [prevv hotspots].
+    and per-node counters — the engine behind [prevv run --profile].
     [metrics] is filled post-run from the engine-invariant result (cycles,
     fires, backend traffic — never the engine-dependent eval count) plus
     the scheme's own [scheme.<name>.*] counters, so snapshots are

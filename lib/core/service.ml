@@ -151,13 +151,7 @@ let compute cfg ~token req =
         (* the seeded plan is sized to the kernel's instance count, which
            needs the compiled circuit; a miss runs on that same compile *)
         let compiled = Pipeline.compile kernel in
-        let instances = Pv_frontend.Trace.length compiled.Pipeline.trace in
-        ( Some compiled,
-          Pv_dataflow.Fault.random_recoverable ~seed
-            ~n_chans:(Pv_dataflow.Graph.n_chans compiled.Pipeline.graph)
-            ~max_seq:instances
-            ~horizon:(100 + (4 * instances))
-            () )
+        (Some compiled, Pipeline.seeded_faults compiled ~seed)
   in
   let sim_cfg =
     {

@@ -3,8 +3,8 @@
 
     {!retry} runs one task's attempt → backoff → attempt loop on the
     calling domain, so it composes with any pool: {!Experiment.sweep}
-    runs it on {!Parallel}'s workers and {!Service} on its own.  Every
-    failure becomes a value:
+    and {!Service} both run it on {!Parallel}'s workers, or inline on
+    the calling domain at one job.  Every failure becomes a value:
 
     - an uncaught exception marks only that task failed;
     - a per-attempt deadline (cooperative: the task polls its

@@ -1172,158 +1172,12 @@ let fault_log t : Fault.application list =
            ap_note = fs.fs_note;
          })
 
-(* --- post-mortem -------------------------------------------------------- *)
+(* --- stall classification ----------------------------------------------- *)
 
-let cap_list n l =
-  let rec go k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | x :: rest -> x :: go (k - 1) rest
-  in
-  go n l
-
-(** Snapshot the diagnosis state; attached to [Deadlock]/[Timeout] so a hung
-    run explains itself without a debugger. *)
-let post_mortem t : post_mortem =
-  let occupied = ref 0 in
-  let tokens = ref [] in
-  for cid = t.nc - 1 downto 0 do
-    if t.cur_key.(cid) >= 0 then begin
-      incr occupied;
-      tokens := ((cid, (t.cur_key.(cid), t.cur_val.(cid))) : chan_id * token) :: !tokens
-    end
-  done;
-  let oldest = ref None in
-  let note_seq s =
-    match !oldest with
-    | None -> oldest := Some s
-    | Some o -> if s < o then oldest := Some s
-  in
-  for cid = 0 to t.nc - 1 do
-    if t.cur_key.(cid) >= 0 then note_seq (Token.seq t.cur_key.(cid));
-    if t.stg_key.(cid) >= 0 then note_seq (Token.seq t.stg_key.(cid))
-  done;
-  for slot = 0 to t.n - 1 do
-    let r = t.ring.(slot) in
-    match t.op.(slot) with
-    | 4 -> Ring.iter (fun i -> note_seq (Token.seq (Ring.get r i 1))) r
-    | 10 | 11 | 14 -> Ring.iter (fun i -> note_seq (Token.seq (Ring.get r i 0))) r
-    | _ -> ()
-  done;
-  let stalled = ref [] in
-  let gens = ref [] in
-  for nid = t.n - 1 downto 0 do
-    let node = Graph.node t.g nid in
-    let slot = t.slot_of.(nid) in
-    let wired = Array.to_list node.Graph.inputs |> List.filter (fun c -> c >= 0) in
-    let any_in = List.exists (fun c -> t.cur_key.(c) >= 0) wired in
-    let frozen =
-      List.filter
-        (fun c -> t.cur_key.(c) >= 0 && t.stall_until.(c) > t.cycle)
-        wired
-    in
-    let missing =
-      (* a Merge fires on any single input, so it is never input-starved *)
-      match node.Graph.kind with
-      | Merge _ -> []
-      | _ ->
-          Array.to_list node.Graph.inputs
-          |> List.mapi (fun islot c -> (islot, c))
-          |> List.filter (fun (_, c) -> c >= 0 && t.cur_key.(c) < 0)
-    in
-    let out_full =
-      Array.to_list node.Graph.outputs
-      |> List.filter (fun c -> c >= 0 && t.cur_key.(c) >= 0)
-    in
-    let add why = stalled := (nid, node.Graph.label, why) :: !stalled in
-    if t.op.(slot) = op_gen then begin
-      gens := (nid, t.g_seq.(slot), t.g_done.(slot)) :: !gens;
-      if not t.g_done.(slot) then
-        if out_full <> [] then
-          add
-            (Printf.sprintf "generator blocked: output chan %d occupied"
-               (List.hd out_full))
-        else add "generator blocked: allocation refused by backend"
-    end
-    else begin
-      let opc = t.op.(slot) in
-      let r = t.ring.(slot) in
-      let internal =
-        if opc = op_pipe && Ring.length r > 0 then
-          Some
-            (Printf.sprintf "%d result(s) stuck in FU pipeline" (Ring.length r))
-        else if (opc = op_tbuf || opc = op_obuf) && Ring.length r > 0 then
-          Some (Printf.sprintf "%d token(s) stuck in buffer" (Ring.length r))
-        else if opc = op_store && Ring.length r > 0 then
-          Some
-            (Printf.sprintf
-               "%d announced store(s) awaiting data (head: seq=%d addr=%d)"
-               (Ring.length r)
-               (Token.seq (Ring.get r 0 0))
-               (Ring.get r 0 1))
-        else None
-      in
-      if any_in || internal <> None then begin
-        let why =
-          if frozen <> [] then
-            Printf.sprintf "input chan %d frozen by injected stall"
-              (List.hd frozen)
-          else
-            match internal with
-            | Some w -> w
-            | None -> (
-                if missing <> [] && any_in then
-                  let islot, c = List.hd missing in
-                  Printf.sprintf "starved: input slot %d (chan %d) empty" islot c
-                else if out_full <> [] then
-                  Printf.sprintf "backpressured: output chan %d occupied"
-                    (List.hd out_full)
-                else
-                  match node.Graph.kind with
-                  | Load _ | Store _ | Skip _ | Galloc _ ->
-                      "inputs ready but refused by memory backend"
-                  | _ -> "inputs ready, output free")
-        in
-        add why
-      end
-    end
-  done;
-  let fault_stalls = ref [] in
-  for cid = t.nc - 1 downto 0 do
-    if t.stall_until.(cid) > t.cycle then fault_stalls := cid :: !fault_stalls
-  done;
-  {
-    pm_at_cycle = t.cycle;
-    pm_last_progress = t.last_progress;
-    pm_epoch = t.epoch;
-    pm_occupied = !occupied;
-    pm_tokens = cap_list 16 !tokens;
-    pm_oldest_seq = !oldest;
-    pm_stalled = cap_list 16 !stalled;
-    pm_gens = !gens;
-    pm_fault_stalls = !fault_stalls;
-    pm_backend = t.mem.Memif.describe ();
-    pm_faults = fault_log t;
-  }
-
-(* --- main loop ---------------------------------------------------------- *)
-
-(* The occupancy counters make this O(1) where the old engine re-scanned
-   every channel and queue: a run is done when no generator can emit, no
-   channel register holds a token, no pipe/buffer/pending-store record is
-   in flight, and the backend has committed everything it accepted.
-   Outstanding load responses are intentionally NOT part of the circuit-side
-   condition — the backend's [quiesced] covers them, exactly as before. *)
-let finished t =
-  t.gens_active = 0 && t.occupied = 0 && t.held = 0 && t.mem.Memif.quiesced ()
-
-(* --- profiled evaluation ------------------------------------------------ *)
-
-(* Allocation-free mirror of the post-mortem stall classification, reduced
-   to a reason code: called (only when profiling) after an evaluation that
-   did not fire, so hot nodes can be split into fired vs. blocked-and-why.
-   Returns -1 when the node simply has no work (an idle wake, not a
-   stall). *)
+(* Why a slot holds work it cannot fire, as a [Prof] reason code, or -1
+   when it simply has no work (an idle wake, not a stall).  Allocation-free:
+   the profiler calls it after every evaluation that did not fire, and the
+   post-mortem classifies each wedged node with it. *)
 
 let rec any_pending_in t slot k n =
   k < n && (pending_in t slot k || any_pending_in t slot (k + 1) n)
@@ -1367,6 +1221,104 @@ let stall_reason t slot =
     then Pv_obs.Prof.reason_refused
     else Pv_obs.Prof.reason_other
   end
+
+(* --- post-mortem -------------------------------------------------------- *)
+
+(* The post-mortem's text for a slot's [stall_reason]: the first frozen or
+   empty input, the first full output, or the stuck ring's count.  Run
+   between cycles, where no channel has a staged token or a consumption
+   mark, so "full" is just an occupied register. *)
+let stall_detail t slot reason =
+  let ins = Array.sub t.ins t.in_base.(slot) t.in_n.(slot)
+  and outs = Array.sub t.outs t.out_base.(slot) t.out_n.(slot) in
+  let full c = c >= 0 && t.cur_key.(c) >= 0 in
+  let first p a = Option.get (Array.find_index p a) in
+  let opc = t.op.(slot) and r = t.ring.(slot) in
+  if reason = Pv_obs.Prof.reason_frozen then
+    Printf.sprintf "input chan %d frozen by injected stall"
+      ins.(first (fun c -> full c && t.stall_until.(c) > t.cycle) ins)
+  else if reason = Pv_obs.Prof.reason_internal then
+    if opc = op_pipe then
+      Printf.sprintf "%d result(s) stuck in FU pipeline" (Ring.length r)
+    else if opc = op_store then
+      Printf.sprintf
+        "%d announced store(s) awaiting data (head: seq=%d addr=%d)"
+        (Ring.length r)
+        (Token.seq (Ring.get r 0 0))
+        (Ring.get r 0 1)
+    else Printf.sprintf "%d token(s) stuck in buffer" (Ring.length r)
+  else if reason = Pv_obs.Prof.reason_starved then
+    let k = first (fun c -> c >= 0 && not (full c)) ins in
+    Printf.sprintf "starved: input slot %d (chan %d) empty" k ins.(k)
+  else if reason = Pv_obs.Prof.reason_backpressured then
+    Printf.sprintf "%s: output chan %d occupied"
+      (if opc = op_gen then "generator blocked" else "backpressured")
+      outs.(first full outs)
+  else if reason = Pv_obs.Prof.reason_refused then
+    if opc = op_gen then "generator blocked: allocation refused by backend"
+    else "inputs ready but refused by memory backend"
+  else "inputs ready, output free"
+
+(** Snapshot the diagnosis state; attached to [Deadlock]/[Timeout] so a hung
+    run explains itself without a debugger. *)
+let post_mortem t : post_mortem =
+  let tokens = ref [] in
+  for cid = t.nc - 1 downto 0 do
+    if t.cur_key.(cid) >= 0 then
+      tokens := (cid, (t.cur_key.(cid), t.cur_val.(cid))) :: !tokens
+  done;
+  let oldest = ref None in
+  let note_seq s =
+    match !oldest with
+    | None -> oldest := Some s
+    | Some o -> if s < o then oldest := Some s
+  in
+  List.iter (fun (_, (key, _)) -> note_seq (Token.seq key)) !tokens;
+  for slot = 0 to t.n - 1 do
+    let r = t.ring.(slot) in
+    match t.op.(slot) with
+    | 4 -> Ring.iter (fun i -> note_seq (Token.seq (Ring.get r i 1))) r
+    | 10 | 11 | 14 -> Ring.iter (fun i -> note_seq (Token.seq (Ring.get r i 0))) r
+    | _ -> ()
+  done;
+  let stalled = ref [] and gens = ref [] in
+  for nid = t.n - 1 downto 0 do
+    let slot = t.slot_of.(nid) in
+    if t.op.(slot) = op_gen then
+      gens := (nid, t.g_seq.(slot), t.g_done.(slot)) :: !gens;
+    let reason = stall_reason t slot in
+    if reason >= 0 then
+      stalled :=
+        (nid, (Graph.node t.g nid).Graph.label, stall_detail t slot reason)
+        :: !stalled
+  done;
+  {
+    pm_at_cycle = t.cycle;
+    pm_last_progress = t.last_progress;
+    pm_epoch = t.epoch;
+    pm_occupied = List.length !tokens;
+    pm_tokens = List.filteri (fun i _ -> i < 16) !tokens;
+    pm_oldest_seq = !oldest;
+    pm_stalled = List.filteri (fun i _ -> i < 16) !stalled;
+    pm_gens = !gens;
+    pm_fault_stalls =
+      List.filter
+        (fun cid -> t.stall_until.(cid) > t.cycle)
+        (List.init t.nc Fun.id);
+    pm_backend = t.mem.Memif.describe ();
+    pm_faults = fault_log t;
+  }
+
+(* --- main loop ---------------------------------------------------------- *)
+
+(* The occupancy counters make this O(1) where the old engine re-scanned
+   every channel and queue: a run is done when no generator can emit, no
+   channel register holds a token, no pipe/buffer/pending-store record is
+   in flight, and the backend has committed everything it accepted.
+   Outstanding load responses are intentionally NOT part of the circuit-side
+   condition — the backend's [quiesced] covers them, exactly as before. *)
+let finished t =
+  t.gens_active = 0 && t.occupied = 0 && t.held = 0 && t.mem.Memif.quiesced ()
 
 (* Profiled evaluation: read-only around [eval_slot], so cycles, evals and
    fires are bit-identical with profiling on or off.  The fired-or-not

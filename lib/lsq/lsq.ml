@@ -115,7 +115,7 @@ type t = {
           overtake an older one of the same port even though the LSQ
           issues them out of order *)
   (* per-array (per-BRAM) port budgets by dense array id
-     ([Portmap.array_ids]): one read and one write per cycle, dual-port
+     ([Portmap.array_ids]): two reads and one write per cycle, dual-port
      block RAM; store-to-load forwarding bypasses the RAM *)
   port_aid : int array;  (** port -> array id *)
   reads : int array;  (** array id -> read ports left this cycle *)

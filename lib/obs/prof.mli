@@ -139,7 +139,7 @@ val pp : ?top:int -> Format.formatter -> t -> unit
 (** {1 Utilisation view}
 
     Per-node fire rate and per-channel occupancy over a profiled run: the
-    data behind [prevv profile] for finding a circuit's throughput
+    data behind [prevv run --profile] for finding a circuit's throughput
     bottleneck (which component fires least often, which channels sit full
     waiting).  Node fire counts come from the simulator's run statistics;
     labels and held counts from the tables {!set_nodes} and {!set_chans}

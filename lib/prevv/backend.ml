@@ -127,7 +127,7 @@ type t = {
   mutable degraded_at : int option;
       (** cycle the guard engaged; [Some _] = speculative load admission is
           off for the rest of the run *)
-  (* per-array (per-BRAM) budgets, one read and one write per cycle, by
+  (* per-array (per-BRAM) budgets, two reads and one write per cycle, by
      dense array id ([Portmap.array_ids]); the per-cycle reset is two
      [Array.fill]s *)
   port_aid : int array;  (** port -> array id *)

@@ -10,7 +10,7 @@
    - tracing disabled (the null sink) cannot perturb a run: outcomes,
      memory and every statistic are identical with and without a live
      trace buffer;
-   - the utilisation view over Prof (prevv profile) honours the configured
+   - the utilisation view over Prof (prevv run --profile) honours the configured
      engine, and Scan/Event produce identical views;
    - the VCD writer declares and strobes the squash/epoch markers. *)
 
@@ -390,14 +390,7 @@ let test_trace_schema () =
 let test_trace_fault_instants () =
   let kernel = Pv_kernels.Defs.histogram () in
   let compiled = Pipeline.compile kernel in
-  let instances = Pv_frontend.Trace.length compiled.Pipeline.trace in
-  let faults =
-    Pv_dataflow.Fault.random_recoverable ~seed:7
-      ~n_chans:(Pv_dataflow.Graph.n_chans compiled.Pipeline.graph)
-      ~max_seq:instances
-      ~horizon:(100 + (4 * instances))
-      ()
-  in
+  let faults = Pipeline.seeded_faults compiled ~seed:7 in
   let sim_cfg = { Sim.default_config with Sim.faults } in
   let tr = Trace.create () in
   let r =
@@ -621,6 +614,144 @@ let test_vcd_squash_marker () =
           in
           Alcotest.(check bool) "squash strobed high" true found)
 
+(* ------------------------------------------------------------------ *)
+(* `prevv run` artifacts, written and parsed back                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The files `prevv run` writes, built through the calls it makes
+   ([--trace] with [--metrics]; [--profile --json] and [--folded] under
+   [-b prevv]) and read back through [Json.parse] and [Prof.parse_folded]:
+   the rules a consumer of these artifacts may rely on. *)
+
+let parse_doc what s =
+  match Json.parse s with
+  | Ok d -> d
+  | Error e -> Alcotest.failf "%s is not valid JSON: %s" what e
+
+let int_at path doc =
+  List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some doc) path
+  |> Fun.flip Option.bind Json.to_int_opt
+
+let test_run_trace_artifacts () =
+  let m = Metrics.create () in
+  List.iter
+    (fun (kernel, metrics, want) ->
+      let name = kernel.Pv_kernels.Ast.name in
+      let tr = Trace.create () in
+      ignore
+        (Pipeline.simulate ~obs_trace:tr ?metrics (Pipeline.compile kernel)
+           (Pipeline.prevv 16));
+      let path = Filename.temp_file "prevv_obs" ".json" in
+      Trace.write ~process:name tr path;
+      let doc =
+        parse_doc path (In_channel.with_open_text path In_channel.input_all)
+      in
+      Sys.remove path;
+      let evs = get_events doc in
+      let has ph ev_name =
+        List.exists
+          (fun ev -> str_field "ph" ev = ph && str_field "name" ev = ev_name)
+          evs
+      in
+      Alcotest.(check bool) (name ^ ": process_name") true (has "M" "process_name");
+      Alcotest.(check bool) (name ^ ": " ^ want ^ " instant") true (has "i" want);
+      Alcotest.(check bool)
+        (name ^ ": pq_occupancy counter") true (has "C" "pq_occupancy");
+      Alcotest.(check (option int))
+        (name ^ ": no dropped events") (Some 0)
+        (int_at [ "otherData"; "dropped_events" ] doc))
+    [
+      (Pv_kernels.Defs.polyn_mult (), Some m, "validation");
+      (Pv_kernels.Defs.matvec (), None, "squash");
+    ];
+  (* the snapshot of the traced polyn_mult run *)
+  let snap = parse_doc "metrics" (Json.to_string (Metrics.to_json m)) in
+  List.iter
+    (fun key ->
+      Alcotest.(check bool)
+        (key ^ " > 0") true
+        (Option.fold ~none:false ~some:(fun v -> v > 0)
+           (int_at [ key; "value" ] snap)))
+    [ "sim.cycles"; "scheme.prevv.arbiter.checks" ]
+
+let test_run_profile_artifacts () =
+  List.iter
+    (fun kernel ->
+      let name = kernel.Pv_kernels.Ast.name in
+      let prof = Pv_obs.Prof.create () in
+      let r =
+        Pipeline.simulate ~prof (Pipeline.compile kernel) (Pipeline.prevv 16)
+      in
+      (* --folded: "frames... count" lines with a positive count *)
+      let folded = Pv_obs.Prof.folded prof ~kernel:name in
+      Alcotest.(check bool) (name ^ ": folded non-empty") true (folded <> "");
+      (match Pv_obs.Prof.parse_folded folded with
+      | Error e -> Alcotest.failf "%s: %s" name e
+      | Ok rows ->
+          List.iter
+            (fun (frames, count) ->
+              Alcotest.(check bool)
+                (name ^ ": folded stack and count") true
+                (frames <> [] && count > 0))
+            rows);
+      (* --profile --json: the hot-spot report's half *)
+      let d =
+        parse_doc name
+          (Json.to_string (Pv_obs.Prof.to_json ~top:10 prof ~kernel:name))
+      in
+      Alcotest.(check (option string))
+        "kernel" (Some name)
+        (Option.bind (Json.member "kernel" d) Json.to_string_opt);
+      let phase p = Option.get (int_at [ "phases"; p ] d) in
+      let total = Option.get (int_at [ "total" ] d) in
+      let phases =
+        match Json.member "phases" d with
+        | Some (Json.Obj l) -> List.map (fun (p, _) -> phase p) l
+        | _ -> Alcotest.failf "%s: phases missing" name
+      in
+      Alcotest.(check int) (name ^ ": phases sum to total") total
+        (List.fold_left ( + ) 0 phases);
+      Alcotest.(check bool) (name ^ ": total > 0") true (total > 0);
+      Alcotest.(check bool)
+        (name ^ ": PreVV phases attributed") true
+        (phase "arbiter_scan" > 0 && phase "pq_validate" > 0);
+      Alcotest.(check int) (name ^ ": no LSQ CAM") 0 (phase "lsq_cam");
+      let share p =
+        match Option.bind (Json.member "phase_share" d) (Json.member p) with
+        | Some (Json.Float f) -> f
+        | _ -> Alcotest.failf "%s: phase_share.%s missing" name p
+      in
+      (* incremental validation and the CAM kind views took gaussian's
+         combined arbiter share from 0.69 to about 0.26 *)
+      if name = "gaussian" then
+        Alcotest.(check bool)
+          "gaussian: arbiter_scan + pq_validate share < 0.40" true
+          (share "arbiter_scan" +. share "pq_validate" < 0.40);
+      (* --profile --json: the utilisation view's half *)
+      let u =
+        Pv_obs.Prof.usage prof ~cycles:r.Pipeline.run_stats.Sim.cycles
+          ~fires:r.Pipeline.run_stats.Sim.node_fires
+      in
+      let p =
+        parse_doc name
+          (Json.to_string
+             (Pv_obs.Prof.usage_to_json u
+                ~outcome:(Sim.outcome_name r.Pipeline.outcome)))
+      in
+      let cycles = Option.get (int_at [ "cycles" ] p) in
+      Alcotest.(check bool) (name ^ ": cycles > 0") true (cycles > 0);
+      match Option.bind (Json.member "chans" p) Json.to_list_opt with
+      | None | Some [] -> Alcotest.failf "%s: no channels" name
+      | Some chans ->
+          List.iter
+            (fun c ->
+              let held = Option.get (int_at [ "held" ] c) in
+              Alcotest.(check bool)
+                (name ^ ": 0 <= held <= cycles") true
+                (0 <= held && held <= cycles))
+            chans)
+    [ Pv_kernels.Defs.gaussian (); Pv_kernels.Defs.histogram () ]
+
 let () =
   Alcotest.run "obs"
     [
@@ -648,6 +779,13 @@ let () =
           Alcotest.test_case "squash instants" `Quick
             test_trace_squash_instants;
           Alcotest.test_case "fault instants" `Quick test_trace_fault_instants;
+        ] );
+      ( "run artifacts",
+        [
+          Alcotest.test_case "trace and metrics" `Quick
+            test_run_trace_artifacts;
+          Alcotest.test_case "profile and folded stacks" `Quick
+            test_run_profile_artifacts;
         ] );
       ( "determinism",
         [
