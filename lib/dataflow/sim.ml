@@ -935,18 +935,13 @@ let eval_slot t slot =
       let r = t.ring.(slot) in
       let delivered =
         out_free t co
+        (* every response answers a request this port presented, so it
+           polls only while its mirror holds one: a sleeping Load relies
+           on the mirror to know when to poll, and a fault that loses the
+           request leaves the response undelivered, a diagnosed hang *)
+        && rlen r > 0
         && t.mem.Memif.load_poll ~port:(ag t.p1 slot) t.lslot
         && begin
-             (* every response answers a request this port presented, so
-                its mirror entry must exist: a sleeping Load relies on the
-                mirror to know when to poll *)
-             if rlen r = 0 then
-               failwith
-                 (Printf.sprintf
-                    "load port %d: response seq=%d with no outstanding request (cycle %d)"
-                    (ag t.p1 slot)
-                    (Token.seq t.lslot.Memif.ls_key)
-                    t.cycle);
              Ring.pop r;
              (* re-stamp the delivery epoch: the response carries the
                 request's key, but the token enters the circuit under the
@@ -995,17 +990,13 @@ let eval_slot t slot =
       let data_done =
         in_ready t cd
         && rlen r > 0
+        (* compare seqs, not whole keys: the addr and data tokens of one
+           instance may legitimately carry different epochs.  Data of
+           another instance (a fault mis-paired the streams) is refused,
+           so the port hangs with both seqs in its post-mortem *)
+        && Token.seq (rhead r 0) = Token.seq (ag t.cur_key cd)
         && begin
              let key = rhead r 0 and addr = rhead r 1 in
-             (* compare seqs, not whole keys: the addr and data tokens of
-                one instance may legitimately carry different epochs *)
-             if Token.seq key <> Token.seq (ag t.cur_key cd) then
-               failwith
-                 (Printf.sprintf
-                    "store port %d: pending addr seq=%d but data seq=%d (cycle %d)"
-                    (ag t.p1 slot) (Token.seq key)
-                    (Token.seq (ag t.cur_key cd))
-                    t.cycle);
              t.mem.Memif.store_req ~port:(ag t.p1 slot) ~key ~addr
                ~value:(ag t.cur_val cd)
              && begin
@@ -1241,11 +1232,14 @@ let stall_detail t slot reason =
     if opc = op_pipe then
       Printf.sprintf "%d result(s) stuck in FU pipeline" (Ring.length r)
     else if opc = op_store then
-      Printf.sprintf
-        "%d announced store(s) awaiting data (head: seq=%d addr=%d)"
-        (Ring.length r)
-        (Token.seq (Ring.get r 0 0))
-        (Ring.get r 0 1)
+      let head = Token.seq (Ring.get r 0 0) and cd = ins.(1) in
+      if full cd && Token.seq t.cur_key.(cd) <> head then
+        Printf.sprintf "store port %d: pending addr seq=%d but data seq=%d"
+          t.p1.(slot) head (Token.seq t.cur_key.(cd))
+      else
+        Printf.sprintf
+          "%d announced store(s) awaiting data (head: seq=%d addr=%d)"
+          (Ring.length r) head (Ring.get r 0 1)
     else Printf.sprintf "%d token(s) stuck in buffer" (Ring.length r)
   else if reason = Pv_obs.Prof.reason_starved then
     let k = first (fun c -> c >= 0 && not (full c)) ins in
@@ -1289,9 +1283,14 @@ let post_mortem t : post_mortem =
     let reason = stall_reason t slot in
     if reason >= 0 then
       stalled :=
-        (nid, (Graph.node t.g nid).Graph.label, stall_detail t slot reason)
+        ( reason = Pv_obs.Prof.reason_frozen
+          || reason = Pv_obs.Prof.reason_internal,
+          (nid, (Graph.node t.g nid).Graph.label, stall_detail t slot reason) )
         :: !stalled
   done;
+  (* nodes that hold work of their own (a frozen input, a stuck ring) come
+     first: a hang is rooted there, not at the nodes backpressured behind *)
+  let holding, waiting = List.partition fst !stalled in
   {
     pm_at_cycle = t.cycle;
     pm_last_progress = t.last_progress;
@@ -1299,7 +1298,7 @@ let post_mortem t : post_mortem =
     pm_occupied = List.length !tokens;
     pm_tokens = List.filteri (fun i _ -> i < 16) !tokens;
     pm_oldest_seq = !oldest;
-    pm_stalled = List.filteri (fun i _ -> i < 16) !stalled;
+    pm_stalled = List.filteri (fun i _ -> i < 16) (List.map snd (holding @ waiting));
     pm_gens = !gens;
     pm_fault_stalls =
       List.filter

@@ -5,7 +5,9 @@
    and must be fully recoverable: the final memory matches the reference
    interpreter.  Silent faults must never produce a silent wrong answer:
    they either verify clean anyway or end in a diagnosed Deadlock/Timeout
-   whose post-mortem names the injected disturbance.  A stuck squash
+   whose post-mortem names the injected disturbance.  Swept over every
+   channel, one silent drop or flip may also finish with mismatches that
+   verification lists, but no exception escapes the run.  A stuck squash
    source must trip the livelock guard, which degrades to non-speculative
    admission and still completes correctly. *)
 
@@ -172,6 +174,28 @@ let test_mispaired_drop () =
     (diagnosed "mis-paired drop under fast-lsq"
        (run_with_faults ~dis:Pipeline.fast_lsq ~stall_limit:512 compiled faults))
 
+(* a silent drop or flip upstream of a store port can hand it data of a
+   later instance than its pending address: the port refuses the data,
+   and the post-mortem names the port and both seqs *)
+let test_mispaired_store () =
+  List.iter
+    (fun (name, plan, port, addr_seq, data_seq) ->
+      let faults = Result.get_ok (Fault.parse plan) in
+      let pm =
+        diagnosed (name ^ " " ^ plan)
+          (run_with_faults ~stall_limit:512 (compile name) faults)
+      in
+      let want =
+        Printf.sprintf "store port %d: pending addr seq=%d but data seq=%d"
+          port addr_seq data_seq
+      in
+      Alcotest.(check bool) (want ^ " listed") true
+        (List.exists (fun (_, _, why) -> why = want) pm.Sim.pm_stalled))
+    [
+      ("2mm", "30:drop:c15", 3, 28, 29);
+      ("gaussian", "40:flip:c8:0x1", 4, 19, 20);
+    ]
+
 (* a stall longer than the watchdog freezes the pipeline: Deadlock, with
    the frozen channel reported *)
 let test_unrecoverable_stall () =
@@ -194,6 +218,65 @@ let test_unrecoverable_pq_drop () =
   in
   let result = run_with_faults ~stall_limit:512 compiled faults in
   ignore (diagnosed "silent PQ drop" result)
+
+(* --- single-fault sweep ---------------------------------------------------- *)
+
+(* FUZZ_ITERS set: the deep sweep (all five paper kernels, stall plans too) *)
+let deep_sweep = Sys.getenv_opt "FUZZ_ITERS" <> None
+
+(* One silent fault at cycle 30 on each channel in turn.  Whatever it hits
+   (a loop counter, a branch condition, a store port's address or data),
+   the run ends Finished, verified or with its mismatches listed, or in a
+   Deadlock/Timeout with a rendered post-mortem: no exception escapes. *)
+let test_single_fault_sweep () =
+  let kernels =
+    if deep_sweep then
+      List.map (fun k -> k.Pv_kernels.Ast.name)
+        (Pv_kernels.Defs.paper_benchmarks ())
+    else [ "2mm"; "gaussian" ]
+  in
+  let actions chan =
+    [ Fault.Drop { chan }; Fault.Flip { chan; mask = 1 } ]
+    @ if deep_sweep then [ Fault.Stall { chan; cycles = 1_000_000 } ] else []
+  in
+  let runs = ref 0 in
+  List.iter
+    (fun name ->
+      let compiled = compile name in
+      List.iter
+        (fun scheme ->
+          let dis = Result.get_ok (Scheme.of_string scheme) in
+          let max_cycles =
+            (4 * (Pipeline.simulate compiled dis).Pipeline.cycles) + 1000
+          in
+          for chan = 0 to Graph.n_chans compiled.Pipeline.graph - 1 do
+            List.iter
+              (fun action ->
+                let plan = [ { Fault.at_cycle = 30; action } ] in
+                let where =
+                  Printf.sprintf "%s/%s under %s" name scheme
+                    (Fault.to_string plan)
+                in
+                incr runs;
+                match
+                  let result =
+                    run_with_faults ~dis ~stall_limit:512 ~max_cycles compiled
+                      plan
+                  in
+                  (result, Pipeline.verify compiled result)
+                with
+                | exception e ->
+                    Alcotest.failf "%s: %s escaped" where (Printexc.to_string e)
+                | { Pipeline.outcome = Sim.Finished _; _ }, _ -> ()
+                | { Pipeline.outcome = Sim.Deadlock { post_mortem = pm; _ }; _ }, _
+                | { Pipeline.outcome = Sim.Timeout { post_mortem = pm; _ }; _ }, _ ->
+                    if Format.asprintf "%a" Sim.pp_post_mortem pm = "" then
+                      Alcotest.failf "%s: hang without a post-mortem" where)
+              (actions chan)
+          done)
+        [ "dynamatic"; "prevv16" ])
+    kernels;
+  Printf.printf "%d single-fault runs\n" !runs
 
 (* --- livelock guard ------------------------------------------------------ *)
 
@@ -351,10 +434,14 @@ let () =
             test_unrecoverable_drop;
           Alcotest.test_case "mis-paired drop is refused, not fatal" `Quick
             test_mispaired_drop;
+          Alcotest.test_case "mis-paired store data is refused" `Quick
+            test_mispaired_store;
           Alcotest.test_case "endless stall deadlocks" `Quick
             test_unrecoverable_stall;
           Alcotest.test_case "silent PQ drop wedges the frontier" `Quick
             test_unrecoverable_pq_drop;
+          Alcotest.test_case "one silent fault on every channel" `Quick
+            test_single_fault_sweep;
         ] );
       ( "livelock",
         [
