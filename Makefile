@@ -37,11 +37,10 @@ gate:
 bounds:
 	dune exec bin/prevv_cli.exe -- bounds
 
-# service chaos soak: 10k requests through `prevv serve`'s engine with an
-# injected worker kill and a seeded fault-plan mix; exits non-zero unless
-# every phase ends with lost: 0, the parallel output is byte-identical to
-# the serial replay, the kill is seen and respawned, and only the overload
-# burst sheds
+# service chaos soak: 10k requests through `prevv serve`'s engine with a
+# seeded fault-plan mix; exits non-zero unless every phase ends with
+# lost: 0, the parallel output is byte-identical to the serial replay, and
+# only the overload burst sheds
 soak:
 	dune exec bench/main.exe -- --jobs $(JOBS) soak
 

@@ -504,7 +504,7 @@ let grid ~jobs ~cache () =
       ])
 
 (* ------------------------------------------------------------------ *)
-(* Chaos soak: the supervised service under load, kills and faults     *)
+(* Chaos soak: the supervised service under load and faults           *)
 (* ------------------------------------------------------------------ *)
 
 (* A deterministic request stream over the paper grid: every (kernel,
@@ -534,7 +534,7 @@ let soak_requests n =
       else r)
 
 (* feed [requests] through the service and collect the response stream *)
-let run_soak ~jobs ~capacity ~kill_at requests =
+let run_soak ~jobs ~capacity requests =
   let cache = Parallel.Cache.in_memory () in
   let remaining = ref requests in
   let out = Buffer.create 4096 in
@@ -544,7 +544,6 @@ let run_soak ~jobs ~capacity ~kill_at requests =
       Service.jobs;
       Service.queue_capacity = capacity;
       Service.cache = Some cache;
-      Service.kill_at;
     }
   in
   let summary =
@@ -569,34 +568,22 @@ let hit_rate (s : Service.summary) =
 (* The main phase uses an unoverflowable queue so the response stream is
    byte-comparable to the serial replay (shedding depends on queue
    dynamics); the burst phase then drives a tiny queue past capacity to
-   exercise explicit load-shedding.  The injected kill must be seen and
-   answered by a respawn, and no phase may lose a response. *)
+   exercise explicit load-shedding.  No phase may lose a response. *)
 let soak ~jobs ~n () =
   header
     (Printf.sprintf
-       "chaos soak — %d requests through the supervised service (--jobs %d, \
-        one worker kill injected)"
+       "chaos soak — %d requests through the supervised service (--jobs %d)"
        n jobs);
-  (* the kill target gets a unique budget so it cannot dedupe against an
-     in-flight twin: it must reach a worker as its own queue item *)
-  let requests =
-    List.mapi
-      (fun i r ->
-        if i = n / 3 then { r with Service.max_cycles = Some 777 } else r)
-      (soak_requests n)
-  in
-  let kill_at = [ n / 3 ] in
-  let sp, out_parallel = run_soak ~jobs ~capacity:(2 * n) ~kill_at requests in
-  let ss, out_serial = run_soak ~jobs:1 ~capacity:(2 * n) ~kill_at:[] requests in
+  let requests = soak_requests n in
+  let sp, out_parallel = run_soak ~jobs ~capacity:(2 * n) requests in
+  let ss, out_serial = run_soak ~jobs:1 ~capacity:(2 * n) requests in
   let identical = String.equal out_parallel out_serial in
   Printf.printf
     "parallel: %.1f req/s, p50 %.3f ms, p95 %.3f ms, p99 %.3f ms, cache hit \
-     rate %.3f, dedup %d, retries %d, kills %d, respawns %d, shed %d, lost: \
-     %d\n"
+     rate %.3f, dedup %d, retries %d, shed %d, lost: %d\n"
     sp.Service.requests_per_s sp.Service.p50_ms sp.Service.p95_ms
     sp.Service.p99_ms (hit_rate sp) sp.Service.dedup_hits sp.Service.retries
-    sp.Service.worker_kills sp.Service.respawns sp.Service.shed
-    sp.Service.lost;
+    sp.Service.shed sp.Service.lost;
   Printf.printf "serial replay: %.1f req/s, lost: %d\n"
     ss.Service.requests_per_s ss.Service.lost;
   Printf.printf "byte-identical to serial replay: %b\n" identical;
@@ -611,7 +598,7 @@ let soak ~jobs ~n () =
         in
         { r with Service.max_cycles = Some (1000 + i) })
   in
-  let sb, _ = run_soak ~jobs ~capacity:4 ~kill_at:[] burst in
+  let sb, _ = run_soak ~jobs ~capacity:4 burst in
   Printf.printf "overload burst (queue=4): %d requests, shed %d, lost: %d\n"
     sb.Service.received sb.Service.shed sb.Service.lost;
   check
@@ -619,8 +606,6 @@ let soak ~jobs ~n () =
       ( "lost = 0 in every phase",
         sp.Service.lost = 0 && ss.Service.lost = 0 && sb.Service.lost = 0 );
       ("identical to the serial replay", identical);
-      ("worker_kills >= 1", sp.Service.worker_kills >= 1);
-      ("respawns >= 1", sp.Service.respawns >= 1);
       ("main phase shed = 0", sp.Service.shed = 0);
       ("burst shed > 0", sb.Service.shed > 0);
     ]

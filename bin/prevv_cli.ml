@@ -701,16 +701,6 @@ let serve_cmd =
       & info [ "no-cache" ]
           ~doc:"Recompute every request instead of reusing the result cache.")
   in
-  let stats_interval_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "stats-interval" ] ~docv:"SECONDS"
-          ~doc:
-            "Emit a {\"type\": \"stats\", ...} telemetry frame at least \
-             $(docv) apart (checked between requests).  An {\"op\": \
-             \"stats\"} input line requests one on demand regardless.")
-  in
   let log_level_arg =
     let level_conv =
       Arg.conv
@@ -726,11 +716,9 @@ let serve_cmd =
       & info [ "log-level" ] ~docv:"LEVEL"
           ~doc:
             "Structured-log threshold on stderr (debug, info, warn, error): \
-             sheds, worker kills, drain and the final summary as one LDJSON \
-             line each.")
+             sheds, drain and the final summary as one LDJSON line each.")
   in
-  let run jobs queue attempts deadline no_cache stats_interval log_level
-      metrics =
+  let run jobs queue attempts deadline no_cache log_level metrics =
     let jobs = if jobs <= 0 then Parallel.default_jobs () else jobs in
     let t0 = Clock.now_ns () in
     let log =
@@ -748,7 +736,6 @@ let serve_cmd =
     in
     let cfg =
       {
-        Service.default_config with
         Service.jobs;
         Service.queue_capacity = queue;
         Service.cache;
@@ -758,7 +745,6 @@ let serve_cmd =
             Supervisor.max_attempts = max 1 attempts;
             Supervisor.deadline_s = deadline;
           };
-        Service.stats_interval;
         Service.log = log;
       }
     in
@@ -790,7 +776,7 @@ let serve_cmd =
           engine/max_cycles/fault_seed.  SIGINT drains gracefully.")
     Term.(
       const run $ jobs_arg $ queue_arg $ attempts_arg $ deadline_arg
-      $ no_cache_arg $ stats_interval_arg $ log_level_arg $ metrics_arg "stdout")
+      $ no_cache_arg $ log_level_arg $ metrics_arg "stdout")
 
 (* --- utilisation -------------------------------------------------------------- *)
 

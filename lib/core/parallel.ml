@@ -13,22 +13,15 @@ type pool = {
   nonempty : Condition.t;  (** signalled on submit and on shutdown *)
   mutable closing : bool;
   mutable workers : unit Domain.t list;
-      (** every domain not yet joined, replacements included *)
-  mutable respawns : int;
   jobs_done : int array;
       (** per-worker completed-job tallies; each worker writes only its
           own slot, so the counts are race-free without atomics.  Exact
           after {!shutdown}; a live read may lag by the jobs in flight. *)
 }
 
-exception End_worker
-
 (* Workers block on [nonempty] until a job or shutdown arrives; the job
-   itself runs outside the lock so the queue stays available.  A job that
-   raises [End_worker] ends its worker, which first spawns a replacement
-   into its slot: the replacement is on [workers] before this domain
-   exits, so [shutdown] joins it too. *)
-let rec worker pool i () =
+   itself runs outside the lock so the queue stays available. *)
+let worker pool i () =
   let rec next () =
     if not (Queue.is_empty pool.queue) then Some (Queue.pop pool.queue)
     else if pool.closing then None
@@ -42,17 +35,10 @@ let rec worker pool i () =
     Mutex.unlock pool.lock;
     match job with
     | None -> ()
-    | Some f -> (
-        match f () with
-        | () ->
-            pool.jobs_done.(i) <- pool.jobs_done.(i) + 1;
-            loop ()
-        | exception End_worker ->
-            let replacement = Domain.spawn (worker pool i) in
-            Mutex.lock pool.lock;
-            pool.workers <- replacement :: pool.workers;
-            pool.respawns <- pool.respawns + 1;
-            Mutex.unlock pool.lock)
+    | Some f ->
+        f ();
+        pool.jobs_done.(i) <- pool.jobs_done.(i) + 1;
+        loop ()
   in
   loop ()
 
@@ -65,7 +51,6 @@ let create ~jobs =
       nonempty = Condition.create ();
       closing = false;
       workers = [];
-      respawns = 0;
       jobs_done = Array.make n 0;
     }
   in
@@ -74,14 +59,6 @@ let create ~jobs =
 
 (** Completed jobs per worker (pool-utilisation telemetry). *)
 let worker_jobs pool = Array.to_list pool.jobs_done
-
-let respawns pool = pool.respawns
-
-let queued pool =
-  Mutex.lock pool.lock;
-  let n = Queue.length pool.queue in
-  Mutex.unlock pool.lock;
-  n
 
 let submit pool f =
   Mutex.lock pool.lock;
@@ -96,19 +73,10 @@ let shutdown pool =
   Mutex.lock pool.lock;
   pool.closing <- true;
   Condition.broadcast pool.nonempty;
+  let workers = pool.workers in
+  pool.workers <- [];
   Mutex.unlock pool.lock;
-  (* a worker ending mid-drain adds its replacement before it exits, so
-     joining one batch may leave another *)
-  let rec join_all () =
-    Mutex.lock pool.lock;
-    let batch = pool.workers in
-    pool.workers <- [];
-    Mutex.unlock pool.lock;
-    if batch <> [] then (
-      List.iter Domain.join batch;
-      join_all ())
-  in
-  join_all ()
+  List.iter Domain.join workers
 
 let map_pool pool f xs =
   match xs with

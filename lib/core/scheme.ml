@@ -68,7 +68,9 @@ let to_string = name_of
 
 let description_of = function
   | Plain_lsq _ -> "Dynamatic load-store queue baseline [15]"
-  | Fast_lsq _ -> "LSQ with speculative allocation, Szafarczyk et al. [8]"
+  | Fast_lsq _ ->
+      "LSQ with fast token delivery [8]: immediate allocation, two groups \
+       per cycle"
   | Prevv c ->
       Printf.sprintf
         "PreVV premature value validation, queue depth %d (this paper)"

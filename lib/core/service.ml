@@ -90,11 +90,7 @@ type config = {
   queue_capacity : int;
   policy : Supervisor.policy;
   cache : Parallel.Cache.t option;
-  kill_at : int list;
-  stats_interval : float option;
-      (** emit a {"type":"stats",...} frame at least this many seconds
-          apart (checked between requests); [None] = never *)
-  log : Pv_obs.Log.t;  (** structured operational log (sheds, kills, drain) *)
+  log : Pv_obs.Log.t;  (** structured operational log (sheds, drain) *)
 }
 
 let default_config =
@@ -103,8 +99,6 @@ let default_config =
     queue_capacity = 256;
     policy = Supervisor.default_policy;
     cache = None;
-    kill_at = [];
-    stats_interval = None;
     log = Pv_obs.Log.null;
   }
 
@@ -122,10 +116,8 @@ let error_line id msg =
   Printf.sprintf "{ \"id\": %s, \"status\": \"error\", \"error\": %s }"
     (json_str id) (json_str msg)
 
-let overloaded_line id ~retry_after_ms =
-  Printf.sprintf
-    "{ \"id\": %s, \"status\": \"overloaded\", \"retry_after_ms\": %d }"
-    (json_str id) retry_after_ms
+let overloaded_line id =
+  Printf.sprintf "{ \"id\": %s, \"status\": \"overloaded\" }" (json_str id)
 
 let bad_line msg =
   Printf.sprintf "{ \"id\": null, \"status\": \"bad_request\", \"error\": %s }"
@@ -184,8 +176,6 @@ type summary = {
   shed : int;
   dedup_hits : int;
   retries : int;
-  worker_kills : int;
-  respawns : int;
   cache_hits : int;
   cache_misses : int;
   lost : int;
@@ -207,8 +197,6 @@ let summary_to_json s =
       ("shed", Json.Int s.shed);
       ("dedup_hits", Json.Int s.dedup_hits);
       ("retries", Json.Int s.retries);
-      ("worker_kills", Json.Int s.worker_kills);
-      ("respawns", Json.Int s.respawns);
       ("cache_hits", Json.Int s.cache_hits);
       ("cache_misses", Json.Int s.cache_misses);
       ("lost", Json.Int s.lost);
@@ -226,7 +214,6 @@ type item = { t_seq : int; t_key : string; t_req : request }
 
 type state = {
   cfg : config;
-  jobs_target : int;
   pool : Parallel.pool option;  (** [None]: inline, the serial reference *)
   emit : string -> unit;
   emit_lock : Mutex.t;
@@ -244,7 +231,6 @@ type state = {
       (** key -> waiting (seq, id) *)
   t0s : (int, int64) Hashtbl.t;  (** seq -> submit instant *)
   lats : float Queue.t;  (** latencies (ms) of computed responses *)
-  mutable kill_pending : int list;  (** [kill_at] seqs not yet picked up *)
   mutable n_received : int;
   mutable n_ok : int;
   mutable n_errors : int;
@@ -252,10 +238,6 @@ type state = {
   mutable n_shed : int;
   mutable n_dedup : int;
   mutable n_retries : int;
-  mutable n_kills : int;
-  mutable ewma_ms : float;
-      (** exponentially weighted recent service latency; 0.0 until the
-          first computed response lands *)
   mutable max_pending : int;  (** queue-depth high water *)
 }
 
@@ -280,11 +262,7 @@ let store_locked st item outcome retries =
           st.n_errors <- st.n_errors + 1);
       (match Hashtbl.find_opt st.t0s seq with
       | Some t0 ->
-          let ms = Clock.elapsed_s t0 *. 1000.0 in
-          Queue.push ms st.lats;
-          st.ewma_ms <-
-            (if st.ewma_ms > 0.0 then (0.8 *. st.ewma_ms) +. (0.2 *. ms)
-             else ms);
+          Queue.push (Clock.elapsed_s t0 *. 1000.0) st.lats;
           Hashtbl.remove st.t0s seq
       | None -> ());
       st.pending <- st.pending - 1)
@@ -300,13 +278,6 @@ let rec ready_locked st acc =
       ready_locked st (line :: acc)
   | None -> List.rev acc
 
-(* [emit_lock] held by caller *)
-let emit_locked st line =
-  if Option.is_none (Atomic.get st.emit_failure) then
-    try st.emit line
-    with e ->
-      Atomic.set st.emit_failure (Some (e, Printexc.get_raw_backtrace ()))
-
 (* emit the contiguous ready prefix from whichever domain calls it: every
    domain that stores a response flushes right after, so a response leaves
    as soon as it and every earlier one are done.  Popping under
@@ -316,27 +287,14 @@ let flush st =
   Mutex.lock st.lock;
   let lines = ready_locked st [] in
   Mutex.unlock st.lock;
-  List.iter (emit_locked st) lines;
+  List.iter
+    (fun line ->
+      if Option.is_none (Atomic.get st.emit_failure) then
+        try st.emit line
+        with e ->
+          Atomic.set st.emit_failure (Some (e, Printexc.get_raw_backtrace ())))
+    lines;
   Mutex.unlock st.emit_lock
-
-(* The injected kill: true on the first pickup of a [kill_at] item, which
-   is counted and logged here. *)
-let killed st item =
-  Mutex.lock st.lock;
-  let kill = List.mem item.t_seq st.kill_pending in
-  if kill then begin
-    st.kill_pending <- List.filter (( <> ) item.t_seq) st.kill_pending;
-    st.n_kills <- st.n_kills + 1
-  end;
-  Mutex.unlock st.lock;
-  if kill then
-    Pv_obs.Log.warn st.cfg.log "worker_killed"
-      ~fields:
-        [
-          ("seq", Pv_obs.Json.Int item.t_seq);
-          ("id", Pv_obs.Json.Str item.t_req.id);
-        ];
-  kill
 
 (* compute [item], store the outcome for its waiters and flush *)
 let process st item =
@@ -350,90 +308,12 @@ let process st item =
   Mutex.unlock st.lock;
   flush st
 
-(* one request as a pool job.  A kill resubmits the item (zero lost; the
-   drain cannot have shut the pool down, since the item is still pending)
-   and ends this worker, which the pool replaces. *)
-let rec pooled st pool item () =
-  if killed st item then begin
-    Parallel.submit pool (pooled st pool item);
-    raise Parallel.End_worker
-  end
-  else process st item
-
 let percentile sorted p =
   let n = Array.length sorted in
   if n = 0 then 0.0
   else
     let idx = int_of_float (Float.round (p *. float_of_int (n - 1))) in
     sorted.(max 0 (min (n - 1) idx))
-
-(* backoff hint for a shed client: the backlog ahead of it, in units of
-   the recent per-request service latency, spread over the worker pool.
-   Before any response has completed the EWMA is 0 and the hint degrades
-   to the 1 ms minimum.  Lock held by caller. *)
-let retry_after_ms_locked st =
-  let per_req = Float.max st.ewma_ms 0.0 in
-  let jobs = float_of_int (max 1 st.jobs_target) in
-  let hint = per_req *. float_of_int (st.pending + 1) /. jobs in
-  max 1 (int_of_float (Float.ceil hint))
-
-(* one {"type":"stats",...} frame from the live counters, emitted through
-   [emit_lock] so it never lands inside the response stream.  The counters
-   are read under the service lock; the latencies are copied there and
-   sorted after it is released.  The gauge identity [received = responded
-   + shed + errors + in_flight] holds exactly in every frame: each
-   received request is, at any instant, in exactly one of those four
-   states (bad requests count as responded — they got a response line). *)
-let emit_stats_frame st =
-  let queue_depth, respawns =
-    match st.pool with
-    | Some p -> (Parallel.queued p, Parallel.respawns p)
-    | None -> (0, 0)
-  in
-  Mutex.lock st.lock;
-  let lats = Array.of_seq (Queue.to_seq st.lats) in
-  let counters =
-    [
-      ("type", Json.Str "stats");
-      ("received", Json.Int st.n_received);
-      ("responded", Json.Int (st.n_ok + st.n_bad));
-      ("shed", Json.Int st.n_shed);
-      ("errors", Json.Int st.n_errors);
-      ("in_flight", Json.Int st.pending);
-      ("queue_depth", Json.Int queue_depth);
-      ("queue_depth_max", Json.Int st.max_pending);
-      ("dedup_hits", Json.Int st.n_dedup);
-      ("retries", Json.Int st.n_retries);
-      ("worker_kills", Json.Int st.n_kills);
-      ("respawns", Json.Int respawns);
-      ("ewma_ms", Json.Float st.ewma_ms);
-    ]
-  in
-  Mutex.unlock st.lock;
-  Array.sort compare lats;
-  let frame =
-    Json.to_string
-      (Json.Obj
-         (counters
-         @ [
-             ("p50_ms", Json.Float (percentile lats 0.50));
-             ("p95_ms", Json.Float (percentile lats 0.95));
-             ("p99_ms", Json.Float (percentile lats 0.99));
-           ]))
-  in
-  Mutex.lock st.emit_lock;
-  emit_locked st frame;
-  Mutex.unlock st.emit_lock
-
-(* an {"op":"stats"} control line: answered out-of-band, never counted as
-   a request *)
-let is_stats_request line =
-  match Json.parse line with
-  | Error _ -> false
-  | Ok j -> (
-      match Json.member "op" j with
-      | Some (Json.Str "stats") -> true
-      | _ -> false)
 
 let run ?metrics cfg ~next ~emit =
   Atomic.set drain_flag false;
@@ -446,7 +326,6 @@ let run ?metrics cfg ~next ~emit =
   let st =
     {
       cfg;
-      jobs_target;
       pool =
         (if jobs_target <= 1 then None
          else Some (Parallel.create ~jobs:jobs_target));
@@ -462,7 +341,6 @@ let run ?metrics cfg ~next ~emit =
       inflight = Hashtbl.create 64;
       t0s = Hashtbl.create 64;
       lats = Queue.create ();
-      kill_pending = cfg.kill_at;
       n_received = 0;
       n_ok = 0;
       n_errors = 0;
@@ -470,25 +348,18 @@ let run ?metrics cfg ~next ~emit =
       n_shed = 0;
       n_dedup = 0;
       n_retries = 0;
-      n_kills = 0;
-      ewma_ms = 0.0;
       max_pending = 0;
     }
   in
   let capacity = max 1 cfg.queue_capacity in
   let t_start = Clock.now_ns () in
   (* ---- intake ---- *)
-  let last_stats = ref t_start in
   let rec intake () =
     if Atomic.get drain_flag || Option.is_some (Atomic.get st.emit_failure)
     then ()
     else
       match next () with
       | None -> ()
-      | Some line when is_stats_request line ->
-          (* control line: answer out-of-band, unsequenced and uncounted *)
-          emit_stats_frame st;
-          intake ()
       | Some line ->
           Mutex.lock st.lock;
           st.n_received <- st.n_received + 1;
@@ -501,18 +372,14 @@ let run ?metrics cfg ~next ~emit =
                 st.n_bad <- st.n_bad + 1;
                 None
             | Ok req when st.pending >= capacity ->
-                (* bounded queue: explicit shed, never a silent drop; the
-                   hint tells the client when capacity should free up *)
-                let retry_after_ms = retry_after_ms_locked st in
-                Hashtbl.replace st.responses seq
-                  (overloaded_line req.id ~retry_after_ms);
+                (* bounded queue: explicit shed, never a silent drop *)
+                Hashtbl.replace st.responses seq (overloaded_line req.id);
                 st.n_shed <- st.n_shed + 1;
                 Pv_obs.Log.warn st.cfg.log "shed"
                   ~fields:
                     [
                       ("id", Pv_obs.Json.Str req.id);
                       ("pending", Pv_obs.Json.Int st.pending);
-                      ("retry_after_ms", Pv_obs.Json.Int retry_after_ms);
                     ];
                 None
             | Ok req -> (
@@ -537,17 +404,9 @@ let run ?metrics cfg ~next ~emit =
           if answered then flush st;
           (match (item, st.pool) with
           | None, _ -> ()
-          | Some item, Some pool -> Parallel.submit pool (pooled st pool item)
-          | Some item, None ->
-              (* inline: no domain to end, so a kill is counted and the
-                 item computed at once *)
-              ignore (killed st item);
-              process st item);
-          (match cfg.stats_interval with
-          | Some iv when Clock.elapsed_s !last_stats >= iv ->
-              last_stats := Clock.now_ns ();
-              emit_stats_frame st
-          | _ -> ());
+          | Some item, Some pool ->
+              Parallel.submit pool (fun () -> process st item)
+          | Some item, None -> process st item);
           intake ()
   in
   intake ();
@@ -586,8 +445,6 @@ let run ?metrics cfg ~next ~emit =
       shed = st.n_shed;
       dedup_hits = st.n_dedup;
       retries = st.n_retries;
-      worker_kills = st.n_kills;
-      respawns = Option.fold ~none:0 ~some:Parallel.respawns st.pool;
       cache_hits;
       cache_misses;
       lost = st.n_received - responded;
@@ -610,8 +467,6 @@ let run ?metrics cfg ~next ~emit =
       M.add m "serve.shed" summary.shed;
       M.add m "serve.dedup_hits" summary.dedup_hits;
       M.add m "serve.retries" summary.retries;
-      M.add m "serve.worker_kills" summary.worker_kills;
-      M.add m "serve.respawns" summary.respawns;
       M.add m "serve.lost" summary.lost;
       M.add m "serve.p50_ms" (int_of_float (Float.round summary.p50_ms));
       M.add m "serve.p95_ms" (int_of_float (Float.round summary.p95_ms));
@@ -625,6 +480,5 @@ let run ?metrics cfg ~next ~emit =
         ("ok", Pv_obs.Json.Int summary.ok);
         ("errors", Pv_obs.Json.Int summary.errors);
         ("shed", Pv_obs.Json.Int summary.shed);
-        ("worker_kills", Pv_obs.Json.Int summary.worker_kills);
       ];
   summary

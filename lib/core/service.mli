@@ -3,30 +3,27 @@
 
     The service runs each request through the {!Experiment} pipeline as
     one job on a {!Parallel} pool (or inline on the calling domain when
-    [jobs <= 1]), each request under {!Supervisor.retry} (per-attempt
-    deadline, {!Supervisor.backoff_schedule}, errors rendered by
-    {!Supervisor.describe_exn}).  On top of the pool it adds injected
-    worker kills (via {!config.kill_at}: the job finds its item in a kill
-    list, resubmits it and raises {!Parallel.End_worker}, so the pool
-    replaces the worker), identical in-flight requests deduplicated
-    against one computation, a bounded pending count with explicit
-    load-shedding (an ["overloaded"] response — never a silent drop), and
-    graceful drain.  Every accepted line gets exactly one response line; the
-    {!summary} proves it with [lost = 0].
+    [jobs <= 1]).  Every accepted line gets exactly one response line,
+    emitted as soon as it and every earlier one are done; the {!summary}
+    proves it with [lost = 0].  Responses are deterministic: bodies carry
+    no timing or attempt counts, so a run at any worker count is
+    byte-identical to the serial ([jobs <= 1]) replay of the same request
+    stream, sheds excepted, since which lines shed depends on queue
+    dynamics.  DESIGN.md §18 specifies the protocol.
 
-    Responses are deterministic: bodies carry no timing or attempt
-    counts, so a run at any worker count is byte-identical to the serial
-    ([jobs <= 1]) replay of the same request stream (sheds excepted —
-    shedding depends on queue dynamics {e and} stamps a timing-derived
-    [retry_after_ms] hint, so byte-comparisons must use a capacity the
-    stream cannot overflow).  DESIGN.md §18 specifies the protocol.
-
-    Telemetry: an [{"op": "stats"}] control line (and, with
-    {!config.stats_interval}, a between-requests timer) emits a
-    [{"type": "stats", ...}] frame with live gauges satisfying
-    [received = responded + shed + errors + in_flight], queue depths and
-    latency percentiles; {!config.log} receives structured LDJSON lines
-    for sheds, worker kills, drain and the final summary. *)
+    Beside the pool, the service keeps four mechanisms, each for a reader:
+    - {b dedup}: identical in-flight requests share one computation.  The
+      soak's repeated requests rely on it, and perfbench reads
+      [dedup_hits].
+    - {b retry}: each request runs under {!Supervisor.retry} (per-attempt
+      deadline, {!Supervisor.backoff_schedule}, errors rendered by
+      {!Supervisor.describe_exn}); [Experiment.sweep] shares it, and
+      perfbench reads [retries].
+    - {b a bounded queue}: beyond [queue_capacity] pending requests a new
+      one is shed with an explicit ["overloaded"] response, never dropped.
+    - {b graceful drain} on {!drain_now} (the CLI's SIGINT handler).
+    {!config.log} receives structured LDJSON lines for sheds, the drain
+    and the final summary. *)
 
 (** {1 Requests} *)
 
@@ -74,23 +71,15 @@ type config = {
           explicit ["overloaded"] response *)
   policy : Supervisor.policy;  (** retry/backoff/deadline per request *)
   cache : Parallel.Cache.t option;  (** content-addressed result reuse *)
-  kill_at : int list;
-      (** chaos injection: arrival sequence numbers whose first pickup
-          ends its worker domain before computing (the pool spawns a
-          replacement, the request is resubmitted); inline, the kill is
-          only counted *)
-  stats_interval : float option;
-      (** emit a [{"type": "stats", ...}] frame at least this many seconds
-          apart, checked between requests (the intake loop never wakes just
-          to report); [None] (default) = on demand only *)
   log : Pv_obs.Log.t;
       (** structured operational log (default {!Pv_obs.Log.null}): [shed]
-          and [worker_killed] at Warn, [drain] and [serve_done] at Info.
-          Point it at stderr — response lines own stdout. *)
+          at Warn, [drain] and [serve_done] at Info.  Point it at stderr —
+          response lines own stdout.  An observability handle may take it
+          over. *)
 }
 
-(** 1 job, capacity 256, {!Supervisor.default_policy}, no cache, no
-    kills, no periodic stats, null log. *)
+(** 1 job, capacity 256, {!Supervisor.default_policy}, no cache, null
+    log. *)
 val default_config : config
 
 (** {1 Running} *)
@@ -104,8 +93,6 @@ type summary = {
   shed : int;  (** explicit ["overloaded"] responses *)
   dedup_hits : int;  (** requests served by another's in-flight computation *)
   retries : int;  (** extra compute attempts beyond each request's first *)
-  worker_kills : int;  (** injected kills that fired; inline ends no domain *)
-  respawns : int;  (** the pool's replacement workers; 0 inline *)
   cache_hits : int;
   cache_misses : int;
   lost : int;  (** [received - responded]; the invariant is 0 *)
@@ -129,18 +116,14 @@ val summary_to_json : summary -> Pv_obs.Json.t
     [next] is only ever called from the calling domain.  A response is
     emitted as soon as it and every earlier one are done, by the domain
     that completed the last of them, so [emit] may be called from a
-    worker domain.  It is never called concurrently, always in arrival
-    order, and stats frames are serialised with the responses.  If [emit]
+    worker domain.  It is never called concurrently and always in arrival
+    order.  If [emit]
     raises, no further line is emitted or read, the accepted requests
     drain, and [run] re-raises the first such exception on the calling
     domain.
 
-    A shed ([{"status": "overloaded"}]) response carries
-    [retry_after_ms]: the backlog ahead of the client in units of
-    the EWMA service latency, spread over the worker pool — a backoff
-    hint, not a promise.  An [{"op": "stats"}] line is answered with a
-    stats frame out-of-band: it takes no sequence number, gets no
-    per-request response and does not count toward [received]. *)
+    A shed response is [{ "id": ID, "status": "overloaded" }], a function
+    of the request id alone. *)
 val run :
   ?metrics:Pv_obs.Metrics.t ->
   config ->

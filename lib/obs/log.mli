@@ -1,11 +1,10 @@
 (** Dependency-free structured logger: one LDJSON line per event, with a
     level, a monotonic timestamp and optional request-scoped ids.
 
-    The service layer (Service / Supervisor / Cache) adopts this in place
-    of silent behaviour: sheds, retries, worker kills, cache repairs and
-    drain transitions each become one machine-readable line on the
-    caller-supplied sink (typically stderr, never stdout — response
-    streams stay clean).
+    The service layer (Service / Cache) adopts this in place of silent
+    behaviour: sheds, cache repairs and drain transitions each become one
+    machine-readable line on the caller-supplied sink (typically stderr,
+    never stdout — response streams stay clean).
 
     Like {!Trace}, the module has a {!null} instance whose emit sites
     reduce to one branch, so logging can be threaded unconditionally

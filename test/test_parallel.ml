@@ -68,84 +68,6 @@ let test_pool_drains_queue () =
     (Invalid_argument "Parallel.submit: pool is shut down") (fun () ->
       Parallel.submit pool (fun () -> ()))
 
-(* Poll [cond] until it holds or [seconds] pass; true if it held. *)
-let wait_until ~seconds cond =
-  let t0 = Unix.gettimeofday () in
-  while (not (cond ())) && Unix.gettimeofday () -. t0 < seconds do
-    Unix.sleepf 0.001
-  done;
-  cond ()
-
-let test_worker_respawn () =
-  (* 2 workers, 50 jobs; job 1 ends its worker.  Every job first notes
-     its domain and registers an exit hook there; job 0 holds its worker
-     until a third domain (the replacement) has run a job, so job 1 lands
-     on the other original worker and the replacement is sure to work *)
-  let pool = Parallel.create ~jobs:2 in
-  let lock = Mutex.create () in
-  let seen = ref [] and exited = Atomic.make 0 and ran = Atomic.make 0 in
-  let note () =
-    let self = (Domain.self () :> int) in
-    Mutex.lock lock;
-    if not (List.mem self !seen) then begin
-      seen := self :: !seen;
-      Domain.at_exit (fun () -> Atomic.incr exited)
-    end;
-    Mutex.unlock lock
-  in
-  let n_seen () =
-    Mutex.lock lock;
-    let n = List.length !seen in
-    Mutex.unlock lock;
-    n
-  in
-  for i = 0 to 49 do
-    Parallel.submit pool (fun () ->
-        note ();
-        if i = 1 then raise Parallel.End_worker;
-        if i = 0 && not (wait_until ~seconds:30.0 (fun () -> n_seen () >= 3))
-        then failwith "the replacement worker never ran a job";
-        Atomic.incr ran)
-  done;
-  Parallel.shutdown pool;
-  Alcotest.(check int) "the other 49 jobs ran" 49 (Atomic.get ran);
-  Alcotest.(check int) "one respawn" 1 (Parallel.respawns pool);
-  Alcotest.(check int) "still 2 worker slots" 2
-    (List.length (Parallel.worker_jobs pool));
-  Alcotest.(check int) "completed jobs tallied" 49
-    (List.fold_left ( + ) 0 (Parallel.worker_jobs pool));
-  Alcotest.(check int) "three domains ran jobs" 3 (n_seen ());
-  Alcotest.(check int) "shutdown joined all three, the replacement too" 3
-    (Atomic.get exited)
-
-let test_worker_ends_during_shutdown () =
-  (* one worker; job 0 waits until [submit] refuses (shutdown has begun)
-     and only then ends its worker, with 20 jobs still queued behind it:
-     the replacement must run them before shutdown returns *)
-  let pool = Parallel.create ~jobs:1 in
-  let ran = Atomic.make 0 in
-  Parallel.submit pool (fun () ->
-      let closing () =
-        match Parallel.submit pool ignore with
-        | () -> false
-        | exception Invalid_argument _ -> true
-      in
-      if not (wait_until ~seconds:30.0 closing) then
-        failwith "shutdown never began";
-      raise Parallel.End_worker);
-  for _ = 1 to 20 do
-    (* slow enough that a shutdown returning before the replacement
-       drains would see a short count *)
-    Parallel.submit pool (fun () ->
-        Unix.sleepf 0.001;
-        Atomic.incr ran)
-  done;
-  Parallel.shutdown pool;
-  Alcotest.(check int) "queued jobs ran after the worker ended" 20
-    (Atomic.get ran);
-  Alcotest.(check int) "one respawn" 1 (Parallel.respawns pool);
-  Alcotest.(check int) "nothing left queued" 0 (Parallel.queued pool)
-
 (* ------------------------------------------------------------------ *)
 (* One domain pool: grep-enforced                                      *)
 (* ------------------------------------------------------------------ *)
@@ -300,10 +222,6 @@ let () =
             test_map_order_under_skew;
           Alcotest.test_case "exception transparency" `Quick test_map_exception;
           Alcotest.test_case "pool drains queue" `Quick test_pool_drains_queue;
-          Alcotest.test_case "a job ends its worker: replaced" `Quick
-            test_worker_respawn;
-          Alcotest.test_case "a worker ends during shutdown" `Quick
-            test_worker_ends_during_shutdown;
           Alcotest.test_case "Domain.spawn only in Parallel" `Quick
             test_spawn_only_in_parallel;
         ] );

@@ -1,8 +1,8 @@
 (* The prevv serve request/response protocol and its delivery
    invariants: parse round-trips, every accepted line gets exactly one
-   response ([lost = 0]) even with a worker killed mid-soak, parallel
-   output is byte-identical to the serial replay, overload sheds
-   explicitly instead of dropping, identical in-flight requests share
+   response ([lost = 0]), parallel output is byte-identical to the serial
+   replay, overload sheds explicitly instead of dropping, identical
+   in-flight requests share
    one computation, a response leaves as soon as it and every earlier one
    are done, never concurrently with another line, and an [emit] failure
    on a worker domain surfaces from [Service.run] instead of hanging it. *)
@@ -108,56 +108,29 @@ let test_request_key_ignores_id () =
 (* Delivery invariants                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let test_soak_kill_zero_lost () =
-  (* a worker killed mid-soak: its request is requeued, the replacement
-     recomputes it, and the output is still byte-identical to the serial
-     replay of the same stream *)
+let test_parallel_matches_serial () =
+  (* the same stream on 2 workers and inline: every line answered once,
+     byte-identical to the serial replay *)
   let n = 60 in
   let reqs = cold_requests n in
-  let config jobs kill_at =
+  let config jobs =
     {
       Service.default_config with
       Service.jobs;
       Service.queue_capacity = 2 * n;  (* unoverflowable: no sheds *)
       Service.policy = quick_policy;
-      Service.kill_at;
     }
   in
-  let out_par, s_par = run_requests (config 2 [ n / 2 ]) reqs in
+  let out_par, s_par = run_requests (config 2) reqs in
   Alcotest.(check int) "received" n s_par.Service.received;
   Alcotest.(check int) "responded = received" n s_par.Service.responded;
   Alcotest.(check int) "zero lost" 0 s_par.Service.lost;
   Alcotest.(check int) "no duplicates" n
     (List.length (String.split_on_char '\n' (String.trim out_par)));
-  Alcotest.(check int) "the injected kill fired" 1 s_par.Service.worker_kills;
-  Alcotest.(check bool) "replacement worker spawned" true
-    (s_par.Service.respawns >= 1);
   Alcotest.(check int) "nothing shed" 0 s_par.Service.shed;
-  let out_ser, s_ser = run_requests (config 1 []) reqs in
+  let out_ser, s_ser = run_requests (config 1) reqs in
   Alcotest.(check int) "serial zero lost" 0 s_ser.Service.lost;
   Alcotest.(check string) "byte-identical to serial replay" out_ser out_par
-
-let test_inline_kill () =
-  (* jobs 1 runs on the calling domain: a kill there ends no domain, so
-     it is counted, nothing is respawned, and the item is computed at
-     once, byte-identical to the same stream without the kill *)
-  let n = 12 in
-  let reqs = cold_requests n in
-  let config kill_at =
-    {
-      Service.default_config with
-      Service.queue_capacity = 2 * n;
-      Service.policy = quick_policy;
-      Service.kill_at;
-    }
-  in
-  let out_kill, s_kill = run_requests (config [ n / 2 ]) reqs in
-  Alcotest.(check int) "the injected kill fired" 1 s_kill.Service.worker_kills;
-  Alcotest.(check int) "no respawn inline" 0 s_kill.Service.respawns;
-  Alcotest.(check int) "zero lost" 0 s_kill.Service.lost;
-  let out_plain, _ = run_requests (config []) reqs in
-  Alcotest.(check string) "byte-identical to the run without the kill"
-    out_plain out_kill
 
 let test_overload_sheds_explicitly () =
   (* far more cold requests than a tiny queue can hold: the excess is
@@ -189,19 +162,19 @@ let test_overload_sheds_explicitly () =
   in
   Alcotest.(check int) "every shed visible as a response line"
     s.Service.shed (List.length shed_lines);
-  (* every shed carries backoff advice derived from the live queue *)
+  (* a shed line depends on the request id alone: no timing leaks in *)
   List.iter
     (fun l ->
       match Pv_obs.Json.parse l with
       | Ok j -> (
           match
-            Option.bind
-              (Pv_obs.Json.member "retry_after_ms" j)
-              Pv_obs.Json.to_int_opt
+            Option.bind (Pv_obs.Json.member "id" j) Pv_obs.Json.to_string_opt
           with
-          | Some ms ->
-              Alcotest.(check bool) "retry_after_ms is positive" true (ms >= 1)
-          | None -> Alcotest.failf "shed line lacks retry_after_ms: %s" l)
+          | Some id ->
+              Alcotest.(check string) "overloaded line bytes"
+                (Printf.sprintf "{ \"id\": %S, \"status\": \"overloaded\" }" id)
+                l
+          | None -> Alcotest.failf "shed line lacks its id: %s" l)
       | Error e -> Alcotest.failf "shed line unparseable: %s" e)
     shed_lines
 
@@ -296,76 +269,6 @@ let test_error_and_bad_lines () =
   in
   Alcotest.(check (list string)) "statuses in arrival order"
     [ "ok"; "error"; "bad_request" ] statuses
-
-let test_stats_frames () =
-  (* [{"op":"stats"}] control lines are answered out-of-band with a
-     stats frame and never counted as requests; each frame satisfies the
-     conservation identity received = responded + shed + errors +
-     in_flight (every received request is in exactly one state) *)
-  let reqs = List.map Service.request_to_json (cold_requests 6) in
-  let stats_line = {|{"op":"stats"}|} in
-  let remaining =
-    ref ((stats_line :: List.concat_map (fun r -> [ r; stats_line ]) reqs))
-  in
-  let next () =
-    match !remaining with
-    | [] -> None
-    | l :: rest ->
-        remaining := rest;
-        Some l
-  in
-  let out = Buffer.create 4096 in
-  let s =
-    Service.run
-      {
-        Service.default_config with
-        Service.jobs = 2;
-        Service.queue_capacity = 16;
-        Service.policy = quick_policy;
-      }
-      ~next
-      ~emit:(fun l -> Buffer.add_string out l; Buffer.add_char out '\n')
-  in
-  Alcotest.(check int) "stats lines not counted as requests" 6
-    s.Service.received;
-  Alcotest.(check int) "zero lost" 0 s.Service.lost;
-  let frames =
-    List.filter_map
-      (fun l ->
-        if l = "" then None
-        else
-          match Pv_obs.Json.parse l with
-          | Ok j
-            when Option.bind (Pv_obs.Json.member "type" j)
-                   Pv_obs.Json.to_string_opt
-                 = Some "stats" ->
-              Some j
-          | _ -> None)
-      (String.split_on_char '\n' (Buffer.contents out))
-  in
-  Alcotest.(check int) "one frame per control line" 7 (List.length frames);
-  List.iteri
-    (fun i j ->
-      let field name =
-        match
-          Option.bind (Pv_obs.Json.member name j) Pv_obs.Json.to_int_opt
-        with
-        | Some v -> v
-        | None -> Alcotest.failf "frame %d lacks %s" i name
-      in
-      Alcotest.(check int)
-        (Printf.sprintf
-           "frame %d: received = responded + shed + errors + in_flight" i)
-        (field "received")
-        (field "responded" + field "shed" + field "errors"
-        + field "in_flight"))
-    frames;
-  match List.rev frames with
-  | last :: _ ->
-      Alcotest.(check (option int)) "final frame saw every request" (Some 6)
-        (Option.bind (Pv_obs.Json.member "received" last)
-           Pv_obs.Json.to_int_opt)
-  | [] -> Alcotest.fail "no stats frames"
 
 let test_emit_before_next_line jobs () =
   (* a finished response leaves before the next request line arrives:
@@ -471,10 +374,8 @@ let () =
         ] );
       ( "delivery",
         [
-          Alcotest.test_case "kill mid-soak, zero lost, serial-identical"
-            `Quick test_soak_kill_zero_lost;
-          Alcotest.test_case "inline kill: counted, not respawned" `Quick
-            test_inline_kill;
+          Alcotest.test_case "2 jobs: zero lost, serial-identical" `Quick
+            test_parallel_matches_serial;
           Alcotest.test_case "overload sheds explicitly" `Quick
             test_overload_sheds_explicitly;
           Alcotest.test_case "in-flight dedupe" `Quick test_dedup_in_flight;
@@ -487,10 +388,5 @@ let () =
             (test_emit_before_next_line 1);
           Alcotest.test_case "emit failure on a worker surfaces" `Quick
             test_emit_failure_surfaces;
-        ] );
-      ( "telemetry",
-        [
-          Alcotest.test_case "stats frames conserve request states" `Quick
-            test_stats_frames;
         ] );
     ]
