@@ -1215,6 +1215,18 @@ let stall_reason t slot =
 
 (* --- post-mortem -------------------------------------------------------- *)
 
+(* A store port whose data input holds another instance than its pending
+   address: only a fault mis-pairs the two streams, and the port refuses
+   the data. *)
+let mispaired_store t slot =
+  t.op.(slot) = op_store
+  && Ring.length t.ring.(slot) > 0
+  &&
+  let cd = t.ins.(t.in_base.(slot) + 1) in
+  cd >= 0
+  && t.cur_key.(cd) >= 0
+  && Token.seq t.cur_key.(cd) <> Token.seq (Ring.get t.ring.(slot) 0 0)
+
 (* The post-mortem's text for a slot's [stall_reason]: the first frozen or
    empty input, the first full output, or the stuck ring's count.  Run
    between cycles, where no channel has a staged token or a consumption
@@ -1231,15 +1243,17 @@ let stall_detail t slot reason =
   else if reason = Pv_obs.Prof.reason_internal then
     if opc = op_pipe then
       Printf.sprintf "%d result(s) stuck in FU pipeline" (Ring.length r)
+    else if mispaired_store t slot then
+      Printf.sprintf "store port %d: pending addr seq=%d but data seq=%d"
+        t.p1.(slot)
+        (Token.seq (Ring.get r 0 0))
+        (Token.seq t.cur_key.(ins.(1)))
     else if opc = op_store then
-      let head = Token.seq (Ring.get r 0 0) and cd = ins.(1) in
-      if full cd && Token.seq t.cur_key.(cd) <> head then
-        Printf.sprintf "store port %d: pending addr seq=%d but data seq=%d"
-          t.p1.(slot) head (Token.seq t.cur_key.(cd))
-      else
-        Printf.sprintf
-          "%d announced store(s) awaiting data (head: seq=%d addr=%d)"
-          (Ring.length r) head (Ring.get r 0 1)
+      Printf.sprintf
+        "%d announced store(s) awaiting data (head: seq=%d addr=%d)"
+        (Ring.length r)
+        (Token.seq (Ring.get r 0 0))
+        (Ring.get r 0 1)
     else Printf.sprintf "%d token(s) stuck in buffer" (Ring.length r)
   else if reason = Pv_obs.Prof.reason_starved then
     let k = first (fun c -> c >= 0 && not (full c)) ins in
@@ -1283,14 +1297,12 @@ let post_mortem t : post_mortem =
     let reason = stall_reason t slot in
     if reason >= 0 then
       stalled :=
-        ( reason = Pv_obs.Prof.reason_frozen
-          || reason = Pv_obs.Prof.reason_internal,
+        ( reason = Pv_obs.Prof.reason_internal && mispaired_store t slot,
           (nid, (Graph.node t.g nid).Graph.label, stall_detail t slot reason) )
         :: !stalled
   done;
-  (* nodes that hold work of their own (a frozen input, a stuck ring) come
-     first: a hang is rooted there, not at the nodes backpressured behind *)
-  let holding, waiting = List.partition fst !stalled in
+  (* a mis-paired store port names the fault's victim: list it first *)
+  let mispaired, others = List.partition fst !stalled in
   {
     pm_at_cycle = t.cycle;
     pm_last_progress = t.last_progress;
@@ -1298,7 +1310,8 @@ let post_mortem t : post_mortem =
     pm_occupied = List.length !tokens;
     pm_tokens = List.filteri (fun i _ -> i < 16) !tokens;
     pm_oldest_seq = !oldest;
-    pm_stalled = List.filteri (fun i _ -> i < 16) (List.map snd (holding @ waiting));
+    pm_stalled =
+      List.filteri (fun i _ -> i < 16) (List.map snd (mispaired @ others));
     pm_gens = !gens;
     pm_fault_stalls =
       List.filter

@@ -83,8 +83,8 @@ type post_mortem = {
   pm_tokens : (Types.chan_id * Types.token) list;  (** in-flight tokens (capped) *)
   pm_oldest_seq : int option;  (** oldest in-flight iteration anywhere *)
   pm_stalled : (Types.node_id * string * string) list;
-      (** (node, label, stall reason) for nodes blocked with work (capped),
-          those holding a frozen input or a stuck ring first *)
+      (** (node, label, stall reason) for nodes blocked with work
+          (capped), a store port refusing mis-paired data first *)
   pm_gens : (Types.node_id * int * bool) list;
       (** generator (node, next seq, exhausted) *)
   pm_fault_stalls : Types.chan_id list;  (** channels under an injected stall *)
