@@ -22,6 +22,7 @@
     - {b a bounded queue}: beyond [queue_capacity] pending requests a new
       one is shed with an explicit ["overloaded"] response, never dropped.
     - {b graceful drain} on {!drain_now} (the CLI's SIGINT handler).
+
     {!config.log} receives structured LDJSON lines for sheds, the drain
     and the final summary. *)
 
@@ -117,10 +118,9 @@ val summary_to_json : summary -> Pv_obs.Json.t
     emitted as soon as it and every earlier one are done, by the domain
     that completed the last of them, so [emit] may be called from a
     worker domain.  It is never called concurrently and always in arrival
-    order.  If [emit]
-    raises, no further line is emitted or read, the accepted requests
-    drain, and [run] re-raises the first such exception on the calling
-    domain.
+    order.  If [emit] raises, no further line is emitted or read, the
+    accepted requests drain, and [run] re-raises the first such exception
+    on the calling domain.
 
     A shed response is [{ "id": ID, "status": "overloaded" }], a function
     of the request id alone. *)
