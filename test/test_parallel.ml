@@ -68,6 +68,61 @@ let test_pool_drains_queue () =
     (Invalid_argument "Parallel.submit: pool is shut down") (fun () ->
       Parallel.submit pool (fun () -> ()))
 
+(* Poll [cond] until it holds or [seconds] pass; true if it held. *)
+let wait_until ~seconds cond =
+  let t0 = Unix.gettimeofday () in
+  while (not (cond ())) && Unix.gettimeofday () -. t0 < seconds do
+    Unix.sleepf 0.001
+  done;
+  cond ()
+
+let test_shutdown_joins_every_worker () =
+  (* 3 workers, 3 jobs; each job notes its domain, registers an exit hook
+     there and holds until all three domains are busy, so every worker
+     runs exactly one.  [shutdown] must join all three: their exit hooks
+     have run by the time it returns *)
+  let pool = Parallel.create ~jobs:3 in
+  let lock = Mutex.create () in
+  let seen = ref [] and exited = Atomic.make 0 in
+  let n_seen () =
+    Mutex.lock lock;
+    let n = List.length !seen in
+    Mutex.unlock lock;
+    n
+  in
+  for _ = 1 to 3 do
+    Parallel.submit pool (fun () ->
+        let self = (Domain.self () :> int) in
+        Mutex.lock lock;
+        if not (List.mem self !seen) then begin
+          seen := self :: !seen;
+          Domain.at_exit (fun () -> Atomic.incr exited)
+        end;
+        Mutex.unlock lock;
+        if not (wait_until ~seconds:30.0 (fun () -> n_seen () >= 3)) then
+          failwith "three workers never ran at once")
+  done;
+  Parallel.shutdown pool;
+  Alcotest.(check int) "three domains ran jobs" 3 (n_seen ());
+  Alcotest.(check (list int)) "one job per worker" [ 1; 1; 1 ]
+    (Parallel.worker_jobs pool);
+  Alcotest.(check int) "shutdown joined all three" 3 (Atomic.get exited);
+  Parallel.shutdown pool;
+  Alcotest.(check int) "a second shutdown is a no-op" 3 (Atomic.get exited)
+
+let test_raising_job_surfaces_at_shutdown () =
+  (* jobs must not raise; one that does ends its worker, and [shutdown]
+     re-raises its exception instead of hiding it *)
+  let pool = Parallel.create ~jobs:1 in
+  let ran = Atomic.make 0 in
+  Parallel.submit pool (fun () -> Atomic.incr ran);
+  Parallel.submit pool (fun () -> raise (Boom 3));
+  Alcotest.check_raises "shutdown re-raises the job's exception" (Boom 3)
+    (fun () -> Parallel.shutdown pool);
+  Alcotest.(check int) "the job before it ran" 1 (Atomic.get ran);
+  Alcotest.(check (list int)) "only the completed job is tallied" [ 1 ]
+    (Parallel.worker_jobs pool)
+
 (* ------------------------------------------------------------------ *)
 (* One domain pool: grep-enforced                                      *)
 (* ------------------------------------------------------------------ *)
@@ -222,6 +277,10 @@ let () =
             test_map_order_under_skew;
           Alcotest.test_case "exception transparency" `Quick test_map_exception;
           Alcotest.test_case "pool drains queue" `Quick test_pool_drains_queue;
+          Alcotest.test_case "shutdown joins every worker" `Quick
+            test_shutdown_joins_every_worker;
+          Alcotest.test_case "a raising job surfaces at shutdown" `Quick
+            test_raising_job_surfaces_at_shutdown;
           Alcotest.test_case "Domain.spawn only in Parallel" `Quick
             test_spawn_only_in_parallel;
         ] );

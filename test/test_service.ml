@@ -270,6 +270,57 @@ let test_error_and_bad_lines () =
   Alcotest.(check (list string)) "statuses in arrival order"
     [ "ok"; "error"; "bad_request" ] statuses
 
+let test_summary_conserves_states () =
+  (* no control lines: an {"op":"stats"} line is a bad request like any
+     other unparseable line, answered in its place.  Every received line
+     ends in exactly one state: received = ok + errors + bad_requests +
+     shed *)
+  let reqs = List.map Service.request_to_json (cold_requests 6) in
+  let stats_line = {|{"op":"stats"}|} in
+  let remaining =
+    ref (stats_line :: List.concat_map (fun r -> [ r; stats_line ]) reqs)
+  in
+  let next () =
+    match !remaining with
+    | [] -> None
+    | l :: rest ->
+        remaining := rest;
+        Some l
+  in
+  let out = Buffer.create 4096 in
+  let s =
+    Service.run
+      {
+        Service.default_config with
+        Service.jobs = 2;
+        Service.queue_capacity = 16;
+        Service.policy = quick_policy;
+      }
+      ~next
+      ~emit:(fun l -> Buffer.add_string out l; Buffer.add_char out '\n')
+  in
+  Alcotest.(check int) "every line received" 13 s.Service.received;
+  Alcotest.(check int) "zero lost" 0 s.Service.lost;
+  Alcotest.(check int) "stats lines are bad requests" 7 s.Service.bad_requests;
+  Alcotest.(check int) "received = ok + errors + bad_requests + shed"
+    s.Service.received
+    (s.Service.ok + s.Service.errors + s.Service.bad_requests + s.Service.shed);
+  let statuses =
+    List.filter_map
+      (fun l ->
+        if l = "" then None
+        else
+          match Pv_obs.Json.parse l with
+          | Ok j ->
+              Option.bind (Pv_obs.Json.member "status" j)
+                Pv_obs.Json.to_string_opt
+          | Error _ -> None)
+      (String.split_on_char '\n' (Buffer.contents out))
+  in
+  Alcotest.(check (list string)) "one response per line, in arrival order"
+    ("bad_request" :: List.concat_map (fun _ -> [ "ok"; "bad_request" ]) reqs)
+    statuses
+
 let test_emit_before_next_line jobs () =
   (* a finished response leaves before the next request line arrives:
      [next] withholds the second line until the first response is out *)
@@ -388,5 +439,10 @@ let () =
             (test_emit_before_next_line 1);
           Alcotest.test_case "emit failure on a worker surfaces" `Quick
             test_emit_failure_surfaces;
+        ] );
+      ( "telemetry",
+        [
+          Alcotest.test_case "summary conserves request states" `Quick
+            test_summary_conserves_states;
         ] );
     ]
