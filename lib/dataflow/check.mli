@@ -4,7 +4,11 @@
     - every declared input/output slot of every node is wired;
     - every directed cycle of the graph passes through an opaque buffer
       (otherwise the combinational handshake of a cycle would not
-      converge — a combinational loop). *)
+      converge — a combinational loop).
+
+    A graph that passes may still be cyclic.  {!Sim} simulates acyclic
+    graphs only and rejects the others with {!Sim.Cyclic_graph}; every
+    circuit {!Pv_frontend.Build} elaborates is acyclic. *)
 
 type error =
   | Unwired of { node : Types.node_id; label : string; dir : string; slot : int }

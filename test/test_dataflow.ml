@@ -77,6 +77,26 @@ let test_check_cycle () =
        (function Check.Combinational_cycle _ -> true | _ -> false)
        (Check.errors g))
 
+(* A loop through an opaque buffer passes the structural check, but it has
+   no consumers-before-producers order, which the simulator's in-place
+   channel registers need: [Sim.create] rejects it. *)
+let test_sim_rejects_cycle () =
+  let b = Graph.create () in
+  let gen = Graph.add b (counter_gen 4) in
+  let merge = Graph.add b (Types.Merge 2) in
+  let fork = Graph.add b (Types.Fork 2) in
+  let buf = Graph.add b (Types.Buffer { transparent = false; slots = 1 }) in
+  let sink = Graph.add b Types.Sink in
+  Graph.connect b (gen, 0) (merge, 0);
+  Graph.connect b (merge, 0) (fork, 0);
+  Graph.connect b (fork, 0) (sink, 0);
+  Graph.connect b (fork, 1) (buf, 0);
+  Graph.connect b (buf, 0) (merge, 1);
+  let g = Graph.finalize b in
+  Alcotest.(check int) "structurally valid" 0 (List.length (Check.errors g));
+  Alcotest.check_raises "Sim.create rejects the loop" Sim.Cyclic_graph
+    (fun () -> ignore (Sim.create g (Memif.direct ~latency:1 (mem4 ()))))
+
 (* zero in-degree nodes in id order, then successors in output-slot order;
    None on a cycle *)
 let test_topo_order () =
@@ -517,6 +537,8 @@ let () =
           Alcotest.test_case "unwired detection" `Quick test_check_unwired;
           Alcotest.test_case "cycle detection" `Quick test_check_cycle;
           Alcotest.test_case "topological order" `Quick test_topo_order;
+          Alcotest.test_case "simulator rejects a buffered loop" `Quick
+            test_sim_rejects_cycle;
         ] );
       ( "sim",
         [
