@@ -222,7 +222,7 @@ type state = {
       (** the first exception [emit] raised: no later line is emitted and
           [run] re-raises it after the drain *)
   lock : Mutex.t;
-  progress : Condition.t;  (** main: a response landed *)
+  drained : Condition.t;  (** main: [pending] reached zero *)
   responses : (int, string) Hashtbl.t;  (** seq -> response line *)
   mutable next_emit : int;
   mutable next_seq : int;
@@ -267,7 +267,9 @@ let store_locked st item outcome retries =
       | None -> ());
       st.pending <- st.pending - 1)
     waiters;
-  Condition.signal st.progress
+  (* only the drain waits, and only for the last response: a wake per
+     response would take a CPU from a worker each time *)
+  if st.pending = 0 then Condition.signal st.drained
 
 (* pop the contiguous ready prefix; lock held by caller *)
 let rec ready_locked st acc =
@@ -333,7 +335,7 @@ let run ?metrics cfg ~next ~emit =
       emit_lock = Mutex.create ();
       emit_failure = Atomic.make None;
       lock = Mutex.create ();
-      progress = Condition.create ();
+      drained = Condition.create ();
       responses = Hashtbl.create 64;
       next_emit = 0;
       next_seq = 0;
@@ -415,7 +417,7 @@ let run ?metrics cfg ~next ~emit =
     ~fields:[ ("pending", Pv_obs.Json.Int st.pending) ];
   Mutex.lock st.lock;
   while st.pending > 0 do
-    Condition.wait st.progress st.lock
+    Condition.wait st.drained st.lock
   done;
   Mutex.unlock st.lock;
   Option.iter Parallel.shutdown st.pool;
