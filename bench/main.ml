@@ -227,9 +227,7 @@ let deadlock () =
       let sim_cfg =
         { Pv_dataflow.Sim.default_config with Pv_dataflow.Sim.stall_limit = 512 }
       in
-      let r =
-        Pipeline.simulate ~sim_cfg compiled (Pipeline.prevv ~fake_tokens 8)
-      in
+      let r = Pipeline.simulate ~sim_cfg compiled (Pipeline.prevv 8) in
       Printf.printf "  %-24s -> %s (fake tokens seen: %d)\n" what
         (Format.asprintf "%a" Pv_dataflow.Sim.pp_outcome r.Pipeline.outcome)
         r.Pipeline.mem_stats.Pv_dataflow.Memif.fake_tokens)
@@ -318,7 +316,7 @@ let ablation ~jobs () =
         let run value_validation =
           let compiled = Pipeline.compile k in
           Pipeline.simulate compiled
-            (Pipeline.Prevv
+            (Scheme.Prevv
                { (Pv_prevv.Backend.named ~depth:16) with
                  Pv_prevv.Backend.value_validation })
         in
@@ -352,7 +350,7 @@ let ablation ~jobs () =
         in
         let r =
           Pipeline.simulate ~sim_cfg compiled
-            (Pipeline.Prevv
+            (Scheme.Prevv
                { (Pv_prevv.Backend.named ~depth:16) with
                  Pv_prevv.Backend.collapse_queue })
         in
@@ -370,7 +368,7 @@ let ablation ~jobs () =
         let compiled = Pipeline.compile (Pv_kernels.Defs.matvec ()) in
         let r =
           Pipeline.simulate compiled
-            (Pipeline.Fast_lsq { Pv_lsq.Lsq.fast with Pv_lsq.Lsq.forwarding })
+            (Scheme.Fast_lsq { Pv_lsq.Lsq.fast with Pv_lsq.Lsq.forwarding })
         in
         (what, r.Pipeline.cycles, r.Pipeline.mem_stats.Pv_dataflow.Memif.forwarded))
       [ ("with forwarding", true); ("without forwarding", false) ]

@@ -2,9 +2,8 @@ open Pv_dataflow
 open Pv_memory
 module Trace = Pv_obs.Trace
 
-type config = { mem_latency : int; forward_latency : int }
-
-let default = { mem_latency = 2; forward_latency = 1 }
+(* cycles for store-to-load forwarding, PreVV's forward gate *)
+let forward_latency = 1
 
 (* Per-port response rings hold (token key, ready_at, value, awaited store
    slot) records in request order.  A load waiting for its true
@@ -17,7 +16,6 @@ and f_value = 2
 and f_store = 3
 
 type t = {
-  cfg : config;
   mem : int array;
   stats : Memif.stats;
   prescience : Prescience.t;
@@ -67,7 +65,7 @@ let release t slot =
     let q = t.resp.(port) in
     for i = 0 to Ring.length q - 1 do
       if Ring.get q i f_ready < 0 && Ring.get q i f_store = slot then begin
-        Ring.set q i f_ready (t.now + t.cfg.forward_latency);
+        Ring.set q i f_ready (t.now + forward_latency);
         t.n_waiting <- t.n_waiting - 1
       end
     done
@@ -86,7 +84,7 @@ let degrade t =
           if Ring.get q i f_ready < 0 then begin
             let seq = Types.Token.seq (Ring.get q i f_key) in
             let s = Prescience.slot t.prescience ~seq ~port in
-            Ring.set q i f_ready (t.now + t.cfg.mem_latency);
+            Ring.set q i f_ready (t.now + Memif.mem_latency);
             Ring.set q i f_value (read_vis t (Prescience.addr t.prescience s))
           end
         done)
@@ -105,22 +103,22 @@ let serve_ambiguous_load t ~port ~key ~addr =
     (* address diverged from the program-order walk (fault-corrupted) *)
     degrade t;
   if t.broken then
-    serve t ~port ~key ~latency:t.cfg.mem_latency ~value:(read_vis t addr)
+    serve t ~port ~key ~latency:Memif.mem_latency ~value:(read_vis t addr)
   else
     let v_correct = Prescience.value presc slot in
     let st = Prescience.youngest_older_store presc ~addr ~slot in
     if st < 0 then
-      serve t ~port ~key ~latency:t.cfg.mem_latency ~value:v_correct
+      serve t ~port ~key ~latency:Memif.mem_latency ~value:v_correct
     else if Bytes.unsafe_get t.arrived st <> '\000' then begin
       t.n_forwards <- t.n_forwards + 1;
       t.stats.forwarded <- t.stats.forwarded + 1;
-      serve t ~port ~key ~latency:t.cfg.forward_latency ~value:v_correct
+      serve t ~port ~key ~latency:forward_latency ~value:v_correct
     end
     else if read_vis t addr = v_correct then begin
       (* value coincidence: PreVV would speculate and survive validation
          (Eq. 5), so the lower bound must not wait *)
       t.n_coincidences <- t.n_coincidences + 1;
-      serve t ~port ~key ~latency:t.cfg.mem_latency ~value:v_correct
+      serve t ~port ~key ~latency:Memif.mem_latency ~value:v_correct
     end
     else begin
       t.n_waits <- t.n_waits + 1;
@@ -137,12 +135,11 @@ let serve_ambiguous_load t ~port ~key ~addr =
       t.n_waiting <- t.n_waiting + 1
     end
 
-let create_full ?(trace = Trace.null) cfg pm mem ~prescience =
+let create_full ?(trace = Trace.null) pm mem ~prescience =
   let n_ports = Array.length pm.Portmap.ports in
   let n_slots = Prescience.n_seq prescience * n_ports in
   let t =
     {
-      cfg;
       mem;
       stats = Memif.fresh_stats ();
       prescience;
@@ -170,7 +167,9 @@ let create_full ?(trace = Trace.null) cfg pm mem ~prescience =
         (fun ~port ~key ~addr ->
           t.stats.loads <- t.stats.loads + 1;
           if t.ambiguous.(port) then serve_ambiguous_load t ~port ~key ~addr
-          else serve t ~port ~key ~latency:cfg.mem_latency ~value:(read_vis t addr);
+          else
+            serve t ~port ~key ~latency:Memif.mem_latency
+              ~value:(read_vis t addr);
           true);
       load_poll =
         (fun ~port out ->

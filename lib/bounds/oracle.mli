@@ -5,7 +5,8 @@
     happens and serializes only {e true} conflicting load/store pairs:
 
     - a load with no older in-flight conflicting store is served at plain
-      memory latency, with no capacity, allocation or bandwidth limits;
+      memory latency ({!Pv_dataflow.Memif.mem_latency}), with no
+      capacity, allocation or bandwidth limits;
     - a load whose conflicting store has already arrived is served at
       forwarding latency (one cycle), matching PreVV's forward gate;
     - a load whose conflicting store is still in flight but whose visible
@@ -27,21 +28,13 @@
     arrival flags and per-address visible-memory owners, so a
     steady-state cycle allocates nothing. *)
 
-type config = {
-  mem_latency : int;  (** cycles for a memory access (default 2) *)
-  forward_latency : int;  (** cycles for store-to-load forwarding (1) *)
-}
-
-val default : config
-
 type t
 
-(** [create_full ?trace cfg pm mem ~prescience] builds the oracle over the
+(** [create_full ?trace pm mem ~prescience] builds the oracle over the
     flat memory [mem] (mutated in place to the final state); [prescience]
     must have been walked over [mem]'s initial contents. *)
 val create_full :
   ?trace:Pv_obs.Trace.t ->
-  config ->
   Pv_memory.Portmap.t ->
   int array ->
   prescience:Prescience.t ->

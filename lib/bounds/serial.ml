@@ -2,12 +2,10 @@ open Pv_dataflow
 open Pv_memory
 module Trace = Pv_obs.Trace
 
-type config = { mem_latency : int; turnaround : int }
-
-let default = { mem_latency = 2; turnaround = 1 }
+(* dead cycles before the channel accepts the next operation *)
+let turnaround = 1
 
 type t = {
-  cfg : config;
   mem : int array;
   stats : Memif.stats;
   trace : Trace.t;
@@ -67,7 +65,7 @@ let expected t =
     if t.head_idx < Array.length ports then ports.(t.head_idx) else -1
 
 let occupy t =
-  t.busy_until <- t.now + t.cfg.mem_latency + t.cfg.turnaround;
+  t.busy_until <- t.now + Memif.mem_latency + turnaround;
   if t.stats.max_occupancy < 1 then t.stats.max_occupancy <- 1
 
 (* The single channel is free and — for ambiguous ports — this op is the
@@ -97,11 +95,10 @@ let admit t ~ambiguous ~port ~seq =
   end
   else true
 
-let create_full ?(trace = Trace.null) cfg pm ~n_seq mem =
+let create_full ?(trace = Trace.null) pm ~n_seq mem =
   let n_ports = Array.length pm.Portmap.ports in
   let t =
     {
-      cfg;
       mem;
       stats = Memif.fresh_stats ();
       trace;
@@ -136,7 +133,7 @@ let create_full ?(trace = Trace.null) cfg pm ~n_seq mem =
           let seq = Types.Token.seq key in
           if admit t ~ambiguous:t.ambiguous.(port) ~port ~seq then begin
             t.stats.loads <- t.stats.loads + 1;
-            Ring.push3 t.resp.(port) (t.now + cfg.mem_latency) key
+            Ring.push3 t.resp.(port) (t.now + Memif.mem_latency) key
               (read_mem t addr);
             t.pending <- t.pending + 1;
             occupy t;

@@ -28,8 +28,7 @@ let rank_of name =
   else if name = "serial" then Some 3
   else None
 
-let run ?sim_cfg ?init ?schemes (kernel : Pv_kernels.Ast.kernel) : report =
-  let schemes = match schemes with Some s -> s | None -> Scheme.all () in
+let run ?sim_cfg ?init (kernel : Pv_kernels.Ast.kernel) : report =
   let compiled = Pipeline.compile kernel in
   let runs =
     List.map
@@ -52,7 +51,7 @@ let run ?sim_cfg ?init ?schemes (kernel : Pv_kernels.Ast.kernel) : report =
           }
         in
         (row, r.Pipeline.mem))
-      schemes
+      (Scheme.all ())
   in
   let rows = List.map fst runs in
   let agree =

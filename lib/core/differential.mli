@@ -29,11 +29,10 @@ type report = {
   violations : string list;  (** human-readable chain violations *)
 }
 
-(** Run every scheme in [schemes] (default [Scheme.all ()]) on [kernel]. *)
+(** Run every scheme of [Scheme.all ()] on [kernel]. *)
 val run :
   ?sim_cfg:Pv_dataflow.Sim.config ->
   ?init:(string * int array) list ->
-  ?schemes:Scheme.t list ->
   Pv_kernels.Ast.kernel ->
   report
 

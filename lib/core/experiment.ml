@@ -56,9 +56,9 @@ let run ?sim_cfg ?init ?compiled (kernel : Pv_kernels.Ast.kernel)
 (** Content address of one evaluation point: a digest over everything that
     determines the result — kernel AST, input data, the full scheme
     configuration, and the simulator configuration (engine, budgets, fault
-    plan, per-unit latencies).  Wall-clock timing is never part of a
-    [point], so cached results are exact.  The salt names the schema: bump
-    it whenever [point] or any constituent record changes shape. *)
+    plan).  Wall-clock timing is never part of a [point], so cached
+    results are exact.  The salt names the schema: bump it whenever
+    [point] or any constituent record changes shape. *)
 let cache_key ?(sim_cfg = Pv_dataflow.Sim.default_config) ?init
     (kernel : Pv_kernels.Ast.kernel) (dis : Pipeline.disambiguation) : string =
   let module Sim = Pv_dataflow.Sim in
@@ -74,14 +74,11 @@ let cache_key ?(sim_cfg = Pv_dataflow.Sim.default_config) ?init
     ( Sim.string_of_engine sim_cfg.Sim.engine,
       sim_cfg.Sim.max_cycles,
       sim_cfg.Sim.stall_limit,
-      Marshal.to_string sim_cfg.Sim.faults [],
-      (* every unit's latency in code order: the closure is not marshalable *)
-      Array.to_list (Array.map sim_cfg.Sim.op_latency Pv_dataflow.Types.binops)
-    )
+      Marshal.to_string sim_cfg.Sim.faults [] )
   in
   Digest.to_hex
     (Digest.string
-       (Marshal.to_string ("prevv-expt/v3", kernel, init, dis_repr, sim_repr) []))
+       (Marshal.to_string ("prevv-expt/v4", kernel, init, dis_repr, sim_repr) []))
 
 (** {!run} through a {!Parallel.Cache}: a hit returns the stored point
     without compiling or simulating anything. *)

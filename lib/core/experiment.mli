@@ -32,7 +32,7 @@ val run :
 
 (** Content address of one evaluation point: a digest of the kernel AST,
     input data, scheme configuration and simulator configuration (engine,
-    budgets, fault plan, sampled per-unit latencies).  Two cells with equal
+    budgets, fault plan).  Two cells with equal
     keys produce equal points; wall-clock timing is never part of a point,
     so cached results are exact. *)
 val cache_key :

@@ -6,14 +6,7 @@
     PreVV, oracle/serial reference bounds), ModelSim-vs-C++ checking
     (here simulation vs the reference interpreter). *)
 
-(* Re-exported so every existing [Pipeline.Prevv {...}] construction keeps
-   compiling; the definition (and all matching) lives in [Scheme]. *)
-type disambiguation = Scheme.disambiguation =
-  | Plain_lsq of Pv_lsq.Lsq.config  (** Dynamatic baseline [15] *)
-  | Fast_lsq of Pv_lsq.Lsq.config  (** fast LSQ allocation [8] *)
-  | Prevv of Pv_prevv.Backend.config  (** this paper *)
-  | Oracle of Pv_bounds.Oracle.config  (** prescient lower bound *)
-  | Serial of Pv_bounds.Serial.config  (** serializing upper bound *)
+type disambiguation = Scheme.disambiguation
 
 let plain_lsq = Scheme.plain_lsq
 let fast_lsq = Scheme.fast_lsq

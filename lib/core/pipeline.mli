@@ -6,21 +6,16 @@
     [8], PreVV, oracle/serial reference bounds), and the ModelSim-vs-C++
     check (simulation vs the reference interpreter). *)
 
-(** Re-export of {!Scheme.disambiguation}: the configuration of a
-    registered scheme.  All matching on it lives in {!Scheme}. *)
-type disambiguation = Scheme.disambiguation =
-  | Plain_lsq of Pv_lsq.Lsq.config  (** Dynamatic baseline [15] *)
-  | Fast_lsq of Pv_lsq.Lsq.config  (** fast LSQ allocation [8] *)
-  | Prevv of Pv_prevv.Backend.config  (** this paper *)
-  | Oracle of Pv_bounds.Oracle.config  (** prescient lower bound *)
-  | Serial of Pv_bounds.Serial.config  (** serializing upper bound *)
+(** The configuration of a registered scheme ({!Scheme.disambiguation});
+    its constructors, and all matching on them, live in {!Scheme}. *)
+type disambiguation = Scheme.disambiguation
 
 val plain_lsq : disambiguation
 val fast_lsq : disambiguation
 
 (** PreVV at a paper-named depth ([prevv 16] = "PreVV16"); the simulated
     queue holds {!Pv_prevv.Backend.depth_scale} entries per named unit. *)
-val prevv : ?fake_tokens:bool -> int -> disambiguation
+val prevv : int -> disambiguation
 
 (** Perfect-disambiguation cycle lower bound (see {!Pv_bounds.Oracle}). *)
 val oracle : disambiguation

@@ -13,17 +13,15 @@ type disambiguation =
   | Plain_lsq of Lsq.config
   | Fast_lsq of Lsq.config
   | Prevv of Backend.config
-  | Oracle of Oracle.config
-  | Serial of Serial.config
+  | Oracle
+  | Serial
 
 let plain_lsq = Plain_lsq Lsq.plain
 let fast_lsq = Fast_lsq Lsq.fast
 
-let prevv ?(fake_tokens = true) depth =
-  Prevv { (Backend.named ~depth) with fake_tokens }
-
-let oracle = Oracle Oracle.default
-let serial = Serial Serial.default
+let prevv depth = Prevv (Backend.named ~depth)
+let oracle = Oracle
+let serial = Serial
 
 type env = {
   kernel : Pv_kernels.Ast.kernel;
@@ -61,8 +59,8 @@ let name_of = function
   | Plain_lsq _ -> "dynamatic"
   | Fast_lsq _ -> "fast-lsq"
   | Prevv c -> Printf.sprintf "prevv%d" (c.Backend.depth_q / Backend.depth_scale)
-  | Oracle _ -> "oracle"
-  | Serial _ -> "serial"
+  | Oracle -> "oracle"
+  | Serial -> "serial"
 
 let to_string = name_of
 
@@ -75,10 +73,10 @@ let description_of = function
       Printf.sprintf
         "PreVV premature value validation, queue depth %d (this paper)"
         (c.Backend.depth_q / Backend.depth_scale)
-  | Oracle _ ->
+  | Oracle ->
       "perfect-disambiguation lower bound (prescient, serializes only true \
        conflicts)"
-  | Serial _ ->
+  | Serial ->
       "fully serializing upper bound (one memory op in flight, program order)"
 
 let fingerprint_of dis =
@@ -87,18 +85,18 @@ let fingerprint_of dis =
     | Plain_lsq c -> ("plain_lsq", Marshal.to_string c [])
     | Fast_lsq c -> ("fast_lsq", Marshal.to_string c [])
     | Prevv c -> ("prevv", Marshal.to_string c [])
-    | Oracle c -> ("oracle", Marshal.to_string c [])
-    | Serial c -> ("serial", Marshal.to_string c [])
+    | Oracle -> ("oracle", "")
+    | Serial -> ("serial", "")
   in
   Digest.to_hex (Digest.string (Marshal.to_string repr []))
 
 let elaboration_of = function
-  | Plain_lsq c -> Pv_netlist.Elaborate.D_plain_lsq c.Lsq.lq_depth
-  | Fast_lsq c -> Pv_netlist.Elaborate.D_fast_lsq c.Lsq.lq_depth
+  | Plain_lsq c -> Pv_netlist.Elaborate.D_plain_lsq c.Lsq.depth
+  | Fast_lsq c -> Pv_netlist.Elaborate.D_fast_lsq c.Lsq.depth
   | Prevv c ->
       Pv_netlist.Elaborate.D_prevv (c.Backend.depth_q / Backend.depth_scale)
-  | Oracle _ -> Pv_netlist.Elaborate.D_oracle
-  | Serial _ -> Pv_netlist.Elaborate.D_serial
+  | Oracle -> Pv_netlist.Elaborate.D_oracle
+  | Serial -> Pv_netlist.Elaborate.D_serial
 
 (* ---- adapters ---- *)
 
@@ -131,13 +129,13 @@ let make_backend dis env =
             Metrics.add m "scheme.prevv.arbiter.gate_wait"
               a.Pv_prevv.Arbiter.gate_wait);
       }
-  | Oracle cfg ->
+  | Oracle ->
       (* walked now, before the run mutates [env.mem] *)
       let prescience =
         Prescience.walk env.kernel env.info env.schedule env.layout env.mem
       in
       let t, memif =
-        Oracle.create_full ~trace:env.trace cfg portmap env.mem ~prescience
+        Oracle.create_full ~trace:env.trace portmap env.mem ~prescience
       in
       {
         memif;
@@ -148,9 +146,9 @@ let make_backend dis env =
             Metrics.add m "scheme.oracle.forwards" (Oracle.forwards t);
             if Oracle.degraded t then Metrics.incr m "scheme.oracle.degraded");
       }
-  | Serial cfg ->
+  | Serial ->
       let t, memif =
-        Serial.create_full ~trace:env.trace cfg portmap
+        Serial.create_full ~trace:env.trace portmap
           ~n_seq:(Pv_frontend.Trace.length env.schedule)
           env.mem
       in

@@ -13,8 +13,8 @@ type disambiguation =
   | Plain_lsq of Pv_lsq.Lsq.config  (** Dynamatic baseline [15] *)
   | Fast_lsq of Pv_lsq.Lsq.config  (** fast LSQ allocation [8] *)
   | Prevv of Pv_prevv.Backend.config  (** this paper *)
-  | Oracle of Pv_bounds.Oracle.config  (** prescient lower bound *)
-  | Serial of Pv_bounds.Serial.config  (** serializing upper bound *)
+  | Oracle  (** prescient lower bound *)
+  | Serial  (** serializing upper bound *)
 
 (** {1 Canonical configurations} *)
 
@@ -23,7 +23,7 @@ val fast_lsq : disambiguation
 
 (** PreVV at a paper-named depth ([prevv 16] = "PreVV16"); the simulated
     queue holds {!Pv_prevv.Backend.depth_scale} entries per named unit. *)
-val prevv : ?fake_tokens:bool -> int -> disambiguation
+val prevv : int -> disambiguation
 
 val oracle : disambiguation
 val serial : disambiguation

@@ -94,6 +94,11 @@ type t = {
       (** human-readable snapshot of internal state for post-mortems *)
 }
 
+(* Cycles from an accepted memory access to its response, the same for
+   every scheme: the schemes compare disambiguation over one memory
+   fabric. *)
+let mem_latency = 2
+
 (** Allocating convenience over the slot-filling [load_poll], for tests
     and debug probes that want an option-returning shape. *)
 let poll (t : t) ~port : (Types.Token.t * int) option =

@@ -79,6 +79,12 @@ type t = {
       (** human-readable snapshot of internal state for post-mortems *)
 }
 
+(** Cycles from an accepted memory access to its response (2), the same
+    for every scheme: the LSQ baselines, PreVV and the oracle/serial
+    bounds all compare disambiguation over this one memory fabric, and
+    the frontend's slack balancing sizes load paths to it. *)
+val mem_latency : int
+
 (** Allocating convenience over the slot-filling [load_poll], for tests
     and debug probes that want an option-returning shape. *)
 val poll : t -> port:int -> (Types.Token.t * int) option

@@ -3,12 +3,12 @@
 
     Timing model: every channel behaves as a one-deep elastic register (the
     canonical latency-insensitive wire), so every component contributes one
-    pipeline stage; functional units may add [op_latency] further internal
-    stages (fully pipelined, initiation interval 1).  Nodes are evaluated
-    once per cycle in consumers-before-producers order, so a register chain
-    sustains one token per cycle — exactly the throughput behaviour of the
-    circuits the paper measures, with stalls arising only from structural
-    hazards and memory backpressure.
+    pipeline stage; functional units may add [default_latency] further
+    internal stages (fully pipelined, initiation interval 1).  Nodes are
+    evaluated once per cycle in consumers-before-producers order, so a
+    register chain sustains one token per cycle — exactly the throughput
+    behaviour of the circuits the paper measures, with stalls arising only
+    from structural hazards and memory backpressure.
 
     Channel registers are written in place.  Because a channel's consumer
     always runs before its producer within a cycle, a token put this cycle
@@ -57,9 +57,6 @@ let engine_of_string = function
   | _ -> None
 
 type config = {
-  op_latency : binop -> int;
-      (** extra internal stages of a functional unit beyond its channel
-          register; 0 = purely combinational unit *)
   max_cycles : int;
   stall_limit : int;
       (** cycles without any token movement before declaring deadlock *)
@@ -89,7 +86,6 @@ let default_latency = function
 
 let default_config =
   {
-    op_latency = default_latency;
     max_cycles = 2_000_000;
     stall_limit = 4096;
     faults = [];
@@ -194,7 +190,7 @@ type fault_state = {
 
 (* One dispatch code per dynamic behaviour; [p1]/[p2] carry the static
    per-node parameters (constant, operator code, arity, port, capacity).
-   A pipelined Binop (op_latency > 0) gets its own opcode so the hot match
+   A pipelined Binop (default_latency > 0) gets its own opcode so the hot match
    never re-asks the latency question. *)
 let op_gen = 0
 let op_const = 1
@@ -452,7 +448,7 @@ let create ?(cfg = default_config) ?(trace = Pv_obs.Trace.null)
         op.(slot) <- op_unop;
         p1.(slot) <- unop_code u
     | Binop b ->
-        let lat = cfg.op_latency b in
+        let lat = default_latency b in
         if lat > 0 then begin
           (* an entry occupies the pipe for latency+1 cycles (entering at
              the eval of its acceptance, draining the eval its ready cycle

@@ -3,11 +3,11 @@
 
     Timing model: every channel behaves as a one-deep elastic register (the
     canonical latency-insensitive wire), so every component contributes one
-    pipeline stage; functional units may add [op_latency] further internal
-    stages (fully pipelined, initiation interval 1).  Nodes are evaluated
-    once per cycle in consumers-before-producers order, so a full register
-    chain streams one token per cycle; stalls arise only from structural
-    hazards and memory backpressure.  That order is also what lets channel
+    pipeline stage; functional units may add [default_latency] further
+    internal stages (fully pipelined, initiation interval 1).  Nodes are
+    evaluated once per cycle in consumers-before-producers order, so a
+    full register chain streams one token per cycle; stalls arise only
+    from structural hazards and memory backpressure.  That order is also what lets channel
     registers be written in place: a token put this cycle reaches its
     consumer, which already ran, only next cycle.  It exists only for an
     acyclic graph, so the simulator accepts acyclic graphs only.
@@ -44,9 +44,6 @@ val string_of_engine : engine -> string
 val engine_of_string : string -> engine option
 
 type config = {
-  op_latency : Types.binop -> int;
-      (** extra internal stages of a functional unit beyond its channel
-          register; 0 = purely combinational unit *)
   max_cycles : int;
   stall_limit : int;
       (** cycles without any token movement before declaring deadlock *)
@@ -73,9 +70,11 @@ exception Cancelled of { at_cycle : int }
     registers need. *)
 exception Cyclic_graph
 
-(** mul 2, div/rem 3, constant-multiply 0, everything else combinational —
-    the few-fat-stage pipelining implied by the paper's 7–9 ns clock
-    periods. *)
+(** Extra internal stages of a functional unit beyond its channel
+    register (0 = purely combinational): mul 2, div/rem 3,
+    constant-multiply 0, everything else 0 — the few-fat-stage pipelining
+    implied by the paper's 7–9 ns clock periods.  The one latency model of
+    every simulation and of the frontend's slack balancing. *)
 val default_latency : Types.binop -> int
 
 (** Event engine, no faults, 2M-cycle budget. *)

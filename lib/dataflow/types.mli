@@ -52,8 +52,7 @@ val eval_unop : unop -> int -> int
 val binop_code : binop -> int
 
 (** Every binop, indexed by its code: [binop_code binops.(i) = i].  The
-    area model's component table and the result cache's latency
-    fingerprint both enumerate the units in this order. *)
+    area model's component table enumerates the units in this order. *)
 val binops : binop array
 
 val eval_binop_code : int -> int -> int -> int

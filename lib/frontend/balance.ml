@@ -12,17 +12,17 @@ open Pv_dataflow
 
 (* Nominal per-node latency for depth computation: one cycle for the channel
    register plus internal pipeline stages. *)
-let latency_of ?(op_latency = Sim.default_latency) (n : Graph.node) =
+let latency_of (n : Graph.node) =
   match n.Graph.kind with
-  | Types.Binop op -> 1 + op_latency op
-  | Types.Load _ -> 1 + 2
+  | Types.Binop op -> 1 + Sim.default_latency op
+  | Types.Load _ -> 1 + Memif.mem_latency
   | Types.Buffer _ -> 1
   | _ -> 1
 
 (** Buffer sizes per channel needed for II=1: [slots.(cid) = 0] means no
     buffer.  Builds produce DAGs (the generator is the only source and
     there are no back edges), so depths follow one topological walk. *)
-let plan ?op_latency (g : Graph.t) : int array =
+let plan (g : Graph.t) : int array =
   let order =
     match Graph.topo_order g with
     | Some order -> order
@@ -41,7 +41,7 @@ let plan ?op_latency (g : Graph.t) : int array =
   in
   for i = 0 to Array.length order - 1 do
     let node = Graph.node g order.(i) in
-    depth.(node.Graph.nid) <- arrival node + latency_of ?op_latency node
+    depth.(node.Graph.nid) <- arrival node + latency_of node
   done;
   let slots = Array.make (Graph.n_chans g) 0 in
   for nid = 0 to Graph.n_nodes g - 1 do
@@ -65,6 +65,6 @@ let plan ?op_latency (g : Graph.t) : int array =
     preserved). *)
 let insert_buffers = Graph.splice_buffers
 
-let apply ?op_latency (g : Graph.t) : Graph.t =
-  let slots = plan ?op_latency g in
+let apply (g : Graph.t) : Graph.t =
+  let slots = plan g in
   if Array.for_all (fun s -> s = 0) slots then g else insert_buffers g slots

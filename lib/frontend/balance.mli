@@ -9,10 +9,10 @@
     sized to the skew. *)
 
 (** Buffer sizes per channel needed for II = 1; [0] = no buffer.  The
-    latency model matches {!Pv_dataflow.Sim}'s unless [op_latency]
-    overrides it. *)
-val plan :
-  ?op_latency:(Pv_dataflow.Types.binop -> int) -> Pv_dataflow.Graph.t -> int array
+    latency model is the simulator's: {!Pv_dataflow.Sim.default_latency}
+    for a functional unit and {!Pv_dataflow.Memif.mem_latency} for a
+    load. *)
+val plan : Pv_dataflow.Graph.t -> int array
 
 (** The graph with a slack FIFO spliced into every channel the plan sizes
     above zero, in one pass ({!Pv_dataflow.Graph.splice_buffers}).  Ids:
@@ -24,7 +24,4 @@ val insert_buffers : Pv_dataflow.Graph.t -> int array -> Pv_dataflow.Graph.t
 
 (** [plan] + [insert_buffers]; returns the graph unchanged when no slack is
     needed. *)
-val apply :
-  ?op_latency:(Pv_dataflow.Types.binop -> int) ->
-  Pv_dataflow.Graph.t ->
-  Pv_dataflow.Graph.t
+val apply : Pv_dataflow.Graph.t -> Pv_dataflow.Graph.t

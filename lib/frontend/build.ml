@@ -20,7 +20,6 @@ open Pv_kernels
 open Pv_dataflow
 
 type options = {
-  fifo_slots : int;  (** FIFO depth in front of ambiguous memory ports *)
   fake_tokens : bool;  (** wire Skip nodes for conditional pair members *)
   balance : bool;  (** slack-buffer insertion for II=1 (see {!Balance}) *)
   cse : bool;
@@ -28,8 +27,7 @@ type options = {
           whose lowered leaves this builder follows *)
 }
 
-let default_options =
-  { fifo_slots = 4; fake_tokens = true; balance = true; cse = false }
+let default_options = { fake_tokens = true; balance = true; cse = false }
 
 (* --- token supplies ------------------------------------------------------ *)
 
@@ -177,11 +175,13 @@ let const_node ctx n =
   Graph.connect ctx.b ep (c, 0);
   (c, 0)
 
-(* FIFO in front of an ambiguous port (Fig. 3). *)
+(* Depth of the FIFO in front of an ambiguous port (Fig. 3). *)
+let fifo_slots = 4
+
 let fifo ctx src =
   let buf =
     Graph.add ~label:"fifo" ctx.b
-      (Types.Buffer { transparent = true; slots = ctx.opts.fifo_slots })
+      (Types.Buffer { transparent = true; slots = fifo_slots })
   in
   Graph.connect ctx.b src (buf, 0);
   (buf, 0)

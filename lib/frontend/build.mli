@@ -3,7 +3,7 @@
     The circuit follows the Dynamatic construction adapted to PreVV-style
     replay: a rewindable loop-nest generator dispatches body-instance
     tokens to one gated datapath per leaf statement; each datapath is a
-    DAG of functional units, forks and memory ports, with a small FIFO in
+    DAG of functional units, forks and memory ports, with a 4-slot FIFO in
     front of every ambiguous port (the decoupling FIFO of Fig. 3).
     Conditional leaves route their tokens through branches and notify the
     backend of untaken paths through {!Pv_dataflow.Types.Skip} nodes — the
@@ -11,7 +11,6 @@
     are strength-reduced to {!Pv_dataflow.Types.Mulc}. *)
 
 type options = {
-  fifo_slots : int;  (** FIFO depth in front of ambiguous memory ports *)
   fake_tokens : bool;
       (** wire Skip nodes for conditional pair members; [false] reproduces
           the Fig. 6 deadlock *)

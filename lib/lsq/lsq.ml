@@ -28,15 +28,9 @@ module Token = Pv_dataflow.Types.Token
 module Ring = Pv_dataflow.Ring
 
 type config = {
-  lq_depth : int;
-  sq_depth : int;
+  depth : int;  (** entries in each of the load and the store queue *)
   alloc_delay : int;  (** cycles before allocated entries become usable *)
   alloc_per_cycle : int;
-  mem_latency : int;
-  issues_per_cycle : int;
-      (** global load-issue cap; per-array BRAM read ports are the physical
-          limit, so this is normally generous and exists for ablations *)
-  commits_per_cycle : int;  (** store commits per cycle (global cap) *)
   forwarding : bool;
       (** store-to-load forwarding on/off (ablation: off = a load waits for
           the matching older store to commit) *)
@@ -49,18 +43,14 @@ type config = {
    control-network trip of the group token before entries become usable —
    long for classic Dynamatic, zero for fast token delivery. *)
 let plain =
-  {
-    lq_depth = 32;
-    sq_depth = 32;
-    alloc_delay = 26;
-    alloc_per_cycle = 1;
-    mem_latency = 2;
-    issues_per_cycle = 8;
-    commits_per_cycle = 4;
-    forwarding = true;
-  }
+  { depth = 32; alloc_delay = 26; alloc_per_cycle = 1; forwarding = true }
 
 let fast = { plain with alloc_delay = 0; alloc_per_cycle = 2 }
+
+(* Global per-cycle caps.  Per-array BRAM ports are the physical limit on
+   loads, so the issue cap is generous; stores commit in program order. *)
+let issues_per_cycle = 8
+let commits_per_cycle = 4
 
 (* packed program-order key, the same (seq lsl 6) lor pos layout as the
    premature queue's: Eq.-style strictly-older tests are one compare *)
@@ -242,7 +232,8 @@ let try_issue_load t i : bool =
       end
       else if take t.reads t.port_aid.(lq.l_port.(i)) then begin
         fill_slot t ~port:lq.l_port.(i) ~tok:lq.l_tok.(i)
-          ~ready_at:(t.now + t.cfg.mem_latency) ~value:t.mem.(addr);
+          ~ready_at:(t.now + Pv_dataflow.Memif.mem_latency)
+          ~value:t.mem.(addr);
         true
       end
       else begin
@@ -284,7 +275,7 @@ let clock t =
   let issued = ref 0 in
   let i = ref 0 in
   while !i < t.lq.ln do
-    if !issued < t.cfg.issues_per_cycle && try_issue_load t !i then begin
+    if !issued < issues_per_cycle && try_issue_load t !i then begin
       incr issued;
       lq_remove t.lq !i
     end
@@ -298,7 +289,7 @@ let clock t =
     if sq.sn = 0 then continue := false
     else if sq.s_flags.(0) land 2 = 2 then sq_remove_head sq
     else if
-      !committed < t.cfg.commits_per_cycle
+      !committed < commits_per_cycle
       && can_commit t
       && take t.writes t.port_aid.(sq.s_port.(0))
     then begin
@@ -360,28 +351,28 @@ let create ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
       now = 0;
       lq =
         {
-          lk = Array.make cfg.lq_depth 0;
-          l_port = Array.make cfg.lq_depth 0;
-          l_usable = Array.make cfg.lq_depth 0;
-          l_addr = Array.make cfg.lq_depth (-1);
-          l_tok = Array.make cfg.lq_depth (-1);
+          lk = Array.make cfg.depth 0;
+          l_port = Array.make cfg.depth 0;
+          l_usable = Array.make cfg.depth 0;
+          l_addr = Array.make cfg.depth (-1);
+          l_tok = Array.make cfg.depth (-1);
           ln = 0;
         };
       sq =
         {
-          sk = Array.make cfg.sq_depth 0;
-          s_port = Array.make cfg.sq_depth 0;
-          s_usable = Array.make cfg.sq_depth 0;
-          s_addr = Array.make cfg.sq_depth (-1);
-          s_val = Array.make cfg.sq_depth 0;
-          s_flags = Array.make cfg.sq_depth 0;
+          sk = Array.make cfg.depth 0;
+          s_port = Array.make cfg.depth 0;
+          s_usable = Array.make cfg.depth 0;
+          s_addr = Array.make cfg.depth (-1);
+          s_val = Array.make cfg.depth 0;
+          s_flags = Array.make cfg.depth 0;
           sn = 0;
           min_unk = max_int;
         };
       allocs_this_cycle = 0;
       (* room for a full load queue's requests on every port up front, so
          the rings do not grow mid-run *)
-      resp = Array.init n_ports (fun _ -> Ring.create ~stride:3 cfg.lq_depth);
+      resp = Array.init n_ports (fun _ -> Ring.create ~stride:3 cfg.depth);
       port_aid;
       reads = Array.make n_arrays 2;
       writes = Array.make n_arrays 1;
@@ -416,8 +407,8 @@ let create ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
     ||
     if
       t.allocs_this_cycle >= cfg.alloc_per_cycle
-      || t.lq.ln + n_loads > cfg.lq_depth
-      || t.sq.sn + n_stores > cfg.sq_depth
+      || t.lq.ln + n_loads > cfg.depth
+      || t.sq.sn + n_stores > cfg.depth
     then begin
       t.stats.Pv_dataflow.Memif.stall_full <-
         t.stats.Pv_dataflow.Memif.stall_full + 1;
@@ -476,7 +467,9 @@ let create ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
     else if take t.reads port_aid.(port) then begin
       t.stats.Pv_dataflow.Memif.loads <- t.stats.Pv_dataflow.Memif.loads + 1;
       Pv_obs.Prof.add prof ~phase:Pv_obs.Prof.phase_mem_service 1;
-      Ring.push3 t.resp.(port) key (t.now + cfg.mem_latency) t.mem.(addr);
+      Ring.push3 t.resp.(port) key
+        (t.now + Pv_dataflow.Memif.mem_latency)
+        t.mem.(addr);
       true
     end
     else begin

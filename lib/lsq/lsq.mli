@@ -12,18 +12,15 @@
       the circuit's control network before entries become usable
       ([alloc_delay] cycles), one group allocation per cycle;
     - {!fast} ([8], fast token delivery): allocation is immediate and off
-      the critical path. *)
+      the critical path.
+
+    Both serve memory at {!Pv_dataflow.Memif.mem_latency}, issue at most 8
+    loads and commit at most 4 stores per cycle. *)
 
 type config = {
-  lq_depth : int;
-  sq_depth : int;
+  depth : int;  (** entries in each of the load and the store queue *)
   alloc_delay : int;  (** cycles before allocated entries become usable *)
   alloc_per_cycle : int;
-  mem_latency : int;
-  issues_per_cycle : int;
-      (** global load-issue cap; per-array BRAM read ports are the physical
-          limit, so this is normally generous and exists for ablations *)
-  commits_per_cycle : int;  (** store commits per cycle (global cap) *)
   forwarding : bool;
       (** store-to-load forwarding on/off (ablation: off = a load waits for
           the matching older store to commit) *)

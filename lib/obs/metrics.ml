@@ -60,11 +60,6 @@ let set_gauge_max t name v =
   if v > !r then r := v
 
 let fresh_hist bounds =
-  Array.iteri
-    (fun i b ->
-      if i > 0 && b <= bounds.(i - 1) then
-        invalid_arg "Metrics: histogram bounds must be strictly increasing")
-    bounds;
   {
     h_bounds = Array.copy bounds;
     h_buckets = Array.make (Array.length bounds + 1) 0;
@@ -85,13 +80,13 @@ let bucket_of bounds v =
   in
   go 0 n
 
-let observe t ?(bounds = default_bounds) name v =
+let observe t name v =
   let h =
     match Hashtbl.find_opt t name with
     | Some (Hist h) -> h
     | Some other -> wrong_kind name other "histogram"
     | None ->
-      let h = fresh_hist bounds in
+      let h = fresh_hist default_bounds in
       Hashtbl.add t name (Hist h);
       h
   in

@@ -30,13 +30,11 @@ val set_gauge : t -> string -> int -> unit
     (high-water-mark update). *)
 val set_gauge_max : t -> string -> int -> unit
 
-(** [observe t name ?bounds v] records [v] into histogram [name].
-    [bounds] are the inclusive upper bounds of the finite buckets; an
-    implicit overflow bucket catches everything above the last bound.
-    [bounds] is only consulted when the histogram is first created;
-    defaults to the power-of-4-ish
-    [|0;1;2;4;8;16;32;64;128;256;1024;4096;16384;65536|]. *)
-val observe : t -> ?bounds:int array -> string -> int -> unit
+(** [observe t name v] records [v] into histogram [name].  Every
+    histogram has the same power-of-4-ish finite buckets, with inclusive
+    upper bounds [|0;1;2;4;8;16;32;64;128;256;1024;4096;16384;65536|];
+    an implicit overflow bucket catches everything above the last. *)
+val observe : t -> string -> int -> unit
 
 (** {1 Reading} *)
 

@@ -8,17 +8,14 @@
     record against the queue (Eqs. 2–5); a violation squashes the pipeline
     from the erring iteration, and the circuit replays it — the simulator
     purges in-flight tokens and rewinds the loop generator.  Conditional
-    pair members send fake tokens (Sec. V-C); disabling them (config flag)
-    reproduces the deadlock of Fig. 6. *)
+    pair members send fake tokens (Sec. V-C); a circuit built without
+    them never calls [op_skip] and reproduces the deadlock of Fig. 6. *)
 
 open Pv_memory
 module Token = Pv_dataflow.Types.Token
 
 type config = {
   depth_q : int;  (** premature queue depth ([Depth_q] of Sec. IV-B) *)
-  mem_latency : int;
-  commits_per_cycle : int;  (** validated instances retired per cycle *)
-  fake_tokens : bool;  (** Sec. V-C deadlock elimination on/off *)
   value_validation : bool;
       (** Eq. 5 on/off (ablation: off = address-only disambiguation) *)
   collapse_queue : bool;
@@ -42,19 +39,13 @@ type config = {
 let depth_scale = 2
 
 let default ~depth_q =
-  {
-    depth_q;
-    mem_latency = 2;
-    commits_per_cycle = 1;
-    fake_tokens = true;
-    value_validation = true;
-    collapse_queue = true;
-    squash_budget = 8;
-  }
+  { depth_q; value_validation = true; collapse_queue = true; squash_budget = 8 }
 
 (** Configuration for a paper-named depth (PreVV16, PreVV64, ...). *)
-let named ~depth =
-  { (default ~depth_q:(depth_scale * depth)) with fake_tokens = true }
+let named ~depth = default ~depth_q:(depth_scale * depth)
+
+(* validated store-carrying instances retired per cycle *)
+let commits_per_cycle = 1
 
 type inst = {
   q : Premature_queue.t;
@@ -315,7 +306,7 @@ let complete t ~s ~g =
    without member ops anywhere are skipped for free; at most
    [commits_per_cycle] store-carrying instances retire per cycle. *)
 let advance_frontier t =
-  let budget = ref t.cfg.commits_per_cycle in
+  let budget = ref commits_per_cycle in
   let continue = ref true in
   while !continue do
     let s = t.frontier in
@@ -558,7 +549,7 @@ let create_full ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
       if take t.reads port_aid.(port) then begin
         t.stats.Pv_dataflow.Memif.loads <- t.stats.Pv_dataflow.Memif.loads + 1;
         Pv_obs.Prof.add prof ~phase:Pv_obs.Prof.phase_mem_service 1;
-        respond t ~port ~ready_at:(t.now + cfg.mem_latency) ~key
+        respond t ~port ~ready_at:(t.now + Pv_dataflow.Memif.mem_latency) ~key
           ~value:(read_mem t addr);
         true
       end
@@ -619,7 +610,7 @@ let create_full ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
                else
                  admit_load inst ~port ~key ~seq ~pos ~addr
                    ~value:(read_mem t addr)
-                   ~ready_at:(t.now + cfg.mem_latency)
+                   ~ready_at:(t.now + Pv_dataflow.Memif.mem_latency)
          end
   in
   let store_req ~port ~key ~addr ~value =
@@ -696,18 +687,14 @@ let create_full ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
     let inst = t.insts.(i) in
     pos_of t inst ~seq ~port >= 0
     && begin
-         if cfg.fake_tokens then begin
-           mark_arrival inst ~seq ~port;
-           t.stats.Pv_dataflow.Memif.fake_tokens <-
-             t.stats.Pv_dataflow.Memif.fake_tokens + 1;
-           if Pv_obs.Trace.enabled t.trace then
-             Pv_obs.Trace.instant t.trace ~tid:Pv_obs.Trace.tid_backend
-               ~ts:t.now
-               ~args:[ ("seq", seq); ("port", port) ]
-               "fake_token"
-         end;
-         (* without fake tokens the notification is silently dropped: the
-            arbiter starves, reproducing the deadlock of Fig. 6 *)
+         mark_arrival inst ~seq ~port;
+         t.stats.Pv_dataflow.Memif.fake_tokens <-
+           t.stats.Pv_dataflow.Memif.fake_tokens + 1;
+         if Pv_obs.Trace.enabled t.trace then
+           Pv_obs.Trace.instant t.trace ~tid:Pv_obs.Trace.tid_backend
+             ~ts:t.now
+             ~args:[ ("seq", seq); ("port", port) ]
+             "fake_token";
          true
        end
   in

@@ -8,8 +8,10 @@
     against the queue (Eqs. 2–5); a violation squashes the pipeline from
     the erring iteration and the circuit replays it — the simulator purges
     in-flight tokens and rewinds the loop generator.  Conditional pair
-    members send fake tokens (Sec. V-C); disabling them reproduces the
-    deadlock of Fig. 6.
+    members send fake tokens (Sec. V-C); a circuit built without them
+    never calls [op_skip] and reproduces the deadlock of Fig. 6.  Memory
+    answers at {!Pv_dataflow.Memif.mem_latency}, and one validated
+    store-carrying instance retires per cycle.
 
     Load records retire once the {e store-arrival frontier} passes their
     iteration (every store that could accuse them has arrived and been
@@ -21,9 +23,6 @@
 
 type config = {
   depth_q : int;  (** premature queue depth in simulated entries *)
-  mem_latency : int;
-  commits_per_cycle : int;  (** validated instances retired per cycle *)
-  fake_tokens : bool;  (** Sec. V-C deadlock elimination on/off *)
   value_validation : bool;
       (** Eq. 5 on/off (ablation: off = address-only disambiguation) *)
   collapse_queue : bool;

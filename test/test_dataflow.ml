@@ -499,8 +499,7 @@ let test_op_codes () =
   in
   Array.iteri
     (fun i op ->
-      (* Elaborate's component table and the cache's latency fingerprint
-         enumerate [binops] as the codes *)
+      (* Elaborate's component table enumerates [binops] as the codes *)
       Alcotest.(check int) (Printf.sprintf "binop_code binops.(%d)" i) i
         (Types.binop_code op);
       List.iter

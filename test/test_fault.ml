@@ -315,7 +315,7 @@ let test_livelock_guard () =
           action = Fault.Backend (Fault.B_squash { seq = 2 }) })
   in
   let dis =
-    Pipeline.Prevv
+    Scheme.Prevv
       { (Pv_prevv.Backend.named ~depth:16) with Pv_prevv.Backend.squash_budget = 4 }
   in
   let result = run_with_faults ~dis compiled faults in
@@ -409,7 +409,7 @@ let test_fragmentation_tax () =
   let base = Pv_prevv.Backend.named ~depth:16 in
   let cycles_at depth_q collapse_queue =
     let dis =
-      Pipeline.Prevv { base with Pv_prevv.Backend.depth_q; collapse_queue }
+      Scheme.Prevv { base with Pv_prevv.Backend.depth_q; collapse_queue }
     in
     let result = run_with_faults ~dis ~stall_limit:1024 compiled [] in
     (match result.Pipeline.outcome with

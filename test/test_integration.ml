@@ -58,7 +58,7 @@ let test_fake_token_removal_deadlocks () =
   let sim_cfg =
     { Pv_dataflow.Sim.default_config with Pv_dataflow.Sim.stall_limit = 256 }
   in
-  let r = Pipeline.simulate ~sim_cfg compiled (Pipeline.prevv ~fake_tokens:false 8) in
+  let r = Pipeline.simulate ~sim_cfg compiled (Pipeline.prevv 8) in
   match r.Pipeline.outcome with
   | Pv_dataflow.Sim.Deadlock _ -> ()
   | o ->

@@ -23,13 +23,9 @@ let portmap () =
 
 let quick_cfg =
   {
-    Pv_lsq.Lsq.lq_depth = 4;
-    sq_depth = 4;
+    Pv_lsq.Lsq.depth = 4;
     alloc_delay = 0;
     alloc_per_cycle = 2;
-    mem_latency = 1;
-    issues_per_cycle = 8;
-    commits_per_cycle = 4;
     forwarding = true;
   }
 
@@ -126,7 +122,7 @@ let test_commit_in_order () =
 let test_alloc_backpressure () =
   let cfg = { quick_cfg with Pv_lsq.Lsq.alloc_per_cycle = 8 } in
   let _, b = fresh ~cfg () in
-  (* lq_depth = 4: five allocations cannot all fit *)
+  (* depth = 4: five allocations cannot all fit *)
   let accepted = ref 0 in
   for s = 0 to 5 do
     if b.MI.begin_instance ~seq:s ~group:0 then incr accepted
@@ -194,6 +190,36 @@ let test_responses_in_port_order () =
   let s1, v1 = poll_until b ~port:0 in
   Alcotest.(check (pair int int)) "second is seq 1, forwarded" (1, 31) (s1, v1)
 
+(* [n] ambiguous ports of array "x" in one group, loads and stores
+   alternating *)
+let wide_portmap n =
+  {
+    Portmap.ports =
+      Array.init n (fun id ->
+          {
+            Portmap.id;
+            kind = (if id mod 2 = 0 then Portmap.OLoad else Portmap.OStore);
+            array = "x";
+            instance = Some 0;
+            conditional = false;
+          });
+    n_groups = 1;
+    n_instances = 1;
+    rom = [| [| Array.init n Fun.id |] |];
+  }
+
+(* order keys pack the ROM position into 6 bits: a 64-port group
+   (positions 0-63) allocates, a 65-port one is rejected at construction *)
+let test_rom_position_limit () =
+  let cfg = { quick_cfg with Pv_lsq.Lsq.depth = 64 } in
+  let b = Pv_lsq.Lsq.create cfg (wide_portmap 64) (Array.make 8 0) in
+  Alcotest.(check bool) "64-port group allocates" true
+    (b.MI.begin_instance ~seq:0 ~group:0);
+  Alcotest.check_raises "65-port group"
+    (Invalid_argument "Lsq: ROM position exceeds the 6-bit pack field")
+    (fun () ->
+      ignore (Pv_lsq.Lsq.create cfg (wide_portmap 65) (Array.make 8 0)))
+
 let () =
   Alcotest.run "pv_lsq"
     [
@@ -218,5 +244,7 @@ let () =
             test_direct_port_bandwidth;
           Alcotest.test_case "responses in port order" `Quick
             test_responses_in_port_order;
+          Alcotest.test_case "ROM position limit: 64 ports, not 65" `Quick
+            test_rom_position_limit;
         ] );
     ]

@@ -31,9 +31,6 @@ let portmap_cond () =
 let cfg depth =
   {
     Pv_prevv.Backend.depth_q = depth;
-    mem_latency = 1;
-    commits_per_cycle = 2;
-    fake_tokens = true;
     value_validation = true;
     collapse_queue = true;
     squash_budget = 8;
@@ -175,18 +172,14 @@ let test_fake_tokens () =
   ignore (poll_until b ~port:0);
   Alcotest.(check bool) "quiesced" true (b.MI.quiesced ())
 
-(* without fake tokens the frontier wedges *)
+(* without fake tokens the frontier wedges: a circuit built without them
+   never tells the backend that instance 0's store was skipped *)
 let test_no_fake_tokens_wedges () =
   let mem = Array.make 8 0 in
-  let b =
-    Pv_prevv.Backend.create
-      { (cfg 8) with Pv_prevv.Backend.fake_tokens = false }
-      (portmap_cond ()) ~n_seq:64 mem
-  in
+  let b = Pv_prevv.Backend.create (cfg 8) (portmap_cond ()) ~n_seq:64 mem in
   ignore (b.MI.begin_instance ~seq:0 ~group:0);
   ignore (b.MI.begin_instance ~seq:1 ~group:0);
   ignore (b.MI.load_req ~port:0 ~key:(tkey 0) ~addr:3);
-  ignore (b.MI.op_skip ~port:1 ~key:(tkey 0));
   ignore (b.MI.load_req ~port:0 ~key:(tkey 1) ~addr:3);
   ignore (b.MI.store_req ~port:1 ~key:(tkey 1) ~addr:3 ~value:9);
   for _ = 1 to 10 do step b done;
@@ -365,6 +358,38 @@ let test_min_depth_backpressure () =
     [ mem.(8); mem.(9); mem.(10); mem.(11) ];
   Alcotest.(check bool) "quiesced" true (b.MI.quiesced ())
 
+(* the arrival bitmasks hold one bit per port: 62 ports build, 63 are
+   rejected at construction *)
+let wide_portmap n =
+  {
+    Portmap.ports =
+      Array.init n (fun id ->
+          {
+            Portmap.id;
+            kind = (if id mod 2 = 0 then Portmap.OLoad else Portmap.OStore);
+            array = "x";
+            instance = Some 0;
+            conditional = false;
+          });
+    n_groups = 1;
+    n_instances = 1;
+    rom = [| [| Array.init n Fun.id |] |];
+  }
+
+let test_port_limit () =
+  let _, b =
+    Pv_prevv.Backend.create_full (cfg 64) (wide_portmap 62) ~n_seq:4
+      (Array.make 8 0)
+  in
+  Alcotest.(check bool) "62-port instance begins" true
+    (b.MI.begin_instance ~seq:0 ~group:0);
+  Alcotest.check_raises "63 ports"
+    (Invalid_argument "PreVV: 63 ports exceed the 62-port arrival-bitmask limit")
+    (fun () ->
+      ignore
+        (Pv_prevv.Backend.create_full (cfg 64) (wide_portmap 63) ~n_seq:4
+           (Array.make 8 0)))
+
 let () =
   Alcotest.run "pv_prevv_backend"
     [
@@ -385,6 +410,8 @@ let () =
             test_no_fake_tokens_wedges;
           Alcotest.test_case "port quota" `Quick test_port_quota;
           Alcotest.test_case "depth guard" `Quick test_depth_guard;
+          Alcotest.test_case "port limit: 62 ports, not 63" `Quick
+            test_port_limit;
           Alcotest.test_case "SAF retirement" `Quick test_saf_retirement;
         ] );
       ( "resilience",

@@ -219,6 +219,20 @@ let prop_matches_model =
         ops;
       seqs q = !model && PQ.occupancy q = List.length !model)
 
+(* the order key packs the ROM position into 6 bits: position 63 is
+   admitted and round-trips, 64 is rejected *)
+let test_rom_position_limit () =
+  let q = PQ.create 4 in
+  let record pos =
+    PQ.record q ~seq:1 ~pos ~port:0 ~kind:PM.OLoad ~index:0 ~value:0
+  in
+  Alcotest.(check bool) "position 63 admitted" true (record 63);
+  Alcotest.(check (list int)) "and kept" [ 63 ]
+    (List.map (fun e -> e.PQ.e_pos) (PQ.to_list q));
+  Alcotest.check_raises "position 64"
+    (Invalid_argument "Premature_queue: ROM position exceeds the 6-bit pack field")
+    (fun () -> ignore (record 64))
+
 let () =
   Alcotest.run "pv_prevv_queue"
     [
@@ -241,6 +255,8 @@ let () =
           Alcotest.test_case "push_opt backpressure" `Quick test_push_opt;
           Alcotest.test_case "fault hooks" `Quick test_fault_hooks;
           Alcotest.test_case "create guard" `Quick test_create_guard;
+          Alcotest.test_case "ROM position limit: 63, not 64" `Quick
+            test_rom_position_limit;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_matches_model ]);
     ]

@@ -302,9 +302,6 @@ let test_prof_records_scanned () =
   let cfg =
     {
       B.depth_q = 16;
-      mem_latency = 1;
-      commits_per_cycle = 2;
-      fake_tokens = true;
       value_validation = true;
       collapse_queue = true;
       squash_budget = 8;
@@ -438,7 +435,7 @@ let () =
         [
           Alcotest.test_case "event <= scan on every kernel x scheme" `Slow
             test_evals_bounded;
-          Alcotest.test_case "serial regime: <= 22 evaluations per cycle"
+          Alcotest.test_case "serial regime: <= 17 evaluations per cycle"
             `Quick test_serial_wake_precision;
         ] );
       ( "wheel",

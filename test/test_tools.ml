@@ -126,7 +126,7 @@ let test_value_validation_ablation () =
     let compiled = Pipeline.compile kernel in
     let r =
       Pipeline.simulate compiled
-        (Pipeline.Prevv
+        (Scheme.Prevv
            { (Pv_prevv.Backend.named ~depth:16) with
              Pv_prevv.Backend.value_validation })
     in
@@ -152,7 +152,7 @@ let test_collapse_ablation () =
       { Pv_dataflow.Sim.default_config with Pv_dataflow.Sim.stall_limit = 1024 }
     in
     (Pipeline.simulate ~sim_cfg compiled
-       (Pipeline.Prevv
+       (Scheme.Prevv
           { (Pv_prevv.Backend.named ~depth:16) with
             Pv_prevv.Backend.collapse_queue }))
       .Pipeline.outcome
@@ -171,7 +171,7 @@ let test_forwarding_ablation () =
   let run forwarding =
     match
       Pipeline.check kernel
-        (Pipeline.Fast_lsq { Pv_lsq.Lsq.fast with Pv_lsq.Lsq.forwarding })
+        (Scheme.Fast_lsq { Pv_lsq.Lsq.fast with Pv_lsq.Lsq.forwarding })
     with
     | Ok r -> r.Pipeline.cycles
     | Error e -> Alcotest.fail e
