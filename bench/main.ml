@@ -227,7 +227,7 @@ let deadlock () =
       let sim_cfg =
         { Pv_dataflow.Sim.default_config with Pv_dataflow.Sim.stall_limit = 512 }
       in
-      let r = Pipeline.simulate ~sim_cfg compiled (Pipeline.prevv 8) in
+      let r = Pipeline.simulate ~sim_cfg compiled (Scheme.prevv 8) in
       Printf.printf "  %-24s -> %s (fake tokens seen: %d)\n" what
         (Format.asprintf "%a" Pv_dataflow.Sim.pp_outcome r.Pipeline.outcome)
         r.Pipeline.mem_stats.Pv_dataflow.Memif.fake_tokens)
@@ -244,7 +244,7 @@ let depth_sweep ~jobs ~cache () =
   Printf.printf "%-8s %10s %10s %12s %10s\n" "depth" "cycles" "LUT" "stalls"
     "squashes";
   let depths = [ 4; 8; 16; 24; 32; 48; 64; 96; 128 ] in
-  let cells = List.map (fun d -> (kernel, Pipeline.prevv d)) depths in
+  let cells = List.map (fun d -> (kernel, Scheme.prevv d)) depths in
   let results = Experiment.sweep ?cache ~jobs cells in
   List.iter2
     (fun d result ->
@@ -396,7 +396,7 @@ let ablation ~jobs () =
             compiled.Pipeline.info.Pv_frontend.Depend.portmap
             (Pv_netlist.Elaborate.D_prevv 16)
         in
-        let r = Pipeline.simulate compiled (Pipeline.prevv 16) in
+        let r = Pipeline.simulate compiled (Scheme.prevv 16) in
         (what, ports, p.Pv_resource.Report.luts, r.Pipeline.cycles))
       [ ("without CSE", false); ("with CSE", true) ]
   in
@@ -415,7 +415,7 @@ let ablation ~jobs () =
             ~options:{ Pv_frontend.Build.default_options with Pv_frontend.Build.balance }
             (Pv_kernels.Defs.polyn_mult ())
         in
-        let r = Pipeline.simulate compiled (Pipeline.prevv 16) in
+        let r = Pipeline.simulate compiled (Scheme.prevv 16) in
         (what, r.Pipeline.cycles))
       [ ("with slack buffers", true); ("without", false) ]
   in

@@ -59,7 +59,7 @@ let backend_arg =
   in
   Arg.(
     value
-    & opt backend_conv (Pipeline.prevv 16)
+    & opt backend_conv (Scheme.prevv 16)
     & info [ "b"; "backend" ] ~docv:"BACKEND" ~doc)
 
 let cse_arg =
@@ -350,7 +350,7 @@ let run_cmd =
                    (Pipeline.post_mortem r))
         in
         if verdict = Ok () then begin
-          Format.fprintf summary "%s / %s: %a@." name (Pipeline.name_of dis)
+          Format.fprintf summary "%s / %s: %a@." name (Scheme.to_string dis)
             Pv_dataflow.Sim.pp_outcome r.Pipeline.outcome;
           Format.fprintf summary "memory system: %a@." Pv_dataflow.Memif.pp_stats
             r.Pipeline.mem_stats;
@@ -489,7 +489,7 @@ let sweep_cmd =
             | Ok p -> Experiment.point_to_json p
             | Error (e : Supervisor.task_error) ->
                 Printf.sprintf "{ \"kernel\": %S, \"config\": %S, \"error\": %S }"
-                  kernel.Pv_kernels.Ast.name (Pipeline.name_of dis) e.last_error
+                  kernel.Pv_kernels.Ast.name (Scheme.to_string dis) e.last_error
           in
           Printf.printf "  %s%s\n" body (if i = n - 1 then "" else ","))
         (List.combine cells results);
@@ -510,7 +510,7 @@ let sweep_cmd =
                 (if p.Experiment.verified then "" else "  NOT VERIFIED")
           | Error (e : Supervisor.task_error) ->
               Printf.printf "%-14s %-12s infeasible: %s\n"
-                kernel.Pv_kernels.Ast.name (Pipeline.name_of dis) e.last_error)
+                kernel.Pv_kernels.Ast.name (Scheme.to_string dis) e.last_error)
         cells results);
     (* stats go to stderr so --json output stays a clean document *)
     (match cache with
@@ -555,7 +555,7 @@ let emit_cmd =
         (Scheme.elaboration_of dis)
     in
     let entity =
-      Printf.sprintf "%s_%s" kernel.Pv_kernels.Ast.name (Pipeline.name_of dis)
+      Printf.sprintf "%s_%s" kernel.Pv_kernels.Ast.name (Scheme.to_string dis)
     in
     let path = match output with Some p -> p | None -> entity ^ ".vhd" in
     Pv_netlist.Emit.to_file path ~entity nl;

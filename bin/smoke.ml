@@ -13,7 +13,7 @@ let () =
           (match Pipeline.check k dis with
           | Ok r ->
               Printf.printf "%-12s %-10s OK  cycles=%6d  %s  (%.2fs)\n%!"
-                k.Pv_kernels.Ast.name (Pipeline.name_of dis) r.Pipeline.cycles
+                k.Pv_kernels.Ast.name (Scheme.to_string dis) r.Pipeline.cycles
                 (Format.asprintf "%a" Pv_dataflow.Memif.pp_stats r.Pipeline.mem_stats)
                 (Clock.elapsed_s t0)
           | Error e -> Printf.printf "FAIL %s (%.2fs)\n%!" e (Clock.elapsed_s t0)))

@@ -18,7 +18,7 @@ let run ~fake_tokens =
   let sim_cfg =
     { Pv_dataflow.Sim.default_config with Pv_dataflow.Sim.stall_limit = 512 }
   in
-  Pipeline.simulate ~sim_cfg compiled (Pipeline.prevv 8)
+  Pipeline.simulate ~sim_cfg compiled (Scheme.prevv 8)
 
 let () =
   let kernel = Pv_kernels.Defs.cond_update () in

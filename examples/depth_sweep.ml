@@ -15,7 +15,7 @@ let () =
   Format.printf "  %-8s %10s %10s %12s@." "depth" "cycles" "LUT" "full-stalls";
   let depths = [ 4; 8; 12; 16; 24; 32; 48; 64; 96 ] in
   let results =
-    Experiment.sweep (List.map (fun d -> (kernel, Pipeline.prevv d)) depths)
+    Experiment.sweep (List.map (fun d -> (kernel, Scheme.prevv d)) depths)
   in
   let points =
     List.filter_map

@@ -11,7 +11,7 @@ open Pv_core
 let () =
   let n = try int_of_string Sys.argv.(1) with _ -> 25 in
   let schemes =
-    [ Pipeline.plain_lsq; Pipeline.fast_lsq; Pipeline.prevv 16; Pipeline.prevv 64 ]
+    [ Scheme.plain_lsq; Scheme.fast_lsq; Scheme.prevv 16; Scheme.prevv 64 ]
   in
   Format.printf "Differential run over %d generated kernels x %d schemes:@.@."
     n (List.length schemes);
@@ -30,10 +30,10 @@ let () =
         | Ok r ->
             if r.Pipeline.mem_stats.Pv_dataflow.Memif.squashes > 0 then
               incr squashy;
-            Format.printf " %s=%d" (Pipeline.name_of dis) r.Pipeline.cycles
+            Format.printf " %s=%d" (Scheme.to_string dis) r.Pipeline.cycles
         | Error e ->
             incr failures;
-            Format.printf " %s=FAIL(%s)" (Pipeline.name_of dis) e)
+            Format.printf " %s=FAIL(%s)" (Scheme.to_string dis) e)
       schemes;
     Format.printf "@."
   done;

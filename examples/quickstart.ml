@@ -29,9 +29,9 @@ let () =
     (Pv_dataflow.Graph.n_chans compiled.Pipeline.graph);
 
   (* 2. Simulate under PreVV with a 16-deep premature queue. *)
-  let dis = Pipeline.prevv 16 in
+  let dis = Scheme.prevv 16 in
   let result = Pipeline.simulate compiled dis in
-  Format.printf "Simulation (%s): %a@." (Pipeline.name_of dis)
+  Format.printf "Simulation (%s): %a@." (Scheme.to_string dis)
     Pv_dataflow.Sim.pp_outcome result.Pipeline.outcome;
   Format.printf "Memory-system activity: %a@.@." Pv_dataflow.Memif.pp_stats
     result.Pipeline.mem_stats;

@@ -61,7 +61,7 @@ let () =
   List.iter
     (fun n ->
       let kernel = overlapped_kernel n in
-      let p = Experiment.run kernel (Pipeline.prevv 16) in
+      let p = Experiment.run kernel (Scheme.prevv 16) in
       let info = (Pipeline.compile kernel).Pipeline.info in
       Format.printf "  %-10d %12d %10d %10d %10d%s@." n
         (Pv_frontend.Depend.naive_pair_count info)

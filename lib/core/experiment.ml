@@ -38,7 +38,7 @@ let run ?sim_cfg ?init ?compiled (kernel : Pv_kernels.Ast.kernel)
   in
   {
     kernel = kernel.Pv_kernels.Ast.name;
-    config = Pipeline.name_of dis;
+    config = Scheme.to_string dis;
     cycles = result.Pipeline.cycles;
     report;
     exec_us =
@@ -69,7 +69,7 @@ let cache_key ?(sim_cfg = Pv_dataflow.Sim.default_config) ?init
   in
   (* the scheme's own fingerprint covers its full configuration; the name
      keys distinct families whose configs could collide byte-wise *)
-  let dis_repr = (Scheme.name_of dis, Scheme.fingerprint_of dis) in
+  let dis_repr = (Scheme.to_string dis, Scheme.fingerprint_of dis) in
   let sim_repr =
     ( Sim.string_of_engine sim_cfg.Sim.engine,
       sim_cfg.Sim.max_cycles,
@@ -93,7 +93,7 @@ let run_cached ?sim_cfg ?init ?compiled ~cache kernel dis :
 (* ------------------------------------------------------------------ *)
 
 let cell_label (kernel, dis) =
-  kernel.Pv_kernels.Ast.name ^ "/" ^ Pipeline.name_of dis
+  kernel.Pv_kernels.Ast.name ^ "/" ^ Scheme.to_string dis
 
 (** Fan a list of (kernel, scheme) cells across [jobs] worker domains
     (serially for [jobs <= 1]), in cell order.  Each cell runs under
@@ -172,7 +172,7 @@ let sweep ?(policy = Supervisor.default_policy) ?sim_cfg ?cache ?metrics
 
 (** The paper's four evaluated configurations, in table-column order. *)
 let paper_configs () =
-  [ Pipeline.plain_lsq; Pipeline.fast_lsq; Pipeline.prevv 16; Pipeline.prevv 64 ]
+  [ Scheme.plain_lsq; Scheme.fast_lsq; Scheme.prevv 16; Scheme.prevv 64 ]
 
 (* regroup a flat cell list into rows of [width] per kernel *)
 let regroup width points =

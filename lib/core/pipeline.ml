@@ -8,13 +8,6 @@
 
 type disambiguation = Scheme.disambiguation
 
-let plain_lsq = Scheme.plain_lsq
-let fast_lsq = Scheme.fast_lsq
-let prevv = Scheme.prevv
-let oracle = Scheme.oracle
-let serial = Scheme.serial
-let name_of = Scheme.name_of
-
 type compiled = {
   kernel : Pv_kernels.Ast.kernel;
   info : Pv_frontend.Depend.info;
@@ -168,11 +161,11 @@ let check ?sim_cfg ?init kernel dis : (result, string) Stdlib.result =
       | (a, ix, want, got) :: _ as l ->
           Error
             (Printf.sprintf "%s/%s: %d mismatches, first %s[%d]: want %d got %d"
-               kernel.Pv_kernels.Ast.name (name_of dis) (List.length l) a ix want
+               kernel.Pv_kernels.Ast.name (Scheme.to_string dis) (List.length l) a ix want
                got))
   | o ->
       Error
         (Format.asprintf "%s/%s: %a@\n%a" kernel.Pv_kernels.Ast.name
-           (name_of dis) Pv_dataflow.Sim.pp_outcome o
+           (Scheme.to_string dis) Pv_dataflow.Sim.pp_outcome o
            (Format.pp_print_option Pv_dataflow.Sim.pp_post_mortem)
            (post_mortem result))

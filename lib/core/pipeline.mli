@@ -7,25 +7,10 @@
     check (simulation vs the reference interpreter). *)
 
 (** The configuration of a registered scheme ({!Scheme.disambiguation});
-    its constructors, and all matching on them, live in {!Scheme}. *)
+    its constructors, its canonical values ({!Scheme.prevv} and the
+    others), its names ({!Scheme.to_string}) and all matching on them live
+    in {!Scheme}. *)
 type disambiguation = Scheme.disambiguation
-
-val plain_lsq : disambiguation
-val fast_lsq : disambiguation
-
-(** PreVV at a paper-named depth ([prevv 16] = "PreVV16"); the simulated
-    queue holds {!Pv_prevv.Backend.depth_scale} entries per named unit. *)
-val prevv : int -> disambiguation
-
-(** Perfect-disambiguation cycle lower bound (see {!Pv_bounds.Oracle}). *)
-val oracle : disambiguation
-
-(** Fully serializing cycle upper bound (see {!Pv_bounds.Serial}). *)
-val serial : disambiguation
-
-(** Display name: "dynamatic", "fast-lsq", "prevv<depth>", "oracle",
-    "serial" (= {!Scheme.to_string}). *)
-val name_of : disambiguation -> string
 
 (** A compiled kernel: analysis results and the elaborated circuit. *)
 type compiled = {

@@ -55,14 +55,12 @@ type t = (module S)
 
 (* ---- names, fingerprints, elaboration hints ---- *)
 
-let name_of = function
+let to_string = function
   | Plain_lsq _ -> "dynamatic"
   | Fast_lsq _ -> "fast-lsq"
   | Prevv c -> Printf.sprintf "prevv%d" (c.Backend.depth_q / Backend.depth_scale)
   | Oracle -> "oracle"
   | Serial -> "serial"
-
-let to_string = name_of
 
 let description_of = function
   | Plain_lsq _ -> "Dynamatic load-store queue baseline [15]"
@@ -161,7 +159,7 @@ let make_backend dis env =
 
 let of_disambiguation dis : t =
   (module struct
-    let name = name_of dis
+    let name = to_string dis
     let description = description_of dis
     let config = dis
     let fingerprint = fingerprint_of dis

@@ -122,8 +122,5 @@ val of_string : string -> (disambiguation, string) Stdlib.result
     [of_string (to_string d) = Ok d] for canonical configs. *)
 val to_string : disambiguation -> string
 
-(** [= to_string]; kept as the historical pipeline spelling. *)
-val name_of : disambiguation -> string
-
 val fingerprint_of : disambiguation -> string
 val elaboration_of : disambiguation -> Pv_netlist.Elaborate.disambiguation

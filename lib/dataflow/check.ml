@@ -1,7 +1,8 @@
 (** Structural validation of a finalized graph.
 
-    Two properties are enforced before simulation:
+    Three properties are enforced before simulation:
     - every declared input/output slot of every node is wired;
+    - every buffer has at least one slot;
     - every directed cycle of the graph passes through an opaque buffer
       (otherwise the combinational fixed-point of a cycle would not
       converge — the circuit would have a combinational loop). *)
@@ -10,12 +11,16 @@ open Types
 
 type error =
   | Unwired of { node : node_id; label : string; dir : string; slot : int }
+  | Empty_buffer of { node : node_id; label : string; slots : int }
   | Combinational_cycle of node_id list
 
 let pp_error ppf = function
   | Unwired { node; label; dir; slot } ->
       Format.fprintf ppf "node %d (%s): %s slot %d is unwired" node label dir
         slot
+  | Empty_buffer { node; label; slots } ->
+      Format.fprintf ppf "node %d (%s): buffer has %d slots, needs at least 1"
+        node label slots
   | Combinational_cycle path ->
       Format.fprintf ppf "combinational cycle through nodes %a"
         (Format.pp_print_list
@@ -42,7 +47,13 @@ let errors (g : Graph.t) : error list =
             errs :=
               Unwired { node = n.Graph.nid; label = n.Graph.label; dir = "output"; slot }
               :: !errs)
-        n.Graph.outputs)
+        n.Graph.outputs;
+      match n.Graph.kind with
+      | Buffer { slots; _ } when slots < 1 ->
+          errs :=
+            Empty_buffer { node = n.Graph.nid; label = n.Graph.label; slots }
+            :: !errs
+      | _ -> ())
     g;
   (* cycle detection over the graph with opaque buffers removed *)
   let n = Graph.n_nodes g in

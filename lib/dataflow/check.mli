@@ -1,7 +1,9 @@
 (** Structural validation of a finalized graph.
 
-    Two properties are enforced before simulation:
+    Three properties are enforced before simulation:
     - every declared input/output slot of every node is wired;
+    - every buffer has at least one slot (one with none never takes a
+      token, so the simulation would hang);
     - every directed cycle of the graph passes through an opaque buffer
       (otherwise the combinational handshake of a cycle would not
       converge — a combinational loop).
@@ -12,6 +14,8 @@
 
 type error =
   | Unwired of { node : Types.node_id; label : string; dir : string; slot : int }
+  | Empty_buffer of { node : Types.node_id; label : string; slots : int }
+      (** a buffer declared with [slots < 1] *)
   | Combinational_cycle of Types.node_id list
       (** one representative path around the offending cycle *)
 

@@ -7,13 +7,16 @@
     are addressed by live index: 0 is the oldest (head), [length t - 1]
     the newest.
 
-    The record is [private] so the simulator's per-cycle eval arms can
-    read the occupancy and the head record as plain field loads: under
-    the dev profile ocamlopt compiles with [-opaque], which turns every
-    call into this module into an out-of-line call.  Every write still
-    goes through the functions below. *)
+    The record is exposed so the simulator's per-cycle eval arms can read
+    the occupancy and the head record, append a record and drop the head
+    as plain loads and stores: under the dev profile ocamlopt compiles
+    with [-opaque], which turns every call into this module into an
+    out-of-line call.  Those arms ([Sim]'s [rpush3] and [rpop]) write
+    [head], [len] and the record fields inline with the index arithmetic
+    of {!push3} and {!pop}, and leave a full ring to {!push3}, so growth
+    stays here.  Everything else writes through the functions below. *)
 
-type t = private {
+type t = {
   stride : int;
   mutable buf : int array;  (** length = capacity * stride *)
   mutable mask : int;  (** capacity - 1; capacity is a power of two *)

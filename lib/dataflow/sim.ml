@@ -321,15 +321,33 @@ let[@inline] aset (a : int array) i v = Array.unsafe_set a i v
 let[@inline] agb (a : bool array) i = Array.unsafe_get a i
 let[@inline] asetb (a : bool array) i v = Array.unsafe_set a i v
 
-(* Ring reads on the eval path.  [Ring.t] is a private record, so these
-   compile to plain loads where [Ring.length]/[Ring.get] would stay
+(* Ring traffic on the eval path.  [Ring.t]'s fields are exposed, so these
+   compile to plain loads and stores where the [Ring] functions would stay
    out-of-line calls under the dev profile's [-opaque] (DESIGN.md §19).
-   [rhead r f] is field [f] of the oldest record; callers check
-   [rlen r > 0] first. *)
+   [rhead r f] is field [f] of the oldest record; [rpop] drops it.  Callers
+   of both check [rlen r > 0] first.  [rpush3] appends with [Ring.push3]'s
+   index arithmetic and leaves a full ring to [Ring.push3], which owns the
+   growth. *)
 let[@inline] rlen (r : Ring.t) = r.Ring.len
 
 let[@inline] rhead (r : Ring.t) f =
   Array.unsafe_get r.Ring.buf ((r.Ring.head * r.Ring.stride) + f)
+
+let[@inline] rpop (r : Ring.t) =
+  r.Ring.head <- (r.Ring.head + 1) land r.Ring.mask;
+  r.Ring.len <- r.Ring.len - 1
+
+let[@inline] rpush3 (r : Ring.t) a b c =
+  let len = r.Ring.len in
+  if len > r.Ring.mask then Ring.push3 r a b c
+  else begin
+    let o = ((r.Ring.head + len) land r.Ring.mask) * r.Ring.stride in
+    let buf = r.Ring.buf in
+    Array.unsafe_set buf o a;
+    Array.unsafe_set buf (o + 1) b;
+    Array.unsafe_set buf (o + 2) c;
+    r.Ring.len <- len + 1
+  end
 
 let[@inline] bs_set (bs : int array) i =
   let w = i lsr 5 in
@@ -643,18 +661,28 @@ let[@inline] fire t slot =
 
 (* --- node evaluation ---------------------------------------------------- *)
 
-(* Buffer emission: at most one per cycle; a transparent buffer may pass a
-   token accepted this very cycle (so it costs one stage like any other
-   node and only adds capacity), an opaque one holds it for a cycle (a
-   timing-breaking register). *)
+(* Buffer emission of the head record: at most one per cycle.  An opaque
+   buffer holds a record for a cycle (a timing-breaking register); a
+   transparent one emits whatever it holds. *)
 let[@inline] buf_try_emit t r co ~transparent =
   rlen r > 0
   && (transparent || rhead r 2 < t.cycle)
   && out_free t co
   && begin
        put t co ~key:(rhead r 0) ~value:(rhead r 1);
-       Ring.pop r;
+       rpop r;
        t.held <- t.held - 1;
+       true
+     end
+
+(* Buffer acceptance into the ring (record: key, value, arrival cycle). *)
+let[@inline] buf_try_accept t r ci slot =
+  in_ready t ci
+  && rlen r < ag t.p1 slot
+  && begin
+       rpush3 r (ag t.cur_key ci) (ag t.cur_val ci) t.cycle;
+       take t ci;
+       t.held <- t.held + 1;
        true
      end
 
@@ -762,7 +790,7 @@ let eval_slot t slot =
              let k = imax (ag t.cur_key ca) (ag t.cur_key cb) in
              take t ca;
              take t cb;
-             Ring.push3 r
+             rpush3 r
                (t.cycle + ag t.p2 slot)
                k
                (eval_binop_code (ag t.p1 slot) (ag t.cur_val ca)
@@ -778,7 +806,7 @@ let eval_slot t slot =
         && out_free t co
         && begin
              put t co ~key:(rhead r 1) ~value:(rhead r 2);
-             Ring.pop r;
+             rpop r;
              t.held <- t.held - 1;
              true
            end
@@ -858,26 +886,39 @@ let eval_slot t slot =
           fire t slot
         end
       end
-  | 10 | 11 (* Buffer (transparent | opaque) *) ->
-      let transparent = ag t.op slot = 10 in
+  | 10 (* Buffer, transparent *) ->
+      (* it costs one stage like any other node and only adds capacity: an
+         empty buffer passes a token on in the cycle it accepts it, register
+         to register, and queues it only behind a busy output.  A holding
+         buffer emits its head before it accepts, so the order is kept.  It
+         never stays awake: after its evaluation its output is full or its
+         ring is empty *)
+      let r = t.ring.(slot) in
+      let ci = ag t.ins (ag t.in_base slot) in
+      let co = ag t.outs (ag t.out_base slot) in
+      if rlen r = 0 then begin
+        if in_ready t ci then begin
+          let k = ag t.cur_key ci in
+          take t ci;
+          if out_free t co then put t co ~key:k ~value:(ag t.cur_val ci)
+          else begin
+            rpush3 r k (ag t.cur_val ci) t.cycle;
+            t.held <- t.held + 1
+          end;
+          fire t slot
+        end
+      end
+      else begin
+        let emitted = buf_try_emit t r co ~transparent:true in
+        if buf_try_accept t r ci slot || emitted then fire t slot
+      end
+  | 11 (* Buffer, opaque *) ->
       let r = t.ring.(slot) in
       let co = ag t.outs (ag t.out_base slot) in
-      let emitted = buf_try_emit t r co ~transparent in
+      let emitted = buf_try_emit t r co ~transparent:false in
       let ci = ag t.ins (ag t.in_base slot) in
-      let accepted =
-        in_ready t ci
-        && rlen r < ag t.p1 slot
-        && begin
-             Ring.push3 r (ag t.cur_key ci) (ag t.cur_val ci) t.cycle;
-             take t ci;
-             t.held <- t.held + 1;
-             if (not emitted) && transparent then
-               ignore (buf_try_emit t r co ~transparent : bool);
-             true
-           end
-      in
-      if emitted || accepted then fire t slot;
-      (* still awake only for an opaque head that arrived this cycle *)
+      if buf_try_accept t r ci slot || emitted then fire t slot;
+      (* still awake only for a head that arrived this cycle *)
       if t.bookkeep && rlen r > 0 && out_free t co then bs_set t.awake slot
   | 12 (* Sink *) ->
       let ci = ag t.ins (ag t.in_base slot) in
@@ -898,7 +939,7 @@ let eval_slot t slot =
         && rlen r > 0
         && t.mem.Memif.load_poll ~port:(ag t.p1 slot) t.lslot
         && begin
-             Ring.pop r;
+             rpop r;
              (* re-stamp the delivery epoch: the response carries the
                 request's key, but the token enters the circuit under the
                 CURRENT epoch, as the boxed representation did *)
@@ -956,7 +997,7 @@ let eval_slot t slot =
              t.mem.Memif.store_req ~port:(ag t.p1 slot) ~key ~addr
                ~value:(ag t.cur_val cd)
              && begin
-                  Ring.pop r;
+                  rpop r;
                   t.held <- t.held - 1;
                   take t cd;
                   true

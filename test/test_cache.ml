@@ -241,7 +241,7 @@ let test_metrics_export () =
    fault-plan sizing) is the point a fresh compile gives, cached or not. *)
 let test_precompiled_point () =
   let kernel = Pv_kernels.Defs.histogram ~n:32 () in
-  let dis = Pipeline.prevv 16 in
+  let dis = Scheme.prevv 16 in
   let json = Experiment.point_to_json in
   let fresh = json (Experiment.run kernel dis) in
   let compiled = Pipeline.compile kernel in

@@ -354,6 +354,96 @@ let test_merge () =
   ignore (cycles_of outcome);
   Alcotest.(check int) "merge fired n times" n stats.Sim.node_fires.(1)
 
+(* gen -> buffer -> sink, stepped by hand; returns the simulator and the
+   buffer's input and output channels.  A [stall] freezes the sink's input
+   from cycle 0 on. *)
+let buffered_chain ?(stall = 0) ~transparent ~slots n =
+  let b = Graph.create () in
+  let gen = Graph.add b (counter_gen n) in
+  let buf = Graph.add b (Types.Buffer { transparent; slots }) in
+  let sink = Graph.add b Types.Sink in
+  Graph.connect b (gen, 0) (buf, 0);
+  Graph.connect b (buf, 0) (sink, 0);
+  let g = Graph.finalize b in
+  let node = Graph.node g buf in
+  let cin = node.Graph.inputs.(0) and cout = node.Graph.outputs.(0) in
+  let faults =
+    if stall = 0 then []
+    else [ { Fault.at_cycle = 0; action = Fault.Stall { chan = cout; cycles = stall } } ]
+  in
+  let cfg = { Sim.default_config with Sim.faults } in
+  (Sim.create ~cfg g (Memif.direct ~latency:1 (mem4 ())), gen, sink, cin, cout)
+
+(* Slack-buffer timing.  A transparent buffer costs one stage like any other
+   node, passes a token on in the cycle it accepts it when empty, and holds
+   [slots] tokens behind a stalled consumer; an opaque one holds each token
+   for one cycle. *)
+let test_tbuf_timing () =
+  let occupied t c = Sim.chan_occupied t c in
+  (* one stage: the same stream takes exactly one cycle longer than gen ->
+     sink *)
+  let n = 12 in
+  let direct =
+    let b = Graph.create () in
+    let gen = Graph.add b (counter_gen n) in
+    let sink = Graph.add b Types.Sink in
+    Graph.connect b (gen, 0) (sink, 0);
+    let o, _, _ = run_graph (Graph.finalize b) in
+    cycles_of o
+  in
+  let t, _, _, _, _ = buffered_chain ~transparent:true ~slots:2 n in
+  let o, _ = Sim.drive t in
+  Alcotest.(check int) "one stage" (direct + 1) (cycles_of o);
+  (* pass-through: the token put at cycle 0 is accepted and put on at
+     cycle 1 *)
+  let t, _, _, cin, cout = buffered_chain ~transparent:true ~slots:2 n in
+  Sim.step t;
+  Alcotest.(check (pair bool bool)) "cycle 0: at the input" (true, false)
+    (occupied t cin, occupied t cout);
+  Sim.step t;
+  Alcotest.(check bool) "cycle 1: passed through" true (occupied t cout);
+  (* opaque: the same token reaches the output one cycle later *)
+  let t, _, _, _, cout = buffered_chain ~transparent:false ~slots:2 n in
+  Sim.step t;
+  Sim.step t;
+  Alcotest.(check bool) "opaque, cycle 1: held" false (occupied t cout);
+  Sim.step t;
+  Alcotest.(check bool) "opaque, cycle 2: emitted" true (occupied t cout);
+  (* capacity: behind a stalled sink, the buffer fills to [slots] and the
+     generator stops *)
+  List.iter
+    (fun slots ->
+      let t, gen, sink, cin, cout =
+        buffered_chain ~stall:50 ~transparent:true ~slots n
+      in
+      for _ = 1 to 20 do
+        Sim.step t
+      done;
+      let fires = Sim.fires t in
+      let in_regs = Bool.to_int (occupied t cin) + Bool.to_int (occupied t cout) in
+      Alcotest.(check int) "sink starved" 0 fires.(sink);
+      Alcotest.(check int)
+        (Printf.sprintf "%d slot(s) held" slots)
+        slots
+        (fires.(gen) - in_regs))
+    [ 1; 2; 3 ]
+
+(* a buffer that can hold nothing would never take a token *)
+let test_check_empty_buffer () =
+  let b = Graph.create () in
+  let gen = Graph.add b (counter_gen 4) in
+  let buf = Graph.add b (Types.Buffer { transparent = true; slots = 0 }) in
+  let sink = Graph.add b Types.Sink in
+  Graph.connect b (gen, 0) (buf, 0);
+  Graph.connect b (buf, 0) (sink, 0);
+  let g = Graph.finalize b in
+  let e = Check.Empty_buffer { node = buf; label = "tbuf"; slots = 0 } in
+  Alcotest.check_raises "0-slot buffer" (Check.Invalid e) (fun () ->
+      ignore (Sim.create g (Memif.direct ~latency:1 (mem4 ()))));
+  Alcotest.(check string) "message"
+    "node 1 (tbuf): buffer has 0 slots, needs at least 1"
+    (Format.asprintf "%a" Check.pp_error e)
+
 (* --- property tests ------------------------------------------------------- *)
 
 (* an opaque buffer of any size is a FIFO: outputs appear in push order *)
@@ -535,6 +625,7 @@ let () =
           Alcotest.test_case "connect errors" `Quick test_connect_errors;
           Alcotest.test_case "unwired detection" `Quick test_check_unwired;
           Alcotest.test_case "cycle detection" `Quick test_check_cycle;
+          Alcotest.test_case "empty buffer" `Quick test_check_empty_buffer;
           Alcotest.test_case "topological order" `Quick test_topo_order;
           Alcotest.test_case "simulator rejects a buffered loop" `Quick
             test_sim_rejects_cycle;
@@ -551,6 +642,7 @@ let () =
             test_load_stray_response;
           Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
           Alcotest.test_case "merge" `Quick test_merge;
+          Alcotest.test_case "slack buffer timing" `Quick test_tbuf_timing;
         ] );
       ( "token",
         [

@@ -22,7 +22,7 @@ let kernels =
 
 let compile name = Pipeline.compile (Pv_kernels.Defs.by_name name)
 
-let run_with_faults ?(dis = Pipeline.prevv 16) ?(stall_limit = 4096)
+let run_with_faults ?(dis = Scheme.prevv 16) ?(stall_limit = 4096)
     ?(max_cycles = 200_000) compiled faults =
   let sim_cfg =
     { Sim.default_config with Sim.faults; stall_limit; max_cycles }
@@ -40,7 +40,7 @@ let outcome_str result =
    identical to the reference interpreter, on every kernel. *)
 let test_recoverable name () =
   let compiled = compile name in
-  let fault_free = Pipeline.simulate compiled (Pipeline.prevv 16) in
+  let fault_free = Pipeline.simulate compiled (Scheme.prevv 16) in
   let horizon = max 20 (fault_free.Pipeline.cycles / 2) in
   let fired = ref 0 in
   for seed = 1 to 6 do
@@ -172,7 +172,7 @@ let test_mispaired_drop () =
     && contains pm.Sim.pm_backend "group");
   ignore
     (diagnosed "mis-paired drop under fast-lsq"
-       (run_with_faults ~dis:Pipeline.fast_lsq ~stall_limit:512 compiled faults))
+       (run_with_faults ~dis:Scheme.fast_lsq ~stall_limit:512 compiled faults))
 
 (* a silent drop or flip upstream of a store port can hand it data of a
    later instance than its pending address: the port refuses the data,

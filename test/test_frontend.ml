@@ -473,7 +473,7 @@ let test_balance_plan_covers_deficits () =
 let test_balance_improves_throughput () =
   let cycles options =
     let compiled = Pv_core.Pipeline.compile ~options (Defs.polyn_mult ~n:8 ()) in
-    let r = Pv_core.Pipeline.simulate compiled (Pv_core.Pipeline.prevv 16) in
+    let r = Pv_core.Pipeline.simulate compiled (Pv_core.Scheme.prevv 16) in
     r.Pv_core.Pipeline.cycles
   in
   let balanced = cycles Build.default_options in

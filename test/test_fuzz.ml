@@ -18,7 +18,7 @@ let iters base =
           Printf.eprintf "FUZZ_ITERS=%S ignored (want a positive integer)\n" s;
           base)
 
-let schemes = [ Pipeline.plain_lsq; Pipeline.fast_lsq; Pipeline.prevv 16; Pipeline.prevv 64 ]
+let schemes = [ Scheme.plain_lsq; Scheme.fast_lsq; Scheme.prevv 16; Scheme.prevv 64 ]
 
 let check_seed ?(options = Pv_frontend.Build.default_options) seed dis =
   let kernel = Pv_kernels.Generate.kernel seed in
@@ -31,9 +31,9 @@ let check_seed ?(options = Pv_frontend.Build.default_options) seed dis =
       | [] -> true
       | l ->
           QCheck.Test.fail_reportf "seed %d / %s: %d mismatches" seed
-            (Pipeline.name_of dis) (List.length l))
+            (Scheme.to_string dis) (List.length l))
   | o ->
-      QCheck.Test.fail_reportf "seed %d / %s: %a" seed (Pipeline.name_of dis)
+      QCheck.Test.fail_reportf "seed %d / %s: %a" seed (Scheme.to_string dis)
         Pv_dataflow.Sim.pp_outcome o
 
 let prop_fuzz_all_backends =
@@ -47,7 +47,7 @@ let prop_fuzz_with_cse =
     (fun seed ->
       check_seed
         ~options:{ Pv_frontend.Build.default_options with Pv_frontend.Build.cse = true }
-        seed (Pipeline.prevv 16))
+        seed (Scheme.prevv 16))
 
 let prop_fuzz_folded =
   QCheck.Test.make ~count:(iters 25) ~name:"random kernels verify after folding"
@@ -57,7 +57,7 @@ let prop_fuzz_folded =
         Pv_frontend.Optimize.constant_fold (Pv_kernels.Generate.kernel seed)
       in
       let init = Pv_kernels.Generate.init_for kernel seed in
-      match Pipeline.check ~init kernel (Pipeline.prevv 64) with
+      match Pipeline.check ~init kernel (Scheme.prevv 64) with
       | Ok _ -> true
       | Error e -> QCheck.Test.fail_report e)
 
@@ -77,7 +77,7 @@ let prop_backends_agree =
       let init = Pv_kernels.Generate.init_for kernel seed in
       let compiled = Pipeline.compile kernel in
       let run dis = (Pipeline.simulate ~init compiled dis).Pipeline.mem in
-      run Pipeline.fast_lsq = run (Pipeline.prevv 16))
+      run Scheme.fast_lsq = run (Scheme.prevv 16))
 
 (* the event-driven engine is cycle-equivalent to the exhaustive scan on
    arbitrary generated kernels, under every backend, and never does more
@@ -115,7 +115,7 @@ let prop_engines_agree =
       else
         QCheck.Test.fail_reportf
           "seed %d / %s: engines diverge (scan %s@%d, event %s@%d)" seed
-          (Pipeline.name_of dis)
+          (Scheme.to_string dis)
           (fst (sig_of scan))
           scan.Pipeline.cycles
           (fst (sig_of event))
@@ -132,7 +132,7 @@ let prop_fuzz_recoverable_faults =
       let kernel = Pv_kernels.Generate.kernel seed in
       let init = Pv_kernels.Generate.init_for kernel seed in
       let compiled = Pipeline.compile kernel in
-      let fault_free = Pipeline.simulate ~init compiled (Pipeline.prevv 16) in
+      let fault_free = Pipeline.simulate ~init compiled (Scheme.prevv 16) in
       match fault_free.Pipeline.outcome with
       | Pv_dataflow.Sim.Finished { cycles } -> (
           let faults =
@@ -142,7 +142,7 @@ let prop_fuzz_recoverable_faults =
           in
           let sim_cfg = { Pv_dataflow.Sim.default_config with faults } in
           let result =
-            Pipeline.simulate ~sim_cfg ~init compiled (Pipeline.prevv 16)
+            Pipeline.simulate ~sim_cfg ~init compiled (Scheme.prevv 16)
           in
           match result.Pipeline.outcome with
           | Pv_dataflow.Sim.Finished _ -> (

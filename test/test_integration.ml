@@ -6,7 +6,7 @@
 open Pv_core
 
 let configs () =
-  [ Pipeline.plain_lsq; Pipeline.fast_lsq; Pipeline.prevv 16; Pipeline.prevv 64 ]
+  [ Scheme.plain_lsq; Scheme.fast_lsq; Scheme.prevv 16; Scheme.prevv 64 ]
 
 let check_ok kernel dis () =
   match Pipeline.check kernel dis with
@@ -20,7 +20,7 @@ let grid_cases =
         (fun dis ->
           Alcotest.test_case
             (Printf.sprintf "%s / %s" kernel.Pv_kernels.Ast.name
-               (Pipeline.name_of dis))
+               (Scheme.to_string dis))
             `Quick
             (check_ok kernel dis))
         (configs ()))
@@ -28,7 +28,7 @@ let grid_cases =
 
 (* squash/replay really happens and still converges to the right answer *)
 let test_squashes_yet_correct () =
-  match Pipeline.check (Pv_kernels.Defs.triangular_tight ()) (Pipeline.prevv 16) with
+  match Pipeline.check (Pv_kernels.Defs.triangular_tight ()) (Scheme.prevv 16) with
   | Ok r ->
       Alcotest.(check bool) "squashes occurred" true
         (r.Pipeline.mem_stats.Pv_dataflow.Memif.squashes > 0);
@@ -39,7 +39,7 @@ let test_squashes_yet_correct () =
 (* depth-16 pressure: gaussian stalls at the shallow queue, recovers at 64 *)
 let test_depth_pressure () =
   let cycles d =
-    match Pipeline.check (Pv_kernels.Defs.gaussian ()) (Pipeline.prevv d) with
+    match Pipeline.check (Pv_kernels.Defs.gaussian ()) (Scheme.prevv d) with
     | Ok r -> r.Pipeline.cycles
     | Error e -> Alcotest.fail e
   in
@@ -58,7 +58,7 @@ let test_fake_token_removal_deadlocks () =
   let sim_cfg =
     { Pv_dataflow.Sim.default_config with Pv_dataflow.Sim.stall_limit = 256 }
   in
-  let r = Pipeline.simulate ~sim_cfg compiled (Pipeline.prevv 8) in
+  let r = Pipeline.simulate ~sim_cfg compiled (Scheme.prevv 8) in
   match r.Pipeline.outcome with
   | Pv_dataflow.Sim.Deadlock _ -> ()
   | o ->
@@ -68,7 +68,7 @@ let test_fake_token_removal_deadlocks () =
 let test_infeasible_depth_rejected () =
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Pipeline.check (Pv_kernels.Defs.gaussian ()) (Pipeline.prevv 2));
+       ignore (Pipeline.check (Pv_kernels.Defs.gaussian ()) (Scheme.prevv 2));
        false
      with Invalid_argument _ -> true)
 
@@ -76,7 +76,7 @@ let test_infeasible_depth_rejected () =
 let test_lsq_never_squashes () =
   List.iter
     (fun kernel ->
-      match Pipeline.check kernel Pipeline.fast_lsq with
+      match Pipeline.check kernel Scheme.fast_lsq with
       | Ok r ->
           Alcotest.(check int)
             (kernel.Pv_kernels.Ast.name ^ " squashes")
@@ -91,7 +91,7 @@ let test_fake_tokens_flow () =
       match Pipeline.check (Pv_kernels.Defs.cond_update ()) dis with
       | Ok r ->
           Alcotest.(check bool)
-            (Pipeline.name_of dis ^ " fake tokens seen")
+            (Scheme.to_string dis ^ " fake tokens seen")
             true
             (r.Pipeline.mem_stats.Pv_dataflow.Memif.fake_tokens > 0)
       | Error e -> Alcotest.fail e)
@@ -128,10 +128,10 @@ let prop_random_scatter_equivalence =
       in
       let dis =
         match which with
-        | 0 -> Pipeline.plain_lsq
-        | 1 -> Pipeline.fast_lsq
-        | 2 -> Pipeline.prevv 16
-        | _ -> Pipeline.prevv 64
+        | 0 -> Scheme.plain_lsq
+        | 1 -> Scheme.fast_lsq
+        | 2 -> Scheme.prevv 16
+        | _ -> Scheme.prevv 64
       in
       match Pipeline.check ~init kernel dis with
       | Ok _ -> true
@@ -161,7 +161,7 @@ let prop_random_tight_reuse =
       in
       let r = Pv_kernels.Workload.rng (stride * 1000 + n) in
       let init = [ ("src", Pv_kernels.Workload.array r ~len:n ~lo:1 ~hi:9) ] in
-      match Pipeline.check ~init kernel (Pipeline.prevv 16) with
+      match Pipeline.check ~init kernel (Scheme.prevv 16) with
       | Ok _ -> true
       | Error e -> QCheck.Test.fail_report e)
 

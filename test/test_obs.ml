@@ -158,7 +158,7 @@ let test_trace_dropped_metric () =
   let compiled = Pipeline.compile kernel in
   let m = Metrics.create () in
   let tr = Trace.create ~limit:5 () in
-  ignore (Pipeline.simulate ~obs_trace:tr ~metrics:m compiled (Pipeline.prevv 16));
+  ignore (Pipeline.simulate ~obs_trace:tr ~metrics:m compiled (Scheme.prevv 16));
   let snap = Metrics.snapshot m in
   let dropped =
     match List.assoc_opt "trace.dropped_events" snap with
@@ -268,14 +268,14 @@ let test_tracing_does_not_perturb () =
         Pipeline.simulate ~obs_trace:(Trace.create ()) compiled dis
       in
       Alcotest.(check bool)
-        (kernel.Pv_kernels.Ast.name ^ "/" ^ Pipeline.name_of dis
+        (kernel.Pv_kernels.Ast.name ^ "/" ^ Scheme.to_string dis
         ^ ": identical result")
         true
         (result_sig plain = result_sig traced))
     [
-      (Pv_kernels.Defs.polyn_mult (), Pipeline.prevv 16);
-      (Pv_kernels.Defs.matvec (), Pipeline.prevv 16);
-      (Pv_kernels.Defs.histogram (), Pipeline.fast_lsq);
+      (Pv_kernels.Defs.polyn_mult (), Scheme.prevv 16);
+      (Pv_kernels.Defs.matvec (), Scheme.prevv 16);
+      (Pv_kernels.Defs.histogram (), Scheme.fast_lsq);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -306,7 +306,7 @@ let int_field name ev =
   | None -> Alcotest.failf "event field %S missing or not an int" name
 
 let test_trace_schema () =
-  let tr, _ = trace_of (Pv_kernels.Defs.polyn_mult ()) (Pipeline.prevv 16) in
+  let tr, _ = trace_of (Pv_kernels.Defs.polyn_mult ()) (Scheme.prevv 16) in
   let rendered = Json.to_string (Trace.to_json ~process:"polyn_mult" tr) in
   let doc =
     match Json.parse rendered with
@@ -394,7 +394,7 @@ let test_trace_fault_instants () =
   let sim_cfg = { Sim.default_config with Sim.faults } in
   let tr = Trace.create () in
   let r =
-    Pipeline.simulate ~sim_cfg ~obs_trace:tr compiled (Pipeline.prevv 16)
+    Pipeline.simulate ~sim_cfg ~obs_trace:tr compiled (Scheme.prevv 16)
   in
   (* the run must still complete (the plan is recoverable) and each fired
      fault event appears as an instant on the fault track *)
@@ -412,7 +412,7 @@ let test_trace_fault_instants () =
     (List.length fault_instants > 0)
 
 let test_trace_squash_instants () =
-  let tr, r = trace_of (Pv_kernels.Defs.matvec ()) (Pipeline.prevv 16) in
+  let tr, r = trace_of (Pv_kernels.Defs.matvec ()) (Scheme.prevv 16) in
   let squashes = r.Pipeline.mem_stats.Pv_dataflow.Memif.squashes in
   Alcotest.(check bool) "matvec squashes under prevv16" true (squashes > 0);
   let evs = Trace.events tr in
@@ -459,14 +459,14 @@ let test_metrics_engine_invariant () =
       let scan = metrics_of Sim.Scan kernel dis in
       let event = metrics_of Sim.Event kernel dis in
       Alcotest.(check string)
-        (kernel.Pv_kernels.Ast.name ^ "/" ^ Pipeline.name_of dis
+        (kernel.Pv_kernels.Ast.name ^ "/" ^ Scheme.to_string dis
         ^ ": scan = event")
         (snapshot_str scan) (snapshot_str event))
     [
-      (Pv_kernels.Defs.matvec (), Pipeline.prevv 16);
-      (Pv_kernels.Defs.gaussian (), Pipeline.prevv 64);
-      (Pv_kernels.Defs.histogram (), Pipeline.fast_lsq);
-      (Pv_kernels.Defs.polyn_mult (), Pipeline.plain_lsq);
+      (Pv_kernels.Defs.matvec (), Scheme.prevv 16);
+      (Pv_kernels.Defs.gaussian (), Scheme.prevv 64);
+      (Pv_kernels.Defs.histogram (), Scheme.fast_lsq);
+      (Pv_kernels.Defs.polyn_mult (), Scheme.plain_lsq);
     ]
 
 (* drop the runner.* telemetry (worker loads, cache hits): that part is
@@ -481,10 +481,10 @@ let deterministic_part snap =
 let test_sweep_metrics_jobs_invariant () =
   let cells =
     [
-      (Pv_kernels.Defs.histogram (), Pipeline.prevv 16);
-      (Pv_kernels.Defs.histogram (), Pipeline.fast_lsq);
-      (Pv_kernels.Defs.gaussian (), Pipeline.prevv 16);
-      (Pv_kernels.Defs.gaussian (), Pipeline.fast_lsq);
+      (Pv_kernels.Defs.histogram (), Scheme.prevv 16);
+      (Pv_kernels.Defs.histogram (), Scheme.fast_lsq);
+      (Pv_kernels.Defs.gaussian (), Scheme.prevv 16);
+      (Pv_kernels.Defs.gaussian (), Scheme.fast_lsq);
     ]
   in
   let sweep jobs =
@@ -524,8 +524,8 @@ let test_sweep_metrics_jobs_invariant () =
 let test_cached_point_keeps_metrics () =
   let cache = Parallel.Cache.in_memory () in
   let kernel = Pv_kernels.Defs.histogram () in
-  let cold, w1 = Experiment.run_cached ~cache kernel (Pipeline.prevv 16) in
-  let hot, w2 = Experiment.run_cached ~cache kernel (Pipeline.prevv 16) in
+  let cold, w1 = Experiment.run_cached ~cache kernel (Scheme.prevv 16) in
+  let hot, w2 = Experiment.run_cached ~cache kernel (Scheme.prevv 16) in
   Alcotest.(check bool) "first is a miss" true (w1 = `Miss);
   Alcotest.(check bool) "second is a hit" true (w2 = `Hit);
   Alcotest.(check bool)
@@ -545,7 +545,7 @@ let test_profile_engine_invariant () =
   let profile engine =
     let prof = Pv_obs.Prof.create () in
     let sim_cfg = { Sim.default_config with Sim.engine } in
-    let r = Pipeline.simulate ~sim_cfg ~prof compiled (Pipeline.prevv 16) in
+    let r = Pipeline.simulate ~sim_cfg ~prof compiled (Scheme.prevv 16) in
     let u =
       Pv_obs.Prof.usage prof ~cycles:r.Pipeline.run_stats.Sim.cycles
         ~fires:r.Pipeline.run_stats.Sim.node_fires
@@ -568,7 +568,7 @@ let test_vcd_squash_marker () =
   let mem =
     Pv_memory.Layout.initial_memory compiled.Pipeline.layout kernel ~init
   in
-  let backend = Pipeline.backend_of compiled mem (Pipeline.prevv 16) in
+  let backend = Pipeline.backend_of compiled mem (Scheme.prevv 16) in
   let path = Filename.temp_file "prevv_obs" ".vcd" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -640,7 +640,7 @@ let test_run_trace_artifacts () =
       let tr = Trace.create () in
       ignore
         (Pipeline.simulate ~obs_trace:tr ?metrics (Pipeline.compile kernel)
-           (Pipeline.prevv 16));
+           (Scheme.prevv 16));
       let path = Filename.temp_file "prevv_obs" ".json" in
       Trace.write ~process:name tr path;
       let doc =
@@ -680,7 +680,7 @@ let test_run_profile_artifacts () =
       let name = kernel.Pv_kernels.Ast.name in
       let prof = Pv_obs.Prof.create () in
       let r =
-        Pipeline.simulate ~prof (Pipeline.compile kernel) (Pipeline.prevv 16)
+        Pipeline.simulate ~prof (Pipeline.compile kernel) (Scheme.prevv 16)
       in
       (* --folded: "frames... count" lines with a positive count *)
       let folded = Pv_obs.Prof.folded prof ~kernel:name in

@@ -90,7 +90,7 @@ let test_cse_verified_grid () =
   List.iter
     (fun k ->
       List.iter (check_cse_correct k)
-        [ Pipeline.plain_lsq; Pipeline.fast_lsq; Pipeline.prevv 16 ])
+        [ Scheme.plain_lsq; Scheme.fast_lsq; Scheme.prevv 16 ])
     [ Defs.histogram (); Defs.fn_dependent (); Defs.cond_update (); Defs.spmv_like () ]
 
 let test_cse_noop_when_no_duplicates () =
@@ -105,7 +105,7 @@ let test_both_passes_grid () =
   List.iter
     (fun k ->
       let folded = Pv_frontend.Optimize.constant_fold k in
-      check_cse_correct folded (Pipeline.prevv 64))
+      check_cse_correct folded (Scheme.prevv 64))
     (Defs.all ())
 
 (* property: folding is idempotent *)

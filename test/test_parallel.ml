@@ -225,14 +225,14 @@ let test_same_cell_concurrently () =
   (* many copies of one cell racing through one pool: catches hidden
      shared state that the disjoint-cells grid test would miss *)
   let kernel = Pv_kernels.Defs.gaussian () in
-  let reference = Experiment.run kernel (Pipeline.prevv 16) in
+  let reference = Experiment.run kernel (Scheme.prevv 16) in
   let pool = Parallel.create ~jobs:4 in
   let copies =
     Fun.protect
       ~finally:(fun () -> Parallel.shutdown pool)
       (fun () ->
         Parallel.map_pool pool
-          (fun () -> Experiment.run kernel (Pipeline.prevv 16))
+          (fun () -> Experiment.run kernel (Scheme.prevv 16))
           (List.init 8 (fun _ -> ())))
   in
   List.iteri
@@ -257,7 +257,7 @@ let prop_cache_hit_equals_cold =
     (fun seed ->
       let kernel = Pv_kernels.Generate.kernel seed in
       let init = Pv_kernels.Generate.init_for kernel seed in
-      let dis = Pipeline.fast_lsq in
+      let dis = Scheme.fast_lsq in
       let cache = Parallel.Cache.in_memory () in
       let cold, s1 = Experiment.run_cached ~init ~cache kernel dis in
       let hit, s2 = Experiment.run_cached ~init ~cache kernel dis in
@@ -265,7 +265,7 @@ let prop_cache_hit_equals_cold =
       (* and the key separates configurations: a different scheme never
          aliases the stored point *)
       && Experiment.cache_key ~init kernel dis
-         <> Experiment.cache_key ~init kernel (Pipeline.prevv 16))
+         <> Experiment.cache_key ~init kernel (Scheme.prevv 16))
 
 let () =
   Alcotest.run "parallel"

@@ -20,7 +20,7 @@ module Prof = Pv_obs.Prof
 let kernels = Pv_kernels.Defs.paper_benchmarks ()
 
 let backends =
-  [ ("prevv16", Pipeline.prevv 16); ("fast-lsq", Pipeline.fast_lsq) ]
+  [ ("prevv16", Scheme.prevv 16); ("fast-lsq", Scheme.fast_lsq) ]
 
 let profiled_run ?(engine = Sim.Event) kernel dis =
   let compiled = Pipeline.compile kernel in
@@ -94,7 +94,7 @@ let hot_sig prof =
    (another register cleared outside the commit, ending in a deadlock)
    and a stall; each under both engines. *)
 let test_held_counts_exact () =
-  let prevv16 = Pipeline.prevv 16 in
+  let prevv16 = Scheme.prevv 16 in
   let drop_and_stall compiled =
     let nc = Pv_dataflow.Graph.n_chans compiled.Pipeline.graph in
     (* seed 11 drops a token the run survives into a diagnosed deadlock;
@@ -167,7 +167,7 @@ let test_held_counts_exact () =
    concurrent profiled runs or runs alone: each run owns its profiler *)
 let test_deterministic_across_jobs () =
   let kernel = Pv_kernels.Defs.histogram () in
-  let dis = Pipeline.prevv 16 in
+  let dis = Scheme.prevv 16 in
   let run () =
     let prof, _ = profiled_run kernel dis in
     ( hot_sig prof,
@@ -189,7 +189,7 @@ let test_folded_roundtrip () =
   List.iter
     (fun kernel ->
       let name = kernel.Pv_kernels.Ast.name in
-      let prof, _ = profiled_run kernel (Pipeline.prevv 16) in
+      let prof, _ = profiled_run kernel (Scheme.prevv 16) in
       let s = Prof.folded prof ~kernel:name in
       match Prof.parse_folded s with
       | Error e -> Alcotest.failf "%s: folded output did not parse: %s" name e

@@ -16,11 +16,11 @@ let canonical_gen =
   QCheck.Gen.(
     oneof
       [
-        return Pipeline.plain_lsq;
-        return Pipeline.fast_lsq;
-        return Pipeline.oracle;
-        return Pipeline.serial;
-        map (fun d -> Pipeline.prevv d) (int_range 1 512);
+        return Scheme.plain_lsq;
+        return Scheme.fast_lsq;
+        return Scheme.oracle;
+        return Scheme.serial;
+        map (fun d -> Scheme.prevv d) (int_range 1 512);
       ])
 
 let canonical_arb =
@@ -61,10 +61,10 @@ let bogus_names () =
 let aliases () =
   Alcotest.(check bool)
     "plain-lsq alias" true
-    (Scheme.of_string "plain-lsq" = Ok Pipeline.plain_lsq);
+    (Scheme.of_string "plain-lsq" = Ok Scheme.plain_lsq);
   Alcotest.(check bool)
     "bare prevv means the paper's default depth" true
-    (Scheme.of_string "prevv" = Ok (Pipeline.prevv 16))
+    (Scheme.of_string "prevv" = Ok (Scheme.prevv 16))
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprints and the registry                                       *)
@@ -73,7 +73,7 @@ let aliases () =
 let fingerprints_distinct () =
   let configs =
     List.map (fun (module M : Scheme.S) -> M.config) (Scheme.all ())
-    @ List.init 8 (fun i -> Pipeline.prevv (1 lsl i))
+    @ List.init 8 (fun i -> Scheme.prevv (1 lsl i))
   in
   let prints =
     List.map (fun d -> (Scheme.to_string d, Scheme.fingerprint_of d)) configs
@@ -208,8 +208,8 @@ let bound_cycles_pinned () =
       in
       let compiled = Pipeline.compile kernel in
       let cycles dis = (Pipeline.simulate compiled dis).Pipeline.cycles in
-      Alcotest.(check int) (name ^ "/oracle") oracle (cycles Pipeline.oracle);
-      Alcotest.(check int) (name ^ "/serial") serial (cycles Pipeline.serial))
+      Alcotest.(check int) (name ^ "/oracle") oracle (cycles Scheme.oracle);
+      Alcotest.(check int) (name ^ "/serial") serial (cycles Scheme.serial))
     (Pv_kernels.Defs.paper_benchmarks ())
 
 (* Golden backend pin: cycles, all thirteen memory-system stats (loads,

@@ -69,7 +69,7 @@ let test_kernel kernel () =
 let test_faulted kernel () =
   let compiled = Pipeline.compile kernel in
   let n_chans = Pv_dataflow.Graph.n_chans compiled.Pipeline.graph in
-  let base = Pipeline.simulate compiled (Pipeline.prevv 16) in
+  let base = Pipeline.simulate compiled (Scheme.prevv 16) in
   let horizon =
     match base.Pipeline.outcome with
     | Sim.Finished { cycles } -> max 20 (cycles / 2)

@@ -105,7 +105,7 @@ let test_serial_wake_precision () =
       let r =
         Pipeline.simulate
           ~sim_cfg:{ Sim.default_config with Sim.engine = Sim.Event }
-          compiled Pipeline.serial
+          compiled Scheme.serial
       in
       let per_cycle =
         float_of_int r.Pipeline.run_stats.Sim.evals
@@ -197,7 +197,7 @@ let test_prof_non_perturbing () =
             true
             (base.Pipeline.run_stats.Sim.node_fires
             = profiled.Pipeline.run_stats.Sim.node_fires))
-        [ ("prevv16", Pipeline.prevv 16); ("fast-lsq", Pipeline.fast_lsq) ])
+        [ ("prevv16", Scheme.prevv 16); ("fast-lsq", Scheme.fast_lsq) ])
     kernels
 
 (* (g) the packed premature-queue/arbiter unit paths allocate nothing:

@@ -173,7 +173,7 @@ let test_sim_cancel_hook () =
     Experiment.sweep
       ~policy:{ quick_policy with Supervisor.max_attempts = 1 }
       ~sim_cfg
-      [ (Pv_kernels.Defs.gaussian (), Pipeline.prevv 16) ]
+      [ (Pv_kernels.Defs.gaussian (), Scheme.prevv 16) ]
   with
   | [ Error e ] ->
       Alcotest.(check string) "the single rendering"
@@ -192,8 +192,8 @@ let test_sweep_partial_results () =
      errors section names it, the other cells complete *)
   let kernel = Pv_kernels.Defs.gaussian () in
   let cells =
-    [ (kernel, Pipeline.prevv 1); (kernel, Pipeline.prevv 16);
-      (kernel, Pipeline.fast_lsq) ]
+    [ (kernel, Scheme.prevv 1); (kernel, Scheme.prevv 16);
+      (kernel, Scheme.fast_lsq) ]
   in
   let m = Pv_obs.Metrics.create () in
   let results =
@@ -214,7 +214,7 @@ let test_sweep_partial_results () =
   Alcotest.(check int) "runner.retries" 0
     (Pv_obs.Metrics.counter_value m "runner.retries");
   (* the sweep matches the bare run point for point *)
-  let reference = Experiment.run kernel (Pipeline.prevv 16) in
+  let reference = Experiment.run kernel (Scheme.prevv 16) in
   (match results with
   | [ _; Ok p; _ ] ->
       Alcotest.(check string) "same rendering as bare run"
@@ -238,8 +238,8 @@ let test_sweep_jobs_effective () =
   (* the gauge records the workers the sweep actually used *)
   let kernel = Pv_kernels.Defs.histogram () in
   let cells =
-    [ (kernel, Pipeline.prevv 16); (kernel, Pipeline.fast_lsq);
-      (kernel, Pipeline.prevv 64) ]
+    [ (kernel, Scheme.prevv 16); (kernel, Scheme.fast_lsq);
+      (kernel, Scheme.prevv 64) ]
   in
   let used jobs =
     let m = Pv_obs.Metrics.create () in
@@ -256,7 +256,7 @@ let test_sweep_jobs_identity () =
     List.concat_map
       (fun k ->
         List.map (fun d -> (k, d))
-          [ Pipeline.prevv 1; Pipeline.prevv 16; Pipeline.fast_lsq ])
+          [ Scheme.prevv 1; Scheme.prevv 16; Scheme.fast_lsq ])
       [ Pv_kernels.Defs.gaussian (); Pv_kernels.Defs.matvec () ]
   in
   let render =

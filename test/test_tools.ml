@@ -22,7 +22,7 @@ let test_vcd_records () =
   let compiled = Pipeline.compile kernel in
   let init = Pv_kernels.Workload.default_init kernel in
   let mem = Pv_memory.Layout.initial_memory compiled.Pipeline.layout kernel ~init in
-  let backend = Pipeline.backend_of compiled mem (Pipeline.prevv 16) in
+  let backend = Pipeline.backend_of compiled mem (Scheme.prevv 16) in
   let path = Filename.temp_file "pv_test" ".vcd" in
   let outcome = Pv_dataflow.Vcd.record ~path compiled.Pipeline.graph backend in
   (match outcome with
@@ -50,7 +50,7 @@ let test_vcd_budget_and_cancel () =
       ~finally:(fun () -> Sys.remove path)
       (fun () ->
         Pv_dataflow.Vcd.record ~cfg ~path compiled.Pipeline.graph
-          (Pipeline.backend_of compiled mem (Pipeline.prevv 16)))
+          (Pipeline.backend_of compiled mem (Scheme.prevv 16)))
   in
   let base = Pv_dataflow.Sim.default_config in
   (match record { base with Pv_dataflow.Sim.max_cycles = 100 } with
@@ -65,7 +65,7 @@ let test_vcd_budget_and_cancel () =
 let test_profile () =
   let compiled = Pipeline.compile (Pv_kernels.Defs.polyn_mult ~n:8 ()) in
   let prof = Pv_obs.Prof.create () in
-  let r = Pipeline.simulate ~prof compiled (Pipeline.prevv 16) in
+  let r = Pipeline.simulate ~prof compiled (Scheme.prevv 16) in
   (match r.Pipeline.outcome with
   | Pv_dataflow.Sim.Finished _ -> ()
   | o -> Alcotest.failf "profile run: %a" Pv_dataflow.Sim.pp_outcome o);
@@ -97,8 +97,8 @@ let test_profile () =
 
 let test_device_utilisation () =
   let kernel = Pv_kernels.Defs.polyn_mult () in
-  let p16 = Experiment.run kernel (Pipeline.prevv 16) in
-  let lsq = Experiment.run kernel Pipeline.fast_lsq in
+  let p16 = Experiment.run kernel (Scheme.prevv 16) in
+  let lsq = Experiment.run kernel Scheme.fast_lsq in
   let edge = Pv_resource.Device.xc7a35t in
   let u16 = Pv_resource.Device.utilisation edge p16.Experiment.report in
   let ul = Pv_resource.Device.utilisation edge lsq.Experiment.report in
