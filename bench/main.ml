@@ -176,34 +176,33 @@ let fig7 ~grid () =
 
 let queue_states () =
   header "Fig. 4 — premature queue states (normal / wrap-around / full)";
-  let q = Pv_prevv.Premature_queue.create 8 in
-  let push seq =
-    ignore
-      (Pv_prevv.Premature_queue.push_exn q ~seq ~pos:0 ~port:0
-         ~kind:Pv_memory.Portmap.OStore ~index:seq ~value:seq)
+  let module PQ = Pv_prevv.Premature_queue in
+  let q = PQ.create 8 in
+  let record seq =
+    PQ.record q ~seq ~pos:0 ~port:0 ~kind:Pv_memory.Portmap.OStore ~index:seq
+      ~value:seq
   in
+  let push seq = if not (record seq) then failwith "queue_states: queue full" in
   let show what =
-    Printf.printf "  %-30s head=%d tail=%d occ=%d state=%s\n" what
-      q.Pv_prevv.Premature_queue.head q.Pv_prevv.Premature_queue.tail
-      (Pv_prevv.Premature_queue.occupancy q)
-      (match Pv_prevv.Premature_queue.state q with
+    Printf.printf "  %-30s head=%d tail=%d occ=%d state=%s\n" what q.PQ.head
+      q.PQ.tail (PQ.occupancy q)
+      (match PQ.state q with
       | `Empty -> "empty"
       | `Normal -> "normal"
       | `Wrapped -> "wrap-around"
       | `Full -> "full")
   in
+  let retire seq = ignore (PQ.retire_eq q ~seq ~on_port:ignore : int) in
   show "fresh queue";
   for s = 0 to 4 do push s done;
   show "after 5 pushes";
-  Pv_prevv.Premature_queue.retire_seq q ~seq:0;
-  Pv_prevv.Premature_queue.retire_seq q ~seq:1;
-  Pv_prevv.Premature_queue.retire_seq q ~seq:2;
+  List.iter retire [ 0; 1; 2 ];
   show "after retiring 3 (head moved)";
   for s = 5 to 9 do push s done;
   show "tail wrapped past the end";
   push 10;
   show "filled to capacity";
-  try push 11 with Pv_prevv.Premature_queue.Full ->
+  if not (record 11) then
     Printf.printf "  %-30s push refused (backpressure)\n" "one more push:"
 
 (* ------------------------------------------------------------------ *)
@@ -234,67 +233,127 @@ let deadlock () =
     [ ("with fake tokens", true); ("without fake tokens", false) ]
 
 (* ------------------------------------------------------------------ *)
-(* Eqs. 6-10: premature queue depth sweep and the sizing model          *)
+(* Sec. V-A: premature queue depth sweep                               *)
 (* ------------------------------------------------------------------ *)
 
+(* the paper kernels at each named depth: cycles, the knee (the smallest
+   depth within 2% of the best verified cycle count) and the LUTs there
+   and at depth 64 *)
 let depth_sweep ~jobs ~cache () =
   header
-    "Sec. V-A — queue-depth sweep: cycles and LUTs vs Depth_q (Defs. 2-3)";
-  let kernel = Pv_kernels.Defs.gaussian () in
-  Printf.printf "%-8s %10s %10s %12s %10s\n" "depth" "cycles" "LUT" "stalls"
-    "squashes";
-  let depths = [ 4; 8; 16; 24; 32; 48; 64; 96; 128 ] in
-  let cells = List.map (fun d -> (kernel, Scheme.prevv d)) depths in
-  let results = Experiment.sweep ?cache ~jobs cells in
-  List.iter2
-    (fun d result ->
-      match result with
-      | Ok (p : Experiment.point) ->
-          Printf.printf "%-8d %10d %10d %12d %10d%s\n" d p.Experiment.cycles
-            p.Experiment.report.Pv_resource.Report.luts
-            p.Experiment.mem_stats.Pv_dataflow.Memif.stall_full
-            p.Experiment.mem_stats.Pv_dataflow.Memif.squashes
-            (if p.Experiment.verified then "" else "  (NOT VERIFIED)")
-      | Error (e : Supervisor.task_error) ->
-          Printf.printf "%-8d infeasible: %s\n" d e.last_error)
-    depths results;
-  let t_org = 10.0 and p_s = 0.02 and t_token = 60.0 in
-  Printf.printf
-    "sizing model: matched depth (Eq. 6/7, t_org=%.0f cyc, P_s=%.2f, \
-     t_token=%.0f cyc) = %d\n"
-    t_org p_s t_token
-    (Pv_prevv.Sizing.matched_depth ~t_org ~p_s ~t_token)
-
-(* ------------------------------------------------------------------ *)
-(* Eqs. 11-12: overlap scalability                                     *)
-(* ------------------------------------------------------------------ *)
-
-let scalability () =
-  header
-    "Sec. V-B — overlapping pairs: naive replication (Eqs. 11-12) vs \
-     dimension reduction";
-  let frq1 = 150.0 in
-  Printf.printf "%-10s %16s %16s %14s %12s %12s\n" "overlap n" "naive compl."
-    "reduced compl." "naive MHz" "naive pairs" "red. pairs";
+    "Sec. V-A — queue-depth sweep: cycles per named Depth_q, the knee and its \
+     LUTs (PreVV)";
+  let depths = [ 1; 2; 3; 4; 6; 8; 12; 16; 24; 32; 48; 64 ] in
+  let kernels = Pv_kernels.Defs.paper_benchmarks () in
+  let results =
+    Experiment.sweep ?cache ~jobs
+      (List.concat_map
+         (fun k -> List.map (fun d -> (k, Scheme.prevv d)) depths)
+         kernels)
+  in
+  (* one column per kernel: its (depth, result) cells *)
+  let columns =
+    List.mapi
+      (fun ki _ ->
+        List.combine depths
+          (List.filteri (fun i _ -> i / List.length depths = ki) results))
+      kernels
+  in
+  let row name cells =
+    Printf.printf "%-10s%s\n" name
+      (String.concat "" (List.map (Printf.sprintf " %11s") cells))
+  in
+  row "depth" (List.map (fun (k : Pv_kernels.Ast.kernel) -> k.name) kernels);
   List.iter
-    (fun n ->
-      let ops =
-        List.init (2 * n) (fun k ->
-            ( (if k mod 2 = 0 then Pv_memory.Portmap.OLoad
-               else Pv_memory.Portmap.OStore),
-              k ))
-      in
-      Printf.printf "%-10d %16.0f %16.0f %14.1f %12d %12d\n" n
-        (Pv_prevv.Overlap.naive_complexity ~n ~com1:1.0)
-        (Pv_prevv.Overlap.reduced_complexity ~n ~com1:1.0)
-        (Pv_prevv.Overlap.naive_frequency ~n ~frq1)
-        (Pv_prevv.Overlap.naive_pairs ops)
-        (Pv_prevv.Overlap.reduced_pairs ops))
-    [ 1; 2; 4; 6; 8; 12; 16 ];
+    (fun d ->
+      row (string_of_int d)
+        (List.map
+           (fun col ->
+             match List.assoc d col with
+             | Ok (p : Experiment.point) when p.Experiment.verified ->
+                 string_of_int p.Experiment.cycles
+             | Ok _ -> "NOT VERIFIED"
+             | Error _ -> "infeasible")
+           columns))
+    depths;
+  let verified col =
+    List.filter_map
+      (function
+        | d, Ok (p : Experiment.point) when p.Experiment.verified -> Some (d, p)
+        | _ -> None)
+      col
+  in
+  let knee col =
+    let points = verified col in
+    let best =
+      List.fold_left (fun m (_, p) -> min m p.Experiment.cycles) max_int points
+    in
+    List.find_opt
+      (fun (_, (p : Experiment.point)) -> p.Experiment.cycles * 100 <= best * 102)
+      points
+  in
+  let luts = function
+    | Some (p : Experiment.point) ->
+        string_of_int p.Experiment.report.Pv_resource.Report.luts
+    | None -> "-"
+  in
+  row "knee"
+    (List.map
+       (fun col -> match knee col with Some (d, _) -> string_of_int d | None -> "-")
+       columns);
+  row "LUT knee" (List.map (fun col -> luts (Option.map snd (knee col))) columns);
+  row "LUT 64"
+    (List.map (fun col -> luts (List.assoc_opt 64 (verified col))) columns);
+  List.iter
+    (function
+      | Error (e : Supervisor.task_error) ->
+          Printf.printf "%s: %s\n" e.label e.last_error
+      | Ok _ -> ())
+    results;
   Printf.printf
-    "(Eq. 11: naive cost 2^n; Eq. 12: frequency Frq_1/n at Frq_1 = %.0f MHz; \
-     reduction keeps one instance per array, linear in members)\n"
-    frq1
+    "(knee: the smallest depth within 2%% of the kernel's best verified cycle \
+     count)\n"
+
+(* ------------------------------------------------------------------ *)
+(* Sec. V-B: overlap chains on the one shared instance                 *)
+(* ------------------------------------------------------------------ *)
+
+(* n accumulations into one array form n * n ambiguous pairs; the circuit
+   keeps one disambiguation instance for all of them *)
+let scalability ~jobs ~cache () =
+  header
+    "Sec. V-B — overlap chains: n accumulations into one array on one shared \
+     instance (PreVV16 vs fast LSQ [8])";
+  let ns = [ 1; 2; 3; 4; 6; 8 ] in
+  let kernels = List.map (fun n -> Pv_kernels.Defs.overlap_chain ~n) ns in
+  let results =
+    Array.of_list
+      (Experiment.sweep ?cache ~jobs
+         (List.concat_map
+            (fun k -> [ (k, Scheme.prevv 16); (k, Scheme.fast_lsq) ])
+            kernels))
+  in
+  Printf.printf "%-4s %11s %9s | %9s %9s %9s %7s %7s  %-12s | %9s\n" "n"
+    "naive pairs" "instances" "v16 LUT" "queue LUT" "v16 FF" "CP (ns)" "cycles"
+    "verdict" "[8] LUT";
+  List.iteri
+    (fun i (n, k) ->
+      let info = Pv_frontend.Depend.analyse k in
+      Printf.printf "%-4d %11d %9d | " n
+        (Pv_frontend.Depend.naive_pair_count info)
+        info.Pv_frontend.Depend.portmap.Pv_memory.Portmap.n_instances;
+      match (results.(2 * i), results.((2 * i) + 1)) with
+      | Ok (p : Experiment.point), Ok (q : Experiment.point) ->
+          let r = p.Experiment.report in
+          Printf.printf "%9d %9d %9d %7.2f %7d  %-12s | %9d\n"
+            r.Pv_resource.Report.luts r.Pv_resource.Report.queue_luts
+            r.Pv_resource.Report.ffs r.Pv_resource.Report.cp_ns
+            p.Experiment.cycles
+            (if p.Experiment.verified then "verified" else "NOT VERIFIED")
+            q.Experiment.report.Pv_resource.Report.luts
+      | Error (e : Supervisor.task_error), _ | _, Error e ->
+          Printf.printf "%s: %s\n" e.label e.last_error)
+    (List.combine ns kernels)
 
 (* ------------------------------------------------------------------ *)
 (* Ablations of the design choices DESIGN.md calls out                 *)
@@ -304,7 +363,8 @@ let scalability () =
    main domain prints after the fan-out, keeping output byte-identical
    whatever the worker count *)
 let ablation ~jobs () =
-  header "Ablations — value validation (Eq. 5), queue collapse, forwarding,           slack buffers";
+  header "Ablations — value validation (Eq. 5), queue collapse, forwarding, \
+     slack buffers";
   (* Eq. 5 on/off: when stores often rewrite unchanged values, comparing
      values instead of only addresses eliminates squashes *)
   Printf.printf "value validation (PreVV16):\n";
@@ -683,7 +743,7 @@ let () =
     | "queue_states" -> table queue_states
     | "deadlock" -> table deadlock
     | "depth_sweep" -> table (depth_sweep ~jobs ~cache)
-    | "scalability" -> table scalability
+    | "scalability" -> table (scalability ~jobs ~cache)
     | "ablation" -> table (ablation ~jobs)
     | "grid" -> grid ~jobs ~cache ()
     | "soak" -> soak ~jobs ~n:10_000 ()

@@ -798,7 +798,8 @@ let util_cmd =
   Cmd.v
     (Cmd.info "util"
        ~doc:
-         "Device utilisation per scheme (the edge-device argument of the           paper's introduction).")
+         "Device utilisation per scheme (the edge-device argument of the \
+          paper's introduction).")
     Term.(const run $ kernel_arg)
 
 let () =

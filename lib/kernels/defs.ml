@@ -373,3 +373,22 @@ let by_name name =
   match List.find_opt (fun k -> String.equal k.name name) (all ()) with
   | Some k -> k
   | None -> invalid_arg (Printf.sprintf "unknown kernel %S" name)
+
+(** [n] accumulations into one array per iteration, acc[(i+k) mod 64] +=
+    src[i] for k < n: every load of [acc] meets every store of [acc], so
+    the chain forms [n * n] ambiguous pairs (Sec. V-B's overlap degree
+    [n]) on one disambiguation instance.  Not in {!all}. *)
+let overlap_chain ~n =
+  {
+    name = Printf.sprintf "overlap%d" n;
+    arrays = [ ("acc", 64); ("src", 64) ];
+    params = [];
+    body =
+      [
+        for_ "i" (i 0) (i 48)
+          (List.init n (fun k ->
+               store "acc"
+                 ((v "i" + i k) % i 64)
+                 (idx "acc" ((v "i" + i k) % i 64) + idx "src" (v "i"))));
+      ];
+  }

@@ -70,3 +70,8 @@ val all : unit -> Ast.kernel list
 (** Look a bundled kernel up by name.
     @raise Invalid_argument on an unknown name. *)
 val by_name : string -> Ast.kernel
+
+(** [n] accumulations into one array per iteration: [n * n] ambiguous
+    pairs on one disambiguation instance (Sec. V-B's overlap chain).  Not
+    in {!all}, so the bundled set stays the same. *)
+val overlap_chain : n:int -> Ast.kernel

@@ -38,11 +38,14 @@ type config = {
    the identical mapping (16-entry paper default -> 32 simulated). *)
 let depth_scale = 2
 
-let default ~depth_q =
-  { depth_q; value_validation = true; collapse_queue = true; squash_budget = 8 }
-
 (** Configuration for a paper-named depth (PreVV16, PreVV64, ...). *)
-let named ~depth = default ~depth_q:(depth_scale * depth)
+let named ~depth =
+  {
+    depth_q = depth_scale * depth;
+    value_validation = true;
+    collapse_queue = true;
+    squash_budget = 8;
+  }
 
 (* validated store-carrying instances retired per cycle *)
 let commits_per_cycle = 1
@@ -871,9 +874,6 @@ let create_full ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
       inject;
       describe;
     } )
-
-let create ?trace ?prof cfg pm ~n_seq mem =
-  snd (create_full ?trace ?prof cfg pm ~n_seq mem)
 
 let degraded_at t = t.degraded_at
 let arbiter_stats t = t.arb_stats

@@ -43,9 +43,6 @@ type config = {
     the identical mapping. *)
 val depth_scale : int
 
-(** Defaults with an explicit simulated depth. *)
-val default : depth_q:int -> config
-
 (** Configuration for a paper-named depth (PreVV16, PreVV64, ...):
     [depth_q = depth_scale * depth]. *)
 val named : depth:int -> config
@@ -83,15 +80,6 @@ val create_full :
   n_seq:int ->
   int array ->
   t * Pv_dataflow.Memif.t
-
-val create :
-  ?trace:Pv_obs.Trace.t ->
-  ?prof:Pv_obs.Prof.t ->
-  config ->
-  Pv_memory.Portmap.t ->
-  n_seq:int ->
-  int array ->
-  Pv_dataflow.Memif.t
 
 (** Arbiter decision tallies: validation checks, violations found, load
     gate verdicts. *)

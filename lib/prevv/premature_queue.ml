@@ -111,8 +111,6 @@ let state t =
   else if t.head < t.tail then `Normal
   else `Wrapped
 
-exception Full
-
 (* kind-view bookkeeping: each valid slot lives in exactly one view, at
    [vpos]; removal swaps the last view member into the vacated position,
    so both directions are O(1) *)
@@ -166,9 +164,8 @@ let admit t ~seq ~pos ~port ~kind ~index ~value =
   t.count <- t.count + 1;
   i
 
-(** Allocation-free admission: [false] when the queue is full, so callers
-    turn a full queue into ordinary backpressure.  The production (backend)
-    entry point — the boxed variants below exist for tests and demos. *)
+(** Admission at the tail, allocation-free: [false] when the queue is
+    full, so callers turn a full queue into ordinary backpressure. *)
 let record t ~seq ~pos ~port ~kind ~index ~value =
   if is_full t then false
   else begin
@@ -189,15 +186,6 @@ let entry_of t i =
     e_value = t.value.(i);
     e_valid = m_valid m;
   }
-
-let push_exn t ~seq ~pos ~port ~kind ~index ~value =
-  if is_full t then raise Full;
-  entry_of t (admit t ~seq ~pos ~port ~kind ~index ~value)
-
-(** Non-raising [push_exn]: [None] when the queue is full. *)
-let push_opt t ~seq ~pos ~port ~kind ~index ~value =
-  if is_full t then None
-  else Some (push_exn t ~seq ~pos ~port ~kind ~index ~value)
 
 (* a slot index one lap past the end, folded back (a top-level function: a
    local [wrap] capturing [t] would be a closure allocated per compaction) *)
@@ -258,45 +246,18 @@ let compact t =
     end
   end
 
-(** Iterate over valid entries from head to tail (arrival order).  Each
-    visit materialises a boxed {!entry}, so this is for commit, dump and
-    test paths; the arbiter reads the kind views and flat arrays
-    directly. *)
-let iter f t =
-  let i = ref t.head in
-  for _ = 1 to t.count do
-    if m_valid t.meta.(!i) then f (entry_of t !i);
-    incr i;
-    if !i = t.depth then i := 0
-  done
-
+(** Fold over valid entries from head to tail (arrival order).  Each
+    visit materialises a boxed {!entry}, so this is for dump and test
+    paths and the arbiter's reference implementations; the arbiter itself
+    reads the kind views and flat arrays directly. *)
 let fold f acc t =
-  let acc = ref acc in
-  iter (fun e -> acc := f !acc e) t;
-  !acc
-
-let exists p t = fold (fun found e -> found || p e) false t
-let to_list t = List.rev (fold (fun acc e -> e :: acc) [] t)
-
-(** Invalidate every valid entry satisfying [p]; returns the retired
-    entries (so callers can release per-port credits). *)
-let retire_if t p =
-  let retired = ref [] in
-  let i = ref t.head in
+  let acc = ref acc and i = ref t.head in
   for _ = 1 to t.count do
-    if m_valid t.meta.(!i) then begin
-      let e = entry_of t !i in
-      if p e then begin
-        e.e_valid <- false;
-        invalidate t !i;
-        retired := e :: !retired
-      end
-    end;
+    if m_valid t.meta.(!i) then acc := f !acc (entry_of t !i);
     incr i;
     if !i = t.depth then i := 0
   done;
-  compact t;
-  List.rev !retired
+  !acc
 
 (* shared skeleton of the allocation-free retirement sweeps: walk ONE kind
    view backwards, invalidating matches.  Removal swap-fills the vacated
@@ -354,12 +315,6 @@ let retire_ge t ~seq ~on_port =
   if n > 0 then compact t;
   n
 
-(** Invalidate all valid entries with [e_seq >= seq] (pipeline squash). *)
-let invalidate_from t ~seq = ignore (retire_ge t ~seq ~on_port:ignore : int)
-
-(** Invalidate all valid entries of exactly [seq] (commit of an instance). *)
-let retire_seq t ~seq = ignore (retire_eq t ~seq ~on_port:ignore : int)
-
 (* --- fault-injection hooks ---------------------------------------------- *)
 
 (* buffer index of the [n]-th valid entry in arrival order *)
@@ -379,10 +334,6 @@ let nth_valid_idx t n =
      done
    with Exit -> ());
   !found
-
-(** The [n]-th valid entry in arrival order, if any. *)
-let nth_valid t n =
-  match nth_valid_idx t n with -1 -> None | i -> Some (entry_of t i)
 
 (** Model an SEU in the value field of the [slot]-th live entry: its value
     gets [mask] xor-ed in, in place.  Returns the {e original} entry,

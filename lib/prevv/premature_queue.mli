@@ -79,11 +79,8 @@ val occupancy : t -> int
     when it does, [`Full] when head = tail with data. *)
 val state : t -> [ `Empty | `Normal | `Wrapped | `Full ]
 
-exception Full
-
-(** Allocation-free admission: [false] when the queue is full, so callers
-    turn a full queue into ordinary backpressure.  The production
-    (backend) entry point; the boxed variants below serve tests and demos.
+(** Admission at the tail, allocation-free: [false] when the queue is full,
+    so callers turn a full queue into ordinary backpressure.
     @raise Invalid_argument when [pos] exceeds {!max_pos}. *)
 val record :
   t ->
@@ -95,44 +92,10 @@ val record :
   value:int ->
   bool
 
-(** Record a premature operation at the tail and return its materialised
-    view.
-    @raise Full when the queue has no free slot (backpressure). *)
-val push_exn :
-  t ->
-  seq:int ->
-  pos:int ->
-  port:int ->
-  kind:Pv_memory.Portmap.op_kind ->
-  index:int ->
-  value:int ->
-  entry
-
-(** Non-raising {!push_exn}: [None] when the queue is full, so callers can turn
-    a full queue into ordinary backpressure instead of an exception. *)
-val push_opt :
-  t ->
-  seq:int ->
-  pos:int ->
-  port:int ->
-  kind:Pv_memory.Portmap.op_kind ->
-  index:int ->
-  value:int ->
-  entry option
-
-(** Iterate over valid entries from head to tail (arrival order).  Each
-    visit materialises a boxed {!entry}: commit/dump/test paths only — the
-    arbiter reads the kind views and flat arrays directly. *)
-val iter : (entry -> unit) -> t -> unit
-
+(** Fold over valid entries from head to tail (arrival order).  Each
+    visit materialises a boxed {!entry}: dump, test and reference paths
+    only — the arbiter reads the kind views and flat arrays directly. *)
 val fold : ('a -> entry -> 'a) -> 'a -> t -> 'a
-val exists : (entry -> bool) -> t -> bool
-val to_list : t -> entry list
-
-(** Invalidate every valid entry satisfying the predicate and reclaim
-    their slots; returns the retired entries (so callers can release
-    per-port credits). *)
-val retire_if : t -> (entry -> bool) -> entry list
 
 (** {1 Allocation-free retirement sweeps}
 
@@ -150,17 +113,7 @@ val retire_eq : t -> seq:int -> on_port:(int -> unit) -> int
 (** Retire all valid entries with [e_seq >= seq] (pipeline squash). *)
 val retire_ge : t -> seq:int -> on_port:(int -> unit) -> int
 
-(** Invalidate all valid entries with [e_seq >= seq] (pipeline squash). *)
-val invalidate_from : t -> seq:int -> unit
-
-(** Invalidate all valid entries of exactly [seq] (commit of an
-    iteration). *)
-val retire_seq : t -> seq:int -> unit
-
 (** {1 Fault-injection hooks} — see {!Pv_dataflow.Fault}. *)
-
-(** The [n]-th valid entry in arrival order, if any. *)
-val nth_valid : t -> int -> entry option
 
 (** Model an SEU in the value field of the [slot]-th live entry (its value
     gets [mask] xor-ed in).  Returns the {e original} entry, [None] when no

@@ -9,7 +9,8 @@ let queue_with entries =
   let q = PQ.create 16 in
   List.iter
     (fun (seq, pos, kind, index, value) ->
-      ignore (PQ.push_exn q ~seq ~pos ~port:0 ~kind ~index ~value))
+      if not (PQ.record q ~seq ~pos ~port:0 ~kind ~index ~value) then
+        Alcotest.fail "queue full")
     entries;
   q
 
@@ -65,7 +66,7 @@ let test_same_iteration_rom_order () =
 (* invalidated entries are ignored by the search *)
 let test_invalid_entries_skipped () =
   let q = queue_with [ (7, 0, PM.OLoad, 100, 5) ] in
-  PQ.invalidate_from q ~seq:0;
+  ignore (PQ.retire_ge q ~seq:0 ~on_port:ignore : int);
   Alcotest.check some "empty after invalidation" None
     (Arbiter.store_violation q ~seq:3 ~pos:0 ~index:100 ~value:9)
 
@@ -262,9 +263,11 @@ let prop_watermark_equiv =
       let wm = Arbiter.fresh_watermark () in
       let saf = ref 0 in
       let contents q =
-        List.map
-          (fun (e : PQ.entry) -> (e.PQ.e_seq, e.PQ.e_pos, e.PQ.e_index, e.PQ.e_value))
-          (PQ.to_list q)
+        List.rev
+          (PQ.fold
+             (fun acc (e : PQ.entry) ->
+               (e.PQ.e_seq, e.PQ.e_pos, e.PQ.e_index, e.PQ.e_value) :: acc)
+             [] q)
       in
       List.for_all
         (fun op ->

@@ -165,6 +165,118 @@ let prop_random_tight_reuse =
       | Ok _ -> true
       | Error e -> QCheck.Test.fail_report e)
 
+(* Sec. V-A's queue-depth sweep, at the named depths bench's depth_sweep
+   section prints: per paper kernel, each depth's point, or [None] where
+   the backend rejects the depth up front *)
+let sweep_depths = [ 1; 2; 3; 4; 6; 8; 12; 16; 24; 32; 48; 64 ]
+
+let depth_sweeps =
+  lazy
+    (List.map
+       (fun kernel ->
+         let compiled = Pipeline.compile kernel in
+         ( kernel,
+           compiled,
+           List.map
+             (fun d ->
+               ( d,
+                 try Some (Experiment.run ~compiled kernel (Scheme.prevv d))
+                 with Invalid_argument _ -> None ))
+             sweep_depths ))
+       (Pv_kernels.Defs.paper_benchmarks ()))
+
+let feasible points =
+  List.filter_map (fun (d, p) -> Option.map (fun p -> (d, p)) p) points
+
+(* the smallest depth within 2% of the best cycle count *)
+let knee points =
+  let points = feasible points in
+  let best =
+    List.fold_left (fun m (_, p) -> min m p.Experiment.cycles) max_int points
+  in
+  fst
+    (List.find
+       (fun (_, (p : Experiment.point)) -> p.Experiment.cycles * 100 <= best * 102)
+       points)
+
+let sweep_of name =
+  List.find
+    (fun ((k : Pv_kernels.Ast.kernel), _, _) -> k.name = name)
+    (Lazy.force depth_sweeps)
+
+(* every feasible depth verifies, and the knee is the one EXPERIMENTS.md
+   Sec. V-A reports *)
+let test_knee name expected () =
+  let _, _, points = sweep_of name in
+  List.iter
+    (fun (d, (p : Experiment.point)) ->
+      Alcotest.(check bool) (Printf.sprintf "prevv%d verified" d) true
+        p.Experiment.verified)
+    (feasible points);
+  Alcotest.(check int) "knee" expected (knee points)
+
+let knee_cases =
+  List.map
+    (fun (name, expected) ->
+      Alcotest.test_case
+        (Printf.sprintf "%s knee at %d" name expected)
+        `Quick (test_knee name expected))
+    [ ("polyn_mult", 4); ("2mm", 8); ("3mm", 8); ("gaussian", 24); ("triangular", 4) ]
+
+(* a named depth is rejected exactly when its simulated queue cannot hold
+   the largest instance's member ports (one body instance) *)
+let test_infeasible_below_largest_instance () =
+  List.iter
+    (fun ((k : Pv_kernels.Ast.kernel), (c : Pipeline.compiled), points) ->
+      let pm = c.Pipeline.info.Pv_frontend.Depend.portmap in
+      let members inst =
+        Array.fold_left
+          (fun n p -> if p.Pv_memory.Portmap.instance = Some inst then n + 1 else n)
+          0 pm.Pv_memory.Portmap.ports
+      in
+      let largest =
+        List.fold_left max 0 (List.init pm.Pv_memory.Portmap.n_instances members)
+      in
+      List.iter
+        (fun (d, p) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/prevv%d feasible" k.name d)
+            (Pv_prevv.Backend.depth_scale * d >= largest)
+            (Option.is_some p))
+        points)
+    (Lazy.force depth_sweeps)
+
+(* a deeper queue stalls less: cycles fall strictly up to the knee *)
+let test_cycles_fall_to_knee () =
+  List.iter
+    (fun ((k : Pv_kernels.Ast.kernel), _, points) ->
+      let k_d = knee points in
+      ignore
+        (List.fold_left
+           (fun prev (d, (p : Experiment.point)) ->
+             if d <= k_d then
+               Alcotest.(check bool)
+                 (Printf.sprintf "%s/prevv%d: %d < %d" k.name d p.Experiment.cycles prev)
+                 true (p.Experiment.cycles < prev);
+             p.Experiment.cycles)
+           max_int (feasible points)))
+    (Lazy.force depth_sweeps)
+
+(* the other side of the trade-off: every deeper queue costs LUTs *)
+let test_luts_rise_with_depth () =
+  List.iter
+    (fun ((k : Pv_kernels.Ast.kernel), _, points) ->
+      ignore
+        (List.fold_left
+           (fun prev (d, (p : Experiment.point)) ->
+             let luts = p.Experiment.report.Pv_resource.Report.luts in
+             Alcotest.(check bool)
+               (Printf.sprintf "%s/prevv%d: %d > %d LUTs" k.name d luts prev)
+               true (luts > prev);
+             luts)
+           0 (feasible points)))
+    (Lazy.force depth_sweeps)
+
 let () =
   Alcotest.run "integration"
     [
@@ -181,6 +293,16 @@ let () =
           Alcotest.test_case "LSQ never squashes" `Quick test_lsq_never_squashes;
           Alcotest.test_case "fake tokens flow" `Quick test_fake_tokens_flow;
         ] );
+      ( "depth sweep (Sec. V-A)",
+        knee_cases
+        @ [
+            Alcotest.test_case "infeasible below the largest instance" `Quick
+              test_infeasible_below_largest_instance;
+            Alcotest.test_case "cycles fall to the knee" `Quick
+              test_cycles_fall_to_knee;
+            Alcotest.test_case "LUTs rise with depth" `Quick
+              test_luts_rise_with_depth;
+          ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_random_scatter_equivalence;

@@ -39,7 +39,7 @@ let cfg depth =
 let fresh ?(depth = 8) ?(pm = portmap ()) () =
   let mem = Array.make 32 0 in
   Array.iteri (fun i _ -> mem.(i) <- 100 + i) mem;
-  let b = Pv_prevv.Backend.create (cfg depth) pm ~n_seq:64 mem in
+  let _, b = Pv_prevv.Backend.create_full (cfg depth) pm ~n_seq:64 mem in
   (mem, b)
 
 let step (b : MI.t) = b.MI.clock ()
@@ -176,7 +176,9 @@ let test_fake_tokens () =
    never tells the backend that instance 0's store was skipped *)
 let test_no_fake_tokens_wedges () =
   let mem = Array.make 8 0 in
-  let b = Pv_prevv.Backend.create (cfg 8) (portmap_cond ()) ~n_seq:64 mem in
+  let _, b =
+    Pv_prevv.Backend.create_full (cfg 8) (portmap_cond ()) ~n_seq:64 mem
+  in
   ignore (b.MI.begin_instance ~seq:0 ~group:0);
   ignore (b.MI.begin_instance ~seq:1 ~group:0);
   ignore (b.MI.load_req ~port:0 ~key:(tkey 0) ~addr:3);
@@ -213,7 +215,7 @@ let test_depth_guard () =
   let mem = Array.make 8 0 in
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Pv_prevv.Backend.create (cfg 1) (portmap ()) ~n_seq:64 mem);
+       ignore (Pv_prevv.Backend.create_full (cfg 1) (portmap ()) ~n_seq:64 mem);
        false
      with Invalid_argument _ -> true)
 

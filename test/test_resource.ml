@@ -600,6 +600,74 @@ let test_report_alloc () =
         golden_configs)
     (Pv_kernels.Defs.paper_benchmarks ())
 
+(* Sec. V-B's reduction on the built circuit: an overlap chain of degree
+   n forms n * n ambiguous pairs, all on one disambiguation instance, and
+   PreVV16's queue grows with the members it holds, not with the pairs *)
+let test_overlap_chain () =
+  let queue_luts =
+    List.init 8 (fun k ->
+        let n = k + 1 in
+        let kernel = Pv_kernels.Defs.overlap_chain ~n in
+        let c = compiled kernel in
+        let info = c.Pv_core.Pipeline.info in
+        let what = Printf.sprintf "n = %d: " n in
+        Alcotest.(check int) (what ^ "one instance") 1
+          info.Pv_frontend.Depend.portmap.Pv_memory.Portmap.n_instances;
+        Alcotest.(check int) (what ^ "n * n naive pairs") (n * n)
+          (Pv_frontend.Depend.naive_pair_count info);
+        let p = Pv_core.Experiment.run ~compiled:c kernel (Pv_core.Scheme.prevv 16) in
+        Alcotest.(check bool) (what ^ "verified under PreVV16") true
+          p.Pv_core.Experiment.verified;
+        p.Pv_core.Experiment.report.Report.queue_luts)
+  in
+  ignore
+    (List.fold_left
+       (fun prev luts ->
+         Alcotest.(check bool)
+           (Printf.sprintf "queue LUTs rise: %d > %d" luts prev)
+           true (luts > prev);
+         luts)
+       (List.hd queue_luts) (List.tl queue_luts))
+
+(* the same chains against the fast LSQ [8]: it verifies too, and costs
+   more LUTs than PreVV16 at every degree *)
+let test_overlap_chain_vs_fast_lsq () =
+  for n = 1 to 8 do
+    let kernel = Pv_kernels.Defs.overlap_chain ~n in
+    let c = compiled kernel in
+    let run dis = Pv_core.Experiment.run ~compiled:c kernel dis in
+    let p = run (Pv_core.Scheme.prevv 16) and f = run Pv_core.Scheme.fast_lsq in
+    Alcotest.(check bool) (Printf.sprintf "n = %d: fast LSQ verified" n) true
+      f.Pv_core.Experiment.verified;
+    let lut (q : Pv_core.Experiment.point) = q.Pv_core.Experiment.report.Report.luts in
+    Alcotest.(check bool)
+      (Printf.sprintf "n = %d: PreVV16 %d < fast LSQ %d LUTs" n (lut p) (lut f))
+      true
+      (lut p < lut f)
+  done
+
+(* one shared instance keeps PreVV16's modelled clock period nearly flat:
+   it never falls as n grows, and rises by under 1 ns from n = 1 to 8 *)
+let test_overlap_chain_cp () =
+  let cps =
+    List.init 8 (fun k ->
+        let kernel = Pv_kernels.Defs.overlap_chain ~n:(k + 1) in
+        (Pv_core.Experiment.run ~compiled:(compiled kernel) kernel
+           (Pv_core.Scheme.prevv 16))
+          .Pv_core.Experiment.report.Report.cp_ns)
+  in
+  ignore
+    (List.fold_left
+       (fun prev cp ->
+         Alcotest.(check bool)
+           (Printf.sprintf "CP %.2f >= %.2f ns" cp prev)
+           true (cp >= prev);
+         cp)
+       (List.hd cps) (List.tl cps));
+  let spread = List.nth cps 7 -. List.hd cps in
+  Alcotest.(check bool) (Printf.sprintf "CP rises %.2f < 1 ns" spread) true
+    (spread < 1.0)
+
 let () =
   Alcotest.run "pv_resource"
     [
@@ -625,6 +693,11 @@ let () =
             test_table_fallback;
           Alcotest.test_case "<= 8 minor words per node" `Quick
             test_report_alloc;
+          Alcotest.test_case "overlap chain (Sec. V-B)" `Quick
+            test_overlap_chain;
+          Alcotest.test_case "overlap chain vs fast LSQ" `Quick
+            test_overlap_chain_vs_fast_lsq;
+          Alcotest.test_case "overlap chain CP" `Quick test_overlap_chain_cp;
         ] );
       ( "golden",
         [

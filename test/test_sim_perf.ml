@@ -309,7 +309,7 @@ let test_prof_records_scanned () =
   in
   let prof = Pv_obs.Prof.create () in
   let mem = Array.make 32 0 in
-  let b = B.create ~prof cfg pm ~n_seq:64 mem in
+  let _, b = B.create_full ~prof cfg pm ~n_seq:64 mem in
   for s = 0 to 6 do
     Alcotest.(check bool) "begin accepted" true
       (b.Memif.begin_instance ~seq:s ~group:0)
