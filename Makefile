@@ -28,7 +28,7 @@ bench-tables:
 
 # paired speed gate: perfbench paper_grid, squash_storm and area_sweep on
 # BASE and on this checkout in alternating pairs; exits non-zero on a paired slowdown
-# (bench/speed_gate.mli has the rule)
+# or heap_peak_mb rise (bench/speed_gate.mli has the rule)
 gate:
 	dune exec bench/gate.exe -- $(BASE)
 

@@ -1,5 +1,5 @@
-(* The paired speed gate: is the change in this checkout slower than a
-   base revision?
+(* The paired speed gate: is the change in this checkout slower, or its
+   heap heavier, than a base revision?
 
      dune exec bench/gate.exe -- BASE        (make gate BASE=<rev>)
 
@@ -37,7 +37,7 @@ let run_side ~dir ~workload ~seed =
   G.side ~status ~stdout
 
 let show = function
-  | Ok v -> Printf.sprintf "%9.2f" v
+  | Ok r -> Printf.sprintf "%9.2f %5.1f MiB" r.G.cells_per_s r.G.heap_peak_mb
   | Error e -> e
 
 let workload ~base_dir ~change_dir w =
@@ -55,11 +55,14 @@ let workload ~base_dir ~change_dir w =
             (run base_dir, c)
         in
         let p = { G.seed; base; change } in
-        Printf.printf "%-13s seed %d  %-12s base %s  change %s  ratio %s\n%!" w
+        let ratio f =
+          match f p with Some r -> Printf.sprintf "%.3f" r | None -> "-"
+        in
+        Printf.printf
+          "%-13s seed %d  %-12s base %s  change %s  ratio %s  heap %s\n%!" w
           seed
           (if base_first then "base first" else "change first")
-          (show base) (show change)
-          (match G.ratio p with Some r -> Printf.sprintf "%.3f" r | None -> "-");
+          (show base) (show change) (ratio G.ratio) (ratio G.heap_ratio);
         p)
   in
   match G.verdict pairs with
@@ -104,8 +107,10 @@ let () =
   end;
   Printf.printf
     "speed gate: change in %s against base %s; %d pairs per workload, %gs \
-     runs; a workload fails at median ratio < %.2f with >= %d/%d slower\n%!"
-    (Sys.getcwd ()) sha G.n_pairs G.seconds G.bound G.slower_needed G.n_pairs;
+     runs; a workload fails at median ratio < %.2f with >= %d/%d slower, or \
+     at median heap ratio > %.2f with >= %d/%d heavier\n%!"
+    (Sys.getcwd ()) sha G.n_pairs G.seconds G.bound G.slower_needed G.n_pairs
+    G.heap_bound G.slower_needed G.n_pairs;
   let ok =
     List.fold_left
       (fun ok w -> workload ~base_dir ~change_dir:"." w && ok)

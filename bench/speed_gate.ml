@@ -6,9 +6,11 @@ let seconds = 5.0
 let side_limit_s = 600
 let seed i = 100 + i
 let bound = 0.90
+let heap_bound = 1.20
 let slower_needed = 6
 
-type side = (float, string) result
+type run = { cells_per_s : float; heap_peak_mb : float }
+type side = (run, string) result
 type pair = { seed : int; base : side; change : side }
 
 let last_line s =
@@ -25,9 +27,9 @@ let side ~status ~stdout =
     let* line = last_line stdout in
     Result.to_option (J.parse line)
   in
-  let cells_per_s doc =
+  let metric name doc =
     let* metrics = J.member "metrics" doc in
-    let* m = J.member "cells_per_s" metrics in
+    let* m = J.member name metrics in
     match J.member "value" m with
     | Some (J.Float v) -> Some v
     | Some (J.Int n) -> Some (float_of_int n)
@@ -39,15 +41,22 @@ let side ~status ~stdout =
     match result with
     | None -> Error "printed no result line"
     | Some doc -> (
-        match (J.member "correct" doc, cells_per_s doc) with
-        | Some (J.Bool true), Some v -> Ok v
-        | Some (J.Bool true), None -> Error "reported no cells_per_s"
+        match
+          (J.member "correct" doc, metric "cells_per_s" doc, metric "heap_peak_mb" doc)
+        with
+        | Some (J.Bool true), Some cells_per_s, Some heap_peak_mb ->
+            Ok { cells_per_s; heap_peak_mb }
+        | Some (J.Bool true), None, _ -> Error "reported no cells_per_s"
+        | Some (J.Bool true), _, None -> Error "reported no heap_peak_mb"
         | _ -> Error "reported \"correct\": false")
 
-let ratio p =
+let ratio_of f p =
   match (p.base, p.change) with
-  | Ok b, Ok c -> Some (c /. b)
+  | Ok b, Ok c -> Some (f c /. f b)
   | _ -> None
+
+let ratio = ratio_of (fun r -> r.cells_per_s)
+let heap_ratio = ratio_of (fun r -> r.heap_peak_mb)
 
 let verdict pairs =
   let broken =
@@ -64,12 +73,20 @@ let verdict pairs =
   | None when List.length pairs <> n_pairs ->
       Error (Printf.sprintf "%d pairs, the rule needs %d" (List.length pairs) n_pairs)
   | None ->
-      let ratios = List.sort compare (List.filter_map ratio pairs) in
-      let median = List.nth ratios (n_pairs / 2) in
-      let slower = List.length (List.filter (fun r -> r < 1.0) ratios) in
-      let summary =
-        Printf.sprintf "median ratio %.3f, change slower in %d/%d pairs" median
-          slower n_pairs
+      let median_and_count f worse =
+        let ratios = List.sort compare (List.filter_map f pairs) in
+        (List.nth ratios (n_pairs / 2), List.length (List.filter worse ratios))
       in
-      if median < bound && slower >= slower_needed then Error summary
+      let median, slower = median_and_count ratio (fun r -> r < 1.0) in
+      let heap, heavier = median_and_count heap_ratio (fun r -> r > 1.0) in
+      let summary =
+        Printf.sprintf
+          "median ratio %.3f, change slower in %d/%d pairs; median heap ratio \
+           %.3f, heavier in %d/%d"
+          median slower n_pairs heap heavier n_pairs
+      in
+      if
+        (median < bound && slower >= slower_needed)
+        || (heap > heap_bound && heavier >= slower_needed)
+      then Error summary
       else Ok summary

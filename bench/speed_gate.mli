@@ -8,7 +8,10 @@
     A workload fails when its median ratio is below {!bound} and the change
     is slower in at least {!slower_needed} of its {!n_pairs} pairs (a
     one-sided sign test, p = 8/128 = 0.0625), or when any run of either
-    side does not count. *)
+    side does not count.  The same rule reads each pair's heap ratio,
+    change [heap_peak_mb] / base [heap_peak_mb]: a workload also fails when
+    its median heap ratio is above {!heap_bound} and the change is heavier
+    in at least {!slower_needed} pairs. *)
 
 (** [paper_grid] and [squash_storm], the simulator and both backends, and
     [area_sweep], the compile and area-report flow with no simulation. *)
@@ -31,24 +34,36 @@ val seed : int -> int
 (** 0.90: the median ratio below which the change may fail. *)
 val bound : float
 
-(** 6: pairs in which the change must be slower for it to fail. *)
+(** 1.20: the median heap ratio above which the change may fail
+    (BENCHMARK.json's 20% bound on [heap_peak_mb]). *)
+val heap_bound : float
+
+(** 6: pairs in which the change must be slower (or heavier) for it to
+    fail. *)
 val slower_needed : int
 
-(** One run: its [cells_per_s], or why it does not count. *)
-type side = (float, string) result
+(** What one run reports. *)
+type run = { cells_per_s : float; heap_peak_mb : float }
+
+(** One run, or why it does not count. *)
+type side = (run, string) result
 
 (** [side ~status ~stdout] reads one perfbench run from its exit status
     and standard output, whose last line is the result JSON.  Status 124
     ([timeout]'s, past {!side_limit_s}) is [Error "timed out"]; any other
-    non-zero status, a missing or unparsable result line, or
-    ["correct": false] make it an [Error] too. *)
+    non-zero status, a missing or unparsable result line, a missing
+    metric, or ["correct": false] make it an [Error] too. *)
 val side : status:int -> stdout:string -> side
 
 type pair = { seed : int; base : side; change : side }
 
-(** change / base when both sides count. *)
+(** change / base [cells_per_s] when both sides count. *)
 val ratio : pair -> float option
 
+(** change / base [heap_peak_mb] when both sides count. *)
+val heap_ratio : pair -> float option
+
 (** [Ok summary] when the workload passes, [Error why] when it fails.  The
-    summary carries the median ratio and the number of slower pairs. *)
+    summary carries the median ratio, the number of slower pairs, the
+    median heap ratio and the number of heavier pairs. *)
 val verdict : pair list -> (string, string) result

@@ -1,17 +1,26 @@
 (* The paired speed gate's verdict on canned pairs: the ratios measured
    for an eval_slot mutant and for an identical clone, the two edges of
-   the rule (a slow median alone, a sign-test majority alone), and runs
-   that do not count. *)
+   the rule (a slow median alone, a sign-test majority alone), the same
+   rule over heap ratios, and runs that do not count. *)
 
 module G = Speed_gate
 
-let pairs ratios =
-  List.mapi
-    (fun i r -> { G.seed = G.seed i; base = Ok 100.0; change = Ok (100.0 *. r) })
-    ratios
+let run cells_per_s heap_peak_mb = Ok { G.cells_per_s; heap_peak_mb }
 
-let passes name want ratios =
-  Alcotest.(check bool) name want (Result.is_ok (G.verdict (pairs ratios)))
+(* pairs with the given speed ratios and heap ratios (1.0 by default) *)
+let pairs ?heap ratios =
+  let heap = Option.value heap ~default:(List.map (fun _ -> 1.0) ratios) in
+  List.mapi
+    (fun i (r, h) ->
+      {
+        G.seed = G.seed i;
+        base = run 100.0 20.0;
+        change = run (100.0 *. r) (20.0 *. h);
+      })
+    (List.combine ratios heap)
+
+let passes ?heap name want ratios =
+  Alcotest.(check bool) name want (Result.is_ok (G.verdict (pairs ?heap ratios)))
 
 let test_mutant () =
   passes "paper_grid, median 0.786, 7/7 slower" false
@@ -32,19 +41,49 @@ let test_edges () =
     [ 0.89; 0.80; 1.02; 0.85; 0.95; 0.88; 0.89 ];
   passes "six pairs are too few" false [ 1.0; 1.0; 1.0; 1.0; 1.0; 1.0 ]
 
-let result_line correct =
+(* the heap rule: a median above 1.20 fails only with 6 of 7 pairs heavier,
+   and a heavy median passes when fewer pairs are heavier *)
+let test_heap () =
+  let ones = [ 1.0; 1.0; 1.0; 1.0; 1.0; 1.0; 1.0 ] in
+  let heavy name want heap = passes ~heap name want ones in
+  heavy "heap median 1.25, 7/7 heavier" false
+    [ 1.25; 1.22; 1.30; 1.24; 1.27; 1.21; 1.26 ];
+  heavy "heap median 1.15, 7/7 heavier" true
+    [ 1.12; 1.15; 1.13; 1.18; 1.16; 1.14; 1.17 ];
+  heavy "heap median 1.21, 6/7 heavier" false
+    [ 1.21; 0.95; 1.30; 1.22; 1.21; 1.25; 1.24 ];
+  heavy "heap median 1.25, 5/7 heavier" true
+    [ 1.25; 0.95; 1.30; 1.26; 0.98; 1.25; 1.24 ];
+  heavy "heap median 1.20 exactly" true
+    [ 1.20; 1.20; 1.20; 1.20; 1.30; 1.30; 1.30 ];
+  passes "faster but heavier: the heap rule alone fails it" false
+    (List.map (fun _ -> 1.2) ones)
+    ~heap:(List.map (fun _ -> 1.3) ones);
+  match G.verdict (pairs ~heap:(List.map (fun _ -> 1.1) ones) ones) with
+  | Ok summary ->
+      Alcotest.(check bool) "the summary prints the median heap ratio" true
+        (String.ends_with ~suffix:"median heap ratio 1.100, heavier in 7/7" summary)
+  | Error why -> Alcotest.failf "expected a pass, got %s" why
+
+let result_line ?(heap = true) correct =
   Printf.sprintf
     "workload paper_grid  seed 100  seconds 5  trace 0\n\
     \  cells_per_s   71.3 1/s\n\
      {\"correct\": %b, \"attempted\": 420, \"failed\": 0, \"metrics\": \
      {\"setup_s\": {\"value\": 0.1, \"unit\": \"s\"}, \"cells_per_s\": \
-     {\"value\": 71.25, \"unit\": \"1/s\"}}}\n"
+     {\"value\": 71.25, \"unit\": \"1/s\"}%s}}\n"
     correct
+    (if heap then ", \"heap_peak_mb\": {\"value\": 14.8, \"unit\": \"MiB\"}" else "")
 
 let test_sides () =
-  Alcotest.(check (result (float 0.0) string))
-    "a correct run counts" (Ok 71.25)
-    (G.side ~status:0 ~stdout:(result_line true));
+  (match G.side ~status:0 ~stdout:(result_line true) with
+  | Ok r ->
+      Alcotest.(check (float 0.0)) "a correct run's cells_per_s" 71.25 r.G.cells_per_s;
+      Alcotest.(check (float 0.0)) "a correct run's heap_peak_mb" 14.8 r.G.heap_peak_mb
+  | Error e -> Alcotest.failf "a correct run does not count: %s" e);
+  Alcotest.(check (result unit string))
+    "a run without heap_peak_mb does not count" (Error "reported no heap_peak_mb")
+    (Result.map ignore (G.side ~status:0 ~stdout:(result_line ~heap:false true)));
   let broken =
     [
       ("correct: false", G.side ~status:0 ~stdout:(result_line false));
@@ -54,9 +93,9 @@ let test_sides () =
       ("a timed-out run", G.side ~status:124 ~stdout:(result_line true));
     ]
   in
-  Alcotest.(check (result (float 0.0) string))
+  Alcotest.(check (result unit string))
     "timeout's status reads as timed out" (Error "timed out")
-    (G.side ~status:124 ~stdout:"");
+    (Result.map ignore (G.side ~status:124 ~stdout:""));
   List.iter
     (fun (name, side) ->
       Alcotest.(check bool) (name ^ " does not count") true (Result.is_error side);
@@ -76,6 +115,7 @@ let () =
           Alcotest.test_case "the eval_slot mutant fails" `Quick test_mutant;
           Alcotest.test_case "an identical clone passes" `Quick test_identical;
           Alcotest.test_case "median and sign test both needed" `Quick test_edges;
+          Alcotest.test_case "the heap rule" `Quick test_heap;
           Alcotest.test_case "runs that do not count fail" `Quick test_sides;
         ] );
     ]

@@ -96,7 +96,8 @@ type walker = {
   mem : int array;
   last : int array;  (* port -> value it loaded in the current instance *)
   mutable base : int;  (* slot of port 0 in the current instance *)
-  mutable row : int array;
+  table : int array;  (* the trace's table *)
+  mutable row : int;  (* offset of the current instance's row in [table] *)
 }
 
 let in_bounds w a = a >= 0 && a < Array.length w.mem
@@ -109,7 +110,7 @@ let record w port a v =
 
 let rec eval w = function
   | Const n -> n
-  | Iv i -> w.row.(i)
+  | Iv i -> w.table.(w.row + i)
   | Reuse p -> w.last.(p)
   | Un (u, x) -> Types.eval_unop u (eval w x)
   | Bin (b, x, y) ->
@@ -137,8 +138,7 @@ let walk (k : Ast.kernel) (info : Depend.info) (trace : Pv_frontend.Trace.t)
     Array.of_list
       (List.map (compile_leaf ~params:k.Ast.params ~layout) info.Depend.leaves)
   in
-  let rows = trace.Pv_frontend.Trace.rows in
-  let n_seq = Array.length rows in
+  let n_seq = Pv_frontend.Trace.length trace in
   let n_slots = n_seq * n_ports in
   let t =
     {
@@ -151,17 +151,17 @@ let walk (k : Ast.kernel) (info : Depend.info) (trace : Pv_frontend.Trace.t)
       st_slots = [||];
     }
   in
+  let { Pv_frontend.Trace.table; arity } = trace in
   let w =
-    { t; mem = Array.copy mem; last = Array.make n_ports 0; base = 0; row = [||] }
+    { t; mem = Array.copy mem; last = Array.make n_ports 0; base = 0; table; row = 0 }
   in
-  Array.iteri
-    (fun seq row ->
-      w.base <- seq * n_ports;
-      w.row <- row;
-      match leaves.(row.(0)) with
-      | Plain st -> exec w st
-      | Cond (c, th, el) -> List.iter (exec w) (if eval w c <> 0 then th else el))
-    rows;
+  for seq = 0 to n_seq - 1 do
+    w.base <- seq * n_ports;
+    w.row <- seq * arity;
+    match leaves.(w.table.(w.row)) with
+    | Plain st -> exec w st
+    | Cond (c, th, el) -> List.iter (exec w) (if eval w c <> 0 then th else el)
+  done;
   (* index the in-memory stores by address: a counting sort over slots in
      ascending order, so every address's run comes out sorted *)
   let stores =

@@ -249,8 +249,7 @@ type t = {
          responses (stride 1: key); a shared empty ring for slots with
          none — one lane narrower per record than the boxed-token era,
          since the packed key carries seq and epoch together *)
-  gen_next_f : (int -> int array) array;
-  gen_group_f : (int -> int) array;
+  gen_table : int array array;  (* per slot: the Gen node's schedule *)
   g_seq : int array;
   g_done : bool array;
   g_emitted : int array;
@@ -375,9 +374,6 @@ let eval_order (g : Graph.t) : int array =
       Array.init n (fun i -> topo.(n - 1 - i))
   | None -> raise Cyclic_graph
 
-let dummy_gen_next (_ : int) : int array = [||]
-let dummy_gen_group (_ : int) = 0
-
 let kind_name : Types.kind -> string = function
   | Gen _ -> "gen"
   | Const _ -> "const"
@@ -438,8 +434,7 @@ let create ?(cfg = default_config) ?(trace = Pv_obs.Trace.null)
   and outs = Array.make (max !total_out 1) (-1) in
   let empty_ring = Ring.create ~stride:1 2 in
   let ring = Array.make n empty_ring in
-  let gen_next_f = Array.make n dummy_gen_next in
-  let gen_group_f = Array.make n dummy_gen_group in
+  let gen_table = Array.make n [||] in
   let g_done = Array.make n false in
   let ib = ref 0 and ob = ref 0 in
   let gens = ref 0 in
@@ -456,8 +451,7 @@ let create ?(cfg = default_config) ?(trace = Pv_obs.Trace.null)
     match node.Graph.kind with
     | Gen spec ->
         op.(slot) <- op_gen;
-        gen_next_f.(slot) <- spec.gen_next;
-        gen_group_f.(slot) <- spec.gen_group;
+        gen_table.(slot) <- spec.gen_table;
         incr gens
     | Const c ->
         op.(slot) <- op_const;
@@ -556,8 +550,7 @@ let create ?(cfg = default_config) ?(trace = Pv_obs.Trace.null)
       ins;
       outs;
       ring;
-      gen_next_f;
-      gen_group_f;
+      gen_table;
       g_seq = Array.make n 0;
       g_done;
       g_emitted = Array.make n 0;
@@ -712,17 +705,16 @@ let eval_slot t slot =
         let ob = ag t.out_base slot and on = ag t.out_n slot in
         if outs_free t ob 0 on then begin
           let seq = ag t.g_seq slot in
-          let row = t.gen_next_f.(slot) seq in
-          if Array.length row = 0 then begin
+          let table = t.gen_table.(slot) in
+          let row = seq * on in
+          if row >= Array.length table then begin
             asetb t.g_done slot true;
             t.gens_active <- t.gens_active - 1
           end
-          else if
-            t.mem.Memif.begin_instance ~seq ~group:(t.gen_group_f.(slot) seq)
-          then begin
+          else if t.mem.Memif.begin_instance ~seq ~group:table.(row) then begin
             let key = Token.unsafe ~seq ~epoch:t.epoch in
             for i = 0 to on - 1 do
-              put t (ag t.outs (ob + i)) ~key ~value:row.(i)
+              put t (ag t.outs (ob + i)) ~key ~value:table.(row + i)
             done;
             aset t.g_seq slot (seq + 1);
             aset t.g_emitted slot (ag t.g_emitted slot + 1);

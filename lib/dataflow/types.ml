@@ -206,19 +206,19 @@ let token ?(epoch = 0) ~seq value = (Token.make ~seq ~epoch, value)
 let pp_token = Token.pp
 
 (** Specification of a loop-nest generator node.  The generator walks the
-    kernel's control-flow in program order, emitting one token per output
-    (one per induction variable) for each body instance.  It is the single
-    rewindable point of the circuit: on a squash at [seq_err] the simulator
-    resets it to re-emit instances from [seq_err]. *)
+    kernel's control flow in program order, emitting one token per output
+    for each body instance.  It is the single rewindable point of the
+    circuit: on a squash at [seq_err] the simulator resets it to re-emit
+    instances from [seq_err]. *)
 type gen_spec = {
-  gen_arity : int;  (** number of induction-variable outputs *)
-  gen_next : int -> int array;
-      (** [gen_next seq] = values of the induction variables for body
-          instance [seq], or [||] once the nest is exhausted.  Returning a
-          pre-tabulated row (rather than an option around it) keeps the
-          generator's steady-state emission allocation-free; [gen_arity]
-          is at least 1, so the empty array is unambiguous. *)
-  gen_group : int -> int;  (** memory-port group of body instance [seq] *)
+  gen_arity : int;  (** outputs per body instance, at least 1 *)
+  gen_table : int array;
+      (** the schedule, one row of [gen_arity] values per body instance:
+          instance [seq]'s output [i] is [gen_table.(seq * gen_arity + i)].
+          Output 0 is the instance's memory-port group (the leaf id); the
+          nest is exhausted at [seq * gen_arity = Array.length gen_table].
+          Read in place, it keeps the generator's emission
+          allocation-free. *)
 }
 
 (** Node kinds. Arities are fixed per kind and validated by {!Check}. *)

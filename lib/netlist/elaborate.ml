@@ -45,9 +45,7 @@ let key : Types.kind -> int = function
    kind per key; checked against [key], built once at start-up and never
    written after, so worker domains share it *)
 let table =
-  let spec =
-    { Types.gen_arity = 1; gen_next = (fun _ -> [||]); gen_group = (fun _ -> 0) }
-  in
+  let spec = { Types.gen_arity = 1; gen_table = [||] } in
   let each_size mk = Array.init span mk in
   Array.mapi
     (fun i kind ->

@@ -404,10 +404,14 @@ let create_full ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
     if cfg.depth_q < member_ports then
       invalid_arg
         (Printf.sprintf
-           "PreVV: depth_q %d is smaller than instance %d's %d member ports; \
-            one body instance could never fit and the commit frontier would \
-            never advance"
-           cfg.depth_q id member_ports);
+           "PreVV: depth_q %d%s is smaller than instance %d's %d member \
+            ports; one body instance could never fit and the commit frontier \
+            would never advance"
+           cfg.depth_q
+           (if cfg.depth_q mod depth_scale = 0 then
+              Printf.sprintf " (named depth %d)" (cfg.depth_q / depth_scale)
+            else "")
+           id member_ports);
     let n_stores =
       count (fun p -> is_member p && p.Portmap.kind = Portmap.OStore)
     in

@@ -70,7 +70,9 @@ type t
     group's ROM, is refused and named by [describe]; only a fault (a
     dropped control token) presents one.
     @raise Invalid_argument when [depth_q] cannot hold one body instance
-    of some disambiguation instance, and (from [begin_instance]) for an
+    of some disambiguation instance (the message also names the depth a
+    user would write, [depth_q / depth_scale], when it divides evenly),
+    and (from [begin_instance]) for an
     iteration at or beyond [n_seq]. *)
 val create_full :
   ?trace:Pv_obs.Trace.t ->

@@ -7,12 +7,7 @@ let mem4 () = Array.make 16 0
 
 (* A generator emitting values [0..n-1] on one output. *)
 let counter_gen n =
-  Types.Gen
-    {
-      Types.gen_arity = 1;
-      gen_next = (fun s -> if s < n then [| s |] else [||]);
-      gen_group = (fun _ -> 0);
-    }
+  Types.Gen { Types.gen_arity = 1; gen_table = Array.init n Fun.id }
 
 let run_graph ?cfg g =
   let mem = mem4 () in
@@ -315,12 +310,7 @@ let test_deadlock_detection () =
   Graph.connect b (gen, 0) (join, 0);
   let gen2 =
     Graph.add b
-      (Types.Gen
-         {
-           Types.gen_arity = 1;
-           gen_next = (fun _ -> [||]);  (* never emits *)
-           gen_group = (fun _ -> 0);
-         })
+      (Types.Gen { Types.gen_arity = 1; gen_table = [||] (* never emits *) })
   in
   Graph.connect b (gen2, 0) (join, 1);
   let sink = Graph.add b Types.Sink in
@@ -341,11 +331,7 @@ let test_merge () =
   let gen2 =
     Graph.add b
       (Types.Gen
-         {
-           Types.gen_arity = 1;
-           gen_next = (fun _ -> [||]);
-           gen_group = (fun _ -> 0);
-         })
+         { Types.gen_arity = 1; gen_table = [||] })
   in
   Graph.connect b (gen2, 0) (merge, 1);
   let sink = Graph.add b Types.Sink in

@@ -227,17 +227,45 @@ let test_trace_length_matches_interpreter () =
         (Trace.length trace))
     [ Defs.polyn_mult ~n:6 (); Defs.gaussian ~n:6 (); Defs.two_mm ~n:3 () ]
 
+(* row [seq] of a trace's table *)
+let row (t : Trace.t) seq = Array.sub t.Trace.table (seq * t.Trace.arity) t.Trace.arity
+
 let test_trace_rows () =
   let k = Defs.two_mm ~n:2 () in
   let info = info_of k in
   let t = Trace.of_kernel k info in
   (* 2 leaves x 2^3 instances *)
   Alcotest.(check int) "length" 16 (Trace.length t);
-  Alcotest.(check (array int)) "first row" [| 0; 0; 0; 0 |] t.Trace.rows.(0);
-  Alcotest.(check (array int)) "last row" [| 1; 1; 1; 1 |] t.Trace.rows.(15);
+  Alcotest.(check (array int)) "first row" [| 0; 0; 0; 0 |] (row t 0);
+  Alcotest.(check (array int)) "last row" [| 1; 1; 1; 1 |] (row t 15);
   let spec = Trace.gen_spec t in
-  Alcotest.(check bool) "exhausted" true (spec.Pv_dataflow.Types.gen_next 16 = [||]);
-  Alcotest.(check int) "group of 8" 1 (spec.Pv_dataflow.Types.gen_group 8)
+  Alcotest.(check bool) "the spec shares the table" true
+    (spec.Pv_dataflow.Types.gen_table == t.Trace.table);
+  Alcotest.(check int) "group of 8" 1
+    spec.Pv_dataflow.Types.gen_table.(8 * spec.Pv_dataflow.Types.gen_arity)
+
+(* The table is exactly [length * arity] ints, and tabulating it forces no
+   minor collection: one exact-size [Array.make] of an immediate, no row
+   list to cons and copy. *)
+let test_trace_exact_table () =
+  let forced =
+    List.filter_map
+      (fun k ->
+        let info = info_of k in
+        Gc.minor ();
+        let c0 = (Gc.quick_stat ()).Gc.minor_collections in
+        let t = Trace.of_kernel k info in
+        let c1 = (Gc.quick_stat ()).Gc.minor_collections in
+        Alcotest.(check int)
+          (k.Ast.name ^ ": table size")
+          (Trace.length t * t.Trace.arity)
+          (Array.length t.Trace.table);
+        if c1 <> c0 then Some (Printf.sprintf "%s: %d" k.Ast.name (c1 - c0))
+        else None)
+      (Defs.all ())
+  in
+  Alcotest.(check (list string)) "kernels whose trace forced a collection" []
+    forced
 
 let test_trace_data_dependent_bound () =
   let open Ast in
@@ -278,7 +306,7 @@ let test_trace_unreached_bound () =
   in
   let t = Trace.of_kernel k (info_of k) in
   Alcotest.(check int) "only the second nest" 2 (Trace.length t);
-  Alcotest.(check (array int)) "row 1" [| 2; 1; 0 |] t.Trace.rows.(1)
+  Alcotest.(check (array int)) "row 1" [| 2; 1; 0 |] (row t 1)
 
 (* An inner loop variable shadows a parameter of the same name. *)
 let test_trace_loop_shadows_param () =
@@ -294,7 +322,7 @@ let test_trace_loop_shadows_param () =
   let t = Trace.of_kernel k (info_of k) in
   Alcotest.(check (list (array int)))
     "rows carry the loop variable" [ [| 0; 1 |]; [| 0; 2 |] ]
-    (Array.to_list t.Trace.rows)
+    (List.init (Trace.length t) (row t))
 
 (* --- build ------------------------------------------------------------------ *)
 
@@ -623,6 +651,8 @@ let () =
           Alcotest.test_case "length matches interpreter" `Quick
             test_trace_length_matches_interpreter;
           Alcotest.test_case "rows" `Quick test_trace_rows;
+          Alcotest.test_case "exact table, no minor collection" `Quick
+            test_trace_exact_table;
           Alcotest.test_case "data-dependent bound" `Quick
             test_trace_data_dependent_bound;
           Alcotest.test_case "unreached bound" `Quick

@@ -219,6 +219,18 @@ let test_depth_guard () =
        false
      with Invalid_argument _ -> true)
 
+(* the message names the depth the user wrote as well as the simulated
+   one: PreVV2 on gaussian is 4 queue entries for 5 member ports *)
+let test_depth_guard_message () =
+  let compiled = Pv_core.Pipeline.compile (Pv_kernels.Defs.gaussian ()) in
+  Alcotest.check_raises "gaussian under prevv2"
+    (Invalid_argument
+       "PreVV: depth_q 4 (named depth 2) is smaller than instance 0's 5 \
+        member ports; one body instance could never fit and the commit \
+        frontier would never advance")
+    (fun () ->
+      ignore (Pv_core.Pipeline.simulate compiled (Pv_core.Scheme.prevv 2)))
+
 (* the store-arrival frontier retires load records early: once every older
    store of the same array has arrived and been checked, the load's slot
    frees even though the global commit frontier is stuck on another array *)
@@ -412,6 +424,8 @@ let () =
             test_no_fake_tokens_wedges;
           Alcotest.test_case "port quota" `Quick test_port_quota;
           Alcotest.test_case "depth guard" `Quick test_depth_guard;
+          Alcotest.test_case "depth guard names the named depth" `Quick
+            test_depth_guard_message;
           Alcotest.test_case "port limit: 62 ports, not 63" `Quick
             test_port_limit;
           Alcotest.test_case "SAF retirement" `Quick test_saf_retirement;

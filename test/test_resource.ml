@@ -541,9 +541,7 @@ let test_table_fallback () =
   let module T = Pv_dataflow.Types in
   let module G = Pv_dataflow.Graph in
   let b = G.create () in
-  let spec =
-    { T.gen_arity = 3; gen_next = (fun _ -> [||]); gen_group = (fun _ -> 0) }
-  in
+  let spec = { T.gen_arity = 3; gen_table = [||] } in
   List.iter
     (fun kind -> ignore (G.add b kind))
     [

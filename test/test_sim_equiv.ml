@@ -119,12 +119,7 @@ let pipe_behind_slow_consumer () =
   let module T = Pv_dataflow.Types in
   let b = G.create () in
   let gen_of rows =
-    T.Gen
-      {
-        T.gen_arity = 2;
-        gen_next = (fun s -> if s < Array.length rows then rows.(s) else [||]);
-        gen_group = (fun _ -> 0);
-      }
+    T.Gen { T.gen_arity = 2; gen_table = Array.concat (Array.to_list rows) }
   in
   let gen = G.add b (gen_of (Array.init 24 (fun s -> [| s; 3 |]))) in
   let mul = G.add b (T.Binop T.Mul) in
