@@ -7,9 +7,10 @@
    temporary directory with git archive, then runs perfbench/run.py (which
    builds each side from its own sources) on each of Speed_gate.workloads
    (paper_grid, squash_storm and the compile-and-report area_sweep) in
-   alternating pairs, prints every pair and each workload's verdict,
-   and exits 1 when any workload fails Speed_gate's rule, 2 when BASE does
-   not name a commit.  Each side run is capped at Speed_gate.side_limit_s
+   alternating pairs, prints every pair and each workload's verdict
+   (with its median latency ratios, which no rule judges), and exits 1
+   when any workload fails Speed_gate's rule, 2 when BASE does not name
+   a commit.  Each side run is capped at Speed_gate.side_limit_s
    seconds by timeout(1); a run past it fails its pair.  When the change
    edits perfbench/ or BENCHMARK.json the two sides would run different
    benchmarks: the gate says so and passes. *)
@@ -59,12 +60,15 @@ let workload ~base_dir ~change_dir w =
           match f p with Some r -> Printf.sprintf "%.3f" r | None -> "-"
         in
         Printf.printf
-          "%-13s seed %d  %-12s base %s  change %s  ratio %s  heap %s\n%!" w
-          seed
+          "%-13s seed %d  %-12s base %s  change %s  ratio %s  heap %s  p50 %s  \
+           p95 %s\n%!"
+          w seed
           (if base_first then "base first" else "change first")
-          (show base) (show change) (ratio G.ratio) (ratio G.heap_ratio);
+          (show base) (show change) (ratio G.ratio) (ratio G.heap_ratio)
+          (ratio G.p50_ratio) (ratio G.p95_ratio);
         p)
   in
+  Printf.printf "%s: %s\n%!" w (G.latency pairs);
   match G.verdict pairs with
   | Ok summary ->
       Printf.printf "%s: %s: pass\n%!" w summary;

@@ -9,7 +9,13 @@ let bound = 0.90
 let heap_bound = 1.20
 let slower_needed = 6
 
-type run = { cells_per_s : float; heap_peak_mb : float }
+type run = {
+  cells_per_s : float;
+  heap_peak_mb : float;
+  cell_ms_p50 : float;
+  cell_ms_p95 : float;
+}
+
 type side = (run, string) result
 type pair = { seed : int; base : side; change : side }
 
@@ -41,13 +47,17 @@ let side ~status ~stdout =
     match result with
     | None -> Error "printed no result line"
     | Some doc -> (
-        match
-          (J.member "correct" doc, metric "cells_per_s" doc, metric "heap_peak_mb" doc)
-        with
-        | Some (J.Bool true), Some cells_per_s, Some heap_peak_mb ->
-            Ok { cells_per_s; heap_peak_mb }
-        | Some (J.Bool true), None, _ -> Error "reported no cells_per_s"
-        | Some (J.Bool true), _, None -> Error "reported no heap_peak_mb"
+        match J.member "correct" doc with
+        | Some (J.Bool true) ->
+            let ( let* ) = Result.bind in
+            let need name =
+              Option.to_result ~none:("reported no " ^ name) (metric name doc)
+            in
+            let* cells_per_s = need "cells_per_s" in
+            let* heap_peak_mb = need "heap_peak_mb" in
+            let* cell_ms_p50 = need "cell_ms_p50" in
+            let* cell_ms_p95 = need "cell_ms_p95" in
+            Ok { cells_per_s; heap_peak_mb; cell_ms_p50; cell_ms_p95 }
         | _ -> Error "reported \"correct\": false")
 
 let ratio_of f p =
@@ -57,6 +67,19 @@ let ratio_of f p =
 
 let ratio = ratio_of (fun r -> r.cells_per_s)
 let heap_ratio = ratio_of (fun r -> r.heap_peak_mb)
+let p50_ratio = ratio_of (fun r -> r.cell_ms_p50)
+let p95_ratio = ratio_of (fun r -> r.cell_ms_p95)
+
+let median_of f pairs =
+  match List.sort compare (List.filter_map f pairs) with
+  | [] -> None
+  | rs -> Some (List.nth rs (List.length rs / 2))
+
+let latency pairs =
+  let show = function Some r -> Printf.sprintf "%.3f" r | None -> "-" in
+  Printf.sprintf "median cell_ms_p50 ratio %s, cell_ms_p95 ratio %s (reported, not judged)"
+    (show (median_of p50_ratio pairs))
+    (show (median_of p95_ratio pairs))
 
 let verdict pairs =
   let broken =

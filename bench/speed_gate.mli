@@ -11,7 +11,9 @@
     side does not count.  The same rule reads each pair's heap ratio,
     change [heap_peak_mb] / base [heap_peak_mb]: a workload also fails when
     its median heap ratio is above {!heap_bound} and the change is heavier
-    in at least {!slower_needed} pairs. *)
+    in at least {!slower_needed} pairs.  The latency ratios, change / base
+    [cell_ms_p50] and [cell_ms_p95], are read and printed ({!latency}) but
+    judged by no rule. *)
 
 (** [paper_grid] and [squash_storm], the simulator and both backends, and
     [area_sweep], the compile and area-report flow with no simulation. *)
@@ -43,7 +45,12 @@ val heap_bound : float
 val slower_needed : int
 
 (** What one run reports. *)
-type run = { cells_per_s : float; heap_peak_mb : float }
+type run = {
+  cells_per_s : float;
+  heap_peak_mb : float;
+  cell_ms_p50 : float;
+  cell_ms_p95 : float;
+}
 
 (** One run, or why it does not count. *)
 type side = (run, string) result
@@ -52,7 +59,8 @@ type side = (run, string) result
     and standard output, whose last line is the result JSON.  Status 124
     ([timeout]'s, past {!side_limit_s}) is [Error "timed out"]; any other
     non-zero status, a missing or unparsable result line, a missing
-    metric, or ["correct": false] make it an [Error] too. *)
+    metric (any of the four in {!run}), or ["correct": false] make it an
+    [Error] too. *)
 val side : status:int -> stdout:string -> side
 
 type pair = { seed : int; base : side; change : side }
@@ -62,6 +70,17 @@ val ratio : pair -> float option
 
 (** change / base [heap_peak_mb] when both sides count. *)
 val heap_ratio : pair -> float option
+
+(** change / base [cell_ms_p50] and [cell_ms_p95] when both sides count;
+    above 1 is slower. *)
+val p50_ratio : pair -> float option
+
+val p95_ratio : pair -> float option
+
+(** The median p50 and p95 latency ratios over the pairs where both sides
+    count, as one line; ["-"] where no pair counts.  A report only: no
+    rule reads it. *)
+val latency : pair list -> string
 
 (** [Ok summary] when the workload passes, [Error why] when it fails.  The
     summary carries the median ratio, the number of slower pairs, the

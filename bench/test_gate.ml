@@ -1,11 +1,13 @@
 (* The paired speed gate's verdict on canned pairs: the ratios measured
    for an eval_slot mutant and for an identical clone, the two edges of
    the rule (a slow median alone, a sign-test majority alone), the same
-   rule over heap ratios, and runs that do not count. *)
+   rule over heap ratios, runs that do not count, and the latency ratios
+   the gate reports without judging. *)
 
 module G = Speed_gate
 
-let run cells_per_s heap_peak_mb = Ok { G.cells_per_s; heap_peak_mb }
+let run ?(p50 = 50.0) ?(p95 = 90.0) cells_per_s heap_peak_mb =
+  Ok { G.cells_per_s; heap_peak_mb; cell_ms_p50 = p50; cell_ms_p95 = p95 }
 
 (* pairs with the given speed ratios and heap ratios (1.0 by default) *)
 let pairs ?heap ratios =
@@ -65,25 +67,32 @@ let test_heap () =
         (String.ends_with ~suffix:"median heap ratio 1.100, heavier in 7/7" summary)
   | Error why -> Alcotest.failf "expected a pass, got %s" why
 
-let result_line ?(heap = true) correct =
+let result_line ?(heap = true) ?(p50 = true) correct =
   Printf.sprintf
     "workload paper_grid  seed 100  seconds 5  trace 0\n\
     \  cells_per_s   71.3 1/s\n\
      {\"correct\": %b, \"attempted\": 420, \"failed\": 0, \"metrics\": \
      {\"setup_s\": {\"value\": 0.1, \"unit\": \"s\"}, \"cells_per_s\": \
-     {\"value\": 71.25, \"unit\": \"1/s\"}%s}}\n"
+     {\"value\": 71.25, \"unit\": \"1/s\"}%s%s, \"cell_ms_p95\": \
+     {\"value\": 41, \"unit\": \"ms\"}}}\n"
     correct
     (if heap then ", \"heap_peak_mb\": {\"value\": 14.8, \"unit\": \"MiB\"}" else "")
+    (if p50 then ", \"cell_ms_p50\": {\"value\": 12.5, \"unit\": \"ms\"}" else "")
 
 let test_sides () =
   (match G.side ~status:0 ~stdout:(result_line true) with
   | Ok r ->
       Alcotest.(check (float 0.0)) "a correct run's cells_per_s" 71.25 r.G.cells_per_s;
-      Alcotest.(check (float 0.0)) "a correct run's heap_peak_mb" 14.8 r.G.heap_peak_mb
+      Alcotest.(check (float 0.0)) "a correct run's heap_peak_mb" 14.8 r.G.heap_peak_mb;
+      Alcotest.(check (float 0.0)) "a correct run's cell_ms_p50" 12.5 r.G.cell_ms_p50;
+      Alcotest.(check (float 0.0)) "an integer cell_ms_p95" 41.0 r.G.cell_ms_p95
   | Error e -> Alcotest.failf "a correct run does not count: %s" e);
   Alcotest.(check (result unit string))
     "a run without heap_peak_mb does not count" (Error "reported no heap_peak_mb")
     (Result.map ignore (G.side ~status:0 ~stdout:(result_line ~heap:false true)));
+  Alcotest.(check (result unit string))
+    "a run without cell_ms_p50 does not count" (Error "reported no cell_ms_p50")
+    (Result.map ignore (G.side ~status:0 ~stdout:(result_line ~p50:false true)));
   let broken =
     [
       ("correct: false", G.side ~status:0 ~stdout:(result_line false));
@@ -107,6 +116,28 @@ let test_sides () =
         (Result.is_ok (G.verdict on_change)))
     broken
 
+(* latency ratios are change / base per pair, and the report prints their
+   medians; a slower latency never changes the verdict *)
+let test_latency () =
+  let pair i ~p50 ~p95 =
+    { G.seed = G.seed i; base = run 100.0 20.0; change = run ~p50 ~p95 100.0 20.0 }
+  in
+  let ps =
+    List.mapi
+      (fun i (p50, p95) -> pair i ~p50 ~p95)
+      [ (50., 90.); (60., 99.); (55., 180.); (100., 90.); (40., 45.); (75., 135.); (50., 99.) ]
+  in
+  Alcotest.(check (option (float 1e-9))) "p50 ratio" (Some 1.2) (G.p50_ratio (List.nth ps 1));
+  Alcotest.(check (option (float 1e-9))) "p95 ratio" (Some 2.0) (G.p95_ratio (List.nth ps 2));
+  Alcotest.(check string) "the medians"
+    "median cell_ms_p50 ratio 1.100, cell_ms_p95 ratio 1.100 (reported, not judged)"
+    (G.latency ps);
+  Alcotest.(check bool) "twice the latency still passes" true
+    (Result.is_ok (G.verdict (List.mapi (fun i _ -> pair i ~p50:100. ~p95:180.) ps)));
+  Alcotest.(check string) "no counted pair"
+    "median cell_ms_p50 ratio -, cell_ms_p95 ratio - (reported, not judged)"
+    (G.latency [ { (List.hd ps) with G.change = Error "timed out" } ])
+
 let () =
   Alcotest.run "gate"
     [
@@ -117,5 +148,7 @@ let () =
           Alcotest.test_case "median and sign test both needed" `Quick test_edges;
           Alcotest.test_case "the heap rule" `Quick test_heap;
           Alcotest.test_case "runs that do not count fail" `Quick test_sides;
+          Alcotest.test_case "latency is reported, not judged" `Quick
+            test_latency;
         ] );
     ]

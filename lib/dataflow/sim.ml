@@ -1,50 +1,3 @@
-(** Cycle-accurate simulation of an elastic dataflow graph against a
-    memory-disambiguation backend.
-
-    Timing model: every channel behaves as a one-deep elastic register (the
-    canonical latency-insensitive wire), so every component contributes one
-    pipeline stage; functional units may add [default_latency] further
-    internal stages (fully pipelined, initiation interval 1).  Nodes are
-    evaluated once per cycle in consumers-before-producers order, so a
-    register chain sustains one token per cycle — exactly the throughput
-    behaviour of the circuits the paper measures, with stalls arising only
-    from structural hazards and memory backpressure.
-
-    Channel registers are written in place.  Because a channel's consumer
-    always runs before its producer within a cycle, a token put this cycle
-    is first seen by its consumer next cycle, as behind a clock edge, while
-    a register freed this cycle can be refilled by its producer at once.
-    No staged copy and no commit pass are needed.  Such an order exists
-    only for an acyclic graph, so {!create} rejects a cyclic one.
-
-    One loop, two regimes.  The dense regime evaluates every node every
-    cycle.  The sparse regime keeps a wake set and evaluates only nodes
-    that can possibly fire: a node is awake iff a token was put on one of
-    its inputs last cycle, a timed event (injected stall expiry) is due,
-    or it still holds work that needs no channel event (a refused backend
-    call; a pipe, buffer, generator or load response waiting on nothing but
-    a free output register — a node blocked on a full output sleeps until
-    the output drains).  Within a cycle, consuming a token pulls the
-    channel's producer into the same wave (its turn is always still to
-    come), preserving the one-token-per-cycle streaming of the full pass.
-    [Event] switches between the regimes on the fire rate; [Scan] is the
-    dense regime pinned, so comparing the two engines checks the wake set.
-
-    Representation: the state is data-oriented.  Nodes are renumbered by
-    their evaluation-order position ("slot"); every per-node and per-channel
-    quantity lives in a flat int array indexed by slot or channel id, node
-    dispatch is a jump table over a dense opcode array built once at
-    {!create}, queue-shaped state (FU pipes, buffers, announced stores, load
-    responses) lives in int {!Ring}s, and the wake set / evaluation wave are
-    int bitsets.  A steady-state cycle touches no minor-heap word (asserted
-    by test/test_sim_perf.ml); see DESIGN.md §19.
-
-    Squash/replay: when the backend reports a mis-speculation at [seq_err],
-    the simulator bumps the global epoch, purges every in-flight token with
-    [seq >= seq_err] (channels, buffers, functional-unit pipelines) and
-    rewinds the loop-nest generator, which then re-emits the squashed body
-    instances. *)
-
 open Types
 
 type engine = Scan | Event
@@ -59,17 +12,9 @@ let engine_of_string = function
 type config = {
   max_cycles : int;
   stall_limit : int;
-      (** cycles without any token movement before declaring deadlock *)
   faults : Fault.plan;
-      (** transient disturbances to inject during the run (resilience
-          testing); empty for a fault-free simulation *)
   engine : engine;
-      (** evaluation strategy; both engines are cycle-equivalent *)
   cancel : unit -> bool;
-      (** cooperative cancellation token, polled by {!run} between cycles;
-          when it turns true the run raises {!Cancelled}.  Never affects a
-          completed result, so it is deliberately absent from result cache
-          fingerprints. *)
 }
 
 exception Cancelled of { at_cycle : int }
@@ -93,23 +38,19 @@ let default_config =
     cancel = (fun () -> false);
   }
 
-(** Diagnosis attached to a non-[Finished] outcome: enough state to tell a
-    starved pipeline from a backpressured one from a wedged backend without
-    re-running under a debugger. *)
 type post_mortem = {
   pm_at_cycle : int;
-  pm_last_progress : int;  (** cycle of the last token movement *)
-  pm_epoch : int;  (** squash epoch at the end (number of squashes seen) *)
-  pm_occupied : int;  (** channel registers still holding a token *)
-  pm_tokens : (chan_id * token) list;  (** in-flight tokens (capped) *)
-  pm_oldest_seq : int option;  (** oldest in-flight iteration anywhere *)
+  pm_last_progress : int;
+  pm_epoch : int;
+  pm_occupied : int;
+  pm_tokens : (chan_id * token) list;
+  pm_oldest_seq : int option;
   pm_stalled : (node_id * string * string) list;
-      (** (node, label, stall reason) for nodes blocked with work (capped) *)
-  pm_stalled_total : int;  (** nodes blocked with work, before the cap *)
-  pm_gens : (node_id * int * bool) list;  (** generator (node, next seq, done) *)
-  pm_fault_stalls : chan_id list;  (** channels under an injected stall *)
-  pm_backend : string;  (** backend state snapshot ({!Memif.t.describe}) *)
-  pm_faults : Fault.application list;  (** what each planned fault did *)
+  pm_stalled_total : int;
+  pm_gens : (node_id * int * bool) list;
+  pm_fault_stalls : chan_id list;
+  pm_backend : string;
+  pm_faults : Fault.application list;
 }
 
 type outcome =
@@ -170,11 +111,9 @@ let pp_post_mortem ppf pm =
 
 type run_stats = {
   cycles : int;
-  node_fires : int array;  (** per node id *)
-  gen_instances : int;  (** body instances emitted, including replays *)
+  node_fires : int array;
+  gen_instances : int;
   evals : int;
-      (** total node evaluations; under [Scan] this is nodes x cycles,
-          under [Event] only the awake subset *)
 }
 
 (** One armed fault event: fires at the first applicable cycle at or after
@@ -243,6 +182,11 @@ type t = {
   out_n : int array;
   ins : int array;  (* flattened input channel ids *)
   outs : int array;  (* flattened output channel ids *)
+  (* slot -> first/second input and first output channel id (-1: none),
+     so a fixed-arity arm reads its channel in one load *)
+  i0 : int array;
+  i1 : int array;
+  o0 : int array;
   ring : Ring.t array;
       (* per slot: FU pipe (stride 3: ready,key,value), buffer (stride 3:
          key,value,arrival), announced stores (stride 2: key,addr) or load
@@ -253,7 +197,7 @@ type t = {
   g_seq : int array;
   g_done : bool array;
   g_emitted : int array;
-  fires : int array;  (* per-node fire counts, node-id indexed *)
+  fires : int array;  (* fire counts, slot-indexed; [node_fires] maps them *)
   faults : fault_state array;
   (* sparse regime: wake set for the next cycle and the wave being swept,
      both bitsets over slots (32 bits per word); timed wakes (stall
@@ -270,7 +214,7 @@ type t = {
      starts dense and stays there *)
   mutable dense : bool;
   mutable bookkeep : bool;  (* not dense: maintain the wake set *)
-  mutable nfired : int;  (* node firings this cycle (mode hysteresis) *)
+  mutable nfired : int;  (* node firings this cycle (mode hysteresis, progress) *)
   (* occupancy counters: [finished] in O(1) instead of scanning *)
   mutable occupied : int;  (* channels holding a token *)
   mutable held : int;  (* records in pipe/buffer/store rings *)
@@ -279,8 +223,7 @@ type t = {
   mutable evals : int;
   mutable epoch : int;
   mutable cycle : int;
-  mutable progress : bool;  (* any movement this cycle *)
-  mutable last_progress : int;
+  mutable last_progress : int;  (* last cycle with a fire or a squash *)
   (* observability: [trace] is Trace.null unless a sink was passed to
      [create]; every emit site checks [Trace.enabled] first, so a disabled
      trace costs one branch.  [epoch_start]/[last_inflight] carry the open
@@ -438,6 +381,8 @@ let create ?(cfg = default_config) ?(trace = Pv_obs.Trace.null)
   let g_done = Array.make n false in
   let ib = ref 0 and ob = ref 0 in
   let gens = ref 0 in
+  let chan_at (a : int array) k = if k < Array.length a then a.(k) else -1 in
+  let i0 = Array.make n (-1) and i1 = Array.make n (-1) and o0 = Array.make n (-1) in
   for slot = 0 to n - 1 do
     let node = Graph.node g order.(slot) in
     in_base.(slot) <- !ib;
@@ -448,6 +393,9 @@ let create ?(cfg = default_config) ?(trace = Pv_obs.Trace.null)
     out_n.(slot) <- Array.length node.Graph.outputs;
     Array.iteri (fun k cid -> outs.(!ob + k) <- cid) node.Graph.outputs;
     ob := !ob + out_n.(slot);
+    i0.(slot) <- chan_at node.Graph.inputs 0;
+    i1.(slot) <- chan_at node.Graph.inputs 1;
+    o0.(slot) <- chan_at node.Graph.outputs 0;
     match node.Graph.kind with
     | Gen spec ->
         op.(slot) <- op_gen;
@@ -549,6 +497,9 @@ let create ?(cfg = default_config) ?(trace = Pv_obs.Trace.null)
       out_n;
       ins;
       outs;
+      i0;
+      i1;
+      o0;
       ring;
       gen_table;
       g_seq = Array.make n 0;
@@ -575,7 +526,6 @@ let create ?(cfg = default_config) ?(trace = Pv_obs.Trace.null)
       evals = 0;
       epoch = 0;
       cycle = 0;
-      progress = false;
       last_progress = 0;
       trace;
       epoch_start = 0;
@@ -596,11 +546,15 @@ let[@inline] in_ready t cid =
   ag t.cur_key cid >= 0 && ag t.stall_until cid <= t.cycle
 
 (* Consume the input token (caller checked [in_ready]).  Clears the key, so
-   a caller reads it first; the value stays readable in [cur_val]. *)
+   a caller reads it first; the value stays readable in [cur_val].  The
+   empty key is written as the literal -1 ([Token.none]): under [-opaque]
+   the named constant is two loads through the [Types] module block.
+   [take], [put] and [fire] leave [last_progress] alone: every take and
+   put of [eval_slot] sits in a branch that fires, and [step] reads the
+   cycle's fire count instead. *)
 let[@inline] take t cid =
-  aset t.cur_key cid Token.none;
+  aset t.cur_key cid (-1);
   t.occupied <- t.occupied - 1;
-  t.progress <- true;
   (* the freed register is visible to its producer this very cycle: pull
      the producer into the current wave (its slot is always later) *)
   if t.bookkeep then bs_set t.wave (ag t.chan_src cid)
@@ -612,17 +566,22 @@ let[@inline] out_free t cid = ag t.cur_key cid < 0
 (* Fill an output register; its consumer, which already ran this cycle,
    wakes for the next one. *)
 let[@inline] put t cid ~key ~value =
-  assert (t.cur_key.(cid) < 0);
+  assert (ag t.cur_key cid < 0);
   aset t.cur_key cid key;
   aset t.cur_val cid value;
   t.occupied <- t.occupied + 1;
-  t.progress <- true;
   if t.bookkeep then bs_set t.awake (ag t.chan_dst cid)
 
 (* Loop helpers as tail recursions: a [for] body cannot early-exit and a
    [ref] accumulator would allocate, which the hot loop must not. *)
-let rec outs_free t b i n =
-  i >= n || (out_free t (ag t.outs (b + i)) && outs_free t b (i + 1) n)
+let rec outs_free_from t b i n =
+  i >= n || (out_free t (ag t.outs (b + i)) && outs_free_from t b (i + 1) n)
+
+(* Every output free; the two-output case (a two-way fork, a one-loop
+   generator) skips the recursive call. *)
+let[@inline] outs_free t b n =
+  if n = 2 then out_free t (ag t.outs b) && out_free t (ag t.outs (b + 1))
+  else outs_free_from t b 0 n
 
 let rec ins_ready t b i n =
   i >= n || (in_ready t (ag t.ins (b + i)) && ins_ready t b (i + 1) n)
@@ -647,10 +606,41 @@ let rec take_all t b i n =
 let[@inline] imax (a : int) (b : int) = if a >= b then a else b
 
 let[@inline] fire t slot =
-  let nid = ag t.nid_of slot in
-  aset t.fires nid (ag t.fires nid + 1);
-  t.nfired <- t.nfired + 1;
-  t.progress <- true
+  aset t.fires slot (ag t.fires slot + 1);
+  t.nfired <- t.nfired + 1
+
+(* Operator evaluation by dense code ({!Types.binop_code},
+   {!Types.unop_code}); must mirror [Types.eval_binop]/[eval_unop] case
+   for case (test_dataflow checks the whole table).  Here rather than in
+   [Types] so that the arms below inline them. *)
+let[@inline] eval_binop_code code a b =
+  match code with
+  | 0 -> a + b
+  | 1 -> a - b
+  | 2 | 3 -> a * b
+  | 4 -> if b = 0 then 0 else a / b
+  | 5 -> if b = 0 then 0 else a mod b
+  | 6 -> a land b
+  | 7 -> a lor b
+  | 8 -> a lxor b
+  | 9 -> a lsl (b land 62)
+  | 10 -> a asr (b land 62)
+  | 11 -> if a < b then 1 else 0
+  | 12 -> if a <= b then 1 else 0
+  | 13 -> if a > b then 1 else 0
+  | 14 -> if a >= b then 1 else 0
+  | 15 -> if a = b then 1 else 0
+  | 16 -> if a <> b then 1 else 0
+  | 17 -> if a <= b then a else b
+  | 18 -> if a >= b then a else b
+  | _ -> invalid_arg "eval_binop_code"
+
+let[@inline] eval_unop_code code a =
+  match code with
+  | 0 -> -a
+  | 1 -> if a = 0 then 1 else 0
+  | 2 -> lnot a
+  | _ -> invalid_arg "eval_unop_code"
 
 (* --- node evaluation ---------------------------------------------------- *)
 
@@ -694,18 +684,19 @@ let[@inline] buf_try_accept t r ci slot =
    ([take]).  Everything else is re-woken by a [put] on one of its
    inputs, squash wake-alls, or fault wakes.  The stay-awake decision is
    folded into each dispatch arm so the sweep needs no second dispatch. *)
-let[@inline] pending_in t slot k =
-  let cid = ag t.ins (ag t.in_base slot + k) in
-  cid >= 0 && ag t.cur_key cid >= 0
+let[@inline] pending t cid = cid >= 0 && ag t.cur_key cid >= 0
 
-let eval_slot t slot =
+(* Inlined into each of its callers (the dense pass, the sparse [sweep]
+   and [eval_profiled]), so each loop runs its own copy of the dispatch
+   with no call per evaluation (DESIGN.md §19). *)
+let[@inline] eval_slot t slot =
   match ag t.op slot with
   | 0 (* Gen *) ->
       if not (agb t.g_done slot) then begin
         let ob = ag t.out_base slot and on = ag t.out_n slot in
-        if outs_free t ob 0 on then begin
+        if outs_free t ob on then begin
           let seq = ag t.g_seq slot in
-          let table = t.gen_table.(slot) in
+          let table = Array.unsafe_get t.gen_table slot in
           let row = seq * on in
           if row >= Array.length table then begin
             asetb t.g_done slot true;
@@ -725,13 +716,13 @@ let eval_slot t slot =
             s.Memif.stall_alloc <- s.Memif.stall_alloc + 1
           end
         end;
-        if t.bookkeep && (not (agb t.g_done slot)) && outs_free t ob 0 on then
+        if t.bookkeep && (not (agb t.g_done slot)) && outs_free t ob on then
           bs_set t.awake slot
       end
   | 1 (* Const *) ->
-      let ci = ag t.ins (ag t.in_base slot) in
+      let ci = ag t.i0 slot in
       if in_ready t ci then begin
-        let co = ag t.outs (ag t.out_base slot) in
+        let co = ag t.o0 slot in
         if out_free t co then begin
           let k = ag t.cur_key ci in
           take t ci;
@@ -740,9 +731,9 @@ let eval_slot t slot =
         end
       end
   | 2 (* Unop *) ->
-      let ci = ag t.ins (ag t.in_base slot) in
+      let ci = ag t.i0 slot in
       if in_ready t ci then begin
-        let co = ag t.outs (ag t.out_base slot) in
+        let co = ag t.o0 slot in
         if out_free t co then begin
           let k = ag t.cur_key ci in
           take t ci;
@@ -752,10 +743,9 @@ let eval_slot t slot =
         end
       end
   | 3 (* Binop, combinational *) ->
-      let b = ag t.in_base slot in
-      let ca = ag t.ins b and cb = ag t.ins (b + 1) in
+      let ca = ag t.i0 slot and cb = ag t.i1 slot in
       if in_ready t ca && in_ready t cb then begin
-        let co = ag t.outs (ag t.out_base slot) in
+        let co = ag t.o0 slot in
         if out_free t co then begin
           (* packed keys order lexicographically by (seq, epoch), so one
              int max replaces the two per-field maxes of the boxed era *)
@@ -770,10 +760,9 @@ let eval_slot t slot =
         end
       end
   | 4 (* Binop, pipelined *) ->
-      let b = ag t.in_base slot in
-      let ca = ag t.ins b and cb = ag t.ins (b + 1) in
-      let r = t.ring.(slot) in
-      let co = ag t.outs (ag t.out_base slot) in
+      let ca = ag t.i0 slot and cb = ag t.i1 slot in
+      let r = Array.unsafe_get t.ring slot in
+      let co = ag t.o0 slot in
       let accepted =
         in_ready t ca
         && in_ready t cb
@@ -807,10 +796,10 @@ let eval_slot t slot =
       if t.bookkeep && rlen r > 0 && (drained || out_free t co) then
         bs_set t.awake slot
   | 5 (* Fork *) ->
-      let ci = ag t.ins (ag t.in_base slot) in
+      let ci = ag t.i0 slot in
       if in_ready t ci then begin
         let ob = ag t.out_base slot and on = ag t.out_n slot in
-        if outs_free t ob 0 on then begin
+        if outs_free t ob on then begin
           let k = ag t.cur_key ci and v = ag t.cur_val ci in
           take t ci;
           for i = 0 to on - 1 do
@@ -822,10 +811,10 @@ let eval_slot t slot =
   | 6 (* Join *) ->
       let b = ag t.in_base slot and n = ag t.in_n slot in
       if ins_ready t b 0 n then begin
-        let co = ag t.outs (ag t.out_base slot) in
+        let co = ag t.o0 slot in
         if out_free t co then begin
           (* forwards input 0's value under the max packed key *)
-          let v = ag t.cur_val (ag t.ins b) in
+          let v = ag t.cur_val (ag t.i0 slot) in
           let k = max_in_field t t.cur_key b 0 n 0 in
           take_all t b 0 n;
           put t co ~key:k ~value:v;
@@ -833,7 +822,7 @@ let eval_slot t slot =
         end
       end
   | 7 (* Merge *) ->
-      let co = ag t.outs (ag t.out_base slot) in
+      let co = ag t.o0 slot in
       if out_free t co then begin
         let b = ag t.in_base slot in
         let chosen = first_ready t b 0 (ag t.in_n slot) in
@@ -846,14 +835,13 @@ let eval_slot t slot =
         end
       end
   | 8 (* Mux *) ->
-      let b = ag t.in_base slot in
-      let sel = ag t.ins b in
+      let sel = ag t.i0 slot in
       if in_ready t sel then begin
         let k = ag t.cur_val sel in
         if k >= 0 && k < ag t.p1 slot then begin
-          let d = ag t.ins (b + 1 + k) in
+          let d = ag t.ins (ag t.in_base slot + 1 + k) in
           if in_ready t d then begin
-            let co = ag t.outs (ag t.out_base slot) in
+            let co = ag t.o0 slot in
             if out_free t co then begin
               let key = ag t.cur_key d in
               take t sel;
@@ -865,8 +853,7 @@ let eval_slot t slot =
         end
       end
   | 9 (* Branch *) ->
-      let b = ag t.in_base slot in
-      let d = ag t.ins b and c = ag t.ins (b + 1) in
+      let d = ag t.i0 slot and c = ag t.i1 slot in
       if in_ready t d && in_ready t c then begin
         let out = if ag t.cur_val c <> 0 then 0 else 1 in
         let co = ag t.outs (ag t.out_base slot + out) in
@@ -885,9 +872,9 @@ let eval_slot t slot =
          buffer emits its head before it accepts, so the order is kept.  It
          never stays awake: after its evaluation its output is full or its
          ring is empty *)
-      let r = t.ring.(slot) in
-      let ci = ag t.ins (ag t.in_base slot) in
-      let co = ag t.outs (ag t.out_base slot) in
+      let r = Array.unsafe_get t.ring slot in
+      let ci = ag t.i0 slot in
+      let co = ag t.o0 slot in
       if rlen r = 0 then begin
         if in_ready t ci then begin
           let k = ag t.cur_key ci in
@@ -905,23 +892,23 @@ let eval_slot t slot =
         if buf_try_accept t r ci slot || emitted then fire t slot
       end
   | 11 (* Buffer, opaque *) ->
-      let r = t.ring.(slot) in
-      let co = ag t.outs (ag t.out_base slot) in
+      let r = Array.unsafe_get t.ring slot in
+      let co = ag t.o0 slot in
       let emitted = buf_try_emit t r co ~transparent:false in
-      let ci = ag t.ins (ag t.in_base slot) in
+      let ci = ag t.i0 slot in
       if buf_try_accept t r ci slot || emitted then fire t slot;
       (* still awake only for a head that arrived this cycle *)
       if t.bookkeep && rlen r > 0 && out_free t co then bs_set t.awake slot
   | 12 (* Sink *) ->
-      let ci = ag t.ins (ag t.in_base slot) in
+      let ci = ag t.i0 slot in
       if in_ready t ci then begin
         take t ci;
         fire t slot
       end
   | 13 (* Load *) ->
       (* deliver a completed response *)
-      let co = ag t.outs (ag t.out_base slot) in
-      let r = t.ring.(slot) in
+      let co = ag t.o0 slot in
+      let r = Array.unsafe_get t.ring slot in
       let delivered =
         out_free t co
         (* every response answers a request this port presented, so it
@@ -942,7 +929,7 @@ let eval_slot t slot =
            end
       in
       (* present a new request *)
-      let ci = ag t.ins (ag t.in_base slot) in
+      let ci = ag t.i0 slot in
       let requested =
         in_ready t ci
         && t.mem.Memif.load_req ~port:(ag t.p1 slot) ~key:(ag t.cur_key ci)
@@ -954,16 +941,15 @@ let eval_slot t slot =
            end
       in
       if delivered || requested then fire t slot;
-      if t.bookkeep && (pending_in t slot 0 || (rlen r > 0 && out_free t co))
+      if t.bookkeep && (pending t ci || (rlen r > 0 && out_free t co))
       then bs_set t.awake slot
   | 14 (* Store *) ->
       (* the address side is decoupled from the data side, as in a real
          store port: addresses are taken and announced to the backend as
          soon as they are computed, letting the LSQ resolve ordering
          without waiting for the data *)
-      let r = t.ring.(slot) in
-      let b = ag t.in_base slot in
-      let ca = ag t.ins b and cd = ag t.ins (b + 1) in
+      let r = Array.unsafe_get t.ring slot in
+      let ca = ag t.i0 slot and cd = ag t.i1 slot in
       let addr_done =
         in_ready t ca
         && rlen r < store_pending_cap
@@ -997,10 +983,9 @@ let eval_slot t slot =
            end
       in
       if addr_done || data_done then fire t slot;
-      if t.bookkeep && (pending_in t slot 0 || pending_in t slot 1) then
-        bs_set t.awake slot
+      if t.bookkeep && (pending t ca || pending t cd) then bs_set t.awake slot
   | 15 (* Skip *) ->
-      let ci = ag t.ins (ag t.in_base slot) in
+      let ci = ag t.i0 slot in
       if
         in_ready t ci
         && t.mem.Memif.op_skip ~port:(ag t.p1 slot) ~key:(ag t.cur_key ci)
@@ -1008,9 +993,9 @@ let eval_slot t slot =
         take t ci;
         fire t slot
       end;
-      if t.bookkeep && pending_in t slot 0 then bs_set t.awake slot
+      if t.bookkeep && pending t ci then bs_set t.awake slot
   | _ (* Galloc *) ->
-      let ci = ag t.ins (ag t.in_base slot) in
+      let ci = ag t.i0 slot in
       if
         in_ready t ci
         && t.mem.Memif.alloc_group ~key:(ag t.cur_key ci) ~group:(ag t.p1 slot)
@@ -1018,7 +1003,7 @@ let eval_slot t slot =
         take t ci;
         fire t slot
       end;
-      if t.bookkeep && pending_in t slot 0 then bs_set t.awake slot
+      if t.bookkeep && pending t ci then bs_set t.awake slot
 
 (* --- squash ------------------------------------------------------------- *)
 
@@ -1141,7 +1126,6 @@ let apply_faults t =
      (the dense regime rebuilds the set on exit anyway) *)
   if !any_fired && t.bookkeep then wake_all t
 
-(** What each planned fault did (or why it never fired). *)
 let fault_log t : Fault.application list =
   Array.to_list t.faults
   |> List.map (fun fs ->
@@ -1159,7 +1143,9 @@ let fault_log t : Fault.application list =
    post-mortem classifies each wedged node with it. *)
 
 let rec any_pending_in t slot k n =
-  k < n && (pending_in t slot k || any_pending_in t slot (k + 1) n)
+  k < n
+  && (pending t (ag t.ins (ag t.in_base slot + k))
+     || any_pending_in t slot (k + 1) n)
 
 let rec any_frozen_in t slot k n =
   if k >= n then false
@@ -1178,7 +1164,7 @@ let stall_reason t slot =
   let opc = ag t.op slot in
   if opc = op_gen then
     if agb t.g_done slot then -1
-    else if not (outs_free t (ag t.out_base slot) 0 (ag t.out_n slot)) then
+    else if not (outs_free t (ag t.out_base slot) (ag t.out_n slot)) then
       Pv_obs.Prof.reason_backpressured
     else Pv_obs.Prof.reason_refused
   else begin
@@ -1193,7 +1179,7 @@ let stall_reason t slot =
     else if internal then Pv_obs.Prof.reason_internal
     else if opc <> op_merge && any_empty_in t slot 0 n_in then
       Pv_obs.Prof.reason_starved
-    else if not (outs_free t (ag t.out_base slot) 0 (ag t.out_n slot)) then
+    else if not (outs_free t (ag t.out_base slot) (ag t.out_n slot)) then
       Pv_obs.Prof.reason_backpressured
     else if
       opc = op_load || opc = op_store || opc = op_skip || opc = op_galloc
@@ -1366,7 +1352,6 @@ let rec sweep t nw w =
   end
 
 let step t =
-  t.progress <- false;
   if Array.length t.faults > 0 then apply_faults t;
   (match t.mem.Memif.poll_squash () with
   | Some seq_err ->
@@ -1385,7 +1370,7 @@ let step t =
       purge t ~seq_err;
       (* the purge moves tokens everywhere at once; restart from a full set *)
       if t.bookkeep then wake_all t;
-      t.progress <- true
+      t.last_progress <- t.cycle
   | None -> ());
   if Wheel.pending t.wheel > 0 then Wheel.drain t.wheel ~now:t.cycle t.wake_cb;
   if t.dense then begin
@@ -1440,6 +1425,8 @@ let step t =
      t.dense <- true;
      t.bookkeep <- false
    end);
+  (* every token movement of the sweep is part of a fire *)
+  if t.nfired > 0 then t.last_progress <- t.cycle;
   t.nfired <- 0;
   t.mem.Memif.clock ();
   if Pv_obs.Trace.enabled t.trace then begin
@@ -1456,7 +1443,6 @@ let step t =
       t.last_inflight <- !inflight
     end
   end;
-  if t.progress then t.last_progress <- t.cycle;
   t.cycle <- t.cycle + 1
 
 (* Close the observability story of a run: final epoch span, outcome
@@ -1485,6 +1471,9 @@ let trace_outcome t outcome =
           pm.pm_stalled
   end
 
+(* The fire counts by node id; [fires] is indexed by slot. *)
+let node_fires t = Array.init t.n (fun nid -> t.fires.(t.slot_of.(nid)))
+
 let drive ?(before_step = ignore) t =
   let cfg = t.cfg in
   let rec loop () =
@@ -1512,7 +1501,7 @@ let drive ?(before_step = ignore) t =
   ( outcome,
     {
       cycles = t.cycle;
-      node_fires = Array.copy t.fires;
+      node_fires = node_fires t;
       gen_instances = !gen_instances;
       evals = t.evals;
     } )
@@ -1525,7 +1514,7 @@ let graph t = t.g
 let cycle t = t.cycle
 let epoch t = t.epoch
 let evals t = t.evals
-let fires t = t.fires
+let fires = node_fires
 
 let chan_occupied t cid = t.cur_key.(cid) >= 0
 

@@ -80,6 +80,15 @@ val default_latency : Types.binop -> int
 (** Event engine, no faults, 2M-cycle budget. *)
 val default_config : config
 
+(** The functional units by dense code, as the dispatch arms evaluate
+    them: [eval_binop_code (Types.binop_code op) = Types.eval_binop op]
+    and [eval_unop_code (Types.unop_code op) = Types.eval_unop op] (checked
+    by test/test_dataflow.ml).
+    @raise Invalid_argument on a code outside the table. *)
+val eval_binop_code : int -> int -> int -> int
+
+val eval_unop_code : int -> int -> int
+
 (** Diagnosis attached to a non-[Finished] outcome: enough state to tell a
     starved pipeline from a backpressured one from a wedged backend without
     re-running under a debugger. *)
@@ -205,8 +214,9 @@ val epoch : t -> int
 (** Total node evaluations so far. *)
 val evals : t -> int
 
-(** Per-node fire counts, indexed by node id.  The live array — do not
-    mutate; {!run_stats.node_fires} is the copying variant. *)
+(** Per-node fire counts so far, indexed by node id.  A fresh array on
+    each call: the simulator counts fires by evaluation slot and maps
+    them to node ids here, as {!run_stats.node_fires} does at the end. *)
 val fires : t -> int array
 
 (** The channel register currently holds a token. *)

@@ -81,8 +81,9 @@ let eval_unop op a =
 
 (* Dense integer codes for the functional units.  The simulator's dispatch
    tables store these instead of the variant constructors, so the hot loop
-   evaluates an operator with one jump-table dispatch on an immediate int
-   and never touches a boxed closure or constructor. *)
+   evaluates an operator ([Sim.eval_binop_code]) with one jump-table
+   dispatch on an immediate int and never touches a boxed closure or
+   constructor. *)
 
 let binop_code = function
   | Add -> 0
@@ -109,38 +110,7 @@ let binops =
   [| Add; Sub; Mul; Mulc; Div; Rem; And; Or; Xor; Shl; Shr; Lt; Le; Gt; Ge;
      Eq; Ne; Min; Max |]
 
-(* Must mirror [eval_binop] case for case (test_dataflow checks the whole
-   table against it). *)
-let eval_binop_code code a b =
-  match code with
-  | 0 -> a + b
-  | 1 -> a - b
-  | 2 | 3 -> a * b
-  | 4 -> if b = 0 then 0 else a / b
-  | 5 -> if b = 0 then 0 else a mod b
-  | 6 -> a land b
-  | 7 -> a lor b
-  | 8 -> a lxor b
-  | 9 -> a lsl (b land 62)
-  | 10 -> a asr (b land 62)
-  | 11 -> if a < b then 1 else 0
-  | 12 -> if a <= b then 1 else 0
-  | 13 -> if a > b then 1 else 0
-  | 14 -> if a >= b then 1 else 0
-  | 15 -> if a = b then 1 else 0
-  | 16 -> if a <> b then 1 else 0
-  | 17 -> if a <= b then a else b
-  | 18 -> if a >= b then a else b
-  | _ -> invalid_arg "eval_binop_code"
-
 let unop_code = function Neg -> 0 | Not -> 1 | Lnot -> 2
-
-let eval_unop_code code a =
-  match code with
-  | 0 -> -a
-  | 1 -> if a = 0 then 1 else 0
-  | 2 -> lnot a
-  | _ -> invalid_arg "eval_unop_code"
 
 (** A token flowing on an elastic channel, packed into unboxed words.
 

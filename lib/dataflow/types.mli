@@ -45,9 +45,10 @@ val eval_unop : unop -> int -> int
 (** {2 Dense operator codes}
 
     The simulator's dispatch tables store operators as immediate ints so
-    the hot loop dispatches with one jump table and no boxed state.
-    [eval_*_code (…_code op) = eval_* op] by construction (checked by
-    test/test_dataflow.ml). *)
+    the hot loop dispatches with one jump table and no boxed state.  The
+    simulator evaluates a code itself ({!Sim.eval_binop_code},
+    {!Sim.eval_unop_code}), where its dispatch arms can inline the
+    evaluation. *)
 
 val binop_code : binop -> int
 
@@ -55,9 +56,7 @@ val binop_code : binop -> int
     area model's component table enumerates the units in this order. *)
 val binops : binop array
 
-val eval_binop_code : int -> int -> int -> int
 val unop_code : unop -> int
-val eval_unop_code : int -> int -> int
 
 (** A token flowing on an elastic channel, packed into unboxed words.
 

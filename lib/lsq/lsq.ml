@@ -73,11 +73,14 @@ type lq = {
   mutable ln : int;
 }
 
-(* Dense program-ordered store queue.  [s_flags] bit 0 = value known,
-   bit 1 = skipped (fake token).  [min_unk] caches the minimum order key
-   among non-skipped stores whose address is unknown (max_int when none):
-   the load-issue ordering check of the CAM loop collapses to one compare
-   against it. *)
+(* Dense program-ordered store queue.  [sk] ascends strictly: allocation
+   appends in program order ([begin_instance] runs in seq order, ROM
+   positions ascend within a group) and entries leave only at the head,
+   so the load-issue search can bisect it.  [s_flags] bit 0 = value
+   known, bit 1 = skipped (fake token).  [min_unk] caches the minimum
+   order key among non-skipped stores whose address is unknown (max_int
+   when none): the load-issue ordering check of the CAM loop collapses to
+   one compare against it. *)
 type sq = {
   sk : int array;
   s_port : int array;
@@ -114,6 +117,7 @@ type t = {
      the last emitted occupancy sample *)
   trace : Pv_obs.Trace.t;
   prof : Pv_obs.Prof.t;
+  prof_on : bool;  (* [Prof.enabled prof], an out-of-line call per attempt *)
   mutable last_occ : int;
 }
 
@@ -180,11 +184,23 @@ let sq_remove_head (q : sq) =
   q.sn <- m;
   if k = q.min_unk then sq_recompute_min q
 
+(* Index in [lo, hi) of the first store at or beyond order key [k] ([hi]
+   when none): a bisection of the ascending [sk].  Top-level, so the
+   search allocates no closure. *)
+let rec sq_lower_bound (sk : int array) k lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if Array.unsafe_get sk mid < k then sq_lower_bound sk k (mid + 1) hi
+    else sq_lower_bound sk k lo mid
+
 (* A load may issue when all older stores have known addresses; it forwards
    from the youngest older store with a matching address, if any.  The
-   ordering precondition is the O(1) [min_unk] compare; the forwarding
-   match is a backward scan (youngest first) that exits at the first
-   address hit.  CAM work is attributed per record actually scanned. *)
+   ordering precondition is the O(1) [min_unk] compare; the younger stores
+   are skipped by bisection, and the forwarding match is a backward scan
+   (youngest older first) that exits at the first address hit.  The CAM
+   charge is the hardware's: every younger store the search passes, as
+   the linear walk counted them, plus each older store compared. *)
 let try_issue_load t i : bool =
   let lq = t.lq in
   let addr = lq.l_addr.(i) in
@@ -200,19 +216,16 @@ let try_issue_load t i : bool =
       false
     end
     else begin
-      let scanned = ref 0 in
-      let j = ref (sq.sn - 1) in
-      while !j >= 0 && sq.sk.(!j) >= k do
-        incr scanned;
-        decr j
-      done;
+      let lo = sq_lower_bound sq.sk k 0 sq.sn in
+      let scanned = ref (sq.sn - lo) in
+      let j = ref (lo - 1) in
       let found = ref (-1) in
       while !j >= 0 && !found < 0 do
         incr scanned;
         if sq.s_flags.(!j) land 2 = 0 && sq.s_addr.(!j) = addr then found := !j;
         decr j
       done;
-      if Pv_obs.Prof.enabled t.prof then
+      if t.prof_on then
         Pv_obs.Prof.add t.prof ~phase:Pv_obs.Prof.phase_lsq_cam !scanned;
       if !found >= 0 then begin
         let f = !found in
@@ -265,7 +278,7 @@ let can_commit t =
          if lq.l_addr.(!i) < 0 || lq.l_addr.(!i) = a then blocked := true;
          incr i
        done;
-       if Pv_obs.Prof.enabled t.prof then
+       if t.prof_on then
          Pv_obs.Prof.add t.prof ~phase:Pv_obs.Prof.phase_lsq_cam !scanned;
        not !blocked
      end
@@ -378,6 +391,7 @@ let create ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
       writes = Array.make n_arrays 1;
       trace;
       prof;
+      prof_on = Pv_obs.Prof.enabled prof;
       last_occ = -1;
     }
   in

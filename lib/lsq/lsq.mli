@@ -42,8 +42,10 @@ val fast : config
     [lsq_occupancy] counter track; the null sink makes every emit site one
     branch and leaves behaviour unchanged.  [prof] (default
     {!Pv_obs.Prof.null}) receives the LSQ's attribution phases: one
-    [lsq_cam] unit per queue entry walked by the load-issue check (store
-    queue) and the store-commit WAR guard (load queue), and one
+    [lsq_cam] unit per queue entry the hardware CAM searches: by the
+    load-issue check, every store younger than the load plus each older
+    store compared up to the first address match (store queue), and by
+    the store-commit WAR guard (load queue); and one
     [mem_service] unit per load/store accepted (so [mem_service] equals
     the memory stats' loads + stores exactly).
     @raise Invalid_argument when a group holds more ambiguous ports than

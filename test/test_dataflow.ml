@@ -583,14 +583,14 @@ let test_op_codes () =
           List.iter
             (fun b ->
               agree (Printf.sprintf "binop %d" i) (Types.eval_binop op a b)
-                (Types.eval_binop_code (Types.binop_code op) a b)
+                (Sim.eval_binop_code (Types.binop_code op) a b)
                 a b)
             operand_grid)
         operand_grid)
     Types.binops;
   Alcotest.check_raises "no binop code past the table"
     (Invalid_argument "eval_binop_code") (fun () ->
-      ignore (Types.eval_binop_code (Array.length Types.binops) 1 1));
+      ignore (Sim.eval_binop_code (Array.length Types.binops) 1 1));
   List.iteri
     (fun i op ->
       Alcotest.(check int) (Types.string_of_unop op ^ " code") i
@@ -598,7 +598,7 @@ let test_op_codes () =
       List.iter
         (fun a ->
           agree (Types.string_of_unop op) (Types.eval_unop op a)
-            (Types.eval_unop_code (Types.unop_code op) a)
+            (Sim.eval_unop_code (Types.unop_code op) a)
             a 0)
         operand_grid)
     Types.[ Neg; Not; Lnot ]

@@ -220,6 +220,129 @@ let test_rom_position_limit () =
     (fun () ->
       ignore (Pv_lsq.Lsq.create cfg (wide_portmap 65) (Array.make 8 0)))
 
+(* The CAM charge of one load-issue attempt: one [lsq_cam] unit per store
+   entry the search walks, younger stores included.  One ambiguous array
+   "x" with a load-only group 0 and a store-only group 1, so each body
+   instance allocates one entry and instance order is queue order.
+   [stores] lists the instances allocated as stores, each with its
+   announced address and optional value; [load] is the load's instance
+   and address.  Stores without a value never reach the commit-side WAR
+   guard, and a committing store finds the issued load already gone, so
+   every charge below is the load's own. *)
+let cam_portmap =
+  {
+    Portmap.ports =
+      [|
+        { Portmap.id = 0; kind = Portmap.OLoad; array = "x"; instance = Some 0; conditional = false };
+        { Portmap.id = 1; kind = Portmap.OStore; array = "x"; instance = Some 0; conditional = false };
+      |];
+    n_groups = 2;
+    n_instances = 1;
+    rom = [| [| [| 0 |]; [| 1 |] |] |];
+  }
+
+let cam_fixture ~stores ~load:(lseq, laddr) =
+  let prof = Pv_obs.Prof.create () in
+  let cfg = { quick_cfg with Pv_lsq.Lsq.depth = 8; alloc_per_cycle = 8 } in
+  let b = Pv_lsq.Lsq.create ~prof cfg cam_portmap (Array.init 32 (fun i -> 100 + i)) in
+  let last = List.fold_left (fun m (s, _, _) -> max m s) lseq stores in
+  for s = 0 to last do
+    let group = if s = lseq then 0 else 1 in
+    if s = lseq || List.exists (fun (t, _, _) -> t = s) stores then
+      Alcotest.(check bool) "allocated" true (b.MI.begin_instance ~seq:s ~group)
+  done;
+  List.iter
+    (fun (s, addr, value) ->
+      match (addr, value) with
+      | None, _ -> ()
+      | Some addr, None -> b.MI.store_addr ~port:1 ~key:(tkey s) ~addr
+      | Some addr, Some value ->
+          Alcotest.(check bool) "store accepted" true
+            (b.MI.store_req ~port:1 ~key:(tkey s) ~addr ~value))
+    stores;
+  Alcotest.(check bool) "load accepted" true
+    (b.MI.load_req ~port:0 ~key:(tkey lseq) ~addr:laddr);
+  let cam () = (Pv_obs.Prof.phase_totals prof).(Pv_obs.Prof.phase_lsq_cam) in
+  (* one clock = one issue attempt; its CAM charge *)
+  let attempt () =
+    let c0 = cam () in
+    step b;
+    cam () - c0
+  in
+  (b, attempt)
+
+let check_stats name (b : MI.t) ~forwarded ~stall_order =
+  let st = b.MI.stats () in
+  Alcotest.(check (pair int int))
+    (name ^ ": forwarded, stall_order")
+    (forwarded, stall_order)
+    (st.MI.forwarded, st.MI.stall_order)
+
+let test_cam_charges () =
+  let issued name (b : MI.t) ~value =
+    let _, v = poll_until b ~port:0 in
+    Alcotest.(check int) (name ^ ": value") value v
+  in
+  (* an empty store queue: nothing to search *)
+  let b, attempt = cam_fixture ~stores:[] ~load:(0, 5) in
+  Alcotest.(check int) "empty SQ: charge" 0 (attempt ());
+  check_stats "empty SQ" b ~forwarded:0 ~stall_order:0;
+  issued "empty SQ" b ~value:105;
+  (* older than every store: the younger stores are walked, no match *)
+  let b, attempt =
+    cam_fixture ~stores:[ (1, None, None); (2, Some 5, None); (3, None, None) ]
+      ~load:(0, 5)
+  in
+  Alcotest.(check int) "oldest load: charge" 3 (attempt ());
+  check_stats "oldest load" b ~forwarded:0 ~stall_order:0;
+  issued "oldest load" b ~value:105;
+  (* younger than every store, no address match: all stores charged *)
+  let b, attempt =
+    cam_fixture
+      ~stores:[ (0, Some 10, None); (1, Some 11, None); (2, Some 12, None) ]
+      ~load:(3, 5)
+  in
+  Alcotest.(check int) "no match: charge" 3 (attempt ());
+  check_stats "no match" b ~forwarded:0 ~stall_order:0;
+  issued "no match" b ~value:105;
+  (* the match is the oldest store: the walk reaches the queue head *)
+  let b, attempt =
+    cam_fixture
+      ~stores:[ (0, Some 5, Some 77); (1, Some 11, None); (2, Some 12, None) ]
+      ~load:(3, 5)
+  in
+  Alcotest.(check int) "match at the oldest store: charge" 3 (attempt ());
+  check_stats "match at the oldest store" b ~forwarded:1 ~stall_order:0;
+  issued "match at the oldest store" b ~value:77;
+  (* the youngest older match has no value yet: the load waits, and every
+     retry pays the same walk until the value arrives and forwards *)
+  let b, attempt =
+    cam_fixture
+      ~stores:[ (0, Some 11, None); (1, Some 5, None); (2, Some 12, None) ]
+      ~load:(3, 5)
+  in
+  Alcotest.(check int) "value unknown: charge" 2 (attempt ());
+  check_stats "value unknown" b ~forwarded:0 ~stall_order:1;
+  Alcotest.(check int) "value unknown, retry: charge" 2 (attempt ());
+  check_stats "value unknown, retry" b ~forwarded:0 ~stall_order:2;
+  ignore (b.MI.store_req ~port:1 ~key:(tkey 1) ~addr:5 ~value:42);
+  Alcotest.(check int) "value known: charge" 2 (attempt ());
+  check_stats "value known" b ~forwarded:1 ~stall_order:2;
+  issued "value known" b ~value:42;
+  (* a forwarding hit between younger and older stores: the younger two,
+     then the youngest older match *)
+  let b, attempt =
+    cam_fixture
+      ~stores:
+        [
+          (0, Some 5, Some 1); (1, Some 5, Some 2); (3, None, None); (4, None, None);
+        ]
+      ~load:(2, 5)
+  in
+  Alcotest.(check int) "forwarding hit: charge" 3 (attempt ());
+  check_stats "forwarding hit" b ~forwarded:1 ~stall_order:0;
+  issued "forwarding hit" b ~value:2
+
 let () =
   Alcotest.run "pv_lsq"
     [
@@ -246,5 +369,7 @@ let () =
             test_responses_in_port_order;
           Alcotest.test_case "ROM position limit: 64 ports, not 65" `Quick
             test_rom_position_limit;
+          Alcotest.test_case "CAM charge per issue attempt" `Quick
+            test_cam_charges;
         ] );
     ]

@@ -220,6 +220,69 @@ let test_folded_rejects_junk () =
       | Error _ -> ())
     [ "no-count-here"; "k;phase notanumber"; " 5" ]
 
+(* The work pin: every paper cell (5 kernels x 6 schemes, default inputs,
+   Event engine) with its cycles, evals and the five phase totals, in
+   phase order (circuit_sweep, arbiter_scan, pq_validate, lsq_cam,
+   mem_service).  The totals equal perfbench paper_grid's traced per-pass
+   fields: evals 8,157,896; lsq_cam 1,179,150; pq_validate 603,719;
+   arbiter_scan 32,897; mem_service 194,866.  A simulator or backend
+   speed-up must move none of them; an entry that moves is a change in the
+   work done, not a figure to refresh. *)
+let work_pin =
+  [
+    ("polyn_mult/dynamatic", 2407, 97744, [ 97744; 0; 0; 73388; 9216 ]);
+    ("polyn_mult/fast-lsq", 2321, 94706, [ 94706; 0; 0; 41389; 9216 ]);
+    ("polyn_mult/prevv16", 2321, 94706, [ 94706; 2297; 34511; 0; 9216 ]);
+    ("polyn_mult/prevv64", 2321, 94706, [ 94706; 2297; 34511; 0; 9216 ]);
+    ("polyn_mult/oracle", 2321, 94706, [ 94706; 0; 0; 0; 0 ]);
+    ("polyn_mult/serial", 27658, 230430, [ 230430; 0; 0; 0; 0 ]);
+    ("2mm/dynamatic", 2749, 298582, [ 298582; 0; 0; 73035; 8000 ]);
+    ("2mm/fast-lsq", 2021, 270288, [ 270288; 0; 0; 64774; 8000 ]);
+    ("2mm/prevv16", 2021, 270288, [ 270288; 1992; 32929; 0; 8000 ]);
+    ("2mm/prevv64", 2021, 270288, [ 270288; 1992; 32929; 0; 8000 ]);
+    ("2mm/oracle", 2021, 270288, [ 270288; 0; 0; 0; 0 ]);
+    ("2mm/serial", 26043, 381702, [ 381702; 0; 0; 0; 0 ]);
+    ("3mm/dynamatic", 3503, 358879, [ 358879; 0; 0; 73909; 8748 ]);
+    ("3mm/fast-lsq", 2496, 308760, [ 308760; 0; 0; 64173; 8748 ]);
+    ("3mm/prevv16", 2208, 362594, [ 362594; 2172; 35601; 0; 8748 ]);
+    ("3mm/prevv64", 2208, 362594, [ 362594; 2172; 35601; 0; 8748 ]);
+    ("3mm/oracle", 2207, 362587, [ 362587; 0; 0; 0; 0 ]);
+    ("3mm/serial", 29910, 493559, [ 493559; 0; 0; 0; 0 ]);
+    ("gaussian/dynamatic", 8681, 417379, [ 417379; 0; 0; 169736; 12350 ]);
+    ("gaussian/fast-lsq", 4972, 390258, [ 390258; 0; 0; 483998; 12350 ]);
+    ("gaussian/prevv16", 6221, 308522, [ 308522; 9853; 122739; 0; 12354 ]);
+    ("gaussian/prevv64", 4993, 309223, [ 309223; 4936; 196996; 0; 12356 ]);
+    ("gaussian/oracle", 2504, 195664, [ 195664; 0; 0; 0; 0 ]);
+    ("gaussian/serial", 51880, 589972, [ 589972; 0; 0; 0; 0 ]);
+    ("triangular/dynamatic", 2713, 174781, [ 174781; 0; 0; 82854; 10400 ]);
+    ("triangular/fast-lsq", 2619, 169411, [ 169411; 0; 0; 51894; 10400 ]);
+    ("triangular/prevv16", 2619, 169411, [ 169411; 2593; 38951; 0; 10400 ]);
+    ("triangular/prevv64", 2619, 169411, [ 169411; 2593; 38951; 0; 10400 ]);
+    ("triangular/oracle", 2619, 169411, [ 169411; 0; 0; 0; 0 ]);
+    ("triangular/serial", 31212, 377046, [ 377046; 0; 0; 0; 0 ]);
+  ]
+
+let test_work_pin () =
+  let got =
+    List.concat_map
+      (fun kernel ->
+        let compiled = Pipeline.compile kernel in
+        List.map
+          (fun (module M : Scheme.S) ->
+            let prof = Prof.create () in
+            let r = Pipeline.simulate ~prof compiled M.config in
+            ( kernel.Pv_kernels.Ast.name ^ "/" ^ M.name,
+              ( r.Pipeline.cycles,
+                r.Pipeline.run_stats.Sim.evals,
+                Array.to_list (Prof.phase_totals prof) ) ))
+          (Scheme.all ()))
+      kernels
+  in
+  Alcotest.(check (list (pair string (triple int int (list int)))))
+    "cycles, evals and phase totals per cell"
+    (List.map (fun (l, c, e, ph) -> (l, (c, e, ph))) work_pin)
+    got
+
 (* the disabled profiler records nothing through any entry point *)
 let test_null_records_nothing () =
   let p = Prof.null in
@@ -239,6 +302,7 @@ let () =
             `Quick test_attribution_invariants;
           Alcotest.test_case "held counts match a by-hand count" `Quick
             test_held_counts_exact;
+          Alcotest.test_case "work pin: 30 paper cells" `Quick test_work_pin;
         ] );
       ( "determinism",
         [
