@@ -7,8 +7,9 @@
    temporary directory with git archive, then runs perfbench/run.py (which
    builds each side from its own sources) on each of Speed_gate.workloads
    (paper_grid, squash_storm and the compile-and-report area_sweep) in
-   alternating pairs, prints every pair and each workload's verdict
-   (with its median latency ratios, which no rule judges), and exits 1
+   alternating pairs, prints every pair (with whether its two sides'
+   model_luts and model_ffs agree) and each workload's verdict (with its
+   median latency ratios, which no rule judges), and exits 1
    when any workload fails Speed_gate's rule, 2 when BASE does not name
    a commit.  Each side run is capped at Speed_gate.side_limit_s
    seconds by timeout(1); a run past it fails its pair.  When the change
@@ -59,13 +60,18 @@ let workload ~base_dir ~change_dir w =
         let ratio f =
           match f p with Some r -> Printf.sprintf "%.3f" r | None -> "-"
         in
+        let model =
+          match (base, change) with
+          | Ok _, Ok _ -> if G.model_differs p then "DIFFERS" else "same"
+          | _ -> "-"
+        in
         Printf.printf
           "%-13s seed %d  %-12s base %s  change %s  ratio %s  heap %s  p50 %s  \
-           p95 %s\n%!"
+           p95 %s  model %s\n%!"
           w seed
           (if base_first then "base first" else "change first")
           (show base) (show change) (ratio G.ratio) (ratio G.heap_ratio)
-          (ratio G.p50_ratio) (ratio G.p95_ratio);
+          (ratio G.p50_ratio) (ratio G.p95_ratio) model;
         p)
   in
   Printf.printf "%s: %s\n%!" w (G.latency pairs);
@@ -111,8 +117,9 @@ let () =
   end;
   Printf.printf
     "speed gate: change in %s against base %s; %d pairs per workload, %gs \
-     runs; a workload fails at median ratio < %.2f with >= %d/%d slower, or \
-     at median heap ratio > %.2f with >= %d/%d heavier\n%!"
+     runs; a workload fails at median ratio < %.2f with >= %d/%d slower, \
+     at median heap ratio > %.2f with >= %d/%d heavier, or when model_luts \
+     or model_ffs differ in any pair\n%!"
     (Sys.getcwd ()) sha G.n_pairs G.seconds G.bound G.slower_needed G.n_pairs
     G.heap_bound G.slower_needed G.n_pairs;
   let ok =

@@ -14,6 +14,8 @@ type run = {
   heap_peak_mb : float;
   cell_ms_p50 : float;
   cell_ms_p95 : float;
+  model_luts : float;
+  model_ffs : float;
 }
 
 type side = (run, string) result
@@ -57,7 +59,10 @@ let side ~status ~stdout =
             let* heap_peak_mb = need "heap_peak_mb" in
             let* cell_ms_p50 = need "cell_ms_p50" in
             let* cell_ms_p95 = need "cell_ms_p95" in
-            Ok { cells_per_s; heap_peak_mb; cell_ms_p50; cell_ms_p95 }
+            let* model_luts = need "model_luts" in
+            let* model_ffs = need "model_ffs" in
+            Ok
+              { cells_per_s; heap_peak_mb; cell_ms_p50; cell_ms_p95; model_luts; model_ffs }
         | _ -> Error "reported \"correct\": false")
 
 let ratio_of f p =
@@ -69,6 +74,11 @@ let ratio = ratio_of (fun r -> r.cells_per_s)
 let heap_ratio = ratio_of (fun r -> r.heap_peak_mb)
 let p50_ratio = ratio_of (fun r -> r.cell_ms_p50)
 let p95_ratio = ratio_of (fun r -> r.cell_ms_p95)
+
+let model_differs p =
+  match (p.base, p.change) with
+  | Ok b, Ok c -> b.model_luts <> c.model_luts || b.model_ffs <> c.model_ffs
+  | _ -> false
 
 let median_of f pairs =
   match List.sort compare (List.filter_map f pairs) with
@@ -91,8 +101,18 @@ let verdict pairs =
         | Ok _, Ok _ -> None)
       pairs
   in
+  let moved = List.find_opt model_differs pairs in
   match broken with
   | Some why -> Error why
+  | None when Option.is_some moved ->
+      let p = Option.get moved in
+      let show = function
+        | Ok r -> Printf.sprintf "%.0f LUT / %.0f FF" r.model_luts r.model_ffs
+        | Error _ -> "-"
+      in
+      Error
+        (Printf.sprintf "seed %d: the model figures differ, base %s, change %s"
+           p.seed (show p.base) (show p.change))
   | None when List.length pairs <> n_pairs ->
       Error (Printf.sprintf "%d pairs, the rule needs %d" (List.length pairs) n_pairs)
   | None ->

@@ -13,7 +13,9 @@
     its median heap ratio is above {!heap_bound} and the change is heavier
     in at least {!slower_needed} pairs.  The latency ratios, change / base
     [cell_ms_p50] and [cell_ms_p95], are read and printed ({!latency}) but
-    judged by no rule. *)
+    judged by no rule.  The model figures, [model_luts] and [model_ffs],
+    are exact outputs of the same cells on both sides: a workload fails
+    when they differ in any pair ({!model_differs}). *)
 
 (** [paper_grid] and [squash_storm], the simulator and both backends, and
     [area_sweep], the compile and area-report flow with no simulation. *)
@@ -50,6 +52,8 @@ type run = {
   heap_peak_mb : float;
   cell_ms_p50 : float;
   cell_ms_p95 : float;
+  model_luts : float;  (** modelled LUTs summed over one pass *)
+  model_ffs : float;  (** modelled FFs summed over one pass *)
 }
 
 (** One run, or why it does not count. *)
@@ -59,7 +63,7 @@ type side = (run, string) result
     and standard output, whose last line is the result JSON.  Status 124
     ([timeout]'s, past {!side_limit_s}) is [Error "timed out"]; any other
     non-zero status, a missing or unparsable result line, a missing
-    metric (any of the four in {!run}), or ["correct": false] make it an
+    metric (any of the six in {!run}), or ["correct": false] make it an
     [Error] too. *)
 val side : status:int -> stdout:string -> side
 
@@ -81,6 +85,9 @@ val p95_ratio : pair -> float option
     count, as one line; ["-"] where no pair counts.  A report only: no
     rule reads it. *)
 val latency : pair list -> string
+
+(** Both sides count and their [model_luts] or [model_ffs] differ. *)
+val model_differs : pair -> bool
 
 (** [Ok summary] when the workload passes, [Error why] when it fails.  The
     summary carries the median ratio, the number of slower pairs, the

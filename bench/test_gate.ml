@@ -1,13 +1,22 @@
 (* The paired speed gate's verdict on canned pairs: the ratios measured
    for an eval_slot mutant and for an identical clone, the two edges of
    the rule (a slow median alone, a sign-test majority alone), the same
-   rule over heap ratios, runs that do not count, and the latency ratios
-   the gate reports without judging. *)
+   rule over heap ratios, the exact model figures, runs that do not
+   count, and the latency ratios the gate reports without judging. *)
 
 module G = Speed_gate
 
-let run ?(p50 = 50.0) ?(p95 = 90.0) cells_per_s heap_peak_mb =
-  Ok { G.cells_per_s; heap_peak_mb; cell_ms_p50 = p50; cell_ms_p95 = p95 }
+let run ?(p50 = 50.0) ?(p95 = 90.0) ?(luts = 9000.0) ?(ffs = 2000.0) cells_per_s
+    heap_peak_mb =
+  Ok
+    {
+      G.cells_per_s;
+      heap_peak_mb;
+      cell_ms_p50 = p50;
+      cell_ms_p95 = p95;
+      model_luts = luts;
+      model_ffs = ffs;
+    }
 
 (* pairs with the given speed ratios and heap ratios (1.0 by default) *)
 let pairs ?heap ratios =
@@ -67,17 +76,19 @@ let test_heap () =
         (String.ends_with ~suffix:"median heap ratio 1.100, heavier in 7/7" summary)
   | Error why -> Alcotest.failf "expected a pass, got %s" why
 
-let result_line ?(heap = true) ?(p50 = true) correct =
+let result_line ?(heap = true) ?(p50 = true) ?(luts = true) correct =
   Printf.sprintf
     "workload paper_grid  seed 100  seconds 5  trace 0\n\
     \  cells_per_s   71.3 1/s\n\
      {\"correct\": %b, \"attempted\": 420, \"failed\": 0, \"metrics\": \
      {\"setup_s\": {\"value\": 0.1, \"unit\": \"s\"}, \"cells_per_s\": \
      {\"value\": 71.25, \"unit\": \"1/s\"}%s%s, \"cell_ms_p95\": \
-     {\"value\": 41, \"unit\": \"ms\"}}}\n"
+     {\"value\": 41, \"unit\": \"ms\"}%s, \"model_ffs\": \
+     {\"value\": 22028397.0, \"unit\": \"count\"}}}\n"
     correct
     (if heap then ", \"heap_peak_mb\": {\"value\": 14.8, \"unit\": \"MiB\"}" else "")
     (if p50 then ", \"cell_ms_p50\": {\"value\": 12.5, \"unit\": \"ms\"}" else "")
+    (if luts then ", \"model_luts\": {\"value\": 92436438, \"unit\": \"count\"}" else "")
 
 let test_sides () =
   (match G.side ~status:0 ~stdout:(result_line true) with
@@ -85,8 +96,13 @@ let test_sides () =
       Alcotest.(check (float 0.0)) "a correct run's cells_per_s" 71.25 r.G.cells_per_s;
       Alcotest.(check (float 0.0)) "a correct run's heap_peak_mb" 14.8 r.G.heap_peak_mb;
       Alcotest.(check (float 0.0)) "a correct run's cell_ms_p50" 12.5 r.G.cell_ms_p50;
-      Alcotest.(check (float 0.0)) "an integer cell_ms_p95" 41.0 r.G.cell_ms_p95
+      Alcotest.(check (float 0.0)) "an integer cell_ms_p95" 41.0 r.G.cell_ms_p95;
+      Alcotest.(check (float 0.0)) "an integer model_luts" 92436438.0 r.G.model_luts;
+      Alcotest.(check (float 0.0)) "a run's model_ffs" 22028397.0 r.G.model_ffs
   | Error e -> Alcotest.failf "a correct run does not count: %s" e);
+  Alcotest.(check (result unit string))
+    "a run without model_luts does not count" (Error "reported no model_luts")
+    (Result.map ignore (G.side ~status:0 ~stdout:(result_line ~luts:false true)));
   Alcotest.(check (result unit string))
     "a run without heap_peak_mb does not count" (Error "reported no heap_peak_mb")
     (Result.map ignore (G.side ~status:0 ~stdout:(result_line ~heap:false true)));
@@ -115,6 +131,29 @@ let test_sides () =
       Alcotest.(check bool) (name ^ " on the change fails") false
         (Result.is_ok (G.verdict on_change)))
     broken
+
+(* same seed, same cells: the model figures must match exactly, so one
+   pair whose LUTs or FFs moved fails the workload however fast it ran *)
+let test_model () =
+  let ones = [ 1.0; 1.0; 1.0; 1.0; 1.0; 1.0; 1.0 ] in
+  let with_change i change =
+    List.mapi (fun j p -> if j = i then { p with G.change } else p)
+  in
+  Alcotest.(check bool) "identical figures pass" true
+    (Result.is_ok (G.verdict (pairs ones)));
+  let luts = with_change 2 (run ~luts:9001.0 150.0 20.0) (pairs ones) in
+  Alcotest.(check bool) "a LUT moved in one pair" true
+    (G.model_differs (List.nth luts 2));
+  Alcotest.(check (result string string)) "a moved LUT fails a faster change"
+    (Error
+       "seed 102: the model figures differ, base 9000 LUT / 2000 FF, change \
+        9001 LUT / 2000 FF")
+    (G.verdict luts);
+  Alcotest.(check bool) "an FF moved in one pair fails" false
+    (Result.is_ok
+       (G.verdict (with_change 6 (run ~ffs:1999.0 100.0 20.0) (pairs ones))));
+  Alcotest.(check bool) "a pair that does not count has no model verdict" false
+    (G.model_differs { (List.hd (pairs ones)) with G.change = Error "timed out" })
 
 (* latency ratios are change / base per pair, and the report prints their
    medians; a slower latency never changes the verdict *)
@@ -147,6 +186,7 @@ let () =
           Alcotest.test_case "an identical clone passes" `Quick test_identical;
           Alcotest.test_case "median and sign test both needed" `Quick test_edges;
           Alcotest.test_case "the heap rule" `Quick test_heap;
+          Alcotest.test_case "the model rule" `Quick test_model;
           Alcotest.test_case "runs that do not count fail" `Quick test_sides;
           Alcotest.test_case "latency is reported, not judged" `Quick
             test_latency;

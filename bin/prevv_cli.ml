@@ -400,9 +400,7 @@ let run_cmd =
 
 let report_cmd =
   let run kernel metrics =
-    let points =
-      List.map (fun dis -> Experiment.run kernel dis) (Experiment.paper_configs ())
-    in
+    let points = Experiment.paper_points kernel in
     Printf.printf "%-12s %8s %8s %8s %8s %10s\n" "scheme" "LUT" "FF" "CP(ns)"
       "cycles" "exec(us)";
     List.iter
@@ -783,8 +781,7 @@ let serve_cmd =
 let util_cmd =
   let run kernel =
     List.iter
-      (fun dis ->
-        let p = Experiment.run kernel dis in
+      (fun (p : Experiment.point) ->
         Format.printf "%-12s" p.Experiment.config;
         List.iter
           (fun dev ->
@@ -793,7 +790,7 @@ let util_cmd =
               (Pv_resource.Device.copies_that_fit dev p.Experiment.report))
           Pv_resource.Device.devices;
         Format.printf "@.")
-      (Experiment.paper_configs ())
+      (Experiment.paper_points kernel)
   in
   Cmd.v
     (Cmd.info "util"

@@ -96,7 +96,7 @@ type walker = {
   mem : int array;
   last : int array;  (* port -> value it loaded in the current instance *)
   mutable base : int;  (* slot of port 0 in the current instance *)
-  table : int array;  (* the trace's table *)
+  table : int array;  (* this walk's fill of the trace's table *)
   mutable row : int;  (* offset of the current instance's row in [table] *)
 }
 
@@ -151,7 +151,7 @@ let walk (k : Ast.kernel) (info : Depend.info) (trace : Pv_frontend.Trace.t)
       st_slots = [||];
     }
   in
-  let { Pv_frontend.Trace.table; arity } = trace in
+  let arity = trace.Types.gen_arity and table = trace.Types.gen_fill () in
   let w =
     { t; mem = Array.copy mem; last = Array.make n_ports 0; base = 0; table; row = 0 }
   in

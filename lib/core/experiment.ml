@@ -174,6 +174,10 @@ let sweep ?(policy = Supervisor.default_policy) ?sim_cfg ?cache ?metrics
 let paper_configs () =
   [ Scheme.plain_lsq; Scheme.fast_lsq; Scheme.prevv 16; Scheme.prevv 64 ]
 
+let paper_points kernel =
+  let compiled = Pipeline.compile kernel in
+  List.map (fun dis -> run ~compiled kernel dis) (paper_configs ())
+
 (* regroup a flat cell list into rows of [width] per kernel *)
 let regroup width points =
   let rec rows = function

@@ -84,6 +84,9 @@ val sweep :
     [15], [8], PreVV16, PreVV64. *)
 val paper_configs : unit -> Pipeline.disambiguation list
 
+(** [kernel] under each of {!paper_configs}, in order, compiled once. *)
+val paper_points : Pv_kernels.Ast.kernel -> point list
+
 (** The full grid for the paper's five kernels (Tables I & II): one row
     per kernel, one point per configuration.  [jobs] fans the cells across
     that many worker domains (default 1 = serial); [cache] reuses stored

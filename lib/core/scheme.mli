@@ -38,7 +38,7 @@ val serial : disambiguation
 type env = {
   kernel : Pv_kernels.Ast.kernel;
   info : Pv_frontend.Depend.info;
-  schedule : Pv_frontend.Trace.t;  (** the generator's instance table *)
+  schedule : Pv_frontend.Trace.t;  (** the generator's schedule, filled on demand *)
   layout : Pv_memory.Layout.t;
   mem : int array;
   trace : Pv_obs.Trace.t;

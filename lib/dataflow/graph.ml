@@ -24,9 +24,17 @@ type node = {
   outputs : chan_id array;
 }
 
+type census = {
+  counts : int array;
+  classes : int list;
+  levels : int;
+  unclassed : kind list;
+}
+
 type t = {
   nodes : node array;
   chans : channel array;
+  census : census;
 }
 
 type builder = {
@@ -93,18 +101,36 @@ let connect ?(width = 32) b (src, sslot) (dst, dslot) =
   sn.outputs.(sslot) <- cid;
   dn.inputs.(dslot) <- cid
 
+(* count [kind] into [counts], noting a class the first time *)
+let[@inline] count_kind counts classes unclassed kind =
+  let c = class_of kind in
+  if c < 0 then unclassed := kind :: !unclassed
+  else begin
+    if counts.(c) = 0 then classes := c :: !classes;
+    counts.(c) <- counts.(c) + 1
+  end
+
+let census_of nodes =
+  let counts = Array.make n_classes 0 and classes = ref [] and unclassed = ref [] in
+  let levels = ref 0 in
+  for i = 0 to Array.length nodes - 1 do
+    let kind = nodes.(i).kind in
+    count_kind counts classes unclassed kind;
+    match kind with Gen gs -> levels := !levels + gs.gen_arity | _ -> ()
+  done;
+  { counts; classes = !classes; levels = !levels; unclassed = !unclassed }
+
 (* channel ids are dense and the list is newest first, so the reversed
    list is already in id order *)
 let finalize b : t =
-  {
-    nodes = Array.sub b.b_nodes 0 b.n_count;
-    chans = Array.of_list (List.rev b.b_chans);
-  }
+  let nodes = Array.sub b.b_nodes 0 b.n_count in
+  { nodes; chans = Array.of_list (List.rev b.b_chans); census = census_of nodes }
 
 let n_nodes g = Array.length g.nodes
 let n_chans g = Array.length g.chans
 let node g nid = g.nodes.(nid)
 let chan g cid = g.chans.(cid)
+let census g = g.census
 
 let iter_nodes f g = Array.iter f g.nodes
 let iter_chans f g = Array.iter f g.chans
@@ -171,23 +197,22 @@ let splice_buffers g slots =
       { nd with inputs = Array.map remap_in nd.inputs; outputs = Array.map remap_out nd.outputs }
   done;
   let chans = Array.make (m + k) dummy_chan in
+  let counts = Array.copy g.census.counts in
+  let classes = ref g.census.classes and unclassed = ref g.census.unclassed in
   for c = 0 to m - 1 do
     let ch = g.chans.(c) and id = out_id.(c) in
     if slots.(c) > 0 then begin
       (* id - c spliced channels precede c: that is this buffer's rank *)
       let b = n + id - c in
       let port = { node = b; slot = 0 } in
+      let kind = Buffer { transparent = true; slots = slots.(c) } in
+      count_kind counts classes unclassed kind;
       nodes.(b) <-
-        {
-          nid = b;
-          kind = Buffer { transparent = true; slots = slots.(c) };
-          label = "slack";
-          inputs = [| id |];
-          outputs = [| id + 1 |];
-        };
+        { nid = b; kind; label = "slack"; inputs = [| id |]; outputs = [| id + 1 |] };
       chans.(id) <- { ch with cid = id; dst = port };
       chans.(id + 1) <- { ch with cid = id + 1; src = port }
     end
     else chans.(id) <- (if id = c then ch else { ch with cid = id })
   done;
-  { nodes; chans }
+  let census = { g.census with counts; classes = !classes; unclassed = !unclassed } in
+  { nodes; chans; census }

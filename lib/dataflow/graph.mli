@@ -55,6 +55,18 @@ val n_nodes : t -> int
 val n_chans : t -> int
 val node : t -> Types.node_id -> node
 val chan : t -> Types.chan_id -> channel
+
+(** What a graph is made of, counted where it is made ({!finalize},
+    {!splice_buffers}), so a report walks no node.  Read-only. *)
+type census = {
+  counts : int array;  (** nodes per {!Types.class_of} class *)
+  classes : int list;  (** the classes with a count, each once *)
+  levels : int;  (** the sum of every [Gen]'s [gen_arity] *)
+  unclassed : Types.kind list;  (** the kinds without a class *)
+}
+
+val census : t -> census
+
 val iter_nodes : (node -> unit) -> t -> unit
 val iter_chans : (channel -> unit) -> t -> unit
 
@@ -78,5 +90,5 @@ val topo_order : t -> Types.node_id array option
     These are exactly the ids a {!builder} gives when it re-adds [g]'s
     nodes in id order and re-connects its channels in id order, adding
     each buffer just before its two channels.  [g] is not changed.  One
-    pass over nodes and channels. *)
+    pass over nodes and channels; the census is [g]'s plus the buffers. *)
 val splice_buffers : t -> int array -> t

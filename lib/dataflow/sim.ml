@@ -193,7 +193,7 @@ type t = {
          responses (stride 1: key); a shared empty ring for slots with
          none — one lane narrower per record than the boxed-token era,
          since the packed key carries seq and epoch together *)
-  gen_table : int array array;  (* per slot: the Gen node's schedule *)
+  gen_table : int array array;  (* per slot: the Gen node's schedule, filled at [create] *)
   g_seq : int array;
   g_done : bool array;
   g_emitted : int array;
@@ -399,7 +399,7 @@ let create ?(cfg = default_config) ?(trace = Pv_obs.Trace.null)
     match node.Graph.kind with
     | Gen spec ->
         op.(slot) <- op_gen;
-        gen_table.(slot) <- spec.gen_table;
+        gen_table.(slot) <- spec.gen_fill ();
         incr gens
     | Const c ->
         op.(slot) <- op_const;
@@ -1514,7 +1514,7 @@ let graph t = t.g
 let cycle t = t.cycle
 let epoch t = t.epoch
 let evals t = t.evals
-let fires = node_fires
+let fire_count t nid = t.fires.(t.slot_of.(nid))
 
 let chan_occupied t cid = t.cur_key.(cid) >= 0
 

@@ -214,10 +214,9 @@ val epoch : t -> int
 (** Total node evaluations so far. *)
 val evals : t -> int
 
-(** Per-node fire counts so far, indexed by node id.  A fresh array on
-    each call: the simulator counts fires by evaluation slot and maps
-    them to node ids here, as {!run_stats.node_fires} does at the end. *)
-val fires : t -> int array
+(** Node [nid]'s fire count so far (the simulator counts by evaluation
+    slot and maps the id here, allocating nothing). *)
+val fire_count : t -> Types.node_id -> int
 
 (** The channel register currently holds a token. *)
 val chan_occupied : t -> Types.chan_id -> bool

@@ -182,13 +182,8 @@ let pp_token = Token.pp
     instances from [seq_err]. *)
 type gen_spec = {
   gen_arity : int;  (** outputs per body instance, at least 1 *)
-  gen_table : int array;
-      (** the schedule, one row of [gen_arity] values per body instance:
-          instance [seq]'s output [i] is [gen_table.(seq * gen_arity + i)].
-          Output 0 is the instance's memory-port group (the leaf id); the
-          nest is exhausted at [seq * gen_arity = Array.length gen_table].
-          Read in place, it keeps the generator's emission
-          allocation-free. *)
+  gen_rows : int;  (** body instances *)
+  gen_fill : unit -> int array;  (** a fresh table of [gen_rows] rows *)
 }
 
 (** Node kinds. Arities are fixed per kind and validated by {!Check}. *)
@@ -246,3 +241,32 @@ let kind_name = function
   | Store _ -> "store"
   | Skip _ -> "skip"
   | Galloc _ -> "galloc"
+
+(* Component classes: arities and slot counts run [0, sized_bound]; past
+   it a kind has no class ([-1]).  The bound keeps [n_classes] at 255, so
+   a census's count array stays under OCaml's 256-word limit for an
+   object the minor heap takes. *)
+let sized_bound = 44
+let span = sized_bound + 1
+let sized base n = if n >= 0 && n <= sized_bound then base + n else -1
+
+(* eight payload-only kinds, three unops, the binops, then the sized kinds *)
+let first_sized = 11 + Array.length binops
+let n_classes = first_sized + (5 * span)
+
+let class_of = function
+  | Gen _ -> 0
+  | Const _ -> 1
+  | Branch -> 2
+  | Sink -> 3
+  | Load _ -> 4
+  | Store _ -> 5
+  | Skip _ -> 6
+  | Galloc _ -> 7
+  | Unop op -> 8 + unop_code op
+  | Binop op -> 11 + binop_code op
+  | Fork n -> sized first_sized n
+  | Join n -> sized (first_sized + span) n
+  | Merge n -> sized (first_sized + (2 * span)) n
+  | Mux n -> sized (first_sized + (3 * span)) n
+  | Buffer { slots; _ } -> sized (first_sized + (4 * span)) slots

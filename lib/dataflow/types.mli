@@ -117,13 +117,13 @@ val pp_token : Format.formatter -> token -> unit
     instances from [seq_err]. *)
 type gen_spec = {
   gen_arity : int;  (** outputs per body instance, at least 1 *)
-  gen_table : int array;
-      (** the schedule, one row of [gen_arity] values per body instance:
-          instance [seq]'s output [i] is [gen_table.(seq * gen_arity + i)].
-          Output 0 is the instance's memory-port group (the leaf id); the
-          nest is exhausted at [seq * gen_arity = Array.length gen_table].
-          Read in place, it keeps the generator's emission
-          allocation-free. *)
+  gen_rows : int;  (** body instances *)
+  gen_fill : unit -> int array;
+      (** a fresh schedule of [gen_rows * gen_arity] values: instance
+          [seq]'s output [i] at [seq * gen_arity + i], output 0 its
+          memory-port group (the leaf id).  {!Sim.create} fills one per
+          simulation, so domains may simulate one graph at once, and an
+          only elaborated graph fills none. *)
 }
 
 (** Node kinds.  Arities are fixed per kind and validated by {!Check}. *)
@@ -155,3 +155,12 @@ type kind =
 val kind_arity : kind -> int * int
 
 val kind_name : kind -> string
+
+(** A kind's component class, in [\[0, n_classes)], keeps only what
+    changes its hardware (ports, constants, groups, buffer transparency
+    and generator specs are dropped); [-1] for a fork, join, merge, mux
+    or buffer whose arity or slot count exceeds [sized_bound] (44). *)
+val class_of : kind -> int
+
+val n_classes : int
+val sized_bound : int

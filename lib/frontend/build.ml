@@ -298,8 +298,8 @@ let compile_leaf ctx d (lowered : Depend.lowered) =
 let circuit ?(options = default_options) (k : Ast.kernel) (info : Depend.info)
     (layout : Pv_memory.Layout.t) (trace : Trace.t) : Graph.t =
   let b = Graph.create () in
-  let arity = trace.Trace.arity in
-  let gen = Graph.add ~label:"loopnest" b (Types.Gen (Trace.gen_spec trace)) in
+  let arity = trace.Types.gen_arity in
+  let gen = Graph.add ~label:"loopnest" b (Types.Gen trace) in
   let leaves = info.Depend.leaves in
   let n_leaves = List.length leaves in
   (* fan each generator output out to every leaf gate *)

@@ -7,19 +7,22 @@ exception Data_dependent_bound of Ast.expr
 let stage_bound scope e =
   Interp.stage_expr ~idx:(fun _ e _ _ -> raise (Data_dependent_bound e)) scope e
 
-type t = { table : int array; arity : int }
+type t = Pv_dataflow.Types.gen_spec
+
+(* One walk's state: its own frame, the table it fills (empty while it
+   only counts) and the rows reached so far. *)
+type cursor = { frame : Interp.frame; table : int array; mutable row : int }
 
 (* The walk is staged once per node, as {!Interp} stages a kernel: loop
    variables live in frame slots after the parameters, and each leaf's
    record and slots resolve before the walk.  A lookup that fails raises
    only when the walk reaches it, as a per-instance lookup would.  The
-   staged walk runs twice: against an empty table it only counts the
-   rows (and raises where a bound reads memory), then it fills a table
-   of exactly that size in place. *)
+   staged walk runs once here against an empty table, counting the rows
+   (and raising where a bound reads memory); each [gen_fill] runs it again on
+   a fresh cursor, into a table of exactly that size. *)
 let of_kernel (k : Ast.kernel) (info : Depend.info) : t =
   let arity = 1 + info.Depend.max_loop_depth in
-  let table = ref [||] and rows = ref 0 in
-  let rec stage scope next node : Interp.frame -> unit =
+  let rec stage scope next node : cursor -> unit =
     match node with
     | Depend.Leaf (id, _) -> (
         match
@@ -30,41 +33,43 @@ let of_kernel (k : Ast.kernel) (info : Depend.info) : t =
         | exception e -> fun _ -> raise e
         | slots ->
             let slots = Array.of_list slots in
-            fun f ->
-              let row = !rows * arity and table = !table in
-              if row < Array.length table then begin
-                table.(row) <- id;
+            fun c ->
+              let row = c.row * arity in
+              if row < Array.length c.table then begin
+                c.table.(row) <- id;
                 for i = 0 to Array.length slots - 1 do
-                  table.(row + i + 1) <- f.(slots.(i))
+                  c.table.(row + i + 1) <- c.frame.(slots.(i))
                 done
               end;
-              incr rows)
+              c.row <- c.row + 1)
     | Depend.Loop { var; lo; hi; body } ->
         let lo = stage_bound scope lo and hi = stage_bound scope hi in
         let body =
           Interp.stage_seq
             (List.map (stage ((var, next) :: scope) (next + 1)) body)
         in
-        fun f ->
+        fun c ->
+          let f = c.frame in
           let lo = lo f and hi = hi f in
           for iv = lo to hi - 1 do
             f.(next) <- iv;
-            body f
+            body c
           done
   in
-  let scope, frame =
-    Interp.bind k.Ast.params ~loops:info.Depend.max_loop_depth
+  let loops = info.Depend.max_loop_depth in
+  let scope, frame = Interp.bind k.Ast.params ~loops in
+  let walk =
+    Interp.stage_seq (List.map (stage scope (List.length scope)) info.Depend.nodes)
   in
-  let n = List.length k.Ast.params in
-  let walk = Interp.stage_seq (List.map (stage scope n) info.Depend.nodes) in
-  walk frame;
-  table := Array.make (!rows * arity) 0;
-  rows := 0;
-  walk frame;
-  { table = !table; arity }
+  let count = { frame; table = [||]; row = 0 } in
+  walk count;
+  let rows = count.row in
+  let fill () =
+    let frame = snd (Interp.bind k.Ast.params ~loops) in
+    let c = { frame; table = Array.make (rows * arity) 0; row = 0 } in
+    walk c;
+    c.table
+  in
+  { Pv_dataflow.Types.gen_arity = arity; gen_rows = rows; gen_fill = fill }
 
-let length t = Array.length t.table / t.arity
-
-(** The generator specification driving the circuit. *)
-let gen_spec (t : t) : Pv_dataflow.Types.gen_spec =
-  { Pv_dataflow.Types.gen_arity = t.arity; gen_table = t.table }
+let length (t : t) = t.gen_rows

@@ -72,7 +72,7 @@ let stage_load (st : state) a _ ix : frame -> int =
 
 let stage_value st scope e = stage_expr ~idx:(stage_load st) scope e
 
-let stage_seq (ss : (frame -> unit) list) : frame -> unit =
+let stage_seq ss =
   match ss with
   | [] -> fun _ -> ()
   | [ s ] -> s

@@ -59,5 +59,6 @@ val stage_expr :
   frame ->
   int
 
-(** Run staged statements in order. *)
-val stage_seq : (frame -> unit) list -> frame -> unit
+(** Run staged statements in order (over a frame, or over any state a
+    staged walk carries). *)
+val stage_seq : ('a -> unit) list -> 'a -> unit

@@ -11,45 +11,17 @@ type disambiguation =
   | D_oracle  (** analytic lower bound: no disambiguation hardware *)
   | D_serial  (** program-order serializer: a small gate per instance *)
 
-(* --- the table-driven datapath walk ------------------------------------ *)
+(* --- the census fold ------------------------------------------------------ *)
 
-(* A component's key keeps only what changes its parts: a port, a constant,
-   a group, a buffer's transparency and a generator's spec are dropped.
-   Arities and slot counts run [0, sized_bound]; past it a kind has no key
-   ([-1]) and is tallied from its parts. *)
-let sized_bound = 64
-let span = sized_bound + 1
-let sized base n = if n >= 0 && n <= sized_bound then base + n else -1
-
-(* eight payload-only kinds, three unops, the binops, then the sized kinds *)
-let first_sized = 11 + Array.length Types.binops
-
-let key : Types.kind -> int = function
-  | Types.Gen _ -> 0
-  | Types.Const _ -> 1
-  | Types.Branch -> 2
-  | Types.Sink -> 3
-  | Types.Load _ -> 4
-  | Types.Store _ -> 5
-  | Types.Skip _ -> 6
-  | Types.Galloc _ -> 7
-  | Types.Unop op -> 8 + Types.unop_code op
-  | Types.Binop op -> 11 + Types.binop_code op
-  | Types.Fork n -> sized first_sized n
-  | Types.Join n -> sized (first_sized + span) n
-  | Types.Merge n -> sized (first_sized + (2 * span)) n
-  | Types.Mux n -> sized (first_sized + (3 * span)) n
-  | Types.Buffer { slots; _ } -> sized (first_sized + (4 * span)) slots
-
-(* each key's component totals, from Gen.component's own parts for one
-   kind per key; checked against [key], built once at start-up and never
-   written after, so worker domains share it *)
+(* each class's component totals, from Gen.component's own parts for one
+   kind per class; checked against [Types.class_of], built once at start-up
+   and never written after, so worker domains share it *)
 let table =
-  let spec = { Types.gen_arity = 1; gen_table = [||] } in
-  let each_size mk = Array.init span mk in
+  let spec = { Types.gen_arity = 1; gen_rows = 0; gen_fill = (fun () -> [||]) } in
+  let each_size mk = Array.init (Types.sized_bound + 1) mk in
   Array.mapi
     (fun i kind ->
-      if key kind <> i then invalid_arg "Elaborate: component key table";
+      if Types.class_of kind <> i then invalid_arg "Elaborate: component class table";
       P.add P.zero (Gen.component kind))
     (Array.concat
        [
@@ -70,20 +42,13 @@ let level_totals = P.add P.zero Gen.loop_level
 type summary = { dp : P.totals; nodes : int; div : bool; mul : bool }
 
 let summarize (g : Graph.t) =
-  let t = P.tally () and div = ref false and mul = ref false in
-  Graph.iter_nodes
-    (fun n ->
-      let kind = n.Graph.kind in
-      let k = key kind in
-      if k >= 0 then P.tally_scaled t 1 table.(k)
-      else P.tally_add t (Gen.component kind);
-      match kind with
-      | Types.Gen gs -> P.tally_scaled t gs.Types.gen_arity level_totals
-      | Types.Binop (Types.Div | Types.Rem) -> div := true
-      | Types.Binop Types.Mul -> mul := true
-      | _ -> ())
-    g;
-  { dp = P.tallied t; nodes = Graph.n_nodes g; div = !div; mul = !mul }
+  let c = Graph.census g and t = P.tally () in
+  List.iter (fun k -> P.tally_scaled t c.Graph.counts.(k) table.(k)) c.Graph.classes;
+  List.iter (fun kind -> P.tally_add t (Gen.component kind)) c.Graph.unclassed;
+  P.tally_scaled t c.Graph.levels level_totals;
+  let has op = c.Graph.counts.(Types.class_of (Types.Binop op)) > 0 in
+  let div = has Types.Div || has Types.Rem in
+  { dp = P.tallied t; nodes = Graph.n_nodes g; div; mul = has Types.Mul }
 
 let count_ports (pm : Pv_memory.Portmap.t) ~inst =
   let l = ref 0 and s = ref 0 in

@@ -31,13 +31,13 @@ type summary = {
   mul : bool;  (** a DSP multiplier is present *)
 }
 
-(** [summarize g] walks [g] once and allocates nothing per node: each
-    component's totals come from a table derived from {!Gen.component}'s
-    parts and built once at start-up; a generator adds {!Gen.loop_level}'s
-    totals per level.  A fork, join, merge or mux of more than 64 inputs
-    or outputs, or a buffer of more than 64 slots, is tallied from its
-    parts.  [(summarize g).dp] totals the datapath blocks {!circuit} puts
-    ahead of the macros. *)
+(** [summarize g] folds [g]'s {!Pv_dataflow.Graph.census} and walks no
+    node: each component class's totals come from a table derived from
+    {!Gen.component}'s parts and built once at start-up, scaled by the
+    class's count; the generator levels add {!Gen.loop_level}'s totals
+    each.  A node without a class (past {!Pv_dataflow.Types.sized_bound})
+    is tallied from its parts.  [(summarize g).dp] totals the datapath
+    blocks {!circuit} puts ahead of the macros. *)
 val summarize : Pv_dataflow.Graph.t -> summary
 
 (** The memory-subsystem macros {!circuit} puts after the datapath, in

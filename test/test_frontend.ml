@@ -227,8 +227,10 @@ let test_trace_length_matches_interpreter () =
         (Trace.length trace))
     [ Defs.polyn_mult ~n:6 (); Defs.gaussian ~n:6 (); Defs.two_mm ~n:3 () ]
 
-(* row [seq] of a trace's table *)
-let row (t : Trace.t) seq = Array.sub t.Trace.table (seq * t.Trace.arity) t.Trace.arity
+(* row [seq] of a fill of a trace's table *)
+let row (t : Trace.t) seq =
+  let arity = t.Pv_dataflow.Types.gen_arity in
+  Array.sub (t.Pv_dataflow.Types.gen_fill ()) (seq * arity) arity
 
 let test_trace_rows () =
   let k = Defs.two_mm ~n:2 () in
@@ -238,15 +240,22 @@ let test_trace_rows () =
   Alcotest.(check int) "length" 16 (Trace.length t);
   Alcotest.(check (array int)) "first row" [| 0; 0; 0; 0 |] (row t 0);
   Alcotest.(check (array int)) "last row" [| 1; 1; 1; 1 |] (row t 15);
-  let spec = Trace.gen_spec t in
-  Alcotest.(check bool) "the spec shares the table" true
-    (spec.Pv_dataflow.Types.gen_table == t.Trace.table);
-  Alcotest.(check int) "group of 8" 1
-    spec.Pv_dataflow.Types.gen_table.(8 * spec.Pv_dataflow.Types.gen_arity)
+  let a = t.Pv_dataflow.Types.gen_fill () and b = t.Pv_dataflow.Types.gen_fill () in
+  Alcotest.(check bool) "each fill is a fresh table" true (a != b);
+  Alcotest.(check (array int)) "fills agree" a b;
+  Alcotest.(check int) "group of 8" 1 a.(8 * t.Pv_dataflow.Types.gen_arity)
 
-(* The table is exactly [length * arity] ints, and tabulating it forces no
-   minor collection: one exact-size [Array.make] of an immediate, no row
-   list to cons and copy. *)
+(* words allocated straight into the major heap while [f] runs *)
+let direct_major f =
+  let _, p0, m0 = Gc.counters () in
+  let r = f () in
+  let _, p1, m1 = Gc.counters () in
+  (r, m1 -. m0 -. (p1 -. p0))
+
+(* Compiling the trace allocates no table: [of_kernel] only counts rows,
+   and none of its words goes straight to the major heap.  A fill is
+   exactly [length * arity] ints, one [Array.make] of an immediate, and
+   neither forces a minor collection. *)
 let test_trace_exact_table () =
   let forced =
     List.filter_map
@@ -254,18 +263,75 @@ let test_trace_exact_table () =
         let info = info_of k in
         Gc.minor ();
         let c0 = (Gc.quick_stat ()).Gc.minor_collections in
-        let t = Trace.of_kernel k info in
+        let t, major = direct_major (fun () -> Trace.of_kernel k info) in
+        let table, fill_major = direct_major t.Pv_dataflow.Types.gen_fill in
         let c1 = (Gc.quick_stat ()).Gc.minor_collections in
+        Alcotest.(check (float 0.))
+          (k.Ast.name ^ ": of_kernel's direct major words")
+          0. major;
         Alcotest.(check int)
           (k.Ast.name ^ ": table size")
-          (Trace.length t * t.Trace.arity)
-          (Array.length t.Trace.table);
+          (Trace.length t * t.Pv_dataflow.Types.gen_arity)
+          (Array.length table);
+        (* past the minor heap's 256-word object limit the table goes
+           straight to the major heap, so the counter above would see one *)
+        if Array.length table > 256 then
+          Alcotest.(check bool) (k.Ast.name ^ ": the fill's table is counted") true
+            (fill_major >= float_of_int (Array.length table));
         if c1 <> c0 then Some (Printf.sprintf "%s: %d" k.Ast.name (c1 - c0))
         else None)
       (Defs.all ())
   in
   Alcotest.(check (list string)) "kernels whose trace forced a collection" []
     forced
+
+(* the area_sweep benchmark's generated shape *)
+let area_spec =
+  {
+    Generate.max_depth = 3;
+    max_stmts = 3;
+    max_arrays = 4;
+    array_len = 64;
+    trip = 8;
+    allow_if = true;
+    allow_indirect = true;
+    allow_div = true;
+  }
+
+(* The schedule filled eagerly, by a direct walk of the loop nest that
+   evaluates each bound on an association list. *)
+let eager_table (k : Ast.kernel) (info : Depend.info) =
+  let arity = 1 + info.Depend.max_loop_depth and rows = ref [] in
+  let eval env e =
+    let scope, frame = Interp.bind env ~loops:0 in
+    Interp.stage_expr ~idx:(fun _ _ _ _ -> assert false) scope e frame
+  in
+  let rec walk env = function
+    | Depend.Leaf (id, _) ->
+        let r = Array.make arity 0 in
+        r.(0) <- id;
+        List.iteri
+          (fun i var -> r.(i + 1) <- List.assoc var env)
+          (List.nth info.Depend.leaves id).Depend.loop_vars;
+        rows := r :: !rows
+    | Depend.Loop { var; lo; hi; body } ->
+        for iv = eval env lo to eval env hi - 1 do
+          List.iter (walk ((var, iv) :: env)) body
+        done
+  in
+  List.iter (walk k.Ast.params) info.Depend.nodes;
+  Array.concat (List.rev !rows)
+
+let test_trace_fill_matches_eager () =
+  List.iter
+    (fun k ->
+      let info = info_of k in
+      let t = Trace.of_kernel k info in
+      Alcotest.(check (array int))
+        (k.Ast.name ^ ": rows")
+        (eager_table k info)
+        (t.Pv_dataflow.Types.gen_fill ()))
+    (Defs.all () @ List.init 200 (fun seed -> Generate.kernel ~spec:area_spec seed))
 
 let test_trace_data_dependent_bound () =
   let open Ast in
@@ -283,6 +349,28 @@ let test_trace_data_dependent_bound () =
        ignore (Trace.of_kernel k info);
        false
      with Trace.Data_dependent_bound _ -> true)
+
+(* The CSR SpMV nest: its inner bounds read the row-pointer array, which
+   a schedule counted at compile time cannot do. *)
+let test_trace_csr_bound () =
+  let src =
+    {|
+      int rp[5]; int col[8]; int v[8]; int x[4]; int y[4];
+      for (unsigned i = 0; i < 4; ++i) {
+        for (unsigned j = rp[i]; j < rp[i + 1]; ++j) {
+          y[i] = y[i] + v[j] * x[col[j]];
+        }
+      }
+    |}
+  in
+  match Parse.kernel ~name:"csr_spmv" src with
+  | Error e -> Alcotest.failf "CSR SpMV does not parse: %a" Parse.pp_error e
+  | Ok k ->
+      Alcotest.(check bool) "Pipeline.compile raises Data_dependent_bound" true
+        (try
+           ignore (Pv_core.Pipeline.compile k);
+           false
+         with Trace.Data_dependent_bound _ -> true)
 
 (* Bounds are evaluated only when the walk reaches them: a data-dependent
    or unbound bound nested in a zero-trip loop raises nothing. *)
@@ -536,23 +624,11 @@ let rebuild_reference (g : Pv_dataflow.Graph.t) (slots : int array) =
 (* every bundled kernel plus the area_sweep benchmark's generated
    population, each built without balancing *)
 let unbalanced_population () =
-  let spec =
-    {
-      Generate.max_depth = 3;
-      max_stmts = 3;
-      max_arrays = 4;
-      array_len = 64;
-      trip = 8;
-      allow_if = true;
-      allow_indirect = true;
-      allow_div = true;
-    }
-  in
   let options = { Build.default_options with Build.balance = false } in
   List.map
     (fun k ->
       (k.Ast.name, (Pv_core.Pipeline.compile ~options k).Pv_core.Pipeline.graph))
-    (Defs.all () @ List.init 200 (fun seed -> Generate.kernel ~spec seed))
+    (Defs.all () @ List.init 200 (fun seed -> Generate.kernel ~spec:area_spec seed))
 
 let test_balance_matches_rebuild () =
   let module G = Pv_dataflow.Graph in
@@ -655,6 +731,10 @@ let () =
             test_trace_exact_table;
           Alcotest.test_case "data-dependent bound" `Quick
             test_trace_data_dependent_bound;
+          Alcotest.test_case "CSR SpMV bound raises at compile time" `Quick
+            test_trace_csr_bound;
+          Alcotest.test_case "fill = eager reference, 215 kernels" `Quick
+            test_trace_fill_matches_eager;
           Alcotest.test_case "unreached bound" `Quick
             test_trace_unreached_bound;
           Alcotest.test_case "loop shadows param" `Quick

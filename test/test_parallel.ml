@@ -223,22 +223,30 @@ let test_grid_serial_vs_concurrent () =
 
 let test_same_cell_concurrently () =
   (* many copies of one cell racing through one pool: catches hidden
-     shared state that the disjoint-cells grid test would miss *)
+     shared state that the disjoint-cells grid test would miss.  The odd
+     copies share one compiled graph, whose schedule each run fills for
+     itself (in Sim.create, and in Prescience.walk under the oracle). *)
   let kernel = Pv_kernels.Defs.gaussian () in
-  let reference = Experiment.run kernel (Scheme.prevv 16) in
-  let pool = Parallel.create ~jobs:4 in
-  let copies =
-    Fun.protect
-      ~finally:(fun () -> Parallel.shutdown pool)
-      (fun () ->
-        Parallel.map_pool pool
-          (fun () -> Experiment.run kernel (Scheme.prevv 16))
-          (List.init 8 (fun _ -> ())))
-  in
-  List.iteri
-    (fun i p ->
-      if p <> reference then Alcotest.failf "concurrent copy %d diverged" i)
-    copies
+  let compiled = Pipeline.compile kernel in
+  List.iter
+    (fun dis ->
+      let reference = Experiment.run kernel dis in
+      let pool = Parallel.create ~jobs:4 in
+      let copies =
+        Fun.protect
+          ~finally:(fun () -> Parallel.shutdown pool)
+          (fun () ->
+            Parallel.map_pool pool
+              (fun i ->
+                if i mod 2 = 0 then Experiment.run kernel dis
+                else Experiment.run ~compiled kernel dis)
+              (List.init 8 Fun.id))
+      in
+      List.iteri
+        (fun i p ->
+          if p <> reference then Alcotest.failf "concurrent copy %d diverged" i)
+        copies)
+    [ Scheme.prevv 16; Scheme.oracle ]
 
 let test_paper_grid_jobs_param () =
   (* the public driver: whatever the requested job count, same rows *)

@@ -283,6 +283,80 @@ let test_work_pin () =
     (List.map (fun (l, c, e, ph) -> (l, (c, e, ph))) work_pin)
     got
 
+(* The area-flow work pin: for each bundled kernel, the minor words and the
+   words allocated straight into the major heap by [Pipeline.compile], then
+   by its nine area reports (perfbench area_sweep's configurations: plain
+   and fast LSQ, PreVV at depths 1 to 64).  A change that moves an entry
+   lists it, before and after, in CHANGES.md.  Allocation depends on the
+   compiler, so the pin holds under the OCaml release it was recorded with
+   and is skipped, with a message, under any other. *)
+let area_pin_ocaml = "5.1.1"
+
+let area_pin =
+  [
+    ("polyn_mult", (4522, 0), (2748, 0));
+    ("2mm", (11678, 0), (3924, 0));
+    ("3mm", (16890, 259), (5100, 0));
+    ("gaussian", (7323, 0), (2424, 0));
+    ("triangular", (6028, 0), (2748, 0));
+    ("histogram", (6231, 0), (3618, 0));
+    ("fn_dependent", (8041, 0), (3618, 0));
+    ("cond_update", (6567, 0), (2748, 0));
+    ("spmv_like", (4798, 0), (2748, 0));
+    ("triangular_tight", (6037, 0), (2748, 0));
+    ("fir_smooth", (4698, 0), (2424, 0));
+    ("matvec", (4527, 0), (2748, 0));
+    ("stencil1d", (7784, 0), (3600, 0));
+    ("bicg", (8320, 0), (3924, 0));
+    ("running_max", (3715, 0), (2748, 0));
+  ]
+
+(* minor words and direct major words of [f ()]; [Gc.counters]'s minor
+   count is not used, it reads an eighth of [Gc.minor_words] in 5.1 *)
+let words f =
+  Gc.minor ();
+  let _, pr0, ma0 = Gc.counters () in
+  let mi0 = Gc.minor_words () in
+  let r = f () in
+  let mi1 = Gc.minor_words () in
+  let _, pr1, ma1 = Gc.counters () in
+  ( Sys.opaque_identity r,
+    int_of_float (mi1 -. mi0),
+    int_of_float (ma1 -. ma0 -. (pr1 -. pr0)) )
+
+let test_area_work_pin () =
+  if Sys.ocaml_version <> area_pin_ocaml then begin
+    Printf.printf "area work pin recorded under OCaml %s, running %s: skipped\n"
+      area_pin_ocaml Sys.ocaml_version;
+    Alcotest.skip ()
+  end;
+  let configs =
+    List.map Scheme.elaboration_of
+      ([ Scheme.plain_lsq; Scheme.fast_lsq ]
+      @ List.map Scheme.prevv [ 1; 2; 4; 8; 16; 32; 64 ])
+  in
+  let got =
+    List.map
+      (fun k ->
+        let c, minor, major = words (fun () -> Pipeline.compile k) in
+        let pm = c.Pipeline.info.Pv_frontend.Depend.portmap in
+        let (), r_minor, r_major =
+          words (fun () ->
+              List.iter
+                (fun dis ->
+                  ignore
+                    (Sys.opaque_identity
+                       (Pv_resource.Report.of_circuit c.Pipeline.graph pm dis)))
+                configs)
+        in
+        (k.Pv_kernels.Ast.name, ((minor, major), (r_minor, r_major))))
+      (Pv_kernels.Defs.all ())
+  in
+  Alcotest.(check (list (pair string (pair (pair int int) (pair int int)))))
+    "compile and nine reports: (minor, direct major) words"
+    (List.map (fun (name, c, r) -> (name, (c, r))) area_pin)
+    got
+
 (* the disabled profiler records nothing through any entry point *)
 let test_null_records_nothing () =
   let p = Prof.null in
@@ -303,6 +377,8 @@ let () =
           Alcotest.test_case "held counts match a by-hand count" `Quick
             test_held_counts_exact;
           Alcotest.test_case "work pin: 30 paper cells" `Quick test_work_pin;
+          Alcotest.test_case "work pin: area flow of 15 bundled kernels" `Quick
+            test_area_work_pin;
         ] );
       ( "determinism",
         [

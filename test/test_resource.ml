@@ -531,8 +531,8 @@ let test_fold_equivalence () =
         golden_configs)
     kernels
 
-(* A hand-built graph whose arities and slot counts run past the walk's
-   table, next to in-table kinds with payload variants (ports, constants,
+(* A hand-built graph whose arities and slot counts run past
+   [Types.sized_bound], next to in-table kinds with payload variants (ports, constants,
    groups, transparency, a three-level generator, div and mul): the
    fallback tallies parts, and the report still equals the collected
    netlist under every configuration.  The graph's nodes are not wired;
@@ -541,14 +541,15 @@ let test_table_fallback () =
   let module T = Pv_dataflow.Types in
   let module G = Pv_dataflow.Graph in
   let b = G.create () in
-  let spec = { T.gen_arity = 3; gen_table = [||] } in
+  let spec = Literal_gen.spec ~arity:3 [||] in
   List.iter
     (fun kind -> ignore (G.add b kind))
     [
-      T.Gen spec; T.Fork 100; T.Join 70; T.Merge 65; T.Mux 80;
+      T.Gen spec; T.Fork 100; T.Join 70; T.Merge (T.sized_bound + 1); T.Mux 80;
       T.Buffer { transparent = true; slots = 100 };
-      T.Buffer { transparent = false; slots = 65 };
-      T.Fork 64; T.Mux 64; T.Buffer { transparent = true; slots = 64 };
+      T.Buffer { transparent = false; slots = T.sized_bound + 1 };
+      T.Fork T.sized_bound; T.Mux T.sized_bound;
+      T.Buffer { transparent = true; slots = T.sized_bound };
       T.Buffer { transparent = true; slots = 3 };
       T.Load { port = 3 }; T.Load { port = 0 }; T.Store { port = 7 };
       T.Skip { port = 2 }; T.Const 42; T.Const (-5);
@@ -572,6 +573,86 @@ let test_table_fallback () =
     (fun dis ->
       ignore (check_report_equivalence ("fallback/" ^ config_name dis) g pm dis))
     golden_configs
+
+(* The per-node walk the census fold replaced: each node's parts, each
+   generator level, and the div/mul flags. *)
+let walk_summary g =
+  let module T = Pv_dataflow.Types in
+  let module G = Pv_dataflow.Graph in
+  let t = P.tally () and div = ref false and mul = ref false in
+  G.iter_nodes
+    (fun n ->
+      P.tally_add t (Pv_netlist.Gen.component n.G.kind);
+      match n.G.kind with
+      | T.Gen gs ->
+          for _ = 1 to gs.T.gen_arity do
+            P.tally_add t Pv_netlist.Gen.loop_level
+          done
+      | T.Binop (T.Div | T.Rem) -> div := true
+      | T.Binop T.Mul -> mul := true
+      | _ -> ())
+    g;
+  { E.dp = P.tallied t; nodes = G.n_nodes g; div = !div; mul = !mul }
+
+(* the area_sweep benchmark's generated shape *)
+let area_spec =
+  {
+    Pv_kernels.Generate.max_depth = 3;
+    max_stmts = 3;
+    max_arrays = 4;
+    array_len = 64;
+    trip = 8;
+    allow_if = true;
+    allow_indirect = true;
+    allow_div = true;
+  }
+
+(* [summarize] folds the census [Graph.finalize] counts and
+   [Graph.splice_buffers] extends: it equals a per-node walk on every
+   bundled kernel and 200 generated ones, balanced (spliced) and not, and
+   on a hand-built graph whose fork and spliced buffers run past
+   [Types.sized_bound]. *)
+let test_census_matches_walk () =
+  let module T = Pv_dataflow.Types in
+  let module G = Pv_dataflow.Graph in
+  let same name g =
+    Alcotest.(check bool) (name ^ ": census fold = per-node walk") true
+      (E.summarize g = walk_summary g)
+  in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun balance ->
+          let options =
+            { Pv_frontend.Build.default_options with Pv_frontend.Build.balance }
+          in
+          same
+            (Printf.sprintf "%s, balance %b" k.Pv_kernels.Ast.name balance)
+            (Pv_core.Pipeline.compile ~options k).Pv_core.Pipeline.graph)
+        [ false; true ])
+    (Pv_kernels.Defs.all ()
+    @ List.init 200 (fun seed -> Pv_kernels.Generate.kernel ~spec:area_spec seed));
+  let b = G.create () in
+  let gen = G.add b (T.Gen (Literal_gen.spec ~arity:2 [||])) in
+  let fork = G.add b (T.Fork 70) in
+  G.connect b (gen, 0) (fork, 0);
+  let div = G.add b (T.Binop T.Div) in
+  G.connect b (gen, 1) (div, 0);
+  G.connect b (fork, 69) (div, 1);
+  G.connect b (div, 0) (G.add b T.Sink, 0);
+  for i = 0 to 68 do
+    G.connect b (fork, i) (G.add b T.Sink, 0)
+  done;
+  let g = G.finalize b in
+  same "hand-built" g;
+  let slots = Array.make (G.n_chans g) 0 in
+  slots.(0) <- 100;
+  slots.(1) <- 3;
+  slots.(2) <- T.sized_bound;
+  slots.(5) <- T.sized_bound + 1;
+  let spliced = G.splice_buffers g slots in
+  Alcotest.(check int) "four buffers spliced" (G.n_nodes g + 4) (G.n_nodes spliced);
+  same "hand-built, spliced" spliced
 
 (* Report.of_circuit allocates at most 8 minor words per graph node on
    each paper kernel under every configuration (1.4-7.0 measured): the
@@ -689,6 +770,8 @@ let () =
             test_fold_equivalence;
           Alcotest.test_case "table fallback = collected netlist" `Quick
             test_table_fallback;
+          Alcotest.test_case "census fold = per-node walk" `Quick
+            test_census_matches_walk;
           Alcotest.test_case "<= 8 minor words per node" `Quick
             test_report_alloc;
           Alcotest.test_case "overlap chain (Sec. V-B)" `Quick

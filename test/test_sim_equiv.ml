@@ -119,7 +119,7 @@ let pipe_behind_slow_consumer () =
   let module T = Pv_dataflow.Types in
   let b = G.create () in
   let gen_of rows =
-    T.Gen { T.gen_arity = 2; gen_table = Array.concat (Array.to_list rows) }
+    T.Gen (Literal_gen.spec ~arity:2 (Array.concat (Array.to_list rows)))
   in
   let gen = G.add b (gen_of (Array.init 24 (fun s -> [| s; 3 |]))) in
   let mul = G.add b (T.Binop T.Mul) in
@@ -152,6 +152,7 @@ let test_pipe_accept_after_drain () =
       (Pv_dataflow.Memif.direct ~latency:4 mem)
   in
   let scan = sim Sim.Scan and event = sim Sim.Event in
+  let fires t = Array.init (Pv_dataflow.Graph.n_nodes g) (Sim.fire_count t) in
   let rec go cycle =
     if Sim.finished scan then cycle
     else if cycle > 1000 then Alcotest.fail "scan run did not finish"
@@ -160,7 +161,7 @@ let test_pipe_accept_after_drain () =
       Sim.step event;
       Alcotest.(check (array int))
         (Printf.sprintf "per-node fires after cycle %d" cycle)
-        (Sim.fires scan) (Sim.fires event);
+        (fires scan) (fires event);
       go (cycle + 1)
     end
   in

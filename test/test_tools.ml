@@ -118,6 +118,22 @@ let test_device_utilisation () =
         u.Pv_resource.Device.fits)
     [ p16; lsq ]
 
+(* [prevv report] and [prevv util] print Experiment.paper_points, which
+   compiles once: every point, the report and metrics they print included,
+   equals the point of a run that compiles for itself. *)
+let test_paper_points_compile_once () =
+  List.iter
+    (fun kernel ->
+      let once = Experiment.paper_points kernel in
+      let each = List.map (Experiment.run kernel) (Experiment.paper_configs ()) in
+      List.iter2
+        (fun (a : Experiment.point) b ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s" a.Experiment.kernel a.Experiment.config)
+            true (a = b))
+        once each)
+    (Pv_kernels.Defs.histogram () :: Pv_kernels.Defs.paper_benchmarks ())
+
 (* --- ablation switches ----------------------------------------------------------- *)
 
 let test_value_validation_ablation () =
@@ -191,7 +207,12 @@ let () =
             test_vcd_budget_and_cancel;
         ] );
       ("profile", [ Alcotest.test_case "utilisation and pressure" `Quick test_profile ]);
-      ("device", [ Alcotest.test_case "utilisation" `Quick test_device_utilisation ]);
+      ( "device",
+        [
+          Alcotest.test_case "utilisation" `Quick test_device_utilisation;
+          Alcotest.test_case "paper points compile once" `Quick
+            test_paper_points_compile_once;
+        ] );
       ( "ablations",
         [
           Alcotest.test_case "value validation (Eq. 5)" `Quick
