@@ -283,6 +283,74 @@ let test_work_pin () =
     (List.map (fun (l, c, e, ph) -> (l, (c, e, ph))) work_pin)
     got
 
+(* The LSQ work pin of perfbench squash_storm: its eight fixed kernels at
+   the workload's sizes under both LSQ schemes (default inputs, Event
+   engine), each with its cycles, evals, [lsq_cam] and [mem_service]
+   totals and the forwarded, stall_order, stall_bw and stall_full
+   counters.  Like the paper-cell pin, an entry that moves is a change in
+   the work the LSQ does, not a figure to refresh. *)
+let storm_kernels () =
+  let module D = Pv_kernels.Defs in
+  [
+    D.matvec ~n:48 ();
+    D.fir_smooth ~n:600 ();
+    D.triangular_tight ~n:40 ();
+    D.histogram ~n:1024 ();
+    D.spmv_like ~n:2048 ();
+    D.running_max ~n:4096 ();
+    D.stencil1d ~n:256 ();
+    D.cond_update ~n:2048 ();
+  ]
+
+let storm_pin =
+  [
+    ("matvec/fast-lsq", [ 11347; 233563; 4311557; 9216; 2256; 319711; 0; 8884 ]);
+    ("matvec/dynamatic", [ 11360; 233747; 4312000; 9216; 2256; 283290; 0; 8897 ]);
+    ("fir_smooth/fast-lsq", [ 5395; 60850; 820746; 2392; 597; 58546; 9; 7 ]);
+    ("fir_smooth/dynamatic", [ 5411; 61039; 819984; 2392; 597; 58496; 10; 39 ]);
+    ("triangular_tight/fast-lsq", [ 11879; 770631; 1074360; 45920; 3944; 65915; 0; 368 ]);
+    ("triangular_tight/dynamatic", [ 12223; 792645; 626952; 45920; 1044; 9387; 0; 711 ]);
+    ("histogram/fast-lsq", [ 6161; 183413; 82678; 6144; 0; 96899; 1023; 4062 ]);
+    ("histogram/dynamatic", [ 6176; 183460; 82686; 6144; 0; 51179; 1023; 4077 ]);
+    ("spmv_like/fast-lsq", [ 2069; 102800; 44923; 14336; 0; 0; 0; 0 ]);
+    ("spmv_like/dynamatic", [ 2143; 106049; 65196; 14336; 0; 0; 0; 63 ]);
+    ("running_max/fast-lsq", [ 8209; 309973; 3053349; 12288; 4094; 183306; 0; 4050 ]);
+    ("running_max/dynamatic", [ 8221; 310429; 3054659; 12288; 4094; 134622; 0; 4062 ]);
+    ("stencil1d/fast-lsq", [ 2552; 220077; 232415; 6096; 0; 0; 8576; 496 ]);
+    ("stencil1d/dynamatic", [ 3797; 221616; 92840; 6096; 0; 0; 1281; 1735 ]);
+    ("cond_update/fast-lsq", [ 2073; 164345; 28408; 7303; 0; 0; 0; 0 ]);
+    ("cond_update/dynamatic", [ 2077; 164359; 32567; 7303; 0; 0; 0; 0 ]);
+  ]
+
+let test_storm_work_pin () =
+  let got =
+    List.concat_map
+      (fun kernel ->
+        let compiled = Pipeline.compile kernel in
+        List.map
+          (fun (sname, dis) ->
+            let prof = Prof.create () in
+            let r = Pipeline.simulate ~prof compiled dis in
+            let ph = Prof.phase_totals prof and ms = r.Pipeline.mem_stats in
+            ( kernel.Pv_kernels.Ast.name ^ "/" ^ sname,
+              [
+                r.Pipeline.cycles;
+                r.Pipeline.run_stats.Sim.evals;
+                ph.(Prof.phase_lsq_cam);
+                ph.(Prof.phase_mem_service);
+                ms.Memif.forwarded;
+                ms.Memif.stall_order;
+                ms.Memif.stall_bw;
+                ms.Memif.stall_full;
+              ] ))
+          [ ("fast-lsq", Scheme.fast_lsq); ("dynamatic", Scheme.plain_lsq) ])
+      (storm_kernels ())
+  in
+  Alcotest.(check (list (pair string (list int))))
+    "cycles, evals, lsq_cam, mem_service, forwarded, stall_order, stall_bw, \
+     stall_full per cell"
+    storm_pin got
+
 (* The area-flow work pin: for each bundled kernel, the minor words and the
    words allocated straight into the major heap by [Pipeline.compile], then
    by its nine area reports (perfbench area_sweep's configurations: plain
@@ -379,6 +447,8 @@ let () =
           Alcotest.test_case "work pin: 30 paper cells" `Quick test_work_pin;
           Alcotest.test_case "work pin: area flow of 15 bundled kernels" `Quick
             test_area_work_pin;
+          Alcotest.test_case "work pin: 16 squash_storm LSQ cells" `Quick
+            test_storm_work_pin;
         ] );
       ( "determinism",
         [
