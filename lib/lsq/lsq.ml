@@ -14,14 +14,17 @@
     - {!fast} ([8], fast token delivery): allocation is immediate and off
       the critical path.
 
-    Queues are dense flat arrays in program order (a shift/collapse
-    structure, as the hardware is), with packed [(seq, ROM pos)] order
-    keys, so the CAM loops compare one int per entry and can early-exit:
-    the load-issue ordering check is an O(1) compare against the minimum
-    order key among stores with unknown addresses, forwarding is a
-    backward scan that stops at the first (= youngest older) address
-    match, and the commit-side WAR guard stops at the first entry at or
-    beyond the committing store's key. *)
+    No entry moves once allocated, as in a hardware queue whose slots
+    stay in place: the store queue is a ring (entries leave only at the
+    head) and the load queue is a doubly linked list over fixed slots in
+    program order (entries leave out of order as loads issue), so a
+    removal rewrites a head index or two links.  Order keys pack
+    [(seq, ROM pos)] into one int, so the CAM loops compare one int per
+    entry and can early-exit: the load-issue ordering check is an O(1)
+    compare against the minimum order key among stores with unknown
+    addresses, forwarding is a backward scan that stops at the first
+    (= youngest older) address match, and the commit-side WAR guard
+    stops at the first load at or beyond the committing store's key. *)
 
 open Pv_memory
 module Token = Pv_dataflow.Types.Token
@@ -59,28 +62,39 @@ let max_pos = (1 lsl pos_bits) - 1
 let[@inline] okey ~seq ~pos = (seq lsl pos_bits) lor pos
 let[@inline] okey_seq k = k asr pos_bits
 
-(* Dense program-ordered load queue: parallel arrays, shift-collapse on
-   removal (entries leave out of order as loads issue).  [l_addr] is the
-   packed address array the CAM loops scan; -1 = not yet announced.
-   [l_tok] is the packed token key of the pending request, delivered back
-   with the response. *)
+(* Load queue: [depth] fixed slots of parallel arrays, threaded in
+   program order by the [l_next]/[l_prev] links from [l_head] (oldest) to
+   [l_tail] (youngest); -1 ends a chain.  Allocation takes a slot from
+   the free list (chained through [l_next] from [l_free]) and links it at
+   the tail; an issued or skipped load is unlinked in O(1), and no other
+   entry moves.  [l_addr] is the address the CAM loops compare; -1 = not
+   yet announced.  [l_tok] is the packed token key of the pending
+   request, delivered back with the response. *)
 type lq = {
   lk : int array;
   l_port : int array;
   l_usable : int array;
   l_addr : int array;
   l_tok : int array;
+  l_next : int array;
+  l_prev : int array;
+  mutable l_head : int;
+  mutable l_tail : int;
+  mutable l_free : int;
   mutable ln : int;
 }
 
-(* Dense program-ordered store queue.  [sk] ascends strictly: allocation
-   appends in program order ([begin_instance] runs in seq order, ROM
-   positions ascend within a group) and entries leave only at the head,
-   so the load-issue search can bisect it.  [s_flags] bit 0 = value
-   known, bit 1 = skipped (fake token).  [min_unk] caches the minimum
-   order key among non-skipped stores whose address is unknown (max_int
-   when none): the load-issue ordering check of the CAM loop collapses to
-   one compare against it. *)
+(* Store queue: a ring of parallel arrays whose capacity is [depth]
+   rounded up to a power of two ([s_mask] + 1).  Entry [o] in program
+   order (0 = oldest) lives in slot [(s_head + o) land s_mask]; the head
+   leaves by advancing [s_head], so no entry moves.  [sk] ascends
+   strictly along the ring: allocation appends in program order
+   ([begin_instance] runs in seq order, ROM positions ascend within a
+   group) and entries leave only at the head, so the load-issue search
+   can bisect it.  [s_flags] bit 0 = value known, bit 1 = skipped (fake
+   token).  [min_unk] caches the minimum order key among non-skipped
+   stores whose address is unknown (max_int when none): the load-issue
+   ordering check of the CAM loop collapses to one compare against it. *)
 type sq = {
   sk : int array;
   s_port : int array;
@@ -88,9 +102,14 @@ type sq = {
   s_addr : int array;
   s_val : int array;
   s_flags : int array;
+  s_mask : int;
+  mutable s_head : int;
   mutable sn : int;
   mutable min_unk : int;
 }
+
+(* the slot of the store [o] entries younger than the head *)
+let[@inline] sslot (q : sq) o = (q.s_head + o) land q.s_mask
 
 type t = {
   cfg : config;
@@ -154,45 +173,52 @@ let note_occupancy t =
     t.last_occ <- o
   end
 
-(* shift-collapse removal; program order is preserved by construction *)
+(* unlink slot [i] and return it to the free list; no other entry moves
+   and program order is kept by the links *)
 let lq_remove (q : lq) i =
-  let m = q.ln - 1 - i in
-  Array.blit q.lk (i + 1) q.lk i m;
-  Array.blit q.l_port (i + 1) q.l_port i m;
-  Array.blit q.l_usable (i + 1) q.l_usable i m;
-  Array.blit q.l_addr (i + 1) q.l_addr i m;
-  Array.blit q.l_tok (i + 1) q.l_tok i m;
+  let p = q.l_prev.(i) and n = q.l_next.(i) in
+  if p >= 0 then q.l_next.(p) <- n else q.l_head <- n;
+  if n >= 0 then q.l_prev.(n) <- p else q.l_tail <- p;
+  q.l_next.(i) <- q.l_free;
+  q.l_free <- i;
   q.ln <- q.ln - 1
+
+(* link a free slot at the tail (the youngest end) and return it *)
+let lq_append (q : lq) =
+  let i = q.l_free in
+  q.l_free <- q.l_next.(i);
+  q.l_prev.(i) <- q.l_tail;
+  q.l_next.(i) <- -1;
+  if q.l_tail >= 0 then q.l_next.(q.l_tail) <- i else q.l_head <- i;
+  q.l_tail <- i;
+  q.ln <- q.ln + 1;
+  i
 
 let sq_recompute_min (q : sq) =
   let m = ref max_int in
-  for i = 0 to q.sn - 1 do
+  for o = 0 to q.sn - 1 do
+    let i = sslot q o in
     if q.s_flags.(i) land 2 = 0 && q.s_addr.(i) < 0 && q.sk.(i) < !m then
       m := q.sk.(i)
   done;
   q.min_unk <- !m
 
+(* The head leaves skipped or committed, and neither kind counts towards
+   [min_unk] (a committing store's address is known), so the cache stands. *)
 let sq_remove_head (q : sq) =
-  let k = q.sk.(0) in
-  let m = q.sn - 1 in
-  Array.blit q.sk 1 q.sk 0 m;
-  Array.blit q.s_port 1 q.s_port 0 m;
-  Array.blit q.s_usable 1 q.s_usable 0 m;
-  Array.blit q.s_addr 1 q.s_addr 0 m;
-  Array.blit q.s_val 1 q.s_val 0 m;
-  Array.blit q.s_flags 1 q.s_flags 0 m;
-  q.sn <- m;
-  if k = q.min_unk then sq_recompute_min q
+  q.s_head <- (q.s_head + 1) land q.s_mask;
+  q.sn <- q.sn - 1
 
-(* Index in [lo, hi) of the first store at or beyond order key [k] ([hi]
-   when none): a bisection of the ascending [sk].  Top-level, so the
+(* Offset in [lo, hi) of the first store at or beyond order key [k] ([hi]
+   when none): a bisection of the ascending ring.  Top-level, so the
    search allocates no closure. *)
-let rec sq_lower_bound (sk : int array) k lo hi =
+let rec sq_lower_bound (q : sq) k lo hi =
   if lo >= hi then lo
   else
     let mid = (lo + hi) lsr 1 in
-    if Array.unsafe_get sk mid < k then sq_lower_bound sk k (mid + 1) hi
-    else sq_lower_bound sk k lo mid
+    if Array.unsafe_get q.sk (sslot q mid) < k then
+      sq_lower_bound q k (mid + 1) hi
+    else sq_lower_bound q k lo mid
 
 (* A load may issue when all older stores have known addresses; it forwards
    from the youngest older store with a matching address, if any.  The
@@ -216,13 +242,14 @@ let try_issue_load t i : bool =
       false
     end
     else begin
-      let lo = sq_lower_bound sq.sk k 0 sq.sn in
+      let lo = sq_lower_bound sq k 0 sq.sn in
       let scanned = ref (sq.sn - lo) in
       let j = ref (lo - 1) in
       let found = ref (-1) in
       while !j >= 0 && !found < 0 do
         incr scanned;
-        if sq.s_flags.(!j) land 2 = 0 && sq.s_addr.(!j) = addr then found := !j;
+        let s = sslot sq !j in
+        if sq.s_flags.(s) land 2 = 0 && sq.s_addr.(s) = addr then found := s;
         decr j
       done;
       if t.prof_on then
@@ -260,23 +287,24 @@ let try_issue_load t i : bool =
 (* The store at the head of program order commits when its address and data
    are known and every older load that could alias has issued (WAR guard:
    a commit must not overtake an older load of the same address).  The
-   load queue is program-ordered, so the guard stops at the first entry at
-   or beyond the store's key. *)
+   load queue's links run in program order, so the guard walks them from
+   the oldest load and stops at the first at or beyond the store's key. *)
 let can_commit t =
   let sq = t.sq in
-  sq.s_usable.(0) <= t.now
-  && sq.s_addr.(0) >= 0
-  && sq.s_flags.(0) land 1 = 1
+  let h = sq.s_head in
+  sq.s_usable.(h) <= t.now
+  && sq.s_addr.(h) >= 0
+  && sq.s_flags.(h) land 1 = 1
   && begin
-       let k = sq.sk.(0) and a = sq.s_addr.(0) in
+       let k = sq.sk.(h) and a = sq.s_addr.(h) in
        let lq = t.lq in
        let scanned = ref 0 in
        let blocked = ref false in
-       let i = ref 0 in
-       while (not !blocked) && !i < lq.ln && lq.lk.(!i) < k do
+       let i = ref lq.l_head in
+       while (not !blocked) && !i >= 0 && lq.lk.(!i) < k do
          incr scanned;
          if lq.l_addr.(!i) < 0 || lq.l_addr.(!i) = a then blocked := true;
-         incr i
+         i := lq.l_next.(!i)
        done;
        if t.prof_on then
          Pv_obs.Prof.add t.prof ~phase:Pv_obs.Prof.phase_lsq_cam !scanned;
@@ -284,32 +312,35 @@ let can_commit t =
      end
 
 let clock t =
-  (* issue loads, oldest first; issued entries shift-collapse out *)
+  (* issue loads, oldest first, up to the cap; issued entries unlink *)
+  let lq = t.lq in
   let issued = ref 0 in
-  let i = ref 0 in
-  while !i < t.lq.ln do
-    if !issued < issues_per_cycle && try_issue_load t !i then begin
+  let i = ref lq.l_head in
+  while !i >= 0 && !issued < issues_per_cycle do
+    let next = lq.l_next.(!i) in
+    if try_issue_load t !i then begin
       incr issued;
-      lq_remove t.lq !i
-    end
-    else incr i
+      lq_remove lq !i
+    end;
+    i := next
   done;
   (* drop skipped stores at the head, then commit in order *)
   let committed = ref 0 in
   let continue = ref true in
   while !continue do
     let sq = t.sq in
+    let h = sq.s_head in
     if sq.sn = 0 then continue := false
-    else if sq.s_flags.(0) land 2 = 2 then sq_remove_head sq
+    else if sq.s_flags.(h) land 2 = 2 then sq_remove_head sq
     else if
       !committed < commits_per_cycle
       && can_commit t
-      && take t.writes t.port_aid.(sq.s_port.(0))
+      && take t.writes t.port_aid.(sq.s_port.(h))
     then begin
-      t.mem.(sq.s_addr.(0)) <- sq.s_val.(0);
+      t.mem.(sq.s_addr.(h)) <- sq.s_val.(h);
       if Pv_obs.Trace.enabled t.trace then
         Pv_obs.Trace.instant t.trace ~tid:Pv_obs.Trace.tid_backend ~ts:t.now
-          ~args:[ ("seq", okey_seq sq.sk.(0)); ("addr", sq.s_addr.(0)) ]
+          ~args:[ ("seq", okey_seq sq.sk.(h)); ("addr", sq.s_addr.(h)) ]
           "lsq_commit";
       sq_remove_head sq;
       incr committed
@@ -322,40 +353,47 @@ let clock t =
   Array.fill t.writes 0 (Array.length t.writes) 1;
   t.now <- t.now + 1
 
-(* index of the first load entry of [port]/[seq] still awaiting its
+(* slot of the oldest load entry of [port]/[seq] still awaiting its
    address, or -1 *)
 let find_load t ~seq ~port =
   let q = t.lq in
-  let i = ref 0 in
+  let i = ref q.l_head in
   while
-    !i < q.ln
+    !i >= 0
     && not
          (okey_seq q.lk.(!i) = seq && q.l_port.(!i) = port && q.l_addr.(!i) < 0)
   do
-    incr i
+    i := q.l_next.(!i)
   done;
-  if !i < q.ln then !i else -1
+  !i
 
-(* index of the first store entry of [port]/[seq] still awaiting its
+(* slot of the oldest store entry of [port]/[seq] still awaiting its
    address ([~no_addr:true]) or its data ([~no_addr:false]), or -1 *)
 let find_store t ~seq ~port ~no_addr =
   let q = t.sq in
-  let i = ref 0 in
+  let o = ref 0 in
   while
-    !i < q.sn
-    && not
-         (okey_seq q.sk.(!i) = seq
-         && q.s_port.(!i) = port
-         && if no_addr then q.s_addr.(!i) < 0 else q.s_flags.(!i) land 1 = 0)
+    !o < q.sn
+    &&
+    let i = sslot q !o in
+    not
+      (okey_seq q.sk.(i) = seq
+      && q.s_port.(i) = port
+      && if no_addr then q.s_addr.(i) < 0 else q.s_flags.(i) land 1 = 0)
   do
-    incr i
+    incr o
   done;
-  if !i < q.sn then !i else -1
+  if !o < q.sn then sslot q !o else -1
 
 let create ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
     (cfg : config) (pm : Portmap.t) (mem : int array) : Pv_dataflow.Memif.t =
   let n_ports = Array.length pm.Portmap.ports in
   let port_aid, n_arrays = Portmap.array_ids pm in
+  let ring = ref 1 in
+  while !ring < cfg.depth do
+    ring := 2 * !ring
+  done;
+  let ring = !ring in
   let t =
     {
       cfg;
@@ -369,16 +407,25 @@ let create ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
           l_usable = Array.make cfg.depth 0;
           l_addr = Array.make cfg.depth (-1);
           l_tok = Array.make cfg.depth (-1);
+          (* every slot free, chained in slot order *)
+          l_next =
+            Array.init cfg.depth (fun i -> if i + 1 < cfg.depth then i + 1 else -1);
+          l_prev = Array.make cfg.depth (-1);
+          l_head = -1;
+          l_tail = -1;
+          l_free = (if cfg.depth > 0 then 0 else -1);
           ln = 0;
         };
       sq =
         {
-          sk = Array.make cfg.depth 0;
-          s_port = Array.make cfg.depth 0;
-          s_usable = Array.make cfg.depth 0;
-          s_addr = Array.make cfg.depth (-1);
-          s_val = Array.make cfg.depth 0;
-          s_flags = Array.make cfg.depth 0;
+          sk = Array.make ring 0;
+          s_port = Array.make ring 0;
+          s_usable = Array.make ring 0;
+          s_addr = Array.make ring (-1);
+          s_val = Array.make ring 0;
+          s_flags = Array.make ring 0;
+          s_mask = ring - 1;
+          s_head = 0;
           sn = 0;
           min_unk = max_int;
         };
@@ -414,6 +461,21 @@ let create ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
   let g_loads =
     Array.mapi (fun g ports -> Array.length ports - g_stores.(g)) gports
   in
+  (* a group one queue cannot hold would be refused at every
+     [begin_instance] and the run would end in a deadlock *)
+  Array.iteri
+    (fun g n_loads ->
+      let n_stores = g_stores.(g) in
+      if n_loads > cfg.depth || n_stores > cfg.depth then
+        invalid_arg
+          (Printf.sprintf
+             "Lsq: depth %d is smaller than group %d's %s (%d loads, %d \
+              stores); an instance of the group could never be allocated"
+             cfg.depth g
+             (if n_loads > cfg.depth then Printf.sprintf "%d loads" n_loads
+              else Printf.sprintf "%d stores" n_stores)
+             n_loads n_stores))
+    g_loads;
   let begin_instance ~seq ~group =
     let ports = gports.(group) in
     let n_loads = g_loads.(group) and n_stores = g_stores.(group) in
@@ -436,7 +498,7 @@ let create ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
         let k = okey ~seq ~pos in
         if is_store pid then begin
           let q = t.sq in
-          let i = q.sn in
+          let i = sslot q q.sn in
           q.sk.(i) <- k;
           q.s_port.(i) <- pid;
           q.s_usable.(i) <- usable;
@@ -444,17 +506,16 @@ let create ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
           q.s_val.(i) <- 0;
           q.s_flags.(i) <- 0;
           if k < q.min_unk then q.min_unk <- k;
-          q.sn <- i + 1
+          q.sn <- q.sn + 1
         end
         else begin
           let q = t.lq in
-          let i = q.ln in
+          let i = lq_append q in
           q.lk.(i) <- k;
           q.l_port.(i) <- pid;
           q.l_usable.(i) <- usable;
           q.l_addr.(i) <- -1;
-          q.l_tok.(i) <- -1;
-          q.ln <- i + 1
+          q.l_tok.(i) <- -1
         end
       done;
       if Pv_obs.Trace.enabled t.trace then
