@@ -27,8 +27,9 @@ bench-tables:
 	dune exec bench/main.exe -- --jobs $(JOBS)
 
 # paired speed gate: perfbench paper_grid, squash_storm and area_sweep on
-# BASE and on this checkout in alternating pairs; exits non-zero on a paired slowdown
-# or heap_peak_mb rise (bench/speed_gate.mli has the rule)
+# BASE and on this checkout in alternating pairs; exits non-zero on a paired
+# slowdown, heap_peak_mb rise or cell_ms_p95 rise (bench/speed_gate.mli has
+# the rule)
 gate:
 	dune exec bench/gate.exe -- $(BASE)
 

@@ -1,5 +1,5 @@
-(* The paired speed gate: is the change in this checkout slower, or its
-   heap heavier, than a base revision?
+(* The paired speed gate: is the change in this checkout slower, its heap
+   heavier or its tail latency longer than a base revision?
 
      dune exec bench/gate.exe -- BASE        (make gate BASE=<rev>)
 
@@ -9,7 +9,7 @@
    (paper_grid, squash_storm and the compile-and-report area_sweep) in
    alternating pairs, prints every pair (with whether its two sides'
    model_luts and model_ffs agree) and each workload's verdict (with its
-   median latency ratios, which no rule judges), and exits 1
+   median p50 latency ratio, which no rule judges), and exits 1
    when any workload fails Speed_gate's rule, 2 when BASE does not name
    a commit.  Each side run is capped at Speed_gate.side_limit_s
    seconds by timeout(1); a run past it fails its pair.  When the change
@@ -118,10 +118,12 @@ let () =
   Printf.printf
     "speed gate: change in %s against base %s; %d pairs per workload, %gs \
      runs; a workload fails at median ratio < %.2f with >= %d/%d slower, \
-     at median heap ratio > %.2f with >= %d/%d heavier, or when model_luts \
-     or model_ffs differ in any pair\n%!"
+     at median heap ratio > %.2f with >= %d/%d heavier, at median \
+     cell_ms_p95 ratio > %.2f with >= %d/%d slower, or when model_luts or \
+     model_ffs differ in any pair\n%!"
     (Sys.getcwd ()) sha G.n_pairs G.seconds G.bound G.slower_needed G.n_pairs
-    G.heap_bound G.slower_needed G.n_pairs;
+    G.heap_bound G.slower_needed G.n_pairs G.latency_bound G.slower_needed
+    G.n_pairs;
   let ok =
     List.fold_left
       (fun ok w -> workload ~base_dir ~change_dir:"." w && ok)

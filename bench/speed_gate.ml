@@ -7,6 +7,7 @@ let side_limit_s = 600
 let seed i = 100 + i
 let bound = 0.90
 let heap_bound = 1.20
+let latency_bound = 1.25
 let slower_needed = 6
 
 type run = {
@@ -86,10 +87,10 @@ let median_of f pairs =
   | rs -> Some (List.nth rs (List.length rs / 2))
 
 let latency pairs =
-  let show = function Some r -> Printf.sprintf "%.3f" r | None -> "-" in
-  Printf.sprintf "median cell_ms_p50 ratio %s, cell_ms_p95 ratio %s (reported, not judged)"
-    (show (median_of p50_ratio pairs))
-    (show (median_of p95_ratio pairs))
+  Printf.sprintf "median cell_ms_p50 ratio %s (reported, not judged)"
+    (match median_of p50_ratio pairs with
+    | Some r -> Printf.sprintf "%.3f" r
+    | None -> "-")
 
 let verdict pairs =
   let broken =
@@ -122,14 +123,16 @@ let verdict pairs =
       in
       let median, slower = median_and_count ratio (fun r -> r < 1.0) in
       let heap, heavier = median_and_count heap_ratio (fun r -> r > 1.0) in
+      let p95, later = median_and_count p95_ratio (fun r -> r > 1.0) in
       let summary =
         Printf.sprintf
           "median ratio %.3f, change slower in %d/%d pairs; median heap ratio \
-           %.3f, heavier in %d/%d"
-          median slower n_pairs heap heavier n_pairs
+           %.3f, heavier in %d/%d; median p95 ratio %.3f, slower in %d/%d"
+          median slower n_pairs heap heavier n_pairs p95 later n_pairs
       in
       if
         (median < bound && slower >= slower_needed)
         || (heap > heap_bound && heavier >= slower_needed)
+        || (p95 > latency_bound && later >= slower_needed)
       then Error summary
       else Ok summary

@@ -11,9 +11,11 @@
     side does not count.  The same rule reads each pair's heap ratio,
     change [heap_peak_mb] / base [heap_peak_mb]: a workload also fails when
     its median heap ratio is above {!heap_bound} and the change is heavier
-    in at least {!slower_needed} pairs.  The latency ratios, change / base
-    [cell_ms_p50] and [cell_ms_p95], are read and printed ({!latency}) but
-    judged by no rule.  The model figures, [model_luts] and [model_ffs],
+    in at least {!slower_needed} pairs, and when its median tail-latency
+    ratio, change / base [cell_ms_p95], is above {!latency_bound} and the
+    change is slower in at least {!slower_needed} pairs.  The median
+    latency ratio, change / base [cell_ms_p50], is read and printed
+    ({!latency}) but judged by no rule.  The model figures, [model_luts] and [model_ffs],
     are exact outputs of the same cells on both sides: a workload fails
     when they differ in any pair ({!model_differs}). *)
 
@@ -41,6 +43,10 @@ val bound : float
 (** 1.20: the median heap ratio above which the change may fail
     (BENCHMARK.json's 20% bound on [heap_peak_mb]). *)
 val heap_bound : float
+
+(** 1.25: the median [cell_ms_p95] ratio above which the change may fail
+    (BENCHMARK.json's 25% bound on it). *)
+val latency_bound : float
 
 (** 6: pairs in which the change must be slower (or heavier) for it to
     fail. *)
@@ -81,15 +87,16 @@ val p50_ratio : pair -> float option
 
 val p95_ratio : pair -> float option
 
-(** The median p50 and p95 latency ratios over the pairs where both sides
-    count, as one line; ["-"] where no pair counts.  A report only: no
-    rule reads it. *)
+(** The median p50 latency ratio over the pairs where both sides count, as
+    one line; ["-"] where no pair counts.  A report only: no rule reads
+    it. *)
 val latency : pair list -> string
 
 (** Both sides count and their [model_luts] or [model_ffs] differ. *)
 val model_differs : pair -> bool
 
 (** [Ok summary] when the workload passes, [Error why] when it fails.  The
-    summary carries the median ratio, the number of slower pairs, the
-    median heap ratio and the number of heavier pairs. *)
+    summary carries the median ratio and the number of slower pairs, the
+    median heap ratio and the number of heavier pairs, and the median p95
+    ratio and the number of pairs with a slower p95. *)
 val verdict : pair list -> (string, string) result

@@ -1,8 +1,9 @@
 (* The paired speed gate's verdict on canned pairs: the ratios measured
    for an eval_slot mutant and for an identical clone, the two edges of
    the rule (a slow median alone, a sign-test majority alone), the same
-   rule over heap ratios, the exact model figures, runs that do not
-   count, and the latency ratios the gate reports without judging. *)
+   rule over heap ratios and over p95 latency ratios, the exact model
+   figures, runs that do not count, and the p50 latency ratio the gate
+   reports without judging. *)
 
 module G = Speed_gate
 
@@ -73,7 +74,8 @@ let test_heap () =
   match G.verdict (pairs ~heap:(List.map (fun _ -> 1.1) ones) ones) with
   | Ok summary ->
       Alcotest.(check bool) "the summary prints the median heap ratio" true
-        (String.ends_with ~suffix:"median heap ratio 1.100, heavier in 7/7" summary)
+        (String.ends_with ~suffix:"median heap ratio 1.100, heavier in 7/7; \
+                                   median p95 ratio 1.000, slower in 0/7" summary)
   | Error why -> Alcotest.failf "expected a pass, got %s" why
 
 let result_line ?(heap = true) ?(p50 = true) ?(luts = true) correct =
@@ -155,27 +157,44 @@ let test_model () =
   Alcotest.(check bool) "a pair that does not count has no model verdict" false
     (G.model_differs { (List.hd (pairs ones)) with G.change = Error "timed out" })
 
-(* latency ratios are change / base per pair, and the report prints their
-   medians; a slower latency never changes the verdict *)
+let latency_pair i ~p50 ~p95 =
+  { G.seed = G.seed i; base = run 100.0 20.0; change = run ~p50 ~p95 100.0 20.0 }
+
+(* latency ratios are change / base per pair; the report prints the p50
+   median, and a slower p50 never changes the verdict *)
 let test_latency () =
-  let pair i ~p50 ~p95 =
-    { G.seed = G.seed i; base = run 100.0 20.0; change = run ~p50 ~p95 100.0 20.0 }
-  in
   let ps =
     List.mapi
-      (fun i (p50, p95) -> pair i ~p50 ~p95)
+      (fun i (p50, p95) -> latency_pair i ~p50 ~p95)
       [ (50., 90.); (60., 99.); (55., 180.); (100., 90.); (40., 45.); (75., 135.); (50., 99.) ]
   in
   Alcotest.(check (option (float 1e-9))) "p50 ratio" (Some 1.2) (G.p50_ratio (List.nth ps 1));
   Alcotest.(check (option (float 1e-9))) "p95 ratio" (Some 2.0) (G.p95_ratio (List.nth ps 2));
-  Alcotest.(check string) "the medians"
-    "median cell_ms_p50 ratio 1.100, cell_ms_p95 ratio 1.100 (reported, not judged)"
-    (G.latency ps);
-  Alcotest.(check bool) "twice the latency still passes" true
-    (Result.is_ok (G.verdict (List.mapi (fun i _ -> pair i ~p50:100. ~p95:180.) ps)));
+  Alcotest.(check string) "the p50 median"
+    "median cell_ms_p50 ratio 1.100 (reported, not judged)" (G.latency ps);
+  Alcotest.(check bool) "twice the p50 still passes" true
+    (Result.is_ok (G.verdict (List.mapi (fun i _ -> latency_pair i ~p50:100. ~p95:90.) ps)));
   Alcotest.(check string) "no counted pair"
-    "median cell_ms_p50 ratio -, cell_ms_p95 ratio - (reported, not judged)"
+    "median cell_ms_p50 ratio - (reported, not judged)"
     (G.latency [ { (List.hd ps) with G.change = Error "timed out" } ])
+
+(* the p95 rule: a median p95 ratio above 1.25 fails only with 6 of 7
+   pairs slower; the base p95 is 90 ms *)
+let test_p95 () =
+  let p95s name want ratios =
+    Alcotest.(check bool) name want
+      (Result.is_ok
+         (G.verdict
+            (List.mapi (fun i r -> latency_pair i ~p50:50. ~p95:(90. *. r)) ratios)))
+  in
+  p95s "p95 median 1.26, 7/7 slower" false [ 1.26; 1.30; 1.26; 1.02; 1.40; 1.26; 1.27 ];
+  p95s "p95 median 1.26, 5/7 slower" true [ 1.26; 0.90; 1.26; 0.95; 1.40; 1.26; 1.27 ];
+  p95s "p95 median 1.25 exactly" true [ 1.25; 1.25; 1.25; 1.25; 1.30; 1.30; 1.30 ];
+  match G.verdict (List.init 7 (fun i -> latency_pair i ~p50:50. ~p95:99.)) with
+  | Ok summary ->
+      Alcotest.(check bool) "the summary prints the median p95 ratio" true
+        (String.ends_with ~suffix:"median p95 ratio 1.100, slower in 7/7" summary)
+  | Error why -> Alcotest.failf "expected a pass, got %s" why
 
 let () =
   Alcotest.run "gate"
@@ -188,7 +207,8 @@ let () =
           Alcotest.test_case "the heap rule" `Quick test_heap;
           Alcotest.test_case "the model rule" `Quick test_model;
           Alcotest.test_case "runs that do not count fail" `Quick test_sides;
-          Alcotest.test_case "latency is reported, not judged" `Quick
+          Alcotest.test_case "p50 latency is reported, not judged" `Quick
             test_latency;
+          Alcotest.test_case "the p95 rule" `Quick test_p95;
         ] );
     ]

@@ -45,27 +45,56 @@ let steps sim n =
     Sim.step sim
   done
 
+(* A simulation of [kernel] under [engine] over the real backend of
+   [dis] ([Pipeline.backend_full]), on the kernel's default inputs rather
+   than zeros, so the oracle's wait and forward paths, PreVV's gate and
+   the LSQ's forwarding see real conflicts. *)
+let scheme_sim engine kernel dis =
+  let compiled = Pipeline.compile kernel in
+  let mem =
+    Pv_memory.Layout.initial_memory compiled.Pipeline.layout kernel
+      ~init:(Pv_kernels.Workload.default_init kernel)
+  in
+  Sim.create
+    ~cfg:{ Sim.default_config with Sim.engine }
+    compiled.Pipeline.graph
+    (Pipeline.backend_full compiled mem dis).Scheme.memif
+
 (* (a) zero allocation per steady-state cycle, each paper kernel, under
-   the event engine and under the scan (the dense regime pinned). *)
+   the event engine and under the scan (the dense regime pinned), over
+   the direct backend (the simulator core alone) and over every
+   registered scheme's backend: both LSQs (whose store ring wraps and
+   whose load list unlinks from the middle), PreVV at both depths, the
+   oracle and the serial bound. *)
 let test_zero_alloc_steady () =
+  let backends =
+    ("direct", fun engine kernel -> direct_sim engine kernel)
+    :: List.map
+         (fun (sname, dis) ->
+           (sname, fun engine kernel -> scheme_sim engine kernel dis))
+         schemes
+  in
   List.iter
     (fun (engine, kernel) ->
-      let name =
-        Printf.sprintf "%s/%s" kernel.Pv_kernels.Ast.name
-          (Sim.string_of_engine engine)
-      in
-      let sim = direct_sim engine kernel in
-      (* warm up: ring capacities, response arrays, wake plumbing *)
-      steps sim 200;
-      let d_short = minor_delta (fun () -> steps sim 300) in
-      let d_long = minor_delta (fun () -> steps sim 1000) in
-      Alcotest.(check bool)
-        (name ^ ": still streaming through the measurement window")
-        false (Sim.finished sim);
-      Alcotest.(check (float 0.0))
-        (name ^ ": minor words per cycle")
-        0.0
-        ((d_long -. d_short) /. 700.0))
+      List.iter
+        (fun (bname, make) ->
+          let name =
+            Printf.sprintf "%s/%s/%s" kernel.Pv_kernels.Ast.name bname
+              (Sim.string_of_engine engine)
+          in
+          let sim = make engine kernel in
+          (* warm up: ring capacities, response arrays, wake plumbing *)
+          steps sim 200;
+          let d_short = minor_delta (fun () -> steps sim 300) in
+          let d_long = minor_delta (fun () -> steps sim 1000) in
+          Alcotest.(check bool)
+            (name ^ ": still streaming through the measurement window")
+            false (Sim.finished sim);
+          Alcotest.(check (float 0.0))
+            (name ^ ": minor words per cycle")
+            0.0
+            ((d_long -. d_short) /. 700.0))
+        backends)
     (List.concat_map
        (fun engine -> List.map (fun k -> (engine, k)) kernels)
        [ Sim.Event; Sim.Scan ])
@@ -242,41 +271,6 @@ let test_queue_paths_no_alloc () =
     "minor words per queue cycle" 0.0
     ((d_long -. d_short) /. 700.0)
 
-(* (i) every backend stays on the same budget: a steady-state cycle of the
-   event engine over each registered scheme (both LSQs, PreVV at both
-   depths, the oracle and the serial bound) allocates nothing on each
-   paper kernel.  Default inputs, not zeros, so the oracle's wait and
-   forward paths and PreVV's gate see real conflicts. *)
-let test_schemes_no_alloc () =
-  List.iter
-    (fun kernel ->
-      let compiled = Pipeline.compile kernel in
-      List.iter
-        (fun (sname, dis) ->
-          let name = kernel.Pv_kernels.Ast.name ^ "/" ^ sname in
-          let mem =
-            Pv_memory.Layout.initial_memory compiled.Pipeline.layout kernel
-              ~init:(Pv_kernels.Workload.default_init kernel)
-          in
-          let sim =
-            Sim.create
-              ~cfg:{ Sim.default_config with Sim.engine = Sim.Event }
-              compiled.Pipeline.graph
-              (Pipeline.backend_of compiled mem dis)
-          in
-          steps sim 200;
-          let d_short = minor_delta (fun () -> steps sim 300) in
-          let d_long = minor_delta (fun () -> steps sim 1000) in
-          Alcotest.(check bool)
-            (name ^ ": still streaming through the measurement window")
-            false (Sim.finished sim);
-          Alcotest.(check (float 0.0))
-            (name ^ ": minor words per cycle")
-            0.0
-            ((d_long -. d_short) /. 700.0))
-        schemes)
-    kernels
-
 (* (h) Prof attribution counts records {e actually scanned}: under
    incremental validation, each gated load charges [arbiter_scan] by
    exactly the store-view population and each arriving store charges
@@ -411,7 +405,8 @@ let () =
     [
       ( "alloc",
         [
-          Alcotest.test_case "steady-state cycles allocate nothing" `Quick
+          Alcotest.test_case
+            "steady-state cycles allocate nothing, every backend" `Quick
             test_zero_alloc_steady;
           Alcotest.test_case "purge allocates nothing" `Quick
             test_purge_no_alloc;
@@ -419,8 +414,6 @@ let () =
             test_zero_alloc_profiled;
           Alcotest.test_case "packed queue paths allocate nothing" `Quick
             test_queue_paths_no_alloc;
-          Alcotest.test_case "every scheme's cycles allocate nothing"
-            `Quick test_schemes_no_alloc;
           Alcotest.test_case "golden model: <= 1 minor word per instance"
             `Quick test_interp_alloc;
         ] );
