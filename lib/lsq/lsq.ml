@@ -389,11 +389,9 @@ let create ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
     (cfg : config) (pm : Portmap.t) (mem : int array) : Pv_dataflow.Memif.t =
   let n_ports = Array.length pm.Portmap.ports in
   let port_aid, n_arrays = Portmap.array_ids pm in
-  let ring = ref 1 in
-  while !ring < cfg.depth do
-    ring := 2 * !ring
-  done;
-  let ring = !ring in
+  (* the store ring's capacity: [depth] rounded up to a power of two *)
+  let rec pow2 n = if n >= cfg.depth then n else pow2 (2 * n) in
+  let ring = pow2 1 in
   let t =
     {
       cfg;
@@ -413,7 +411,7 @@ let create ?(trace = Pv_obs.Trace.null) ?(prof = Pv_obs.Prof.null)
           l_prev = Array.make cfg.depth (-1);
           l_head = -1;
           l_tail = -1;
-          l_free = (if cfg.depth > 0 then 0 else -1);
+          l_free = 0;
           ln = 0;
         };
       sq =

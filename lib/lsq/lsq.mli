@@ -49,7 +49,8 @@ val fast : config
     [mem_service] unit per load/store accepted (so [mem_service] equals
     the memory stats' loads + stores exactly).
     @raise Invalid_argument when a group holds more ambiguous ports than
-    the 6-bit ROM-position field of the order keys. *)
+    the 6-bit ROM-position field of the order keys, or more loads or more
+    stores than [depth] (such a group could never be allocated). *)
 val create :
   ?trace:Pv_obs.Trace.t ->
   ?prof:Pv_obs.Prof.t ->
